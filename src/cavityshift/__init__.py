@@ -16,17 +16,15 @@ from .analysis import (AnalysisResult, ConvergenceReport, DeltaCurve,
                        weighted_mean_difference)
 from .config import RunConfig, default_run_config, load_run_config
 from .errors import (CalibrationError, CavityShiftError, ConfigError,
-                     DomainError, FitError, InputError, SolverError)
-from .instrument import (InstrumentConfig, SampleGeometry, coil_field,
-                         measure_profile, measure_resistance, noise_stream,
-                         quantize_current, transition_resistance)
+                     DomainError, FitError, InputError)
+from .instrument import (InstrumentConfig, measure_profile, noise_stream,
+                         transition_resistance)
 from .model import (EnergyBreakdown, ModelParams, calibrate_defaults,
                     casimir_shift, cavity_delta, condensation_energy,
                     critical_field, delta_derivative, delta_difference,
                     energy_breakdown, film_delta, magnetic_energy)
 from .protocol import (SweepPlan, TransitionCurve, acquire_curve, plan_sweep,
                        read_run, run_paired_experiment, write_run)
-from .sensitivity import (ContrastStudy, SensitivityReport, calibrate_noise,
-                          derivative_contrast_study, run_sensitivity)
+from .sensitivity import SensitivityReport, calibrate_noise, run_sensitivity
 
 __version__ = "0.1.0"

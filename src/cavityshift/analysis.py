@@ -129,10 +129,11 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     Requires both plateaus to be sampled (at least 10% of the points
     below 0.2 r_n and above 0.8 r_n).  Convergence means the largest
     relative parameter change drops below ``xtol`` within ``max_iter``
-    accepted steps; anything else raises :class:`FitError` with the
-    last iterate attached.  ``sigma_t_star`` comes from the fit
-    covariance scaled by the reduced chi-square, so it is meaningful
-    without knowing the noise level beforehand.
+    accepted steps; anything else, including singular normal equations,
+    raises :class:`FitError` with the last iterate attached.
+    ``sigma_t_star`` comes from the fit covariance scaled by the reduced
+    chi-square, so it is meaningful without knowing the noise level
+    beforehand.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -156,7 +157,10 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     for _ in range(max_iter):
         jtj = jac.T @ jac
         grad = jac.T @ resid
-        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
+        except np.linalg.LinAlgError:
+            break
         p_new = p + step
         if p_new[1] < min_width:
             p_new[1] = min_width
@@ -184,7 +188,12 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
 
     dof = max(n - 3, 1)
     s2 = cost / dof
-    cov = np.linalg.inv(jac.T @ jac) * s2
+    try:
+        cov = np.linalg.inv(jac.T @ jac) * s2
+    except np.linalg.LinAlgError:
+        raise FitError("singular covariance at the fitted parameters",
+                       iterations=iterations, residual_norm=math.sqrt(cost / n),
+                       params=tuple(p)) from None
     return FitResult(
         t_star=float(p[0]),
         sigma_t_star=float(math.sqrt(max(cov[0, 0], 0.0))),
@@ -421,8 +430,10 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
 
     Fits every curve, builds per-kind delta curves (cavity shares the
     film Tc when both kinds are present), then difference and
-    derivative views where the grids allow it.  Individual fit failures
-    are counted, not fatal.
+    derivative views where the grids allow it.  A curve whose fit fails
+    (no convergence, or a resistance plateau missing) is counted, not
+    fatal; when the failures leave film and cavity on different fields,
+    the difference and the derivative contrast are skipped with a note.
     """
     if not curves:
         raise InputError("dataset contains no curves")
@@ -433,7 +444,7 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
         try:
             fits.append((curve.field, curve.kind, curve.repetition,
                          fit_transition(curve)))
-        except FitError:
+        except (FitError, InputError):
             failed += 1
     by_kind: dict[str, list[tuple[float, FitResult]]] = {"film": [], "cavity": []}
     for field, kind, _, fit in fits:
@@ -459,14 +470,18 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
 
     difference = None
     if film is not None and cavity is not None:
-        difference = difference_curve(film, cavity)
+        if np.array_equal(film.fields, cavity.fields):
+            difference = difference_curve(film, cavity)
+        else:
+            notes.append("film and cavity fits cover different fields; "
+                         "difference and derivative contrast skipped")
 
     film_deriv = cavity_deriv = convergence = None
     if film is not None and film.fields.size >= window:
         film_deriv = derivative_curve(film, window)
     if cavity is not None and cavity.fields.size >= window:
         cavity_deriv = derivative_curve(cavity, window)
-    if film_deriv is not None and cavity_deriv is not None:
+    if difference is not None and film_deriv is not None and cavity_deriv is not None:
         convergence = linearity_and_convergence_report(film_deriv, cavity_deriv)
 
     mean_diff = mean_sigma = None

@@ -4,7 +4,7 @@ Subcommands: model-curve, simulate, analyze, sensitivity, calibrate.
 Every command is deterministic given config plus seed; outputs are
 written atomically with full float precision.
 
-Exit codes: 0 success, 2 config/usage, 3 solver, 4 I/O, 5 fit,
+Exit codes: 0 success, 2 config/usage, 3 reserved, 4 I/O, 5 fit,
 6 calibration.
 """
 
@@ -22,14 +22,13 @@ from .analysis import AnalysisResult, analyze_dataset
 from .config import (RunConfig, default_run_config, load_run_config,
                      run_config_from_dict, run_config_to_dict)
 from .errors import (CalibrationError, CavityShiftError, ConfigError,
-                     FitError, InputError, SolverError)
+                     FitError, InputError)
 from .fileio import write_csv, write_json
 from .protocol import plan_sweep, read_run, run_paired_experiment, write_run
-from .sensitivity import calibrate_noise, derivative_contrast_study, run_sensitivity
+from .sensitivity import calibrate_noise, run_sensitivity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_FIT = 5
 EXIT_CALIBRATION = 6
@@ -259,6 +258,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"Delta = {result.mean_difference:.4f} +/- "
               f"{result.mean_difference_sigma:.4f} mK "
               f"(weighted mean over {result.difference.fields.size} fields)")
+    elif result.film is not None and result.cavity is not None:
+        print("warning: film and cavity fits cover different fields; "
+              "difference step skipped")
     else:
         missing = "cavity" if result.film is not None else "film"
         print(f"warning: no {missing} curves; difference step skipped")
@@ -353,9 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT

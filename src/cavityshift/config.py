@@ -98,8 +98,6 @@ def run_config_to_dict(config: RunConfig, include_output_dir: bool = True) -> di
             "cond_scale": config.model.cond_scale,
         },
         "instrument": {
-            "coil_constant": config.instrument.coil_constant,
-            "current_resolution": config.instrument.current_resolution,
             "base_temperature": config.instrument.base_temperature,
             "normal_resistance": config.instrument.normal_resistance,
             "transition_width": config.instrument.transition_width,

@@ -19,20 +19,6 @@ class ConfigError(InputError):
     """Invalid value or unknown key in a run configuration."""
 
 
-class SolverError(CavityShiftError, RuntimeError):
-    """Root finding failed to converge.  Carries the final bracket state."""
-
-    def __init__(self, message: str, *, lo: float | None = None,
-                 hi: float | None = None, f_lo: float | None = None,
-                 f_hi: float | None = None, iterations: int | None = None):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
-        self.f_lo = f_lo
-        self.f_hi = f_hi
-        self.iterations = iterations
-
-
 class FitError(CavityShiftError, RuntimeError):
     """Nonlinear fit did not converge.  Carries iteration diagnostics."""
 

@@ -1,15 +1,14 @@
 """Deterministic emulation of the measurement hardware.
 
-Covers the superconducting coil (with the relative quantization of the
-current source), the four-wire resistive transition of the sample, and
-Gaussian instrument noise.  All randomness flows from one master seed
+Covers the four-wire resistive transition of the sample, the cryostat
+floor, and Gaussian instrument noise.  The coil is taken to apply each
+planned field exactly.  All randomness flows from one master seed
 through :func:`noise_stream`, so any curve is reproducible from its
 substream path alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,6 @@ DEFAULT_RESISTANCE_NOISE = 0.0751
 class InstrumentConfig:
     """Hardware constants and noise levels of the measurement chain."""
 
-    coil_constant: float = 3.0          # gauss per mA
-    current_resolution: float = 1e-3    # relative source/readout granularity
     base_temperature: float = 0.300     # K, cryostat floor
     normal_resistance: float = 10.0     # ohm
     transition_width: float = 50.0      # mK, 10%-90% resistive width
@@ -42,11 +39,6 @@ class InstrumentConfig:
     seed: int = 1                       # master seed, 64-bit unsigned
 
     def __post_init__(self):
-        if not (self.coil_constant > 0):
-            raise InputError(f"coil_constant must be > 0, got {self.coil_constant}")
-        if not (0 < self.current_resolution < 1):
-            raise InputError(
-                f"current_resolution must be in (0, 1), got {self.current_resolution}")
         if not (self.base_temperature > 0):
             raise InputError(
                 f"base_temperature must be > 0, got {self.base_temperature}")
@@ -64,52 +56,6 @@ class InstrumentConfig:
                 f"temperature_jitter must be >= 0, got {self.temperature_jitter}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise InputError(f"seed must be a 64-bit unsigned int, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class SampleGeometry:
-    """Layer stack and area of one sample; metadata only.
-
-    The back layer exists only for ``kind="cavity"`` and is ignored for
-    a bare film.
-    """
-
-    al_thickness: float = 10.0          # nm
-    oxide_thickness: float = 10.0       # nm
-    back_layer_thickness: float = 100.0  # nm
-    area: tuple[float, float] = (20.0, 20.0)  # um x um
-    kind: str = "film"
-
-    def __post_init__(self):
-        if self.kind not in ("film", "cavity"):
-            raise InputError(f"kind must be 'film' or 'cavity', got {self.kind!r}")
-        if not (self.al_thickness > 0 and self.oxide_thickness > 0):
-            raise InputError("layer thicknesses must be > 0")
-        if self.kind == "cavity" and not (self.back_layer_thickness > 0):
-            raise InputError("cavity back layer thickness must be > 0")
-        if not (self.area[0] > 0 and self.area[1] > 0):
-            raise InputError("area dimensions must be > 0")
-
-
-def quantize_current(cfg: InstrumentConfig, current: float) -> float:
-    """Round a current (mA) onto the source's relative grid.
-
-    The grid step is ``current_resolution`` times the decade of the
-    requested value, so the relative rounding error never exceeds
-    ``current_resolution``.
-    """
-    current = float(current)
-    if current < 0:
-        raise DomainError(f"current must be >= 0, got {current}")
-    if current == 0.0:
-        return 0.0
-    step = 10.0 ** math.floor(math.log10(current)) * cfg.current_resolution
-    return round(current / step) * step
-
-
-def coil_field(cfg: InstrumentConfig, current: float) -> float:
-    """Field (gauss) produced by the coil at a quantized current (mA)."""
-    return cfg.coil_constant * quantize_current(cfg, current)
 
 
 def resistive_transition(t, t_star: float, width_mk: float, r_n: float):
@@ -140,21 +86,6 @@ def noise_stream(seed: int, *path: int) -> np.random.Generator:
     creation order, which makes datasets order-insensitive.
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
-
-
-def measure_resistance(cfg: InstrumentConfig, t_setpoint: float, t_star: float,
-                       rng: np.random.Generator) -> float:
-    """One noisy four-wire reading at a setpoint (K).
-
-    Setpoints below the cryostat floor are clamped (callers flag them
-    by comparing against ``base_temperature``).  Each call consumes one
-    jitter draw and one resistance-noise draw, so readings are
-    reproducible from the substream key and draw index alone.
-    """
-    t = max(float(t_setpoint), cfg.base_temperature)
-    jitter_k = rng.normal(0.0, cfg.temperature_jitter) * 1e-3
-    noise = rng.normal(0.0, cfg.resistance_noise)
-    return float(transition_resistance(cfg, t + jitter_k, t_star)) + noise
 
 
 def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: float,

@@ -27,14 +27,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, SolverError
+from .errors import DomainError, InputError
 
 #: Tag attached to files derived from the cavity energy term.
 CAVITY_FORM_NOTE = ("phenomenological interpolation "
                     "E_vac = cond_scale*delta_inf*delta^2/(delta+delta_v)")
-
-#: Default residual tolerance of the balance solver, in cond_scale units.
-BALANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,8 @@ class EnergyBreakdown:
     """Energy terms of the balance at one solved transition point.
 
     All values are in ``cond_scale`` units; ``residual`` is
-    magnetic - condensation - casimir and vanishes (within solver
-    tolerance) at a transition point.
+    magnetic - condensation - casimir and vanishes (to rounding) at a
+    transition point.
     """
 
     condensation: float
@@ -154,61 +151,28 @@ def _balance_residual(params: ModelParams, h: float, delta: float) -> float:
     return params.alpha * h * h * delta - delta * delta - cas
 
 
-def cavity_delta(params: ModelParams, h: float, *,
-                 residual_tol: float = BALANCE_TOL, max_iter: int = 200) -> float:
+def cavity_delta(params: ModelParams, h: float) -> float:
     """Depression of the cavity-mirror transition at field h (mK).
 
-    Solves magnetic = condensation + casimir for the unique positive
-    root, which always satisfies 0 <= delta_c <= film_delta(h).  Uses
-    bracketed bisection with secant refinement on the monotone reduced
-    residual; raises :class:`SolverError` with the bracket state if the
-    normalized residual cannot be brought below ``residual_tol``.
+    The reduced balance alpha*H**2 = d + delta_inf*d/(d + delta_v) is
+    the quadratic d**2 - b*d - A*delta_v = 0 with A = alpha*H**2 and
+    b = A - delta_v - delta_inf.  Its one nonnegative root always
+    satisfies 0 <= delta_c <= film_delta(h); the branch is chosen by
+    the sign of b so that neither form subtracts nearly equal numbers.
     """
     h = _check_nonneg(h, "field")
-    if h == 0.0:
-        return 0.0
-
-    hi = params.alpha * h * h + params.delta_inf
-    f_hi = _balance_residual(params, h, hi)
-    if f_hi == 0.0:
-        return hi
-    if f_hi > 0.0:
-        raise SolverError("balance residual positive at upper bracket",
-                          lo=0.0, hi=hi, f_lo=0.0, f_hi=f_hi, iterations=0)
-
-    lo, f_lo = 0.0, 0.0  # residual is positive just above zero
-    eps = math.ulp(1.0)
-    x = 0.5 * (lo + hi)
-    for i in range(max_iter):
-        if hi - lo <= 4.0 * eps * hi:
-            break
-        if i % 2 and f_lo != f_hi:
-            # secant proposal from the bracket endpoints
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not (lo < x < hi):
-                x = 0.5 * (lo + hi)
-        else:
-            x = 0.5 * (lo + hi)
-        fx = _balance_residual(params, h, x)
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            lo, f_lo = x, fx
-        else:
-            hi, f_hi = x, fx
+    a = params.alpha * h * h
+    if params.delta_inf == 0.0:
+        return a  # no vacuum term: exactly the film law
+    dv = params.delta_v
+    b = a - dv - params.delta_inf
+    root_d = math.sqrt(b * b + 4.0 * a * dv)
+    if b >= 0.0:
+        root = 0.5 * (b + root_d)
     else:
-        raise SolverError(
-            f"balance solver did not converge within {max_iter} iterations",
-            lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi, iterations=max_iter)
-
-    root = 0.5 * (lo + hi)
-    residual = _balance_residual(params, h, root)
-    scale = max(1.0, params.alpha * h * h * root)
-    if abs(residual) > max(residual_tol, 32.0 * eps * scale):
-        raise SolverError(
-            f"balance residual {residual:.3e} above tolerance at root",
-            lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi, iterations=max_iter)
-    return root
+        root = 2.0 * a * dv / (root_d - b)  # root_d - b >= 2*|b| > 0
+    # for a tiny delta_inf, rounding alone could lift the root above A
+    return min(root, a)
 
 
 def delta_difference(params: ModelParams, h: float) -> float:
@@ -261,7 +225,7 @@ def critical_field(params: ModelParams, delta: float, kind: str = "film") -> flo
 
     Inverts the monotone balance in closed form, so the round trip
     through :func:`film_delta` / :func:`cavity_delta` is exact to
-    solver precision.
+    rounding.
     """
     delta = _check_nonneg(delta, "delta")
     if kind not in ("film", "cavity"):

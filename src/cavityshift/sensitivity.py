@@ -43,22 +43,10 @@ class SensitivityReport:
     runtime: float                  # seconds (excluded from serialized reports)
     failed_trials: int
     valid: bool                     # False when > 1% of trials failed
-    contrast_fields: np.ndarray = None     # full per-field contrast table
-    contrast_mean: np.ndarray = None
-    contrast_sigma: np.ndarray = None
-    contrast_model: np.ndarray = None
-
-
-@dataclass(frozen=True)
-class ContrastStudy:
-    """Per-field derivative contrast, measured and model-level."""
-
-    fields: np.ndarray
-    contrast_mean: np.ndarray
-    contrast_sigma: np.ndarray
-    model_contrast: np.ndarray
-    model_contrast_at_h_v: float
-    trials: int
+    contrast_fields: np.ndarray     # gauss, the plan's fields
+    contrast_mean: np.ndarray       # measured contrast per field, mean over trials
+    contrast_sigma: np.ndarray      # its standard deviation over trials
+    contrast_model: np.ndarray      # noise-free model contrast per field
 
 
 def _true_deltas(params: model.ModelParams, fields: np.ndarray) -> dict[str, np.ndarray]:
@@ -87,9 +75,11 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     curves, and records (a) the per-field delta errors against the
     model truth, (b) the two-sided significance z = |weighted-mean
     shift| / SE over fields at or above h_v, and (c) the relative
-    derivative contrast per field.  Trials with any non-converged fit
-    are counted and skipped; more than 1% of them marks the report
-    invalid.
+    derivative contrast per field.  Trials with any failed fit are
+    counted and skipped; more than 1% of them marks the report invalid.
+    Beside the measured contrast (mean and sigma over trials) the report
+    holds the noise-free model contrast on the same grid, which is what
+    the 20%-at-crossover expectation refers to.
     """
     if trials < min_trials:
         raise InputError(f"need at least {min_trials} trials, got {trials}")
@@ -161,9 +151,13 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
                     max_iter: int = 60) -> float:
     """Find the resistance noise that reproduces a target delta_n (mK).
 
-    Bisects sigma_R against the Monte Carlo delta_n of the full
-    pipeline; all evaluations reuse the same substreams (common random
-    numbers), so the response is smooth and the whole calibration is
+    Brackets sigma_R (doubling from the configured noise unless a
+    bracket is given), then bisects it against the Monte Carlo delta_n
+    of the full pipeline.  The first probe whose delta_n lies within
+    ``tolerance`` of the target is returned, whether it is a bracket
+    end or a bisection midpoint, and no sigma_R is evaluated twice.
+    All evaluations reuse the same substreams (common random numbers),
+    so the response is smooth and the whole calibration is
     deterministic for a given master seed.  Raises
     :class:`CalibrationError` with the bracket when the target cannot
     be reached.
@@ -173,9 +167,16 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     if params is None:
         params = model.calibrate_defaults()
 
+    evaluated: dict[float, float] = {}
+
     def delta_n_at(sigma_r: float) -> float:
-        probe = replace(cfg, resistance_noise=sigma_r)
-        return run_sensitivity(params, probe, plan, trials).delta_n
+        if sigma_r not in evaluated:
+            probe = replace(cfg, resistance_noise=sigma_r)
+            evaluated[sigma_r] = run_sensitivity(params, probe, plan, trials).delta_n
+        return evaluated[sigma_r]
+
+    def within_tolerance(delta_n: float) -> bool:
+        return abs(delta_n - target_delta_n) <= tolerance * target_delta_n
 
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
@@ -186,7 +187,10 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         lo = 0.0
         hi = cfg.resistance_noise if cfg.resistance_noise > 0 else 0.05
         for _ in range(40):
-            if delta_n_at(hi) >= target_delta_n:
+            achieved = delta_n_at(hi)
+            if within_tolerance(achieved):
+                return hi
+            if achieved >= target_delta_n:
                 break
             lo, hi = hi, hi * 2.0
         else:
@@ -194,17 +198,20 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
                 f"could not bracket target {target_delta_n} mK below sigma_R={hi}",
                 bracket=(lo, hi), target=target_delta_n)
 
-    floor = delta_n_at(lo) if lo > 0 else 0.0
-    if floor > target_delta_n * (1.0 + tolerance):
-        raise CalibrationError(
-            f"delta_n floor {floor:.4g} mK already above target {target_delta_n} mK",
-            bracket=(lo, hi), achieved=floor, target=target_delta_n)
+    if lo > 0:
+        floor = delta_n_at(lo)
+        if within_tolerance(floor):
+            return lo
+        if floor > target_delta_n:
+            raise CalibrationError(
+                f"delta_n floor {floor:.4g} mK already above target {target_delta_n} mK",
+                bracket=(lo, hi), achieved=floor, target=target_delta_n)
 
     achieved = math.nan
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         achieved = delta_n_at(mid)
-        if abs(achieved - target_delta_n) <= tolerance * target_delta_n:
+        if within_tolerance(achieved):
             return mid
         if achieved < target_delta_n:
             lo = mid
@@ -213,39 +220,3 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     raise CalibrationError(
         f"calibration did not reach {target_delta_n} mK within {max_iter} bisections",
         bracket=(lo, hi), achieved=achieved, target=target_delta_n)
-
-
-def derivative_contrast_study(params: model.ModelParams, cfg: InstrumentConfig,
-                              plan: SweepPlan, trials: int, *,
-                              window: int = 5) -> ContrastStudy:
-    """Monte Carlo of the per-field relative derivative contrast.
-
-    Requires the plan to reach below and above the crossover field.
-    Alongside the measured contrast (mean and sigma over trials) the
-    study evaluates the noise-free model contrast on the same grid,
-    which is what the 20%-at-crossover expectation refers to.
-    """
-    fields = np.array(plan.fields)
-    if fields[0] >= params.h_v or fields[-1] <= params.h_v:
-        raise InputError("plan must cover fields below and above h_v "
-                         f"(h_v={params.h_v} G, plan spans "
-                         f"[{fields[0]}, {fields[-1]}] G)")
-    per_trial: list[np.ndarray] = []
-    for trial in range(trials):
-        curves = run_paired_experiment(params, cfg, plan, substream_prefix=(trial,))
-        result = analyze_dataset(curves, window=window)
-        if result.convergence is None or result.failed_fits:
-            continue
-        per_trial.append(result.convergence.relative_difference)
-    if not per_trial:
-        raise InputError("no trial produced a derivative contrast")
-    stack = np.vstack(per_trial)
-    model_contrast = np.array([_model_contrast(params, f) for f in fields])
-    return ContrastStudy(
-        fields=fields,
-        contrast_mean=np.mean(stack, axis=0),
-        contrast_sigma=np.std(stack, axis=0, ddof=1) if stack.shape[0] > 1
-        else np.zeros(fields.size),
-        model_contrast=model_contrast,
-        model_contrast_at_h_v=_model_contrast(params, params.h_v),
-        trials=len(per_trial))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from cavityshift import (DeltaCurve, InputError, InstrumentConfig,
+from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          acquire_curve, analyze_dataset, build_delta_curve,
                          calibrate_defaults, cavity_delta, delta_derivative,
                          derivative_curve, difference_curve, film_delta,
@@ -98,6 +98,18 @@ class TestFitTransition:
                                 resistances=resistive_transition(t, 1.5, 50.0, 10.0))
         with pytest.raises(InputError):
             fit_transition(curve)
+
+    def test_singular_covariance_raises_fit_error(self, params):
+        # at 0.3 ohm this curve's fit ends with a singular J^T J
+        noisy = InstrumentConfig(resistance_noise=0.3, seed=1)
+        plan = plan_sweep(params, noisy, np.linspace(50, 250, 10))
+        curve = acquire_curve(params, noisy, plan, 50.0, "cavity",
+                              substream_prefix=(68,))
+        with pytest.raises(FitError) as excinfo:
+            fit_transition(curve)
+        assert excinfo.value.iterations > 0
+        assert len(excinfo.value.params) == 3
+        assert excinfo.value.residual_norm > 0
 
     def test_missing_plateau_rejected(self, quiet):
         # sweep entirely below the transition: no normal plateau sampled
@@ -284,6 +296,21 @@ class TestAnalyzeDataset:
         assert result.cavity is not None
         assert result.cavity.t_c_source == "cavity-intercept"
         assert any("self-regressed" in note for note in result.notes)
+
+    def test_lost_plateau_counted_and_difference_skipped(self, params, quiet):
+        plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
+        curves = run_paired_experiment(params, quiet, plan)
+        # the cavity curve at the first field reads zero throughout
+        assert (curves[1].field, curves[1].kind) == (50.0, "cavity")
+        curves[1].resistances = np.zeros_like(curves[1].resistances)
+        result = analyze_dataset(curves)
+        assert result.failed_fits == 1
+        assert result.film.fields.size == 10
+        assert result.cavity.fields.size == 9
+        assert result.difference is None
+        assert result.convergence is None
+        assert result.mean_difference is None
+        assert any("different fields" in note for note in result.notes)
 
     def test_model_level_linear_fit_of_cavity_derivative(self, params):
         # analytic derivative of the solved balance is linear well below h_v

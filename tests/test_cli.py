@@ -40,12 +40,17 @@ class TestConfigSchema:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ConfigError):
             run_config_from_dict({"model": {"alpha": 1e-5, "tc": 1.5}})
+        # the coil keys went with the coil model: acquisition applies
+        # each planned field exactly
+        for key, value in (("coil_constant", 3.0), ("current_resolution", 1e-3)):
+            with pytest.raises(ConfigError):
+                run_config_from_dict({"instrument": {key: value}})
 
     def test_component_invariants_enforced(self):
         with pytest.raises(ConfigError):
             run_config_from_dict({"model": {"alpha": -1.0}})
         with pytest.raises(ConfigError):
-            run_config_from_dict({"instrument": {"coil_constant": 0.0}})
+            run_config_from_dict({"instrument": {"transition_width": 0.0}})
         with pytest.raises(ConfigError):
             run_config_from_dict({"plan": {"fields": [5.0, 5.0]}})
 
@@ -150,6 +155,18 @@ class TestSimulateAnalyze:
         captured = capsys.readouterr().out
         assert "difference step skipped" in captured
         assert (out / "delta_curve_film.csv").exists()
+        assert not (out / "difference.csv").exists()
+
+    def test_unpaired_fields_skip_difference(self, tmp_path, capsys):
+        out = tmp_path / "unpaired"
+        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        manifest = json.loads((out / "run.json").read_text())
+        first_cavity = next(c for c in manifest["curves"] if c["kind"] == "cavity")
+        manifest["curves"].remove(first_cavity)
+        (out / "run.json").write_text(json.dumps(manifest))
+        assert main(["analyze", str(out / "run.json")]) == 0
+        assert "cover different fields" in capsys.readouterr().out
+        assert (out / "delta_curve_cavity.csv").exists()
         assert not (out / "difference.csv").exists()
 
     def test_custom_fields_list(self, tmp_path):

@@ -5,9 +5,7 @@ import pytest
 from scipy.special import erfinv
 
 from cavityshift import (DomainError, InputError, InstrumentConfig,
-                         SampleGeometry, coil_field, measure_profile,
-                         measure_resistance, noise_stream, quantize_current,
-                         transition_resistance)
+                         measure_profile, noise_stream, transition_resistance)
 from cavityshift.instrument import ERF_WIDTH_FACTOR
 
 
@@ -23,17 +21,11 @@ def quiet():
 
 class TestConfig:
     def test_defaults_match_apparatus(self, cfg):
-        assert cfg.coil_constant == 3.0
-        assert cfg.current_resolution == 1e-3
         assert cfg.base_temperature == 0.300
         assert cfg.normal_resistance == 10.0
         assert cfg.transition_width == 50.0
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(InputError):
-            InstrumentConfig(coil_constant=0.0)
-        with pytest.raises(InputError):
-            InstrumentConfig(current_resolution=1.0)
         with pytest.raises(InputError):
             InstrumentConfig(base_temperature=-1.0)
         with pytest.raises(InputError):
@@ -44,39 +36,6 @@ class TestConfig:
             InstrumentConfig(seed=-1)
         with pytest.raises(InputError):
             InstrumentConfig(seed=2 ** 64)
-
-    def test_geometry_defaults(self):
-        geometry = SampleGeometry()
-        assert geometry.al_thickness == 10.0
-        assert geometry.oxide_thickness == 10.0
-        assert geometry.area == (20.0, 20.0)
-        with pytest.raises(InputError):
-            SampleGeometry(kind="slab")
-        with pytest.raises(InputError):
-            SampleGeometry(kind="cavity", back_layer_thickness=0.0)
-        # film ignores the back layer entirely
-        SampleGeometry(kind="film", back_layer_thickness=-1.0)
-
-
-class TestCoil:
-    def test_nominal_field(self, cfg):
-        assert coil_field(cfg, 10.0) == pytest.approx(30.0, rel=1e-12)
-
-    def test_zero_current(self, cfg):
-        assert coil_field(cfg, 0.0) == 0.0
-
-    def test_fifty_gauss_point(self, cfg):
-        assert coil_field(cfg, 16.667) == pytest.approx(50.0, rel=1e-3)
-
-    def test_quantization_bound(self, cfg):
-        rng = np.random.default_rng(11)
-        for current in 10.0 ** rng.uniform(-3, 3, 200):
-            quantized = quantize_current(cfg, current)
-            assert abs(quantized - current) / current <= cfg.current_resolution
-
-    def test_negative_current_rejected(self, cfg):
-        with pytest.raises(DomainError):
-            coil_field(cfg, -1.0)
 
 
 class TestTransitionShape:
@@ -113,26 +72,25 @@ class TestTransitionShape:
 class TestNoise:
     def test_noiseless_reduces_to_transition(self, quiet):
         rng = noise_stream(quiet.seed, 0)
-        value = measure_resistance(quiet, 1.5, 1.5, rng)
-        assert value == transition_resistance(quiet, 1.5, 1.5)
+        value = measure_profile(quiet, np.array([1.5]), 1.5, rng)
+        assert value[0] == transition_resistance(quiet, 1.5, 1.5)
 
     def test_same_substream_bit_identical(self, cfg):
-        first = [measure_resistance(cfg, 1.5, 1.5, noise_stream(cfg.seed, 3, 1, 0))
-                 for _ in range(1)]
-        second = [measure_resistance(cfg, 1.5, 1.5, noise_stream(cfg.seed, 3, 1, 0))
-                  for _ in range(1)]
-        assert first == second
+        t = np.linspace(1.4, 1.6, 20)
+        first = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 3, 1, 0))
+        second = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 3, 1, 0))
+        assert np.array_equal(first, second)
 
     def test_distinct_paths_differ(self, cfg):
-        a = measure_resistance(cfg, 1.5, 1.5, noise_stream(cfg.seed, 0))
-        b = measure_resistance(cfg, 1.5, 1.5, noise_stream(cfg.seed, 1))
-        assert a != b
+        t = np.array([1.5])
+        a = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 0))
+        b = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 1))
+        assert a[0] != b[0]
 
     def test_noise_standard_deviation(self):
         cfg = InstrumentConfig(resistance_noise=0.05, temperature_jitter=0.0, seed=9)
-        rng = noise_stream(cfg.seed, 0)
-        readings = np.array([measure_resistance(cfg, 1.5, 1.5, rng)
-                             for _ in range(10_000)])
+        readings = measure_profile(cfg, np.full(10_000, 1.5), 1.5,
+                                   noise_stream(cfg.seed, 0))
         assert readings.std(ddof=1) == pytest.approx(0.05, rel=0.03)
 
     def test_profile_matches_shape_when_quiet(self, quiet):
@@ -148,7 +106,7 @@ class TestNoise:
         assert np.array_equal(a, b)
 
     def test_setpoint_clamped_to_base(self, quiet):
-        low = measure_resistance(quiet, 0.1, 0.30, noise_stream(quiet.seed, 0))
-        at_base = measure_resistance(quiet, quiet.base_temperature, 0.30,
-                                     noise_stream(quiet.seed, 0))
-        assert low == at_base
+        low = measure_profile(quiet, np.array([0.1]), 0.30, noise_stream(quiet.seed, 0))
+        at_base = measure_profile(quiet, np.array([quiet.base_temperature]), 0.30,
+                                  noise_stream(quiet.seed, 0))
+        assert low[0] == at_base[0]

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          ModelParams, calibrate_defaults, calibrate_noise,
-                         derivative_contrast_study, plan_sweep,
-                         run_sensitivity)
+                         plan_sweep, run_sensitivity, sensitivity)
 from cavityshift.sensitivity import Z_CAP
 
 REFERENCE_SIGMA_R = 0.0751
@@ -70,6 +70,21 @@ class TestRunSensitivity:
         report = run_sensitivity(params, reference, plan, 100)
         assert report.contrast_field == 50.0
 
+    def test_singular_fits_counted_not_raised(self, params, reference, plan):
+        # at 0.3 ohm one fit ends on a singular J^T J
+        noisy = replace(reference, resistance_noise=0.3)
+        report = run_sensitivity(params, noisy, plan, 200)
+        assert report.failed_trials >= 1
+        assert report.valid
+
+    def test_mostly_failed_study_reported_invalid(self, params, reference, plan):
+        # at 4 ohm most curves lose a plateau, leaving film and cavity
+        # fits on different fields
+        noisy = replace(reference, resistance_noise=4.0)
+        report = run_sensitivity(params, noisy, plan, 100)
+        assert report.failed_trials > 50
+        assert not report.valid
+
 
 class TestCalibration:
     def test_roundtrip_to_target_band(self, params, reference, plan):
@@ -102,32 +117,73 @@ class TestCalibration:
         assert averaged * 2.0 == pytest.approx(single, rel=0.2)
 
 
-class TestContrastStudy:
-    def test_requires_fields_below_crossover(self, params, quiet, plan):
-        with pytest.raises(InputError):
-            derivative_contrast_study(params, quiet, plan, 1)
+class TestCalibrationSearch:
+    """calibrate_noise against a stubbed study whose delta_n is linear."""
+
+    SLOPE = 1.34  # mK per ohm, close to the reference plan's response
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        calls = []
+
+        def linear_study(params, cfg, plan, trials):
+            calls.append(cfg.resistance_noise)
+            return SimpleNamespace(delta_n=self.SLOPE * cfg.resistance_noise)
+
+        monkeypatch.setattr(sensitivity, "run_sensitivity", linear_study)
+        return calls
+
+    def test_in_tolerance_first_probe_returned(self, params, reference, plan, probes):
+        target = self.SLOPE * REFERENCE_SIGMA_R * 1.01
+        sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
+        assert sigma == REFERENCE_SIGMA_R
+        assert probes == [REFERENCE_SIGMA_R]
+
+    def test_doubled_bracket_end_returned(self, params, reference, plan, probes):
+        target = self.SLOPE * 2 * REFERENCE_SIGMA_R
+        sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
+        assert sigma == 2 * REFERENCE_SIGMA_R
+        assert len(probes) == 2
+
+    def test_given_bracket_floor_returned(self, params, reference, plan, probes):
+        sigma = calibrate_noise(0.1, reference, plan, 0.05, params=params,
+                                bracket=(0.1 / self.SLOPE, 1.0))
+        assert sigma == 0.1 / self.SLOPE
+        assert len(probes) == 1
+
+    @pytest.mark.parametrize("target", [0.127, 0.5])
+    def test_no_sigma_evaluated_twice(self, params, reference, plan, probes, target):
+        sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
+        assert abs(self.SLOPE * sigma - target) <= 0.05 * target
+        assert len(probes) == len(set(probes))
+
+
+class TestContrastTable:
+    """The per-field derivative contrast table of run_sensitivity."""
 
     def test_noiseless_model_contrast_values(self, params, quiet):
         study_plan = plan_sweep(params, quiet, np.linspace(10, 250, 13))
-        study = derivative_contrast_study(params, quiet, study_plan, 1)
-        assert study.model_contrast_at_h_v >= 0.20
-        idx_high = int(np.argmin(np.abs(study.fields - 5 * params.h_v)))
-        assert study.model_contrast[idx_high] <= 0.05
+        report = run_sensitivity(params, quiet, study_plan, 1, min_trials=1)
+        idx_h_v = int(np.argmin(np.abs(report.contrast_fields - params.h_v)))
+        assert report.contrast_fields[idx_h_v] == params.h_v
+        assert report.contrast_model[idx_h_v] >= 0.20
+        idx_high = int(np.argmin(np.abs(report.contrast_fields - 5 * params.h_v)))
+        assert report.contrast_model[idx_high] <= 0.05
 
     def test_degenerate_cavity_has_zero_contrast(self, params, quiet):
         flat = ModelParams(t_c=params.t_c, alpha=params.alpha, delta_inf=0.0,
                            h_v=params.h_v)
         study_plan = plan_sweep(params, quiet, np.linspace(10, 250, 13))
-        study = derivative_contrast_study(flat, quiet, study_plan, 1)
-        assert np.all(study.model_contrast == 0.0)
-        assert np.all(study.contrast_mean == 0.0)
+        report = run_sensitivity(flat, quiet, study_plan, 1, min_trials=1)
+        assert np.all(report.contrast_model == 0.0)
+        assert np.all(report.contrast_mean == 0.0)
 
     def test_noisy_contrast_reported_with_sigma(self, params, reference):
         study_plan = plan_sweep(params, reference, np.linspace(10, 250, 13))
-        study = derivative_contrast_study(params, reference, study_plan, 50)
-        assert study.trials == 50
-        assert np.all(study.contrast_sigma >= 0.0)
-        idx = int(np.argmin(np.abs(study.fields - params.h_v)))
-        model_value = study.model_contrast[idx]
-        assert study.contrast_mean[idx] == pytest.approx(
-            model_value, abs=4 * study.contrast_sigma[idx] / np.sqrt(50) + 0.05)
+        report = run_sensitivity(params, reference, study_plan, 50, min_trials=50)
+        assert report.failed_trials == 0
+        assert np.all(report.contrast_sigma >= 0.0)
+        idx = int(np.argmin(np.abs(report.contrast_fields - params.h_v)))
+        model_value = report.contrast_model[idx]
+        assert report.contrast_mean[idx] == pytest.approx(
+            model_value, abs=4 * report.contrast_sigma[idx] / np.sqrt(50) + 0.05)
