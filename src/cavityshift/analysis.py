@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from .errors import FitError, InputError
-from .instrument import ERF_WIDTH_FACTOR, resistive_transition
+from .instrument import ERF_WIDTH_FACTOR
 from .protocol import TransitionCurve
 
 MK_PER_K = 1000.0
@@ -99,41 +100,83 @@ class ConvergenceReport:
 
 # --- erf fit ----------------------------------------------------------------
 
-def _fit_design(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Model values and Jacobian for p = (t_star K, width mK, r_n ohm)."""
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _fit_design(t: np.ndarray, p: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Model values and the (3, n) transposed Jacobian, one row per
+    parameter of p = (t_star K, width mK, r_n ohm)."""
     t_star, width, r_n = p
     s = width * 1e-3 / ERF_WIDTH_FACTOR
     u = (t - t_star) / s
-    gauss = np.exp(-u * u)
-    model_vals = resistive_transition(t, t_star, width, r_n)
-    jac = np.empty((t.size, 3))
-    jac[:, 0] = -r_n * gauss / (math.sqrt(math.pi) * s)
-    jac[:, 1] = -r_n * gauss * u / (math.sqrt(math.pi) * width)
-    jac[:, 2] = model_vals / r_n
-    return model_vals, jac
+    shape = 0.5 * (1.0 + erf(u))
+    dmodel_du = np.exp(-u * u) * (-r_n / _SQRT_PI)
+    jac_t = np.empty((3, t.size))
+    jac_t[0] = dmodel_du / s
+    jac_t[1] = dmodel_du * u / width
+    jac_t[2] = shape
+    return r_n * shape, jac_t
 
 
-def _initial_guess(t: np.ndarray, r: np.ndarray, r_top: float) -> np.ndarray:
+def _damped_step(jtj: list[list[float]], grad: list[float],
+                 lam: float) -> tuple[float, float, float] | None:
+    """Solve (JtJ with its diagonal scaled by 1+lam) x = -grad.
+
+    Closed-form 3x3 Cholesky; None when a pivot is not positive and
+    finite (the damped normal matrix is singular or broken).
+    """
+    a = 1.0 + lam
+    d0 = jtj[0][0] * a
+    if not 0.0 < d0 < math.inf:
+        return None
+    l00 = math.sqrt(d0)
+    l10 = jtj[1][0] / l00
+    l20 = jtj[2][0] / l00
+    d1 = jtj[1][1] * a - l10 * l10
+    if not 0.0 < d1 < math.inf:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (jtj[2][1] - l20 * l10) / l11
+    d2 = jtj[2][2] * a - l20 * l20 - l21 * l21
+    if not 0.0 < d2 < math.inf:
+        return None
+    l22 = math.sqrt(d2)
+    y0 = -grad[0] / l00
+    y1 = (-grad[1] - l10 * y0) / l11
+    y2 = (-grad[2] - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return x0, x1, x2
+
+
+def _initial_guess(t: np.ndarray, r: np.ndarray, r_top: float,
+                   step_mk: float) -> list[float]:
     i_mid = int(np.argmin(np.abs(r - 0.5 * r_top)))
     i_lo = int(np.argmin(np.abs(r - 0.1 * r_top)))
     i_hi = int(np.argmin(np.abs(r - 0.9 * r_top)))
-    grid_step_mk = float(t[1] - t[0]) * MK_PER_K
-    width = max(abs(t[i_hi] - t[i_lo]) * MK_PER_K, 2.0 * grid_step_mk)
-    return np.array([float(t[i_mid]), width, r_top])
+    width = max(abs(t[i_hi] - t[i_lo]) * MK_PER_K, 2.0 * step_mk)
+    return [float(t[i_mid]), float(width), r_top]
 
 
 def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
                    xtol: float = 1e-10) -> FitResult:
-    """Least-squares erf fit of one curve.
+    """Least-squares erf fit of one curve (Levenberg-Marquardt).
 
     Requires both plateaus to be sampled (at least 10% of the points
-    below 0.2 r_n and above 0.8 r_n).  Convergence means the largest
-    relative parameter change drops below ``xtol`` within ``max_iter``
-    accepted steps; anything else, including singular normal equations,
-    raises :class:`FitError` with the last iterate attached.
-    ``sigma_t_star`` comes from the fit covariance scaled by the reduced
-    chi-square, so it is meaningful without knowing the noise level
-    beforehand.
+    below 0.2 r_n and above 0.8 r_n), otherwise :class:`InputError`.
+    The fit converges when a proposed step changes no parameter by more
+    than ``xtol`` relative, whether or not that step would lower the
+    cost; the current point is then kept.  ``max_iter`` bounds the
+    passes of the loop.  :class:`FitError`, with the iterations (accepted
+    steps), residual norm and last parameters attached, is raised when
+    the loop ends without converging (pass limit, damping above 1e12, or
+    damped normal equations that are not positive definite), when the
+    fitted 10-90 width is below the largest temperature step (a step
+    function: the transition is not resolved), or when the covariance
+    at the fitted parameters is singular.  ``sigma_t_star`` comes from
+    the fit covariance scaled by the reduced chi-square, so it is
+    meaningful without knowing the noise level beforehand.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -146,59 +189,62 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     if float(np.mean(r < 0.2 * r_top)) < 0.1 or float(np.mean(r > 0.8 * r_top)) < 0.1:
         raise InputError("curve does not span both resistance plateaus")
 
-    p = _initial_guess(t, r, r_top)
-    min_width = 0.2 * float(t[1] - t[0]) * MK_PER_K
-    model_vals, jac = _fit_design(t, p)
+    step_mk = float(np.max(np.diff(t))) * MK_PER_K
+    min_width = 0.2 * step_mk
+    p = _initial_guess(t, r, r_top, step_mk)
+    model_vals, jac_t = _fit_design(t, p)
     resid = model_vals - r
     cost = float(resid @ resid)
+    jtj = (jac_t @ jac_t.T).tolist()
+    grad = (jac_t @ resid).tolist()
     lam = 1e-3
     iterations = 0
     converged = False
+
+    def fit_error(message: str) -> FitError:
+        return FitError(message, iterations=iterations,
+                        residual_norm=math.sqrt(cost / n), params=tuple(p))
+
     for _ in range(max_iter):
-        jtj = jac.T @ jac
-        grad = jac.T @ resid
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
-        except np.linalg.LinAlgError:
+        step = _damped_step(jtj, grad, lam)
+        if step is None:
             break
-        p_new = p + step
-        if p_new[1] < min_width:
-            p_new[1] = min_width
+        p_new = [p[0] + step[0], max(p[1] + step[1], min_width), p[2] + step[2]]
         if p_new[2] <= 0:
             p_new[2] = p[2]
-        model_new, jac_new = _fit_design(t, p_new)
+        if max(abs(a - b) / max(abs(b), 1e-30) for a, b in zip(p_new, p)) <= xtol:
+            converged = True
+            break
+        model_new, jac_t = _fit_design(t, p_new)
         resid_new = model_new - r
         cost_new = float(resid_new @ resid_new)
         if cost_new <= cost:
-            rel_change = float(np.max(np.abs(p_new - p) / np.maximum(np.abs(p), 1e-30)))
-            p, model_vals, jac, resid, cost = p_new, model_new, jac_new, resid_new, cost_new
+            p, resid, cost = p_new, resid_new, cost_new
+            jtj = (jac_t @ jac_t.T).tolist()
+            grad = (jac_t @ resid).tolist()
             lam = max(lam * 0.1, 1e-14)
             iterations += 1
-            if rel_change <= xtol:
-                converged = True
-                break
         else:
             lam *= 10.0
             if lam > 1e12:
                 break
     if not converged:
-        raise FitError("transition fit did not converge",
-                       iterations=iterations, residual_norm=math.sqrt(cost / n),
-                       params=tuple(p))
+        raise fit_error("transition fit did not converge")
+    if p[1] < step_mk:
+        raise fit_error("fitted width below the temperature step; "
+                        "transition not resolved")
 
     dof = max(n - 3, 1)
     s2 = cost / dof
     try:
-        cov = np.linalg.inv(jac.T @ jac) * s2
+        cov = np.linalg.inv(np.array(jtj)) * s2
     except np.linalg.LinAlgError:
-        raise FitError("singular covariance at the fitted parameters",
-                       iterations=iterations, residual_norm=math.sqrt(cost / n),
-                       params=tuple(p)) from None
+        raise fit_error("singular covariance at the fitted parameters") from None
     return FitResult(
-        t_star=float(p[0]),
+        t_star=p[0],
         sigma_t_star=float(math.sqrt(max(cov[0, 0], 0.0))),
-        width=float(abs(p[1])),
-        r_n=float(p[2]),
+        width=abs(p[1]),
+        r_n=p[2],
         residual_norm=float(math.sqrt(cost / n) / p[2]),
         converged=True,
         iterations=iterations)

@@ -160,23 +160,35 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     so the response is smooth and the whole calibration is
     deterministic for a given master seed.  Raises
     :class:`CalibrationError` with the bracket when the target cannot
-    be reached.
+    be reached, or when the probe within tolerance comes from an
+    invalid study (more than 1% of its trials failed), whose delta_n
+    measures the failed fits' outliers rather than the noise.
     """
     if not (target_delta_n > 0):
         raise InputError(f"target delta_n must be > 0, got {target_delta_n}")
     if params is None:
         params = model.calibrate_defaults()
 
-    evaluated: dict[float, float] = {}
+    studies: dict[float, SensitivityReport] = {}
 
     def delta_n_at(sigma_r: float) -> float:
-        if sigma_r not in evaluated:
+        if sigma_r not in studies:
             probe = replace(cfg, resistance_noise=sigma_r)
-            evaluated[sigma_r] = run_sensitivity(params, probe, plan, trials).delta_n
-        return evaluated[sigma_r]
+            studies[sigma_r] = run_sensitivity(params, probe, plan, trials)
+        return studies[sigma_r].delta_n
 
     def within_tolerance(delta_n: float) -> bool:
         return abs(delta_n - target_delta_n) <= tolerance * target_delta_n
+
+    def valid(sigma_r: float) -> float:
+        study = studies[sigma_r]
+        if not study.valid:
+            raise CalibrationError(
+                f"sigma_R={sigma_r:.4g} ohm gives delta_n {study.delta_n:.4g} mK "
+                f"within tolerance, but {study.failed_trials} of {trials} trials "
+                "failed their fits, so the study is invalid",
+                bracket=(lo, hi), achieved=study.delta_n, target=target_delta_n)
+        return sigma_r
 
     if bracket is not None:
         lo, hi = float(bracket[0]), float(bracket[1])
@@ -189,7 +201,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         for _ in range(40):
             achieved = delta_n_at(hi)
             if within_tolerance(achieved):
-                return hi
+                return valid(hi)
             if achieved >= target_delta_n:
                 break
             lo, hi = hi, hi * 2.0
@@ -201,7 +213,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     if lo > 0:
         floor = delta_n_at(lo)
         if within_tolerance(floor):
-            return lo
+            return valid(lo)
         if floor > target_delta_n:
             raise CalibrationError(
                 f"delta_n floor {floor:.4g} mK already above target {target_delta_n} mK",
@@ -212,7 +224,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         mid = 0.5 * (lo + hi)
         achieved = delta_n_at(mid)
         if within_tolerance(achieved):
-            return mid
+            return valid(mid)
         if achieved < target_delta_n:
             lo = mid
         else:

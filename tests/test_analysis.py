@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.optimize import curve_fit
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import curve_fit, least_squares
+from scipy.special import erf
 
 from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          acquire_curve, analyze_dataset, build_delta_curve,
@@ -12,7 +14,7 @@ from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          plan_sweep, run_paired_experiment,
                          weighted_mean_difference)
 from cavityshift.analysis import FitResult
-from cavityshift.instrument import resistive_transition
+from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import TransitionCurve
 
 REFERENCE_SIGMA_R = 0.0751
@@ -31,6 +33,27 @@ def quiet():
 @pytest.fixture(scope="module")
 def reference():
     return InstrumentConfig(resistance_noise=REFERENCE_SIGMA_R, seed=1)
+
+
+def oracle_fit(curve):
+    """MINPACK Levenberg-Marquardt erf fit: (t_star, width, r_n, sigma_t_star)."""
+    t, r = curve.temperatures, curve.resistances
+
+    def residuals(p):
+        return resistive_transition(t, *p) - r
+
+    def jacobian(p):
+        t_star, width, r_n = p
+        s = width * 1e-3 / ERF_WIDTH_FACTOR
+        u = (t - t_star) / s
+        bump = r_n * np.exp(-u * u) / np.sqrt(np.pi)
+        return np.column_stack((-bump / s, -bump * u / width, 0.5 * (1.0 + erf(u))))
+
+    sol = least_squares(residuals, [curve.oracle_t_star, 50.0, 10.0], jac=jacobian,
+                        method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    s2 = 2.0 * sol.cost / (t.size - 3)
+    sigma = float(np.sqrt(np.linalg.inv(sol.jac.T @ sol.jac)[0, 0] * s2))
+    return (*sol.x, sigma)
 
 
 def synthetic_delta_curve(fields, deltas, sigmas=None, kind="film"):
@@ -91,6 +114,65 @@ class TestFitTransition:
         reported = float(np.mean(sigmas))
         assert abs(empirical - reported) / reported < 0.25
         assert abs(np.mean(t_stars) - truth) <= 0.2 * reported
+
+    @pytest.mark.parametrize("sigma_r", [REFERENCE_SIGMA_R, 0.2])
+    def test_matches_minpack_oracle(self, params, sigma_r):
+        cfg = InstrumentConfig(resistance_noise=sigma_r, seed=1)
+        plan = plan_sweep(params, cfg, np.linspace(50, 250, 10))
+        for trial in range(5):
+            for curve in run_paired_experiment(params, cfg, plan,
+                                               substream_prefix=(trial,)):
+                fit = fit_transition(curve)
+                t_star, width, r_n, sigma = oracle_fit(curve)
+                assert abs(fit.t_star - t_star) * 1e3 <= 1e-6
+                assert abs(fit.width - width) <= 1e-5
+                assert fit.r_n == pytest.approx(r_n, rel=1e-6)
+                assert fit.sigma_t_star == pytest.approx(sigma, rel=1e-6)
+
+    @settings(deadline=None, max_examples=200)
+    @given(position=st.floats(0.2, 0.8), width_fraction=st.floats(0.0, 1.0),
+           r_n=st.floats(0.1, 1e3))
+    def test_noiseless_recovery_over_random_transitions(self, position,
+                                                        width_fraction, r_n):
+        # midpoint in the central 60% of the grid, width from 5 steps to span/8
+        t = np.linspace(1.3, 1.7, 200)
+        step_mk = (t[1] - t[0]) * 1e3
+        span_mk = (t[-1] - t[0]) * 1e3
+        width = 5 * step_mk + width_fraction * (span_mk / 8 - 5 * step_mk)
+        t_star = t[0] + position * (t[-1] - t[0])
+        curve = TransitionCurve(field=0.0, kind="film", temperatures=t,
+                                resistances=resistive_transition(t, t_star, width, r_n))
+        fit = fit_transition(curve)
+        assert fit.t_star == pytest.approx(t_star, rel=1e-6)
+        assert fit.width == pytest.approx(width, rel=1e-6)
+        assert fit.r_n == pytest.approx(r_n, rel=1e-6)
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_transition_narrower_than_a_step_raises_fit_error(self, clamped):
+        # a 1 mK transition on a 2 mK grid is a step function; a sweep
+        # clamped at the cryostat floor starts with zero-length steps
+        grid = np.linspace(1.3, 1.7, 200)
+        floor = 1.33 if clamped else grid[0]
+        t = np.maximum(grid, floor)
+        flags = tuple(f"clamped:{i}" for i in np.nonzero(grid < floor)[0])
+        curve = TransitionCurve(field=0.0, kind="film", temperatures=t,
+                                resistances=resistive_transition(t, 1.5003, 1.0, 10.0),
+                                flags=flags)
+        with pytest.raises(FitError, match="below the temperature step"):
+            fit_transition(curve)
+
+    def test_singular_covariance_branch(self, params, reference, monkeypatch):
+        plan = plan_sweep(params, reference, [150.0])
+        curve = acquire_curve(params, reference, plan, 150.0, "film")
+
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(FitError, match="singular covariance") as excinfo:
+            fit_transition(curve)
+        assert excinfo.value.iterations > 0
+        assert excinfo.value.params[1] == pytest.approx(50.0, rel=0.1)
 
     def test_too_few_samples_rejected(self, quiet):
         t = np.linspace(1.3, 1.7, 10)

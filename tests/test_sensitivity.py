@@ -71,11 +71,16 @@ class TestRunSensitivity:
         assert report.contrast_field == 50.0
 
     def test_singular_fits_counted_not_raised(self, params, reference, plan):
-        # at 0.3 ohm one fit ends on a singular J^T J
+        # at 0.3 ohm six curves (trials 22, 47, 68, 158, 169, 194) fit to a
+        # width below one temperature step; without them delta_n keeps the
+        # linear response to the noise
         noisy = replace(reference, resistance_noise=0.3)
         report = run_sensitivity(params, noisy, plan, 200)
-        assert report.failed_trials >= 1
-        assert report.valid
+        assert report.failed_trials == 6
+        assert not report.valid
+        baseline = run_sensitivity(params, reference, plan, 200)
+        assert report.delta_n / 0.3 == pytest.approx(
+            baseline.delta_n / REFERENCE_SIGMA_R, rel=0.02)
 
     def test_mostly_failed_study_reported_invalid(self, params, reference, plan):
         # at 4 ohm most curves lose a plateau, leaving film and cavity
@@ -128,7 +133,8 @@ class TestCalibrationSearch:
 
         def linear_study(params, cfg, plan, trials):
             calls.append(cfg.resistance_noise)
-            return SimpleNamespace(delta_n=self.SLOPE * cfg.resistance_noise)
+            return SimpleNamespace(delta_n=self.SLOPE * cfg.resistance_noise,
+                                   valid=True)
 
         monkeypatch.setattr(sensitivity, "run_sensitivity", linear_study)
         return calls
@@ -156,6 +162,25 @@ class TestCalibrationSearch:
         sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
         assert abs(self.SLOPE * sigma - target) <= 0.05 * target
         assert len(probes) == len(set(probes))
+
+    def test_invalid_in_tolerance_probe_rejected(self, params, reference, plan,
+                                                 monkeypatch):
+        # above 0.3 ohm a quarter of the trials fail their fits; the search
+        # passes such probes while out of tolerance, then lands on one
+        calls = []
+
+        def failing_study(params, cfg, plan, trials):
+            calls.append(cfg.resistance_noise)
+            valid = cfg.resistance_noise < 0.3
+            return SimpleNamespace(delta_n=self.SLOPE * cfg.resistance_noise,
+                                   valid=valid, failed_trials=0 if valid else 53)
+
+        monkeypatch.setattr(sensitivity, "run_sensitivity", failing_study)
+        with pytest.raises(CalibrationError, match="53 of 200 trials failed"):
+            calibrate_noise(1.0, reference, plan, 0.05, params=params)
+        assert any(sigma >= 0.3 for sigma in calls[:-1])
+        assert 0.3 < calls[-1] < 0.8
+        assert abs(self.SLOPE * calls[-1] - 1.0) <= 0.05
 
 
 class TestContrastTable:
