@@ -424,14 +424,10 @@ def linearity_and_convergence_report(film: DerivativeCurve, cavity: DerivativeCu
     if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
         raise InputError("film and cavity derivatives are on different field grids")
 
-    rel = np.empty(film.fields.size)
-    for i, (f_slope, c_slope) in enumerate(zip(film.slopes, cavity.slopes)):
-        if f_slope == c_slope:
-            rel[i] = 0.0
-        elif f_slope != 0.0:
-            rel[i] = (f_slope - c_slope) / f_slope
-        else:
-            rel[i] = math.nan
+    f_slope, c_slope = film.slopes, cavity.slopes
+    with np.errstate(all="ignore"):  # the 0 and NaN cases are picked by np.where
+        rel = np.where(f_slope == c_slope, 0.0,
+                       np.where(f_slope != 0.0, (f_slope - c_slope) / f_slope, math.nan))
 
     centered = ~(film.one_sided | cavity.one_sided)
     region = centered.copy()
@@ -440,12 +436,10 @@ def linearity_and_convergence_report(film: DerivativeCurve, cavity: DerivativeCu
     r2_film = _r_squared(film.fields[region], film.slopes[region])
     r2_cavity = _r_squared(cavity.fields[region], cavity.slopes[region])
 
-    convergence_field = None
     ok = np.abs(rel) < threshold  # NaN compares False: never converged
-    for i in range(film.fields.size):
-        if np.all(ok[i:]):
-            convergence_field = float(film.fields[i])
-            break
+    ok_onward = np.logical_and.accumulate(ok[::-1])[::-1]  # from each field on
+    convergence_field = (float(film.fields[np.argmax(ok_onward)]) if ok_onward.any()
+                         else None)
     return ConvergenceReport(fields=film.fields.copy(), relative_difference=rel,
                              r2_film=r2_film, r2_cavity=r2_cavity,
                              convergence_field=convergence_field,

@@ -32,11 +32,10 @@ class FitError(CavityShiftError, RuntimeError):
 
 
 class CalibrationError(CavityShiftError, RuntimeError):
-    """Noise calibration could not reach its target.  Carries the bracket."""
+    """Noise calibration could not reach its target."""
 
-    def __init__(self, message: str, *, bracket: tuple | None = None,
-                 achieved: float | None = None, target: float | None = None):
+    def __init__(self, message: str, *, achieved: float | None = None,
+                 target: float | None = None):
         super().__init__(message)
-        self.bracket = bracket
         self.achieved = achieved
         self.target = target

@@ -10,6 +10,7 @@ come out bit-identical, because each curve owns a substream keyed by
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -23,6 +24,9 @@ from .instrument import InstrumentConfig, measure_profile, noise_stream
 FORMAT_VERSION = "1"
 
 KIND_CODES = {"film": 0, "cavity": 1}
+
+#: Column header of a curve file; the data rows follow it.
+CSV_COLUMNS = "temperature_K,resistance_ohm"
 
 #: Fraction of the temperature grid counted as "central" for coverage.
 CENTRAL_FRACTION = 0.8
@@ -181,28 +185,37 @@ def write_curve_csv(path: str | Path, curve: TransitionCurve) -> Path:
     ]
     if curve.oracle_t_star is not None:
         lines.append(f"# oracle_t_star_K={fmt(curve.oracle_t_star)}")
-    lines.append("temperature_K,resistance_ohm")
+    lines.append(CSV_COLUMNS)
     for t, r in zip(curve.temperatures, curve.resistances):
         lines.append(f"{fmt(t)},{fmt(r)}")
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_curve_csv(path: str | Path) -> TransitionCurve:
+    """Load one curve file; every line after the column header must hold
+    two finite numbers, otherwise :class:`InputError` names the line."""
     meta: dict[str, str] = {}
     temps: list[float] = []
     res: list[float] = []
     with open(path, "r", newline="\n") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
+            if not line or line == CSV_COLUMNS:
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value
-            elif line[0].isdigit() or line[0] in "+-.":
-                t_text, _, r_text = line.partition(",")
-                temps.append(float(t_text))
-                res.append(float(r_text))
+                continue
+            t_text, _, r_text = line.partition(",")
+            try:
+                t, r = float(t_text), float(r_text)
+            except ValueError:  # also a missing or a third column
+                t = r = math.nan
+            if not (math.isfinite(t) and math.isfinite(r)):
+                raise InputError(
+                    f"{path}, line {lineno}: expected two finite numbers, got {line!r}")
+            temps.append(t)
+            res.append(r)
     if "field_gauss" not in meta or "kind" not in meta:
         raise InputError(f"curve file {path} is missing header metadata")
     flags = tuple(f for f in meta.get("flags", "").split(";") if f)
@@ -245,13 +258,27 @@ def write_run(out_dir: str | Path, curves: list[TransitionCurve],
 
 
 def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
-    """Load a dataset back; the CSV round trip is bit-exact."""
+    """Load a dataset back; the CSV round trip is bit-exact.
+
+    Each curve must agree with its manifest entry on ``n_points``,
+    ``field_gauss``, ``kind`` and ``repetition``; otherwise
+    :class:`InputError` names the file and the key.
+    """
     manifest_path = Path(manifest_path)
     with open(manifest_path) as handle:
         manifest = json.load(handle)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise InputError(
             f"unsupported run format {manifest.get('format_version')!r}")
-    curves = [read_curve_csv(manifest_path.parent / entry["file"])
-              for entry in manifest["curves"]]
+    curves = []
+    for entry in manifest["curves"]:
+        path = manifest_path.parent / entry["file"]
+        curve = read_curve_csv(path)
+        found = {"n_points": curve.temperatures.size, "field_gauss": curve.field,
+                 "kind": curve.kind, "repetition": curve.repetition}
+        for key, value in found.items():
+            if entry.get(key) != value:
+                raise InputError(f"{path}: {key} is {value!r} in the file but "
+                                 f"{entry.get(key)!r} in the manifest")
+        curves.append(curve)
     return curves, manifest.get("config", {})

@@ -26,6 +26,9 @@ from .protocol import SweepPlan, run_paired_experiment
 #: Reported in place of an infinite significance on noise-free data.
 Z_CAP = 1e6
 
+#: Most Monte Carlo studies one noise calibration runs.
+MAX_PROBES = 10
+
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -146,89 +149,62 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
 
 def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPlan,
                     tolerance: float = 0.1, *,
-                    params: model.ModelParams | None = None, trials: int = 200,
-                    bracket: tuple[float, float] | None = None,
-                    max_iter: int = 60) -> float:
+                    params: model.ModelParams | None = None, trials: int = 200) -> float:
     """Find the resistance noise that reproduces a target delta_n (mK).
 
-    Brackets sigma_R (doubling from the configured noise unless a
-    bracket is given), then bisects it against the Monte Carlo delta_n
-    of the full pipeline.  The first probe whose delta_n lies within
-    ``tolerance`` of the target is returned, whether it is a bracket
-    end or a bisection midpoint, and no sigma_R is evaluated twice.
-    All evaluations reuse the same substreams (common random numbers),
-    so the response is smooth and the whole calibration is
-    deterministic for a given master seed.  Raises
-    :class:`CalibrationError` with the bracket when the target cannot
-    be reached, or when the probe within tolerance comes from an
-    invalid study (more than 1% of its trials failed), whose delta_n
-    measures the failed fits' outliers rather than the noise.
+    A secant iteration on the Monte Carlo delta_n of the full pipeline.
+    It starts from the configured noise (0.05 ohm when that is 0) and
+    first steps through the origin, i.e. proportionally:
+    sigma_1 = sigma_0 * target / delta_n(sigma_0).  Later steps are
+    secants through the two latest probes.  All probes reuse the same
+    substreams (common random numbers), so delta_n is close to
+    proportional to sigma_R and the whole calibration is deterministic
+    for a given master seed.  The first probe whose delta_n lies within
+    ``tolerance`` of the target is returned.
+
+    Raises :class:`CalibrationError`, listing every probe as (sigma_R,
+    delta_n, failed trials), when the probe within tolerance comes from
+    an invalid study (more than 1% of its trials failed, so its delta_n
+    measures the failed fits' outliers rather than the noise), when
+    delta_n does not increase between the two latest probes, when the
+    next sigma_R is not positive (the target lies below the noise-free
+    floor), or after :data:`MAX_PROBES` probes.
     """
     if not (target_delta_n > 0):
         raise InputError(f"target delta_n must be > 0, got {target_delta_n}")
     if params is None:
         params = model.calibrate_defaults()
 
-    studies: dict[float, SensitivityReport] = {}
+    probes: list[tuple[float, float, int]] = []
 
-    def delta_n_at(sigma_r: float) -> float:
-        if sigma_r not in studies:
-            probe = replace(cfg, resistance_noise=sigma_r)
-            studies[sigma_r] = run_sensitivity(params, probe, plan, trials)
-        return studies[sigma_r].delta_n
+    def failure(reason: str) -> CalibrationError:
+        listed = ", ".join(f"({s:.4g}, {d:.4g}, {f})" for s, d, f in probes)
+        return CalibrationError(
+            f"{reason}; probes (sigma_R ohm, delta_n mK, failed trials): {listed}",
+            achieved=probes[-1][1], target=target_delta_n)
 
-    def within_tolerance(delta_n: float) -> bool:
-        return abs(delta_n - target_delta_n) <= tolerance * target_delta_n
-
-    def valid(sigma_r: float) -> float:
-        study = studies[sigma_r]
-        if not study.valid:
-            raise CalibrationError(
-                f"sigma_R={sigma_r:.4g} ohm gives delta_n {study.delta_n:.4g} mK "
-                f"within tolerance, but {study.failed_trials} of {trials} trials "
-                "failed their fits, so the study is invalid",
-                bracket=(lo, hi), achieved=study.delta_n, target=target_delta_n)
-        return sigma_r
-
-    if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not (hi > lo >= 0.0):
-            raise CalibrationError(f"empty sigma_R bracket {bracket}",
-                                   bracket=(lo, hi), target=target_delta_n)
-    else:
-        lo = 0.0
-        hi = cfg.resistance_noise if cfg.resistance_noise > 0 else 0.05
-        for _ in range(40):
-            achieved = delta_n_at(hi)
-            if within_tolerance(achieved):
-                return valid(hi)
-            if achieved >= target_delta_n:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise CalibrationError(
-                f"could not bracket target {target_delta_n} mK below sigma_R={hi}",
-                bracket=(lo, hi), target=target_delta_n)
-
-    if lo > 0:
-        floor = delta_n_at(lo)
-        if within_tolerance(floor):
-            return valid(lo)
-        if floor > target_delta_n:
-            raise CalibrationError(
-                f"delta_n floor {floor:.4g} mK already above target {target_delta_n} mK",
-                bracket=(lo, hi), achieved=floor, target=target_delta_n)
-
-    achieved = math.nan
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        achieved = delta_n_at(mid)
-        if within_tolerance(achieved):
-            return valid(mid)
-        if achieved < target_delta_n:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError(
-        f"calibration did not reach {target_delta_n} mK within {max_iter} bisections",
-        bracket=(lo, hi), achieved=achieved, target=target_delta_n)
+    sigma = cfg.resistance_noise if cfg.resistance_noise > 0 else 0.05
+    last_sigma = last_delta_n = 0.0  # the origin: no noise, no spread
+    while True:
+        study = run_sensitivity(params, replace(cfg, resistance_noise=sigma),
+                                plan, trials)
+        delta_n = study.delta_n
+        probes.append((sigma, delta_n, study.failed_trials))
+        if abs(delta_n - target_delta_n) <= tolerance * target_delta_n:
+            if not study.valid:
+                raise failure(
+                    f"sigma_R={sigma:.4g} ohm gives delta_n {delta_n:.4g} mK "
+                    f"within tolerance, but {study.failed_trials} of {trials} "
+                    "trials failed their fits, so the study is invalid")
+            return sigma
+        if len(probes) == MAX_PROBES:
+            raise failure(f"no probe within tolerance of {target_delta_n} mK "
+                          f"after {MAX_PROBES} probes")
+        slope = (delta_n - last_delta_n) / (sigma - last_sigma)
+        if not (0 < slope < math.inf):
+            raise failure(f"delta_n does not increase with sigma_R (slope {slope:.4g})")
+        last_sigma, last_delta_n = sigma, delta_n
+        sigma += (target_delta_n - delta_n) / slope
+        if not (0 < sigma < math.inf):
+            raise failure(f"next sigma_R {sigma:.4g} ohm is not positive: target "
+                          f"{target_delta_n} mK lies below the noise-free floor of delta_n")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          fit_transition, linearity_and_convergence_report,
                          plan_sweep, run_paired_experiment,
                          weighted_mean_difference)
-from cavityshift.analysis import FitResult
+from cavityshift.analysis import DerivativeCurve, FitResult
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import TransitionCurve
 
@@ -181,13 +183,15 @@ class TestFitTransition:
         with pytest.raises(InputError):
             fit_transition(curve)
 
-    def test_singular_covariance_raises_fit_error(self, params):
-        # at 0.3 ohm this curve's fit ends with a singular J^T J
+    def test_noisy_curve_fitted_to_a_step_raises_fit_error(self, params):
+        # at 0.3 ohm the fit of this 50 mK wide transition collapses to a
+        # width below one temperature step (the singular covariance branch
+        # is covered by test_singular_covariance_branch)
         noisy = InstrumentConfig(resistance_noise=0.3, seed=1)
         plan = plan_sweep(params, noisy, np.linspace(50, 250, 10))
         curve = acquire_curve(params, noisy, plan, 50.0, "cavity",
                               substream_prefix=(68,))
-        with pytest.raises(FitError) as excinfo:
+        with pytest.raises(FitError, match="width below the temperature step") as excinfo:
             fit_transition(curve)
         assert excinfo.value.iterations > 0
         assert len(excinfo.value.params) == 3
@@ -335,6 +339,37 @@ class TestConvergenceReport:
         report = linearity_and_convergence_report(deriv, deriv)
         assert np.all(report.relative_difference == 0.0)
         assert report.convergence_field == fields[0]
+
+    @staticmethod
+    def loop_reference(film, cavity, threshold):
+        """Per-element relative difference and first field from which
+        every later one converges, written as plain loops."""
+        rel = []
+        for f, c in zip(film.tolist(), cavity.tolist()):
+            rel.append(0.0 if f == c else (f - c) / f if f != 0.0 else math.nan)
+        onward = [i for i in range(len(rel))
+                  if all(abs(r) < threshold for r in rel[i:])]
+        return np.array(rel), onward[0] if onward else None
+
+    @pytest.mark.parametrize("film, cavity", [
+        ([1.0, 2.0, 0.0, 4.0, 5.0, 6.0], [0.5, 2.0, 0.0, 4.1, 5.01, 6.0]),
+        ([1.0, 0.0, 3.0, 4.0, 5.0, 6.0], [1.0, 1.0, 3.0, 4.0, 5.0, 6.0]),
+        ([1.0, 2.0, 3.0, np.nan, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0, 7.0]),
+    ])
+    def test_matches_loop_reference(self, film, cavity):
+        fields = np.linspace(10.0, 60.0, 6)
+        one_sided = np.array([True, False, False, False, False, True])
+
+        def deriv(kind, slopes):
+            return DerivativeCurve(kind=kind, fields=fields, slopes=np.array(slopes),
+                                   sigmas=np.ones(6), window=3, one_sided=one_sided)
+
+        report = linearity_and_convergence_report(deriv("film", film),
+                                                  deriv("cavity", cavity))
+        rel, first = self.loop_reference(np.array(film), np.array(cavity), 0.05)
+        assert report.relative_difference.tobytes() == rel.tobytes()
+        assert report.convergence_field == (None if first is None else fields[first])
 
     def test_noiseless_contrast_large_at_crossover(self, params, quiet):
         plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))

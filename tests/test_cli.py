@@ -145,6 +145,16 @@ class TestSimulateAnalyze:
             {"format_version": "1", "config": {}, "curves": []}))
         assert main(["analyze", str(manifest)]) == 4
 
+    def test_non_finite_row_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--seed", "3"]) == 0
+        path = out / "curve_000_film_rep0.csv"
+        lines = path.read_text().splitlines()
+        lines[-1] = "nan," + lines[-1].split(",")[1]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out / "run.json")]) == 4
+        assert f"line {len(lines)}" in capsys.readouterr().err
+
     def test_film_only_dataset_still_analyzed(self, tmp_path, capsys):
         out = tmp_path / "filmonly"
         assert main(["simulate", "--out", str(out), "--noiseless"]) == 0

@@ -180,6 +180,52 @@ class TestRunFiles:
         assert len(list((tmp_path / "run").glob("curve_*.csv"))) == 20
 
 
+class TestRunFileValidation:
+    """read_run rejects curve files with bad rows or that disagree with
+    the manifest, naming the file (and the line of a bad row)."""
+
+    @pytest.fixture
+    def run(self, params, tmp_path):
+        cfg = InstrumentConfig(seed=3)
+        plan = plan_sweep(params, cfg, [50.0, 150.0])
+        manifest = write_run(tmp_path / "run", run_paired_experiment(params, cfg, plan), {})
+        return manifest, tmp_path / "run" / "curve_000_film_rep0.csv"
+
+    @staticmethod
+    def replace_line(path, index, text):
+        lines = path.read_text().splitlines()
+        lines[index] = text
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("row", ["nan,3.0", "1.5,inf", "1.5", "1.5,3.0,4.0",
+                                     "1.5;3.0", "T,R"])
+    def test_bad_row_rejected_with_its_line(self, run, row):
+        manifest, path = run
+        lines = path.read_text().splitlines()
+        index = len(lines) - 5
+        self.replace_line(path, index, row)
+        with pytest.raises(InputError, match=rf"{path.name}, line {index + 1}:"):
+            read_run(manifest)
+
+    def test_missing_row_rejected(self, run):
+        manifest, path = run
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(InputError, match="n_points is 199 in the file but 200"):
+            read_run(manifest)
+
+    @pytest.mark.parametrize("line, key", [("# field_gauss=51.0", "field_gauss"),
+                                           ("# kind=cavity", "kind"),
+                                           ("# repetition=1", "repetition")])
+    def test_header_disagreeing_with_manifest_rejected(self, run, line, key):
+        manifest, path = run
+        index = next(i for i, text in enumerate(path.read_text().splitlines())
+                     if text.startswith(f"# {key}="))
+        self.replace_line(path, index, line)
+        with pytest.raises(InputError, match=rf"{path.name}: {key} is .* in the manifest"):
+            read_run(manifest)
+
+
 class TestCurveValidation:
     def test_nonincreasing_temperatures_rejected(self):
         with pytest.raises(InputError):

@@ -99,11 +99,6 @@ class TestCalibration:
                                 plan, 200)
         assert 0.09 <= check.delta_n <= 0.11
 
-    def test_empty_bracket_rejected(self, params, reference, plan):
-        with pytest.raises(CalibrationError):
-            calibrate_noise(0.1, reference, plan, 0.1, params=params,
-                            trials=200, bracket=(0.0, 0.0))
-
     def test_nonpositive_target_rejected(self, params, reference, plan):
         with pytest.raises(InputError):
             calibrate_noise(0.0, reference, plan, 0.1, params=params)
@@ -123,21 +118,32 @@ class TestCalibration:
 
 
 class TestCalibrationSearch:
-    """calibrate_noise against a stubbed study whose delta_n is linear."""
+    """calibrate_noise against stubbed studies with a known delta_n(sigma_R)."""
 
     SLOPE = 1.34  # mK per ohm, close to the reference plan's response
 
     @pytest.fixture
-    def probes(self, monkeypatch):
+    def stub(self, monkeypatch):
+        """Install ``response(sigma_R) -> delta_n`` as the study; every
+        sigma_R it is called with is appended to the returned list."""
         calls = []
 
-        def linear_study(params, cfg, plan, trials):
-            calls.append(cfg.resistance_noise)
-            return SimpleNamespace(delta_n=self.SLOPE * cfg.resistance_noise,
-                                   valid=True)
+        def install(response, valid=lambda sigma: True):
+            def study(params, cfg, plan, trials):
+                sigma = cfg.resistance_noise
+                calls.append(sigma)
+                ok = valid(sigma)
+                return SimpleNamespace(delta_n=response(sigma), valid=ok,
+                                       failed_trials=0 if ok else 53)
 
-        monkeypatch.setattr(sensitivity, "run_sensitivity", linear_study)
-        return calls
+            monkeypatch.setattr(sensitivity, "run_sensitivity", study)
+            return calls
+
+        return install
+
+    @pytest.fixture
+    def probes(self, stub):
+        return stub(lambda sigma: self.SLOPE * sigma)
 
     def test_in_tolerance_first_probe_returned(self, params, reference, plan, probes):
         target = self.SLOPE * REFERENCE_SIGMA_R * 1.01
@@ -145,17 +151,14 @@ class TestCalibrationSearch:
         assert sigma == REFERENCE_SIGMA_R
         assert probes == [REFERENCE_SIGMA_R]
 
-    def test_doubled_bracket_end_returned(self, params, reference, plan, probes):
+    def test_proportional_probe_returned(self, params, reference, plan, probes):
+        # the first probe is out of tolerance; the step through the origin
+        # lands on the target of a proportional response
         target = self.SLOPE * 2 * REFERENCE_SIGMA_R
         sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
-        assert sigma == 2 * REFERENCE_SIGMA_R
-        assert len(probes) == 2
-
-    def test_given_bracket_floor_returned(self, params, reference, plan, probes):
-        sigma = calibrate_noise(0.1, reference, plan, 0.05, params=params,
-                                bracket=(0.1 / self.SLOPE, 1.0))
-        assert sigma == 0.1 / self.SLOPE
-        assert len(probes) == 1
+        assert probes == [REFERENCE_SIGMA_R, sigma]
+        assert sigma == pytest.approx(
+            REFERENCE_SIGMA_R * target / (self.SLOPE * REFERENCE_SIGMA_R), rel=1e-12)
 
     @pytest.mark.parametrize("target", [0.127, 0.5])
     def test_no_sigma_evaluated_twice(self, params, reference, plan, probes, target):
@@ -163,24 +166,40 @@ class TestCalibrationSearch:
         assert abs(self.SLOPE * sigma - target) <= 0.05 * target
         assert len(probes) == len(set(probes))
 
-    def test_invalid_in_tolerance_probe_rejected(self, params, reference, plan,
-                                                 monkeypatch):
+    def test_offset_response_converges(self, params, reference, plan, stub):
+        # a noise-free floor of 0.05 mK: the proportional step falls short,
+        # the secant through the two probes is exact
+        probes = stub(lambda sigma: 0.05 + self.SLOPE * sigma)
+        sigma = calibrate_noise(0.3, reference, plan, 0.01, params=params)
+        assert len(probes) == 3
+        assert sigma == pytest.approx(0.25 / self.SLOPE, rel=1e-12)
+
+    def test_target_below_offset_raises(self, params, reference, plan, stub):
+        probes = stub(lambda sigma: 0.05 + self.SLOPE * sigma)
+        with pytest.raises(CalibrationError, match="below the noise-free floor"):
+            calibrate_noise(0.03, reference, plan, 0.05, params=params)
+        assert len(probes) == 2
+
+    def test_non_increasing_response_raises(self, params, reference, plan, stub):
+        probes = stub(lambda sigma: 0.1)
+        with pytest.raises(CalibrationError, match="does not increase") as excinfo:
+            calibrate_noise(0.2, reference, plan, 0.05, params=params)
+        assert len(probes) == 2
+        assert "(0.0751, 0.1, 0)" in str(excinfo.value)
+
+    def test_invalid_in_tolerance_probe_rejected(self, params, reference, plan, stub):
         # above 0.3 ohm a quarter of the trials fail their fits; the search
-        # passes such probes while out of tolerance, then lands on one
-        calls = []
-
-        def failing_study(params, cfg, plan, trials):
-            calls.append(cfg.resistance_noise)
-            valid = cfg.resistance_noise < 0.3
-            return SimpleNamespace(delta_n=self.SLOPE * cfg.resistance_noise,
-                                   valid=valid, failed_trials=0 if valid else 53)
-
-        monkeypatch.setattr(sensitivity, "run_sensitivity", failing_study)
+        # passes such a probe while out of tolerance and steers by it, then
+        # lands on another one
+        probes = stub(lambda sigma: self.SLOPE * sigma * (1.0 + sigma),
+                      valid=lambda sigma: sigma < 0.3)
         with pytest.raises(CalibrationError, match="53 of 200 trials failed"):
             calibrate_noise(1.0, reference, plan, 0.05, params=params)
-        assert any(sigma >= 0.3 for sigma in calls[:-1])
-        assert 0.3 < calls[-1] < 0.8
-        assert abs(self.SLOPE * calls[-1] - 1.0) <= 0.05
+        passed = [sigma for sigma in probes[:-1] if sigma >= 0.3]
+        assert passed
+        assert all(abs(self.SLOPE * s * (1 + s) - 1.0) > 0.05 for s in passed)
+        assert 0.3 < probes[-1] < 0.8
+        assert abs(self.SLOPE * probes[-1] * (1 + probes[-1]) - 1.0) <= 0.05
 
 
 class TestContrastTable:
