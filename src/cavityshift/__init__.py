@@ -9,7 +9,7 @@ decides whether the predicted sub-millikelvin shift is detectable.
 """
 
 from .analysis import (AnalysisResult, ConvergenceReport, DeltaCurve,
-                       DerivativeCurve, DifferenceCurve, FitResult,
+                       DerivativeCurve, DifferenceCurve, FitFailure, FitResult,
                        analyze_dataset, build_delta_curve, derivative_curve,
                        difference_curve, fit_transition,
                        linearity_and_convergence_report,

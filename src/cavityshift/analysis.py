@@ -103,19 +103,28 @@ class ConvergenceReport:
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _fit_design(t: np.ndarray, p: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Model values and the (3, n) transposed Jacobian, one row per
-    parameter of p = (t_star K, width mK, r_n ohm)."""
+def _fit_model(t: np.ndarray,
+               p: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Model values at p = (t_star K, width mK, r_n ohm), with the scaled
+    offsets u and the erf shape that :func:`_normal_equations` reuses."""
     t_star, width, r_n = p
-    s = width * 1e-3 / ERF_WIDTH_FACTOR
-    u = (t - t_star) / s
+    u = (t - t_star) / (width * 1e-3 / ERF_WIDTH_FACTOR)
     shape = 0.5 * (1.0 + erf(u))
+    return r_n * shape, u, shape
+
+
+def _normal_equations(p: list[float], u: np.ndarray, shape: np.ndarray,
+                      resid: np.ndarray) -> tuple[list[list[float]], list[float]]:
+    """J^T J and J^T r at p, from the u and shape :func:`_fit_model`
+    returned there; J has one column per parameter of p."""
+    _, width, r_n = p
+    s = width * 1e-3 / ERF_WIDTH_FACTOR
     dmodel_du = np.exp(-u * u) * (-r_n / _SQRT_PI)
-    jac_t = np.empty((3, t.size))
+    jac_t = np.empty((3, u.size))
     jac_t[0] = dmodel_du / s
     jac_t[1] = dmodel_du * u / width
     jac_t[2] = shape
-    return r_n * shape, jac_t
+    return (jac_t @ jac_t.T).tolist(), (jac_t @ resid).tolist()
 
 
 def _damped_step(jtj: list[list[float]], grad: list[float],
@@ -152,9 +161,9 @@ def _damped_step(jtj: list[list[float]], grad: list[float],
 
 def _initial_guess(t: np.ndarray, r: np.ndarray, r_top: float,
                    step_mk: float) -> list[float]:
-    i_mid = int(np.argmin(np.abs(r - 0.5 * r_top)))
-    i_lo = int(np.argmin(np.abs(r - 0.1 * r_top)))
-    i_hi = int(np.argmin(np.abs(r - 0.9 * r_top)))
+    i_mid = int(np.abs(r - 0.5 * r_top).argmin())
+    i_lo = int(np.abs(r - 0.1 * r_top).argmin())
+    i_hi = int(np.abs(r - 0.9 * r_top).argmin())
     width = max(abs(t[i_hi] - t[i_lo]) * MK_PER_K, 2.0 * step_mk)
     return [float(t[i_mid]), float(width), r_top]
 
@@ -183,20 +192,22 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     n = t.size
     if n < 20:
         raise InputError(f"need at least 20 samples, got {n}")
-    r_top = float(np.mean(np.sort(r)[-max(2, n // 10):]))
+    r_sorted = np.sort(r)
+    r_top = float(r_sorted[-max(2, n // 10):].mean())
     if not (r_top > 0):
         raise InputError("no resistive plateau found")
-    if float(np.mean(r < 0.2 * r_top)) < 0.1 or float(np.mean(r > 0.8 * r_top)) < 0.1:
+    below = int(r_sorted.searchsorted(0.2 * r_top))                # r < 0.2 r_top
+    above = n - int(r_sorted.searchsorted(0.8 * r_top, "right"))  # r > 0.8 r_top
+    if below / n < 0.1 or above / n < 0.1:
         raise InputError("curve does not span both resistance plateaus")
 
-    step_mk = float(np.max(np.diff(t))) * MK_PER_K
+    step_mk = float((t[1:] - t[:-1]).max()) * MK_PER_K
     min_width = 0.2 * step_mk
     p = _initial_guess(t, r, r_top, step_mk)
-    model_vals, jac_t = _fit_design(t, p)
+    model_vals, u, shape = _fit_model(t, p)
     resid = model_vals - r
     cost = float(resid @ resid)
-    jtj = (jac_t @ jac_t.T).tolist()
-    grad = (jac_t @ resid).tolist()
+    jtj, grad = _normal_equations(p, u, shape, resid)
     lam = 1e-3
     iterations = 0
     converged = False
@@ -212,16 +223,19 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         p_new = [p[0] + step[0], max(p[1] + step[1], min_width), p[2] + step[2]]
         if p_new[2] <= 0:
             p_new[2] = p[2]
-        if max(abs(a - b) / max(abs(b), 1e-30) for a, b in zip(p_new, p)) <= xtol:
+        if (abs(p_new[0] - p[0]) / max(abs(p[0]), 1e-30) <= xtol
+                and abs(p_new[1] - p[1]) / max(abs(p[1]), 1e-30) <= xtol
+                and abs(p_new[2] - p[2]) / max(abs(p[2]), 1e-30) <= xtol):
             converged = True
             break
-        model_new, jac_t = _fit_design(t, p_new)
+        model_new, u, shape = _fit_model(t, p_new)
         resid_new = model_new - r
         cost_new = float(resid_new @ resid_new)
         if cost_new <= cost:
+            # the Jacobian is formed only here: about one evaluation in six
+            # is rejected, and its Jacobian would be thrown away
             p, resid, cost = p_new, resid_new, cost_new
-            jtj = (jac_t @ jac_t.T).tolist()
-            grad = (jac_t @ resid).tolist()
+            jtj, grad = _normal_equations(p, u, shape, resid)
             lam = max(lam * 0.1, 1e-14)
             iterations += 1
         else:
@@ -284,24 +298,26 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
 
 
 def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Combine repeated fits per field into one (t_star, sigma) each."""
-    by_field: dict[float, list[FitResult]] = {}
-    for field, fit in fits:
-        by_field.setdefault(float(field), []).append(fit)
-    fields = np.array(sorted(by_field))
-    t_star = np.empty(fields.size)
-    sigma = np.empty(fields.size)
-    for i, f in enumerate(fields):
-        group = by_field[float(f)]
-        ts = np.array([g.t_star for g in group])
-        sg = np.array([g.sigma_t_star for g in group])
-        if np.all(sg > _SIGMA_FLOOR):
-            w = 1.0 / sg ** 2
-            t_star[i] = float(np.sum(w * ts) / np.sum(w))
-            sigma[i] = float(1.0 / math.sqrt(np.sum(w)))
-        else:
-            t_star[i] = float(np.mean(ts))
-            sigma[i] = float(math.sqrt(np.mean(sg ** 2) / len(group)))
+    """Combine repeated fits per field into one (t_star, sigma) each.
+
+    A field whose sigmas all exceed the floor gets the precision-weighted
+    mean; any sigma at or below it gives that field equal weights.
+    """
+    fits = list(fits)
+    fields, group, counts = np.unique([float(field) for field, _ in fits],
+                                      return_inverse=True, return_counts=True)
+    ts = np.array([fit.t_star for _, fit in fits])
+    sg = np.array([fit.sigma_t_star for _, fit in fits])
+    weighted = np.bincount(group, ~(sg > _SIGMA_FLOOR), fields.size) == 0
+    # a sigma at the floor divides by zero below; np.where then takes that
+    # field's equal-weight values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / sg ** 2
+        sw = np.bincount(group, w, fields.size)
+        t_star = np.where(weighted, np.bincount(group, w * ts, fields.size) / sw,
+                          np.bincount(group, ts, fields.size) / counts)
+        sigma = np.where(weighted, 1.0 / np.sqrt(sw),
+                         np.sqrt(np.bincount(group, sg ** 2, fields.size) / counts / counts))
     return fields, t_star, sigma
 
 
@@ -366,9 +382,12 @@ def derivative_curve(curve: DeltaCurve, window: int = 5) -> DerivativeCurve:
     """Local linear regression d(delta)/dH over a sliding window.
 
     The window is a point count (odd, >= 3).  Edge points fall back to
-    one-sided windows of the same size and are flagged.  Sigmas come
-    from propagating the per-point sigmas through the regression
-    coefficients.
+    one-sided windows of the same size and are flagged.  The slopes are
+    one fixed linear operator on the deltas: row i holds the regression
+    coefficients (x - xbar) / sxx of its window, which on a uniform grid
+    is the first-derivative Savitzky-Golay filter (Savitzky & Golay,
+    Anal. Chem. 36, 1627, 1964).  Sigmas propagate the per-point sigmas
+    through the same coefficients.
     """
     n = curve.fields.size
     if window % 2 == 0 or window < 3:
@@ -376,21 +395,16 @@ def derivative_curve(curve: DeltaCurve, window: int = 5) -> DerivativeCurve:
     if window > n:
         raise InputError(f"window {window} exceeds the {n} available points")
     half = window // 2
-    slopes = np.empty(n)
-    sigmas = np.empty(n)
-    one_sided = np.zeros(n, dtype=bool)
-    for i in range(n):
-        lo = min(max(i - half, 0), n - window)
-        sl = slice(lo, lo + window)
-        one_sided[i] = lo != i - half
-        x = curve.fields[sl]
-        y = curve.deltas[sl]
-        xbar = float(np.mean(x))
-        dx = x - xbar
-        sxx = float(dx @ dx)
-        slopes[i] = float(dx @ (y - float(np.mean(y)))) / sxx
-        coeff = dx / sxx
-        sigmas[i] = float(math.sqrt(np.sum((coeff * curve.sigmas[sl]) ** 2)))
+    centre = np.arange(n)
+    lo = np.clip(centre - half, 0, n - window)
+    rows = lo[:, None] + np.arange(window)
+    dx = curve.fields[rows]
+    dx -= dx.mean(axis=1, keepdims=True)
+    coeff = dx / (dx * dx).sum(axis=1, keepdims=True)
+    y = curve.deltas[rows]
+    slopes = (coeff * (y - y.mean(axis=1, keepdims=True))).sum(axis=1)
+    sigmas = np.sqrt(((coeff * curve.sigmas[rows]) ** 2).sum(axis=1))
+    one_sided = lo != centre - half
     return DerivativeCurve(kind=curve.kind, fields=curve.fields.copy(),
                            slopes=slopes, sigmas=sigmas, window=window,
                            one_sided=one_sided)
@@ -448,6 +462,24 @@ def linearity_and_convergence_report(film: DerivativeCurve, cavity: DerivativeCu
 
 # --- dataset-level pipeline ---------------------------------------------------
 
+@dataclass(frozen=True)
+class FitFailure:
+    """One curve whose fit failed, and why.
+
+    ``iterations`` (accepted LM steps) and ``residual_norm`` (RMS
+    residual in ohm at the last parameters) come from the
+    :class:`FitError`; they are None when the curve was rejected before
+    fitting (:class:`InputError`, e.g. a missing plateau).
+    """
+
+    field: float
+    kind: str
+    repetition: int
+    reason: str
+    iterations: int | None
+    residual_norm: float | None
+
+
 @dataclass
 class AnalysisResult:
     """Everything the analysis stage extracts from one dataset."""
@@ -461,8 +493,12 @@ class AnalysisResult:
     convergence: ConvergenceReport | None
     mean_difference: float | None       # mK
     mean_difference_sigma: float | None  # mK
-    failed_fits: int
+    failures: list[FitFailure]
     notes: list[str]
+
+    @property
+    def failed_fits(self) -> int:
+        return len(self.failures)
 
 
 def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisResult:
@@ -471,21 +507,26 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
     Fits every curve, builds per-kind delta curves (cavity shares the
     film Tc when both kinds are present), then difference and
     derivative views where the grids allow it.  A curve whose fit fails
-    (no convergence, or a resistance plateau missing) is counted, not
-    fatal; when the failures leave film and cavity on different fields,
-    the difference and the derivative contrast are skipped with a note.
+    (no convergence, or a resistance plateau missing) is recorded in
+    ``failures``, not fatal; when the failures leave film and cavity on
+    different fields, the difference and the derivative contrast are
+    skipped with a note.
     """
     if not curves:
         raise InputError("dataset contains no curves")
     fits: list[tuple[float, str, int, FitResult]] = []
-    failed = 0
+    failures: list[FitFailure] = []
     notes: list[str] = []
     for curve in curves:
         try:
             fits.append((curve.field, curve.kind, curve.repetition,
                          fit_transition(curve)))
-        except (FitError, InputError):
-            failed += 1
+        except FitError as exc:
+            failures.append(FitFailure(curve.field, curve.kind, curve.repetition,
+                                       str(exc), exc.iterations, exc.residual_norm))
+        except InputError as exc:
+            failures.append(FitFailure(curve.field, curve.kind, curve.repetition,
+                                       str(exc), None, None))
     by_kind: dict[str, list[tuple[float, FitResult]]] = {"film": [], "cavity": []}
     for field, kind, _, fit in fits:
         by_kind[kind].append((field, fit))
@@ -533,4 +574,4 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
                           cavity_derivative=cavity_deriv, convergence=convergence,
                           mean_difference=mean_diff,
                           mean_difference_sigma=mean_sigma,
-                          failed_fits=failed, notes=notes)
+                          failures=failures, notes=notes)

@@ -189,6 +189,14 @@ def _analysis_payload(result: AnalysisResult, window: int) -> dict:
             }
             for field, kind, rep, fit in result.fits
         ],
+        "failed_fits": [
+            {
+                "field_gauss": f.field, "kind": f.kind, "repetition": f.repetition,
+                "reason": f.reason, "iterations": f.iterations,
+                "residual_norm_ohm": f.residual_norm,
+            }
+            for f in result.failures
+        ],
     }
     for kind in ("film", "cavity"):
         curve = getattr(result, kind)
@@ -248,12 +256,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("error: dataset contains no curves", file=sys.stderr)
         return EXIT_IO
     result = analyze_dataset(curves, window=args.window)
-    total = len(result.fits) + result.failed_fits
-    if result.failed_fits > FIT_FAILURE_THRESHOLD * total:
-        print(f"error: {result.failed_fits}/{total} fits failed", file=sys.stderr)
-        return EXIT_FIT
     out = Path(args.out) if args.out else args.manifest.parent
     _write_analysis_files(result, out, args.window)
+    total = len(result.fits) + result.failed_fits
+    if result.failed_fits > FIT_FAILURE_THRESHOLD * total:
+        print(f"error: {result.failed_fits}/{total} fits failed; the failures "
+              f"are listed in {out / 'analysis.json'}", file=sys.stderr)
+        return EXIT_FIT
     if result.mean_difference is not None:
         print(f"Delta = {result.mean_difference:.4f} +/- "
               f"{result.mean_difference_sigma:.4f} mK "

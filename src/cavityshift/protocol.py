@@ -82,10 +82,11 @@ class TransitionCurve:
         self.resistances = np.asarray(self.resistances, dtype=float)
         if self.temperatures.shape != self.resistances.shape:
             raise InputError("temperature and resistance arrays differ in length")
-        if np.any(np.diff(self.temperatures) < 0):
+        steps = self.temperatures[1:] - self.temperatures[:-1]
+        if (steps < 0).any():
             raise InputError("temperatures must be nondecreasing")
         clamped = any(f.startswith("clamped") for f in self.flags)
-        if not clamped and np.any(np.diff(self.temperatures) <= 0):
+        if not clamped and (steps <= 0).any():
             raise InputError("temperatures must be strictly increasing")
 
     @property

@@ -15,7 +15,8 @@ from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          fit_transition, linearity_and_convergence_report,
                          plan_sweep, run_paired_experiment,
                          weighted_mean_difference)
-from cavityshift.analysis import DerivativeCurve, FitResult
+from cavityshift.analysis import (_SIGMA_FLOOR, DerivativeCurve, FitFailure,
+                                  FitResult, _aggregate_repeats)
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import TransitionCurve
 
@@ -206,6 +207,46 @@ class TestFitTransition:
             fit_transition(curve)
 
 
+class TestPlateauBoundary:
+    """A curve needs at least 10% of its points strictly below 0.2 r_top and
+    strictly above 0.8 r_top.  On this 10 mK grid with a noise-free 50 mK
+    transition, moving the midpoint by one step moves one point across."""
+
+    T = np.linspace(1.0, 1.99, 100)
+
+    def curve(self, t_star):
+        return TransitionCurve(field=0.0, kind="film", temperatures=self.T,
+                               resistances=resistive_transition(self.T, t_star, 50.0, 10.0))
+
+    @staticmethod
+    def plateau_counts(r):
+        r_top = np.mean(np.sort(r)[-(r.size // 10):])
+        return int(np.sum(r < 0.2 * r_top)), int(np.sum(r > 0.8 * r_top)), r_top
+
+    @pytest.mark.parametrize("t_star, side", [(1.111, 0), (1.880, 1)])
+    def test_exactly_ten_percent_fits(self, t_star, side):
+        curve = self.curve(t_star)
+        assert self.plateau_counts(curve.resistances)[side] == 10
+        fit = fit_transition(curve)
+        assert fit.t_star == pytest.approx(t_star, abs=1e-9)
+
+    @pytest.mark.parametrize("t_star, side", [(1.101, 0), (1.890, 1)])
+    def test_one_point_fewer_raises(self, t_star, side):
+        curve = self.curve(t_star)
+        assert self.plateau_counts(curve.resistances)[side] == 9
+        with pytest.raises(InputError, match="both resistance plateaus"):
+            fit_transition(curve)
+
+    def test_point_on_the_threshold_does_not_count(self):
+        curve = self.curve(1.111)
+        below, _, r_top = self.plateau_counts(curve.resistances)
+        assert below == 10
+        curve.resistances[below - 1] = 0.2 * r_top  # the highest of the ten
+        assert self.plateau_counts(curve.resistances)[0] == 9
+        with pytest.raises(InputError, match="both resistance plateaus"):
+            fit_transition(curve)
+
+
 class TestBuildDeltaCurve:
     def test_noiseless_film_deltas(self, params, quiet):
         plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0])
@@ -245,6 +286,63 @@ class TestBuildDeltaCurve:
         assert combined.fields.size == 3
         single = build_delta_curve(fits[::4], "film")
         assert np.all(combined.sigmas < single.sigmas)
+
+
+def aggregate_loop(fits):
+    """Per-field loop over a dict of lists; the reference for
+    _aggregate_repeats, which must match it bit for bit."""
+    by_field = {}
+    for field, fit in fits:
+        by_field.setdefault(float(field), []).append(fit)
+    fields = np.array(sorted(by_field))
+    t_star = np.empty(fields.size)
+    sigma = np.empty(fields.size)
+    for i, f in enumerate(fields):
+        group = by_field[float(f)]
+        ts = np.array([g.t_star for g in group])
+        sg = np.array([g.sigma_t_star for g in group])
+        if np.all(sg > _SIGMA_FLOOR):
+            w = 1.0 / sg ** 2
+            t_star[i] = float(np.sum(w * ts) / np.sum(w))
+            sigma[i] = float(1.0 / math.sqrt(np.sum(w)))
+        else:
+            t_star[i] = float(np.mean(ts))
+            sigma[i] = float(math.sqrt(np.mean(sg ** 2) / len(group)))
+    return fields, t_star, sigma
+
+
+class TestAggregateRepeats:
+    @pytest.mark.parametrize("repetitions", [1, 5])
+    def test_matches_loop_reference_bit_for_bit(self, repetitions):
+        rng = np.random.default_rng(repetitions)
+        for _ in range(300):
+            n_fields = int(rng.integers(3, 12))
+            fields = np.sort(rng.uniform(0.0, 250.0, n_fields))
+            fits = []
+            for field in fields:
+                for _ in range(repetitions):
+                    t_star = 1.5 - rng.uniform(0.0, 1e-3)
+                    sigma = rng.choice([rng.uniform(1e-6, 1e-4), rng.uniform(1e-6, 1e-4),
+                                        rng.uniform(1e-6, 1e-4), 0.0, _SIGMA_FLOOR])
+                    fits.append((field, FitResult(t_star, sigma, 50.0, 10.0, 0.01,
+                                                  True, 4)))
+            order = rng.permutation(len(fits))  # unsorted fields, shuffled repeats
+            fits = [fits[i] for i in order]
+            expected = aggregate_loop(fits)
+            got = _aggregate_repeats(fits)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
+
+    def test_one_sigma_at_the_floor_gives_the_field_equal_weights(self):
+        fits = [(10.0, FitResult(1.4, 1e-5, 50.0, 10.0, 0.0, True, 4)),
+                (10.0, FitResult(1.5, _SIGMA_FLOOR, 50.0, 10.0, 0.0, True, 4)),
+                (20.0, FitResult(1.3, 1e-5, 50.0, 10.0, 0.0, True, 4)),
+                (20.0, FitResult(1.4, 3e-5, 50.0, 10.0, 0.0, True, 4))]
+        fields, t_star, sigma = _aggregate_repeats(fits)
+        assert fields.tolist() == [10.0, 20.0]
+        assert t_star[0] == pytest.approx(1.45, rel=1e-15)
+        assert sigma[0] == pytest.approx(math.sqrt((1e-10 + 1e-24) / 2) / math.sqrt(2))
+        assert t_star[1] == pytest.approx((1.3 * 9 + 1.4) / 10)
 
 
 class TestDifference:
@@ -329,6 +427,56 @@ class TestDerivativeCurve:
         resid = y - np.polyval(slope, x)
         r2 = 1 - np.sum(resid ** 2) / np.sum((y - y.mean()) ** 2)
         assert r2 > 0.999
+
+
+def derivative_loop(fields, deltas, sigmas, window):
+    """Per-point windowed regression; the reference for derivative_curve.
+    Also returns sum(|coeff * y|) per point, the scale of its rounding."""
+    n = fields.size
+    half = window // 2
+    slopes, errors, scale = np.empty(n), np.empty(n), np.empty(n)
+    one_sided = np.zeros(n, dtype=bool)
+    for i in range(n):
+        lo = min(max(i - half, 0), n - window)
+        sl = slice(lo, lo + window)
+        one_sided[i] = lo != i - half
+        x, y = fields[sl], deltas[sl]
+        dx = x - float(np.mean(x))
+        sxx = float(dx @ dx)
+        slopes[i] = float(dx @ (y - float(np.mean(y)))) / sxx
+        coeff = dx / sxx
+        errors[i] = math.sqrt(np.sum((coeff * sigmas[sl]) ** 2))
+        scale[i] = np.sum(np.abs(coeff * y))
+    return slopes, errors, one_sided, scale
+
+
+class TestDerivativeLoopReference:
+    def test_random_grids_and_windows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            window = int(rng.choice([3, 5, 7, 9]))
+            n = int(rng.integers(window, 40))
+            fields = np.cumsum(rng.uniform(0.1, 30.0, n)) + rng.uniform(0.0, 100.0)
+            deltas = rng.uniform(-1.0, 1.0) * fields ** 2 * 1e-4 + rng.normal(0, 0.1, n)
+            sigmas = rng.uniform(0.0, 0.2, n)
+            curve = synthetic_delta_curve(fields, deltas, sigmas)
+            deriv = derivative_curve(curve, window)
+            slopes, errors, one_sided, scale = derivative_loop(fields, deltas, sigmas,
+                                                               window)
+            assert np.array_equal(deriv.one_sided, one_sided)
+            assert np.all(np.abs(deriv.slopes - slopes) <= 1e-12 * scale)
+            assert np.allclose(deriv.sigmas, errors, rtol=1e-12, atol=0.0)
+
+    def test_window_spanning_the_whole_grid(self):
+        fields = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
+        curve = synthetic_delta_curve(fields, fields ** 2, np.full(5, 0.1))
+        deriv = derivative_curve(curve, 5)
+        slopes, errors, one_sided, _ = derivative_loop(fields, fields ** 2,
+                                                       np.full(5, 0.1), 5)
+        assert deriv.one_sided.tolist() == [True, True, False, True, True]
+        assert np.array_equal(deriv.one_sided, one_sided)
+        assert deriv.slopes == pytest.approx(slopes, rel=1e-13)
+        assert deriv.sigmas == pytest.approx(errors, rel=1e-13)
 
 
 class TestConvergenceReport:
@@ -422,12 +570,29 @@ class TestAnalyzeDataset:
         curves[1].resistances = np.zeros_like(curves[1].resistances)
         result = analyze_dataset(curves)
         assert result.failed_fits == 1
+        assert result.failures == [FitFailure(50.0, "cavity", 0,
+                                              "no resistive plateau found", None, None)]
         assert result.film.fields.size == 10
         assert result.cavity.fields.size == 9
         assert result.difference is None
         assert result.convergence is None
         assert result.mean_difference is None
         assert any("different fields" in note for note in result.notes)
+
+    def test_step_function_fit_failure_recorded(self, params, quiet):
+        plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
+        curves = run_paired_experiment(params, quiet, plan)
+        step = curves[6]  # film at the fourth field
+        step.resistances = resistive_transition(step.temperatures, 1.45, 1.0, 10.0)
+        result = analyze_dataset(curves)
+        assert result.failed_fits == 1
+        (failure,) = result.failures
+        assert (failure.field, failure.kind, failure.repetition) == (
+            step.field, "film", 0)
+        assert "below the temperature step" in failure.reason
+        assert failure.iterations > 0
+        assert failure.residual_norm > 0
+        assert len(result.fits) == 19
 
     def test_model_level_linear_fit_of_cavity_derivative(self, params):
         # analytic derivative of the solved balance is linear well below h_v

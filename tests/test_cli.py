@@ -155,6 +155,32 @@ class TestSimulateAnalyze:
         assert main(["analyze", str(out / "run.json")]) == 4
         assert f"line {len(lines)}" in capsys.readouterr().err
 
+    def test_step_function_curve_exits_fit_and_is_listed(self, tmp_path, capsys):
+        from cavityshift.instrument import resistive_transition
+
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        path = out / "curve_003_cavity_rep0.csv"
+        lines = path.read_text().splitlines()
+        start = lines.index("temperature_K,resistance_ohm") + 1
+        temps = [float(line.split(",")[0]) for line in lines[start:]]
+        steps = resistive_transition(np.array(temps), temps[100] + 1e-4, 1.0, 10.0)
+        lines[start:] = [f"{t!r},{float(r)!r}" for t, r in zip(temps, steps)]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out / "run.json")]) == 5
+        assert "analysis.json" in capsys.readouterr().err
+        payload = json.loads((out / "analysis.json").read_text())
+        assert payload["fit_failures"] == 1
+        assert payload["n_curves"] == 20
+        assert len(payload["fits"]) == 19
+        (failure,) = payload["failed_fits"]
+        field = json.loads((out / "run.json").read_text())["curves"][7]["field_gauss"]
+        assert failure["field_gauss"] == field
+        assert (failure["kind"], failure["repetition"]) == ("cavity", 0)
+        assert "below the temperature step" in failure["reason"]
+        assert failure["iterations"] > 0
+        assert failure["residual_norm_ohm"] > 0
+
     def test_film_only_dataset_still_analyzed(self, tmp_path, capsys):
         out = tmp_path / "filmonly"
         assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
