@@ -102,29 +102,9 @@ class ConvergenceReport:
 
 _SQRT_PI = math.sqrt(math.pi)
 
-
-def _fit_model(t: np.ndarray,
-               p: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Model values at p = (t_star K, width mK, r_n ohm), with the scaled
-    offsets u and the erf shape that :func:`_normal_equations` reuses."""
-    t_star, width, r_n = p
-    u = (t - t_star) / (width * 1e-3 / ERF_WIDTH_FACTOR)
-    shape = 0.5 * (1.0 + erf(u))
-    return r_n * shape, u, shape
-
-
-def _normal_equations(p: list[float], u: np.ndarray, shape: np.ndarray,
-                      resid: np.ndarray) -> tuple[list[list[float]], list[float]]:
-    """J^T J and J^T r at p, from the u and shape :func:`_fit_model`
-    returned there; J has one column per parameter of p."""
-    _, width, r_n = p
-    s = width * 1e-3 / ERF_WIDTH_FACTOR
-    dmodel_du = np.exp(-u * u) * (-r_n / _SQRT_PI)
-    jac_t = np.empty((3, u.size))
-    jac_t[0] = dmodel_du / s
-    jac_t[1] = dmodel_du * u / width
-    jac_t[2] = shape
-    return (jac_t @ jac_t.T).tolist(), (jac_t @ resid).tolist()
+#: Resistance fractions of r_top whose nearest samples seed the fit:
+#: the midpoint and the 10% and 90% points.
+_GUESS_LEVELS = np.array([[0.5], [0.1], [0.9]])
 
 
 def _damped_step(jtj: list[list[float]], grad: list[float],
@@ -161,19 +141,23 @@ def _damped_step(jtj: list[list[float]], grad: list[float],
 
 def _initial_guess(t: np.ndarray, r: np.ndarray, r_top: float,
                    step_mk: float) -> list[float]:
-    i_mid = int(np.abs(r - 0.5 * r_top).argmin())
-    i_lo = int(np.abs(r - 0.1 * r_top).argmin())
-    i_hi = int(np.abs(r - 0.9 * r_top).argmin())
+    i_mid, i_lo, i_hi = np.abs(r - _GUESS_LEVELS * r_top).argmin(axis=1).tolist()
     width = max(abs(t[i_hi] - t[i_lo]) * MK_PER_K, 2.0 * step_mk)
     return [float(t[i_mid]), float(width), r_top]
+
+
+def _xtol_scales(p: list[float]) -> tuple[float, float, float]:
+    """Denominators of the relative step-size test at the point p."""
+    return max(abs(p[0]), 1e-30), max(abs(p[1]), 1e-30), max(abs(p[2]), 1e-30)
 
 
 def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
                    xtol: float = 1e-10) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
 
-    Requires both plateaus to be sampled (at least 10% of the points
-    below 0.2 r_n and above 0.8 r_n), otherwise :class:`InputError`.
+    Requires finite resistances and both plateaus to be sampled (at
+    least 10% of the points below 0.2 r_n and above 0.8 r_n), otherwise
+    :class:`InputError`.
     The fit converges when a proposed step changes no parameter by more
     than ``xtol`` relative, whether or not that step would lower the
     cost; the current point is then kept.  ``max_iter`` bounds the
@@ -185,7 +169,9 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     function: the transition is not resolved), or when the covariance
     at the fitted parameters is singular.  ``sigma_t_star`` comes from
     the fit covariance scaled by the reduced chi-square, so it is
-    meaningful without knowing the noise level beforehand.
+    meaningful without knowing the noise level beforehand; its
+    ``(JtJ)^-1[0, 0]`` is solved with the same closed-form Cholesky
+    factor as the steps, without forming the inverse.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -193,7 +179,10 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     if n < 20:
         raise InputError(f"need at least 20 samples, got {n}")
     r_sorted = np.sort(r)
-    r_top = float(r_sorted[-max(2, n // 10):].mean())
+    if not (-math.inf < r_sorted[0] and r_sorted[-1] < math.inf):  # NaN sorts last
+        raise InputError("resistances must be finite")
+    k = max(2, n // 10)
+    r_top = float(r_sorted[-k:].sum()) / k  # bit-equal to .mean()
     if not (r_top > 0):
         raise InputError("no resistive plateau found")
     below = int(r_sorted.searchsorted(0.2 * r_top))                # r < 0.2 r_top
@@ -201,13 +190,47 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     if below / n < 0.1 or above / n < 0.1:
         raise InputError("curve does not span both resistance plateaus")
 
-    step_mk = float((t[1:] - t[:-1]).max()) * MK_PER_K
+    step_mk = curve.max_step * MK_PER_K
     min_width = 0.2 * step_mk
     p = _initial_guess(t, r, r_top, step_mk)
-    model_vals, u, shape = _fit_model(t, p)
-    resid = model_vals - r
-    cost = float(resid @ resid)
-    jtj, grad = _normal_equations(p, u, shape, resid)
+
+    # one set of buffers per fit: the scaled offsets u, the residuals at
+    # the current point and at the trial point, and the Jacobian rows
+    # (d/dt_star, d/dwidth, d/dr_n); the last row doubles as the erf shape
+    u = np.empty(n)
+    resid, resid_new = np.empty(n), np.empty(n)
+    jac_t = np.empty((3, n))
+    shape = jac_t[2]
+
+    def evaluate(q: list[float], out: np.ndarray) -> float:
+        """Residuals at q = (t_star K, width mK, r_n ohm) into ``out``;
+        leaves u and the erf shape at q behind.  Returns the cost."""
+        np.subtract(t, q[0], out=u)
+        np.divide(u, q[1] * 1e-3 / ERF_WIDTH_FACTOR, out=u)
+        erf(u, out=shape)
+        np.add(shape, 1.0, out=shape)
+        np.multiply(shape, 0.5, out=shape)
+        np.multiply(shape, q[2], out=out)
+        np.subtract(out, r, out=out)
+        return float(out @ out)
+
+    def normal_equations(q: list[float],
+                         res: np.ndarray) -> tuple[list[list[float]], list[float]]:
+        """J^T J and J^T res at q, from the u and shape evaluate(q) left."""
+        _, width, r_n = q
+        dmodel_du = jac_t[0]
+        np.multiply(u, u, out=dmodel_du)
+        np.negative(dmodel_du, out=dmodel_du)
+        np.exp(dmodel_du, out=dmodel_du)
+        np.multiply(dmodel_du, -r_n / _SQRT_PI, out=dmodel_du)
+        np.multiply(dmodel_du, u, out=jac_t[1])
+        np.divide(jac_t[1], width, out=jac_t[1])
+        np.divide(dmodel_du, width * 1e-3 / ERF_WIDTH_FACTOR, out=jac_t[0])
+        return (jac_t @ jac_t.T).tolist(), (jac_t @ res).tolist()
+
+    cost = evaluate(p, resid)
+    jtj, grad = normal_equations(p, resid)
+    s0, s1, s2 = _xtol_scales(p)
     lam = 1e-3
     iterations = 0
     converged = False
@@ -223,20 +246,20 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         p_new = [p[0] + step[0], max(p[1] + step[1], min_width), p[2] + step[2]]
         if p_new[2] <= 0:
             p_new[2] = p[2]
-        if (abs(p_new[0] - p[0]) / max(abs(p[0]), 1e-30) <= xtol
-                and abs(p_new[1] - p[1]) / max(abs(p[1]), 1e-30) <= xtol
-                and abs(p_new[2] - p[2]) / max(abs(p[2]), 1e-30) <= xtol):
+        if (abs(p_new[0] - p[0]) / s0 <= xtol
+                and abs(p_new[1] - p[1]) / s1 <= xtol
+                and abs(p_new[2] - p[2]) / s2 <= xtol):
             converged = True
             break
-        model_new, u, shape = _fit_model(t, p_new)
-        resid_new = model_new - r
-        cost_new = float(resid_new @ resid_new)
+        cost_new = evaluate(p_new, resid_new)
         if cost_new <= cost:
             # the Jacobian is formed only here: about one evaluation in six
             # is rejected, and its Jacobian would be thrown away
-            p, resid, cost = p_new, resid_new, cost_new
-            jtj, grad = _normal_equations(p, u, shape, resid)
+            p, cost = p_new, cost_new
+            resid, resid_new = resid_new, resid
+            jtj, grad = normal_equations(p, resid)
             lam = max(lam * 0.1, 1e-14)
+            s0, s1, s2 = _xtol_scales(p)
             iterations += 1
         else:
             lam *= 10.0
@@ -248,15 +271,14 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         raise fit_error("fitted width below the temperature step; "
                         "transition not resolved")
 
-    dof = max(n - 3, 1)
-    s2 = cost / dof
-    try:
-        cov = np.linalg.inv(np.array(jtj)) * s2
-    except np.linalg.LinAlgError:
-        raise fit_error("singular covariance at the fitted parameters") from None
+    # (JtJ)^-1 e_0 by the undamped Cholesky solve; its first entry is cov[0, 0] / s2
+    column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
+    if column is None:
+        raise fit_error("singular covariance at the fitted parameters")
+    s2 = cost / max(n - 3, 1)
     return FitResult(
         t_star=p[0],
-        sigma_t_star=float(math.sqrt(max(cov[0, 0], 0.0))),
+        sigma_t_star=float(math.sqrt(max(column[0] * s2, 0.0))),
         width=abs(p[1]),
         r_n=p[2],
         residual_norm=float(math.sqrt(cost / n) / p[2]),

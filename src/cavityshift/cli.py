@@ -173,7 +173,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis_payload(result: AnalysisResult, window: int) -> dict:
+def _analysis_payload(result: AnalysisResult, window: int,
+                      flags: dict[tuple[float, str, int], tuple[str, ...]]) -> dict:
+    """The analysis.json document; ``flags`` maps (field, kind,
+    repetition) to the flags of that curve."""
     payload: dict = {
         "format_version": "1",
         "fit_failures": result.failed_fits,
@@ -186,6 +189,7 @@ def _analysis_payload(result: AnalysisResult, window: int) -> dict:
                 "width_mK": fit.width, "r_n_ohm": fit.r_n,
                 "residual_norm": fit.residual_norm,
                 "converged": fit.converged, "iterations": fit.iterations,
+                "flags": list(flags[field, kind, rep]),
             }
             for field, kind, rep, fit in result.fits
         ],
@@ -222,7 +226,8 @@ def _analysis_payload(result: AnalysisResult, window: int) -> dict:
     return payload
 
 
-def _write_analysis_files(result: AnalysisResult, out: Path, window: int) -> None:
+def _write_analysis_files(result: AnalysisResult, out: Path, window: int,
+                          flags: dict[tuple[float, str, int], tuple[str, ...]]) -> None:
     for kind in ("film", "cavity"):
         curve = getattr(result, kind)
         if curve is not None:
@@ -240,7 +245,7 @@ def _write_analysis_files(result: AnalysisResult, out: Path, window: int) -> Non
         write_csv(out / "difference.csv",
                   ["field_gauss", "difference_mK", "sigma_mK"],
                   result.difference.points)
-    write_json(out / "analysis.json", _analysis_payload(result, window))
+    write_json(out / "analysis.json", _analysis_payload(result, window, flags))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -257,7 +262,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_IO
     result = analyze_dataset(curves, window=args.window)
     out = Path(args.out) if args.out else args.manifest.parent
-    _write_analysis_files(result, out, args.window)
+    flags = {(c.field, c.kind, c.repetition): c.flags for c in curves}
+    _write_analysis_files(result, out, args.window, flags)
     total = len(result.fits) + result.failed_fits
     if result.failed_fits > FIT_FAILURE_THRESHOLD * total:
         print(f"error: {result.failed_fits}/{total} fits failed; the failures "

@@ -71,7 +71,7 @@ def resistive_transition(t, t_star: float, width_mk: float, r_n: float):
 def transition_resistance(cfg: InstrumentConfig, t, t_star: float):
     """Noiseless sample resistance at temperature t (K), in ohm."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if (t_arr <= 0).any():
         raise DomainError("temperature must be > 0")
     r = resistive_transition(t_arr, t_star, cfg.transition_width, cfg.normal_resistance)
     return float(r) if np.isscalar(t) or t_arr.ndim == 0 else r
@@ -94,9 +94,14 @@ def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: floa
 
     Draws the jitter block first, then the resistance-noise block, so a
     whole curve costs two generator calls and stays deterministic per
-    substream.
+    substream; the jitter block is drawn even when its sigma is zero,
+    so the noise block does not depend on the jitter setting.
     """
     t = np.maximum(np.asarray(t_setpoints, dtype=float), cfg.base_temperature)
-    jitter_k = rng.normal(0.0, cfg.temperature_jitter, t.shape) * 1e-3
+    jitter_mk = rng.normal(0.0, cfg.temperature_jitter, t.shape)
     noise = rng.normal(0.0, cfg.resistance_noise, t.shape)
-    return transition_resistance(cfg, t + jitter_k, t_star) + noise
+    if cfg.temperature_jitter:
+        t += jitter_mk * 1e-3
+    r = transition_resistance(cfg, t, t_star)
+    r += noise
+    return r

@@ -9,6 +9,7 @@ come out bit-identical, because each curve owns a substream keyed by
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -63,7 +64,9 @@ class TransitionCurve:
     """One fixed-field R(T) sweep.
 
     ``oracle_t_star`` is the generating midpoint, kept only for oracle
-    and test comparisons; analysis must never consume it.
+    and test comparisons; analysis must never consume it.  ``max_step``
+    is the largest temperature step (K), found while validating the
+    temperatures.
     """
 
     field: float
@@ -74,6 +77,7 @@ class TransitionCurve:
     seed_path: str = ""
     flags: tuple[str, ...] = ()
     oracle_t_star: float | None = dataclass_field(default=None, repr=False)
+    max_step: float = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KIND_CODES:
@@ -83,10 +87,14 @@ class TransitionCurve:
         if self.temperatures.shape != self.resistances.shape:
             raise InputError("temperature and resistance arrays differ in length")
         steps = self.temperatures[1:] - self.temperatures[:-1]
-        if (steps < 0).any():
-            raise InputError("temperatures must be nondecreasing")
+        # a NaN step fails both comparisons; an infinite temperature makes
+        # a step infinite or negative
+        smallest = float(steps.min(initial=math.inf))
+        self.max_step = float(steps.max(initial=0.0))
+        if not (0.0 <= smallest and self.max_step < math.inf):
+            raise InputError("temperatures must be finite and nondecreasing")
         clamped = any(f.startswith("clamped") for f in self.flags)
-        if not clamped and (steps <= 0).any():
+        if not clamped and smallest <= 0:
             raise InputError("temperatures must be strictly increasing")
 
     @property
@@ -117,6 +125,20 @@ def temperature_grid(plan: SweepPlan) -> np.ndarray:
                        plan.n_points)
 
 
+@functools.lru_cache(maxsize=64)
+def _sweep_setpoints(plan: SweepPlan, base_temperature: float
+                     ) -> tuple[np.ndarray, tuple[str, ...], float, float]:
+    """Setpoints of a plan at a cryostat floor, shared by all its curves:
+    the read-only clamped grid, its ``clamped:i`` flags, and the bounds
+    a midpoint must lie within to sit in the central part of the sweep."""
+    grid = temperature_grid(plan)
+    setpoints = np.maximum(grid, base_temperature)
+    setpoints.flags.writeable = False
+    flags = tuple(f"clamped:{i}" for i in np.nonzero(grid < base_temperature)[0].tolist())
+    margin = 0.5 * (1.0 - CENTRAL_FRACTION) * plan.t_span
+    return setpoints, flags, setpoints[0] + margin, setpoints[-1] - margin
+
+
 def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
                   plan: SweepPlan, field: float, kind: str, repetition: int = 0,
                   substream_prefix: tuple[int, ...] = ()) -> TransitionCurve:
@@ -132,23 +154,20 @@ def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
                 else model.cavity_delta(params, field))
     t_star = params.t_c - delta_mk * 1e-3
 
-    grid = temperature_grid(plan)
-    clamped_idx = np.nonzero(grid < cfg.base_temperature)[0]
-    setpoints = np.maximum(grid, cfg.base_temperature)
+    setpoints, flags, central_lo, central_hi = _sweep_setpoints(
+        plan, cfg.base_temperature)
 
     path = (*substream_prefix, plan.fields.index(field), KIND_CODES[kind], repetition)
     rng = noise_stream(cfg.seed, *path)
     resistances = measure_profile(cfg, setpoints, t_star, rng)
 
-    flags = [f"clamped:{i}" for i in clamped_idx.tolist()]
-    margin = 0.5 * (1.0 - CENTRAL_FRACTION) * plan.t_span
-    if not (setpoints[0] + margin <= t_star <= setpoints[-1] - margin):
-        flags.append("midpoint-outside-central-80pct")
+    if not (central_lo <= t_star <= central_hi):
+        flags += ("midpoint-outside-central-80pct",)
 
     return TransitionCurve(
         field=field, kind=kind, temperatures=setpoints, resistances=resistances,
         repetition=repetition, seed_path="/".join(str(p) for p in path),
-        flags=tuple(flags), oracle_t_star=t_star)
+        flags=flags, oracle_t_star=t_star)
 
 
 def run_paired_experiment(params: model.ModelParams, cfg: InstrumentConfig,

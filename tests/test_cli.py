@@ -136,6 +136,24 @@ class TestSimulateAnalyze:
                              for f in diff[:, 0]])
         assert np.max(np.abs(diff[:, 1] - expected)) <= 1e-3
 
+    def test_fit_entries_carry_curve_flags(self, tmp_path):
+        # a floor above the start of the default grid clamps its first points
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instrument": {"base_temperature": 1.32}}))
+        out = tmp_path / "clamped"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["analyze", str(out / "run.json")]) == 0
+        payload = json.loads((out / "analysis.json").read_text())
+        manifest = json.loads((out / "run.json").read_text())
+        assert len(payload["fits"]) == len(manifest["curves"]) == 20
+        for fit, entry in zip(payload["fits"], manifest["curves"]):
+            lines = (out / entry["file"]).read_text().splitlines()
+            header = next(line for line in lines if line.startswith("# flags="))
+            assert ";".join(fit["flags"]) == header.removeprefix("# flags=")
+            assert fit["flags"][0] == "clamped:0"
+        assert {"t_star_K", "sigma_t_star_K", "width_mK", "r_n_ohm", "residual_norm",
+                "converged", "iterations"} < set(payload["fits"][0])
+
     def test_analyze_missing_manifest_exits_io(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 4
 

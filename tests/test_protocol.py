@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,32 @@ class TestAcquire:
         curve = acquire_curve(params, noisy, plan, 50.0, "film")
         assert np.all(curve.temperatures >= noisy.base_temperature)
         assert any(f.startswith("clamped") for f in curve.flags)
+
+    def test_clamped_setpoints_shared_per_plan_and_floor(self, params, noisy):
+        plan = SweepPlan(fields=(50.0, 100.0), t_center_guess=0.35, t_span=0.4)
+        grid = temperature_grid(plan)
+        a = acquire_curve(params, noisy, plan, 50.0, "film")
+        b = acquire_curve(params, noisy, plan, 100.0, "cavity", substream_prefix=(3,))
+        expected = np.maximum(grid, noisy.base_temperature)
+        clamped = [f"clamped:{i}" for i in np.nonzero(grid < noisy.base_temperature)[0]]
+        assert clamped
+        for curve in (a, b):
+            assert curve.temperatures.tobytes() == expected.tobytes()
+            assert [f for f in curve.flags if f.startswith("clamped")] == clamped
+        with pytest.raises(ValueError):
+            a.temperatures[0] = 1.0
+        # a config that differs only in its floor gets its own setpoints
+        lower = replace(noisy, base_temperature=0.1)
+        c = acquire_curve(params, lower, plan, 50.0, "film")
+        assert c.temperatures.tobytes() == grid.tobytes()
+        assert not any(f.startswith("clamped") for f in c.flags)
+        assert a.temperatures.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("t_center", [0.35, 1.5])
+    def test_largest_step_matches_the_temperatures(self, params, noisy, t_center):
+        plan = SweepPlan(fields=(50.0,), t_center_guess=t_center, t_span=0.4)
+        curve = acquire_curve(params, noisy, plan, 50.0, "film")
+        assert curve.max_step == np.diff(curve.temperatures).max()
 
     def test_coverage_flag(self, params, quiet):
         plan = SweepPlan(fields=(150.0,), t_center_guess=1.80, t_span=0.4)
@@ -232,6 +260,14 @@ class TestCurveValidation:
             TransitionCurve(field=10.0, kind="film",
                             temperatures=np.array([1.0, 0.9, 1.1]),
                             resistances=np.zeros(3))
+
+    @pytest.mark.parametrize("index, value", [(100, np.nan), (-1, np.inf), (0, -np.inf)])
+    def test_non_finite_temperature_rejected(self, index, value):
+        t = np.linspace(1.3, 1.7, 200)
+        t[index] = value
+        with pytest.raises(InputError, match="finite and nondecreasing"):
+            TransitionCurve(field=10.0, kind="film", temperatures=t,
+                            resistances=np.zeros(200))
 
     def test_duplicate_temperatures_allowed_when_clamped(self):
         TransitionCurve(field=10.0, kind="film",
