@@ -169,9 +169,7 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     function: the transition is not resolved), or when the covariance
     at the fitted parameters is singular.  ``sigma_t_star`` comes from
     the fit covariance scaled by the reduced chi-square, so it is
-    meaningful without knowing the noise level beforehand; its
-    ``(JtJ)^-1[0, 0]`` is solved with the same closed-form Cholesky
-    factor as the steps, without forming the inverse.
+    meaningful without knowing the noise level beforehand.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -190,7 +188,7 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     if below / n < 0.1 or above / n < 0.1:
         raise InputError("curve does not span both resistance plateaus")
 
-    step_mk = curve.max_step * MK_PER_K
+    step_mk = float((t[1:] - t[:-1]).max()) * MK_PER_K
     min_width = 0.2 * step_mk
     p = _initial_guess(t, r, r_top, step_mk)
 
@@ -271,14 +269,15 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         raise fit_error("fitted width below the temperature step; "
                         "transition not resolved")
 
-    # (JtJ)^-1 e_0 by the undamped Cholesky solve; its first entry is cov[0, 0] / s2
-    column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
-    if column is None:
-        raise fit_error("singular covariance at the fitted parameters")
-    s2 = cost / max(n - 3, 1)
+    dof = max(n - 3, 1)
+    s2 = cost / dof
+    try:
+        cov = np.linalg.inv(np.array(jtj)) * s2
+    except np.linalg.LinAlgError:
+        raise fit_error("singular covariance at the fitted parameters") from None
     return FitResult(
         t_star=p[0],
-        sigma_t_star=float(math.sqrt(max(column[0] * s2, 0.0))),
+        sigma_t_star=float(math.sqrt(max(cov[0, 0], 0.0))),
         width=abs(p[1]),
         r_n=p[2],
         residual_norm=float(math.sqrt(cost / n) / p[2]),

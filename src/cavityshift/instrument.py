@@ -94,14 +94,12 @@ def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: floa
 
     Draws the jitter block first, then the resistance-noise block, so a
     whole curve costs two generator calls and stays deterministic per
-    substream; the jitter block is drawn even when its sigma is zero,
-    so the noise block does not depend on the jitter setting.
+    substream.
     """
     t = np.maximum(np.asarray(t_setpoints, dtype=float), cfg.base_temperature)
-    jitter_mk = rng.normal(0.0, cfg.temperature_jitter, t.shape)
+    jitter_k = rng.normal(0.0, cfg.temperature_jitter, t.shape) * 1e-3
     noise = rng.normal(0.0, cfg.resistance_noise, t.shape)
-    if cfg.temperature_jitter:
-        t += jitter_mk * 1e-3
+    t += jitter_k  # t is a fresh array from np.maximum
     r = transition_resistance(cfg, t, t_star)
     r += noise
     return r

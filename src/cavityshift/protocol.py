@@ -64,9 +64,7 @@ class TransitionCurve:
     """One fixed-field R(T) sweep.
 
     ``oracle_t_star`` is the generating midpoint, kept only for oracle
-    and test comparisons; analysis must never consume it.  ``max_step``
-    is the largest temperature step (K), found while validating the
-    temperatures.
+    and test comparisons; analysis must never consume it.
     """
 
     field: float
@@ -77,7 +75,6 @@ class TransitionCurve:
     seed_path: str = ""
     flags: tuple[str, ...] = ()
     oracle_t_star: float | None = dataclass_field(default=None, repr=False)
-    max_step: float = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KIND_CODES:
@@ -90,8 +87,7 @@ class TransitionCurve:
         # a NaN step fails both comparisons; an infinite temperature makes
         # a step infinite or negative
         smallest = float(steps.min(initial=math.inf))
-        self.max_step = float(steps.max(initial=0.0))
-        if not (0.0 <= smallest and self.max_step < math.inf):
+        if not (0.0 <= smallest and steps.max(initial=0.0) < math.inf):
             raise InputError("temperatures must be finite and nondecreasing")
         clamped = any(f.startswith("clamped") for f in self.flags)
         if not clamped and smallest <= 0:

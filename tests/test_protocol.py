@@ -125,12 +125,6 @@ class TestAcquire:
         assert not any(f.startswith("clamped") for f in c.flags)
         assert a.temperatures.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("t_center", [0.35, 1.5])
-    def test_largest_step_matches_the_temperatures(self, params, noisy, t_center):
-        plan = SweepPlan(fields=(50.0,), t_center_guess=t_center, t_span=0.4)
-        curve = acquire_curve(params, noisy, plan, 50.0, "film")
-        assert curve.max_step == np.diff(curve.temperatures).max()
-
     def test_coverage_flag(self, params, quiet):
         plan = SweepPlan(fields=(150.0,), t_center_guess=1.80, t_span=0.4)
         curve = acquire_curve(params, quiet, plan, 150.0, "film")
