@@ -111,8 +111,9 @@ def _damped_step(jtj: list[list[float]], grad: list[float],
                  lam: float) -> tuple[float, float, float] | None:
     """Solve (JtJ with its diagonal scaled by 1+lam) x = -grad.
 
-    Closed-form 3x3 Cholesky; None when a pivot is not positive and
-    finite (the damped normal matrix is singular or broken).
+    Closed-form 3x3 Cholesky that reads only the lower triangle of
+    ``jtj``; None when a pivot is not positive and finite (the damped
+    normal matrix is singular or broken).
     """
     a = 1.0 + lam
     d0 = jtj[0][0] * a
@@ -170,6 +171,15 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     at the fitted parameters is singular.  ``sigma_t_star`` comes from
     the fit covariance scaled by the reduced chi-square, so it is
     meaningful without knowing the noise level beforehand.
+
+    Each accepted step forms the Jacobian rows without their constant
+    factors, exp(-u^2), u exp(-u^2) and 1 + erf(u) with
+    u = (t - t_star) k and k = ERF_WIDTH_FACTOR / (width * 1e-3), takes
+    their products with each other and with the residuals in one Gram
+    matrix, and scales that on the 3x3 by the factors
+    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2).
+    ``cov[0, 0]`` comes from the undamped Cholesky factor of J^T J: no
+    matrix is inverted.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -192,42 +202,49 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     min_width = 0.2 * step_mk
     p = _initial_guess(t, r, r_top, step_mk)
 
-    # one set of buffers per fit: the scaled offsets u, the residuals at
-    # the current point and at the trial point, and the Jacobian rows
-    # (d/dt_star, d/dwidth, d/dr_n); the last row doubles as the erf shape
+    # one set of buffers per fit: the scaled offsets u, and for the
+    # current point and the trial point a stack of the Jacobian rows
+    # (d/dt_star, d/dwidth, d/dr_n) without their constant factors,
+    # exp(-u^2), u exp(-u^2) and 1 + erf(u), over the residuals
     u = np.empty(n)
-    resid, resid_new = np.empty(n), np.empty(n)
-    jac_t = np.empty((3, n))
-    shape = jac_t[2]
+    stack, trial = np.empty((4, n)), np.empty((4, n))
 
     def evaluate(q: list[float], out: np.ndarray) -> float:
-        """Residuals at q = (t_star K, width mK, r_n ohm) into ``out``;
-        leaves u and the erf shape at q behind.  Returns the cost."""
+        """Rows 2 and 3 of the stack ``out``: 1 + erf(u) and the residuals
+        at q = (t_star K, width mK, r_n ohm); leaves u behind.  Returns
+        the cost."""
         np.subtract(t, q[0], out=u)
-        np.divide(u, q[1] * 1e-3 / ERF_WIDTH_FACTOR, out=u)
+        np.multiply(u, ERF_WIDTH_FACTOR / (q[1] * 1e-3), out=u)
+        shape, res = out[2], out[3]
         erf(u, out=shape)
         np.add(shape, 1.0, out=shape)
-        np.multiply(shape, 0.5, out=shape)
-        np.multiply(shape, q[2], out=out)
-        np.subtract(out, r, out=out)
-        return float(out @ out)
+        np.multiply(shape, 0.5 * q[2], out=res)
+        np.subtract(res, r, out=res)
+        return float(res @ res)
 
     def normal_equations(q: list[float],
-                         res: np.ndarray) -> tuple[list[list[float]], list[float]]:
-        """J^T J and J^T res at q, from the u and shape evaluate(q) left."""
+                         out: np.ndarray) -> tuple[list[list[float]], list[float]]:
+        """J^T J (lower triangle) and J^T res at q, after evaluate(q, out):
+        fills rows 0 and 1 of ``out`` from u, takes every product of the
+        unscaled rows in one Gram matrix and scales it by the row factors
+        c_i c_j and c_i."""
         _, width, r_n = q
-        dmodel_du = jac_t[0]
-        np.multiply(u, u, out=dmodel_du)
-        np.negative(dmodel_du, out=dmodel_du)
-        np.exp(dmodel_du, out=dmodel_du)
-        np.multiply(dmodel_du, -r_n / _SQRT_PI, out=dmodel_du)
-        np.multiply(dmodel_du, u, out=jac_t[1])
-        np.divide(jac_t[1], width, out=jac_t[1])
-        np.divide(dmodel_du, width * 1e-3 / ERF_WIDTH_FACTOR, out=jac_t[0])
-        return (jac_t @ jac_t.T).tolist(), (jac_t @ res).tolist()
+        gauss = out[0]
+        np.multiply(u, u, out=gauss)
+        np.negative(gauss, out=gauss)
+        np.exp(gauss, out=gauss)
+        np.multiply(gauss, u, out=out[1])
+        gram = (out @ out.T).tolist()
+        (m00, m01, m02, b0), (_, m11, m12, b1), (_, _, m22, b2), _ = gram
+        c0 = -r_n / _SQRT_PI * (ERF_WIDTH_FACTOR / (width * 1e-3))
+        c1 = -r_n / (_SQRT_PI * width)
+        return ([[m00 * c0 * c0],
+                 [m01 * c0 * c1, m11 * c1 * c1],
+                 [m02 * c0 * 0.5, m12 * c1 * 0.5, m22 * 0.25]],
+                [b0 * c0, b1 * c1, b2 * 0.5])
 
-    cost = evaluate(p, resid)
-    jtj, grad = normal_equations(p, resid)
+    cost = evaluate(p, stack)
+    jtj, grad = normal_equations(p, stack)
     s0, s1, s2 = _xtol_scales(p)
     lam = 1e-3
     iterations = 0
@@ -249,13 +266,13 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
                 and abs(p_new[2] - p[2]) / s2 <= xtol):
             converged = True
             break
-        cost_new = evaluate(p_new, resid_new)
+        cost_new = evaluate(p_new, trial)
         if cost_new <= cost:
             # the Jacobian is formed only here: about one evaluation in six
             # is rejected, and its Jacobian would be thrown away
             p, cost = p_new, cost_new
-            resid, resid_new = resid_new, resid
-            jtj, grad = normal_equations(p, resid)
+            stack, trial = trial, stack
+            jtj, grad = normal_equations(p, stack)
             lam = max(lam * 0.1, 1e-14)
             s0, s1, s2 = _xtol_scales(p)
             iterations += 1
@@ -269,15 +286,15 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         raise fit_error("fitted width below the temperature step; "
                         "transition not resolved")
 
-    dof = max(n - 3, 1)
-    s2 = cost / dof
-    try:
-        cov = np.linalg.inv(np.array(jtj)) * s2
-    except np.linalg.LinAlgError:
-        raise fit_error("singular covariance at the fitted parameters") from None
+    # cov[0, 0] = (J^T J)^-1[0, 0] s^2; the undamped solve against the
+    # unit vector e_0 gives the first column of (J^T J)^-1
+    column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
+    if column is None:
+        raise fit_error("singular covariance at the fitted parameters")
+    var_t_star = column[0] * (cost / max(n - 3, 1))
     return FitResult(
         t_star=p[0],
-        sigma_t_star=float(math.sqrt(max(cov[0, 0], 0.0))),
+        sigma_t_star=math.sqrt(max(var_t_star, 0.0)),
         width=abs(p[1]),
         r_n=p[2],
         residual_norm=float(math.sqrt(cost / n) / p[2]),

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config/usage, 3 reserved, 4 I/O, 5 fit,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -137,8 +138,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_model_curve(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if args.step <= 0 or args.max_field < args.min_field or args.min_field < 0:
-        raise ConfigError("need 0 <= min-field <= max-field and step > 0")
+    if not (0 <= args.min_field <= args.max_field < math.inf
+            and 0 < args.step < math.inf):  # also rejects NaN
+        raise ConfigError("need finite 0 <= min-field <= max-field and step > 0")
     params = config.model
     n_steps = int(round((args.max_field - args.min_field) / args.step))
     fields = [args.min_field + i * args.step for i in range(n_steps + 1)]

@@ -9,6 +9,7 @@ substream path alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,22 +40,16 @@ class InstrumentConfig:
     seed: int = 1                       # master seed, 64-bit unsigned
 
     def __post_init__(self):
-        if not (self.base_temperature > 0):
-            raise InputError(
-                f"base_temperature must be > 0, got {self.base_temperature}")
-        if not (self.normal_resistance > 0):
-            raise InputError(
-                f"normal_resistance must be > 0, got {self.normal_resistance}")
-        if not (self.transition_width > 0):
-            raise InputError(
-                f"transition_width must be > 0, got {self.transition_width}")
-        if not (self.resistance_noise >= 0):
-            raise InputError(
-                f"resistance_noise must be >= 0, got {self.resistance_noise}")
-        if not (self.temperature_jitter >= 0):
-            raise InputError(
-                f"temperature_jitter must be >= 0, got {self.temperature_jitter}")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        # every check also rejects NaN and infinity
+        for name in ("base_temperature", "normal_resistance", "transition_width"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise InputError(f"{name} must be finite and > 0, got {value}")
+        for name in ("resistance_noise", "temperature_jitter"):
+            value = getattr(self, name)
+            if not (0 <= value < math.inf):
+                raise InputError(f"{name} must be finite and >= 0, got {value}")
+        if not (0 <= self.seed < 2 ** 64 and self.seed == int(self.seed)):
             raise InputError(f"seed must be a 64-bit unsigned int, got {self.seed}")
 
 

@@ -49,16 +49,13 @@ class ModelParams:
     cond_scale: float = 1.0           # overall energy normalisation
 
     def __post_init__(self):
-        if not (self.t_c > 0):
-            raise InputError(f"t_c must be > 0, got {self.t_c}")
-        if not (self.alpha > 0):
-            raise InputError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.delta_inf >= 0):
-            raise InputError(f"delta_inf must be >= 0, got {self.delta_inf}")
-        if not (self.h_v > 0):
-            raise InputError(f"h_v must be > 0, got {self.h_v}")
-        if not (self.cond_scale > 0):
-            raise InputError(f"cond_scale must be > 0, got {self.cond_scale}")
+        # every check also rejects NaN and infinity
+        for name in ("t_c", "alpha", "h_v", "cond_scale"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise InputError(f"{name} must be finite and > 0, got {value}")
+        if not (0 <= self.delta_inf < math.inf):
+            raise InputError(f"delta_inf must be finite and >= 0, got {self.delta_inf}")
 
     @property
     def delta_v(self) -> float:

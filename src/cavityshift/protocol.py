@@ -47,14 +47,16 @@ class SweepPlan:
         object.__setattr__(self, "fields", tuple(float(f) for f in self.fields))
         if len(self.fields) == 0:
             raise InputError("plan needs at least one field")
-        if any(f < 0 for f in self.fields):
-            raise InputError("fields must be nonnegative")
+        if not all(0 <= f < math.inf for f in self.fields):  # also rejects NaN
+            raise InputError(f"fields must be finite and nonnegative, got {self.fields}")
         if any(b <= a for a, b in zip(self.fields, self.fields[1:])):
             raise InputError("fields must be strictly increasing")
         if self.n_points < 20:
             raise InputError(f"n_points must be >= 20, got {self.n_points}")
-        if not (self.t_span > 0):
-            raise InputError(f"t_span must be > 0, got {self.t_span}")
+        if not (-math.inf < self.t_center_guess < math.inf):
+            raise InputError(f"t_center_guess must be finite, got {self.t_center_guess}")
+        if not (0 < self.t_span < math.inf):
+            raise InputError(f"t_span must be finite and > 0, got {self.t_span}")
         if self.repetitions < 1:
             raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
 

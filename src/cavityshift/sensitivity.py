@@ -160,7 +160,9 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     substreams (common random numbers), so delta_n is close to
     proportional to sigma_R and the whole calibration is deterministic
     for a given master seed.  The first probe whose delta_n lies within
-    ``tolerance`` of the target is returned.
+    ``tolerance`` of the target is returned.  A target that is not
+    finite and positive or a tolerance outside (0, 1) raises
+    :class:`InputError` before any study runs.
 
     Raises :class:`CalibrationError`, listing every probe as (sigma_R,
     delta_n, failed trials), when the probe within tolerance comes from
@@ -170,8 +172,10 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     next sigma_R is not positive (the target lies below the noise-free
     floor), or after :data:`MAX_PROBES` probes.
     """
-    if not (target_delta_n > 0):
-        raise InputError(f"target delta_n must be > 0, got {target_delta_n}")
+    if not (0 < target_delta_n < math.inf):
+        raise InputError(f"target delta_n must be finite and > 0, got {target_delta_n}")
+    if not (0 < tolerance < 1):  # also rejects NaN
+        raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
     if params is None:
         params = model.calibrate_defaults()
 

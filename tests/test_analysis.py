@@ -15,8 +15,9 @@ from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          fit_transition, linearity_and_convergence_report,
                          plan_sweep, run_paired_experiment,
                          weighted_mean_difference)
+from cavityshift import analysis
 from cavityshift.analysis import (_SIGMA_FLOOR, DerivativeCurve, FitFailure,
-                                  FitResult, _aggregate_repeats)
+                                  FitResult, _aggregate_repeats, _damped_step)
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import TransitionCurve
 
@@ -38,6 +39,15 @@ def reference():
     return InstrumentConfig(resistance_noise=REFERENCE_SIGMA_R, seed=1)
 
 
+def jacobian(t, p):
+    """Explicit (n, 3) Jacobian of the erf model at p = (t_star, width, r_n)."""
+    t_star, width, r_n = p
+    s = width * 1e-3 / ERF_WIDTH_FACTOR
+    u = (t - t_star) / s
+    bump = r_n * np.exp(-u * u) / np.sqrt(np.pi)
+    return np.column_stack((-bump / s, -bump * u / width, 0.5 * (1.0 + erf(u))))
+
+
 def oracle_fit(curve):
     """MINPACK Levenberg-Marquardt erf fit: (t_star, width, r_n, sigma_t_star)."""
     t, r = curve.temperatures, curve.resistances
@@ -45,14 +55,8 @@ def oracle_fit(curve):
     def residuals(p):
         return resistive_transition(t, *p) - r
 
-    def jacobian(p):
-        t_star, width, r_n = p
-        s = width * 1e-3 / ERF_WIDTH_FACTOR
-        u = (t - t_star) / s
-        bump = r_n * np.exp(-u * u) / np.sqrt(np.pi)
-        return np.column_stack((-bump / s, -bump * u / width, 0.5 * (1.0 + erf(u))))
-
-    sol = least_squares(residuals, [curve.oracle_t_star, 50.0, 10.0], jac=jacobian,
+    sol = least_squares(residuals, [curve.oracle_t_star, 50.0, 10.0],
+                        jac=lambda p: jacobian(t, p),
                         method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     s2 = 2.0 * sol.cost / (t.size - 3)
     sigma = float(np.sqrt(np.linalg.inv(sol.jac.T @ sol.jac)[0, 0] * s2))
@@ -131,6 +135,15 @@ class TestFitTransition:
                 assert abs(fit.width - width) <= 1e-5
                 assert fit.r_n == pytest.approx(r_n, rel=1e-6)
                 assert fit.sigma_t_star == pytest.approx(sigma, rel=1e-6)
+                # the fit scales the products of unscaled rows by c_i c_j;
+                # the explicit Jacobian at the fit's own point pins that
+                t, r = curve.temperatures, curve.resistances
+                p = (fit.t_star, fit.width, fit.r_n)
+                jac = jacobian(t, p)
+                res = resistive_transition(t, *p) - r
+                own = math.sqrt(np.linalg.inv(jac.T @ jac)[0, 0]
+                                * float(res @ res) / (t.size - 3))
+                assert fit.sigma_t_star == pytest.approx(own, rel=1e-9)
 
     @settings(deadline=None, max_examples=200)
     @given(position=st.floats(0.2, 0.8), width_fraction=st.floats(0.0, 1.0),
@@ -168,14 +181,35 @@ class TestFitTransition:
         plan = plan_sweep(params, reference, [150.0])
         curve = acquire_curve(params, reference, plan, 150.0, "film")
 
-        def singular(matrix):
-            raise np.linalg.LinAlgError("Singular matrix")
+        def singular_when_undamped(jtj, grad, lam):
+            # the damped LM steps solve as usual; the undamped solve for
+            # cov[0, 0] finds the normal matrix singular
+            return None if lam == 0.0 else _damped_step(jtj, grad, lam)
 
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(analysis, "_damped_step", singular_when_undamped)
         with pytest.raises(FitError, match="singular covariance") as excinfo:
             fit_transition(curve)
         assert excinfo.value.iterations > 0
         assert excinfo.value.params[1] == pytest.approx(50.0, rel=0.1)
+
+    @settings(deadline=None, max_examples=200)
+    @given(diagonal=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+           lower=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           null_axis=st.integers(0, 2))
+    def test_undamped_solve_reads_the_inverse(self, diagonal, lower, null_axis):
+        # cov[0, 0] is the first component of the undamped solve against
+        # e_0; A = L L^T with a unit-scale L is SPD and well conditioned
+        factor = np.diag(diagonal)
+        factor[np.tril_indices(3, -1)] = lower
+        spd = factor @ factor.T
+        column = _damped_step(spd, (-1.0, 0.0, 0.0), 0.0)
+        assert column[0] == pytest.approx(np.linalg.inv(spd)[0, 0], rel=1e-12)
+        # a parameter no sample informs: rank 2, a zero row and column
+        keep = [i for i in range(3) if i != null_axis]
+        rank_two = np.zeros((3, 3))
+        rank_two[np.ix_(keep, keep)] = spd[:2, :2]
+        assert np.linalg.matrix_rank(rank_two) == 2
+        assert _damped_step(rank_two, (-1.0, 0.0, 0.0), 0.0) is None
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_resistance_rejected(self, value):

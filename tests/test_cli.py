@@ -101,6 +101,10 @@ class TestModelCurveCommand:
     def test_bad_range_exits_config(self, tmp_path):
         assert main(["model-curve", "--out", str(tmp_path), "--min-field", "10",
                      "--max-field", "5"]) == 2
+        # a non-finite bound or step once escaped as OverflowError/ValueError
+        for option, value in (("--max-field", "inf"), ("--step", "nan"),
+                              ("--step", "inf")):
+            assert main(["model-curve", "--out", str(tmp_path), option, value]) == 2
 
 
 class TestSimulateAnalyze:
@@ -228,6 +232,19 @@ class TestSimulateAnalyze:
         assert main(["simulate", "--out", str(out), "--fields", "60,120,180"]) == 0
         assert len(list(out.glob("curve_*.csv"))) == 6
 
+    @pytest.mark.parametrize("key", ["resistance_noise", "normal_resistance",
+                                     "transition_width", "base_temperature"])
+    def test_non_finite_config_value_exits_config(self, tmp_path, capsys, key):
+        # JSON's Infinity once gave curves of inf/NaN resistances (exit 0)
+        # or a numpy warning and a message about temperatures
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"instrument": {{"{key}": Infinity}}}}')
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not out.exists()
+
 
 class TestSensitivityCommand:
     def test_small_study_writes_report(self, tmp_path):
@@ -279,3 +296,12 @@ class TestCalibrateCommand:
             payload = json.load(handle)
         assert payload["sigma_r_ohm"] > 0
         assert payload["target_delta_n_mK"] == 0.1
+
+    @pytest.mark.parametrize("command", [["calibrate"], ["sensitivity", "--calibrate"]])
+    @pytest.mark.parametrize("tolerance", ["-0.1", "nan"])
+    def test_tolerance_outside_unit_interval_exits_config(self, tmp_path, capsys,
+                                                          command, tolerance):
+        out = tmp_path / "cal"
+        assert main([*command, "--out", str(out), "--tolerance", tolerance]) == 2
+        assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erfinv
@@ -36,6 +38,11 @@ class TestConfig:
             InstrumentConfig(seed=-1)
         with pytest.raises(InputError):
             InstrumentConfig(seed=2 ** 64)
+        for name in ("base_temperature", "normal_resistance", "transition_width",
+                     "resistance_noise", "temperature_jitter", "seed"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(InputError, match=name):
+                    InstrumentConfig(**{name: value})
 
 
 class TestTransitionShape:

@@ -78,6 +78,10 @@ class TestCalibration:
             ModelParams(cond_scale=0.0)
         with pytest.raises(InputError):
             ModelParams(delta_inf=-0.1)
+        for name in ("t_c", "alpha", "delta_inf", "h_v", "cond_scale"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(InputError, match=name):
+                    ModelParams(**{name: value})
 
 
 class TestFilmDelta:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,13 @@ class TestPlan:
             SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=0.4, n_points=10)
         with pytest.raises(InputError):
             SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=-0.1)
+        for value in (math.inf, math.nan):
+            with pytest.raises(InputError, match="fields"):
+                SweepPlan(fields=(10.0, value), t_center_guess=1.5, t_span=0.4)
+            with pytest.raises(InputError, match="t_center_guess"):
+                SweepPlan(fields=(10.0,), t_center_guess=value, t_span=0.4)
+            with pytest.raises(InputError, match="t_span"):
+                SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=value)
 
     def test_plan_covers_all_transitions(self, params, quiet):
         plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -32,6 +33,26 @@ def quiet():
 @pytest.fixture(scope="module")
 def plan(params, reference):
     return plan_sweep(params, reference, np.linspace(50, 250, 10))
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    """Install ``response(sigma_R) -> delta_n`` as the study; every
+    sigma_R it is called with is appended to the returned list."""
+    calls = []
+
+    def install(response, valid=lambda sigma: True):
+        def study(params, cfg, plan, trials):
+            sigma = cfg.resistance_noise
+            calls.append(sigma)
+            ok = valid(sigma)
+            return SimpleNamespace(delta_n=response(sigma), valid=ok,
+                                   failed_trials=0 if ok else 53)
+
+        monkeypatch.setattr(sensitivity, "run_sensitivity", study)
+        return calls
+
+    return install
 
 
 class TestRunSensitivity:
@@ -99,9 +120,19 @@ class TestCalibration:
                                 plan, 200)
         assert 0.09 <= check.delta_n <= 0.11
 
-    def test_nonpositive_target_rejected(self, params, reference, plan):
+    def test_nonpositive_target_rejected(self, params, reference, plan, stub):
+        probes = stub(lambda sigma: 1.34 * sigma)
         with pytest.raises(InputError):
             calibrate_noise(0.0, reference, plan, 0.1, params=params)
+        # every delta_n once lay "within tolerance" of an infinite target
+        with pytest.raises(InputError, match="target"):
+            calibrate_noise(math.inf, reference, plan, 0.1, params=params)
+        # a tolerance that can never be met once ran seven studies, six of
+        # them at one sigma_R, and ended in a misleading CalibrationError
+        for tolerance in (-0.1, 0.0, 1.0, math.nan):
+            with pytest.raises(InputError, match="tolerance"):
+                calibrate_noise(0.1, reference, plan, tolerance, params=params)
+        assert probes == []
 
     def test_delta_n_linear_response(self, params, reference, plan):
         low = run_sensitivity(params, reference, plan, 150).delta_n
@@ -121,25 +152,6 @@ class TestCalibrationSearch:
     """calibrate_noise against stubbed studies with a known delta_n(sigma_R)."""
 
     SLOPE = 1.34  # mK per ohm, close to the reference plan's response
-
-    @pytest.fixture
-    def stub(self, monkeypatch):
-        """Install ``response(sigma_R) -> delta_n`` as the study; every
-        sigma_R it is called with is appended to the returned list."""
-        calls = []
-
-        def install(response, valid=lambda sigma: True):
-            def study(params, cfg, plan, trials):
-                sigma = cfg.resistance_noise
-                calls.append(sigma)
-                ok = valid(sigma)
-                return SimpleNamespace(delta_n=response(sigma), valid=ok,
-                                       failed_trials=0 if ok else 53)
-
-            monkeypatch.setattr(sensitivity, "run_sensitivity", study)
-            return calls
-
-        return install
 
     @pytest.fixture
     def probes(self, stub):
