@@ -152,6 +152,44 @@ def _xtol_scales(p: list[float]) -> tuple[float, float, float]:
     return max(abs(p[0]), 1e-30), max(abs(p[1]), 1e-30), max(abs(p[2]), 1e-30)
 
 
+#: Relative step size, on the measure of the ``xtol`` test, at or below
+#: which an accepted step makes the next steps solve with the full
+#: Hessian J^T J + S instead of the Gauss-Newton J^T J.
+_NEWTON_SWITCH = 1e-3
+
+
+def _normal_matrices(gram: list[list[float]], width: float, r_n: float
+                     ) -> tuple[list[list[float]], list[float], list[list[float]]]:
+    """J^T J, J^T res and J^T J + S (lower triangles) of the erf fit.
+
+    ``gram`` is the Gram matrix of the unscaled rows g, u g, 1 + erf(u),
+    res, u res and u^2 res, with g = exp(-u^2), u = (t - t_star) k and
+    k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J and J^T res are its
+    first four rows scaled by the row factors
+    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2).
+    S = sum_i res_i Hess(f_i) is the second-order term Gauss-Newton
+    leaves out; with b0 = sum g res, b1 = sum u g res, a3 = sum u^2 g res
+    and a4 = sum u^3 g res its entries are
+    S00 = -2 r_n k^2 b1 / sqrt(pi), S10 = r_n k (b0 - 2 a3) / (sqrt(pi) width),
+    S11 = 2 r_n (b1 - a4) / (sqrt(pi) width^2), S20 = -k b0 / sqrt(pi),
+    S21 = -b1 / (sqrt(pi) width) and S22 = 0, so J^T J + S is the Hessian
+    of cost / 2.
+    """
+    (m00, m01, m02, b0, _, _), (_, m11, m12, b1, a3, a4), (_, _, m22, b2, _, _) = gram[:3]
+    k = ERF_WIDTH_FACTOR / (width * 1e-3)
+    c0 = -r_n / _SQRT_PI * k
+    c1 = -r_n / (_SQRT_PI * width)
+    jtj = [[m00 * c0 * c0],
+           [m01 * c0 * c1, m11 * c1 * c1],
+           [m02 * c0 * 0.5, m12 * c1 * 0.5, m22 * 0.25]]
+    # the S entries above, written with c0 and c1
+    hess = [[jtj[0][0] + 2.0 * c0 * k * b1],
+            [jtj[1][0] - c0 * (b0 - 2.0 * a3) / width,
+             jtj[1][1] - 2.0 * c1 * (b1 - a4) / width],
+            [jtj[2][0] + c0 * b0 / r_n, jtj[2][1] + c1 * b1 / r_n, jtj[2][2]]]
+    return jtj, [b0 * c0, b1 * c1, b2 * 0.5], hess
+
+
 def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
                    xtol: float = 1e-10) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
@@ -172,14 +210,23 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     the fit covariance scaled by the reduced chi-square, so it is
     meaningful without knowing the noise level beforehand.
 
-    Each accepted step forms the Jacobian rows without their constant
-    factors, exp(-u^2), u exp(-u^2) and 1 + erf(u) with
-    u = (t - t_star) k and k = ERF_WIDTH_FACTOR / (width * 1e-3), takes
-    their products with each other and with the residuals in one Gram
-    matrix, and scales that on the 3x3 by the factors
-    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2).
-    ``cov[0, 0]`` comes from the undamped Cholesky factor of J^T J: no
+    The damped steps are Gauss-Newton steps on J^T J until an accepted
+    step has changed every parameter by at most ``_NEWTON_SWITCH``
+    (1e-3) relative, measured as in the ``xtol`` test.  The steps after
+    it solve the damped full Hessian J^T J + S of cost / 2 instead (see
+    :func:`_normal_matrices`), which turns the linear Gauss-Newton tail
+    of a noisy curve into a quadratic one.  They return to J^T J after
+    an accepted step longer than that, which keeps a point far from the
+    minimum (a small step only because the damping is large) on
+    Gauss-Newton steps, and for any step whose damped J^T J + S is not
+    positive definite.  The covariance always comes from the undamped
+    J^T J: ``cov[0, 0]`` is read from its Cholesky factor, and no
     matrix is inverted.
+
+    Each accepted step forms the Jacobian rows without their constant
+    factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), and with the
+    residuals and their products with u and u^2 takes all their
+    products in one Gram matrix.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -205,9 +252,10 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     # one set of buffers per fit: the scaled offsets u, and for the
     # current point and the trial point a stack of the Jacobian rows
     # (d/dt_star, d/dwidth, d/dr_n) without their constant factors,
-    # exp(-u^2), u exp(-u^2) and 1 + erf(u), over the residuals
+    # exp(-u^2), u exp(-u^2) and 1 + erf(u), the residuals, and the
+    # residuals times u and u^2
     u = np.empty(n)
-    stack, trial = np.empty((4, n)), np.empty((4, n))
+    stack, trial = np.empty((6, n)), np.empty((6, n))
 
     def evaluate(q: list[float], out: np.ndarray) -> float:
         """Rows 2 and 3 of the stack ``out``: 1 + erf(u) and the residuals
@@ -220,33 +268,26 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         np.add(shape, 1.0, out=shape)
         np.multiply(shape, 0.5 * q[2], out=res)
         np.subtract(res, r, out=res)
-        return float(res @ res)
+        return float(res.dot(res))
 
-    def normal_equations(q: list[float],
-                         out: np.ndarray) -> tuple[list[list[float]], list[float]]:
-        """J^T J (lower triangle) and J^T res at q, after evaluate(q, out):
-        fills rows 0 and 1 of ``out`` from u, takes every product of the
-        unscaled rows in one Gram matrix and scales it by the row factors
-        c_i c_j and c_i."""
-        _, width, r_n = q
-        gauss = out[0]
+    def normal_equations(q: list[float], out: np.ndarray):
+        """J^T J, J^T res and J^T J + S at q, after evaluate(q, out): fills
+        rows 0, 1, 4 and 5 of ``out`` from u and the residuals and takes
+        every product of the rows in one Gram matrix."""
+        gauss, res = out[0], out[3]
         np.multiply(u, u, out=gauss)
         np.negative(gauss, out=gauss)
         np.exp(gauss, out=gauss)
         np.multiply(gauss, u, out=out[1])
-        gram = (out @ out.T).tolist()
-        (m00, m01, m02, b0), (_, m11, m12, b1), (_, _, m22, b2), _ = gram
-        c0 = -r_n / _SQRT_PI * (ERF_WIDTH_FACTOR / (width * 1e-3))
-        c1 = -r_n / (_SQRT_PI * width)
-        return ([[m00 * c0 * c0],
-                 [m01 * c0 * c1, m11 * c1 * c1],
-                 [m02 * c0 * 0.5, m12 * c1 * 0.5, m22 * 0.25]],
-                [b0 * c0, b1 * c1, b2 * 0.5])
+        np.multiply(res, u, out=out[4])
+        np.multiply(out[4], u, out=out[5])
+        return _normal_matrices(out.dot(out.T).tolist(), q[1], q[2])
 
     cost = evaluate(p, stack)
-    jtj, grad = normal_equations(p, stack)
+    jtj, grad, hess = normal_equations(p, stack)
     s0, s1, s2 = _xtol_scales(p)
     lam = 1e-3
+    newton = False
     iterations = 0
     converged = False
 
@@ -255,24 +296,29 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
                         residual_norm=math.sqrt(cost / n), params=tuple(p))
 
     for _ in range(max_iter):
-        step = _damped_step(jtj, grad, lam)
+        step = _damped_step(hess, grad, lam) if newton else None
         if step is None:
-            break
+            step = _damped_step(jtj, grad, lam)
+            if step is None:
+                break
         p_new = [p[0] + step[0], max(p[1] + step[1], min_width), p[2] + step[2]]
         if p_new[2] <= 0:
             p_new[2] = p[2]
-        if (abs(p_new[0] - p[0]) / s0 <= xtol
-                and abs(p_new[1] - p[1]) / s1 <= xtol
-                and abs(p_new[2] - p[2]) / s2 <= xtol):
+        d0 = abs(p_new[0] - p[0]) / s0
+        d1 = abs(p_new[1] - p[1]) / s1
+        d2 = abs(p_new[2] - p[2]) / s2
+        if d0 <= xtol and d1 <= xtol and d2 <= xtol:
             converged = True
             break
         cost_new = evaluate(p_new, trial)
         if cost_new <= cost:
-            # the Jacobian is formed only here: about one evaluation in six
-            # is rejected, and its Jacobian would be thrown away
+            # the Jacobian is formed only here, since a rejected
+            # evaluation's Jacobian would be thrown away
+            newton = (d0 <= _NEWTON_SWITCH and d1 <= _NEWTON_SWITCH
+                      and d2 <= _NEWTON_SWITCH)
             p, cost = p_new, cost_new
             stack, trial = trial, stack
-            jtj, grad = normal_equations(p, stack)
+            jtj, grad, hess = normal_equations(p, stack)
             lam = max(lam * 0.1, 1e-14)
             s0, s1, s2 = _xtol_scales(p)
             iterations += 1

@@ -312,6 +312,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "contrast_field_gauss": report.contrast_field,
         "calibrated_sigma_r_ohm": report.calibrated_sigma_r,
         "failed_trials": report.failed_trials,
+        "failed_fits_by_reason": report.failed_fits_by_reason,
+        "lm_steps_histogram": report.lm_steps_histogram,
         "valid": report.valid,
         "seed": config.seed,
         "config": run_config_to_dict(replace(config, instrument=cfg),

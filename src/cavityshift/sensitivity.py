@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,8 @@ class SensitivityReport:
     contrast_mean: np.ndarray       # measured contrast per field, mean over trials
     contrast_sigma: np.ndarray      # its standard deviation over trials
     contrast_model: np.ndarray      # noise-free model contrast per field
+    lm_steps_histogram: list[int]   # successful fits per accepted LM step count
+    failed_fits_by_reason: dict[str, int]  # failed fits per reason, sorted by reason
 
 
 def _true_deltas(params: model.ModelParams, fields: np.ndarray) -> dict[str, np.ndarray]:
@@ -82,12 +85,24 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     counted and skipped; more than 1% of them marks the report invalid.
     Beside the measured contrast (mean and sigma over trials) the report
     holds the noise-free model contrast on the same grid, which is what
-    the 20%-at-crossover expectation refers to.
+    the 20%-at-crossover expectation refers to.  Over every curve of
+    every trial, failed trials included, it also counts the successful
+    fits by their accepted LM steps and the failed fits by reason.
+
+    A plan that cannot give a result raises :class:`InputError` before
+    any trial runs: fewer than 3 fields (a delta curve needs 3) or no
+    field at or above h_v (the significance is taken there).
     """
     if trials < min_trials:
         raise InputError(f"need at least {min_trials} trials, got {trials}")
-    t0 = time.perf_counter()
     fields = np.array(plan.fields)
+    if fields.size < 3:
+        raise InputError(f"a study needs at least 3 fields for its delta curves, "
+                         f"got {fields.size}")
+    if not np.any(fields >= params.h_v):
+        raise InputError(f"no field at or above h_v = {params.h_v:g} G, where the "
+                         f"detection significance is taken")
+    t0 = time.perf_counter()
     truth = _true_deltas(params, fields)
     contrast_idx = int(np.argmin(np.abs(fields - params.h_v)))
 
@@ -96,9 +111,13 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     contrast_rows: list[np.ndarray] = []
     capped = False
     failed = 0
+    lm_steps: list[int] = []
+    reasons: Counter[str] = Counter()
     for trial in range(trials):
         curves = run_paired_experiment(params, cfg, plan, substream_prefix=(trial,))
         result = analyze_dataset(curves, window=window)
+        lm_steps.extend(fit.iterations for *_, fit in result.fits)
+        reasons.update(failure.reason for failure in result.failures)
         if result.failed_fits or result.film is None or result.cavity is None:
             failed += 1
             continue
@@ -144,7 +163,9 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         contrast_fields=fields,
         contrast_mean=contrast_mean,
         contrast_sigma=contrast_sigma,
-        contrast_model=np.array([_model_contrast(params, f) for f in fields]))
+        contrast_model=np.array([_model_contrast(params, f) for f in fields]),
+        lm_steps_histogram=np.bincount(lm_steps, minlength=1).tolist(),
+        failed_fits_by_reason=dict(sorted(reasons.items())))
 
 
 def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPlan,

@@ -17,7 +17,8 @@ from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          weighted_mean_difference)
 from cavityshift import analysis
 from cavityshift.analysis import (_SIGMA_FLOOR, DerivativeCurve, FitFailure,
-                                  FitResult, _aggregate_repeats, _damped_step)
+                                  FitResult, _aggregate_repeats, _damped_step,
+                                  _normal_matrices)
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import TransitionCurve
 
@@ -248,6 +249,78 @@ class TestFitTransition:
                                 resistances=resistive_transition(t, 1.5, 50.0, 10.0))
         with pytest.raises(InputError):
             fit_transition(curve)
+
+    def test_reference_fits_take_few_accepted_steps(self, params, reference):
+        # Gauss-Newton alone converges linearly on these noisy curves and
+        # takes 4.56 accepted steps per fit here; full-Hessian steps in
+        # the tail take about 3.2
+        plan = plan_sweep(params, reference, np.linspace(50, 250, 10))
+        steps = [fit_transition(curve).iterations
+                 for trial in range(50)
+                 for curve in run_paired_experiment(params, reference, plan,
+                                                    substream_prefix=(trial,))]
+        assert len(steps) == 1000
+        assert np.mean(steps) <= 3.4
+
+
+class TestFullHessian:
+    """J^T J + S from ``_normal_matrices`` is the Hessian of cost / 2."""
+
+    #: the lower-triangle entries of S; S22 is zero
+    S_ENTRIES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+    @pytest.fixture(scope="class")
+    def case(self, params):
+        # a 0.3 ohm curve, moved off its optimum so that the residuals
+        # carry the model error and S is far from negligible
+        noisy = InstrumentConfig(resistance_noise=0.3, seed=1)
+        plan = plan_sweep(params, noisy, [150.0])
+        curve = acquire_curve(params, noisy, plan, 150.0, "film")
+        fit = fit_transition(curve)
+        p = np.array([fit.t_star + 3e-3, fit.width * 1.3, fit.r_n * 0.9])
+        t, r = curve.temperatures, curve.resistances
+        t_star, width, r_n = p
+        u = (t - t_star) * (ERF_WIDTH_FACTOR / (width * 1e-3))
+        g = np.exp(-u * u)
+        res = resistive_transition(t, *p) - r
+        rows = np.array([g, u * g, 1.0 + erf(u), res, u * res, u * u * res])
+        jtj, _, hess = _normal_matrices((rows @ rows.T).tolist(), width, r_n)
+
+        def half_cost(q):
+            res = resistive_transition(t, *q) - r
+            return 0.5 * float(res @ res)
+
+        # central differences on steps of 1e-4 of each parameter's scale
+        h = 1e-4 * np.array([width * 1e-3, width, r_n])
+        eye = np.diag(h)
+        central = np.array([[(half_cost(p + eye[i] + eye[j]) - half_cost(p + eye[i] - eye[j])
+                              - half_cost(p - eye[i] + eye[j])
+                              + half_cost(p - eye[i] - eye[j])) / (4.0 * h[i] * h[j])
+                             for j in range(3)] for i in range(3)])
+        full = lambda lower: np.array([[lower[max(i, j)][min(i, j)] for j in range(3)]
+                                       for i in range(3)])
+        return full(jtj), full(hess), central
+
+    @staticmethod
+    def relative_error(matrix, central):
+        # each entry against the geometric mean of its two diagonal
+        # entries, which does not depend on the parameters' units
+        scale = np.sqrt(np.outer(np.diag(central), np.diag(central)))
+        return float(np.max(np.abs(matrix - central) / scale))
+
+    def test_matches_central_differences_of_half_cost(self, case):
+        jtj, hess, central = case
+        assert self.relative_error(hess, central) <= 1e-6
+        # Gauss-Newton's J^T J alone is far off at this point
+        assert self.relative_error(jtj, central) > 1e-2
+
+    @pytest.mark.parametrize("entry", S_ENTRIES)
+    def test_sign_flip_of_any_s_entry_is_detected(self, case, entry):
+        jtj, hess, central = case
+        i, j = entry
+        flipped = hess.copy()
+        flipped[i, j] = flipped[j, i] = jtj[i, j] - (hess[i, j] - jtj[i, j])
+        assert self.relative_error(flipped, central) > 1e-6
 
 
 class TestPlateauBoundary:

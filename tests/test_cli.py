@@ -256,6 +256,9 @@ class TestSensitivityCommand:
         assert payload["valid"] is True
         assert 0.05 <= payload["delta_n_mK"] <= 0.15
         assert "runtime" not in payload  # reports must stay byte-deterministic
+        # every curve of every trial: 2 kinds x 10 fields x 100 trials
+        assert sum(payload["lm_steps_histogram"]) == 2000
+        assert payload["failed_fits_by_reason"] == {}
         contrast = np.loadtxt(out / "contrast.csv", delimiter=",", skiprows=1)
         assert contrast.shape == (10, 4)
         assert contrast[0, 0] == 50.0
@@ -268,6 +271,18 @@ class TestSensitivityCommand:
                          "--seed", "5"]) == 0
         assert (out_a / "sensitivity.json").read_bytes() == \
             (out_b / "sensitivity.json").read_bytes()
+
+    @pytest.mark.parametrize("fields, message", [
+        ("60,70", "at least 3 fields for its delta curves, got 2"),
+        ("10,20,30,40,45", "no field at or above h_v = 50 G")])
+    def test_plan_without_a_result_exits_config(self, tmp_path, capsys, fields, message):
+        # both once ran trials first: all 100 of them, then "every trial
+        # failed its fits", or up to trial 0's significance step
+        out = tmp_path / "sens"
+        assert main(["sensitivity", "--fields", fields, "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_trials_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -296,6 +311,14 @@ class TestCalibrateCommand:
             payload = json.load(handle)
         assert payload["sigma_r_ohm"] > 0
         assert payload["target_delta_n_mK"] == 0.1
+
+    def test_plan_with_two_fields_exits_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {"fields": [60.0, 70.0]}}))
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 2
+        assert "at least 3 fields" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["calibrate"], ["sensitivity", "--calibrate"]])
     @pytest.mark.parametrize("tolerance", ["-0.1", "nan"])

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from cavityshift import (CalibrationError, InputError, InstrumentConfig,
-                         ModelParams, calibrate_defaults, calibrate_noise,
-                         plan_sweep, run_sensitivity, sensitivity)
+                         ModelParams, analyze_dataset, calibrate_defaults,
+                         calibrate_noise, plan_sweep, run_paired_experiment,
+                         run_sensitivity, sensitivity)
 from cavityshift.sensitivity import Z_CAP
 
 REFERENCE_SIGMA_R = 0.0751
@@ -102,6 +103,42 @@ class TestRunSensitivity:
         baseline = run_sensitivity(params, reference, plan, 200)
         assert report.delta_n / 0.3 == pytest.approx(
             baseline.delta_n / REFERENCE_SIGMA_R, rel=0.02)
+
+    def test_fit_aggregates_cover_every_curve(self, params, reference, plan):
+        noisy = replace(reference, resistance_noise=0.3)
+        report = run_sensitivity(params, noisy, plan, 200)
+        curves = 2 * len(plan.fields) * plan.repetitions * 200
+        failed = sum(report.failed_fits_by_reason.values())
+        assert sum(report.lm_steps_histogram) + failed == curves
+        assert report.failed_fits_by_reason == {
+            "fitted width below the temperature step; transition not resolved": 6}
+
+    @pytest.mark.parametrize("seed, failed", [
+        (3, [1, 37, 40, 41, 65, 110, 165]),
+        (7, [69, 83, 89, 126, 142, 171, 182, 194])])
+    def test_failed_trials_at_three_tenths_ohm(self, params, plan, seed, failed):
+        # the trials whose fits fail at 0.3 ohm, pinned for two more seeds
+        # beside seed 1 (test_singular_fits_counted_not_raised)
+        noisy = InstrumentConfig(resistance_noise=0.3, seed=seed)
+        found = [trial for trial in range(200)
+                 if analyze_dataset(run_paired_experiment(
+                     params, noisy, plan, substream_prefix=(trial,))).failed_fits]
+        assert found == failed
+
+    @pytest.mark.parametrize("fields, message", [
+        ((60.0, 70.0), "at least 3 fields for its delta curves, got 2"),
+        ((10.0, 20.0, 30.0, 40.0, 45.0), "no field at or above h_v = 50 G")])
+    def test_plan_without_a_result_rejected_before_any_trial(
+            self, params, reference, monkeypatch, fields, message):
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sensitivity, "run_paired_experiment", trial)
+        study_plan = plan_sweep(params, reference, fields)
+        with pytest.raises(InputError, match=message):
+            run_sensitivity(params, reference, study_plan, 100)
+        with pytest.raises(InputError, match=message):
+            calibrate_noise(0.1, reference, study_plan, params=params)
 
     def test_mostly_failed_study_reported_invalid(self, params, reference, plan):
         # at 4 ohm most curves lose a plateau, leaving film and cavity
