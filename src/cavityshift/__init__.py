@@ -25,6 +25,7 @@ from .model import (EnergyBreakdown, ModelParams, calibrate_defaults,
                     energy_breakdown, film_delta, magnetic_energy)
 from .protocol import (SweepPlan, TransitionCurve, acquire_curve, plan_sweep,
                        read_run, run_paired_experiment, write_run)
-from .sensitivity import SensitivityReport, calibrate_noise, run_sensitivity
+from .sensitivity import (SensitivityReport, calibrate_noise, delta_n_per_ohm,
+                          run_sensitivity)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import FitError, InputError
-from .instrument import ERF_WIDTH_FACTOR
+from .instrument import ERF_WIDTH_FACTOR, resistive_transition
 from .protocol import TransitionCurve
 
 MK_PER_K = 1000.0
@@ -190,6 +190,61 @@ def _normal_matrices(gram: list[list[float]], width: float, r_n: float
     return jtj, [b0 * c0, b1 * c1, b2 * 0.5], hess
 
 
+def _evaluate(t: np.ndarray, r: np.ndarray, q: list[float], u: np.ndarray,
+              out: np.ndarray) -> float:
+    """Cost of the erf model at q = (t_star K, width mK, r_n ohm) against
+    the curve (t, r).
+
+    ``out`` is a (6, n) stack of rows: the Jacobian rows without their
+    constant factors, exp(-u^2), u exp(-u^2) and 1 + erf(u) (d/dt_star,
+    d/dwidth, d/dr_n), the residuals, and the residuals times u and u^2.
+    This fills rows 2 and 3 and leaves the scaled offsets u behind in
+    ``u``; :func:`_normal_equations` fills the rest.
+    """
+    np.subtract(t, q[0], out=u)
+    np.multiply(u, ERF_WIDTH_FACTOR / (q[1] * 1e-3), out=u)
+    shape, res = out[2], out[3]
+    erf(u, out=shape)
+    np.add(shape, 1.0, out=shape)
+    np.multiply(shape, 0.5 * q[2], out=res)
+    np.subtract(res, r, out=res)
+    return float(res.dot(res))
+
+
+def _normal_equations(q: list[float], u: np.ndarray, out: np.ndarray):
+    """J^T J, J^T res and J^T J + S at q, after _evaluate(..., q, u, out):
+    fills rows 0, 1, 4 and 5 of ``out`` from u and the residuals and takes
+    every product of the rows in one Gram matrix."""
+    gauss, res = out[0], out[3]
+    np.multiply(u, u, out=gauss)
+    np.negative(gauss, out=gauss)
+    np.exp(gauss, out=gauss)
+    np.multiply(gauss, u, out=out[1])
+    np.multiply(res, u, out=out[4])
+    np.multiply(out[4], u, out=out[5])
+    return _normal_matrices(out.dot(out.T).tolist(), q[1], q[2])
+
+
+def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
+                    r_n: float) -> float:
+    """Variance of the fitted t_star (K^2) per unit resistance noise
+    (ohm^2) for the erf curve (t_star K, width mK, r_n ohm) sampled at
+    ``temperatures``.
+
+    This is (J^T J)^-1[0, 0] of :func:`fit_transition`'s normal
+    equations at the true parameters on the noise-free curve, i.e. the
+    covariance the fit reports there at unit noise; math.inf when J^T J
+    is singular (the samples do not resolve the transition).
+    """
+    n = temperatures.size
+    u, stack = np.empty(n), np.empty((6, n))
+    q = [t_star, width, r_n]
+    _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
+              q, u, stack)
+    column = _damped_step(_normal_equations(q, u, stack)[0], (-1.0, 0.0, 0.0), 0.0)
+    return math.inf if column is None else column[0]
+
+
 def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
                    xtol: float = 1e-10) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
@@ -249,42 +304,13 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
     min_width = 0.2 * step_mk
     p = _initial_guess(t, r, r_top, step_mk)
 
-    # one set of buffers per fit: the scaled offsets u, and for the
-    # current point and the trial point a stack of the Jacobian rows
-    # (d/dt_star, d/dwidth, d/dr_n) without their constant factors,
-    # exp(-u^2), u exp(-u^2) and 1 + erf(u), the residuals, and the
-    # residuals times u and u^2
+    # one set of buffers per fit: the scaled offsets u, and a stack of
+    # rows (see _evaluate) for the current point and for the trial point
     u = np.empty(n)
     stack, trial = np.empty((6, n)), np.empty((6, n))
 
-    def evaluate(q: list[float], out: np.ndarray) -> float:
-        """Rows 2 and 3 of the stack ``out``: 1 + erf(u) and the residuals
-        at q = (t_star K, width mK, r_n ohm); leaves u behind.  Returns
-        the cost."""
-        np.subtract(t, q[0], out=u)
-        np.multiply(u, ERF_WIDTH_FACTOR / (q[1] * 1e-3), out=u)
-        shape, res = out[2], out[3]
-        erf(u, out=shape)
-        np.add(shape, 1.0, out=shape)
-        np.multiply(shape, 0.5 * q[2], out=res)
-        np.subtract(res, r, out=res)
-        return float(res.dot(res))
-
-    def normal_equations(q: list[float], out: np.ndarray):
-        """J^T J, J^T res and J^T J + S at q, after evaluate(q, out): fills
-        rows 0, 1, 4 and 5 of ``out`` from u and the residuals and takes
-        every product of the rows in one Gram matrix."""
-        gauss, res = out[0], out[3]
-        np.multiply(u, u, out=gauss)
-        np.negative(gauss, out=gauss)
-        np.exp(gauss, out=gauss)
-        np.multiply(gauss, u, out=out[1])
-        np.multiply(res, u, out=out[4])
-        np.multiply(out[4], u, out=out[5])
-        return _normal_matrices(out.dot(out.T).tolist(), q[1], q[2])
-
-    cost = evaluate(p, stack)
-    jtj, grad, hess = normal_equations(p, stack)
+    cost = _evaluate(t, r, p, u, stack)
+    jtj, grad, hess = _normal_equations(p, u, stack)
     s0, s1, s2 = _xtol_scales(p)
     lam = 1e-3
     newton = False
@@ -310,7 +336,7 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         if d0 <= xtol and d1 <= xtol and d2 <= xtol:
             converged = True
             break
-        cost_new = evaluate(p_new, trial)
+        cost_new = _evaluate(t, r, p_new, u, trial)
         if cost_new <= cost:
             # the Jacobian is formed only here, since a rejected
             # evaluation's Jacobian would be thrown away
@@ -318,7 +344,7 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
                       and d2 <= _NEWTON_SWITCH)
             p, cost = p_new, cost_new
             stack, trial = trial, stack
-            jtj, grad, hess = normal_equations(p, stack)
+            jtj, grad, hess = _normal_equations(p, u, stack)
             lam = max(lam * 0.1, 1e-14)
             s0, s1, s2 = _xtol_scales(p)
             iterations += 1

@@ -26,7 +26,7 @@ from .errors import (CalibrationError, CavityShiftError, ConfigError,
                      FitError, InputError)
 from .fileio import write_csv, write_json
 from .protocol import plan_sweep, read_run, run_paired_experiment, write_run
-from .sensitivity import calibrate_noise, run_sensitivity
+from .sensitivity import calibrate_noise, delta_n_per_ohm, run_sensitivity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -303,8 +303,11 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     payload = {
         "format_version": "1",
         "delta_n_mK": report.delta_n,
+        "delta_n_se": json_float(report.delta_n_se),
+        "delta_n_per_ohm_predicted": delta_n_per_ohm(config.model, cfg, config.plan),
         "trials": report.trials,
         "detection_z_mean": report.detection_z,
+        "detection_z_se": json_float(report.detection_z_se),
         "detection_z_fraction_ge_3": report.z_fraction_ge_3,
         "z_capped": report.z_capped,
         "derivative_contrast": json_float(report.derivative_contrast),
@@ -345,6 +348,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     write_json(out / "calibration.json", {
         "format_version": "1",
         "sigma_r_ohm": sigma_r,
+        "delta_n_per_ohm_predicted": delta_n_per_ohm(config.model, config.instrument,
+                                                     config.plan),
         "target_delta_n_mK": args.target,
         "tolerance": args.tolerance,
         "trials": args.trials,

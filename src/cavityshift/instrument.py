@@ -23,8 +23,7 @@ from .errors import DomainError, InputError
 ERF_WIDTH_FACTOR = 2.0 * float(erfinv(0.8))
 
 #: Resistance noise (ohm) that reproduces a single-measurement
-#: sensitivity of ~0.1 mK with the default plan; frozen from
-#: sensitivity.calibrate_noise at the reference configuration.
+#: sensitivity of ~0.1 mK with the default plan, within 5%.
 DEFAULT_RESISTANCE_NOISE = 0.0751
 
 

@@ -278,18 +278,31 @@ def write_run(out_dir: str | Path, curves: list[TransitionCurve],
 def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
     """Load a dataset back; the CSV round trip is bit-exact.
 
-    Each curve must agree with its manifest entry on ``n_points``,
-    ``field_gauss``, ``kind`` and ``repetition``; otherwise
-    :class:`InputError` names the file and the key.
+    The manifest must be a JSON object whose ``curves`` list holds one
+    object with a ``file`` name per curve, and each curve must agree
+    with its entry on ``n_points``, ``field_gauss``, ``kind`` and
+    ``repetition``; otherwise :class:`InputError` names the manifest
+    and the key or entry, or the curve file and the key.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path) as handle:
         manifest = json.load(handle)
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: a run manifest must be a JSON object, "
+                         f"got {type(manifest).__name__}")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise InputError(
             f"unsupported run format {manifest.get('format_version')!r}")
+    entries = manifest.get("curves")
+    if not isinstance(entries, list):
+        found = repr(entries) if "curves" in manifest else "no such key"
+        raise InputError(f"{manifest_path}: key 'curves' must hold a list of "
+                         f"curve entries, got {found}")
     curves = []
-    for entry in manifest["curves"]:
+    for index, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
+            raise InputError(f"{manifest_path}: curve entry {index} needs a 'file' "
+                             f"name, got {entry!r}")
         path = manifest_path.parent / entry["file"]
         curve = read_curve_csv(path)
         found = {"n_points": curve.temperatures.size, "field_gauss": curve.field,

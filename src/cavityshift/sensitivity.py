@@ -19,10 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .analysis import analyze_dataset, weighted_mean_difference
+from .analysis import (MK_PER_K, analyze_dataset, t_star_variance,
+                       weighted_mean_difference)
 from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
-from .protocol import SweepPlan, run_paired_experiment
+from .protocol import SweepPlan, _sweep_setpoints, run_paired_experiment
 
 #: Reported in place of an infinite significance on noise-free data.
 Z_CAP = 1e6
@@ -37,7 +38,9 @@ class SensitivityReport:
 
     delta_n: float                  # mK, pooled std of extracted delta about truth
     trials: int
+    delta_n_se: float               # mK, its Monte Carlo standard error
     detection_z: float              # mean per-trial significance of the shift
+    detection_z_se: float           # its Monte Carlo standard error
     z_fraction_ge_3: float          # fraction of trials with z >= 3
     z_capped: bool                  # True when any trial hit Z_CAP (no noise)
     derivative_contrast: float      # relative film-cavity slope difference near h_v
@@ -72,6 +75,70 @@ def _model_contrast(params: model.ModelParams, field: float) -> float:
     return (film - cav) / film
 
 
+def _check_study(params: model.ModelParams, plan: SweepPlan, trials: int,
+                 min_trials: int = 100) -> None:
+    """:class:`InputError` for a study that cannot give a result: fewer
+    than ``min_trials`` trials, fewer than 3 fields (a delta curve needs
+    3) or no field at or above h_v (the significance is taken there)."""
+    if trials < min_trials:
+        raise InputError(f"need at least {min_trials} trials, got {trials}")
+    if len(plan.fields) < 3:
+        raise InputError(f"a study needs at least 3 fields for its delta curves, "
+                         f"got {len(plan.fields)}")
+    if not any(field >= params.h_v for field in plan.fields):
+        raise InputError(f"no field at or above h_v = {params.h_v:g} G, where the "
+                         f"detection significance is taken")
+
+
+def _standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of ``values``; NaN for fewer than 2."""
+    if values.size < 2:
+        return math.nan
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
+def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
+                    plan: SweepPlan) -> float:
+    """kappa = delta_n / sigma_R in mK per ohm, in closed form.
+
+    Per curve, v is the variance of the fitted t* per unit resistance
+    noise: the fit's own covariance at the true (t*,
+    ``transition_width``, ``normal_resistance``) on the plan's clamped
+    setpoints (:func:`analysis.t_star_variance`), divided by
+    ``plan.repetitions`` for the precision-weighted mean of the repeats.
+    Per study, both delta curves share the film H^2 intercept
+    c = sum_i a_i t*_i, whose 1/v weights give var(c) = sum_i a_i^2 v_i
+    and cov(c, t*_i) = a_i v_i for a film fit (0 for a cavity fit).  A
+    film delta then has the variance var(c) + v_i - 2 cov(c, t*_i) and a
+    cavity delta var(c) + v_i; kappa is the root mean of these 2F
+    variances, pooled as :func:`run_sensitivity` pools the squared delta
+    errors.  Temperature jitter is left out.
+
+    Raises :class:`InputError` when a fit covariance is singular: the
+    sweep does not resolve that transition, so no study could fit it.
+    """
+    fields = np.array(plan.fields)
+    setpoints = _sweep_setpoints(plan, cfg.base_temperature)[0]
+    v = {}
+    for kind, deltas in _true_deltas(params, fields).items():
+        v[kind] = np.array([
+            t_star_variance(setpoints, params.t_c - delta_mk * 1e-3,
+                            cfg.transition_width, cfg.normal_resistance)
+            for delta_mk in deltas.tolist()]) / plan.repetitions
+        unresolved = fields[~(v[kind] < math.inf)]
+        if unresolved.size:
+            raise InputError(f"the sweep does not resolve the {kind} transition at "
+                             f"{unresolved[0]:g} G: its fit covariance is singular")
+    x = fields ** 2
+    w = 1.0 / v["film"]
+    sw, swx, swxx = float(np.sum(w)), float(np.sum(w * x)), float(np.sum(w * x * x))
+    det = sw * swxx - swx * swx
+    var_c = swxx / det
+    cov_c = (swxx - swx * x) / det  # a_i v_i, since w_i v_i = 1
+    pooled = np.concatenate([var_c + v["film"] - 2.0 * cov_c, var_c + v["cavity"]])
+    return MK_PER_K * math.sqrt(float(np.mean(pooled)))
+
+
 def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
                     plan: SweepPlan, trials: int, *, window: int = 5,
                     min_trials: int = 100) -> SensitivityReport:
@@ -93,15 +160,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     any trial runs: fewer than 3 fields (a delta curve needs 3) or no
     field at or above h_v (the significance is taken there).
     """
-    if trials < min_trials:
-        raise InputError(f"need at least {min_trials} trials, got {trials}")
+    _check_study(params, plan, trials, min_trials)
     fields = np.array(plan.fields)
-    if fields.size < 3:
-        raise InputError(f"a study needs at least 3 fields for its delta curves, "
-                         f"got {fields.size}")
-    if not np.any(fields >= params.h_v):
-        raise InputError(f"no field at or above h_v = {params.h_v:g} G, where the "
-                         f"detection significance is taken")
     t0 = time.perf_counter()
     truth = _true_deltas(params, fields)
     contrast_idx = int(np.argmin(np.abs(fields - params.h_v)))
@@ -138,6 +198,9 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     if ok_trials == 0:
         raise InputError("every trial failed its fits; nothing to report")
     delta_n = float(math.sqrt(np.mean(sq_errors)))
+    # delta method: delta_n = sqrt(M), M the mean over trials of each
+    # trial's mean squared error (every trial adds one per field and kind)
+    msq_se = _standard_error(np.reshape(sq_errors, (ok_trials, -1)).mean(axis=1))
     z_arr = np.array(z_values)
     if contrast_rows:
         stack = np.vstack(contrast_rows)
@@ -149,8 +212,10 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         contrast_sigma = np.full(fields.size, math.nan)
     return SensitivityReport(
         delta_n=delta_n,
+        delta_n_se=msq_se / (2.0 * delta_n) if delta_n > 0 else msq_se,
         trials=trials,
         detection_z=float(np.mean(z_arr)),
+        detection_z_se=_standard_error(z_arr),
         z_fraction_ge_3=float(np.mean(z_arr >= 3.0)),
         z_capped=capped,
         derivative_contrast=float(contrast_mean[contrast_idx]),
@@ -174,16 +239,23 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     """Find the resistance noise that reproduces a target delta_n (mK).
 
     A secant iteration on the Monte Carlo delta_n of the full pipeline.
-    It starts from the configured noise (0.05 ohm when that is 0) and
-    first steps through the origin, i.e. proportionally:
-    sigma_1 = sigma_0 * target / delta_n(sigma_0).  Later steps are
-    secants through the two latest probes.  All probes reuse the same
-    substreams (common random numbers), so delta_n is close to
-    proportional to sigma_R and the whole calibration is deterministic
-    for a given master seed.  The first probe whose delta_n lies within
-    ``tolerance`` of the target is returned.  A target that is not
-    finite and positive or a tolerance outside (0, 1) raises
-    :class:`InputError` before any study runs.
+    The first probe is the closed-form prediction target / kappa, with
+    kappa from :func:`delta_n_per_ohm`.  The next steps through the
+    origin, i.e. proportionally: sigma_1 = sigma_0 * target /
+    delta_n(sigma_0).  Later steps are secants through the two latest
+    probes.  All probes reuse the same substreams (common random
+    numbers), so delta_n is close to proportional to sigma_R and the
+    whole calibration is deterministic for a given master seed.  The
+    first probe whose delta_n lies within ``tolerance`` of the target is
+    returned.  kappa leaves out temperature jitter, which is 0 by
+    default; jitter adds a noise-free floor to delta_n, so the first
+    probe overshoots the target and the secant corrects it.
+
+    A target that is not finite and positive, a tolerance outside
+    (0, 1), a study :func:`run_sensitivity` rejects (too few trials,
+    fewer than 3 fields, no field at or above h_v) and a plan whose
+    sweep does not resolve a transition raise :class:`InputError`
+    before any study runs.
 
     Raises :class:`CalibrationError`, listing every probe as (sigma_R,
     delta_n, failed trials), when the probe within tolerance comes from
@@ -199,6 +271,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
     if params is None:
         params = model.calibrate_defaults()
+    _check_study(params, plan, trials)
 
     probes: list[tuple[float, float, int]] = []
 
@@ -208,7 +281,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
             f"{reason}; probes (sigma_R ohm, delta_n mK, failed trials): {listed}",
             achieved=probes[-1][1], target=target_delta_n)
 
-    sigma = cfg.resistance_noise if cfg.resistance_noise > 0 else 0.05
+    sigma = target_delta_n / delta_n_per_ohm(params, cfg, plan)
     last_sigma = last_delta_n = 0.0  # the origin: no noise, no spread
     while True:
         study = run_sensitivity(params, replace(cfg, resistance_noise=sigma),

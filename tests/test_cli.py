@@ -167,6 +167,28 @@ class TestSimulateAnalyze:
             {"format_version": "1", "config": {}, "curves": []}))
         assert main(["analyze", str(manifest)]) == 4
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {**m, "curves": 5}, "key 'curves' must hold a list of curve "
+                                       "entries, got 5"),
+        (lambda m: [m], "a run manifest must be a JSON object, got list"),
+        (lambda m: {**m, "curves": ["x"]}, "curve entry 0 needs a 'file' name, got 'x'"),
+        (lambda m: {k: v for k, v in m.items() if k != "curves"},
+         "key 'curves' must hold a list of curve entries, got no such key"),
+        (lambda m: {**m, "curves": m["curves"][:3] + [
+            {k: v for k, v in m["curves"][3].items() if k != "file"}]},
+         "curve entry 3 needs a 'file' name")],
+        ids=["curves-not-a-list", "top-level-array", "entry-not-an-object",
+             "no-curves-key", "entry-without-file"])
+    def test_malformed_manifest_exits_io_naming_the_key(self, tmp_path, capsys,
+                                                       edit, message):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        manifest = out / "run.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        capsys.readouterr()
+        assert main(["analyze", str(manifest)]) == 4
+        assert message in capsys.readouterr().err
+
     def test_non_finite_row_exits_io(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--out", str(out), "--seed", "3"]) == 0
@@ -289,6 +311,16 @@ class TestSensitivityCommand:
             main(["sensitivity", "--trials", "0", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    def test_report_carries_standard_errors_and_predicted_slope(self, tmp_path):
+        out = tmp_path / "sens"
+        assert main(["sensitivity", "--out", str(out), "--trials", "100"]) == 0
+        payload = json.loads((out / "sensitivity.json").read_text())
+        assert 0 < payload["delta_n_se"] < 0.1 * payload["delta_n_mK"]
+        assert 0 < payload["detection_z_se"] < 0.2
+        kappa = payload["delta_n_per_ohm_predicted"]
+        assert kappa * payload["calibrated_sigma_r_ohm"] == pytest.approx(
+            payload["delta_n_mK"], rel=0.05)
+
     def test_null_model_reports_low_z(self, tmp_path):
         config = run_config_to_dict(default_run_config())
         config["model"]["delta_inf"] = 0.0
@@ -311,6 +343,16 @@ class TestCalibrateCommand:
             payload = json.load(handle)
         assert payload["sigma_r_ohm"] > 0
         assert payload["target_delta_n_mK"] == 0.1
+
+    def test_reports_predicted_slope(self, tmp_path):
+        from cavityshift import calibrate_defaults, delta_n_per_ohm
+
+        config = default_run_config()
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--out", str(out), "--trials", "100"]) == 0
+        payload = json.loads((out / "calibration.json").read_text())
+        assert payload["delta_n_per_ohm_predicted"] == delta_n_per_ohm(
+            calibrate_defaults(), config.instrument, config.plan)
 
     def test_plan_with_two_fields_exits_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -9,8 +9,9 @@ import pytest
 
 from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          ModelParams, analyze_dataset, calibrate_defaults,
-                         calibrate_noise, plan_sweep, run_paired_experiment,
-                         run_sensitivity, sensitivity)
+                         calibrate_noise, delta_n_per_ohm, plan_sweep,
+                         run_paired_experiment, run_sensitivity, sensitivity,
+                         weighted_mean_difference)
 from cavityshift.sensitivity import Z_CAP
 
 REFERENCE_SIGMA_R = 0.0751
@@ -194,20 +195,30 @@ class TestCalibrationSearch:
     def probes(self, stub):
         return stub(lambda sigma: self.SLOPE * sigma)
 
-    def test_in_tolerance_first_probe_returned(self, params, reference, plan, probes):
-        target = self.SLOPE * REFERENCE_SIGMA_R * 1.01
-        sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
-        assert sigma == REFERENCE_SIGMA_R
-        assert probes == [REFERENCE_SIGMA_R]
+    @pytest.fixture
+    def first(self, params, reference, plan):
+        """The first probe for a target: its closed-form prediction."""
+        kappa = delta_n_per_ohm(params, reference, plan)
+        return lambda target: target / kappa
 
-    def test_proportional_probe_returned(self, params, reference, plan, probes):
-        # the first probe is out of tolerance; the step through the origin
-        # lands on the target of a proportional response
-        target = self.SLOPE * 2 * REFERENCE_SIGMA_R
+    def test_in_tolerance_first_probe_returned(self, params, reference, plan, probes,
+                                               first):
+        target = 0.1
+        assert abs(self.SLOPE * first(target) - target) <= 0.05 * target
         sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
-        assert probes == [REFERENCE_SIGMA_R, sigma]
+        assert sigma == first(target)
+        assert probes == [first(target)]
+
+    def test_proportional_probe_returned(self, params, reference, plan, stub, first):
+        # the response is half as steep as predicted, so the first probe is
+        # out of tolerance; the step through the origin lands on the target
+        # of a proportional response
+        probes = stub(lambda sigma: 0.5 * self.SLOPE * sigma)
+        target = 0.2
+        sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
+        assert probes == [first(target), sigma]
         assert sigma == pytest.approx(
-            REFERENCE_SIGMA_R * target / (self.SLOPE * REFERENCE_SIGMA_R), rel=1e-12)
+            first(target) * target / (0.5 * self.SLOPE * first(target)), rel=1e-12)
 
     @pytest.mark.parametrize("target", [0.127, 0.5])
     def test_no_sigma_evaluated_twice(self, params, reference, plan, probes, target):
@@ -229,12 +240,12 @@ class TestCalibrationSearch:
             calibrate_noise(0.03, reference, plan, 0.05, params=params)
         assert len(probes) == 2
 
-    def test_non_increasing_response_raises(self, params, reference, plan, stub):
+    def test_non_increasing_response_raises(self, params, reference, plan, stub, first):
         probes = stub(lambda sigma: 0.1)
         with pytest.raises(CalibrationError, match="does not increase") as excinfo:
             calibrate_noise(0.2, reference, plan, 0.05, params=params)
         assert len(probes) == 2
-        assert "(0.0751, 0.1, 0)" in str(excinfo.value)
+        assert f"({first(0.2):.4g}, 0.1, 0)" in str(excinfo.value)
 
     def test_invalid_in_tolerance_probe_rejected(self, params, reference, plan, stub):
         # above 0.3 ohm a quarter of the trials fail their fits; the search
@@ -249,6 +260,82 @@ class TestCalibrationSearch:
         assert all(abs(self.SLOPE * s * (1 + s) - 1.0) > 0.05 for s in passed)
         assert 0.3 < probes[-1] < 0.8
         assert abs(self.SLOPE * probes[-1] * (1 + probes[-1]) - 1.0) <= 0.05
+
+
+class TestPredictedSlope:
+    """delta_n_per_ohm, the closed-form delta_n / sigma_R of a plan."""
+
+    @pytest.fixture(scope="class")
+    def kappa(self, params, reference, plan):
+        return delta_n_per_ohm(params, reference, plan)
+
+    def test_four_repetitions_halve_it(self, params, reference, plan, kappa):
+        plan4 = replace(plan, repetitions=4)
+        assert delta_n_per_ohm(params, reference, plan4) == pytest.approx(
+            kappa / 2, rel=1e-12)
+
+    def test_independent_of_seed_and_noise(self, params, reference, plan, kappa):
+        for cfg in (replace(reference, seed=7), replace(reference, resistance_noise=0.2),
+                    replace(reference, resistance_noise=0.0)):
+            assert delta_n_per_ohm(params, cfg, plan) == kappa
+
+    def test_matches_monte_carlo(self, params, reference, plan, kappa):
+        study = run_sensitivity(params, reference, plan, 200)
+        assert abs(study.delta_n - kappa * REFERENCE_SIGMA_R) <= 3 * study.delta_n_se
+
+    def test_unresolved_transition_rejected_before_any_study(
+            self, params, reference, plan, stub):
+        probes = stub(lambda sigma: 1.34 * sigma)
+        shifted = replace(plan, t_center_guess=plan.t_center_guess + 2.0)
+        with pytest.raises(InputError, match="does not resolve the film transition "
+                                             "at 50 G"):
+            calibrate_noise(0.1, reference, shifted, params=params)
+        assert probes == []
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_calibration_runs_one_study_per_target(self, params, plan, monkeypatch,
+                                                   seed):
+        # the bench calibration targets, on the real pipeline: the first
+        # probe at target / kappa is already within 5%
+        studies = []
+
+        def counted(*args, **kwargs):
+            studies.append(args[1].resistance_noise)
+            return run_sensitivity(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "run_sensitivity", counted)
+        cfg = InstrumentConfig(seed=seed)
+        for target in (0.1, 0.127):
+            studies.clear()
+            sigma = calibrate_noise(target, cfg, plan, 0.05, params=params, trials=200)
+            assert studies == [sigma]
+
+
+class TestStandardErrors:
+    """The Monte Carlo standard errors of delta_n and the mean z."""
+
+    def test_recomputed_from_the_trials(self, params, reference, plan):
+        report = run_sensitivity(params, reference, plan, 100)
+        truth = sensitivity._true_deltas(params, np.array(plan.fields))
+        z, msq = [], []
+        for trial in range(100):
+            result = analyze_dataset(run_paired_experiment(
+                params, reference, plan, substream_prefix=(trial,)))
+            err = np.concatenate([result.film.deltas - truth["film"],
+                                  result.cavity.deltas - truth["cavity"]])
+            msq.append(np.mean(err ** 2))
+            mean, se = weighted_mean_difference(result.difference, min_field=params.h_v)
+            z.append(abs(mean) / se)
+        assert report.failed_trials == 0
+        assert report.detection_z_se == pytest.approx(np.std(z, ddof=1) / 10, rel=1e-12)
+        assert report.delta_n_se == pytest.approx(
+            np.std(msq, ddof=1) / 10 / (2 * report.delta_n), rel=1e-12)
+        assert report.delta_n_se < 0.05 * report.delta_n
+
+    def test_single_trial_has_none(self, params, quiet):
+        study_plan = plan_sweep(params, quiet, np.linspace(50, 250, 5))
+        report = run_sensitivity(params, quiet, study_plan, 1, min_trials=1)
+        assert math.isnan(report.delta_n_se) and math.isnan(report.detection_z_se)
 
 
 class TestContrastTable:
