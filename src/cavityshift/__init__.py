@@ -19,10 +19,9 @@ from .errors import (CalibrationError, CavityShiftError, ConfigError,
                      DomainError, FitError, InputError)
 from .instrument import (InstrumentConfig, measure_profile, noise_stream,
                          transition_resistance)
-from .model import (EnergyBreakdown, ModelParams, calibrate_defaults,
-                    casimir_shift, cavity_delta, condensation_energy,
+from .model import (ModelParams, calibrate_defaults, cavity_delta,
                     critical_field, delta_derivative, delta_difference,
-                    energy_breakdown, film_delta, magnetic_energy)
+                    film_delta)
 from .protocol import (SweepPlan, TransitionCurve, acquire_curve, plan_sweep,
                        read_run, run_paired_experiment, write_run)
 from .sensitivity import (SensitivityReport, calibrate_noise, delta_n_per_ohm,

@@ -534,6 +534,14 @@ def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - ssr / sst
 
 
+def relative_slope_difference(film: np.ndarray, cavity: np.ndarray) -> np.ndarray:
+    """(film - cavity) / film per field: 0 where the slopes are equal, NaN
+    where only the film slope is 0."""
+    with np.errstate(all="ignore"):  # the 0 and NaN cases are picked by np.where
+        return np.where(film == cavity, 0.0,
+                        np.where(film != 0.0, (film - cavity) / film, math.nan))
+
+
 def linearity_and_convergence_report(film: DerivativeCurve, cavity: DerivativeCurve,
                                      low_field_max: float | None = None,
                                      threshold: float = 0.05) -> ConvergenceReport:
@@ -548,10 +556,7 @@ def linearity_and_convergence_report(film: DerivativeCurve, cavity: DerivativeCu
     if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
         raise InputError("film and cavity derivatives are on different field grids")
 
-    f_slope, c_slope = film.slopes, cavity.slopes
-    with np.errstate(all="ignore"):  # the 0 and NaN cases are picked by np.where
-        rel = np.where(f_slope == c_slope, 0.0,
-                       np.where(f_slope != 0.0, (f_slope - c_slope) / f_slope, math.nan))
+    rel = relative_slope_difference(film.slopes, cavity.slopes)
 
     centered = ~(film.one_sided | cavity.one_sided)
     region = centered.copy()

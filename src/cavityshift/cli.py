@@ -143,22 +143,20 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
         raise ConfigError("need finite 0 <= min-field <= max-field and step > 0")
     params = config.model
     n_steps = int(round((args.max_field - args.min_field) / args.step))
-    fields = [args.min_field + i * args.step for i in range(n_steps + 1)]
-    rows = []
-    for h in fields:
-        film = model.film_delta(params, h)
-        cavity = model.cavity_delta(params, h)
-        rows.append((h, film, cavity, film - cavity,
-                     model.delta_derivative(params, h, "film"),
-                     model.delta_derivative(params, h, "cavity")))
+    fields = args.min_field + np.arange(n_steps + 1) * args.step
+    film = model.film_delta(params, fields)
+    cavity = model.cavity_delta(params, fields)
+    columns = (fields, film, cavity, film - cavity,
+               model.delta_derivative(params, fields, "film"),
+               model.delta_derivative(params, fields, "cavity"))
     out = Path(config.output_dir)
     path = write_csv(
         out / "model_curves.csv",
         ["field_gauss", "delta_film_mK", "delta_cavity_mK", "difference_mK",
          "ddelta_dH_film", "ddelta_dH_cavity"],
-        rows,
+        zip(*(column.tolist() for column in columns)),
         comments=[f"cavity_energy_form={model.CAVITY_FORM_NOTE}"])
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({fields.size} rows)")
     return EXIT_OK
 
 

@@ -18,14 +18,18 @@ linear for ``delta >> delta_v`` (so the film/cavity difference
 saturates at ``delta_inf``).  All outputs derived from it should be
 read as phenomenological, not microscopic.
 
-Every function here is pure; concurrent use needs no locking.
+``film_delta``, ``cavity_delta``, ``delta_difference`` and
+``delta_derivative`` take one field or an array of fields: a float in
+gives a float out, an array an array of the elementwise values.  Every
+function here is pure; concurrent use needs no locking.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, InputError
 
@@ -63,32 +67,6 @@ class ModelParams:
         return self.alpha * self.h_v * self.h_v
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Energy terms of the balance at one solved transition point.
-
-    All values are in ``cond_scale`` units; ``residual`` is
-    magnetic - condensation - casimir and vanishes (to rounding) at a
-    transition point.
-    """
-
-    condensation: float
-    casimir: float
-    magnetic: float
-    residual: float
-
-    @property
-    def casimir_to_condensation(self) -> float:
-        """Ratio of the vacuum term to the condensation term.
-
-        Reported so users can compare energy-accounting conventions;
-        see the cavity-energy note in the package README.
-        """
-        if self.condensation == 0.0:
-            return math.nan
-        return self.casimir / self.condensation
-
-
 def calibrate_defaults() -> ModelParams:
     """Reference parameters pinned to the design anchors.
 
@@ -100,121 +78,88 @@ def calibrate_defaults() -> ModelParams:
     return ModelParams()
 
 
-def _check_nonneg(value: float, name: str) -> float:
-    value = float(value)
-    if not (value >= 0.0):  # also rejects NaN
-        raise DomainError(f"{name} must be >= 0, got {value}")
+def _nonneg(value, name: str) -> np.ndarray:
+    """``value`` as a float array; :class:`DomainError` if any element is
+    negative or NaN."""
+    value = np.asarray(value, dtype=float)
+    bad = ~(value >= 0.0)  # also catches NaN
+    if bad.any():
+        raise DomainError(f"{name} must be >= 0, got {value[bad].flat[0]}")
     return value
 
 
-def film_delta(params: ModelParams, h: float) -> float:
+def _like_input(result):
+    # a scalar field gives a float, an array of fields an array
+    return float(result) if np.ndim(result) == 0 else result
+
+
+def film_delta(params: ModelParams, h):
     """Depression of the bare-film transition, alpha*H**2, in mK."""
-    h = _check_nonneg(h, "field")
-    return params.alpha * h * h
+    h = _nonneg(h, "field")
+    with np.errstate(over="ignore"):
+        return _like_input(params.alpha * h * h)
 
 
-def condensation_energy(params: ModelParams, delta: float) -> float:
-    """Condensation energy cond_scale*delta**2 at depression delta (mK)."""
-    delta = _check_nonneg(delta, "delta")
-    return params.cond_scale * delta * delta
-
-
-def casimir_shift(params: ModelParams, delta: float) -> float:
-    """Vacuum-energy cost of driving the cavity mirror normal.
-
-    cond_scale*delta_inf*delta**2/(delta + delta_v): quadratic well
-    below delta_v, linear (slope cond_scale*delta_inf) well above.
-    """
-    delta = _check_nonneg(delta, "delta")
-    if delta == 0.0:
-        return 0.0
-    return params.cond_scale * params.delta_inf * delta * delta / (delta + params.delta_v)
-
-
-def magnetic_energy(params: ModelParams, h: float, delta: float) -> float:
-    """Field-penetration work cond_scale*alpha*H**2*delta.
-
-    Chosen so that the vacuum-free balance magnetic == condensation
-    returns exactly delta = alpha*H**2.
-    """
-    h = _check_nonneg(h, "field")
-    delta = _check_nonneg(delta, "delta")
-    return params.cond_scale * params.alpha * h * h * delta
-
-
-def _balance_residual(params: ModelParams, h: float, delta: float) -> float:
+def _balance_residual(params: ModelParams, h, delta):
     # magnetic - condensation - casimir, in cond_scale units (scale cancels)
-    cas = params.delta_inf * delta * delta / (delta + params.delta_v) if delta > 0 else 0.0
+    cas = params.delta_inf * delta * delta / (delta + params.delta_v)
     return params.alpha * h * h * delta - delta * delta - cas
 
 
-def cavity_delta(params: ModelParams, h: float) -> float:
+def cavity_delta(params: ModelParams, h):
     """Depression of the cavity-mirror transition at field h (mK).
 
     The reduced balance alpha*H**2 = d + delta_inf*d/(d + delta_v) is
     the quadratic d**2 - b*d - A*delta_v = 0 with A = alpha*H**2 and
     b = A - delta_v - delta_inf.  Its one nonnegative root always
-    satisfies 0 <= delta_c <= film_delta(h); the branch is chosen by
-    the sign of b so that neither form subtracts nearly equal numbers.
+    satisfies 0 <= delta_c <= film_delta(h); the branch is chosen per
+    field by the sign of b so that neither form subtracts nearly equal
+    numbers.
     """
-    h = _check_nonneg(h, "field")
-    a = params.alpha * h * h
-    if params.delta_inf == 0.0:
-        return a  # no vacuum term: exactly the film law
-    dv = params.delta_v
-    b = a - dv - params.delta_inf
-    root_d = math.sqrt(b * b + 4.0 * a * dv)
-    if b >= 0.0:
-        root = 0.5 * (b + root_d)
-    else:
-        root = 2.0 * a * dv / (root_d - b)  # root_d - b >= 2*|b| > 0
-    # for a tiny delta_inf, rounding alone could lift the root above A
-    return min(root, a)
+    h = _nonneg(h, "field")
+    # as with Python floats, an overflow gives inf and inf - inf gives NaN
+    # without a warning (a huge field, or alpha*h_v**2 beyond the range)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = params.alpha * h * h
+        if params.delta_inf == 0.0:
+            return _like_input(a)  # no vacuum term: exactly the film law
+        dv = params.delta_v
+        b = a - dv - params.delta_inf
+        root_d = np.sqrt(b * b + 4.0 * a * dv)
+        upper = b >= 0.0
+        # root_d - b >= 2*|b| > 0 where b < 0; where b >= 0 that branch is
+        # discarded and divides by 1 instead of a possible 0
+        lower = 2.0 * a * dv / np.where(upper, 1.0, root_d - b)
+        root = np.where(upper, 0.5 * (b + root_d), lower)
+        # for a tiny delta_inf, rounding alone could lift the root above A
+        return _like_input(np.minimum(root, a))
 
 
-def delta_difference(params: ModelParams, h: float) -> float:
+def delta_difference(params: ModelParams, h):
     """Film minus cavity depression, in mK.
 
     Zero at h = 0, monotonically approaching ``delta_inf`` from below
     as the field grows.
     """
-    h = _check_nonneg(h, "field")
     return film_delta(params, h) - cavity_delta(params, h)
 
 
-def _balance_slope(params: ModelParams, delta: float) -> float:
-    # d/d(delta) of the reduced balance alpha*H^2 = delta + dinf*delta/(delta+dv)
-    dv = params.delta_v
-    return 1.0 + params.delta_inf * dv / (delta + dv) ** 2
-
-
-def delta_derivative(params: ModelParams, h: float, kind: str = "film", *,
-                     method: str = "analytic", step: float = 1e-3) -> float:
+def delta_derivative(params: ModelParams, h, kind: str = "film"):
     """d(delta)/dH at field h, in mK per gauss.
 
     Film: exactly 2*alpha*H.  Cavity: implicit differentiation of the
-    solved balance; ``method="numeric"`` switches to a central
-    difference of the given step, falling back to a one-sided
-    difference (with a RuntimeWarning) when h < step.
+    solved balance, 2*alpha*H / (1 + delta_inf*delta_v/(delta + delta_v)**2).
     """
-    h = _check_nonneg(h, "field")
+    h = _nonneg(h, "field")
     if kind not in ("film", "cavity"):
         raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
-    if method not in ("analytic", "numeric"):
-        raise InputError(f"method must be 'analytic' or 'numeric', got {method!r}")
-
-    if kind == "film":
-        return 2.0 * params.alpha * h
-
-    if method == "analytic":
-        delta = cavity_delta(params, h)
-        return 2.0 * params.alpha * h / _balance_slope(params, delta)
-
-    if h < step:
-        warnings.warn("field below difference step; using one-sided derivative",
-                      RuntimeWarning, stacklevel=2)
-        return (cavity_delta(params, h + step) - cavity_delta(params, h)) / step
-    return (cavity_delta(params, h + step) - cavity_delta(params, h - step)) / (2.0 * step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = 2.0 * params.alpha * h
+        if kind == "cavity":
+            dv = params.delta_v
+            g = cavity_delta(params, h) + dv
+            slope = slope / (1.0 + params.delta_inf * dv / (g * g))
+    return _like_input(slope)
 
 
 def critical_field(params: ModelParams, delta: float, kind: str = "film") -> float:
@@ -224,7 +169,7 @@ def critical_field(params: ModelParams, delta: float, kind: str = "film") -> flo
     through :func:`film_delta` / :func:`cavity_delta` is exact to
     rounding.
     """
-    delta = _check_nonneg(delta, "delta")
+    delta = float(_nonneg(delta, "delta"))
     if kind not in ("film", "cavity"):
         raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
     if delta == 0.0:
@@ -233,20 +178,3 @@ def critical_field(params: ModelParams, delta: float, kind: str = "film") -> flo
         return math.sqrt(delta / params.alpha)
     reduced = delta + params.delta_inf * delta / (delta + params.delta_v)
     return math.sqrt(reduced / params.alpha)
-
-
-def energy_breakdown(params: ModelParams, h: float, kind: str = "cavity") -> EnergyBreakdown:
-    """Energy terms of the balance at the solved transition for field h."""
-    h = _check_nonneg(h, "field")
-    if kind not in ("film", "cavity"):
-        raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
-    if kind == "film":
-        delta = film_delta(params, h)
-        cas = 0.0
-    else:
-        delta = cavity_delta(params, h)
-        cas = casimir_shift(params, delta)
-    cond = condensation_energy(params, delta)
-    mag = magnetic_energy(params, h, delta)
-    return EnergyBreakdown(condensation=cond, casimir=cas, magnetic=mag,
-                           residual=mag - cond - cas)

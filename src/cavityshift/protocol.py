@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,10 +96,6 @@ class TransitionCurve:
         if not clamped and smallest <= 0:
             raise InputError("temperatures must be strictly increasing")
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.temperatures.tolist(), self.resistances.tolist()))
-
 
 def plan_sweep(params: model.ModelParams, cfg: InstrumentConfig,
                fields) -> SweepPlan:
@@ -123,18 +120,35 @@ def temperature_grid(plan: SweepPlan) -> np.ndarray:
                        plan.n_points)
 
 
+class _PlanTable(NamedTuple):
+    """What every curve of one plan shares, at one cryostat floor and one
+    set of model parameters."""
+
+    setpoints: np.ndarray               # K, the read-only clamped grid
+    flags: tuple[str, ...]              # ``clamped:i`` per clamped setpoint
+    central_lo: float                   # K, bounds a midpoint must lie within
+    central_hi: float                   # to sit in the central part of the sweep
+    deltas: dict[str, np.ndarray]       # mK per plan field, by kind (read-only)
+    t_stars: dict[str, tuple[float, ...]]  # K per plan field, by kind
+
+
 @functools.lru_cache(maxsize=64)
-def _sweep_setpoints(plan: SweepPlan, base_temperature: float
-                     ) -> tuple[np.ndarray, tuple[str, ...], float, float]:
-    """Setpoints of a plan at a cryostat floor, shared by all its curves:
-    the read-only clamped grid, its ``clamped:i`` flags, and the bounds
-    a midpoint must lie within to sit in the central part of the sweep."""
+def _sweep_setpoints(params: model.ModelParams, plan: SweepPlan,
+                     base_temperature: float) -> _PlanTable:
+    """The setpoints and true transitions of a plan, shared by all its curves."""
     grid = temperature_grid(plan)
     setpoints = np.maximum(grid, base_temperature)
-    setpoints.flags.writeable = False
     flags = tuple(f"clamped:{i}" for i in np.nonzero(grid < base_temperature)[0].tolist())
     margin = 0.5 * (1.0 - CENTRAL_FRACTION) * plan.t_span
-    return setpoints, flags, setpoints[0] + margin, setpoints[-1] - margin
+    fields = np.array(plan.fields)
+    deltas = {"film": model.film_delta(params, fields),
+              "cavity": model.cavity_delta(params, fields)}
+    for array in (setpoints, *deltas.values()):
+        array.flags.writeable = False
+    t_stars = {kind: tuple((params.t_c - delta_mk * 1e-3).tolist())
+               for kind, delta_mk in deltas.items()}
+    return _PlanTable(setpoints, flags, setpoints[0] + margin, setpoints[-1] - margin,
+                      deltas, t_stars)
 
 
 def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
@@ -148,22 +162,20 @@ def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
     if not (0 <= repetition < plan.repetitions):
         raise InputError(f"repetition {repetition} outside plan range")
 
-    delta_mk = (model.film_delta(params, field) if kind == "film"
-                else model.cavity_delta(params, field))
-    t_star = params.t_c - delta_mk * 1e-3
+    table = _sweep_setpoints(params, plan, cfg.base_temperature)
+    index = plan.fields.index(field)
+    t_star = table.t_stars[kind][index]
 
-    setpoints, flags, central_lo, central_hi = _sweep_setpoints(
-        plan, cfg.base_temperature)
-
-    path = (*substream_prefix, plan.fields.index(field), KIND_CODES[kind], repetition)
+    path = (*substream_prefix, index, KIND_CODES[kind], repetition)
     rng = noise_stream(cfg.seed, *path)
-    resistances = measure_profile(cfg, setpoints, t_star, rng)
+    resistances = measure_profile(cfg, table.setpoints, t_star, rng)
 
-    if not (central_lo <= t_star <= central_hi):
+    flags = table.flags
+    if not (table.central_lo <= t_star <= table.central_hi):
         flags += ("midpoint-outside-central-80pct",)
 
     return TransitionCurve(
-        field=field, kind=kind, temperatures=setpoints, resistances=resistances,
+        field=field, kind=kind, temperatures=table.setpoints, resistances=resistances,
         repetition=repetition, seed_path="/".join(str(p) for p in path),
         flags=flags, oracle_t_star=t_star)
 
@@ -211,7 +223,8 @@ def write_curve_csv(path: str | Path, curve: TransitionCurve) -> Path:
 
 def read_curve_csv(path: str | Path) -> TransitionCurve:
     """Load one curve file; every line after the column header must hold
-    two finite numbers, otherwise :class:`InputError` names the line."""
+    two finite numbers, otherwise :class:`InputError` names the line, and
+    a header value that does not parse raises one naming its key."""
     meta: dict[str, str] = {}
     temps: list[float] = []
     res: list[float] = []
@@ -236,14 +249,23 @@ def read_curve_csv(path: str | Path) -> TransitionCurve:
             res.append(r)
     if "field_gauss" not in meta or "kind" not in meta:
         raise InputError(f"curve file {path} is missing header metadata")
+
+    def header_value(key: str, parse, default=None):
+        if key not in meta:
+            return default
+        try:
+            return parse(meta[key])
+        except ValueError:
+            raise InputError(f"{path}: header {key}={meta[key]!r} is not "
+                             f"a valid {parse.__name__}") from None
+
     flags = tuple(f for f in meta.get("flags", "").split(";") if f)
-    oracle = meta.get("oracle_t_star_K")
     return TransitionCurve(
-        field=float(meta["field_gauss"]), kind=meta["kind"],
+        field=header_value("field_gauss", float), kind=meta["kind"],
         temperatures=np.array(temps), resistances=np.array(res),
-        repetition=int(meta.get("repetition", 0)),
+        repetition=header_value("repetition", int, 0),
         seed_path=meta.get("seed_path", ""), flags=flags,
-        oracle_t_star=float(oracle) if oracle is not None else None)
+        oracle_t_star=header_value("oracle_t_star_K", float))
 
 
 def write_run(out_dir: str | Path, curves: list[TransitionCurve],

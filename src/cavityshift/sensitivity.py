@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .analysis import (MK_PER_K, analyze_dataset, t_star_variance,
-                       weighted_mean_difference)
+from .analysis import (MK_PER_K, analyze_dataset, relative_slope_difference,
+                       t_star_variance, weighted_mean_difference)
 from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, _sweep_setpoints, run_paired_experiment
@@ -56,23 +56,6 @@ class SensitivityReport:
     contrast_model: np.ndarray      # noise-free model contrast per field
     lm_steps_histogram: list[int]   # successful fits per accepted LM step count
     failed_fits_by_reason: dict[str, int]  # failed fits per reason, sorted by reason
-
-
-def _true_deltas(params: model.ModelParams, fields: np.ndarray) -> dict[str, np.ndarray]:
-    return {
-        "film": np.array([model.film_delta(params, f) for f in fields]),
-        "cavity": np.array([model.cavity_delta(params, f) for f in fields]),
-    }
-
-
-def _model_contrast(params: model.ModelParams, field: float) -> float:
-    film = model.delta_derivative(params, field, "film")
-    cav = model.delta_derivative(params, field, "cavity")
-    if film == cav:
-        return 0.0
-    if film == 0.0:
-        return math.nan
-    return (film - cav) / film
 
 
 def _check_study(params: model.ModelParams, plan: SweepPlan, trials: int,
@@ -118,13 +101,13 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
     sweep does not resolve that transition, so no study could fit it.
     """
     fields = np.array(plan.fields)
-    setpoints = _sweep_setpoints(plan, cfg.base_temperature)[0]
+    table = _sweep_setpoints(params, plan, cfg.base_temperature)
     v = {}
-    for kind, deltas in _true_deltas(params, fields).items():
+    for kind, t_stars in table.t_stars.items():
         v[kind] = np.array([
-            t_star_variance(setpoints, params.t_c - delta_mk * 1e-3,
-                            cfg.transition_width, cfg.normal_resistance)
-            for delta_mk in deltas.tolist()]) / plan.repetitions
+            t_star_variance(table.setpoints, t_star, cfg.transition_width,
+                            cfg.normal_resistance)
+            for t_star in t_stars]) / plan.repetitions
         unresolved = fields[~(v[kind] < math.inf)]
         if unresolved.size:
             raise InputError(f"the sweep does not resolve the {kind} transition at "
@@ -163,7 +146,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     _check_study(params, plan, trials, min_trials)
     fields = np.array(plan.fields)
     t0 = time.perf_counter()
-    truth = _true_deltas(params, fields)
+    truth = _sweep_setpoints(params, plan, cfg.base_temperature).deltas
     contrast_idx = int(np.argmin(np.abs(fields - params.h_v)))
 
     sq_errors: list[float] = []
@@ -228,7 +211,9 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         contrast_fields=fields,
         contrast_mean=contrast_mean,
         contrast_sigma=contrast_sigma,
-        contrast_model=np.array([_model_contrast(params, f) for f in fields]),
+        contrast_model=relative_slope_difference(
+            model.delta_derivative(params, fields, "film"),
+            model.delta_derivative(params, fields, "cavity")),
         lm_steps_histogram=np.bincount(lm_steps, minlength=1).tolist(),
         failed_fits_by_reason=dict(sorted(reasons.items())))
 

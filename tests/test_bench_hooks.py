@@ -37,9 +37,9 @@ def test_every_hook_target_exists(monkeypatch):
         assert getattr(owner, attr) is original
 
 
-def test_traced_study_measures_every_layer(monkeypatch, tmp_path, capsys):
-    # a sensitivity study calls every layer but the file-format ones and
-    # calibration, whose metrics are then counts of zero
+def _traced_study_metrics(monkeypatch, tmp_path, capsys, *, warm: bool) -> dict:
+    """Per-layer metrics of one traced CLI sensitivity study; with ``warm``
+    the same study runs untraced first, so every per-plan cache is full."""
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
     from spans import Tracer
@@ -50,12 +50,15 @@ def test_traced_study_measures_every_layer(monkeypatch, tmp_path, capsys):
     config.write_text(json.dumps({
         "plan": {"fields": [50.0, 100.0, 150.0, 200.0, 250.0], "n_points": 40},
         "seed": 1}))
+    argv = ["sensitivity", "--config", str(config), "--trials", "100",
+            "--out", str(tmp_path / "out")]
+    if warm:
+        assert cli.main(argv) == 0, capsys.readouterr().err
     tracer = Tracer()
     layers.install(tracer)
     try:
         start = time.perf_counter()
-        code = cli.main(["sensitivity", "--config", str(config), "--trials", "100",
-                         "--out", str(tmp_path / "out")])
+        code = cli.main(argv)
         round_s = time.perf_counter() - start
     finally:
         tracer.unpatch()
@@ -64,4 +67,19 @@ def test_traced_study_measures_every_layer(monkeypatch, tmp_path, capsys):
     not_finite = {name: value for name, (value, _) in metrics.items()
                   if not (isinstance(value, (int, float)) and math.isfinite(value))}
     assert not not_finite
+    return metrics
+
+
+def test_traced_study_measures_every_layer(monkeypatch, tmp_path, capsys):
+    # a sensitivity study calls every layer but the file-format ones and
+    # calibration, whose metrics are then counts of zero
+    metrics = _traced_study_metrics(monkeypatch, tmp_path, capsys, warm=False)
     assert metrics["analysis.fit_transition.calls"][0] == 1000
+
+
+def test_traced_study_after_a_warm_run_measures_every_layer(monkeypatch, tmp_path,
+                                                             capsys):
+    # the per-plan table of true transitions is cached, so the traced study
+    # reaches the model layer only through the uncached model contrast
+    metrics = _traced_study_metrics(monkeypatch, tmp_path, capsys, warm=True)
+    assert metrics["model.cavity_delta.calls"][0] >= 1

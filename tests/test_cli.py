@@ -199,6 +199,19 @@ class TestSimulateAnalyze:
         assert main(["analyze", str(out / "run.json")]) == 4
         assert f"line {len(lines)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["field_gauss", "repetition", "oracle_t_star_K"])
+    def test_bad_header_value_exits_io_naming_file_and_key(self, tmp_path, capsys, key):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        path = out / "curve_001_cavity_rep0.csv"
+        lines = [f"# {key}=x" if line.startswith(f"# {key}=") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(out / "run.json")]) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{key}='x'" in err
+
     def test_step_function_curve_exits_fit_and_is_listed(self, tmp_path, capsys):
         from cavityshift.instrument import resistive_transition
 

@@ -1,11 +1,16 @@
-"""Property tests of the closed-form cavity root over random parameters."""
+"""Property tests of the closed-form cavity root over random parameters,
+on one field and on arrays of fields."""
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavityshift import ModelParams, cavity_delta, critical_field, film_delta
+from cavityshift import (DomainError, ModelParams, cavity_delta, critical_field,
+                         delta_derivative, film_delta)
 from cavityshift.model import _balance_residual
 
 model_params = st.builds(
@@ -16,26 +21,57 @@ model_params = st.builds(
 )
 # above 1e-6 G the products in the balance stay clear of subnormal floats
 fields = st.one_of(st.just(0.0), st.floats(1e-6, 1e4))
+field_arrays = st.lists(fields, min_size=1, max_size=20).map(np.array)
+# one field, or an array of them
+field_inputs = st.one_of(fields, field_arrays)
 
 
 @settings(deadline=None)
-@given(params=model_params, h=fields)
+@given(params=model_params, h=field_inputs)
 @example(params=ModelParams(delta_inf=1e-300), h=100.0)  # unclamped root rounds above A
 def test_root_lies_between_zero_and_film(params, h):
-    assert 0.0 <= cavity_delta(params, h) <= film_delta(params, h)
+    delta = cavity_delta(params, h)
+    assert np.all(0.0 <= delta) and np.all(delta <= film_delta(params, h))
 
 
 @settings(deadline=None)
-@given(params=model_params, h=fields)
+@given(params=model_params, h=field_inputs)
 def test_root_solves_the_balance(params, h):
     delta = cavity_delta(params, h)
     scale = params.alpha * h * h * delta
-    assert abs(_balance_residual(params, h, delta)) <= 1e-12 * scale
+    assert np.all(np.abs(_balance_residual(params, h, delta)) <= 1e-12 * scale)
 
 
 @settings(deadline=None)
-@given(params=model_params, h=fields)
+@given(params=model_params, h=field_inputs)
 def test_critical_field_round_trip(params, h):
-    delta = cavity_delta(params, h)
-    assert critical_field(params, delta, "cavity") == pytest.approx(h, rel=1e-9, abs=1e-9)
+    back = [critical_field(params, delta, "cavity")
+            for delta in np.atleast_1d(cavity_delta(params, h)).tolist()]
+    assert back == pytest.approx(np.atleast_1d(h).tolist(), rel=1e-9, abs=1e-9)
 
+
+@settings(deadline=None)
+@given(params=model_params, h=field_arrays)
+# at 1e12 G root_d == b > 0, so the unused branch would divide by 0; at
+# 1e200 G alpha*H**2 overflows to inf, silently as for a Python float
+@example(params=ModelParams(), h=np.array([0.0, 50.0, 1e12, 1e200]))
+def test_array_equals_elementwise_scalars(params, h):
+    forms = [film_delta, cavity_delta,
+             lambda p, x: delta_derivative(p, x, "film"),
+             lambda p, x: delta_derivative(p, x, "cavity")]
+    for form in forms:
+        values = form(params, h)
+        assert isinstance(values, np.ndarray) and values.shape == h.shape
+        scalars = [form(params, x) for x in h.tolist()]
+        assert all(type(x) is float for x in scalars)
+        assert values.tolist() == scalars  # bit for bit
+
+
+@settings(deadline=None)
+@given(params=model_params, h=field_arrays, bad=st.sampled_from([-1e-300, -2.0, math.nan]),
+       data=st.data())
+def test_any_negative_or_nan_field_raises(params, h, bad, data):
+    h[data.draw(st.integers(0, h.size - 1))] = bad
+    for form in (film_delta, cavity_delta, delta_derivative):
+        with pytest.raises(DomainError):
+            form(params, h)

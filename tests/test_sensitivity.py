@@ -9,9 +9,9 @@ import pytest
 
 from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          ModelParams, analyze_dataset, calibrate_defaults,
-                         calibrate_noise, delta_n_per_ohm, plan_sweep,
-                         run_paired_experiment, run_sensitivity, sensitivity,
-                         weighted_mean_difference)
+                         calibrate_noise, cavity_delta, delta_n_per_ohm,
+                         film_delta, plan_sweep, run_paired_experiment,
+                         run_sensitivity, sensitivity, weighted_mean_difference)
 from cavityshift.sensitivity import Z_CAP
 
 REFERENCE_SIGMA_R = 0.0751
@@ -316,7 +316,8 @@ class TestStandardErrors:
 
     def test_recomputed_from_the_trials(self, params, reference, plan):
         report = run_sensitivity(params, reference, plan, 100)
-        truth = sensitivity._true_deltas(params, np.array(plan.fields))
+        fields = np.array(plan.fields)
+        truth = {"film": film_delta(params, fields), "cavity": cavity_delta(params, fields)}
         z, msq = [], []
         for trial in range(100):
             result = analyze_dataset(run_paired_experiment(
