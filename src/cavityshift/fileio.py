@@ -40,6 +40,7 @@ def write_csv(path: str | Path, header: list[str], rows, comments: list[str] = (
     """CSV with optional '#'-prefixed comment lines, full float precision."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
+    # float.__repr__ is fmt's text for a float or a float subclass
+    lines += [",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
     return atomic_write_text(path, "\n".join(lines) + "\n")

@@ -79,7 +79,18 @@ def noise_stream(seed: int, *path: int) -> np.random.Generator:
     repetition)``.  Equal keys give bit-identical streams regardless of
     creation order, which makes datasets order-insensitive.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+    # SeedSequence's own coercion of the key, without its per-element cost:
+    # each int becomes its little-endian 32-bit words, 0 becomes [0]
+    words = []
+    for value in (seed, *path):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"substream key elements must be nonnegative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: float,

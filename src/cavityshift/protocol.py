@@ -10,6 +10,7 @@ come out bit-identical, because each curve owns a substream keyed by
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -204,7 +205,9 @@ def curve_filename(index: int, kind: str, repetition: int) -> str:
     return f"curve_{index:03d}_{kind}_rep{repetition}.csv"
 
 
-def write_curve_csv(path: str | Path, curve: TransitionCurve) -> Path:
+def _curve_text(curve: TransitionCurve, temperature_text: list[str]) -> str:
+    """A curve file's text, given ``repr`` of each of its temperatures (the
+    same text as :func:`fmt`, which every curve of a plan can share)."""
     lines = [
         f"# format_version={FORMAT_VERSION}",
         f"# field_gauss={fmt(curve.field)}",
@@ -216,37 +219,77 @@ def write_curve_csv(path: str | Path, curve: TransitionCurve) -> Path:
     if curve.oracle_t_star is not None:
         lines.append(f"# oracle_t_star_K={fmt(curve.oracle_t_star)}")
     lines.append(CSV_COLUMNS)
-    for t, r in zip(curve.temperatures, curve.resistances):
-        lines.append(f"{fmt(t)},{fmt(r)}")
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    lines += [f"{t},{r!r}" for t, r in zip(temperature_text, curve.resistances.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def write_curve_csv(path: str | Path, curve: TransitionCurve) -> Path:
+    return atomic_write_text(
+        path, _curve_text(curve, list(map(repr, curve.temperatures.tolist()))))
+
+
+def _scan_lines(path: str | Path, lines) -> tuple[dict[str, str], list[float], list[float]]:
+    """The accepted syntax of a curve file, line by line: blank lines and
+    column-header lines are skipped, ``# key=value`` lines are metadata and
+    every other line must hold two finite numbers, otherwise
+    :class:`InputError` names the line."""
+    meta: dict[str, str] = {}
+    temps: list[float] = []
+    res: list[float] = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line == CSV_COLUMNS:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            meta[key.strip()] = value
+            continue
+        t_text, _, r_text = line.partition(",")
+        try:
+            t, r = float(t_text), float(r_text)
+        except ValueError:  # also a missing or a third column
+            t = r = math.nan
+        if not (math.isfinite(t) and math.isfinite(r)):
+            raise InputError(
+                f"{path}, line {lineno}: expected two finite numbers, got {line!r}")
+        temps.append(t)
+        res.append(r)
+    return meta, temps, res
+
+
+def _parse_block(block: str) -> np.ndarray | None:
+    """The rows of a data block as a (2, n) array, or None unless every
+    line of the block holds two finite numbers."""
+    if not block.strip():
+        return None  # np.loadtxt warns on a block without data
+    try:
+        rows = np.loadtxt(io.StringIO(block), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, so the shape check also refuses those
+    if rows.shape != (block.count("\n"), 2) or not np.isfinite(rows).all():
+        return None
+    return rows.T.copy()
 
 
 def read_curve_csv(path: str | Path) -> TransitionCurve:
     """Load one curve file; every line after the column header must hold
     two finite numbers, otherwise :class:`InputError` names the line, and
-    a header value that does not parse raises one naming its key."""
-    meta: dict[str, str] = {}
-    temps: list[float] = []
-    res: list[float] = []
+    a header value that does not parse, or a curve that is not valid,
+    raises one naming the file.
+
+    The data block after the column header is parsed in one piece; when
+    that refuses, :func:`_scan_lines` decides every line of the file.
+    """
     with open(path, "r", newline="\n") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line == CSV_COLUMNS:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-                continue
-            t_text, _, r_text = line.partition(",")
-            try:
-                t, r = float(t_text), float(r_text)
-            except ValueError:  # also a missing or a third column
-                t = r = math.nan
-            if not (math.isfinite(t) and math.isfinite(r)):
-                raise InputError(
-                    f"{path}, line {lineno}: expected two finite numbers, got {line!r}")
-            temps.append(t)
-            res.append(r)
+        text = handle.read()
+    head, found, block = text.partition(f"\n{CSV_COLUMNS}\n")
+    meta, temps, res = _scan_lines(path, head.split("\n"))
+    # rows before the column header leave the whole file to the line loop
+    data = _parse_block(block) if found and not temps else None
+    if data is None:
+        meta, temps, res = _scan_lines(path, text.split("\n"))
+        data = np.array([temps, res])
     if "field_gauss" not in meta or "kind" not in meta:
         raise InputError(f"curve file {path} is missing header metadata")
 
@@ -259,13 +302,17 @@ def read_curve_csv(path: str | Path) -> TransitionCurve:
             raise InputError(f"{path}: header {key}={meta[key]!r} is not "
                              f"a valid {parse.__name__}") from None
 
+    field = header_value("field_gauss", float)
+    repetition = header_value("repetition", int, 0)
+    oracle_t_star = header_value("oracle_t_star_K", float)
     flags = tuple(f for f in meta.get("flags", "").split(";") if f)
-    return TransitionCurve(
-        field=header_value("field_gauss", float), kind=meta["kind"],
-        temperatures=np.array(temps), resistances=np.array(res),
-        repetition=header_value("repetition", int, 0),
-        seed_path=meta.get("seed_path", ""), flags=flags,
-        oracle_t_star=header_value("oracle_t_star_K", float))
+    try:
+        return TransitionCurve(
+            field=field, kind=meta["kind"], temperatures=data[0], resistances=data[1],
+            repetition=repetition, seed_path=meta.get("seed_path", ""), flags=flags,
+            oracle_t_star=oracle_t_star)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_run(out_dir: str | Path, curves: list[TransitionCurve],
@@ -275,12 +322,18 @@ def write_run(out_dir: str | Path, curves: list[TransitionCurve],
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     field_order: list[float] = []
+    # the curves of a plan share one temperature grid: format it once
+    temperature_text: dict[bytes, list[str]] = {}
     for curve in curves:
         if curve.field not in field_order:
             field_order.append(curve.field)
         name = curve_filename(field_order.index(curve.field), curve.kind,
                               curve.repetition)
-        write_curve_csv(out_dir / name, curve)
+        key = curve.temperatures.tobytes()
+        column = temperature_text.get(key)
+        if column is None:
+            column = temperature_text[key] = list(map(repr, curve.temperatures.tolist()))
+        atomic_write_text(out_dir / name, _curve_text(curve, column))
         entries.append({
             "file": name,
             "field_gauss": curve.field,

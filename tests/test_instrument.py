@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfinv
 
 from cavityshift import (DomainError, InputError, InstrumentConfig,
@@ -74,6 +75,29 @@ class TestTransitionShape:
     def test_nonpositive_temperature_rejected(self, cfg):
         with pytest.raises(DomainError):
             transition_resistance(cfg, 0.0, 1.5)
+
+
+# key elements of one, two and three 32-bit words, with 0 and the word edges
+key_elements = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+                         st.integers(0, 2**64 - 1), st.integers(0, 2**80))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), path=st.lists(key_elements, max_size=5))
+@example(seed=0, path=[])
+@example(seed=123456789012345, path=[0, 2**32, 0])
+def test_noise_stream_state_matches_seed_sequence(seed, path):
+    expected = np.random.SeedSequence([seed, *path]).generate_state(4)
+    generator = noise_stream(seed, *path).bit_generator
+    assert np.array_equal(generator.seed_seq.generate_state(4), expected)
+    reference = np.random.default_rng(np.random.SeedSequence([seed, *path]))
+    assert generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, path", [(-1, ()), (1, (3, -1)), (1, (-(2**40),))])
+def test_noise_stream_rejects_negative_key(seed, path):
+    with pytest.raises(ValueError):
+        noise_stream(seed, *path)
 
 
 class TestNoise:

@@ -237,6 +237,23 @@ class TestRunFileValidation:
         with pytest.raises(InputError, match=rf"{path.name}, line {index + 1}:"):
             read_run(manifest)
 
+    def test_invalid_kind_rejected_with_its_file(self, run):
+        manifest, path = run
+        index = path.read_text().splitlines().index("# kind=film")
+        self.replace_line(path, index, "# kind=foo")
+        with pytest.raises(InputError, match=rf"{path.name}: kind must be 'film' or 'cavity'"):
+            read_run(manifest)
+
+    def test_swapped_rows_rejected_with_their_file(self, run):
+        manifest, path = run
+        lines = path.read_text().splitlines()
+        index = len(lines) - 5
+        lines[index - 1], lines[index] = lines[index], lines[index - 1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError,
+                           match=rf"{path.name}: temperatures must be finite and nondecreasing"):
+            read_run(manifest)
+
     def test_missing_row_rejected(self, run):
         manifest, path = run
         lines = path.read_text().splitlines()
