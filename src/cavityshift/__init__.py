@@ -17,8 +17,7 @@ from .analysis import (AnalysisResult, ConvergenceReport, DeltaCurve,
 from .config import RunConfig, default_run_config, load_run_config
 from .errors import (CalibrationError, CavityShiftError, ConfigError,
                      DomainError, FitError, InputError)
-from .instrument import (InstrumentConfig, measure_profile, noise_stream,
-                         transition_resistance)
+from .instrument import InstrumentConfig, measure_profile, noise_stream
 from .model import (ModelParams, calibrate_defaults, cavity_delta,
                     critical_field, delta_derivative, delta_difference,
                     film_delta)

@@ -93,9 +93,7 @@ class ConvergenceReport:
     relative_difference: np.ndarray   # (film - cavity) / film
     r2_film: float
     r2_cavity: float
-    convergence_field: float | None   # first field past which |rel diff| < threshold
-    threshold: float
-    low_field_max: float | None
+    convergence_field: float | None   # from here on |rel diff| < CONVERGENCE_THRESHOLD
 
 
 # --- erf fit ----------------------------------------------------------------
@@ -152,7 +150,14 @@ def _xtol_scales(p: list[float]) -> tuple[float, float, float]:
     return max(abs(p[0]), 1e-30), max(abs(p[1]), 1e-30), max(abs(p[2]), 1e-30)
 
 
-#: Relative step size, on the measure of the ``xtol`` test, at or below
+#: The fit converges when a proposed step moves no parameter by more
+#: than this, relative (MINPACK's step-size test).
+_XTOL = 1e-10
+
+#: Most passes of the fit loop, accepted and rejected steps together.
+_MAX_ITER = 100
+
+#: Relative step size, on the measure of the ``_XTOL`` test, at or below
 #: which an accepted step makes the next steps solve with the full
 #: Hessian J^T J + S instead of the Gauss-Newton J^T J.
 _NEWTON_SWITCH = 1e-3
@@ -245,17 +250,16 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     return math.inf if column is None else column[0]
 
 
-def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
-                   xtol: float = 1e-10) -> FitResult:
+def fit_transition(curve: TransitionCurve) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
 
     Requires finite resistances and both plateaus to be sampled (at
     least 10% of the points below 0.2 r_n and above 0.8 r_n), otherwise
     :class:`InputError`.
     The fit converges when a proposed step changes no parameter by more
-    than ``xtol`` relative, whether or not that step would lower the
-    cost; the current point is then kept.  ``max_iter`` bounds the
-    passes of the loop.  :class:`FitError`, with the iterations (accepted
+    than ``_XTOL`` (1e-10) relative, whether or not that step would lower
+    the cost; the current point is then kept.  ``_MAX_ITER`` (100) bounds
+    the passes of the loop.  :class:`FitError`, with the iterations (accepted
     steps), residual norm and last parameters attached, is raised when
     the loop ends without converging (pass limit, damping above 1e12, or
     damped normal equations that are not positive definite), when the
@@ -267,7 +271,7 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
 
     The damped steps are Gauss-Newton steps on J^T J until an accepted
     step has changed every parameter by at most ``_NEWTON_SWITCH``
-    (1e-3) relative, measured as in the ``xtol`` test.  The steps after
+    (1e-3) relative, measured as in the ``_XTOL`` test.  The steps after
     it solve the damped full Hessian J^T J + S of cost / 2 instead (see
     :func:`_normal_matrices`), which turns the linear Gauss-Newton tail
     of a noisy curve into a quadratic one.  They return to J^T J after
@@ -321,7 +325,7 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         return FitError(message, iterations=iterations,
                         residual_norm=math.sqrt(cost / n), params=tuple(p))
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         step = _damped_step(hess, grad, lam) if newton else None
         if step is None:
             step = _damped_step(jtj, grad, lam)
@@ -333,7 +337,7 @@ def fit_transition(curve: TransitionCurve, *, max_iter: int = 100,
         d0 = abs(p_new[0] - p[0]) / s0
         d1 = abs(p_new[1] - p[1]) / s1
         d2 = abs(p_new[2] - p[2]) / s2
-        if d0 <= xtol and d1 <= xtol and d2 <= xtol:
+        if d0 <= _XTOL and d1 <= _XTOL and d2 <= _XTOL:
             converged = True
             break
         cost_new = _evaluate(t, r, p_new, u, trial)
@@ -534,6 +538,11 @@ def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - ssr / sst
 
 
+#: Relative film-cavity slope difference below which the derivatives
+#: count as converged.
+CONVERGENCE_THRESHOLD = 0.05
+
+
 def relative_slope_difference(film: np.ndarray, cavity: np.ndarray) -> np.ndarray:
     """(film - cavity) / film per field: 0 where the slopes are equal, NaN
     where only the film slope is 0."""
@@ -542,37 +551,31 @@ def relative_slope_difference(film: np.ndarray, cavity: np.ndarray) -> np.ndarra
                         np.where(film != 0.0, (film - cavity) / film, math.nan))
 
 
-def linearity_and_convergence_report(film: DerivativeCurve, cavity: DerivativeCurve,
-                                     low_field_max: float | None = None,
-                                     threshold: float = 0.05) -> ConvergenceReport:
+def linearity_and_convergence_report(film: DerivativeCurve,
+                                     cavity: DerivativeCurve) -> ConvergenceReport:
     """Linearity and film/cavity convergence of measured derivatives.
 
-    R^2 of a straight line is evaluated per kind over centered-window
-    points with field <= ``low_field_max`` (all centered points when
-    None).  The convergence field is the smallest grid field from which
-    onward the relative film-cavity difference stays below
-    ``threshold``.
+    R^2 of a straight line is evaluated per kind over the points whose
+    window is centered.  The convergence field is the smallest grid
+    field from which onward the relative film-cavity difference stays
+    below :data:`CONVERGENCE_THRESHOLD`.
     """
     if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
         raise InputError("film and cavity derivatives are on different field grids")
 
     rel = relative_slope_difference(film.slopes, cavity.slopes)
 
-    centered = ~(film.one_sided | cavity.one_sided)
-    region = centered.copy()
-    if low_field_max is not None:
-        region &= film.fields <= low_field_max
+    region = ~(film.one_sided | cavity.one_sided)
     r2_film = _r_squared(film.fields[region], film.slopes[region])
     r2_cavity = _r_squared(cavity.fields[region], cavity.slopes[region])
 
-    ok = np.abs(rel) < threshold  # NaN compares False: never converged
+    ok = np.abs(rel) < CONVERGENCE_THRESHOLD  # NaN compares False: never converged
     ok_onward = np.logical_and.accumulate(ok[::-1])[::-1]  # from each field on
     convergence_field = (float(film.fields[np.argmax(ok_onward)]) if ok_onward.any()
                          else None)
     return ConvergenceReport(fields=film.fields.copy(), relative_difference=rel,
                              r2_film=r2_film, r2_cavity=r2_cavity,
-                             convergence_field=convergence_field,
-                             threshold=threshold, low_field_max=low_field_max)
+                             convergence_field=convergence_field)
 
 
 # --- dataset-level pipeline ---------------------------------------------------

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, model
-from .analysis import AnalysisResult, analyze_dataset
+from .analysis import CONVERGENCE_THRESHOLD, AnalysisResult, analyze_dataset
 from .config import (RunConfig, default_run_config, load_run_config,
-                     run_config_from_dict, run_config_to_dict)
+                     run_config_to_dict)
 from .errors import (CalibrationError, CavityShiftError, ConfigError,
                      FitError, InputError)
 from .fileio import write_csv, write_json
@@ -37,6 +37,10 @@ EXIT_CALIBRATION = 6
 #: A run aborts with EXIT_FIT when more than this fraction of its
 #: curves fail to fit.
 FIT_FAILURE_THRESHOLD = 0.01
+
+#: Most rows model-curve writes: 200 times the 5001-row grid (0.05 G
+#: steps over 250 G) of the cli_files benchmark workload.
+MAX_MODEL_ROWS = 10 ** 6
 
 
 def _positive_int(text: str) -> int:
@@ -119,11 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = load_run_config(args.config) if args.config else default_run_config()
-    if getattr(args, "seed", None) is not None:
-        raw = run_config_to_dict(config)
-        raw["seed"] = args.seed
-        config = run_config_from_dict(raw)
-    if getattr(args, "fields", None):
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        config = replace(config, seed=seed,
+                         instrument=replace(config.instrument, seed=seed))
+    if getattr(args, "fields", None) is not None:
         rebuilt = plan_sweep(config.model, config.instrument, args.fields)
         config = replace(config, plan=replace(
             rebuilt, n_points=config.plan.n_points,
@@ -141,9 +145,13 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
     if not (0 <= args.min_field <= args.max_field < math.inf
             and 0 < args.step < math.inf):  # also rejects NaN
         raise ConfigError("need finite 0 <= min-field <= max-field and step > 0")
+    steps = (args.max_field - args.min_field) / args.step
+    n_rows = int(round(steps)) + 1 if steps < MAX_MODEL_ROWS else math.inf
+    if n_rows > MAX_MODEL_ROWS:
+        raise ConfigError(f"the field grid would have more than {MAX_MODEL_ROWS} "
+                          "rows; raise --step or narrow the range")
     params = config.model
-    n_steps = int(round((args.max_field - args.min_field) / args.step))
-    fields = args.min_field + np.arange(n_steps + 1) * args.step
+    fields = args.min_field + np.arange(n_rows) * args.step
     film = model.film_delta(params, fields)
     cavity = model.cavity_delta(params, fields)
     columns = (fields, film, cavity, film - cavity,
@@ -163,8 +171,7 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     curves = run_paired_experiment(config.model, config.instrument, config.plan)
-    manifest = write_run(config.output_dir, curves,
-                         run_config_to_dict(config, include_output_dir=False))
+    manifest = write_run(config.output_dir, curves, run_config_to_dict(config))
     print(f"wrote {manifest} with {len(curves)} curves")
     print(f"{'field_G':>10} {'kind':>7} {'rep':>4} {'points':>7}")
     for curve in curves:
@@ -220,7 +227,7 @@ def _analysis_payload(result: AnalysisResult, window: int,
             "r2_film": None if np.isnan(rep.r2_film) else rep.r2_film,
             "r2_cavity": None if np.isnan(rep.r2_cavity) else rep.r2_cavity,
             "convergence_field_gauss": rep.convergence_field,
-            "threshold": rep.threshold,
+            "threshold": CONVERGENCE_THRESHOLD,
             "window": window,
         }
     return payload
@@ -254,7 +261,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_IO
     try:
         curves, _ = read_run(args.manifest)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, InputError) as exc:
         print(f"error: could not read dataset: {exc}", file=sys.stderr)
         return EXIT_IO
     if not curves:
@@ -317,8 +324,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "lm_steps_histogram": report.lm_steps_histogram,
         "valid": report.valid,
         "seed": config.seed,
-        "config": run_config_to_dict(replace(config, instrument=cfg),
-                                     include_output_dir=False),
+        "config": run_config_to_dict(replace(config, instrument=cfg)),
     }
     write_json(out / "sensitivity.json", payload)
     write_csv(out / "contrast.csv",

@@ -10,7 +10,7 @@ reproducible from the one number.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 from . import model
@@ -86,37 +86,11 @@ def run_config_from_dict(data: dict) -> RunConfig:
                      seed=seed, output_dir=output_dir)
 
 
-def run_config_to_dict(config: RunConfig, include_output_dir: bool = True) -> dict:
-    """Serialize a config; manifests drop ``output_dir`` so two runs of
-    one experiment into different directories stay byte-identical."""
-    payload = {
-        "model": {
-            "t_c": config.model.t_c,
-            "alpha": config.model.alpha,
-            "delta_inf": config.model.delta_inf,
-            "h_v": config.model.h_v,
-            "cond_scale": config.model.cond_scale,
-        },
-        "instrument": {
-            "base_temperature": config.instrument.base_temperature,
-            "normal_resistance": config.instrument.normal_resistance,
-            "transition_width": config.instrument.transition_width,
-            "resistance_noise": config.instrument.resistance_noise,
-            "temperature_jitter": config.instrument.temperature_jitter,
-            "seed": config.instrument.seed,
-        },
-        "plan": {
-            "fields": list(config.plan.fields),
-            "t_center_guess": config.plan.t_center_guess,
-            "t_span": config.plan.t_span,
-            "n_points": config.plan.n_points,
-            "repetitions": config.plan.repetitions,
-        },
-        "seed": config.seed,
-        "output_dir": config.output_dir,
-    }
-    if not include_output_dir:
-        del payload["output_dir"]
+def run_config_to_dict(config: RunConfig) -> dict:
+    """Serialize a config without ``output_dir``, so two runs of one
+    experiment into different directories write byte-identical files."""
+    payload = asdict(config)
+    del payload["output_dir"]
     return payload
 
 

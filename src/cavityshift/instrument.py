@@ -62,15 +62,6 @@ def resistive_transition(t, t_star: float, width_mk: float, r_n: float):
     return 0.5 * r_n * (1.0 + erf((np.asarray(t, dtype=float) - t_star) / s))
 
 
-def transition_resistance(cfg: InstrumentConfig, t, t_star: float):
-    """Noiseless sample resistance at temperature t (K), in ohm."""
-    t_arr = np.asarray(t, dtype=float)
-    if (t_arr <= 0).any():
-        raise DomainError("temperature must be > 0")
-    r = resistive_transition(t_arr, t_star, cfg.transition_width, cfg.normal_resistance)
-    return float(r) if np.isscalar(t) or t_arr.ndim == 0 else r
-
-
 def noise_stream(seed: int, *path: int) -> np.random.Generator:
     """Independent substream for one acquisition unit.
 
@@ -99,12 +90,15 @@ def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: floa
 
     Draws the jitter block first, then the resistance-noise block, so a
     whole curve costs two generator calls and stays deterministic per
-    substream.
+    substream.  Setpoints below the cryostat floor read at the floor; a
+    jittered temperature at or below 0 K raises :class:`DomainError`.
     """
     t = np.maximum(np.asarray(t_setpoints, dtype=float), cfg.base_temperature)
     jitter_k = rng.normal(0.0, cfg.temperature_jitter, t.shape) * 1e-3
     noise = rng.normal(0.0, cfg.resistance_noise, t.shape)
     t += jitter_k  # t is a fresh array from np.maximum
-    r = transition_resistance(cfg, t, t_star)
+    if (t <= 0).any():
+        raise DomainError("temperature must be > 0")
+    r = resistive_transition(t, t_star, cfg.transition_width, cfg.normal_resistance)
     r += noise
     return r

@@ -223,11 +223,6 @@ def _curve_text(curve: TransitionCurve, temperature_text: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_curve_csv(path: str | Path, curve: TransitionCurve) -> Path:
-    return atomic_write_text(
-        path, _curve_text(curve, list(map(repr, curve.temperatures.tolist()))))
-
-
 def _scan_lines(path: str | Path, lines) -> tuple[dict[str, str], list[float], list[float]]:
     """The accepted syntax of a curve file, line by line: blank lines and
     column-header lines are skipped, ``# key=value`` lines are metadata and
@@ -280,9 +275,14 @@ def read_curve_csv(path: str | Path) -> TransitionCurve:
 
     The data block after the column header is parsed in one piece; when
     that refuses, :func:`_scan_lines` decides every line of the file.
+    A file that is not UTF-8 text, or a path holding a NUL, raises
+    :class:`InputError` naming it.
     """
-    with open(path, "r", newline="\n") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", newline="\n") as handle:
+            text = handle.read()
+    except ValueError as exc:  # UnicodeDecodeError, or a NUL in the path
+        raise InputError(f"could not read curve file {path}: {exc}") from None
     head, found, block = text.partition(f"\n{CSV_COLUMNS}\n")
     meta, temps, res = _scan_lines(path, head.split("\n"))
     # rows before the column header leave the whole file to the line loop
@@ -357,11 +357,16 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
     object with a ``file`` name per curve, and each curve must agree
     with its entry on ``n_points``, ``field_gauss``, ``kind`` and
     ``repetition``; otherwise :class:`InputError` names the manifest
-    and the key or entry, or the curve file and the key.
+    and the key or entry, or the curve file and the key.  A manifest or
+    curve file that does not decode, or a manifest that is not JSON,
+    raises one naming the file.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
+    try:
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InputError(f"could not read run manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: a run manifest must be a JSON object, "
                          f"got {type(manifest).__name__}")

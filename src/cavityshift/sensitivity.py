@@ -31,6 +31,9 @@ Z_CAP = 1e6
 #: Most Monte Carlo studies one noise calibration runs.
 MAX_PROBES = 10
 
+#: Fewest trials a study may run.
+MIN_TRIALS = 100
+
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -58,13 +61,12 @@ class SensitivityReport:
     failed_fits_by_reason: dict[str, int]  # failed fits per reason, sorted by reason
 
 
-def _check_study(params: model.ModelParams, plan: SweepPlan, trials: int,
-                 min_trials: int = 100) -> None:
+def _check_study(params: model.ModelParams, plan: SweepPlan, trials: int) -> None:
     """:class:`InputError` for a study that cannot give a result: fewer
-    than ``min_trials`` trials, fewer than 3 fields (a delta curve needs
-    3) or no field at or above h_v (the significance is taken there)."""
-    if trials < min_trials:
-        raise InputError(f"need at least {min_trials} trials, got {trials}")
+    than :data:`MIN_TRIALS` trials, fewer than 3 fields (a delta curve
+    needs 3) or no field at or above h_v (the significance is taken there)."""
+    if trials < MIN_TRIALS:
+        raise InputError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if len(plan.fields) < 3:
         raise InputError(f"a study needs at least 3 fields for its delta curves, "
                          f"got {len(plan.fields)}")
@@ -123,12 +125,12 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
 
 
 def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
-                    plan: SweepPlan, trials: int, *, window: int = 5,
-                    min_trials: int = 100) -> SensitivityReport:
+                    plan: SweepPlan, trials: int) -> SensitivityReport:
     """Full pipeline, ``trials`` times, each with its own substreams.
 
     Per trial this synthesizes the paired experiment, extracts delta
-    curves, and records (a) the per-field delta errors against the
+    curves with :func:`analysis.analyze_dataset` at its default 5-point
+    derivative window, and records (a) the per-field delta errors against the
     model truth, (b) the two-sided significance z = |weighted-mean
     shift| / SE over fields at or above h_v, and (c) the relative
     derivative contrast per field.  Trials with any failed fit are
@@ -139,11 +141,12 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     every trial, failed trials included, it also counts the successful
     fits by their accepted LM steps and the failed fits by reason.
 
-    A plan that cannot give a result raises :class:`InputError` before
-    any trial runs: fewer than 3 fields (a delta curve needs 3) or no
-    field at or above h_v (the significance is taken there).
+    A study that cannot give a result raises :class:`InputError` before
+    any trial runs: fewer than :data:`MIN_TRIALS` trials, fewer than 3
+    fields (a delta curve needs 3) or no field at or above h_v (the
+    significance is taken there).
     """
-    _check_study(params, plan, trials, min_trials)
+    _check_study(params, plan, trials)
     fields = np.array(plan.fields)
     t0 = time.perf_counter()
     truth = _sweep_setpoints(params, plan, cfg.base_temperature).deltas
@@ -158,7 +161,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     reasons: Counter[str] = Counter()
     for trial in range(trials):
         curves = run_paired_experiment(params, cfg, plan, substream_prefix=(trial,))
-        result = analyze_dataset(curves, window=window)
+        result = analyze_dataset(curves)
         lm_steps.extend(fit.iterations for *_, fit in result.fits)
         reasons.update(failure.reason for failure in result.failures)
         if result.failed_fits or result.film is None or result.cavity is None:
@@ -219,11 +222,12 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
 
 
 def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPlan,
-                    tolerance: float = 0.1, *,
-                    params: model.ModelParams | None = None, trials: int = 200) -> float:
+                    tolerance: float = 0.1, *, params: model.ModelParams,
+                    trials: int = 200) -> float:
     """Find the resistance noise that reproduces a target delta_n (mK).
 
-    A secant iteration on the Monte Carlo delta_n of the full pipeline.
+    A secant iteration on the Monte Carlo delta_n of the full pipeline,
+    ``trials`` trials per probe, for the model ``params``.
     The first probe is the closed-form prediction target / kappa, with
     kappa from :func:`delta_n_per_ohm`.  The next steps through the
     origin, i.e. proportionally: sigma_1 = sigma_0 * target /
@@ -237,8 +241,9 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     probe overshoots the target and the secant corrects it.
 
     A target that is not finite and positive, a tolerance outside
-    (0, 1), a study :func:`run_sensitivity` rejects (too few trials,
-    fewer than 3 fields, no field at or above h_v) and a plan whose
+    (0, 1), a study :func:`run_sensitivity` rejects (fewer than
+    :data:`MIN_TRIALS` trials, fewer than 3 fields, no field at or above
+    h_v) and a plan whose
     sweep does not resolve a transition raise :class:`InputError`
     before any study runs.
 
@@ -254,8 +259,6 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         raise InputError(f"target delta_n must be finite and > 0, got {target_delta_n}")
     if not (0 < tolerance < 1):  # also rejects NaN
         raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
-    if params is None:
-        params = model.calibrate_defaults()
     _check_study(params, plan, trials)
 
     probes: list[tuple[float, float, int]] = []

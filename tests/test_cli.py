@@ -27,11 +27,33 @@ def read_model_curves(path):
     return rows
 
 
+#: A config that sets every field of every section, and the seed, away
+#: from its default.
+EVERY_FIELD_CHANGED = {
+    "model": {"t_c": 1.45, "alpha": 3e-5, "delta_inf": 0.25, "h_v": 45.0,
+              "cond_scale": 1.1},
+    "instrument": {"base_temperature": 0.31, "normal_resistance": 9.0,
+                   "transition_width": 45.0, "resistance_noise": 0.06,
+                   "temperature_jitter": 0.01},
+    "plan": {"fields": [45.0, 80.0, 120.0, 160.0], "t_center_guess": 1.44,
+             "t_span": 0.35, "n_points": 150, "repetitions": 2},
+    "seed": 3,
+}
+
+
 class TestConfigSchema:
-    def test_defaults_round_trip(self):
-        config = default_run_config()
-        rebuilt = run_config_from_dict(run_config_to_dict(config))
-        assert rebuilt == config
+    @pytest.mark.parametrize("data", [{}, EVERY_FIELD_CHANGED],
+                             ids=["default", "every-field-changed"])
+    def test_defaults_round_trip(self, data):
+        config = run_config_from_dict(data)
+        serialized = run_config_to_dict(config)
+        assert "output_dir" not in serialized
+        assert run_config_from_dict(serialized) == config
+        if data:
+            default = run_config_to_dict(default_run_config())
+            for section in ("model", "instrument", "plan"):
+                for key, value in serialized[section].items():
+                    assert value != default[section][key], (section, key)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -103,7 +125,7 @@ class TestModelCurveCommand:
                      "--max-field", "5"]) == 2
         # a non-finite bound or step once escaped as OverflowError/ValueError
         for option, value in (("--max-field", "inf"), ("--step", "nan"),
-                              ("--step", "inf")):
+                              ("--step", "inf"), ("--step", "1e-300")):
             assert main(["model-curve", "--out", str(tmp_path), option, value]) == 2
 
 
@@ -212,6 +234,18 @@ class TestSimulateAnalyze:
         err = capsys.readouterr().err
         assert str(path) in err and f"{key}='x'" in err
 
+    @pytest.mark.parametrize("name, damage", [
+        ("curve_001_cavity_rep0.csv", lambda data: data + b"\xff"),
+        ("run.json", lambda data: b"{")], ids=["curve-not-utf8", "manifest-cut-short"])
+    def test_unreadable_file_exits_io_naming_it(self, tmp_path, capsys, name, damage):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        path = out / name
+        path.write_bytes(damage(path.read_bytes()))
+        capsys.readouterr()
+        assert main(["analyze", str(out / "run.json")]) == 4
+        assert str(path) in capsys.readouterr().err
+
     def test_step_function_curve_exits_fit_and_is_listed(self, tmp_path, capsys):
         from cavityshift.instrument import resistive_transition
 
@@ -309,9 +343,10 @@ class TestSensitivityCommand:
 
     @pytest.mark.parametrize("fields, message", [
         ("60,70", "at least 3 fields for its delta curves, got 2"),
-        ("10,20,30,40,45", "no field at or above h_v = 50 G")])
+        ("10,20,30,40,45", "no field at or above h_v = 50 G"),
+        (",", "field list is empty")])
     def test_plan_without_a_result_exits_config(self, tmp_path, capsys, fields, message):
-        # both once ran trials first: all 100 of them, then "every trial
+        # the first two once ran trials first: all 100 of them, then "every trial
         # failed its fits", or up to trial 0's significance step
         out = tmp_path / "sens"
         assert main(["sensitivity", "--fields", fields, "--trials", "100",

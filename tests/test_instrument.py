@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfinv
 
 from cavityshift import (DomainError, InputError, InstrumentConfig,
-                         measure_profile, noise_stream, transition_resistance)
-from cavityshift.instrument import ERF_WIDTH_FACTOR
+                         measure_profile, noise_stream)
+from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 
 
 @pytest.fixture
@@ -20,6 +20,11 @@ def cfg():
 @pytest.fixture
 def quiet():
     return InstrumentConfig(resistance_noise=0.0, temperature_jitter=0.0)
+
+
+def noiseless_resistance(cfg, t, t_star):
+    """Noiseless resistance of the transition ``cfg`` describes."""
+    return resistive_transition(t, t_star, cfg.transition_width, cfg.normal_resistance)
 
 
 class TestConfig:
@@ -51,30 +56,32 @@ class TestTransitionShape:
         assert ERF_WIDTH_FACTOR == pytest.approx(2 * float(erfinv(0.8)), rel=1e-15)
 
     def test_midpoint_exact(self, cfg):
-        assert transition_resistance(cfg, 1.5, 1.5) == 5.0
+        assert noiseless_resistance(cfg, 1.5, 1.5) == 5.0
 
     def test_ten_ninety_width(self, cfg):
         w = cfg.transition_width * 1e-3
-        assert transition_resistance(cfg, 1.5 - w / 2, 1.5) == pytest.approx(1.0, rel=1e-12)
-        assert transition_resistance(cfg, 1.5 + w / 2, 1.5) == pytest.approx(9.0, rel=1e-12)
+        assert noiseless_resistance(cfg, 1.5 - w / 2, 1.5) == pytest.approx(1.0, rel=1e-12)
+        assert noiseless_resistance(cfg, 1.5 + w / 2, 1.5) == pytest.approx(9.0, rel=1e-12)
 
     def test_deep_superconducting_tail(self, cfg):
         w = cfg.transition_width * 1e-3
-        assert transition_resistance(cfg, 1.5 - 5 * w, 1.5) < 1e-3 * cfg.normal_resistance
+        assert noiseless_resistance(cfg, 1.5 - 5 * w, 1.5) < 1e-3 * cfg.normal_resistance
 
     def test_above_ninety_percent_band(self, cfg):
         w = cfg.transition_width * 1e-3
-        r = transition_resistance(cfg, 1.5 + w, 1.5)
+        r = noiseless_resistance(cfg, 1.5 + w, 1.5)
         assert 0.9 * cfg.normal_resistance <= r <= cfg.normal_resistance
 
     def test_monotone(self, cfg):
         t = np.linspace(1.2, 1.8, 500)
-        r = transition_resistance(cfg, t, 1.5)
+        r = noiseless_resistance(cfg, t, 1.5)
         assert np.all(np.diff(r) >= 0.0)
 
-    def test_nonpositive_temperature_rejected(self, cfg):
-        with pytest.raises(DomainError):
-            transition_resistance(cfg, 0.0, 1.5)
+    def test_nonpositive_temperature_rejected(self):
+        # the floor keeps every setpoint above 0 K; 10 K of jitter does not
+        wild = InstrumentConfig(temperature_jitter=1e4, seed=3)
+        with pytest.raises(DomainError, match="temperature must be > 0"):
+            measure_profile(wild, np.full(100, 1.5), 1.5, noise_stream(wild.seed, 0))
 
 
 # key elements of one, two and three 32-bit words, with 0 and the word edges
@@ -104,7 +111,7 @@ class TestNoise:
     def test_noiseless_reduces_to_transition(self, quiet):
         rng = noise_stream(quiet.seed, 0)
         value = measure_profile(quiet, np.array([1.5]), 1.5, rng)
-        assert value[0] == transition_resistance(quiet, 1.5, 1.5)
+        assert value[0] == noiseless_resistance(quiet, 1.5, 1.5)
 
     def test_same_substream_bit_identical(self, cfg):
         t = np.linspace(1.4, 1.6, 20)
@@ -128,7 +135,7 @@ class TestNoise:
         t = np.linspace(1.3, 1.7, 100)
         rng = noise_stream(quiet.seed, 0)
         profile = measure_profile(quiet, t, 1.5, rng)
-        assert np.array_equal(profile, transition_resistance(quiet, t, 1.5))
+        assert np.array_equal(profile, noiseless_resistance(quiet, t, 1.5))
 
     def test_profile_deterministic(self, cfg):
         t = np.linspace(1.3, 1.7, 100)

@@ -10,8 +10,8 @@ from cavityshift import (InputError, InstrumentConfig, SweepPlan,
                          acquire_curve, calibrate_defaults, cavity_delta,
                          film_delta, plan_sweep, read_run,
                          run_paired_experiment, write_run)
-from cavityshift.protocol import (TransitionCurve, read_curve_csv,
-                                  temperature_grid, write_curve_csv)
+from cavityshift.protocol import (TransitionCurve, curve_filename, read_curve_csv,
+                                  temperature_grid)
 
 
 @pytest.fixture(scope="module")
@@ -180,9 +180,8 @@ class TestRunFiles:
     def test_curve_csv_round_trip_bit_exact(self, params, noisy, tmp_path):
         plan = plan_sweep(params, noisy, [150.0])
         curve = acquire_curve(params, noisy, plan, 150.0, "cavity")
-        path = tmp_path / "curve.csv"
-        write_curve_csv(path, curve)
-        loaded = read_curve_csv(path)
+        write_run(tmp_path, [curve], {})
+        loaded = read_curve_csv(tmp_path / curve_filename(0, "cavity", 0))
         assert loaded.field == curve.field
         assert loaded.kind == curve.kind
         assert loaded.seed_path == curve.seed_path

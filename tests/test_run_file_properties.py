@@ -211,7 +211,8 @@ manifest_edits = st.one_of(
     st.tuples(st.just("entry"), st.tuples(st.integers(0, 10), st.none()), json_values),
     st.tuples(st.just("entry_key"), st.tuples(st.integers(0, 10), entry_keys),
               st.one_of(st.just(DROP), json_values,
-                        st.sampled_from(["run.json", "curve_001_film_rep0.csv"]))),
+                        st.sampled_from(["run.json", "curve_001_film_rep0.csv",
+                                         "curve\x00.csv"]))),
     st.tuples(st.just("whole"), st.none(), json_values),
 )
 
@@ -241,12 +242,27 @@ def mutate_manifest(manifest, changes):
     return manifest
 
 
+# bytes that are not UTF-8: a lone 0xff, a truncated two-byte sequence
+# and an encoded surrogate
+bad_bytes = st.tuples(st.integers(0, 10**6),
+                      st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(manifest_changes=st.lists(manifest_edits, max_size=3),
        file_index=st.integers(0, 3), changes=st.lists(edits, max_size=3),
-       crlf=st.booleans())
+       crlf=st.booleans(), undecodable=st.none() | bad_bytes,
+       manifest_cut=st.none() | st.integers(0, 10**6))
+@example(manifest_changes=[], file_index=2, changes=[], crlf=False,
+         undecodable=(7787, b"\xff"), manifest_cut=None)
+@example(manifest_changes=[], file_index=0, changes=[], crlf=False, undecodable=None,
+         manifest_cut=1)
+@example(manifest_changes=[("entry_key", (1, "file"), "curve\x00.csv")], file_index=0,
+         changes=[], crlf=False, undecodable=None, manifest_cut=None)
 def test_only_input_or_os_errors_escape_read_run(run_text, manifest_changes, file_index,
-                                                 changes, crlf):
+                                                 changes, crlf, undecodable, manifest_cut):
+    """Also with undecodable bytes in a curve file and a manifest cut short
+    (``manifest_cut`` characters kept); those errors name the file."""
     names = sorted(n for n in run_text if n.endswith(".csv"))
     manifest = mutate_manifest(json.loads(run_text["run.json"]), manifest_changes)
     with tempfile.TemporaryDirectory() as tmp:
@@ -254,10 +270,21 @@ def test_only_input_or_os_errors_escape_read_run(run_text, manifest_changes, fil
         for name in names:
             (run / name).write_text(run_text[name])
         name = names[file_index]
-        (run / name).write_text(mutate(run_text[name], changes, crlf, True), newline="")
-        (run / "run.json").write_text(json.dumps(manifest))
+        data = mutate(run_text[name], changes, crlf, True).encode()
+        if undecodable is not None:
+            at = undecodable[0] % (len(data) + 1)
+            data = data[:at] + undecodable[1] + data[at:]
+        (run / name).write_bytes(data)
+        text = json.dumps(manifest)
+        (run / "run.json").write_text(text if manifest_cut is None
+                                      else text[:manifest_cut % len(text)])
         try:
             curves, _ = read_run(run / "run.json")
-        except (InputError, OSError):
+        except OSError:
+            return
+        except InputError as exc:
+            # a decoding or JSON error names the file it was read from
+            if "codec can't decode" in str(exc) or "(char " in str(exc):
+                assert str(run) in str(exc)
             return
     assert all(isinstance(curve, TransitionCurve) for curve in curves)

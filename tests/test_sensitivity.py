@@ -333,35 +333,39 @@ class TestStandardErrors:
             np.std(msq, ddof=1) / 10 / (2 * report.delta_n), rel=1e-12)
         assert report.delta_n_se < 0.05 * report.delta_n
 
-    def test_single_trial_has_none(self, params, quiet):
+    def test_single_trial_has_none(self, params, quiet, monkeypatch):
+        monkeypatch.setattr(sensitivity, "MIN_TRIALS", 1)
         study_plan = plan_sweep(params, quiet, np.linspace(50, 250, 5))
-        report = run_sensitivity(params, quiet, study_plan, 1, min_trials=1)
+        report = run_sensitivity(params, quiet, study_plan, 1)
         assert math.isnan(report.delta_n_se) and math.isnan(report.detection_z_se)
 
 
 class TestContrastTable:
     """The per-field derivative contrast table of run_sensitivity."""
 
-    def test_noiseless_model_contrast_values(self, params, quiet):
+    def test_noiseless_model_contrast_values(self, params, quiet, monkeypatch):
+        monkeypatch.setattr(sensitivity, "MIN_TRIALS", 1)
         study_plan = plan_sweep(params, quiet, np.linspace(10, 250, 13))
-        report = run_sensitivity(params, quiet, study_plan, 1, min_trials=1)
+        report = run_sensitivity(params, quiet, study_plan, 1)
         idx_h_v = int(np.argmin(np.abs(report.contrast_fields - params.h_v)))
         assert report.contrast_fields[idx_h_v] == params.h_v
         assert report.contrast_model[idx_h_v] >= 0.20
         idx_high = int(np.argmin(np.abs(report.contrast_fields - 5 * params.h_v)))
         assert report.contrast_model[idx_high] <= 0.05
 
-    def test_degenerate_cavity_has_zero_contrast(self, params, quiet):
+    def test_degenerate_cavity_has_zero_contrast(self, params, quiet, monkeypatch):
+        monkeypatch.setattr(sensitivity, "MIN_TRIALS", 1)
         flat = ModelParams(t_c=params.t_c, alpha=params.alpha, delta_inf=0.0,
                            h_v=params.h_v)
         study_plan = plan_sweep(params, quiet, np.linspace(10, 250, 13))
-        report = run_sensitivity(flat, quiet, study_plan, 1, min_trials=1)
+        report = run_sensitivity(flat, quiet, study_plan, 1)
         assert np.all(report.contrast_model == 0.0)
         assert np.all(report.contrast_mean == 0.0)
 
-    def test_noisy_contrast_reported_with_sigma(self, params, reference):
+    def test_noisy_contrast_reported_with_sigma(self, params, reference, monkeypatch):
+        monkeypatch.setattr(sensitivity, "MIN_TRIALS", 50)
         study_plan = plan_sweep(params, reference, np.linspace(10, 250, 13))
-        report = run_sensitivity(params, reference, study_plan, 50, min_trials=50)
+        report = run_sensitivity(params, reference, study_plan, 50)
         assert report.failed_trials == 0
         assert np.all(report.contrast_sigma >= 0.0)
         idx = int(np.argmin(np.abs(report.contrast_fields - params.h_v)))
