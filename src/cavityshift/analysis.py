@@ -53,11 +53,6 @@ class DeltaCurve:
     t_c_sigma: float            # K
     t_c_source: str             # 'film-intercept' | 'cavity-intercept'
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.fields.tolist(), self.deltas.tolist(),
-                        self.sigmas.tolist()))
-
 
 @dataclass(frozen=True)
 class DifferenceCurve:
@@ -66,11 +61,6 @@ class DifferenceCurve:
     fields: np.ndarray
     values: np.ndarray          # mK
     sigmas: np.ndarray          # mK
-
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.fields.tolist(), self.values.tolist(),
-                        self.sigmas.tolist()))
 
 
 @dataclass(frozen=True)
@@ -161,6 +151,11 @@ _MAX_ITER = 100
 #: which an accepted step makes the next steps solve with the full
 #: Hessian J^T J + S instead of the Gauss-Newton J^T J.
 _NEWTON_SWITCH = 1e-3
+
+#: A step moves the width w within [w / this, w * this]: a bounded step
+#: (More, LNM 630, 1978) against run-off to a step-function width
+#: (Transtrum & Sethna, arXiv:1201.5885).
+_WIDTH_STEP_FACTOR = 4.0
 
 
 def _normal_matrices(gram: list[list[float]], width: float, r_n: float
@@ -259,8 +254,9 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     The fit converges when a proposed step changes no parameter by more
     than ``_XTOL`` (1e-10) relative, whether or not that step would lower
     the cost; the current point is then kept.  ``_MAX_ITER`` (100) bounds
-    the passes of the loop.  :class:`FitError`, with the iterations (accepted
-    steps), residual norm and last parameters attached, is raised when
+    the passes of the loop; a step changes the width by at most a factor
+    ``_WIDTH_STEP_FACTOR`` (4).  :class:`FitError`, with the iterations
+    (accepted steps), residual norm and last parameters attached, is raised when
     the loop ends without converging (pass limit, damping above 1e12, or
     damped normal equations that are not positive definite), when the
     fitted 10-90 width is below the largest temperature step (a step
@@ -331,7 +327,9 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
             step = _damped_step(jtj, grad, lam)
             if step is None:
                 break
-        p_new = [p[0] + step[0], max(p[1] + step[1], min_width), p[2] + step[2]]
+        width = min(max(p[1] + step[1], p[1] / _WIDTH_STEP_FACTOR),
+                    p[1] * _WIDTH_STEP_FACTOR)
+        p_new = [p[0] + step[0], max(width, min_width), p[2] + step[2]]
         if p_new[2] <= 0:
             p_new[2] = p[2]
         d0 = abs(p_new[0] - p[0]) / s0
@@ -628,7 +626,7 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
     (no convergence, or a resistance plateau missing) is recorded in
     ``failures``, not fatal; when the failures leave film and cavity on
     different fields, the difference and the derivative contrast are
-    skipped with a note.
+    skipped with a note, and so is a kind whose fits cover < 3 fields.
     """
     if not curves:
         raise InputError("dataset contains no curves")
@@ -649,13 +647,14 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
     for field, kind, _, fit in fits:
         by_kind[kind].append((field, fit))
 
-    def distinct_fields(kind: str) -> int:
-        return len({f for f, _ in by_kind[kind]})
+    n_fields = {kind: len({f for f, _ in pairs}) for kind, pairs in by_kind.items()}
+    notes += [f"{kind} fits cover {n} distinct field(s); a delta curve needs 3"
+              for kind, n in n_fields.items() if 0 < n < 3]
 
     film = cavity = None
-    if distinct_fields("film") >= 3:
+    if n_fields["film"] >= 3:
         film = build_delta_curve(by_kind["film"], "film")
-    if distinct_fields("cavity") >= 3:
+    if n_fields["cavity"] >= 3:
         if film is not None:
             cavity = build_delta_curve(by_kind["cavity"], "cavity",
                                        t_c=(film.t_c_estimate, film.t_c_sigma))

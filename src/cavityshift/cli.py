@@ -162,8 +162,7 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
         out / "model_curves.csv",
         ["field_gauss", "delta_film_mK", "delta_cavity_mK", "difference_mK",
          "ddelta_dH_film", "ddelta_dH_cavity"],
-        zip(*(column.tolist() for column in columns)),
-        comments=[f"cavity_energy_form={model.CAVITY_FORM_NOTE}"])
+        columns, comments=[f"cavity_energy_form={model.CAVITY_FORM_NOTE}"])
     print(f"wrote {path} ({fields.size} rows)")
     return EXIT_OK
 
@@ -239,19 +238,20 @@ def _write_analysis_files(result: AnalysisResult, out: Path, window: int,
         curve = getattr(result, kind)
         if curve is not None:
             write_csv(out / f"delta_curve_{kind}.csv",
-                      ["field_gauss", "delta_mK", "sigma_mK"], curve.points)
+                      ["field_gauss", "delta_mK", "sigma_mK"],
+                      (curve.fields, curve.deltas, curve.sigmas))
         deriv = getattr(result, f"{kind}_derivative")
         if deriv is not None:
             write_csv(out / f"derivative_{kind}.csv",
                       ["field_gauss", "ddelta_dH_mK_per_G", "sigma_mK_per_G",
                        "one_sided_window"],
-                      zip(deriv.fields.tolist(), deriv.slopes.tolist(),
-                          deriv.sigmas.tolist(),
-                          (int(v) for v in deriv.one_sided)))
+                      (deriv.fields, deriv.slopes, deriv.sigmas,
+                       deriv.one_sided.astype(int)))
     if result.difference is not None:
         write_csv(out / "difference.csv",
                   ["field_gauss", "difference_mK", "sigma_mK"],
-                  result.difference.points)
+                  (result.difference.fields, result.difference.values,
+                   result.difference.sigmas))
     write_json(out / "analysis.json", _analysis_payload(result, window, flags))
 
 
@@ -285,7 +285,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               "difference step skipped")
     else:
         missing = "cavity" if result.film is not None else "film"
-        print(f"warning: no {missing} curves; difference step skipped")
+        reason = next((note for note in result.notes
+                       if note.startswith(f"{missing} fits cover")),
+                      f"no {missing} curves")
+        print(f"warning: {reason}; difference step skipped")
     print(f"wrote analysis files to {out}")
     return EXIT_OK
 
@@ -329,8 +332,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     write_json(out / "sensitivity.json", payload)
     write_csv(out / "contrast.csv",
               ["field_gauss", "contrast_mean", "contrast_sigma", "model_contrast"],
-              zip(report.contrast_fields.tolist(), report.contrast_mean.tolist(),
-                  report.contrast_sigma.tolist(), report.contrast_model.tolist()))
+              (report.contrast_fields, report.contrast_mean, report.contrast_sigma,
+               report.contrast_model))
     if report.valid:
         note = ""
     else:

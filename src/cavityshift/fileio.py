@@ -36,11 +36,18 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: str | Path, header: list[str], rows, comments: list[str] = ()) -> Path:
-    """CSV with optional '#'-prefixed comment lines, full float precision."""
+def csv_text(header: list[str], columns, comments: list[str] = ()) -> str:
+    """``# ``-prefixed comment lines, the header and one row per index of
+    the columns (arrays via ``.tolist()``), each value as ``str``: for a
+    float that is :func:`fmt`'s text, and a string passes unchanged."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    # float.__repr__ is fmt's text for a float or a float subclass
-    lines += [",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row])
-              for row in rows]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+    lines += map(",".join, zip(*(map(str, c) for c in columns), strict=True))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str | Path, header: list[str], columns,
+              comments: list[str] = ()) -> Path:
+    """Write :func:`csv_text` of a table."""
+    return atomic_write_text(path, csv_text(header, columns, comments))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import model
 from .errors import InputError
-from .fileio import atomic_write_text, fmt, write_json
+from .fileio import atomic_write_text, csv_text, fmt, write_json
 from .instrument import InstrumentConfig, measure_profile, noise_stream
 
 FORMAT_VERSION = "1"
@@ -53,6 +53,9 @@ class SweepPlan:
             raise InputError(f"fields must be finite and nonnegative, got {self.fields}")
         if any(b <= a for a, b in zip(self.fields, self.fields[1:])):
             raise InputError("fields must be strictly increasing")
+        for name in ("n_points", "repetitions"):
+            if type(getattr(self, name)) is not int:  # also refuses bool
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_points < 20:
             raise InputError(f"n_points must be >= 20, got {self.n_points}")
         if not (-math.inf < self.t_center_guess < math.inf):
@@ -205,24 +208,6 @@ def curve_filename(index: int, kind: str, repetition: int) -> str:
     return f"curve_{index:03d}_{kind}_rep{repetition}.csv"
 
 
-def _curve_text(curve: TransitionCurve, temperature_text: list[str]) -> str:
-    """A curve file's text, given ``repr`` of each of its temperatures (the
-    same text as :func:`fmt`, which every curve of a plan can share)."""
-    lines = [
-        f"# format_version={FORMAT_VERSION}",
-        f"# field_gauss={fmt(curve.field)}",
-        f"# kind={curve.kind}",
-        f"# repetition={curve.repetition}",
-        f"# seed_path={curve.seed_path}",
-        f"# flags={';'.join(curve.flags)}",
-    ]
-    if curve.oracle_t_star is not None:
-        lines.append(f"# oracle_t_star_K={fmt(curve.oracle_t_star)}")
-    lines.append(CSV_COLUMNS)
-    lines += [f"{t},{r!r}" for t, r in zip(temperature_text, curve.resistances.tolist())]
-    return "\n".join(lines) + "\n"
-
-
 def _scan_lines(path: str | Path, lines) -> tuple[dict[str, str], list[float], list[float]]:
     """The accepted syntax of a curve file, line by line: blank lines and
     column-header lines are skipped, ``# key=value`` lines are metadata and
@@ -330,10 +315,15 @@ def write_run(out_dir: str | Path, curves: list[TransitionCurve],
         name = curve_filename(field_order.index(curve.field), curve.kind,
                               curve.repetition)
         key = curve.temperatures.tobytes()
-        column = temperature_text.get(key)
-        if column is None:
-            column = temperature_text[key] = list(map(repr, curve.temperatures.tolist()))
-        atomic_write_text(out_dir / name, _curve_text(curve, column))
+        if key not in temperature_text:
+            temperature_text[key] = list(map(repr, curve.temperatures.tolist()))
+        meta = [f"format_version={FORMAT_VERSION}", f"field_gauss={fmt(curve.field)}",
+                f"kind={curve.kind}", f"repetition={curve.repetition}",
+                f"seed_path={curve.seed_path}", f"flags={';'.join(curve.flags)}"]
+        if curve.oracle_t_star is not None:
+            meta.append(f"oracle_t_star_K={fmt(curve.oracle_t_star)}")
+        atomic_write_text(out_dir / name, csv_text(
+            CSV_COLUMNS.split(","), (temperature_text[key], curve.resistances), meta))
         entries.append({
             "file": name,
             "field_gauss": curve.field,

@@ -284,6 +284,22 @@ class TestSimulateAnalyze:
         assert (out / "delta_curve_film.csv").exists()
         assert not (out / "difference.csv").exists()
 
+    def test_two_field_dataset_reports_why_difference_skipped(self, tmp_path, capsys):
+        # all four fits succeed; the warning once read "no film curves"
+        # and analysis.json held no note
+        out = tmp_path / "two"
+        assert main(["simulate", "--out", str(out), "--fields", "50,100"]) == 0
+        assert main(["analyze", str(out / "run.json")]) == 0
+        captured = capsys.readouterr().out
+        assert ("warning: film fits cover 2 distinct field(s); a delta curve needs 3; "
+                "difference step skipped") in captured
+        payload = json.loads((out / "analysis.json").read_text())
+        assert len(payload["fits"]) == 4
+        assert payload["notes"] == [
+            f"{kind} fits cover 2 distinct field(s); a delta curve needs 3"
+            for kind in ("film", "cavity")]
+        assert not list(out.glob("delta_curve_*.csv"))
+
     def test_unpaired_fields_skip_difference(self, tmp_path, capsys):
         out = tmp_path / "unpaired"
         assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
@@ -312,6 +328,21 @@ class TestSimulateAnalyze:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sensitivity"])
+    @pytest.mark.parametrize("key, value", [("n_points", 200.0), ("repetitions", 1.5),
+                                            ("repetitions", True)])
+    def test_non_integer_plan_size_exits_config(self, tmp_path, capsys, command,
+                                                key, value):
+        # a float size once escaped np.linspace or range as TypeError (exit
+        # 1), and true was read as one repetition
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {key: value}}))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"{key} must be an integer" in err
         assert not out.exists()
 
 

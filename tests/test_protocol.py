@@ -70,6 +70,13 @@ class TestPlan:
                 SweepPlan(fields=(10.0,), t_center_guess=value, t_span=0.4)
             with pytest.raises(InputError, match="t_span"):
                 SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=value)
+        # np.linspace and range once raised TypeError on a float size, and
+        # True was read as 1
+        for key in ("n_points", "repetitions"):
+            for value in (200.0, 1.5, True, "200", None):
+                with pytest.raises(InputError, match=f"{key} must be an integer"):
+                    SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=0.4,
+                              **{key: value})
 
     def test_plan_covers_all_transitions(self, params, quiet):
         plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0])

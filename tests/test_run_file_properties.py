@@ -1,11 +1,16 @@
 """Property tests of the run-file reader on mutated curve files and
-manifests.
+manifests, and of the table writer on arbitrary columns.
 
 ``read_curve_csv`` parses a curve's data block in one piece and leaves
 any block that does not parse cleanly to its line loop.  The line-loop
 reader it replaced is kept below, verbatim, as the oracle: on every
 mutated file both must accept with bit-identical arrays and metadata, or
 both must reject with the same message.
+
+``fileio.csv_text`` writes every table column by column.  The two
+row-wise formatters it replaced, one for curve files and one for every
+other table, are kept below, verbatim, as oracles: both must give the
+same text on every input.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cavityshift import (InputError, InstrumentConfig, calibrate_defaults, plan_sweep,
                          read_run, run_paired_experiment, write_run)
-from cavityshift.protocol import CSV_COLUMNS, TransitionCurve, read_curve_csv
+from cavityshift.fileio import csv_text, fmt
+from cavityshift.protocol import (CSV_COLUMNS, FORMAT_VERSION, TransitionCurve,
+                                  read_curve_csv)
 
 
 def oracle_read_curve_csv(path: str | Path) -> TransitionCurve:
@@ -288,3 +295,94 @@ def test_only_input_or_os_errors_escape_read_run(run_text, manifest_changes, fil
                 assert str(run) in str(exc)
             return
     assert all(isinstance(curve, TransitionCurve) for curve in curves)
+
+
+# -- table text ---------------------------------------------------------------
+
+def oracle_curve_text(curve: TransitionCurve, temperature_text: list[str]) -> str:
+    """A curve file's text, given ``repr`` of each of its temperatures (the
+    same text as :func:`fmt`, which every curve of a plan can share)."""
+    lines = [
+        f"# format_version={FORMAT_VERSION}",
+        f"# field_gauss={fmt(curve.field)}",
+        f"# kind={curve.kind}",
+        f"# repetition={curve.repetition}",
+        f"# seed_path={curve.seed_path}",
+        f"# flags={';'.join(curve.flags)}",
+    ]
+    if curve.oracle_t_star is not None:
+        lines.append(f"# oracle_t_star_K={fmt(curve.oracle_t_star)}")
+    lines.append(CSV_COLUMNS)
+    lines += [f"{t},{r!r}" for t, r in zip(temperature_text, curve.resistances.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_write_csv_text(header: list[str], rows, comments: list[str] = ()) -> str:
+    """CSV with optional '#'-prefixed comment lines, full float precision.
+
+    (The row-wise ``write_csv`` formatter, returning the text it wrote.)"""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    # float.__repr__ is fmt's text for a float or a float subclass
+    lines += [",".join([float.__repr__(v) if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+table_floats = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4, 0.1, 1e22, math.nan, -math.inf]))
+texts = st.text(st.characters(blacklist_characters="\n,"), max_size=8)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns, comments): columns of floats, ints or strings,
+    each a list or an array."""
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "str"]),
+                              min_size=1, max_size=6)):
+        if kind == "str":
+            columns.append(draw(st.lists(st.one_of(texts, table_floats.map(repr)),
+                                         min_size=n_rows, max_size=n_rows)))
+            continue
+        values = draw(st.lists(table_floats if kind == "float"
+                               else st.integers(-2 ** 63, 2 ** 63 - 1),
+                               min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(values, dtype=kind) if draw(st.booleans()) else values)
+    header = draw(st.lists(texts, min_size=len(columns), max_size=len(columns)))
+    return header, columns, draw(st.lists(texts, max_size=3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(table=tables())
+@example(table=(["x", "flag"], [np.array([-0.0, 5e-324, 1e16, 1e-5, math.nan]),
+                                np.array([True, False, True, False, True]).astype(int)],
+                ["note=1"]))
+def test_csv_text_matches_row_wise_writer(table):
+    header, columns, comments = table
+    assert csv_text(header, columns, comments) == oracle_write_csv_text(
+        header, zip(*columns), comments)
+
+
+@settings(deadline=None, max_examples=100)
+@given(n=st.integers(0, 8), data=st.data(), field=st.floats(0, 1e3),
+       kind=st.sampled_from(["film", "cavity"]), repetition=st.integers(0, 99),
+       seed_path=texts,
+       flags=st.lists(st.sampled_from(["clamped:0", "midpoint-outside-central-80pct"]),
+                      max_size=2),
+       oracle_t_star=st.none() | st.floats(1.0, 2.0))
+def test_curve_file_matches_row_wise_writer(n, data, field, kind, repetition,
+                                            seed_path, flags, oracle_t_star):
+    steps = data.draw(st.lists(st.floats(1e-9, 1e-2), min_size=n, max_size=n))
+    temperatures = 1.3 + np.cumsum(steps)
+    resistances = np.array(data.draw(st.lists(table_floats, min_size=n, max_size=n)))
+    curve = TransitionCurve(field=field, kind=kind, temperatures=temperatures,
+                            resistances=resistances, repetition=repetition,
+                            seed_path=seed_path, flags=tuple(flags),
+                            oracle_t_star=oracle_t_star)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_run(tmp, [curve], {})
+        (path,) = Path(tmp).glob("curve_*.csv")
+        text = path.read_bytes().decode()
+    assert text == oracle_curve_text(curve, list(map(repr, temperatures.tolist())))
