@@ -379,8 +379,8 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
 # --- delta curves -----------------------------------------------------------
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
-                       sigma: np.ndarray) -> tuple[float, float, float, float]:
-    """Weighted LS of y = a + b x; returns (a, b, sigma_a, sigma_b).
+                       sigma: np.ndarray) -> tuple[float, float]:
+    """Weighted LS of y = a + b x; returns the intercept a and sigma_a.
 
     Uses 1/sigma^2 weights with absolute covariance when every sigma is
     meaningful, otherwise equal weights with residual-scaled covariance
@@ -399,14 +399,10 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
     a = (swxx * swy - swx * swxy) / det
     b = (sw * swxy - swx * swy) / det
     var_a = swxx / det
-    var_b = sw / det
     if not weighted:
         resid = y - a - b * x
-        dof = max(x.size - 2, 1)
-        s2 = float(resid @ resid) / dof
-        var_a *= s2
-        var_b *= s2
-    return a, b, math.sqrt(max(var_a, 0.0)), math.sqrt(max(var_b, 0.0))
+        var_a *= float(resid @ resid) / max(x.size - 2, 1)
+    return a, math.sqrt(max(var_a, 0.0))
 
 
 def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -449,7 +445,7 @@ def build_delta_curve(fits, kind: str,
     if fields.size < 3:
         raise InputError(f"need fits at >= 3 distinct fields, got {fields.size}")
     if t_c is None:
-        tc_value, _, tc_sigma, _ = _weighted_line_fit(fields ** 2, t_star, sigma)
+        tc_value, tc_sigma = _weighted_line_fit(fields ** 2, t_star, sigma)
         source = f"{kind}-intercept"
     else:
         tc_value, tc_sigma = float(t_c[0]), float(t_c[1])
@@ -540,6 +536,10 @@ def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
 #: count as converged.
 CONVERGENCE_THRESHOLD = 0.05
 
+#: Points per window of the delta-curve derivative: the 5-point
+#: first-derivative Savitzky-Golay filter.
+DERIVATIVE_WINDOW = 5
+
 
 def relative_slope_difference(film: np.ndarray, cavity: np.ndarray) -> np.ndarray:
     """(film - cavity) / film per field: 0 where the slopes are equal, NaN
@@ -617,13 +617,14 @@ class AnalysisResult:
         return len(self.failures)
 
 
-def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisResult:
+def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     """Run the full extraction pipeline on a list of curves.
 
     Fits every curve, builds per-kind delta curves (cavity shares the
     film Tc when both kinds are present), then difference and
-    derivative views where the grids allow it.  A curve whose fit fails
-    (no convergence, or a resistance plateau missing) is recorded in
+    derivative views (:data:`DERIVATIVE_WINDOW` points per window)
+    where the grids allow it.  A curve whose fit fails (no convergence,
+    or a resistance plateau missing) is recorded in
     ``failures``, not fatal; when the failures leave film and cavity on
     different fields, the difference and the derivative contrast are
     skipped with a note, and so is a kind whose fits cover < 3 fields.
@@ -675,10 +676,10 @@ def analyze_dataset(curves: list[TransitionCurve], window: int = 5) -> AnalysisR
                          "difference and derivative contrast skipped")
 
     film_deriv = cavity_deriv = convergence = None
-    if film is not None and film.fields.size >= window:
-        film_deriv = derivative_curve(film, window)
-    if cavity is not None and cavity.fields.size >= window:
-        cavity_deriv = derivative_curve(cavity, window)
+    if film is not None and film.fields.size >= DERIVATIVE_WINDOW:
+        film_deriv = derivative_curve(film, DERIVATIVE_WINDOW)
+    if cavity is not None and cavity.fields.size >= DERIVATIVE_WINDOW:
+        cavity_deriv = derivative_curve(cavity, DERIVATIVE_WINDOW)
     if difference is not None and film_deriv is not None and cavity_deriv is not None:
         convergence = linearity_and_convergence_report(film_deriv, cavity_deriv)
 

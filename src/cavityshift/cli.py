@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, model
-from .analysis import CONVERGENCE_THRESHOLD, AnalysisResult, analyze_dataset
+from .analysis import (CONVERGENCE_THRESHOLD, DERIVATIVE_WINDOW, AnalysisResult,
+                       analyze_dataset)
 from .config import (RunConfig, default_run_config, load_run_config,
                      run_config_to_dict)
-from .errors import (CalibrationError, CavityShiftError, ConfigError,
-                     FitError, InputError)
+from .errors import CalibrationError, CavityShiftError, ConfigError, InputError
 from .fileio import write_csv, write_json
 from .protocol import plan_sweep, read_run, run_paired_experiment, write_run
 from .sensitivity import calibrate_noise, delta_n_per_ohm, run_sensitivity
@@ -50,13 +50,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed_type(text: str) -> int:
-    value = int(text)
-    if not (0 <= value < 2 ** 64):
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
-    return value
-
-
 def _fields_type(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -75,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, default=None,
                        help="JSON run configuration (defaults used if omitted)")
-        p.add_argument("--seed", type=_seed_type, default=None,
+        p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: from config)")
@@ -97,19 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", type=Path, help="run.json of a simulated dataset")
     p.add_argument("--out", type=Path, default=None,
                    help="output directory (default: next to the manifest)")
-    p.add_argument("--window", type=_positive_int, default=5,
-                   help="derivative window in points (odd)")
 
     p = sub.add_parser("sensitivity", help="Monte Carlo sensitivity study")
     add_common(p)
     p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--fields", type=_fields_type, default=None)
-    p.add_argument("--noiseless", action="store_true")
     p.add_argument("--calibrate", action="store_true",
                    help="calibrate sigma_R to --target before the study")
     p.add_argument("--target", type=float, default=0.1,
                    help="calibration target delta_n in mK")
-    p.add_argument("--cal-trials", type=_positive_int, default=200)
     p.add_argument("--tolerance", type=float, default=0.1,
                    help="relative calibration tolerance")
 
@@ -146,7 +135,9 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
             and 0 < args.step < math.inf):  # also rejects NaN
         raise ConfigError("need finite 0 <= min-field <= max-field and step > 0")
     steps = (args.max_field - args.min_field) / args.step
-    n_rows = int(round(steps)) + 1 if steps < MAX_MODEL_ROWS else math.inf
+    # whole steps only, so no row lies past max-field; 1e-9 absorbs the
+    # rounding of a range that is a whole number of steps
+    n_rows = math.floor(steps + 1e-9) + 1 if steps < MAX_MODEL_ROWS else math.inf
     if n_rows > MAX_MODEL_ROWS:
         raise ConfigError(f"the field grid would have more than {MAX_MODEL_ROWS} "
                           "rows; raise --step or narrow the range")
@@ -179,7 +170,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis_payload(result: AnalysisResult, window: int,
+def _analysis_payload(result: AnalysisResult,
                       flags: dict[tuple[float, str, int], tuple[str, ...]]) -> dict:
     """The analysis.json document; ``flags`` maps (field, kind,
     repetition) to the flags of that curve."""
@@ -227,12 +218,12 @@ def _analysis_payload(result: AnalysisResult, window: int,
             "r2_cavity": None if np.isnan(rep.r2_cavity) else rep.r2_cavity,
             "convergence_field_gauss": rep.convergence_field,
             "threshold": CONVERGENCE_THRESHOLD,
-            "window": window,
+            "window": DERIVATIVE_WINDOW,
         }
     return payload
 
 
-def _write_analysis_files(result: AnalysisResult, out: Path, window: int,
+def _write_analysis_files(result: AnalysisResult, out: Path,
                           flags: dict[tuple[float, str, int], tuple[str, ...]]) -> None:
     for kind in ("film", "cavity"):
         curve = getattr(result, kind)
@@ -252,13 +243,10 @@ def _write_analysis_files(result: AnalysisResult, out: Path, window: int,
                   ["field_gauss", "difference_mK", "sigma_mK"],
                   (result.difference.fields, result.difference.values,
                    result.difference.sigmas))
-    write_json(out / "analysis.json", _analysis_payload(result, window, flags))
+    write_json(out / "analysis.json", _analysis_payload(result, flags))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if not args.manifest.exists():
-        print(f"error: manifest {args.manifest} not found", file=sys.stderr)
-        return EXIT_IO
     try:
         curves, _ = read_run(args.manifest)
     except (OSError, InputError) as exc:
@@ -267,10 +255,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not curves:
         print("error: dataset contains no curves", file=sys.stderr)
         return EXIT_IO
-    result = analyze_dataset(curves, window=args.window)
+    result = analyze_dataset(curves)
     out = Path(args.out) if args.out else args.manifest.parent
     flags = {(c.field, c.kind, c.repetition): c.flags for c in curves}
-    _write_analysis_files(result, out, args.window, flags)
+    _write_analysis_files(result, out, flags)
     total = len(result.fits) + result.failed_fits
     if result.failed_fits > FIT_FAILURE_THRESHOLD * total:
         print(f"error: {result.failed_fits}/{total} fits failed; the failures "
@@ -296,12 +284,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cfg = config.instrument
-    calibrated = None
     if args.calibrate:
-        calibrated = calibrate_noise(args.target, cfg, config.plan,
-                                     args.tolerance, params=config.model,
-                                     trials=args.cal_trials)
-        cfg = replace(cfg, resistance_noise=calibrated)
+        cfg = replace(cfg, resistance_noise=calibrate_noise(
+            args.target, cfg, config.plan, args.tolerance, params=config.model))
     report = run_sensitivity(config.model, cfg, config.plan, args.trials)
     out = Path(config.output_dir)
 
@@ -386,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
     except CalibrationError as exc:
         print(f"calibration error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION

@@ -1,10 +1,10 @@
 """Run configuration: the strict JSON schema binding model, instrument
 and plan together with one master seed.
 
-Every section is optional and falls back to the reference defaults;
-unknown keys anywhere are rejected.  The top-level ``seed`` is
-authoritative: it overwrites the instrument seed on load so a run is
-reproducible from the one number.
+Every section is optional and falls back to the reference defaults; a
+section must be a JSON object, and unknown keys anywhere are rejected.
+The top-level ``seed`` is authoritative: it overwrites the instrument
+seed on load so a run is reproducible from the one number.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ def run_config_from_dict(data: dict) -> RunConfig:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+    for name in ("model", "instrument", "plan"):
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"'{name}' section must be a JSON object, "
+                              f"got {type(section).__name__}")
 
     params = _build_section(model.ModelParams, data.get("model", {}), "model")
     instrument = _build_section(InstrumentConfig, data.get("instrument", {}),
@@ -96,10 +101,10 @@ def run_config_to_dict(config: RunConfig) -> dict:
 
 def load_run_config(path: str | Path) -> RunConfig:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     return run_config_from_dict(data)
 
 

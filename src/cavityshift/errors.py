@@ -33,9 +33,3 @@ class FitError(CavityShiftError, RuntimeError):
 
 class CalibrationError(CavityShiftError, RuntimeError):
     """Noise calibration could not reach its target."""
-
-    def __init__(self, message: str, *, achieved: float | None = None,
-                 target: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.target = target

@@ -94,10 +94,24 @@ class TestConfigSchema:
         assert config.plan.fields[-1] == pytest.approx(250.0)
         assert len(config.plan.fields) == 10
 
+    @pytest.mark.parametrize("section, value", [
+        ("plan", 5), ("plan", [1, 2]), ("plan", "ab"), ("plan", None),
+        ("instrument", 5), ("model", 3), ("model", None), ("model", "x")])
+    def test_section_not_an_object_rejected(self, section, value):
+        # these once escaped dict() or set() as TypeError/ValueError, and
+        # "x" was read as the unknown key 'x'
+        with pytest.raises(ConfigError, match=f"'{section}' section must be a "
+                                              f"JSON object, got {type(value).__name__}"):
+            run_config_from_dict({section: value})
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_run_config(path)
+        # a byte that is not UTF-8 once escaped as UnicodeDecodeError
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ConfigError, match="bad.json is not UTF-8 JSON"):
             load_run_config(path)
 
 
@@ -119,6 +133,13 @@ class TestModelCurveCommand:
         rows = read_model_curves(out / "model_curves.csv")
         assert list(rows) == [0.0]
         assert all(v == 0.0 for v in rows[0.0].values())
+
+    def test_grid_ends_at_the_last_whole_step(self, tmp_path):
+        # the row count was once rounded, so 1 G / 0.6 G wrote a row at 1.2 G
+        out = tmp_path / "partial"
+        assert main(["model-curve", "--out", str(out), "--max-field", "1",
+                     "--step", "0.6"]) == 0
+        assert list(read_model_curves(out / "model_curves.csv")) == [0.0, 0.6]
 
     def test_bad_range_exits_config(self, tmp_path):
         assert main(["model-curve", "--out", str(tmp_path), "--min-field", "10",
@@ -330,6 +351,23 @@ class TestSimulateAnalyze:
         assert err.startswith("config error") and key in err
         assert not out.exists()
 
+    def test_section_not_an_object_exits_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"plan": [1, 2]}')
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert ("config error: 'plan' section must be a JSON object, got list"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_u64_exits_config(self, tmp_path, capsys, seed):
+        out = tmp_path / "run"
+        assert main(["simulate", "--seed", seed, "--out", str(out)]) == 2
+        assert (f"input error: seed must be a 64-bit unsigned int, got {seed}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sensitivity"])
     @pytest.mark.parametrize("key, value", [("n_points", 200.0), ("repetitions", 1.5),
                                             ("repetitions", True)])
@@ -384,6 +422,18 @@ class TestSensitivityCommand:
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_calibrate_flag_probes_as_calibrate_does(self, tmp_path):
+        # sensitivity --calibrate calibrates at calibrate_noise's default of
+        # 200 trials, whatever --trials the study itself runs
+        sens, cal = tmp_path / "sens", tmp_path / "cal"
+        assert main(["sensitivity", "--calibrate", "--trials", "100", "--seed", "3",
+                     "--out", str(sens)]) == 0
+        assert main(["calibrate", "--trials", "200", "--seed", "3",
+                     "--out", str(cal)]) == 0
+        calibrated = json.loads((sens / "sensitivity.json").read_text())
+        assert calibrated["calibrated_sigma_r_ohm"] == json.loads(
+            (cal / "calibration.json").read_text())["sigma_r_ohm"]
 
     def test_zero_trials_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

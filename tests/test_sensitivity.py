@@ -70,6 +70,14 @@ class TestRunSensitivity:
         assert report.failed_trials == 0
         assert report.valid
 
+    def test_capped_significance_flagged(self, params, reference, plan):
+        # at 1e-7 ohm every trial's z = |mean| / se exceeds the cap; only a
+        # zero se once set z_capped
+        report = run_sensitivity(params, replace(reference, resistance_noise=1e-7),
+                                 plan, 100)
+        assert report.detection_z == Z_CAP
+        assert report.z_capped
+
     def test_reference_delta_n_near_target(self, params, reference, plan):
         report = run_sensitivity(params, reference, plan, 200)
         assert 0.09 <= report.delta_n <= 0.11
