@@ -9,6 +9,7 @@ substream path alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,21 +85,59 @@ def noise_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
+#: Values a grid's cached noiseless profiles may hold, 2 MiB of float64:
+#: 1310 transitions on a 200-point grid.  Past it a profile is computed
+#: afresh, so a caller sweeping t* across a grid cannot grow the cache.
+_PROFILE_VALUES_PER_GRID = 2 ** 18
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_profiles(grid: bytes, shape: tuple[int, ...], base_temperature: float,
+                   width_mk: float, r_n: float) -> dict[float, np.ndarray]:
+    """Read-only noiseless profiles on one float64 setpoint grid, by t*.
+
+    Keyed by the grid's content, so every curve of a plan shares one
+    dict, whose entries :func:`measure_profile` adds and never evicts.
+    """
+    return {}
+
+
+def _noiseless_profile(cfg: InstrumentConfig, t: np.ndarray, t_star: float) -> np.ndarray:
+    """The noiseless profile of ``t`` read at the floor, cached per finite t*."""
+    profiles = _grid_profiles(t.tobytes(), t.shape, cfg.base_temperature,
+                              cfg.transition_width, cfg.normal_resistance)
+    profile = profiles.get(t_star)
+    if profile is None:
+        profile = resistive_transition(np.maximum(t, cfg.base_temperature), t_star,
+                                       cfg.transition_width, cfg.normal_resistance)
+        profile.flags.writeable = False
+        if (math.isfinite(t_star)
+                and (len(profiles) + 1) * t.size <= _PROFILE_VALUES_PER_GRID):
+            profiles[t_star] = profile
+    return profile
+
+
 def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Vectorized sweep readout over a setpoint grid (K).
 
-    Draws the jitter block first, then the resistance-noise block, so a
-    whole curve costs two generator calls and stays deterministic per
-    substream.  Setpoints below the cryostat floor read at the floor; a
-    jittered temperature at or below 0 K raises :class:`DomainError`.
+    One generator call draws 2n standard normals: the jitter block
+    first, then the resistance-noise block, so a curve stays
+    deterministic per substream.  Setpoints below the cryostat floor
+    read at the floor; a jittered temperature at or below 0 K raises
+    :class:`DomainError`.  Without jitter the noiseless profile comes
+    from a cache shared by every curve on the same grid and transition,
+    and only the noise is added to it.
     """
-    t = np.maximum(np.asarray(t_setpoints, dtype=float), cfg.base_temperature)
-    jitter_k = rng.normal(0.0, cfg.temperature_jitter, t.shape) * 1e-3
-    noise = rng.normal(0.0, cfg.resistance_noise, t.shape)
-    t += jitter_k  # t is a fresh array from np.maximum
+    t = np.asarray(t_setpoints, dtype=float)
+    z = rng.standard_normal(2 * t.size).reshape((2, *t.shape))
+    if cfg.temperature_jitter == 0:
+        # a zero jitter adds +0.0 to every setpoint, which changes none
+        return _noiseless_profile(cfg, t, t_star) + cfg.resistance_noise * z[1]
+    t = np.maximum(t, cfg.base_temperature)
+    t += cfg.temperature_jitter * z[0] * 1e-3
     if (t <= 0).any():
         raise DomainError("temperature must be > 0")
     r = resistive_transition(t, t_star, cfg.transition_width, cfg.normal_resistance)
-    r += noise
+    r += cfg.resistance_noise * z[1]
     return r

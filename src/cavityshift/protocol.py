@@ -64,6 +64,11 @@ class SweepPlan:
             raise InputError(f"t_span must be finite and > 0, got {self.t_span}")
         if self.repetitions < 1:
             raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not (np.diff(temperature_grid(self)) > 0).all():
+            raise InputError(
+                f"the temperature grid collapses: t_span={self.t_span!r} K around "
+                f"t_center_guess={self.t_center_guess!r} K is too narrow for "
+                f"n_points={self.n_points} strictly increasing temperatures")
 
 
 @dataclass

@@ -383,6 +383,22 @@ class TestSimulateAnalyze:
         assert err.startswith("config error") and f"{key} must be an integer" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["model-curve", "simulate", "sensitivity",
+                                         "calibrate"])
+    @pytest.mark.parametrize("section", [{"plan": {"t_span": 1e-300, "t_center_guess": 1.4}},
+                                         {"instrument": {"transition_width": 1e-300}}])
+    def test_collapsed_temperature_grid_exits_config(self, tmp_path, capsys, command,
+                                                     section):
+        # such a plan once failed in the first curve (simulate, sensitivity),
+        # in the first fit (calibrate) or not at all (model-curve)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(section))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "temperature grid collapses" in err
+        assert not out.exists()
+
 
 class TestSensitivityCommand:
     def test_small_study_writes_report(self, tmp_path):

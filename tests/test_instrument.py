@@ -9,6 +9,7 @@ from scipy.special import erfinv
 
 from cavityshift import (DomainError, InputError, InstrumentConfig,
                          measure_profile, noise_stream)
+from cavityshift import instrument
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 
 
@@ -148,3 +149,83 @@ class TestNoise:
         at_base = measure_profile(quiet, np.array([quiet.base_temperature]), 0.30,
                                   noise_stream(quiet.seed, 0))
         assert low[0] == at_base[0]
+
+
+def two_draw_measure_profile(cfg, t_setpoints, t_star, rng):
+    """The readout as it was before the single draw and the profile cache:
+    one ``normal`` call per noise block, the erf evaluated every call."""
+    t = np.maximum(np.asarray(t_setpoints, dtype=float), cfg.base_temperature)
+    jitter_k = rng.normal(0.0, cfg.temperature_jitter, t.shape) * 1e-3
+    noise = rng.normal(0.0, cfg.resistance_noise, t.shape)
+    t += jitter_k
+    if (t <= 0).any():
+        raise DomainError("temperature must be > 0")
+    r = resistive_transition(t, t_star, cfg.transition_width, cfg.normal_resistance)
+    r += noise
+    return r
+
+
+def assert_bit_identical(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# a plan-like grid, one reaching below the 0.3 K floor, and a 2-D grid
+READOUT_GRIDS = {
+    "plan": np.linspace(1.3, 1.7, 200),
+    "below-floor": np.linspace(0.1, 0.5, 50),
+    "2-D": np.linspace(1.4, 1.6, 60).reshape(3, 20),
+}
+
+
+class TestSingleDrawReadout:
+    @pytest.mark.parametrize("grid", READOUT_GRIDS.values(), ids=READOUT_GRIDS.keys())
+    @pytest.mark.parametrize("jitter", [0.0, 2.0, 0.7])
+    @pytest.mark.parametrize("sigma_r", [0.0, 0.0751])
+    @pytest.mark.parametrize("t_star", [0.32, 1.5])
+    def test_bit_identical_to_two_draws(self, grid, jitter, sigma_r, t_star):
+        cfg = InstrumentConfig(resistance_noise=sigma_r, temperature_jitter=jitter)
+        instrument._grid_profiles.cache_clear()
+        # the first call computes the profile, the repeats read the cache; the
+        # shifted grid has the same shape but must get its own profile
+        for setpoints, path in ((grid, 0), (grid, 0), (grid + 1e-3, 0), (grid, 1)):
+            expected = two_draw_measure_profile(cfg, setpoints, t_star,
+                                                noise_stream(cfg.seed, path))
+            actual = measure_profile(cfg, setpoints, t_star, noise_stream(cfg.seed, path))
+            assert_bit_identical(actual, expected)
+
+    def test_returned_array_is_fresh(self, quiet):
+        t = np.linspace(1.3, 1.7, 200)
+        first = measure_profile(quiet, t, 1.5, noise_stream(quiet.seed, 0))
+        assert first.flags.writeable
+        first[:] = -1.0
+        second = measure_profile(quiet, t, 1.5, noise_stream(quiet.seed, 0))
+        assert_bit_identical(second, noiseless_resistance(quiet, t, 1.5))
+
+    def test_non_finite_t_star_not_cached(self, cfg):
+        t = np.linspace(1.3, 1.7, 200)
+        instrument._grid_profiles.cache_clear()
+        measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 0))
+        profiles = instrument._grid_profiles(t.tobytes(), t.shape, cfg.base_temperature,
+                                             cfg.transition_width, cfg.normal_resistance)
+        assert len(profiles) == 1
+        for t_star in (math.nan, math.inf):
+            expected = two_draw_measure_profile(cfg, t, t_star, noise_stream(cfg.seed, 0))
+            actual = measure_profile(cfg, t, t_star, noise_stream(cfg.seed, 0))
+            assert_bit_identical(actual, expected)
+        assert len(profiles) == 1
+        assert instrument._grid_profiles.cache_info().currsize == 1
+        assert not profiles[1.5].flags.writeable
+
+    def test_full_grid_stops_caching(self, quiet, monkeypatch):
+        monkeypatch.setattr(instrument, "_PROFILE_VALUES_PER_GRID", 60)
+        t = np.linspace(1.3, 1.7, 20)
+        instrument._grid_profiles.cache_clear()
+        for t_star in (1.45, 1.5, 1.55, 1.6):
+            value = measure_profile(quiet, t, t_star, noise_stream(quiet.seed, 0))
+            assert_bit_identical(value, noiseless_resistance(quiet, t, t_star))
+        profiles = instrument._grid_profiles(t.tobytes(), t.shape, quiet.base_temperature,
+                                             quiet.transition_width,
+                                             quiet.normal_resistance)
+        assert sorted(profiles) == [1.45, 1.5, 1.55]

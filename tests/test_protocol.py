@@ -10,6 +10,7 @@ from cavityshift import (InputError, InstrumentConfig, SweepPlan,
                          acquire_curve, calibrate_defaults, cavity_delta,
                          film_delta, plan_sweep, read_run,
                          run_paired_experiment, write_run)
+from cavityshift import instrument
 from cavityshift.protocol import (TransitionCurve, curve_filename, read_curve_csv,
                                   temperature_grid)
 
@@ -304,3 +305,40 @@ class TestCurveValidation:
             TransitionCurve(field=10.0, kind="film",
                             temperatures=np.linspace(1, 2, 5),
                             resistances=np.zeros(4))
+
+
+class TestCollapsedGrid:
+    @pytest.mark.parametrize("center, span", [(1.4, 1e-300), (1e300, 1.0), (1.4, 1e-14)])
+    def test_plan_without_distinct_temperatures_rejected(self, center, span):
+        # such a plan once failed inside the first curve, or in a fit
+        with pytest.raises(InputError, match="t_span.*t_center_guess.*n_points"):
+            SweepPlan(fields=(10.0,), t_center_guess=center, t_span=span)
+
+    def test_derived_plan_of_a_sub_resolution_width_rejected(self, params):
+        narrow = InstrumentConfig(transition_width=1e-300)
+        with pytest.raises(InputError, match="temperature grid collapses"):
+            plan_sweep(params, narrow, [50.0])
+
+    def test_narrow_distinct_grid_accepted(self):
+        plan = SweepPlan(fields=(10.0,), t_center_guess=1.0, t_span=1e-12)
+        assert (np.diff(temperature_grid(plan)) > 0).all()
+
+
+class TestProfileCache:
+    def test_repeated_dataset_computes_no_transition(self, params, noisy, monkeypatch):
+        # a plan with hundreds of curves is served whole from the cache
+        plan = plan_sweep(params, noisy, np.linspace(50.0, 250.0, 150))
+        first = run_paired_experiment(params, noisy, plan)
+        calls = []
+        original = instrument.resistive_transition
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(instrument, "resistive_transition", counted)
+        second = run_paired_experiment(params, noisy, plan)
+        assert calls == []
+        assert len(second) == 300
+        for a, b in zip(first, second):
+            assert np.array_equal(a.resistances, b.resistances)

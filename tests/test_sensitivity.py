@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +12,7 @@ from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          calibrate_noise, cavity_delta, delta_n_per_ohm,
                          film_delta, plan_sweep, run_paired_experiment,
                          run_sensitivity, sensitivity, weighted_mean_difference)
+from cavityshift import SensitivityReport, instrument
 from cavityshift.sensitivity import Z_CAP
 
 REFERENCE_SIGMA_R = 0.0751
@@ -379,3 +380,20 @@ class TestContrastTable:
         model_value = report.contrast_model[idx]
         assert report.contrast_mean[idx] == pytest.approx(
             model_value, abs=4 * report.contrast_sigma[idx] / np.sqrt(50) + 0.05)
+
+
+class TestRepeatedStudy:
+    def test_cold_and_warm_profile_cache_give_equal_reports(self, params, reference,
+                                                            plan):
+        # the bench byte-compares its repeated in-process rounds
+        instrument._grid_profiles.cache_clear()
+        cold = run_sensitivity(params, reference, plan, 100)
+        warm = run_sensitivity(params, reference, plan, 100)
+        for item in fields(SensitivityReport):
+            if item.name == "runtime":
+                continue
+            a, b = getattr(cold, item.name), getattr(warm, item.name)
+            if isinstance(a, (float, np.ndarray)):
+                assert np.array_equal(a, b, equal_nan=True), item.name
+            else:
+                assert a == b, item.name
