@@ -37,7 +37,6 @@ class FitResult:
     width: float           # mK, 10%-90%
     r_n: float             # ohm
     residual_norm: float   # RMS residual / r_n
-    converged: bool
     iterations: int
 
 
@@ -372,7 +371,6 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
         width=abs(p[1]),
         r_n=p[2],
         residual_norm=float(math.sqrt(cost / n) / p[2]),
-        converged=True,
         iterations=iterations)
 
 

@@ -185,7 +185,7 @@ def _analysis_payload(result: AnalysisResult,
                 "t_star_K": fit.t_star, "sigma_t_star_K": fit.sigma_t_star,
                 "width_mK": fit.width, "r_n_ohm": fit.r_n,
                 "residual_norm": fit.residual_norm,
-                "converged": fit.converged, "iterations": fit.iterations,
+                "iterations": fit.iterations,
                 "flags": list(flags[field, kind, rep]),
             }
             for field, kind, rep, fit in result.fits

@@ -7,6 +7,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import InputError
+
 
 def fmt(value: float) -> str:
     """Full-precision, locale-independent float text (exact round trip)."""
@@ -14,7 +16,9 @@ def fmt(value: float) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write a file via temp-and-rename so readers never see partials."""
+    """Write a file via temp-and-rename so readers never see partials;
+    text that cannot be encoded (a lone surrogate, say) raises
+    :class:`InputError` naming the file and leaves nothing behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -22,11 +26,13 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, UnicodeEncodeError):
+            raise InputError(f"could not write {path}: {exc}") from None
         raise
     return path
 

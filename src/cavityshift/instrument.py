@@ -9,7 +9,6 @@ substream path alone.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -85,55 +84,24 @@ def noise_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
-#: Values a grid's cached noiseless profiles may hold, 2 MiB of float64:
-#: 1310 transitions on a 200-point grid.  Past it a profile is computed
-#: afresh, so a caller sweeping t* across a grid cannot grow the cache.
-_PROFILE_VALUES_PER_GRID = 2 ** 18
-
-
-@functools.lru_cache(maxsize=64)
-def _grid_profiles(grid: bytes, shape: tuple[int, ...], base_temperature: float,
-                   width_mk: float, r_n: float) -> dict[float, np.ndarray]:
-    """Read-only noiseless profiles on one float64 setpoint grid, by t*.
-
-    Keyed by the grid's content, so every curve of a plan shares one
-    dict, whose entries :func:`measure_profile` adds and never evicts.
-    """
-    return {}
-
-
-def _noiseless_profile(cfg: InstrumentConfig, t: np.ndarray, t_star: float) -> np.ndarray:
-    """The noiseless profile of ``t`` read at the floor, cached per finite t*."""
-    profiles = _grid_profiles(t.tobytes(), t.shape, cfg.base_temperature,
-                              cfg.transition_width, cfg.normal_resistance)
-    profile = profiles.get(t_star)
-    if profile is None:
-        profile = resistive_transition(np.maximum(t, cfg.base_temperature), t_star,
-                                       cfg.transition_width, cfg.normal_resistance)
-        profile.flags.writeable = False
-        if (math.isfinite(t_star)
-                and (len(profiles) + 1) * t.size <= _PROFILE_VALUES_PER_GRID):
-            profiles[t_star] = profile
-    return profile
-
-
 def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: float,
-                    rng: np.random.Generator) -> np.ndarray:
+                    profile: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized sweep readout over a setpoint grid (K).
 
-    One generator call draws 2n standard normals: the jitter block
-    first, then the resistance-noise block, so a curve stays
-    deterministic per substream.  Setpoints below the cryostat floor
-    read at the floor; a jittered temperature at or below 0 K raises
-    :class:`DomainError`.  Without jitter the noiseless profile comes
-    from a cache shared by every curve on the same grid and transition,
-    and only the noise is added to it.
+    ``profile`` is the noiseless readout of the transition at ``t_star``
+    on the setpoints read at the cryostat floor, which the caller keeps
+    (see :func:`protocol.plan_table`); without jitter only the noise is
+    added to it.  One generator call draws 2n standard normals: the
+    jitter block first, then the resistance-noise block, so a curve stays
+    deterministic per substream.  With jitter the readout is evaluated at
+    the jittered temperatures; a jittered temperature at or below 0 K
+    raises :class:`DomainError`.
     """
     t = np.asarray(t_setpoints, dtype=float)
     z = rng.standard_normal(2 * t.size).reshape((2, *t.shape))
     if cfg.temperature_jitter == 0:
         # a zero jitter adds +0.0 to every setpoint, which changes none
-        return _noiseless_profile(cfg, t, t_star) + cfg.resistance_noise * z[1]
+        return profile + cfg.resistance_noise * z[1]
     t = np.maximum(t, cfg.base_temperature)
     t += cfg.temperature_jitter * z[0] * 1e-3
     if (t <= 0).any():

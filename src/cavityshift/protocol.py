@@ -22,7 +22,8 @@ import numpy as np
 from . import model
 from .errors import InputError
 from .fileio import atomic_write_text, csv_text, fmt, write_json
-from .instrument import InstrumentConfig, measure_profile, noise_stream
+from .instrument import (InstrumentConfig, measure_profile, noise_stream,
+                         resistive_transition)
 
 FORMAT_VERSION = "1"
 
@@ -130,34 +131,41 @@ def temperature_grid(plan: SweepPlan) -> np.ndarray:
 
 
 class _PlanTable(NamedTuple):
-    """What every curve of one plan shares, at one cryostat floor and one
-    set of model parameters."""
+    """What every curve of one plan shares, for one set of model
+    parameters, cryostat floor, transition width and normal resistance."""
 
     setpoints: np.ndarray               # K, the read-only clamped grid
-    flags: tuple[str, ...]              # ``clamped:i`` per clamped setpoint
-    central_lo: float                   # K, bounds a midpoint must lie within
-    central_hi: float                   # to sit in the central part of the sweep
     deltas: dict[str, np.ndarray]       # mK per plan field, by kind (read-only)
     t_stars: dict[str, tuple[float, ...]]  # K per plan field, by kind
+    profiles: dict[str, np.ndarray]     # ohm, read-only noiseless R, (fields, setpoints)
+    flags: dict[str, tuple[tuple[str, ...], ...]]  # curve flags per plan field, by kind
 
 
 @functools.lru_cache(maxsize=64)
-def _sweep_setpoints(params: model.ModelParams, plan: SweepPlan,
-                     base_temperature: float) -> _PlanTable:
-    """The setpoints and true transitions of a plan, shared by all its curves."""
+def plan_table(params: model.ModelParams, plan: SweepPlan, base_temperature: float,
+               transition_width: float, normal_resistance: float) -> _PlanTable:
+    """The setpoints, true transitions, noiseless profiles and flags of a
+    plan, shared by all its curves; keyed by exactly the values it reads."""
     grid = temperature_grid(plan)
     setpoints = np.maximum(grid, base_temperature)
-    flags = tuple(f"clamped:{i}" for i in np.nonzero(grid < base_temperature)[0].tolist())
+    clamped = tuple(f"clamped:{i}" for i in np.nonzero(grid < base_temperature)[0].tolist())
     margin = 0.5 * (1.0 - CENTRAL_FRACTION) * plan.t_span
+    central_lo, central_hi = setpoints[0] + margin, setpoints[-1] - margin
     fields = np.array(plan.fields)
     deltas = {"film": model.film_delta(params, fields),
               "cavity": model.cavity_delta(params, fields)}
-    for array in (setpoints, *deltas.values()):
+    t_stars, profiles, flags = {}, {}, {}
+    for kind, delta_mk in deltas.items():
+        t_star = params.t_c - delta_mk * 1e-3
+        t_stars[kind] = tuple(t_star.tolist())
+        profiles[kind] = resistive_transition(setpoints, t_star[:, None],
+                                              transition_width, normal_resistance)
+        flags[kind] = tuple(clamped if central_lo <= t <= central_hi
+                            else clamped + ("midpoint-outside-central-80pct",)
+                            for t in t_stars[kind])
+    for array in (setpoints, *deltas.values(), *profiles.values()):
         array.flags.writeable = False
-    t_stars = {kind: tuple((params.t_c - delta_mk * 1e-3).tolist())
-               for kind, delta_mk in deltas.items()}
-    return _PlanTable(setpoints, flags, setpoints[0] + margin, setpoints[-1] - margin,
-                      deltas, t_stars)
+    return _PlanTable(setpoints, deltas, t_stars, profiles, flags)
 
 
 def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
@@ -171,22 +179,20 @@ def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
     if not (0 <= repetition < plan.repetitions):
         raise InputError(f"repetition {repetition} outside plan range")
 
-    table = _sweep_setpoints(params, plan, cfg.base_temperature)
+    table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
+                       cfg.normal_resistance)
     index = plan.fields.index(field)
     t_star = table.t_stars[kind][index]
 
     path = (*substream_prefix, index, KIND_CODES[kind], repetition)
     rng = noise_stream(cfg.seed, *path)
-    resistances = measure_profile(cfg, table.setpoints, t_star, rng)
-
-    flags = table.flags
-    if not (table.central_lo <= t_star <= table.central_hi):
-        flags += ("midpoint-outside-central-80pct",)
+    resistances = measure_profile(cfg, table.setpoints, t_star,
+                                  table.profiles[kind][index], rng)
 
     return TransitionCurve(
         field=field, kind=kind, temperatures=table.setpoints, resistances=resistances,
         repetition=repetition, seed_path="/".join(str(p) for p in path),
-        flags=flags, oracle_t_star=t_star)
+        flags=table.flags[kind][index], oracle_t_star=t_star)
 
 
 def run_paired_experiment(params: model.ModelParams, cfg: InstrumentConfig,
@@ -260,8 +266,9 @@ def _parse_block(block: str) -> np.ndarray | None:
 def read_curve_csv(path: str | Path) -> TransitionCurve:
     """Load one curve file; every line after the column header must hold
     two finite numbers, otherwise :class:`InputError` names the line, and
-    a header value that does not parse, or a curve that is not valid,
-    raises one naming the file.
+    a header value that does not parse, a ``field_gauss`` that is not
+    finite and nonnegative, or a curve that is not valid, raises one
+    naming the file.
 
     The data block after the column header is parsed in one piece; when
     that refuses, :func:`_scan_lines` decides every line of the file.
@@ -293,6 +300,9 @@ def read_curve_csv(path: str | Path) -> TransitionCurve:
                              f"a valid {parse.__name__}") from None
 
     field = header_value("field_gauss", float)
+    if not (0 <= field < math.inf):  # the rule of plan fields; also rejects NaN
+        raise InputError(f"{path}: header field_gauss={meta['field_gauss']!r} "
+                         f"must be finite and nonnegative")
     repetition = header_value("repetition", int, 0)
     oracle_t_star = header_value("oracle_t_star_K", float)
     flags = tuple(f for f in meta.get("flags", "").split(";") if f)

@@ -23,7 +23,7 @@ from .analysis import (MK_PER_K, analyze_dataset, relative_slope_difference,
                        t_star_variance, weighted_mean_difference)
 from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
-from .protocol import SweepPlan, _sweep_setpoints, run_paired_experiment
+from .protocol import SweepPlan, plan_table, run_paired_experiment
 
 #: Reported in place of an infinite significance on noise-free data.
 Z_CAP = 1e6
@@ -103,7 +103,8 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
     sweep does not resolve that transition, so no study could fit it.
     """
     fields = np.array(plan.fields)
-    table = _sweep_setpoints(params, plan, cfg.base_temperature)
+    table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
+                       cfg.normal_resistance)
     v = {}
     for kind, t_stars in table.t_stars.items():
         v[kind] = np.array([
@@ -149,7 +150,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     _check_study(params, plan, trials)
     fields = np.array(plan.fields)
     t0 = time.perf_counter()
-    truth = _sweep_setpoints(params, plan, cfg.base_temperature).deltas
+    truth = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
+                       cfg.normal_resistance).deltas
     contrast_idx = int(np.argmin(np.abs(fields - params.h_v)))
 
     sq_errors: list[float] = []

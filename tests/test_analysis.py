@@ -77,7 +77,6 @@ class TestFitTransition:
         plan = plan_sweep(params, quiet, [0.0])
         curve = acquire_curve(params, quiet, plan, 0.0, "film")
         fit = fit_transition(curve)
-        assert fit.converged
         assert abs(fit.t_star - 1.5) <= 1e-6
         assert fit.width == pytest.approx(50.0, rel=1e-9)
         assert fit.r_n == pytest.approx(10.0, rel=1e-9)
@@ -396,7 +395,7 @@ class TestBuildDeltaCurve:
 
     def test_single_field_rejected(self):
         fit = FitResult(t_star=1.5, sigma_t_star=0.0, width=50.0, r_n=10.0,
-                        residual_norm=0.0, converged=True, iterations=1)
+                        residual_norm=0.0, iterations=1)
         with pytest.raises(InputError):
             build_delta_curve([(0.0, fit)] * 5, "film")
 
@@ -450,8 +449,7 @@ class TestAggregateRepeats:
                     t_star = 1.5 - rng.uniform(0.0, 1e-3)
                     sigma = rng.choice([rng.uniform(1e-6, 1e-4), rng.uniform(1e-6, 1e-4),
                                         rng.uniform(1e-6, 1e-4), 0.0, _SIGMA_FLOOR])
-                    fits.append((field, FitResult(t_star, sigma, 50.0, 10.0, 0.01,
-                                                  True, 4)))
+                    fits.append((field, FitResult(t_star, sigma, 50.0, 10.0, 0.01, 4)))
             order = rng.permutation(len(fits))  # unsorted fields, shuffled repeats
             fits = [fits[i] for i in order]
             expected = aggregate_loop(fits)
@@ -460,10 +458,10 @@ class TestAggregateRepeats:
                 assert a.tobytes() == b.tobytes()
 
     def test_one_sigma_at_the_floor_gives_the_field_equal_weights(self):
-        fits = [(10.0, FitResult(1.4, 1e-5, 50.0, 10.0, 0.0, True, 4)),
-                (10.0, FitResult(1.5, _SIGMA_FLOOR, 50.0, 10.0, 0.0, True, 4)),
-                (20.0, FitResult(1.3, 1e-5, 50.0, 10.0, 0.0, True, 4)),
-                (20.0, FitResult(1.4, 3e-5, 50.0, 10.0, 0.0, True, 4))]
+        fits = [(10.0, FitResult(1.4, 1e-5, 50.0, 10.0, 0.0, 4)),
+                (10.0, FitResult(1.5, _SIGMA_FLOOR, 50.0, 10.0, 0.0, 4)),
+                (20.0, FitResult(1.3, 1e-5, 50.0, 10.0, 0.0, 4)),
+                (20.0, FitResult(1.4, 3e-5, 50.0, 10.0, 0.0, 4))]
         fields, t_star, sigma = _aggregate_repeats(fits)
         assert fields.tolist() == [10.0, 20.0]
         assert t_star[0] == pytest.approx(1.45, rel=1e-15)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ class TestSimulateAnalyze:
             assert ";".join(fit["flags"]) == header.removeprefix("# flags=")
             assert fit["flags"][0] == "clamped:0"
         assert {"t_star_K", "sigma_t_star_K", "width_mK", "r_n_ohm", "residual_norm",
-                "converged", "iterations"} < set(payload["fits"][0])
+                "iterations"} < set(payload["fits"][0])
 
     def test_analyze_missing_manifest_exits_io(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 4
@@ -254,6 +255,26 @@ class TestSimulateAnalyze:
         assert main(["analyze", str(out / "run.json")]) == 4
         err = capsys.readouterr().err
         assert str(path) in err and f"{key}='x'" in err
+
+    @pytest.mark.parametrize("value", [-50.0, math.inf])
+    def test_field_outside_the_plan_domain_exits_io(self, tmp_path, capsys, value):
+        # with the manifest agreeing, inf once exited 2 naming no file and
+        # -50.0 was analysed as a real field
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        manifest = json.loads((out / "run.json").read_text())
+        for entry in manifest["curves"][2:4]:
+            path = out / entry["file"]
+            entry["field_gauss"] = value
+            lines = [f"# field_gauss={value!r}" if line.startswith("# field_gauss=")
+                     else line for line in path.read_text().splitlines()]
+            path.write_text("\n".join(lines) + "\n")
+        (out / "run.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", str(out / "run.json")]) == 4
+        err = capsys.readouterr().err
+        assert "curve_001_film_rep0.csv: header field_gauss=" in err
+        assert "must be finite and nonnegative" in err
 
     @pytest.mark.parametrize("name, damage", [
         ("curve_001_cavity_rep0.csv", lambda data: data + b"\xff"),

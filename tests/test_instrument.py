@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfinv
 
-from cavityshift import (DomainError, InputError, InstrumentConfig,
-                         measure_profile, noise_stream)
-from cavityshift import instrument
+from cavityshift import (DomainError, InputError, InstrumentConfig, acquire_curve,
+                         calibrate_defaults, cavity_delta, film_delta,
+                         measure_profile, noise_stream, plan_sweep)
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
+from cavityshift.protocol import KIND_CODES, temperature_grid
 
 
 @pytest.fixture
@@ -26,6 +27,14 @@ def quiet():
 def noiseless_resistance(cfg, t, t_star):
     """Noiseless resistance of the transition ``cfg`` describes."""
     return resistive_transition(t, t_star, cfg.transition_width, cfg.normal_resistance)
+
+
+def readout(cfg, t_setpoints, t_star, rng):
+    """:func:`measure_profile` given the noiseless profile a plan table
+    holds: the transition read at the setpoints clamped to the floor."""
+    t = np.asarray(t_setpoints, dtype=float)
+    profile = noiseless_resistance(cfg, np.maximum(t, cfg.base_temperature), t_star)
+    return measure_profile(cfg, t, t_star, profile, rng)
 
 
 class TestConfig:
@@ -82,7 +91,7 @@ class TestTransitionShape:
         # the floor keeps every setpoint above 0 K; 10 K of jitter does not
         wild = InstrumentConfig(temperature_jitter=1e4, seed=3)
         with pytest.raises(DomainError, match="temperature must be > 0"):
-            measure_profile(wild, np.full(100, 1.5), 1.5, noise_stream(wild.seed, 0))
+            readout(wild, np.full(100, 1.5), 1.5, noise_stream(wild.seed, 0))
 
 
 # key elements of one, two and three 32-bit words, with 0 and the word edges
@@ -111,43 +120,43 @@ def test_noise_stream_rejects_negative_key(seed, path):
 class TestNoise:
     def test_noiseless_reduces_to_transition(self, quiet):
         rng = noise_stream(quiet.seed, 0)
-        value = measure_profile(quiet, np.array([1.5]), 1.5, rng)
+        value = readout(quiet, np.array([1.5]), 1.5, rng)
         assert value[0] == noiseless_resistance(quiet, 1.5, 1.5)
 
     def test_same_substream_bit_identical(self, cfg):
         t = np.linspace(1.4, 1.6, 20)
-        first = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 3, 1, 0))
-        second = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 3, 1, 0))
+        first = readout(cfg, t, 1.5, noise_stream(cfg.seed, 3, 1, 0))
+        second = readout(cfg, t, 1.5, noise_stream(cfg.seed, 3, 1, 0))
         assert np.array_equal(first, second)
 
     def test_distinct_paths_differ(self, cfg):
         t = np.array([1.5])
-        a = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 0))
-        b = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 1))
+        a = readout(cfg, t, 1.5, noise_stream(cfg.seed, 0))
+        b = readout(cfg, t, 1.5, noise_stream(cfg.seed, 1))
         assert a[0] != b[0]
 
     def test_noise_standard_deviation(self):
         cfg = InstrumentConfig(resistance_noise=0.05, temperature_jitter=0.0, seed=9)
-        readings = measure_profile(cfg, np.full(10_000, 1.5), 1.5,
-                                   noise_stream(cfg.seed, 0))
+        readings = readout(cfg, np.full(10_000, 1.5), 1.5,
+                           noise_stream(cfg.seed, 0))
         assert readings.std(ddof=1) == pytest.approx(0.05, rel=0.03)
 
     def test_profile_matches_shape_when_quiet(self, quiet):
         t = np.linspace(1.3, 1.7, 100)
         rng = noise_stream(quiet.seed, 0)
-        profile = measure_profile(quiet, t, 1.5, rng)
+        profile = readout(quiet, t, 1.5, rng)
         assert np.array_equal(profile, noiseless_resistance(quiet, t, 1.5))
 
     def test_profile_deterministic(self, cfg):
         t = np.linspace(1.3, 1.7, 100)
-        a = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 5))
-        b = measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 5))
+        a = readout(cfg, t, 1.5, noise_stream(cfg.seed, 5))
+        b = readout(cfg, t, 1.5, noise_stream(cfg.seed, 5))
         assert np.array_equal(a, b)
 
     def test_setpoint_clamped_to_base(self, quiet):
-        low = measure_profile(quiet, np.array([0.1]), 0.30, noise_stream(quiet.seed, 0))
-        at_base = measure_profile(quiet, np.array([quiet.base_temperature]), 0.30,
-                                  noise_stream(quiet.seed, 0))
+        low = readout(quiet, np.array([0.1]), 0.30, noise_stream(quiet.seed, 0))
+        at_base = readout(quiet, np.array([quiet.base_temperature]), 0.30,
+                          noise_stream(quiet.seed, 0))
         assert low[0] == at_base[0]
 
 
@@ -183,49 +192,44 @@ class TestSingleDrawReadout:
     @pytest.mark.parametrize("grid", READOUT_GRIDS.values(), ids=READOUT_GRIDS.keys())
     @pytest.mark.parametrize("jitter", [0.0, 2.0, 0.7])
     @pytest.mark.parametrize("sigma_r", [0.0, 0.0751])
-    @pytest.mark.parametrize("t_star", [0.32, 1.5])
+    @pytest.mark.parametrize("t_star", [0.32, 1.5, math.nan, math.inf, -math.inf])
     def test_bit_identical_to_two_draws(self, grid, jitter, sigma_r, t_star):
         cfg = InstrumentConfig(resistance_noise=sigma_r, temperature_jitter=jitter)
-        instrument._grid_profiles.cache_clear()
-        # the first call computes the profile, the repeats read the cache; the
-        # shifted grid has the same shape but must get its own profile
-        for setpoints, path in ((grid, 0), (grid, 0), (grid + 1e-3, 0), (grid, 1)):
+        for setpoints, path in ((grid, 0), (grid + 1e-3, 0), (grid, 1)):
             expected = two_draw_measure_profile(cfg, setpoints, t_star,
                                                 noise_stream(cfg.seed, path))
-            actual = measure_profile(cfg, setpoints, t_star, noise_stream(cfg.seed, path))
+            actual = readout(cfg, setpoints, t_star, noise_stream(cfg.seed, path))
             assert_bit_identical(actual, expected)
 
     def test_returned_array_is_fresh(self, quiet):
         t = np.linspace(1.3, 1.7, 200)
-        first = measure_profile(quiet, t, 1.5, noise_stream(quiet.seed, 0))
+        profile = noiseless_resistance(quiet, t, 1.5)
+        profile.flags.writeable = False
+        first = measure_profile(quiet, t, 1.5, profile, noise_stream(quiet.seed, 0))
         assert first.flags.writeable
         first[:] = -1.0
-        second = measure_profile(quiet, t, 1.5, noise_stream(quiet.seed, 0))
+        second = measure_profile(quiet, t, 1.5, profile, noise_stream(quiet.seed, 0))
         assert_bit_identical(second, noiseless_resistance(quiet, t, 1.5))
 
-    def test_non_finite_t_star_not_cached(self, cfg):
-        t = np.linspace(1.3, 1.7, 200)
-        instrument._grid_profiles.cache_clear()
-        measure_profile(cfg, t, 1.5, noise_stream(cfg.seed, 0))
-        profiles = instrument._grid_profiles(t.tobytes(), t.shape, cfg.base_temperature,
-                                             cfg.transition_width, cfg.normal_resistance)
-        assert len(profiles) == 1
-        for t_star in (math.nan, math.inf):
-            expected = two_draw_measure_profile(cfg, t, t_star, noise_stream(cfg.seed, 0))
-            actual = measure_profile(cfg, t, t_star, noise_stream(cfg.seed, 0))
-            assert_bit_identical(actual, expected)
-        assert len(profiles) == 1
-        assert instrument._grid_profiles.cache_info().currsize == 1
-        assert not profiles[1.5].flags.writeable
 
-    def test_full_grid_stops_caching(self, quiet, monkeypatch):
-        monkeypatch.setattr(instrument, "_PROFILE_VALUES_PER_GRID", 60)
-        t = np.linspace(1.3, 1.7, 20)
-        instrument._grid_profiles.cache_clear()
-        for t_star in (1.45, 1.5, 1.55, 1.6):
-            value = measure_profile(quiet, t, t_star, noise_stream(quiet.seed, 0))
-            assert_bit_identical(value, noiseless_resistance(quiet, t, t_star))
-        profiles = instrument._grid_profiles(t.tobytes(), t.shape, quiet.base_temperature,
-                                             quiet.transition_width,
-                                             quiet.normal_resistance)
-        assert sorted(profiles) == [1.45, 1.5, 1.55]
+class TestPlanReadout:
+    """acquire_curve reads the noiseless profile from its plan table."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 2.0])
+    @pytest.mark.parametrize("kind", ["film", "cavity"])
+    def test_acquire_curve_bit_identical_to_two_draws(self, kind, jitter):
+        params = calibrate_defaults()
+        # the floor clamps the grid's first setpoints, inside the transition
+        # tail, so a profile read off the unclamped grid would differ
+        cfg = InstrumentConfig(base_temperature=1.45, temperature_jitter=jitter, seed=7)
+        plan = plan_sweep(params, cfg, np.linspace(10.0, 250.0, 13))
+        grid = temperature_grid(plan)
+        assert grid[0] < cfg.base_temperature
+        delta = {"film": film_delta, "cavity": cavity_delta}[kind]
+        t_stars = params.t_c - delta(params, np.array(plan.fields)) * 1e-3
+        for index, (field, t_star) in enumerate(zip(plan.fields, t_stars.tolist())):
+            curve = acquire_curve(params, cfg, plan, field, kind, substream_prefix=(3,))
+            assert curve.oracle_t_star == t_star
+            rng = noise_stream(cfg.seed, 3, index, KIND_CODES[kind], 0)
+            assert_bit_identical(curve.resistances,
+                                 two_draw_measure_profile(cfg, grid, t_star, rng))

@@ -10,9 +10,10 @@ from cavityshift import (InputError, InstrumentConfig, SweepPlan,
                          acquire_curve, calibrate_defaults, cavity_delta,
                          film_delta, plan_sweep, read_run,
                          run_paired_experiment, write_run)
-from cavityshift import instrument
-from cavityshift.protocol import (TransitionCurve, curve_filename, read_curve_csv,
-                                  temperature_grid)
+from cavityshift import instrument, protocol
+from cavityshift.instrument import resistive_transition
+from cavityshift.protocol import (KIND_CODES, TransitionCurve, curve_filename,
+                                  plan_table, read_curve_csv, temperature_grid)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,15 @@ class TestRunFiles:
             assert a.field == b.field and a.kind == b.kind
             assert np.array_equal(a.resistances, b.resistances)
 
+    def test_unwritable_seed_path_rejected_with_its_file(self, params, noisy, tmp_path):
+        # a lone surrogate has no UTF-8 text; it once escaped as UnicodeEncodeError
+        plan = plan_sweep(params, noisy, [150.0])
+        curve = acquire_curve(params, noisy, plan, 150.0, "film")
+        curve.seed_path = "\ud800"
+        with pytest.raises(InputError, match="could not write .*curve_000_film_rep0.csv"):
+            write_run(tmp_path, [curve], {})
+        assert list(tmp_path.iterdir()) == []
+
     def test_written_files_count(self, params, noisy, tmp_path):
         plan = plan_sweep(params, noisy, np.linspace(50, 250, 10))
         curves = run_paired_experiment(params, noisy, plan)
@@ -279,6 +289,16 @@ class TestRunFileValidation:
         with pytest.raises(InputError, match=rf"{path.name}: {key} is .* in the manifest"):
             read_run(manifest)
 
+    @pytest.mark.parametrize("value", ["-50.0", "inf", "nan"])
+    def test_field_outside_the_plan_domain_rejected_with_its_file(self, run, value):
+        # an infinite field once failed only in the regression, naming no file
+        manifest, path = run
+        index = path.read_text().splitlines().index("# field_gauss=50.0")
+        self.replace_line(path, index, f"# field_gauss={value}")
+        with pytest.raises(InputError, match=rf"{path.name}: header field_gauss='{value}' "
+                                             rf"must be finite and nonnegative"):
+            read_run(manifest)
+
 
 class TestCurveValidation:
     def test_nonincreasing_temperatures_rejected(self):
@@ -326,19 +346,58 @@ class TestCollapsedGrid:
 
 class TestProfileCache:
     def test_repeated_dataset_computes_no_transition(self, params, noisy, monkeypatch):
-        # a plan with hundreds of curves is served whole from the cache
+        # a plan with hundreds of curves computes one (fields, setpoints)
+        # profile array per kind, and a repeated dataset none
         plan = plan_sweep(params, noisy, np.linspace(50.0, 250.0, 150))
-        first = run_paired_experiment(params, noisy, plan)
         calls = []
-        original = instrument.resistive_transition
 
-        def counted(*args):
-            calls.append(args[1])
-            return original(*args)
+        def counted(original):
+            def transition(*args):
+                calls.append(np.shape(args[1]))
+                return original(*args)
+            return transition
 
-        monkeypatch.setattr(instrument, "resistive_transition", counted)
+        for module in (protocol, instrument):
+            monkeypatch.setattr(module, "resistive_transition",
+                                counted(module.resistive_transition))
+        plan_table.cache_clear()
+        first = run_paired_experiment(params, noisy, plan)
+        assert calls == [(150, 1), (150, 1)]
         second = run_paired_experiment(params, noisy, plan)
-        assert calls == []
+        assert len(calls) == 2
         assert len(second) == 300
         for a, b in zip(first, second):
             assert np.array_equal(a.resistances, b.resistances)
+
+    def test_width_and_normal_resistance_key_the_table(self, params, quiet):
+        plan = plan_sweep(params, quiet, [50.0, 150.0])
+        plan_table.cache_clear()
+        acquire_curve(params, quiet, plan, 150.0, "cavity")
+        # noise and seed are not read by the table, so they share it
+        acquire_curve(params, replace(quiet, resistance_noise=0.2, seed=9), plan,
+                      150.0, "cavity")
+        assert plan_table.cache_info().currsize == 1
+        for other in (replace(quiet, transition_width=30.0),
+                      replace(quiet, normal_resistance=7.0)):
+            curve = acquire_curve(params, other, plan, 150.0, "cavity")
+            expected = resistive_transition(curve.temperatures, curve.oracle_t_star,
+                                            other.transition_width,
+                                            other.normal_resistance)
+            assert np.array_equal(curve.resistances, expected)
+        assert plan_table.cache_info().currsize == 3
+
+    def test_profiles_read_only_and_readouts_fresh(self, params, noisy):
+        plan = plan_sweep(params, noisy, [50.0, 150.0])
+        table = plan_table(params, plan, noisy.base_temperature,
+                           noisy.transition_width, noisy.normal_resistance)
+        for kind in KIND_CODES:
+            assert table.profiles[kind].shape == (2, plan.n_points)
+            with pytest.raises(ValueError):
+                table.profiles[kind][0, 0] = 1.0
+        first = acquire_curve(params, noisy, plan, 150.0, "film")
+        assert first.resistances.flags.writeable
+        assert not np.shares_memory(first.resistances, table.profiles["film"])
+        kept = first.resistances.copy()
+        first.resistances[:] = -1.0
+        second = acquire_curve(params, noisy, plan, 150.0, "film")
+        assert np.array_equal(second.resistances, kept)

@@ -3,7 +3,8 @@ manifests, and of the table writer on arbitrary columns.
 
 ``read_curve_csv`` parses a curve's data block in one piece and leaves
 any block that does not parse cleanly to its line loop.  The line-loop
-reader it replaced is kept below, verbatim, as the oracle: on every
+reader it replaced is kept below as the oracle, verbatim but for the
+later rule that ``field_gauss`` be finite and nonnegative: on every
 mutated file both must accept with bit-identical arrays and metadata, or
 both must reject with the same message.
 
@@ -35,7 +36,8 @@ from cavityshift.protocol import (CSV_COLUMNS, FORMAT_VERSION, TransitionCurve,
 def oracle_read_curve_csv(path: str | Path) -> TransitionCurve:
     """Load one curve file; every line after the column header must hold
     two finite numbers, otherwise :class:`InputError` names the line, and
-    a header value that does not parse raises one naming its key."""
+    a header value that does not parse, or a ``field_gauss`` that is not
+    finite and nonnegative, raises one naming its key."""
     meta: dict[str, str] = {}
     temps: list[float] = []
     res: list[float] = []
@@ -70,9 +72,13 @@ def oracle_read_curve_csv(path: str | Path) -> TransitionCurve:
             raise InputError(f"{path}: header {key}={meta[key]!r} is not "
                              f"a valid {parse.__name__}") from None
 
+    field = header_value("field_gauss", float)
+    if not (0 <= field < math.inf):
+        raise InputError(f"{path}: header field_gauss={meta['field_gauss']!r} "
+                         f"must be finite and nonnegative")
     flags = tuple(f for f in meta.get("flags", "").split(";") if f)
     return TransitionCurve(
-        field=header_value("field_gauss", float), kind=meta["kind"],
+        field=field, kind=meta["kind"],
         temperatures=np.array(temps), resistances=np.array(res),
         repetition=header_value("repetition", int, 0),
         seed_path=meta.get("seed_path", ""), flags=flags,
@@ -101,7 +107,8 @@ numbers = st.one_of(
 )
 other_lines = st.sampled_from(
     ["", "   ", "\r", "\x0c", "#", "# note", "# kind=cavity", "# field_gauss=x",
-     CSV_COLUMNS, f" {CSV_COLUMNS}\r", "1.5;3.0", "1.3,2.0\r1.4,3.0", "T,R"])
+     "# field_gauss=-50.0", "# field_gauss=inf", "# field_gauss=nan", CSV_COLUMNS,
+     f" {CSV_COLUMNS}\r", "1.5;3.0", "1.3,2.0\r1.4,3.0", "T,R"])
 bad_lines = st.one_of(
     numbers,                                           # one column
     st.tuples(numbers, numbers).map(",".join),
@@ -182,6 +189,8 @@ def assert_same_curve(curve: TransitionCurve, expected: TransitionCurve):
 @example(file_index=2, changes=[("replace", 31, "1_0,2.0")], crlf=False, final_newline=True)
 @example(file_index=3, changes=[("insert", 20, "\r"), ("insert", 0, "1.3,2.0")],
          crlf=False, final_newline=False)
+@example(file_index=0, changes=[("insert", 2, "# field_gauss=-50.0")], crlf=False,
+         final_newline=True)
 def test_reader_agrees_with_line_loop_oracle(run_text, tmp_path, file_index, changes,
                                              crlf, final_newline):
     name = sorted(n for n in run_text if n.endswith(".csv"))[file_index]
@@ -374,6 +383,7 @@ def test_csv_text_matches_row_wise_writer(table):
        oracle_t_star=st.none() | st.floats(1.0, 2.0))
 def test_curve_file_matches_row_wise_writer(n, data, field, kind, repetition,
                                             seed_path, flags, oracle_t_star):
+    """A seed path without UTF-8 text (a lone surrogate) writes no file."""
     steps = data.draw(st.lists(st.floats(1e-9, 1e-2), min_size=n, max_size=n))
     temperatures = 1.3 + np.cumsum(steps)
     resistances = np.array(data.draw(st.lists(table_floats, min_size=n, max_size=n)))
@@ -382,6 +392,13 @@ def test_curve_file_matches_row_wise_writer(n, data, field, kind, repetition,
                             seed_path=seed_path, flags=tuple(flags),
                             oracle_t_star=oracle_t_star)
     with tempfile.TemporaryDirectory() as tmp:
+        try:
+            seed_path.encode()
+        except UnicodeEncodeError:
+            with pytest.raises(InputError, match="could not write .*curve_000"):
+                write_run(tmp, [curve], {})
+            assert not any(Path(tmp).iterdir())
+            return
         write_run(tmp, [curve], {})
         (path,) = Path(tmp).glob("curve_*.csv")
         text = path.read_bytes().decode()

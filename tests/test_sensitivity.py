@@ -12,7 +12,8 @@ from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          calibrate_noise, cavity_delta, delta_n_per_ohm,
                          film_delta, plan_sweep, run_paired_experiment,
                          run_sensitivity, sensitivity, weighted_mean_difference)
-from cavityshift import SensitivityReport, instrument
+from cavityshift import SensitivityReport
+from cavityshift.protocol import plan_table
 from cavityshift.sensitivity import Z_CAP
 
 REFERENCE_SIGMA_R = 0.0751
@@ -386,7 +387,7 @@ class TestRepeatedStudy:
     def test_cold_and_warm_profile_cache_give_equal_reports(self, params, reference,
                                                             plan):
         # the bench byte-compares its repeated in-process rounds
-        instrument._grid_profiles.cache_clear()
+        plan_table.cache_clear()
         cold = run_sensitivity(params, reference, plan, 100)
         warm = run_sensitivity(params, reference, plan, 100)
         for item in fields(SensitivityReport):
