@@ -94,27 +94,29 @@ _SQRT_PI = math.sqrt(math.pi)
 _GUESS_LEVELS = np.array([[0.5], [0.1], [0.9]])
 
 
-def _damped_step(jtj: list[list[float]], grad: list[float],
+def _damped_step(jtj: tuple[float, ...], grad: tuple[float, float, float],
                  lam: float) -> tuple[float, float, float] | None:
-    """Solve (JtJ with its diagonal scaled by 1+lam) x = -grad.
+    """Solve (A with its diagonal scaled by 1+lam) x = -grad.
 
-    Closed-form 3x3 Cholesky that reads only the lower triangle of
-    ``jtj``; None when a pivot is not positive and finite (the damped
-    normal matrix is singular or broken).
+    ``jtj`` is the lower triangle of the symmetric 3x3 matrix A, row by
+    row: (A00, A10, A11, A20, A21, A22).  Closed-form 3x3 Cholesky; None
+    when a pivot is not positive and finite (the damped normal matrix is
+    singular or broken).
     """
+    a00, a10, a11, a20, a21, a22 = jtj
     a = 1.0 + lam
-    d0 = jtj[0][0] * a
+    d0 = a00 * a
     if not 0.0 < d0 < math.inf:
         return None
     l00 = math.sqrt(d0)
-    l10 = jtj[1][0] / l00
-    l20 = jtj[2][0] / l00
-    d1 = jtj[1][1] * a - l10 * l10
+    l10 = a10 / l00
+    l20 = a20 / l00
+    d1 = a11 * a - l10 * l10
     if not 0.0 < d1 < math.inf:
         return None
     l11 = math.sqrt(d1)
-    l21 = (jtj[2][1] - l20 * l10) / l11
-    d2 = jtj[2][2] * a - l20 * l20 - l21 * l21
+    l21 = (a21 - l20 * l10) / l11
+    d2 = a22 * a - l20 * l20 - l21 * l21
     if not 0.0 < d2 < math.inf:
         return None
     l22 = math.sqrt(d2)
@@ -158,14 +160,18 @@ _WIDTH_STEP_FACTOR = 4.0
 
 
 def _normal_matrices(gram: list[list[float]], width: float, r_n: float
-                     ) -> tuple[list[list[float]], list[float], list[list[float]]]:
-    """J^T J, J^T res and J^T J + S (lower triangles) of the erf fit.
+                     ) -> tuple[tuple[float, ...], tuple[float, float, float],
+                                tuple[float, ...] | None]:
+    """J^T J, J^T res and J^T J + S of the erf fit; the matrices as lower
+    triangles row by row (see :func:`_damped_step`).
 
     ``gram`` is the Gram matrix of the unscaled rows g, u g, 1 + erf(u),
-    res, u res and u^2 res, with g = exp(-u^2), u = (t - t_star) k and
-    k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J and J^T res are its
-    first four rows scaled by the row factors
-    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2).
+    res and, for J^T J + S, u res and u^2 res, with g = exp(-u^2),
+    u = (t - t_star) k and k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J
+    and J^T res are the first four entries of its first three rows,
+    scaled by the row factors
+    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2); a 4-row
+    ``gram`` gives None for J^T J + S.
     S = sum_i res_i Hess(f_i) is the second-order term Gauss-Newton
     leaves out; with b0 = sum g res, b1 = sum u g res, a3 = sum u^2 g res
     and a4 = sum u^3 g res its entries are
@@ -174,54 +180,75 @@ def _normal_matrices(gram: list[list[float]], width: float, r_n: float
     S21 = -b1 / (sqrt(pi) width) and S22 = 0, so J^T J + S is the Hessian
     of cost / 2.
     """
-    (m00, m01, m02, b0, _, _), (_, m11, m12, b1, a3, a4), (_, _, m22, b2, _, _) = gram[:3]
+    g0, g1, g2 = gram[0], gram[1], gram[2]
     k = ERF_WIDTH_FACTOR / (width * 1e-3)
     c0 = -r_n / _SQRT_PI * k
     c1 = -r_n / (_SQRT_PI * width)
-    jtj = [[m00 * c0 * c0],
-           [m01 * c0 * c1, m11 * c1 * c1],
-           [m02 * c0 * 0.5, m12 * c1 * 0.5, m22 * 0.25]]
+    jtj = (g0[0] * c0 * c0,
+           g0[1] * c0 * c1, g1[1] * c1 * c1,
+           g0[2] * c0 * 0.5, g1[2] * c1 * 0.5, g2[2] * 0.25)
+    b0, b1 = g0[3], g1[3]
+    grad = (b0 * c0, b1 * c1, g2[3] * 0.5)
+    if len(g0) == 4:
+        return jtj, grad, None
+    a3, a4 = g1[4], g1[5]
     # the S entries above, written with c0 and c1
-    hess = [[jtj[0][0] + 2.0 * c0 * k * b1],
-            [jtj[1][0] - c0 * (b0 - 2.0 * a3) / width,
-             jtj[1][1] - 2.0 * c1 * (b1 - a4) / width],
-            [jtj[2][0] + c0 * b0 / r_n, jtj[2][1] + c1 * b1 / r_n, jtj[2][2]]]
-    return jtj, [b0 * c0, b1 * c1, b2 * 0.5], hess
+    hess = (jtj[0] + 2.0 * c0 * k * b1,
+            jtj[1] - c0 * (b0 - 2.0 * a3) / width,
+            jtj[2] - 2.0 * c1 * (b1 - a4) / width,
+            jtj[3] + c0 * b0 / r_n, jtj[4] + c1 * b1 / r_n, jtj[5])
+    return jtj, grad, hess
+
+
+def _row_stack(n: int) -> tuple[np.ndarray, ...]:
+    """Views, made once per fit, of a (6, n) stack of rows for
+    :func:`_evaluate`: its six rows, then the stack and its first four
+    rows."""
+    stack = np.empty((6, n))
+    return (*stack, stack, stack[:4])
 
 
 def _evaluate(t: np.ndarray, r: np.ndarray, q: list[float], u: np.ndarray,
-              out: np.ndarray) -> float:
+              rows: tuple[np.ndarray, ...]) -> float:
     """Cost of the erf model at q = (t_star K, width mK, r_n ohm) against
     the curve (t, r).
 
-    ``out`` is a (6, n) stack of rows: the Jacobian rows without their
+    ``rows`` is a :func:`_row_stack`: the Jacobian rows without their
     constant factors, exp(-u^2), u exp(-u^2) and 1 + erf(u) (d/dt_star,
     d/dwidth, d/dr_n), the residuals, and the residuals times u and u^2.
     This fills rows 2 and 3 and leaves the scaled offsets u behind in
     ``u``; :func:`_normal_equations` fills the rest.
     """
-    np.subtract(t, q[0], out=u)
-    np.multiply(u, ERF_WIDTH_FACTOR / (q[1] * 1e-3), out=u)
-    shape, res = out[2], out[3]
-    erf(u, out=shape)
-    np.add(shape, 1.0, out=shape)
-    np.multiply(shape, 0.5 * q[2], out=res)
-    np.subtract(res, r, out=res)
+    shape, res = rows[2], rows[3]
+    np.subtract(t, q[0], u)
+    np.multiply(u, ERF_WIDTH_FACTOR / (q[1] * 1e-3), u)
+    erf(u, shape)
+    np.add(shape, 1.0, shape)
+    np.multiply(shape, 0.5 * q[2], res)
+    np.subtract(res, r, res)
     return float(res.dot(res))
 
 
-def _normal_equations(q: list[float], u: np.ndarray, out: np.ndarray):
-    """J^T J, J^T res and J^T J + S at q, after _evaluate(..., q, u, out):
-    fills rows 0, 1, 4 and 5 of ``out`` from u and the residuals and takes
-    every product of the rows in one Gram matrix."""
-    gauss, res = out[0], out[3]
-    np.multiply(u, u, out=gauss)
-    np.negative(gauss, out=gauss)
-    np.exp(gauss, out=gauss)
-    np.multiply(gauss, u, out=out[1])
-    np.multiply(res, u, out=out[4])
-    np.multiply(out[4], u, out=out[5])
-    return _normal_matrices(out.dot(out.T).tolist(), q[1], q[2])
+def _normal_equations(q: list[float], u: np.ndarray, rows: tuple[np.ndarray, ...],
+                      newton: bool):
+    """J^T J, J^T res and, when ``newton``, J^T J + S at q, after
+    _evaluate(..., q, u, rows).
+
+    A Gauss-Newton point fills rows 0 and 1 and takes the Gram matrix of
+    rows 0-3; a Newton point also fills rows 4 and 5 from u and the
+    residuals and takes the Gram matrix of all six.
+    """
+    gauss, ugauss, _, res, ures, u2res, stack, top = rows
+    np.multiply(u, u, gauss)
+    np.negative(gauss, gauss)
+    np.exp(gauss, gauss)
+    np.multiply(gauss, u, ugauss)
+    if newton:
+        np.multiply(res, u, ures)
+        np.multiply(ures, u, u2res)
+    else:
+        stack = top
+    return _normal_matrices(stack.dot(stack.T).tolist(), q[1], q[2])
 
 
 def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
@@ -236,11 +263,11 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     is singular (the samples do not resolve the transition).
     """
     n = temperatures.size
-    u, stack = np.empty(n), np.empty((6, n))
+    u, rows = np.empty(n), _row_stack(n)
     q = [t_star, width, r_n]
     _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
-              q, u, stack)
-    column = _damped_step(_normal_equations(q, u, stack)[0], (-1.0, 0.0, 0.0), 0.0)
+              q, u, rows)
+    column = _damped_step(_normal_equations(q, u, rows, False)[0], (-1.0, 0.0, 0.0), 0.0)
     return math.inf if column is None else column[0]
 
 
@@ -277,10 +304,11 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     J^T J: ``cov[0, 0]`` is read from its Cholesky factor, and no
     matrix is inverted.
 
-    Each accepted step forms the Jacobian rows without their constant
-    factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), and with the
-    residuals and their products with u and u^2 takes all their
-    products in one Gram matrix.
+    Each accepted point forms the Jacobian rows without their constant
+    factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), and takes their
+    products with each other and with the residuals in one Gram matrix.
+    Only a point whose next step may solve J^T J + S also forms the
+    residuals times u and u^2 and takes their products, which S needs.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -306,10 +334,10 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     # one set of buffers per fit: the scaled offsets u, and a stack of
     # rows (see _evaluate) for the current point and for the trial point
     u = np.empty(n)
-    stack, trial = np.empty((6, n)), np.empty((6, n))
+    rows, trial = _row_stack(n), _row_stack(n)
 
-    cost = _evaluate(t, r, p, u, stack)
-    jtj, grad, hess = _normal_equations(p, u, stack)
+    cost = _evaluate(t, r, p, u, rows)
+    jtj, grad, hess = _normal_equations(p, u, rows, False)
     s0, s1, s2 = _xtol_scales(p)
     lam = 1e-3
     newton = False
@@ -344,8 +372,8 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
             newton = (d0 <= _NEWTON_SWITCH and d1 <= _NEWTON_SWITCH
                       and d2 <= _NEWTON_SWITCH)
             p, cost = p_new, cost_new
-            stack, trial = trial, stack
-            jtj, grad, hess = _normal_equations(p, u, stack)
+            rows, trial = trial, rows
+            jtj, grad, hess = _normal_equations(p, u, rows, newton)
             lam = max(lam * 0.1, 1e-14)
             s0, s1, s2 = _xtol_scales(p)
             iterations += 1

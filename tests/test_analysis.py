@@ -205,14 +205,14 @@ class TestFitTransition:
         factor = np.diag(diagonal)
         factor[np.tril_indices(3, -1)] = lower
         spd = factor @ factor.T
-        column = _damped_step(spd, (-1.0, 0.0, 0.0), 0.0)
+        column = _damped_step(spd[np.tril_indices(3)], (-1.0, 0.0, 0.0), 0.0)
         assert column[0] == pytest.approx(np.linalg.inv(spd)[0, 0], rel=1e-12)
         # a parameter no sample informs: rank 2, a zero row and column
         keep = [i for i in range(3) if i != null_axis]
         rank_two = np.zeros((3, 3))
         rank_two[np.ix_(keep, keep)] = spd[:2, :2]
         assert np.linalg.matrix_rank(rank_two) == 2
-        assert _damped_step(rank_two, (-1.0, 0.0, 0.0), 0.0) is None
+        assert _damped_step(rank_two[np.tril_indices(3)], (-1.0, 0.0, 0.0), 0.0) is None
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_resistance_rejected(self, value):
@@ -306,8 +306,8 @@ class TestFullHessian:
                               - half_cost(p - eye[i] + eye[j])
                               + half_cost(p - eye[i] - eye[j])) / (4.0 * h[i] * h[j])
                              for j in range(3)] for i in range(3)])
-        full = lambda lower: np.array([[lower[max(i, j)][min(i, j)] for j in range(3)]
-                                       for i in range(3)])
+        full = lambda lower: np.array([[lower[max(i, j) * (max(i, j) + 1) // 2 + min(i, j)]
+                                        for j in range(3)] for i in range(3)])
         return full(jtj), full(hess), central
 
     @staticmethod
@@ -330,6 +330,37 @@ class TestFullHessian:
         flipped = hess.copy()
         flipped[i, j] = flipped[j, i] = jtj[i, j] - (hess[i, j] - jtj[i, j])
         assert self.relative_error(flipped, central) > 1e-6
+
+
+class TestGaussNewtonRows:
+    """A Gauss-Newton point's 4-row Gram gives the J^T J and J^T res of the
+    6-row Gram a Newton point takes, and no J^T J + S."""
+
+    @pytest.fixture(scope="class", params=[REFERENCE_SIGMA_R, 0.3])
+    def curve(self, request, params):
+        config = InstrumentConfig(resistance_noise=request.param, seed=1)
+        plan = plan_sweep(params, config, [150.0])
+        return acquire_curve(params, config, plan, 150.0, "film")
+
+    @pytest.mark.parametrize("point", ["initial guess", "off the optimum"])
+    def test_four_rows_match_six(self, curve, point):
+        t, r = curve.temperatures, curve.resistances
+        if point == "initial guess":
+            # r_top and the step as fit_transition takes them
+            k = t.size // 10
+            r_top = float(np.sort(r)[-k:].sum()) / k
+            p = analysis._initial_guess(t, r, r_top, float(np.diff(t).max()) * 1e3)
+        else:
+            fit = fit_transition(curve)
+            p = [fit.t_star + 3e-3, fit.width * 1.3, fit.r_n * 0.9]
+        u, rows = np.empty(t.size), analysis._row_stack(t.size)
+        analysis._evaluate(t, r, p, u, rows)
+        jtj_gn, grad_gn, hess_gn = analysis._normal_equations(p, u, rows, False)
+        jtj, grad, hess = analysis._normal_equations(p, u, rows, True)
+        np.testing.assert_array_max_ulp(np.array(jtj_gn), np.array(jtj), maxulp=2)
+        np.testing.assert_array_max_ulp(np.array(grad_gn), np.array(grad), maxulp=2)
+        assert hess_gn is None
+        assert len(hess) == 6 and all(map(math.isfinite, hess))
 
 
 class TestPlateauBoundary:

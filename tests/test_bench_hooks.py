@@ -37,43 +37,52 @@ def test_every_hook_target_exists(monkeypatch):
         assert getattr(owner, attr) is original
 
 
-def _traced_study_metrics(monkeypatch, tmp_path, capsys, *, warm: bool) -> dict:
-    """Per-layer metrics of one traced CLI sensitivity study; with ``warm``
-    the same study runs untraced first, so every per-plan cache is full."""
+def _traced_metrics(monkeypatch, capsys, commands, *, warm: bool = False):
+    """Per-layer metrics and extra figures of one traced round of the CLI
+    ``commands``; with ``warm`` the round runs untraced first, so every
+    per-plan cache is full."""
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
     from spans import Tracer
 
     from cavityshift import cli
 
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "plan": {"fields": [50.0, 100.0, 150.0, 200.0, 250.0], "n_points": 40},
-        "seed": 1}))
-    argv = ["sensitivity", "--config", str(config), "--trials", "100",
-            "--out", str(tmp_path / "out")]
     if warm:
-        assert cli.main(argv) == 0, capsys.readouterr().err
+        for argv in commands:
+            assert cli.main(argv) == 0, capsys.readouterr().err
     tracer = Tracer()
     layers.install(tracer)
     try:
         start = time.perf_counter()
-        code = cli.main(argv)
+        codes = [cli.main(argv) for argv in commands]
         round_s = time.perf_counter() - start
     finally:
         tracer.unpatch()
-    assert code == 0, capsys.readouterr().err
-    metrics, _ = layers.layer_metrics(tracer, [round_s], 0.0)
+    assert codes == [0] * len(commands), capsys.readouterr().err
+    metrics, extra = layers.layer_metrics(tracer, [round_s], 0.0)
     not_finite = {name: value for name, (value, _) in metrics.items()
                   if not (isinstance(value, (int, float)) and math.isfinite(value))}
     assert not not_finite
-    return metrics
+    return metrics, extra
+
+
+def _small_plan_config(tmp_path, **plan) -> Path:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "plan": {"fields": [50.0, 100.0, 150.0, 200.0, 250.0], "n_points": 40, **plan},
+        "seed": 1}))
+    return config
+
+
+def _study(tmp_path) -> list[list[str]]:
+    return [["sensitivity", "--config", str(_small_plan_config(tmp_path)),
+             "--trials", "100", "--out", str(tmp_path / "out")]]
 
 
 def test_traced_study_measures_every_layer(monkeypatch, tmp_path, capsys):
     # a sensitivity study calls every layer but the file-format ones and
     # calibration, whose metrics are then counts of zero
-    metrics = _traced_study_metrics(monkeypatch, tmp_path, capsys, warm=False)
+    metrics, _ = _traced_metrics(monkeypatch, capsys, _study(tmp_path))
     assert metrics["analysis.fit_transition.calls"][0] == 1000
 
 
@@ -81,5 +90,19 @@ def test_traced_study_after_a_warm_run_measures_every_layer(monkeypatch, tmp_pat
                                                              capsys):
     # the per-plan table of true transitions is cached, so the traced study
     # reaches the model layer only through the uncached model contrast
-    metrics = _traced_study_metrics(monkeypatch, tmp_path, capsys, warm=True)
+    metrics, _ = _traced_metrics(monkeypatch, capsys, _study(tmp_path), warm=True)
     assert metrics["model.cavity_delta.calls"][0] >= 1
+
+
+def test_traced_simulate_and_analyze_measure_the_file_layers(monkeypatch, tmp_path,
+                                                              capsys):
+    config = _small_plan_config(tmp_path, repetitions=2)
+    run = tmp_path / "run"
+    metrics, extra = _traced_metrics(monkeypatch, capsys, [
+        ["simulate", "--config", str(config), "--out", str(run)],
+        ["analyze", str(run / "run.json")]])
+    curves = len(json.loads((run / "run.json").read_text())["curves"])
+    assert curves == 20
+    assert metrics["analysis.fit_transition.calls"][0] == curves
+    for name in ("protocol.write_run.ms_per_curve", "protocol.read_run.ms_per_curve"):
+        assert 0 < extra[name] < math.inf, name
