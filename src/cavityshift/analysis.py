@@ -42,12 +42,18 @@ class FitResult:
 
 @dataclass(frozen=True)
 class DeltaCurve:
-    """delta(H) = Tc_est - T*(H) for one sample kind, with sigmas in mK."""
+    """delta(H) = Tc_est - T*(H) for one sample kind, with sigmas in mK.
+
+    ``sigmas`` include the Tc sigma; ``fit_sigmas`` are those of T*(H)
+    alone, for the views in which Tc cancels (the film-cavity difference
+    on a shared Tc, and the slopes).
+    """
 
     kind: str
     fields: np.ndarray          # gauss, strictly increasing
     deltas: np.ndarray          # mK
     sigmas: np.ndarray          # mK
+    fit_sigmas: np.ndarray      # mK
     t_c_estimate: float         # K
     t_c_sigma: float            # K
     t_c_source: str             # 'film-intercept' | 'cavity-intercept'
@@ -274,9 +280,9 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
 def fit_transition(curve: TransitionCurve) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
 
-    Requires finite resistances and both plateaus to be sampled (at
-    least 10% of the points below 0.2 r_n and above 0.8 r_n), otherwise
-    :class:`InputError`.
+    Requires more than one distinct temperature, finite resistances and
+    both plateaus to be sampled (at least 10% of the points below 0.2 r_n
+    and above 0.8 r_n), otherwise :class:`InputError`.
     The fit converges when a proposed step changes no parameter by more
     than ``_XTOL`` (1e-10) relative, whether or not that step would lower
     the cost; the current point is then kept.  ``_MAX_ITER`` (100) bounds
@@ -315,6 +321,10 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     n = t.size
     if n < 20:
         raise InputError(f"need at least 20 samples, got {n}")
+    step_mk = float((t[1:] - t[:-1]).max()) * MK_PER_K
+    if step_mk == 0:  # e.g. a sweep whose setpoints all clamp to the floor
+        raise InputError(f"every temperature is {float(t[0])!r} K; the curve has "
+                         "no transition to fit")
     r_sorted = np.sort(r)
     if not (-math.inf < r_sorted[0] and r_sorted[-1] < math.inf):  # NaN sorts last
         raise InputError("resistances must be finite")
@@ -327,7 +337,6 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     if below / n < 0.1 or above / n < 0.1:
         raise InputError("curve does not span both resistance plateaus")
 
-    step_mk = float((t[1:] - t[:-1]).max()) * MK_PER_K
     min_width = 0.2 * step_mk
     p = _initial_guess(t, r, r_top, step_mk)
 
@@ -479,16 +488,21 @@ def build_delta_curve(fits, kind: str,
     deltas = (tc_value - t_star) * MK_PER_K
     sigmas = np.hypot(sigma, tc_sigma) * MK_PER_K
     return DeltaCurve(kind=kind, fields=fields, deltas=deltas, sigmas=sigmas,
-                      t_c_estimate=tc_value, t_c_sigma=tc_sigma, t_c_source=source)
+                      fit_sigmas=sigma * MK_PER_K, t_c_estimate=tc_value,
+                      t_c_sigma=tc_sigma, t_c_source=source)
 
 
 def difference_curve(film: DeltaCurve, cavity: DeltaCurve) -> DifferenceCurve:
-    """Pointwise film minus cavity delta; fields must match exactly."""
+    """Pointwise film minus cavity delta; fields must match exactly.
+
+    The two curves share one Tc (see :func:`analyze_dataset`), which
+    cancels in the difference, so the sigmas combine the T* sigmas only.
+    """
     if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
         raise InputError("film and cavity curves are on different field grids")
     return DifferenceCurve(fields=film.fields.copy(),
                            values=film.deltas - cavity.deltas,
-                           sigmas=np.hypot(film.sigmas, cavity.sigmas))
+                           sigmas=np.hypot(film.fit_sigmas, cavity.fit_sigmas))
 
 
 def weighted_mean_difference(diff: DifferenceCurve,
@@ -520,8 +534,9 @@ def derivative_curve(curve: DeltaCurve, window: int = 5) -> DerivativeCurve:
     one fixed linear operator on the deltas: row i holds the regression
     coefficients (x - xbar) / sxx of its window, which on a uniform grid
     is the first-derivative Savitzky-Golay filter (Savitzky & Golay,
-    Anal. Chem. 36, 1627, 1964).  Sigmas propagate the per-point sigmas
-    through the same coefficients.
+    Anal. Chem. 36, 1627, 1964).  The coefficients of a row sum to zero,
+    so Tc drops out of every slope; the sigmas propagate the T* sigmas
+    (``fit_sigmas``) through the same coefficients.
     """
     n = curve.fields.size
     if window % 2 == 0 or window < 3:
@@ -537,7 +552,7 @@ def derivative_curve(curve: DeltaCurve, window: int = 5) -> DerivativeCurve:
     coeff = dx / (dx * dx).sum(axis=1, keepdims=True)
     y = curve.deltas[rows]
     slopes = (coeff * (y - y.mean(axis=1, keepdims=True))).sum(axis=1)
-    sigmas = np.sqrt(((coeff * curve.sigmas[rows]) ** 2).sum(axis=1))
+    sigmas = np.sqrt(((coeff * curve.fit_sigmas[rows]) ** 2).sum(axis=1))
     one_sided = lo != centre - half
     return DerivativeCurve(kind=curve.kind, fields=curve.fields.copy(),
                            slopes=slopes, sigmas=sigmas, window=window,

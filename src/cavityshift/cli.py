@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,10 @@ import numpy as np
 from . import __version__, model
 from .analysis import (CONVERGENCE_THRESHOLD, DERIVATIVE_WINDOW, AnalysisResult,
                        analyze_dataset)
-from .config import (RunConfig, default_run_config, load_run_config,
-                     run_config_to_dict)
+from .config import RunConfig, default_run_config, load_run_config
 from .errors import CalibrationError, CavityShiftError, ConfigError, InputError
 from .fileio import write_csv, write_json
-from .protocol import plan_sweep, read_run, run_paired_experiment, write_run
+from .protocol import read_run, run_paired_experiment, write_run
 from .sensitivity import calibrate_noise, delta_n_per_ohm, run_sensitivity
 
 EXIT_OK = 0
@@ -50,13 +49,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fields_type(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad field list {text!r}: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityshift",
@@ -70,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON run configuration (defaults used if omitted)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory (default: from config)")
+        p.add_argument("--out", type=Path, default=Path("out"),
+                       help="output directory (default: out)")
 
     p = sub.add_parser("model-curve", help="tabulate the noise-free model curves")
     add_common(p)
@@ -81,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize a paired film/cavity dataset")
     add_common(p)
-    p.add_argument("--fields", type=_fields_type, default=None,
-                   help="comma-separated field list in gauss")
     p.add_argument("--noiseless", action="store_true",
                    help="disable all instrument noise")
 
@@ -94,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="Monte Carlo sensitivity study")
     add_common(p)
     p.add_argument("--trials", type=_positive_int, default=500)
-    p.add_argument("--fields", type=_fields_type, default=None)
-    p.add_argument("--calibrate", action="store_true",
-                   help="calibrate sigma_R to --target before the study")
-    p.add_argument("--target", type=float, default=0.1,
-                   help="calibration target delta_n in mK")
-    p.add_argument("--tolerance", type=float, default=0.1,
-                   help="relative calibration tolerance")
 
     p = sub.add_parser("calibrate", help="find sigma_R for a target delta_n")
     add_common(p)
@@ -112,20 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = load_run_config(args.config) if args.config else default_run_config()
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        config = replace(config, seed=seed,
-                         instrument=replace(config.instrument, seed=seed))
-    if getattr(args, "fields", None) is not None:
-        rebuilt = plan_sweep(config.model, config.instrument, args.fields)
-        config = replace(config, plan=replace(
-            rebuilt, n_points=config.plan.n_points,
-            repetitions=config.plan.repetitions))
+    if args.seed is not None:
+        config = replace(config, seed=args.seed,
+                         instrument=replace(config.instrument, seed=args.seed))
     if getattr(args, "noiseless", False):
         config = replace(config, instrument=replace(
             config.instrument, resistance_noise=0.0, temperature_jitter=0.0))
-    if getattr(args, "out", None) is not None:
-        config = replace(config, output_dir=str(args.out))
     return config
 
 
@@ -148,9 +123,8 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
     columns = (fields, film, cavity, film - cavity,
                model.delta_derivative(params, fields, "film"),
                model.delta_derivative(params, fields, "cavity"))
-    out = Path(config.output_dir)
     path = write_csv(
-        out / "model_curves.csv",
+        args.out / "model_curves.csv",
         ["field_gauss", "delta_film_mK", "delta_cavity_mK", "difference_mK",
          "ddelta_dH_film", "ddelta_dH_cavity"],
         columns, comments=[f"cavity_energy_form={model.CAVITY_FORM_NOTE}"])
@@ -161,7 +135,7 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     curves = run_paired_experiment(config.model, config.instrument, config.plan)
-    manifest = write_run(config.output_dir, curves, run_config_to_dict(config))
+    manifest = write_run(args.out, curves, asdict(config))
     print(f"wrote {manifest} with {len(curves)} curves")
     print(f"{'field_G':>10} {'kind':>7} {'rep':>4} {'points':>7}")
     for curve in curves:
@@ -283,12 +257,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    cfg = config.instrument
-    if args.calibrate:
-        cfg = replace(cfg, resistance_noise=calibrate_noise(
-            args.target, cfg, config.plan, args.tolerance, params=config.model))
-    report = run_sensitivity(config.model, cfg, config.plan, args.trials)
-    out = Path(config.output_dir)
+    report = run_sensitivity(config.model, config.instrument, config.plan,
+                             args.trials)
 
     def json_float(value: float):
         return None if np.isnan(value) else value
@@ -297,7 +267,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "format_version": "1",
         "delta_n_mK": report.delta_n,
         "delta_n_se": json_float(report.delta_n_se),
-        "delta_n_per_ohm_predicted": delta_n_per_ohm(config.model, cfg, config.plan),
+        "delta_n_per_ohm_predicted": delta_n_per_ohm(config.model, config.instrument,
+                                                     config.plan),
         "trials": report.trials,
         "detection_z_mean": report.detection_z,
         "detection_z_se": json_float(report.detection_z_se),
@@ -312,10 +283,10 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "lm_steps_histogram": report.lm_steps_histogram,
         "valid": report.valid,
         "seed": config.seed,
-        "config": run_config_to_dict(replace(config, instrument=cfg)),
+        "config": asdict(config),
     }
-    write_json(out / "sensitivity.json", payload)
-    write_csv(out / "contrast.csv",
+    write_json(args.out / "sensitivity.json", payload)
+    write_csv(args.out / "contrast.csv",
               ["field_gauss", "contrast_mean", "contrast_sigma", "model_contrast"],
               (report.contrast_fields, report.contrast_mean, report.contrast_sigma,
                report.contrast_model))
@@ -327,7 +298,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
           f"contrast@{report.contrast_field:.0f}G = "
           f"{report.derivative_contrast:.3f}{note}")
     print(f"runtime: {report.runtime:.1f} s")
-    print(f"wrote {out / 'sensitivity.json'}")
+    print(f"wrote {args.out / 'sensitivity.json'}")
     return EXIT_OK
 
 
@@ -336,8 +307,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     sigma_r = calibrate_noise(args.target, config.instrument, config.plan,
                               args.tolerance, params=config.model,
                               trials=args.trials)
-    out = Path(config.output_dir)
-    write_json(out / "calibration.json", {
+    write_json(args.out / "calibration.json", {
         "format_version": "1",
         "sigma_r_ohm": sigma_r,
         "delta_n_per_ohm_predicted": delta_n_per_ohm(config.model, config.instrument,
@@ -348,7 +318,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "seed": config.seed,
     })
     print(f"sigma_R = {sigma_r:.6f} ohm for delta_n = {args.target} mK")
-    print(f"wrote {out / 'calibration.json'}")
+    print(f"wrote {args.out / 'calibration.json'}")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ seed on load so a run is reproducible from the one number.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 from . import model
@@ -36,7 +36,6 @@ class RunConfig:
     instrument: InstrumentConfig
     plan: SweepPlan
     seed: int = DEFAULT_SEED
-    output_dir: str = "out"
 
 
 def _build_section(cls, data: dict, name: str):
@@ -54,7 +53,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     """Validate a raw dict against the strict schema."""
     if not isinstance(data, dict):
         raise ConfigError("run configuration must be a JSON object")
-    allowed = {"model", "instrument", "plan", "seed", "output_dir"}
+    allowed = {"model", "instrument", "plan", "seed"}
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
@@ -83,20 +82,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         plan_data.setdefault("t_center_guess", derived.t_center_guess)
         plan_data.setdefault("t_span", derived.t_span)
     plan = _build_section(SweepPlan, plan_data, "plan")
-
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-    return RunConfig(model=params, instrument=instrument, plan=plan,
-                     seed=seed, output_dir=output_dir)
-
-
-def run_config_to_dict(config: RunConfig) -> dict:
-    """Serialize a config without ``output_dir``, so two runs of one
-    experiment into different directories write byte-identical files."""
-    payload = asdict(config)
-    del payload["output_dir"]
-    return payload
+    return RunConfig(model=params, instrument=instrument, plan=plan, seed=seed)
 
 
 def load_run_config(path: str | Path) -> RunConfig:

@@ -23,7 +23,7 @@ from .analysis import (MK_PER_K, analyze_dataset, relative_slope_difference,
                        t_star_variance, weighted_mean_difference)
 from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
-from .protocol import SweepPlan, plan_table, run_paired_experiment
+from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
 
 #: Reported in place of an infinite significance on noise-free data.
 Z_CAP = 1e6
@@ -61,10 +61,13 @@ class SensitivityReport:
     failed_fits_by_reason: dict[str, int]  # failed fits per reason, sorted by reason
 
 
-def _check_study(params: model.ModelParams, plan: SweepPlan, trials: int) -> None:
+def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPlan,
+                 trials: int) -> None:
     """:class:`InputError` for a study that cannot give a result: fewer
     than :data:`MIN_TRIALS` trials, fewer than 3 fields (a delta curve
-    needs 3) or no field at or above h_v (the significance is taken there)."""
+    needs 3), no field at or above h_v (the significance is taken there)
+    or a temperature grid wholly at or below the cryostat floor (every
+    setpoint is clamped to it, so no curve has a transition to fit)."""
     if trials < MIN_TRIALS:
         raise InputError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if len(plan.fields) < 3:
@@ -73,6 +76,9 @@ def _check_study(params: model.ModelParams, plan: SweepPlan, trials: int) -> Non
     if not any(field >= params.h_v for field in plan.fields):
         raise InputError(f"no field at or above h_v = {params.h_v:g} G, where the "
                          f"detection significance is taken")
+    if temperature_grid(plan)[-1] <= cfg.base_temperature:
+        raise InputError(f"the temperature grid lies wholly at or below the cryostat "
+                         f"floor base_temperature = {cfg.base_temperature:g} K")
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -144,10 +150,11 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
 
     A study that cannot give a result raises :class:`InputError` before
     any trial runs: fewer than :data:`MIN_TRIALS` trials, fewer than 3
-    fields (a delta curve needs 3) or no field at or above h_v (the
-    significance is taken there).
+    fields (a delta curve needs 3), no field at or above h_v (the
+    significance is taken there) or a temperature grid wholly at or
+    below the cryostat floor.
     """
-    _check_study(params, plan, trials)
+    _check_study(params, cfg, plan, trials)
     fields = np.array(plan.fields)
     t0 = time.perf_counter()
     truth = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
@@ -246,7 +253,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     A target that is not finite and positive, a tolerance outside
     (0, 1), a study :func:`run_sensitivity` rejects (fewer than
     :data:`MIN_TRIALS` trials, fewer than 3 fields, no field at or above
-    h_v) and a plan whose
+    h_v, a grid wholly at or below the cryostat floor) and a plan whose
     sweep does not resolve a transition raise :class:`InputError`
     before any study runs.
 
@@ -262,7 +269,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         raise InputError(f"target delta_n must be finite and > 0, got {target_delta_n}")
     if not (0 < tolerance < 1):  # also rejects NaN
         raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
-    _check_study(params, plan, trials)
+    _check_study(params, cfg, plan, trials)
 
     probes: list[tuple[float, float, int]] = []
 

@@ -69,7 +69,7 @@ def synthetic_delta_curve(fields, deltas, sigmas=None, kind="film"):
     deltas = np.asarray(deltas, dtype=float)
     sigmas = np.zeros_like(fields) if sigmas is None else np.asarray(sigmas)
     return DeltaCurve(kind=kind, fields=fields, deltas=deltas, sigmas=sigmas,
-                      t_c_estimate=1.5, t_c_sigma=0.0, t_c_source=f"{kind}-intercept")
+                      fit_sigmas=sigmas, t_c_estimate=1.5, t_c_sigma=0.0, t_c_source=f"{kind}-intercept")
 
 
 class TestFitTransition:
@@ -228,6 +228,17 @@ class TestFitTransition:
         curve = TransitionCurve(field=0.0, kind="film", temperatures=t,
                                 resistances=resistive_transition(t, 1.5, 50.0, 10.0))
         with pytest.raises(InputError):
+            fit_transition(curve)
+
+    def test_constant_temperature_rejected(self):
+        # a sweep whose setpoints all clamp to the cryostat floor: with noise
+        # about zero both plateau fractions could pass, and the zero initial
+        # width once escaped as ZeroDivisionError
+        t = np.full(200, 0.3)
+        r = np.random.default_rng(1).normal(0.0, REFERENCE_SIGMA_R, t.size)
+        curve = TransitionCurve(field=50.0, kind="film", temperatures=t, resistances=r,
+                                flags=tuple(f"clamped:{i}" for i in range(t.size)))
+        with pytest.raises(InputError, match="every temperature is 0.3 K"):
             fit_transition(curve)
 
     def test_noisy_curve_not_thrown_onto_a_step(self, params):
@@ -537,6 +548,32 @@ class TestDifference:
             sigmas.append(sigma)
         assert 0.03 <= np.mean(sigmas) <= 0.05
         assert np.mean(means) == pytest.approx(truth, abs=3 * np.mean(sigmas) / np.sqrt(60))
+
+
+class TestSharedTcCancels:
+    """Tc cancels in the film-cavity difference on a shared Tc and in
+    every slope, so their sigmas leave its sigma out.  With it in, the
+    scatter of both over trials was about 0.86 of the reported sigma."""
+
+    @pytest.fixture(scope="class")
+    def results(self, params, reference):
+        plan = plan_sweep(params, reference, np.linspace(50, 250, 10))
+        results = [analyze_dataset(run_paired_experiment(
+            params, reference, plan, substream_prefix=(trial,)))
+            for trial in range(300)]
+        assert not any(result.failed_fits for result in results)
+        return results
+
+    def test_weighted_mean_shift_scatter_matches_its_sigma(self, results):
+        means = [result.mean_difference for result in results]
+        sigmas = [result.mean_difference_sigma for result in results]
+        assert 0.9 <= np.std(means, ddof=1) / np.mean(sigmas) <= 1.1
+
+    def test_film_slope_scatter_matches_its_sigma(self, results):
+        slopes = np.array([result.film_derivative.slopes for result in results])
+        sigmas = np.array([result.film_derivative.sigmas for result in results])
+        ratio = np.std(slopes, axis=0, ddof=1) / np.mean(sigmas, axis=0)
+        assert 0.9 <= np.median(ratio) <= 1.1
 
 
 class TestDerivativeCurve:

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavityshift.cli import main
+from cavityshift.cli import build_parser, main
 from cavityshift.config import (default_run_config, load_run_config,
-                                run_config_from_dict, run_config_to_dict)
+                                run_config_from_dict)
 from cavityshift.errors import ConfigError
 
 
@@ -47,11 +51,10 @@ class TestConfigSchema:
                              ids=["default", "every-field-changed"])
     def test_defaults_round_trip(self, data):
         config = run_config_from_dict(data)
-        serialized = run_config_to_dict(config)
-        assert "output_dir" not in serialized
+        serialized = asdict(config)
         assert run_config_from_dict(serialized) == config
         if data:
-            default = run_config_to_dict(default_run_config())
+            default = asdict(default_run_config())
             for section in ("model", "instrument", "plan"):
                 for key, value in serialized[section].items():
                     assert value != default[section][key], (section, key)
@@ -59,6 +62,9 @@ class TestConfigSchema:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
             run_config_from_dict({"modle": {}})
+        # the output directory is set by --out alone
+        with pytest.raises(ConfigError, match="unknown top-level key"):
+            run_config_from_dict({"output_dir": "out"})
 
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -288,6 +294,31 @@ class TestSimulateAnalyze:
         assert main(["analyze", str(out / "run.json")]) == 4
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, code", [("", 4), ("clamped:1", 0)])
+    def test_repeated_temperature_needs_a_clamped_flag(self, tmp_path, capsys,
+                                                       flags, code):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        path = out / "curve_000_film_rep0.csv"
+        lines = path.read_text().splitlines()
+        start = lines.index("temperature_K,resistance_ohm") + 1
+        lines[start + 1] = (lines[start].split(",")[0] + ","
+                            + lines[start + 1].split(",")[1])
+        lines = [f"# flags={flags}" if line.startswith("# flags=") else line
+                 for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(out / "run.json")]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert str(path) in err and "strictly increasing" in err
+
+    def test_output_directory_that_is_a_file_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("")
+        assert main(["simulate", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("I/O error")
+
     def test_step_function_curve_exits_fit_and_is_listed(self, tmp_path, capsys):
         from cavityshift.instrument import resistive_transition
 
@@ -329,8 +360,10 @@ class TestSimulateAnalyze:
     def test_two_field_dataset_reports_why_difference_skipped(self, tmp_path, capsys):
         # all four fits succeed; the warning once read "no film curves"
         # and analysis.json held no note
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {"fields": [50.0, 100.0]}}))
         out = tmp_path / "two"
-        assert main(["simulate", "--out", str(out), "--fields", "50,100"]) == 0
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["analyze", str(out / "run.json")]) == 0
         captured = capsys.readouterr().out
         assert ("warning: film fits cover 2 distinct field(s); a delta curve needs 3; "
@@ -355,8 +388,10 @@ class TestSimulateAnalyze:
         assert not (out / "difference.csv").exists()
 
     def test_custom_fields_list(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {"fields": [60.0, 120.0, 180.0]}}))
         out = tmp_path / "fields"
-        assert main(["simulate", "--out", str(out), "--fields", "60,120,180"]) == 0
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert len(list(out.glob("curve_*.csv"))) == 6
 
     @pytest.mark.parametrize("key", ["resistance_noise", "normal_resistance",
@@ -420,6 +455,30 @@ class TestSimulateAnalyze:
         assert err.startswith("config error") and "temperature grid collapses" in err
         assert not out.exists()
 
+    def test_grid_at_the_cryostat_floor_fails_every_fit(self, tmp_path, capsys):
+        # every setpoint clamps to 0.3 K; analyze once ended in ZeroDivisionError
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {"t_center_guess": 0.1, "t_span": 0.1}}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["analyze", str(out / "run.json")]) == 5
+        assert "20/20 fits failed" in capsys.readouterr().err
+        payload = json.loads((out / "analysis.json").read_text())
+        assert {f["reason"] for f in payload["failed_fits"]} == {
+            "every temperature is 0.3 K; the curve has no transition to fit"}
+
+    @pytest.mark.parametrize("command", ["sensitivity", "calibrate"])
+    def test_study_at_the_cryostat_floor_exits_config(self, tmp_path, capsys, command):
+        # sensitivity once ended in ZeroDivisionError in its first trial
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {"t_center_guess": 0.1, "t_span": 0.1}}))
+        out = tmp_path / "study"
+        assert main([command, "--config", str(config), "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert ("the temperature grid lies wholly at or below the cryostat floor "
+                "base_temperature = 0.3 K") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSensitivityCommand:
     def test_small_study_writes_report(self, tmp_path):
@@ -454,23 +513,30 @@ class TestSensitivityCommand:
     def test_plan_without_a_result_exits_config(self, tmp_path, capsys, fields, message):
         # the first two once ran trials first: all 100 of them, then "every trial
         # failed its fits", or up to trial 0's significance step
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"plan": {"fields": [float(f) for f in fields.split(",") if f]}}))
         out = tmp_path / "sens"
-        assert main(["sensitivity", "--fields", fields, "--trials", "100",
+        assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_calibrate_flag_probes_as_calibrate_does(self, tmp_path):
-        # sensitivity --calibrate calibrates at calibrate_noise's default of
-        # 200 trials, whatever --trials the study itself runs
+    def test_calibrated_study_takes_sigma_r_from_the_config(self, tmp_path):
+        # calibrate, then a study whose config carries the calibrated
+        # sigma_R: the JSON number round-trips exactly
         sens, cal = tmp_path / "sens", tmp_path / "cal"
-        assert main(["sensitivity", "--calibrate", "--trials", "100", "--seed", "3",
-                     "--out", str(sens)]) == 0
         assert main(["calibrate", "--trials", "200", "--seed", "3",
                      "--out", str(cal)]) == 0
-        calibrated = json.loads((sens / "sensitivity.json").read_text())
-        assert calibrated["calibrated_sigma_r_ohm"] == json.loads(
-            (cal / "calibration.json").read_text())["sigma_r_ohm"]
+        sigma_r = json.loads((cal / "calibration.json").read_text())["sigma_r_ohm"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instrument": {"resistance_noise": sigma_r}}))
+        assert main(["sensitivity", "--config", str(config), "--trials", "100",
+                     "--seed", "3", "--out", str(sens)]) == 0
+        report = json.loads((sens / "sensitivity.json").read_text())
+        assert report["calibrated_sigma_r_ohm"] == sigma_r
+        assert report["config"]["instrument"]["resistance_noise"] == sigma_r
+        assert report["delta_n_mK"] == pytest.approx(0.1, rel=0.1)
 
     def test_zero_trials_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -488,7 +554,7 @@ class TestSensitivityCommand:
             payload["delta_n_mK"], rel=0.05)
 
     def test_null_model_reports_low_z(self, tmp_path):
-        config = run_config_to_dict(default_run_config())
+        config = asdict(default_run_config())
         config["model"]["delta_inf"] = 0.0
         path = tmp_path / "null.json"
         path.write_text(json.dumps(config))
@@ -528,7 +594,18 @@ class TestCalibrateCommand:
         assert "at least 3 fields" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["calibrate"], ["sensitivity", "--calibrate"]])
+    def test_target_below_the_jitter_floor_exits_calibration(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instrument": {"temperature_jitter": 5.0}}))
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(config), "--target", "0.01",
+                     "--trials", "100", "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("calibration error")
+        assert "lies below the noise-free floor" in err
+        assert not (out / "calibration.json").exists()
+
+    @pytest.mark.parametrize("command", [["calibrate"]])
     @pytest.mark.parametrize("tolerance", ["-0.1", "nan"])
     def test_tolerance_outside_unit_interval_exits_config(self, tmp_path, capsys,
                                                           command, tolerance):
@@ -536,3 +613,24 @@ class TestCalibrateCommand:
         assert main([*command, "--out", str(out), "--tolerance", tolerance]) == 2
         assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
+
+
+def readme_blocks(language):
+    """The fenced code blocks of one language in the README."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.M | re.S)
+
+
+class TestReadmeExamples:
+    """The README's examples stay valid as the CLI and config change."""
+
+    def test_every_command_line_parses(self):
+        lines = [line for block in readme_blocks("sh") for line in block.splitlines()
+                 if line.startswith("cavityshift ")]
+        assert len(lines) >= 5
+        for line in lines:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_config_example_loads(self):
+        (block,) = readme_blocks("json")
+        run_config_from_dict(json.loads(block))
