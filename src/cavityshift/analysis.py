@@ -11,6 +11,7 @@ paired-sample assumption); every report records that choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -287,7 +288,9 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     than ``_XTOL`` (1e-10) relative, whether or not that step would lower
     the cost; the current point is then kept.  ``_MAX_ITER`` (100) bounds
     the passes of the loop; a step changes the width by at most a factor
-    ``_WIDTH_STEP_FACTOR`` (4).  :class:`FitError`, with the iterations
+    ``_WIDTH_STEP_FACTOR`` (4), and keeps t_star within the sweep widened
+    by its span on each side, [t[0] - span, t[-1] + span] with
+    span = t[-1] - t[0].  :class:`FitError`, with the iterations
     (accepted steps), residual norm and last parameters attached, is raised when
     the loop ends without converging (pass limit, damping above 1e12, or
     damped normal equations that are not positive definite), when the
@@ -338,6 +341,8 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
         raise InputError("curve does not span both resistance plateaus")
 
     min_width = 0.2 * step_mk
+    span = float(t[-1] - t[0])
+    t_lo, t_hi = float(t[0]) - span, float(t[-1]) + span
     p = _initial_guess(t, r, r_top, step_mk)
 
     # one set of buffers per fit: the scaled offsets u, and a stack of
@@ -365,7 +370,8 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
                 break
         width = min(max(p[1] + step[1], p[1] / _WIDTH_STEP_FACTOR),
                     p[1] * _WIDTH_STEP_FACTOR)
-        p_new = [p[0] + step[0], max(width, min_width), p[2] + step[2]]
+        p_new = [min(max(p[0] + step[0], t_lo), t_hi), max(width, min_width),
+                 p[2] + step[2]]
         if p_new[2] <= 0:
             p_new[2] = p[2]
         d0 = abs(p_new[0] - p[0]) / s0
@@ -421,13 +427,14 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
     meaningful, otherwise equal weights with residual-scaled covariance
     (which degrades gracefully to zero sigma on exact data).
     """
-    weighted = bool(np.all(sigma > _SIGMA_FLOOR))
+    weighted = bool((sigma > _SIGMA_FLOOR).all())
     w = 1.0 / sigma ** 2 if weighted else np.ones_like(x)
-    sw = float(np.sum(w))
-    swx = float(np.sum(w * x))
-    swxx = float(np.sum(w * x * x))
-    swy = float(np.sum(w * y))
-    swxy = float(np.sum(w * x * y))
+    add = np.add.reduce
+    sw = float(add(w))
+    swx = float(add(w * x))
+    swxx = float(add(w * x * x))
+    swy = float(add(w * y))
+    swxy = float(add(w * x * y))
     det = sw * swxx - swx * swx
     if not (det > 0) or det <= 1e-12 * sw * swxx:
         raise InputError("regression is rank deficient (degenerate field grid)")
@@ -447,8 +454,10 @@ def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean; any sigma at or below it gives that field equal weights.
     """
     fits = list(fits)
-    fields, group, counts = np.unique([float(field) for field, _ in fits],
-                                      return_inverse=True, return_counts=True)
+    per_fit = np.array([float(field) for field, _ in fits])
+    fields = np.unique(per_fit)
+    group = fields.searchsorted(per_fit)
+    counts = np.bincount(group, minlength=fields.size)
     ts = np.array([fit.t_star for _, fit in fits])
     sg = np.array([fit.sigma_t_star for _, fit in fits])
     weighted = np.bincount(group, ~(sg > _SIGMA_FLOOR), fields.size) == 0
@@ -498,7 +507,7 @@ def difference_curve(film: DeltaCurve, cavity: DeltaCurve) -> DifferenceCurve:
     The two curves share one Tc (see :func:`analyze_dataset`), which
     cancels in the difference, so the sigmas combine the T* sigmas only.
     """
-    if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
+    if film.fields.shape != cavity.fields.shape or (film.fields != cavity.fields).any():
         raise InputError("film and cavity curves are on different field grids")
     return DifferenceCurve(fields=film.fields.copy(),
                            values=film.deltas - cavity.deltas,
@@ -513,15 +522,15 @@ def weighted_mean_difference(diff: DifferenceCurve,
     on noise-free input (equal weights are used there instead).
     """
     mask = diff.fields >= min_field
-    if not np.any(mask):
+    if not mask.any():
         raise InputError("no fields at or above the requested minimum")
     values = diff.values[mask]
     sigmas = diff.sigmas[mask]
-    if np.all(sigmas > _SIGMA_FLOOR * MK_PER_K):
+    if (sigmas > _SIGMA_FLOOR * MK_PER_K).all():
         w = 1.0 / sigmas ** 2
-        return (float(np.sum(w * values) / np.sum(w)),
-                float(1.0 / math.sqrt(np.sum(w))))
-    return float(np.mean(values)), 0.0
+        sw = np.add.reduce(w)
+        return float(np.add.reduce(w * values) / sw), float(1.0 / math.sqrt(sw))
+    return float(np.add.reduce(values) / values.size), 0.0
 
 
 # --- derivatives ------------------------------------------------------------
@@ -536,40 +545,60 @@ def derivative_curve(curve: DeltaCurve, window: int = 5) -> DerivativeCurve:
     is the first-derivative Savitzky-Golay filter (Savitzky & Golay,
     Anal. Chem. 36, 1627, 1964).  The coefficients of a row sum to zero,
     so Tc drops out of every slope; the sigmas propagate the T* sigmas
-    (``fit_sigmas``) through the same coefficients.
+    (``fit_sigmas``) through the same coefficients.  That operator
+    depends only on the field grid and the window, so it is built once
+    per grid (:func:`_derivative_operator`); the returned ``one_sided``
+    is its read-only flag array.
     """
     n = curve.fields.size
     if window % 2 == 0 or window < 3:
         raise InputError(f"window must be odd and >= 3, got {window}")
     if window > n:
         raise InputError(f"window {window} exceeds the {n} available points")
-    half = window // 2
-    centre = np.arange(n)
-    lo = np.clip(centre - half, 0, n - window)
-    rows = lo[:, None] + np.arange(window)
-    dx = curve.fields[rows]
-    dx -= dx.mean(axis=1, keepdims=True)
-    coeff = dx / (dx * dx).sum(axis=1, keepdims=True)
+    rows, coeff, one_sided = _derivative_operator(
+        np.asarray(curve.fields, dtype=float).tobytes(), window)
     y = curve.deltas[rows]
-    slopes = (coeff * (y - y.mean(axis=1, keepdims=True))).sum(axis=1)
-    sigmas = np.sqrt(((coeff * curve.fit_sigmas[rows]) ** 2).sum(axis=1))
-    one_sided = lo != centre - half
+    ybar = np.add.reduce(y, 1, keepdims=True) / window  # bit-equal to .mean
+    slopes = np.add.reduce(coeff * (y - ybar), 1)
+    sigmas = np.sqrt(np.add.reduce((coeff * curve.fit_sigmas[rows]) ** 2, 1))
     return DerivativeCurve(kind=curve.kind, fields=curve.fields.copy(),
                            slopes=slopes, sigmas=sigmas, window=window,
                            one_sided=one_sided)
 
 
+@functools.lru_cache(maxsize=64)
+def _derivative_operator(fields: bytes, window: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, window) rows of each point's window, their regression
+    coefficients (x - xbar) / sxx and the one-sided flags on the float64
+    field grid ``fields``; read-only, keyed by the grid's bytes."""
+    x = np.frombuffer(fields)
+    n = x.size
+    half = window // 2
+    centre = np.arange(n)
+    lo = np.clip(centre - half, 0, n - window)
+    rows = lo[:, None] + np.arange(window)
+    dx = x[rows]
+    dx -= dx.mean(axis=1, keepdims=True)
+    coeff = dx / (dx * dx).sum(axis=1, keepdims=True)
+    one_sided = lo != centre - half
+    for array in (rows, coeff, one_sided):
+        array.flags.writeable = False
+    return rows, coeff, one_sided
+
+
 def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
     if x.size < 3:
         return math.nan
-    xbar = float(np.mean(x))
-    ybar = float(np.mean(y))
-    sxx = float(np.sum((x - xbar) ** 2))
-    sst = float(np.sum((y - ybar) ** 2))
+    add = np.add.reduce
+    dx = x - float(add(x) / x.size)  # bit-equal to np.mean
+    dy = y - float(add(y) / y.size)
+    sxx = float(add(dx * dx))
+    sst = float(add(dy * dy))
     if sst == 0.0:
         return 1.0
-    slope = float(np.sum((x - xbar) * (y - ybar))) / sxx
-    ssr = float(np.sum((y - ybar - slope * (x - xbar)) ** 2))
+    slope = float(add(dx * dy)) / sxx
+    ssr = float(add((dy - slope * dx) ** 2))
     return 1.0 - ssr / sst
 
 
@@ -599,7 +628,7 @@ def linearity_and_convergence_report(film: DerivativeCurve,
     field from which onward the relative film-cavity difference stays
     below :data:`CONVERGENCE_THRESHOLD`.
     """
-    if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
+    if film.fields.shape != cavity.fields.shape or (film.fields != cavity.fields).any():
         raise InputError("film and cavity derivatives are on different field grids")
 
     rel = relative_slope_difference(film.slopes, cavity.slopes)
@@ -610,7 +639,7 @@ def linearity_and_convergence_report(film: DerivativeCurve,
 
     ok = np.abs(rel) < CONVERGENCE_THRESHOLD  # NaN compares False: never converged
     ok_onward = np.logical_and.accumulate(ok[::-1])[::-1]  # from each field on
-    convergence_field = (float(film.fields[np.argmax(ok_onward)]) if ok_onward.any()
+    convergence_field = (float(film.fields[ok_onward.argmax()]) if ok_onward.any()
                          else None)
     return ConvergenceReport(fields=film.fields.copy(), relative_difference=rel,
                              r2_film=r2_film, r2_cavity=r2_cavity,
@@ -710,7 +739,8 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
 
     difference = None
     if film is not None and cavity is not None:
-        if np.array_equal(film.fields, cavity.fields):
+        if (film.fields.shape == cavity.fields.shape
+                and (film.fields == cavity.fields).all()):
             difference = difference_curve(film, cavity)
         else:
             notes.append("film and cavity fits cover different fields; "

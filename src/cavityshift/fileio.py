@@ -44,12 +44,13 @@ def write_json(path: str | Path, payload: dict) -> Path:
 
 def csv_text(header: list[str], columns, comments: list[str] = ()) -> str:
     """``# ``-prefixed comment lines, the header and one row per index of
-    the columns (arrays via ``.tolist()``), each value as ``str``: for a
-    float that is :func:`fmt`'s text, and a string passes unchanged."""
+    the columns.  An array column gives each value of its ``.tolist()``
+    as ``str``, which for a float is :func:`fmt`'s text; any other column
+    is a sequence of strings that passes unchanged."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
-    lines += map(",".join, zip(*(map(str, c) for c in columns), strict=True))
+    columns = [map(str, c.tolist()) if hasattr(c, "tolist") else c for c in columns]
+    lines += map(",".join, zip(*columns, strict=True))
     return "\n".join(lines) + "\n"
 
 

@@ -65,9 +65,11 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
                  trials: int) -> None:
     """:class:`InputError` for a study that cannot give a result: fewer
     than :data:`MIN_TRIALS` trials, fewer than 3 fields (a delta curve
-    needs 3), no field at or above h_v (the significance is taken there)
-    or a temperature grid wholly at or below the cryostat floor (every
-    setpoint is clamped to it, so no curve has a transition to fit)."""
+    needs 3), no field at or above h_v (the significance is taken there),
+    a temperature grid wholly at or below the cryostat floor (every
+    setpoint is clamped to it, so no curve has a transition to fit) or,
+    checked last, a sweep that does not resolve a transition (the
+    singular covariance :func:`delta_n_per_ohm` raises on)."""
     if trials < MIN_TRIALS:
         raise InputError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if len(plan.fields) < 3:
@@ -79,6 +81,7 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
     if temperature_grid(plan)[-1] <= cfg.base_temperature:
         raise InputError(f"the temperature grid lies wholly at or below the cryostat "
                          f"floor base_temperature = {cfg.base_temperature:g} K")
+    delta_n_per_ohm(params, cfg, plan)
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -151,8 +154,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     A study that cannot give a result raises :class:`InputError` before
     any trial runs: fewer than :data:`MIN_TRIALS` trials, fewer than 3
     fields (a delta curve needs 3), no field at or above h_v (the
-    significance is taken there) or a temperature grid wholly at or
-    below the cryostat floor.
+    significance is taken there), a temperature grid wholly at or below
+    the cryostat floor, or a sweep that does not resolve a transition.
     """
     _check_study(params, cfg, plan, trials)
     fields = np.array(plan.fields)
@@ -253,9 +256,9 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     A target that is not finite and positive, a tolerance outside
     (0, 1), a study :func:`run_sensitivity` rejects (fewer than
     :data:`MIN_TRIALS` trials, fewer than 3 fields, no field at or above
-    h_v, a grid wholly at or below the cryostat floor) and a plan whose
-    sweep does not resolve a transition raise :class:`InputError`
-    before any study runs.
+    h_v, a grid wholly at or below the cryostat floor, a sweep that does
+    not resolve a transition) raise :class:`InputError` before any study
+    runs.
 
     Raises :class:`CalibrationError`, listing every probe as (sigma_R,
     delta_n, failed trials), when the probe within tolerance comes from

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,24 @@ from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
                          plan_sweep, run_paired_experiment,
                          weighted_mean_difference)
 from cavityshift import analysis
-from cavityshift.analysis import (_SIGMA_FLOOR, DerivativeCurve, FitFailure,
+from cavityshift.analysis import (_SIGMA_FLOOR, CONVERGENCE_THRESHOLD, MK_PER_K,
+                                  DerivativeCurve, DifferenceCurve, FitFailure,
                                   FitResult, _aggregate_repeats, _damped_step,
-                                  _normal_matrices)
+                                  _normal_matrices, _weighted_line_fit,
+                                  relative_slope_difference)
+from cavityshift.config import run_config_from_dict
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import TransitionCurve
 
 REFERENCE_SIGMA_R = 0.0751
+
+#: Found by fuzzing the config domain: one of its fits once overflowed.
+JITTER_OVERFLOW_CONFIG = {
+    "model": {"alpha": 0.0003657102230106953},
+    "instrument": {"base_temperature": 1.201989465374509,
+                   "transition_width": 0.05875546465102714,
+                   "temperature_jitter": 9.138519989788767},
+    "plan": {"n_points": 39}, "seed": 3493288461}
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +273,20 @@ class TestFitTransition:
         assert cost(fit.t_star, fit.width, fit.r_n) < cost(
             1.4743270021336943, 0.4020100502512669, 8.81821056826963)
         assert abs(fit.t_star - curve.oracle_t_star) <= 4 * fit.sigma_t_star
+
+    def test_midpoint_step_stays_near_the_sweep(self):
+        # a 0.06 mK wide transition under 9 mK of temperature jitter: with
+        # the t_star step unbounded, this fit ran t_star off until
+        # u * u overflowed in _normal_equations (a RuntimeWarning, an
+        # error under the suite's warning filter)
+        config = run_config_from_dict(JITTER_OVERFLOW_CONFIG)
+        curve = acquire_curve(config.model, config.instrument, config.plan,
+                              config.plan.fields[1], "film", substream_prefix=(6,))
+        t = curve.temperatures
+        span = t[-1] - t[0]
+        with pytest.raises(FitError) as info:
+            fit_transition(curve)
+        assert t[0] - span <= info.value.params[0] <= t[-1] + span
 
     def test_missing_plateau_rejected(self, quiet):
         # sweep entirely below the transition: no normal plateau sampled
@@ -669,6 +695,196 @@ class TestDerivativeLoopReference:
         assert np.array_equal(deriv.one_sided, one_sided)
         assert deriv.slopes == pytest.approx(slopes, rel=1e-13)
         assert deriv.sigmas == pytest.approx(errors, rel=1e-13)
+
+
+# The post-fit steps as they were before the per-grid derivative operator
+# and the direct ufunc reductions, verbatim: the references the current
+# code must match bit for bit.
+
+def reference_weighted_line_fit(x, y, sigma):
+    weighted = bool(np.all(sigma > _SIGMA_FLOOR))
+    w = 1.0 / sigma ** 2 if weighted else np.ones_like(x)
+    sw = float(np.sum(w))
+    swx = float(np.sum(w * x))
+    swxx = float(np.sum(w * x * x))
+    swy = float(np.sum(w * y))
+    swxy = float(np.sum(w * x * y))
+    det = sw * swxx - swx * swx
+    if not (det > 0) or det <= 1e-12 * sw * swxx:
+        raise InputError("regression is rank deficient (degenerate field grid)")
+    a = (swxx * swy - swx * swxy) / det
+    b = (sw * swxy - swx * swy) / det
+    var_a = swxx / det
+    if not weighted:
+        resid = y - a - b * x
+        var_a *= float(resid @ resid) / max(x.size - 2, 1)
+    return a, math.sqrt(max(var_a, 0.0))
+
+
+def reference_weighted_mean_difference(diff, min_field=0.0):
+    mask = diff.fields >= min_field
+    if not np.any(mask):
+        raise InputError("no fields at or above the requested minimum")
+    values = diff.values[mask]
+    sigmas = diff.sigmas[mask]
+    if np.all(sigmas > _SIGMA_FLOOR * MK_PER_K):
+        w = 1.0 / sigmas ** 2
+        return (float(np.sum(w * values) / np.sum(w)),
+                float(1.0 / math.sqrt(np.sum(w))))
+    return float(np.mean(values)), 0.0
+
+
+def reference_derivative_curve(curve, window=5):
+    n = curve.fields.size
+    if window % 2 == 0 or window < 3:
+        raise InputError(f"window must be odd and >= 3, got {window}")
+    if window > n:
+        raise InputError(f"window {window} exceeds the {n} available points")
+    half = window // 2
+    centre = np.arange(n)
+    lo = np.clip(centre - half, 0, n - window)
+    rows = lo[:, None] + np.arange(window)
+    dx = curve.fields[rows]
+    dx -= dx.mean(axis=1, keepdims=True)
+    coeff = dx / (dx * dx).sum(axis=1, keepdims=True)
+    y = curve.deltas[rows]
+    slopes = (coeff * (y - y.mean(axis=1, keepdims=True))).sum(axis=1)
+    sigmas = np.sqrt(((coeff * curve.fit_sigmas[rows]) ** 2).sum(axis=1))
+    one_sided = lo != centre - half
+    return DerivativeCurve(kind=curve.kind, fields=curve.fields.copy(),
+                           slopes=slopes, sigmas=sigmas, window=window,
+                           one_sided=one_sided)
+
+
+def reference_r_squared(x, y):
+    if x.size < 3:
+        return math.nan
+    xbar = float(np.mean(x))
+    ybar = float(np.mean(y))
+    sxx = float(np.sum((x - xbar) ** 2))
+    sst = float(np.sum((y - ybar) ** 2))
+    if sst == 0.0:
+        return 1.0
+    slope = float(np.sum((x - xbar) * (y - ybar))) / sxx
+    ssr = float(np.sum((y - ybar - slope * (x - xbar)) ** 2))
+    return 1.0 - ssr / sst
+
+
+def reference_linearity_and_convergence_report(film, cavity):
+    if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
+        raise InputError("film and cavity derivatives are on different field grids")
+    rel = relative_slope_difference(film.slopes, cavity.slopes)
+    region = ~(film.one_sided | cavity.one_sided)
+    r2_film = reference_r_squared(film.fields[region], film.slopes[region])
+    r2_cavity = reference_r_squared(cavity.fields[region], cavity.slopes[region])
+    ok = np.abs(rel) < CONVERGENCE_THRESHOLD
+    ok_onward = np.logical_and.accumulate(ok[::-1])[::-1]
+    convergence_field = (float(film.fields[np.argmax(ok_onward)]) if ok_onward.any()
+                         else None)
+    return rel, r2_film, r2_cavity, convergence_field
+
+
+def uneven_grid(rng, n):
+    return np.cumsum(rng.uniform(0.1, 30.0, n)) + rng.uniform(0.0, 100.0)
+
+
+def floored_sigmas(rng, n, scale):
+    """Sigmas on the ``scale`` of the values, a few of them zero or at the
+    floor of the K (analysis._SIGMA_FLOOR) or the mK regressions."""
+    sigmas = rng.uniform(0.01, 1.0, n) * scale
+    picked = rng.random(n) < 0.1
+    sigmas[picked] = rng.choice([0.0, _SIGMA_FLOOR, _SIGMA_FLOOR * MK_PER_K],
+                                picked.sum())
+    return sigmas
+
+
+def same_bits(*pairs):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in pairs)
+
+
+class TestPostFitMatchesReference:
+    """Random grids of 3-40 fields with uneven steps, every odd window
+    that fits, sigmas at the floors, and film and cavity slopes that are
+    zero or equal (the NaN and 0 contrasts)."""
+
+    def test_derivative_curve(self):
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            n = int(rng.integers(3, 41))
+            fields = uneven_grid(rng, n)
+            deltas = rng.uniform(-1.0, 1.0) * fields ** 2 * 1e-4 + rng.normal(0, 0.1, n)
+            curve = synthetic_delta_curve(fields, deltas, floored_sigmas(rng, n, 0.1))
+            for window in range(3, n + 1, 2):
+                got = derivative_curve(curve, window)
+                want = reference_derivative_curve(curve, window)
+                assert same_bits(*((getattr(got, name), getattr(want, name))
+                                   for name in ("fields", "slopes", "sigmas",
+                                                "one_sided")))
+
+    def test_weighted_line_fit(self):
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            n = int(rng.integers(3, 41))
+            x = uneven_grid(rng, n) ** 2
+            y = 1.5 - 1e-7 * x + rng.normal(0.0, 1e-4, n)
+            sigma = floored_sigmas(rng, n, 1e-4)
+            assert same_bits((_weighted_line_fit(x, y, sigma),
+                              reference_weighted_line_fit(x, y, sigma)))
+
+    def test_weighted_mean_difference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            n = int(rng.integers(3, 41))
+            fields = uneven_grid(rng, n)
+            diff = DifferenceCurve(fields=fields, values=rng.normal(0.2, 0.1, n),
+                                   sigmas=floored_sigmas(rng, n, 0.1))
+            min_field = float(rng.choice(fields))
+            assert same_bits((weighted_mean_difference(diff, min_field),
+                              reference_weighted_mean_difference(diff, min_field)))
+
+    def test_linearity_and_convergence_report(self):
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            n = int(rng.integers(3, 41))
+            window = int(rng.choice(range(3, n + 1, 2)))
+            fields = uneven_grid(rng, n)
+            slopes = {kind: rng.normal(1.0, 0.05, n) for kind in ("film", "cavity")}
+            for kind in ("film", "cavity"):
+                slopes[kind][rng.random(n) < 0.1] = 0.0
+            equal = rng.random(n) < 0.2
+            slopes["cavity"][equal] = slopes["film"][equal]
+            if rng.random() < 0.1:  # a constant film slope: R^2 is 1
+                slopes["film"][:] = 0.5
+            film, cavity = (
+                derivative_curve(synthetic_delta_curve(fields, np.zeros(n), kind=kind),
+                                 window)
+                for kind in ("film", "cavity"))
+            film, cavity = (replace(deriv, slopes=slopes[deriv.kind])
+                            for deriv in (film, cavity))
+            got = linearity_and_convergence_report(film, cavity)
+            rel, r2_film, r2_cavity, field = reference_linearity_and_convergence_report(
+                film, cavity)
+            assert same_bits((got.relative_difference, rel), (got.r2_film, r2_film),
+                             (got.r2_cavity, r2_cavity), (got.fields, fields))
+            assert got.convergence_field == field
+
+    def test_one_operator_per_grid(self):
+        grids = (np.linspace(0.0, 100.0, 11), np.geomspace(1.0, 100.0, 11))
+        curves = [synthetic_delta_curve(fields, fields ** 2, np.full(11, 0.1))
+                  for fields in grids]
+        analysis._derivative_operator.cache_clear()
+        for curve in curves * 3:  # alternate the two grids
+            got = derivative_curve(curve, 5)
+            want = reference_derivative_curve(curve, 5)
+            assert same_bits((got.slopes, want.slopes), (got.sigmas, want.sigmas))
+        info = analysis._derivative_operator.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+        operators = [analysis._derivative_operator(fields.tobytes(), 5)
+                     for fields in grids]
+        assert not np.array_equal(operators[0][1], operators[1][1])
+        for array in (*operators[0], *operators[1]):
+            assert not array.flags.writeable
+        assert derivative_curve(curves[0], 5).one_sided is operators[0][2]
 
 
 class TestConvergenceReport:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavityshift import sensitivity
 from cavityshift.cli import build_parser, main
 from cavityshift.config import (default_run_config, load_run_config,
                                 run_config_from_dict)
@@ -520,6 +521,44 @@ class TestSensitivityCommand:
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_missing_the_transitions_exits_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        # a grid from 0.25 to 0.45 K, below every transition: the study once
+        # fitted all 2000 curves, then exited with "every trial failed"
+        trials = []
+        run = sensitivity.run_paired_experiment
+
+        def counted(*args, **kwargs):
+            trials.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "run_paired_experiment", counted)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {"t_center_guess": 0.35, "t_span": 0.2}}))
+        out = tmp_path / "sens"
+        assert main(["sensitivity", "--config", str(config), "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert "does not resolve the film transition at 50 G" in capsys.readouterr().err
+        assert not out.exists()
+        assert trials == []
+
+    def test_jittered_study_whose_fits_once_overflowed_exits_config(
+            self, tmp_path, capsys):
+        # found by fuzzing the config domain: a fit of this study once ran
+        # t_star off until it overflowed, a RuntimeWarning the suite raises
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"alpha": 0.0003657102230106953},
+            "instrument": {"base_temperature": 1.201989465374509,
+                           "transition_width": 0.05875546465102714,
+                           "temperature_jitter": 9.138519989788767},
+            "plan": {"n_points": 39}, "seed": 3493288461}))
+        out = tmp_path / "sens"
+        assert main(["sensitivity", "--config", str(config), "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_calibrated_study_takes_sigma_r_from_the_config(self, tmp_path):

@@ -345,8 +345,8 @@ texts = st.text(st.characters(blacklist_characters="\n,"), max_size=8)
 
 @st.composite
 def tables(draw):
-    """(header, columns, comments): columns of floats, ints or strings,
-    each a list or an array."""
+    """(header, columns, comments): columns of floats or ints as arrays,
+    and of strings as lists."""
     n_rows = draw(st.integers(0, 12))
     columns = []
     for kind in draw(st.lists(st.sampled_from(["float", "int", "str"]),
@@ -358,7 +358,7 @@ def tables(draw):
         values = draw(st.lists(table_floats if kind == "float"
                                else st.integers(-2 ** 63, 2 ** 63 - 1),
                                min_size=n_rows, max_size=n_rows))
-        columns.append(np.array(values, dtype=kind) if draw(st.booleans()) else values)
+        columns.append(np.array(values, dtype=kind))
     header = draw(st.lists(texts, min_size=len(columns), max_size=len(columns)))
     return header, columns, draw(st.lists(texts, max_size=3))
 
@@ -403,3 +403,21 @@ def test_curve_file_matches_row_wise_writer(n, data, field, kind, repetition,
         (path,) = Path(tmp).glob("curve_*.csv")
         text = path.read_bytes().decode()
     assert text == oracle_curve_text(curve, list(map(repr, temperatures.tolist())))
+
+
+def test_simulated_run_files_match_row_wise_writer(tmp_path):
+    """Every curve file of a run, whose curves share one formatted
+    temperature column, holds the row-wise text; the grid dips below the
+    cryostat floor, so the files also carry clamped setpoints and flags."""
+    params = calibrate_defaults()
+    cfg = InstrumentConfig(seed=3)
+    plan = replace(plan_sweep(params, cfg, [50.0, 150.0, 250.0]), repetitions=2,
+                   n_points=40, t_center_guess=0.4, t_span=2.4)
+    curves = run_paired_experiment(params, cfg, plan)
+    assert all(curve.flags for curve in curves)
+    write_run(tmp_path, curves, {})
+    temperature_text = list(map(repr, curves[0].temperatures.tolist()))
+    for entry, curve in zip(json.loads((tmp_path / "run.json").read_text())["curves"],
+                            curves, strict=True):
+        text = (tmp_path / entry["file"]).read_bytes().decode()
+        assert text == oracle_curve_text(curve, temperature_text)
