@@ -9,7 +9,9 @@ changes included), each with its own ``src``:
 
 - ``model-curve --step 0.05``
 - ``simulate``, then ``analyze`` of its run
-- ``simulate --noiseless``, then ``analyze``
+- ``simulate`` without noise (zero resistance noise and jitter in the
+  config file), then ``analyze``
+- ``simulate`` with 2 mK of temperature jitter, then ``analyze``
 - ``simulate`` of a 5-repetition plan, then ``analyze``
 - ``sensitivity --trials 200``
 - ``calibrate --trials 200``
@@ -31,19 +33,25 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7, 21)
-REPETITIONS_CONFIG = "repetitions.json"
+#: The config file of each case that takes one.
+CONFIGS = {
+    "noiseless": {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}},
+    "jitter": {"instrument": {"temperature_jitter": 2.0}},
+    "repetitions": {"plan": {"repetitions": 5}},
+}
 
 
 def cases(seed: int) -> dict[str, list[list[str]]]:
     """The commands of each case, run in order in the case's directory."""
     common = ["--seed", str(seed), "--out", "out"]
     analyze = ["analyze", "out/run.json"]
+    simulate = {f"simulate-{name}": [["simulate", "--config", f"../../{name}.json",
+                                      *common], analyze]
+                for name in CONFIGS}
     return {
         "model-curve": [["model-curve", "--step", "0.05", *common]],
         "simulate": [["simulate", *common], analyze],
-        "simulate-noiseless": [["simulate", "--noiseless", *common], analyze],
-        "simulate-repetitions": [["simulate", "--config", f"../../{REPETITIONS_CONFIG}",
-                                  *common], analyze],
+        **simulate,
         "sensitivity": [["sensitivity", "--trials", "200", *common]],
         "calibrate": [["calibrate", "--trials", "200", *common]],
     }
@@ -53,7 +61,8 @@ def run_matrix(src: Path, root: Path) -> dict[str, list[int]]:
     """Run every case with ``src`` first on the import path, under
     root/<seed>/<case>; returns the exit codes per case."""
     root.mkdir(parents=True)
-    (root / REPETITIONS_CONFIG).write_text(json.dumps({"plan": {"repetitions": 5}}))
+    for name, config in CONFIGS.items():
+        (root / f"{name}.json").write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(src)}
     codes = {}
     for seed in SEEDS:

@@ -77,7 +77,6 @@ class DerivativeCurve:
     fields: np.ndarray
     slopes: np.ndarray          # mK / gauss
     sigmas: np.ndarray
-    window: int
     one_sided: np.ndarray       # bool; True where the window is off-center
 
 
@@ -535,24 +534,28 @@ def weighted_mean_difference(diff: DifferenceCurve,
 
 # --- derivatives ------------------------------------------------------------
 
-def derivative_curve(curve: DeltaCurve, window: int = 5) -> DerivativeCurve:
-    """Local linear regression d(delta)/dH over a sliding window.
+#: Points per window of the delta-curve derivative: the 5-point
+#: first-derivative Savitzky-Golay filter.
+DERIVATIVE_WINDOW = 5
 
-    The window is a point count (odd, >= 3).  Edge points fall back to
-    one-sided windows of the same size and are flagged.  The slopes are
-    one fixed linear operator on the deltas: row i holds the regression
-    coefficients (x - xbar) / sxx of its window, which on a uniform grid
-    is the first-derivative Savitzky-Golay filter (Savitzky & Golay,
-    Anal. Chem. 36, 1627, 1964).  The coefficients of a row sum to zero,
-    so Tc drops out of every slope; the sigmas propagate the T* sigmas
-    (``fit_sigmas``) through the same coefficients.  That operator
-    depends only on the field grid and the window, so it is built once
-    per grid (:func:`_derivative_operator`); the returned ``one_sided``
-    is its read-only flag array.
+
+def derivative_curve(curve: DeltaCurve) -> DerivativeCurve:
+    """Local linear regression d(delta)/dH over a sliding window of
+    :data:`DERIVATIVE_WINDOW` points.
+
+    Edge points fall back to one-sided windows of the same size and are
+    flagged.  The slopes are one fixed linear operator on the deltas:
+    row i holds the regression coefficients (x - xbar) / sxx of its
+    window, which on a uniform grid is the first-derivative
+    Savitzky-Golay filter (Savitzky & Golay, Anal. Chem. 36, 1627,
+    1964).  The coefficients of a row sum to zero, so Tc drops out of
+    every slope; the sigmas propagate the T* sigmas (``fit_sigmas``)
+    through the same coefficients.  That operator depends only on the
+    field grid, so it is built once per grid
+    (:func:`_derivative_operator`); the returned ``one_sided`` is its
+    read-only flag array.
     """
-    n = curve.fields.size
-    if window % 2 == 0 or window < 3:
-        raise InputError(f"window must be odd and >= 3, got {window}")
+    n, window = curve.fields.size, DERIVATIVE_WINDOW
     if window > n:
         raise InputError(f"window {window} exceeds the {n} available points")
     rows, coeff, one_sided = _derivative_operator(
@@ -562,8 +565,7 @@ def derivative_curve(curve: DeltaCurve, window: int = 5) -> DerivativeCurve:
     slopes = np.add.reduce(coeff * (y - ybar), 1)
     sigmas = np.sqrt(np.add.reduce((coeff * curve.fit_sigmas[rows]) ** 2, 1))
     return DerivativeCurve(kind=curve.kind, fields=curve.fields.copy(),
-                           slopes=slopes, sigmas=sigmas, window=window,
-                           one_sided=one_sided)
+                           slopes=slopes, sigmas=sigmas, one_sided=one_sided)
 
 
 @functools.lru_cache(maxsize=64)
@@ -605,10 +607,6 @@ def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
 #: Relative film-cavity slope difference below which the derivatives
 #: count as converged.
 CONVERGENCE_THRESHOLD = 0.05
-
-#: Points per window of the delta-curve derivative: the 5-point
-#: first-derivative Savitzky-Golay filter.
-DERIVATIVE_WINDOW = 5
 
 
 def relative_slope_difference(film: np.ndarray, cavity: np.ndarray) -> np.ndarray:
@@ -748,9 +746,9 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
 
     film_deriv = cavity_deriv = convergence = None
     if film is not None and film.fields.size >= DERIVATIVE_WINDOW:
-        film_deriv = derivative_curve(film, DERIVATIVE_WINDOW)
+        film_deriv = derivative_curve(film)
     if cavity is not None and cavity.fields.size >= DERIVATIVE_WINDOW:
-        cavity_deriv = derivative_curve(cavity, DERIVATIVE_WINDOW)
+        cavity_deriv = derivative_curve(cavity)
     if difference is not None and film_deriv is not None and cavity_deriv is not None:
         convergence = linearity_and_convergence_report(film_deriv, cavity_deriv)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 #: Converts a 10%-90% resistive width into the erf length scale:
 #: R/R_n = (1+erf(x/s))/2 crosses 0.1 and 0.9 at x = -+ s*erfinv(0.8),
@@ -94,8 +94,8 @@ def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: floa
     added to it.  One generator call draws 2n standard normals: the
     jitter block first, then the resistance-noise block, so a curve stays
     deterministic per substream.  With jitter the readout is evaluated at
-    the jittered temperatures; a jittered temperature at or below 0 K
-    raises :class:`DomainError`.
+    the jittered temperatures, each raised to the cryostat floor if the
+    jitter takes it below: the sample cannot be colder than the floor.
     """
     t = np.asarray(t_setpoints, dtype=float)
     z = rng.standard_normal(2 * t.size).reshape((2, *t.shape))
@@ -104,8 +104,7 @@ def measure_profile(cfg: InstrumentConfig, t_setpoints: np.ndarray, t_star: floa
         return profile + cfg.resistance_noise * z[1]
     t = np.maximum(t, cfg.base_temperature)
     t += cfg.temperature_jitter * z[0] * 1e-3
-    if (t <= 0).any():
-        raise DomainError("temperature must be > 0")
+    np.maximum(t, cfg.base_temperature, out=t)
     r = resistive_transition(t, t_star, cfg.transition_width, cfg.normal_resistance)
     r += cfg.resistance_noise * z[1]
     return r

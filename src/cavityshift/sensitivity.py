@@ -12,7 +12,6 @@ results do not depend on execution order.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -42,6 +41,7 @@ class SensitivityReport:
     delta_n: float                  # mK, pooled std of extracted delta about truth
     trials: int
     delta_n_se: float               # mK, its Monte Carlo standard error
+    delta_n_per_ohm: float          # mK/ohm, closed-form delta_n / sigma_R
     detection_z: float              # mean per-trial significance of the shift
     detection_z_se: float           # its Monte Carlo standard error
     z_fraction_ge_3: float          # fraction of trials with z >= 3
@@ -49,8 +49,6 @@ class SensitivityReport:
     derivative_contrast: float      # relative film-cavity slope difference near h_v
     derivative_contrast_sigma: float
     contrast_field: float           # gauss, grid field nearest h_v
-    calibrated_sigma_r: float       # ohm, the resistance noise in effect
-    runtime: float                  # seconds (excluded from serialized reports)
     failed_trials: int
     valid: bool                     # False when > 1% of trials failed
     contrast_fields: np.ndarray     # gauss, the plan's fields
@@ -62,14 +60,19 @@ class SensitivityReport:
 
 
 def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPlan,
-                 trials: int) -> None:
-    """:class:`InputError` for a study that cannot give a result: fewer
-    than :data:`MIN_TRIALS` trials, fewer than 3 fields (a delta curve
-    needs 3), no field at or above h_v (the significance is taken there),
-    a temperature grid wholly at or below the cryostat floor (every
-    setpoint is clamped to it, so no curve has a transition to fit) or,
-    checked last, a sweep that does not resolve a transition (the
-    singular covariance :func:`delta_n_per_ohm` raises on)."""
+                 trials: int) -> float:
+    """kappa = :func:`delta_n_per_ohm` of a study that can give a result.
+
+    Raises :class:`InputError`, before any trial runs, for a study with
+
+    1. fewer than :data:`MIN_TRIALS` trials,
+    2. fewer than 3 fields (a delta curve needs 3),
+    3. no field at or above h_v (the significance is taken there),
+    4. a temperature grid wholly at or below the cryostat floor (every
+       setpoint is clamped to it, so no curve has a transition to fit), or
+    5. checked last, a sweep that does not resolve a transition (the
+       singular covariance :func:`delta_n_per_ohm` raises on).
+    """
     if trials < MIN_TRIALS:
         raise InputError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if len(plan.fields) < 3:
@@ -81,7 +84,7 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
     if temperature_grid(plan)[-1] <= cfg.base_temperature:
         raise InputError(f"the temperature grid lies wholly at or below the cryostat "
                          f"floor base_temperature = {cfg.base_temperature:g} K")
-    delta_n_per_ohm(params, cfg, plan)
+    return delta_n_per_ohm(params, cfg, plan)
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -149,17 +152,14 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     the same grid, which is what the 20%-at-crossover expectation refers
     to.  Over every curve of
     every trial, failed trials included, it also counts the successful
-    fits by their accepted LM steps and the failed fits by reason.
+    fits by their accepted LM steps and the failed fits by reason.  It
+    also holds the closed-form prediction kappa of :func:`delta_n_per_ohm`.
 
-    A study that cannot give a result raises :class:`InputError` before
-    any trial runs: fewer than :data:`MIN_TRIALS` trials, fewer than 3
-    fields (a delta curve needs 3), no field at or above h_v (the
-    significance is taken there), a temperature grid wholly at or below
-    the cryostat floor, or a sweep that does not resolve a transition.
+    A study :func:`_check_study` rejects raises :class:`InputError`
+    before any trial runs.
     """
-    _check_study(params, cfg, plan, trials)
+    kappa = _check_study(params, cfg, plan, trials)
     fields = np.array(plan.fields)
-    t0 = time.perf_counter()
     truth = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance).deltas
     contrast_idx = int(np.argmin(np.abs(fields - params.h_v)))
@@ -212,6 +212,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     return SensitivityReport(
         delta_n=delta_n,
         delta_n_se=msq_se / (2.0 * delta_n) if delta_n > 0 else msq_se,
+        delta_n_per_ohm=kappa,
         trials=trials,
         detection_z=float(np.mean(z_arr)),
         detection_z_se=_standard_error(z_arr),
@@ -220,8 +221,6 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         derivative_contrast=float(contrast_mean[contrast_idx]),
         derivative_contrast_sigma=float(contrast_sigma[contrast_idx]),
         contrast_field=float(fields[contrast_idx]),
-        calibrated_sigma_r=cfg.resistance_noise,
-        runtime=time.perf_counter() - t0,
         failed_trials=failed,
         valid=failed <= 0.01 * trials,
         contrast_fields=fields,
@@ -254,11 +253,8 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     probe overshoots the target and the secant corrects it.
 
     A target that is not finite and positive, a tolerance outside
-    (0, 1), a study :func:`run_sensitivity` rejects (fewer than
-    :data:`MIN_TRIALS` trials, fewer than 3 fields, no field at or above
-    h_v, a grid wholly at or below the cryostat floor, a sweep that does
-    not resolve a transition) raise :class:`InputError` before any study
-    runs.
+    (0, 1), or a study :func:`_check_study` rejects raise
+    :class:`InputError` before any study runs.
 
     Raises :class:`CalibrationError`, listing every probe as (sigma_R,
     delta_n, failed trials), when the probe within tolerance comes from
@@ -272,8 +268,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         raise InputError(f"target delta_n must be finite and > 0, got {target_delta_n}")
     if not (0 < tolerance < 1):  # also rejects NaN
         raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
-    _check_study(params, cfg, plan, trials)
-
+    sigma = target_delta_n / _check_study(params, cfg, plan, trials)
     probes: list[tuple[float, float, int]] = []
 
     def failure(reason: str) -> CalibrationError:
@@ -281,7 +276,6 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
         return CalibrationError(
             f"{reason}; probes (sigma_R ohm, delta_n mK, failed trials): {listed}")
 
-    sigma = target_delta_n / delta_n_per_ohm(params, cfg, plan)
     last_sigma = last_delta_n = 0.0  # the origin: no noise, no spread
     while True:
         study = run_sensitivity(params, replace(cfg, resistance_noise=sigma),

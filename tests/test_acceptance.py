@@ -6,6 +6,7 @@ criterion.  Each test measures its own runtime against the stated cap.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 
@@ -125,7 +126,10 @@ def test_criterion_3_oracle_equivalence(params):
 def test_criterion_4_noiseless_end_to_end(params, tmp_path):
     start = time.perf_counter()
     out = tmp_path / "quiet"
-    assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+    config = tmp_path / "zero_noise.json"
+    config.write_text(json.dumps(
+        {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}}))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert main(["analyze", str(out / "run.json")]) == 0
     film = np.loadtxt(out / "delta_curve_film.csv", delimiter=",", skiprows=1)
     cavity = np.loadtxt(out / "delta_curve_cavity.csv", delimiter=",", skiprows=1)

@@ -606,7 +606,7 @@ class TestDerivativeCurve:
     def test_quadratic_recovers_linear_slope(self, params):
         fields = np.linspace(10, 250, 40)
         curve = synthetic_delta_curve(fields, params.alpha * fields ** 2)
-        deriv = derivative_curve(curve, window=5)
+        deriv = derivative_curve(curve)
         idx = int(np.argmin(np.abs(fields - 100.0)))
         expected = 2 * params.alpha * fields[idx]
         assert deriv.slopes[idx] == pytest.approx(expected, rel=0.005)
@@ -618,27 +618,25 @@ class TestDerivativeCurve:
 
     def test_constant_curve_has_zero_derivative(self):
         curve = synthetic_delta_curve(np.linspace(0, 100, 20), np.full(20, 0.3))
-        deriv = derivative_curve(curve, window=5)
+        deriv = derivative_curve(curve)
         assert np.all(deriv.slopes == 0.0)
 
     def test_endpoints_flagged_one_sided(self):
         curve = synthetic_delta_curve(np.linspace(0, 100, 11), np.linspace(0, 1, 11))
-        deriv = derivative_curve(curve, window=5)
+        deriv = derivative_curve(curve)
         assert list(deriv.one_sided) == [True, True] + [False] * 7 + [True, True]
 
     def test_window_validation(self):
-        curve = synthetic_delta_curve(np.linspace(0, 100, 11), np.zeros(11))
-        with pytest.raises(InputError):
-            derivative_curve(curve, window=4)
-        with pytest.raises(InputError):
-            derivative_curve(curve, window=13)
+        curve = synthetic_delta_curve(np.linspace(0, 100, 4), np.zeros(4))
+        with pytest.raises(InputError, match="window 5 exceeds the 4 available points"):
+            derivative_curve(curve)
 
     def test_noiseless_cavity_low_field_linearity(self, params):
         # windowed derivative of the exact model curve, fields below 0.3 h_v
         fields = np.linspace(1.0, 15.0, 30)
         curve = synthetic_delta_curve(
             fields, [cavity_delta(params, f) for f in fields], kind="cavity")
-        deriv = derivative_curve(curve, window=5)
+        deriv = derivative_curve(curve)
         x = deriv.fields[~deriv.one_sided]
         y = deriv.slopes[~deriv.one_sided]
         slope = np.polyfit(x, y, 1)
@@ -669,18 +667,16 @@ def derivative_loop(fields, deltas, sigmas, window):
 
 
 class TestDerivativeLoopReference:
-    def test_random_grids_and_windows(self):
+    def test_random_grids(self):
         rng = np.random.default_rng(11)
         for _ in range(400):
-            window = int(rng.choice([3, 5, 7, 9]))
-            n = int(rng.integers(window, 40))
+            n = int(rng.integers(5, 40))
             fields = np.cumsum(rng.uniform(0.1, 30.0, n)) + rng.uniform(0.0, 100.0)
             deltas = rng.uniform(-1.0, 1.0) * fields ** 2 * 1e-4 + rng.normal(0, 0.1, n)
             sigmas = rng.uniform(0.0, 0.2, n)
             curve = synthetic_delta_curve(fields, deltas, sigmas)
-            deriv = derivative_curve(curve, window)
-            slopes, errors, one_sided, scale = derivative_loop(fields, deltas, sigmas,
-                                                               window)
+            deriv = derivative_curve(curve)
+            slopes, errors, one_sided, scale = derivative_loop(fields, deltas, sigmas, 5)
             assert np.array_equal(deriv.one_sided, one_sided)
             assert np.all(np.abs(deriv.slopes - slopes) <= 1e-12 * scale)
             assert np.allclose(deriv.sigmas, errors, rtol=1e-12, atol=0.0)
@@ -688,7 +684,7 @@ class TestDerivativeLoopReference:
     def test_window_spanning_the_whole_grid(self):
         fields = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
         curve = synthetic_delta_curve(fields, fields ** 2, np.full(5, 0.1))
-        deriv = derivative_curve(curve, 5)
+        deriv = derivative_curve(curve)
         slopes, errors, one_sided, _ = derivative_loop(fields, fields ** 2,
                                                        np.full(5, 0.1), 5)
         assert deriv.one_sided.tolist() == [True, True, False, True, True]
@@ -734,7 +730,7 @@ def reference_weighted_mean_difference(diff, min_field=0.0):
     return float(np.mean(values)), 0.0
 
 
-def reference_derivative_curve(curve, window=5):
+def reference_derivative_curve(curve, window):
     n = curve.fields.size
     if window % 2 == 0 or window < 3:
         raise InputError(f"window must be odd and >= 3, got {window}")
@@ -752,8 +748,7 @@ def reference_derivative_curve(curve, window=5):
     sigmas = np.sqrt(((coeff * curve.fit_sigmas[rows]) ** 2).sum(axis=1))
     one_sided = lo != centre - half
     return DerivativeCurve(kind=curve.kind, fields=curve.fields.copy(),
-                           slopes=slopes, sigmas=sigmas, window=window,
-                           one_sided=one_sided)
+                           slopes=slopes, sigmas=sigmas, one_sided=one_sided)
 
 
 def reference_r_squared(x, y):
@@ -803,23 +798,21 @@ def same_bits(*pairs):
 
 
 class TestPostFitMatchesReference:
-    """Random grids of 3-40 fields with uneven steps, every odd window
-    that fits, sigmas at the floors, and film and cavity slopes that are
-    zero or equal (the NaN and 0 contrasts)."""
+    """Random grids of 3-40 fields (5-40 for the 5-point derivative)
+    with uneven steps, sigmas at the floors, and film and cavity slopes
+    that are zero or equal (the NaN and 0 contrasts)."""
 
     def test_derivative_curve(self):
         rng = np.random.default_rng(23)
-        for _ in range(150):
-            n = int(rng.integers(3, 41))
+        for _ in range(400):
+            n = int(rng.integers(5, 41))
             fields = uneven_grid(rng, n)
             deltas = rng.uniform(-1.0, 1.0) * fields ** 2 * 1e-4 + rng.normal(0, 0.1, n)
             curve = synthetic_delta_curve(fields, deltas, floored_sigmas(rng, n, 0.1))
-            for window in range(3, n + 1, 2):
-                got = derivative_curve(curve, window)
-                want = reference_derivative_curve(curve, window)
-                assert same_bits(*((getattr(got, name), getattr(want, name))
-                                   for name in ("fields", "slopes", "sigmas",
-                                                "one_sided")))
+            got = derivative_curve(curve)
+            want = reference_derivative_curve(curve, 5)
+            assert same_bits(*((getattr(got, name), getattr(want, name))
+                               for name in ("fields", "slopes", "sigmas", "one_sided")))
 
     def test_weighted_line_fit(self):
         rng = np.random.default_rng(29)
@@ -845,8 +838,7 @@ class TestPostFitMatchesReference:
     def test_linearity_and_convergence_report(self):
         rng = np.random.default_rng(37)
         for _ in range(300):
-            n = int(rng.integers(3, 41))
-            window = int(rng.choice(range(3, n + 1, 2)))
+            n = int(rng.integers(5, 41))
             fields = uneven_grid(rng, n)
             slopes = {kind: rng.normal(1.0, 0.05, n) for kind in ("film", "cavity")}
             for kind in ("film", "cavity"):
@@ -856,8 +848,7 @@ class TestPostFitMatchesReference:
             if rng.random() < 0.1:  # a constant film slope: R^2 is 1
                 slopes["film"][:] = 0.5
             film, cavity = (
-                derivative_curve(synthetic_delta_curve(fields, np.zeros(n), kind=kind),
-                                 window)
+                derivative_curve(synthetic_delta_curve(fields, np.zeros(n), kind=kind))
                 for kind in ("film", "cavity"))
             film, cavity = (replace(deriv, slopes=slopes[deriv.kind])
                             for deriv in (film, cavity))
@@ -874,7 +865,7 @@ class TestPostFitMatchesReference:
                   for fields in grids]
         analysis._derivative_operator.cache_clear()
         for curve in curves * 3:  # alternate the two grids
-            got = derivative_curve(curve, 5)
+            got = derivative_curve(curve)
             want = reference_derivative_curve(curve, 5)
             assert same_bits((got.slopes, want.slopes), (got.sigmas, want.sigmas))
         info = analysis._derivative_operator.cache_info()
@@ -884,14 +875,14 @@ class TestPostFitMatchesReference:
         assert not np.array_equal(operators[0][1], operators[1][1])
         for array in (*operators[0], *operators[1]):
             assert not array.flags.writeable
-        assert derivative_curve(curves[0], 5).one_sided is operators[0][2]
+        assert derivative_curve(curves[0]).one_sided is operators[0][2]
 
 
 class TestConvergenceReport:
     def test_identical_inputs(self, params):
         fields = np.linspace(10, 250, 20)
         curve = synthetic_delta_curve(fields, params.alpha * fields ** 2)
-        deriv = derivative_curve(curve, window=5)
+        deriv = derivative_curve(curve)
         report = linearity_and_convergence_report(deriv, deriv)
         assert np.all(report.relative_difference == 0.0)
         assert report.convergence_field == fields[0]
@@ -919,7 +910,7 @@ class TestConvergenceReport:
 
         def deriv(kind, slopes):
             return DerivativeCurve(kind=kind, fields=fields, slopes=np.array(slopes),
-                                   sigmas=np.ones(6), window=3, one_sided=one_sided)
+                                   sigmas=np.ones(6), one_sided=one_sided)
 
         report = linearity_and_convergence_report(deriv("film", film),
                                                   deriv("cavity", cavity))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavityshift import sensitivity
+from cavityshift import cli, sensitivity
 from cavityshift.cli import build_parser, main
 from cavityshift.config import (default_run_config, load_run_config,
                                 run_config_from_dict)
@@ -45,6 +45,15 @@ EVERY_FIELD_CHANGED = {
              "t_span": 0.35, "n_points": 150, "repetitions": 2},
     "seed": 3,
 }
+
+
+def simulate_zero_noise(tmp_path, out):
+    """``simulate`` into ``out`` with a config file of the instrument
+    without resistance noise or temperature jitter; its exit code."""
+    config = tmp_path / "zero_noise.json"
+    config.write_text(json.dumps(
+        {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}}))
+    return main(["simulate", "--config", str(config), "--out", str(out)])
 
 
 class TestConfigSchema:
@@ -177,7 +186,7 @@ class TestSimulateAnalyze:
 
     def test_noiseless_pipeline_recovers_difference(self, tmp_path, capsys):
         out = tmp_path / "quiet"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         assert main(["analyze", str(out / "run.json")]) == 0
         captured = capsys.readouterr().out
         assert "Delta =" in captured
@@ -190,6 +199,12 @@ class TestSimulateAnalyze:
         expected = np.array([film_delta(params, f) - cavity_delta(params, f)
                              for f in diff[:, 0]])
         assert np.max(np.abs(diff[:, 1] - expected)) <= 1e-3
+
+    def test_noiseless_flag_is_retired(self, tmp_path):
+        # the config file sets the noise; simulate --noiseless once did too
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--noiseless", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
 
     def test_fit_entries_carry_curve_flags(self, tmp_path):
         # a floor above the start of the default grid clamps its first points
@@ -233,7 +248,7 @@ class TestSimulateAnalyze:
     def test_malformed_manifest_exits_io_naming_the_key(self, tmp_path, capsys,
                                                        edit, message):
         out = tmp_path / "run"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         manifest = out / "run.json"
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
         capsys.readouterr()
@@ -253,7 +268,7 @@ class TestSimulateAnalyze:
     @pytest.mark.parametrize("key", ["field_gauss", "repetition", "oracle_t_star_K"])
     def test_bad_header_value_exits_io_naming_file_and_key(self, tmp_path, capsys, key):
         out = tmp_path / "run"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         path = out / "curve_001_cavity_rep0.csv"
         lines = [f"# {key}=x" if line.startswith(f"# {key}=") else line
                  for line in path.read_text().splitlines()]
@@ -268,7 +283,7 @@ class TestSimulateAnalyze:
         # with the manifest agreeing, inf once exited 2 naming no file and
         # -50.0 was analysed as a real field
         out = tmp_path / "run"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         manifest = json.loads((out / "run.json").read_text())
         for entry in manifest["curves"][2:4]:
             path = out / entry["file"]
@@ -288,7 +303,7 @@ class TestSimulateAnalyze:
         ("run.json", lambda data: b"{")], ids=["curve-not-utf8", "manifest-cut-short"])
     def test_unreadable_file_exits_io_naming_it(self, tmp_path, capsys, name, damage):
         out = tmp_path / "run"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         path = out / name
         path.write_bytes(damage(path.read_bytes()))
         capsys.readouterr()
@@ -299,7 +314,7 @@ class TestSimulateAnalyze:
     def test_repeated_temperature_needs_a_clamped_flag(self, tmp_path, capsys,
                                                        flags, code):
         out = tmp_path / "run"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         path = out / "curve_000_film_rep0.csv"
         lines = path.read_text().splitlines()
         start = lines.index("temperature_K,resistance_ohm") + 1
@@ -324,7 +339,7 @@ class TestSimulateAnalyze:
         from cavityshift.instrument import resistive_transition
 
         out = tmp_path / "run"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         path = out / "curve_003_cavity_rep0.csv"
         lines = path.read_text().splitlines()
         start = lines.index("temperature_K,resistance_ohm") + 1
@@ -348,7 +363,7 @@ class TestSimulateAnalyze:
 
     def test_film_only_dataset_still_analyzed(self, tmp_path, capsys):
         out = tmp_path / "filmonly"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         manifest = json.loads((out / "run.json").read_text())
         manifest["curves"] = [c for c in manifest["curves"] if c["kind"] == "film"]
         (out / "run.json").write_text(json.dumps(manifest))
@@ -378,7 +393,7 @@ class TestSimulateAnalyze:
 
     def test_unpaired_fields_skip_difference(self, tmp_path, capsys):
         out = tmp_path / "unpaired"
-        assert main(["simulate", "--out", str(out), "--noiseless"]) == 0
+        assert simulate_zero_noise(tmp_path, out) == 0
         manifest = json.loads((out / "run.json").read_text())
         first_cavity = next(c for c in manifest["curves"] if c["kind"] == "cavity")
         manifest["curves"].remove(first_cavity)
@@ -491,6 +506,9 @@ class TestSensitivityCommand:
         assert payload["valid"] is True
         assert 0.05 <= payload["delta_n_mK"] <= 0.15
         assert "runtime" not in payload  # reports must stay byte-deterministic
+        # the config echo is the one source of sigma_R and the seed
+        assert not {"calibrated_sigma_r_ohm", "seed"} & set(payload)
+        assert payload["config"]["seed"] == 1
         # every curve of every trial: 2 kinds x 10 fields x 100 trials
         assert sum(payload["lm_steps_histogram"]) == 2000
         assert payload["failed_fits_by_reason"] == {}
@@ -561,6 +579,52 @@ class TestSensitivityCommand:
         assert "input error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jitter_below_the_floor_fails_trials_not_the_study(self, tmp_path, capsys):
+        # 40 mK of jitter about setpoints near a 10 mK floor: one draw below
+        # 0 K once raised DomainError and ended the study at trial 0, exit 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"t_c": 0.2},
+            "instrument": {"base_temperature": 0.01, "temperature_jitter": 40.0,
+                           "transition_width": 20.0},
+            "plan": {"n_points": 40}}))
+        run, sens = tmp_path / "run", tmp_path / "sens"
+        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+        assert main(["sensitivity", "--config", str(config), "--trials", "100",
+                     "--out", str(sens)]) == 0
+        assert "INVALID: too many failed trials" in capsys.readouterr().out
+        payload = json.loads((sens / "sensitivity.json").read_text())
+        assert payload["trials"] == 100
+        assert 1 < payload["failed_trials"] < 100
+        assert payload["valid"] is False
+
+    def test_closed_form_kappa_once_per_study(self, tmp_path, monkeypatch):
+        # the study check's kappa is the first probe and the reported
+        # prediction; sensitivity once computed it twice, calibrate four times
+        calls, studies = [], []
+        kappa, study = sensitivity.delta_n_per_ohm, sensitivity.run_sensitivity
+
+        def counted_kappa(*args):
+            calls.append(args)
+            return kappa(*args)
+
+        def counted_study(*args):
+            studies.append(args)
+            return study(*args)
+
+        for module in (cli, sensitivity):
+            monkeypatch.setattr(module, "delta_n_per_ohm", counted_kappa)
+        monkeypatch.setattr(sensitivity, "run_sensitivity", counted_study)
+        assert main(["sensitivity", "--trials", "100",
+                     "--out", str(tmp_path / "sens")]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["calibrate", "--trials", "100",
+                     "--out", str(tmp_path / "cal")]) == 0
+        assert len(studies) == 1  # the first probe is within tolerance
+        # calibrate_noise's check, the probe study's check and the report
+        assert len(calls) == 3
+
     def test_calibrated_study_takes_sigma_r_from_the_config(self, tmp_path):
         # calibrate, then a study whose config carries the calibrated
         # sigma_R: the JSON number round-trips exactly
@@ -573,7 +637,6 @@ class TestSensitivityCommand:
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--seed", "3", "--out", str(sens)]) == 0
         report = json.loads((sens / "sensitivity.json").read_text())
-        assert report["calibrated_sigma_r_ohm"] == sigma_r
         assert report["config"]["instrument"]["resistance_noise"] == sigma_r
         assert report["delta_n_mK"] == pytest.approx(0.1, rel=0.1)
 
@@ -589,8 +652,8 @@ class TestSensitivityCommand:
         assert 0 < payload["delta_n_se"] < 0.1 * payload["delta_n_mK"]
         assert 0 < payload["detection_z_se"] < 0.2
         kappa = payload["delta_n_per_ohm_predicted"]
-        assert kappa * payload["calibrated_sigma_r_ohm"] == pytest.approx(
-            payload["delta_n_mK"], rel=0.05)
+        sigma_r = payload["config"]["instrument"]["resistance_noise"]
+        assert kappa * sigma_r == pytest.approx(payload["delta_n_mK"], rel=0.05)
 
     def test_null_model_reports_low_z(self, tmp_path):
         config = asdict(default_run_config())

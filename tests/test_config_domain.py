@@ -1,0 +1,112 @@
+"""Property tests over the config domain: no CLI run escapes.
+
+Random model, instrument and plan values, each key drawn or left at its
+default, log-uniformly over wide ranges and with 20-60 points per
+sweep, go through ``simulate`` then ``analyze``, and on a few examples
+through ``sensitivity --trials 100``, all by ``cli.main`` under the
+suite's warning filters (a ``RuntimeWarning`` fails the test).  Every
+command must return a documented exit code and raise nothing.  The
+examples are derandomized, so every run draws the same configs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from cavityshift.cli import main
+
+#: The exit codes the README documents for a command that ran (3 is
+#: reserved and never returned).
+DOCUMENTED_EXIT_CODES = {0, 2, 4, 5, 6}
+
+#: Found by fuzzing: every setpoint at or below the cryostat floor (each
+#: fit divided by a zero width, in analyze and sensitivity alike).
+GRID_AT_THE_FLOOR = {"plan": {"t_center_guess": 0.1, "t_span": 0.1}}
+
+#: Found by fuzzing: a fit of this study ran t* off until u^2 overflowed.
+OVERFLOWING_FIT = {
+    "model": {"alpha": 0.0003657102230106953},
+    "instrument": {"base_temperature": 1.201989465374509,
+                   "transition_width": 0.05875546465102714,
+                   "temperature_jitter": 9.138519989788767},
+    "plan": {"n_points": 39}, "seed": 3493288461}
+
+#: Jitter about setpoints near a 10 mK floor: a draw below 0 K once ended
+#: the whole study at trial 0.
+JITTER_BELOW_ZERO = {
+    "model": {"t_c": 0.2},
+    "instrument": {"base_temperature": 0.01, "temperature_jitter": 40.0,
+                   "transition_width": 20.0},
+    "plan": {"n_points": 40}}
+
+
+def log_uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def or_zero(values: st.SearchStrategy[float]) -> st.SearchStrategy[float]:
+    return st.one_of(st.just(0.0), values)
+
+
+configs = st.fixed_dictionaries({
+    "model": st.fixed_dictionaries({}, optional={
+        "t_c": log_uniform(0.02, 20.0),
+        "alpha": log_uniform(1e-7, 1e-2),
+        "delta_inf": or_zero(log_uniform(1e-3, 10.0)),
+        "h_v": log_uniform(1.0, 1000.0)}),
+    "instrument": st.fixed_dictionaries({}, optional={
+        "base_temperature": log_uniform(0.005, 5.0),
+        "normal_resistance": log_uniform(0.1, 1000.0),
+        "transition_width": log_uniform(0.01, 1000.0),
+        "resistance_noise": or_zero(log_uniform(1e-4, 10.0)),
+        "temperature_jitter": or_zero(log_uniform(1e-3, 100.0))}),
+    "plan": st.fixed_dictionaries({"n_points": st.integers(20, 60)}, optional={
+        "fields": st.lists(log_uniform(1.0, 1000.0), min_size=1, max_size=8,
+                           unique=True).map(sorted),
+        "t_center_guess": log_uniform(0.01, 20.0),
+        "t_span": log_uniform(1e-3, 10.0),
+        "repetitions": st.integers(1, 2)}),
+}, optional={"seed": st.integers(0, 2 ** 64 - 1)})
+
+
+def run(argv: list[str]) -> int:
+    """``cli.main(argv)`` with its output swallowed; the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(config=configs)
+@example(config=GRID_AT_THE_FLOOR)
+@example(config=OVERFLOWING_FIT)
+@example(config=JITTER_BELOW_ZERO)
+def test_simulate_then_analyze_exit_documented(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "run"
+        code = run(["simulate", "--config", str(path), "--out", str(out)])
+        assert code in DOCUMENTED_EXIT_CODES
+        if code == 0:
+            assert run(["analyze", str(out / "run.json")]) in DOCUMENTED_EXIT_CODES
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=12)
+@given(config=configs)
+@example(config=GRID_AT_THE_FLOOR)
+@example(config=OVERFLOWING_FIT)
+@example(config=JITTER_BELOW_ZERO)
+def test_sensitivity_exit_documented(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        assert run(["sensitivity", "--config", str(path), "--trials", "100",
+                    "--out", str(Path(tmp) / "sens")]) in DOCUMENTED_EXIT_CODES

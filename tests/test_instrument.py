@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfinv
 
-from cavityshift import (DomainError, InputError, InstrumentConfig, acquire_curve,
+from cavityshift import (InputError, InstrumentConfig, acquire_curve,
                          calibrate_defaults, cavity_delta, film_delta,
                          measure_profile, noise_stream, plan_sweep)
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
@@ -87,11 +87,19 @@ class TestTransitionShape:
         r = noiseless_resistance(cfg, t, 1.5)
         assert np.all(np.diff(r) >= 0.0)
 
-    def test_nonpositive_temperature_rejected(self):
-        # the floor keeps every setpoint above 0 K; 10 K of jitter does not
-        wild = InstrumentConfig(temperature_jitter=1e4, seed=3)
-        with pytest.raises(DomainError, match="temperature must be > 0"):
-            readout(wild, np.full(100, 1.5), 1.5, noise_stream(wild.seed, 0))
+    def test_jittered_temperature_never_reads_below_the_floor(self):
+        # setpoints and transition midpoint at the floor: a draw below it
+        # reads the midpoint, r_n / 2, exactly; a draw below 0 K (10 K of
+        # jitter) once raised DomainError, which ended a whole study
+        for jitter in (50.0, 1e4):
+            cfg = InstrumentConfig(resistance_noise=0.0, temperature_jitter=jitter,
+                                   seed=3)
+            floor, midpoint = cfg.base_temperature, 0.5 * cfg.normal_resistance
+            z = noise_stream(cfg.seed, 0).standard_normal(200)[:100]
+            r = readout(cfg, np.full(100, floor), floor, noise_stream(cfg.seed, 0))
+            assert 0 < (z < 0).sum() < 100
+            assert np.array_equal(r == midpoint, z <= 0)
+            assert r.min() == midpoint
 
 
 # key elements of one, two and three 32-bit words, with 0 and the word edges
@@ -162,13 +170,13 @@ class TestNoise:
 
 def two_draw_measure_profile(cfg, t_setpoints, t_star, rng):
     """The readout as it was before the single draw and the profile cache:
-    one ``normal`` call per noise block, the erf evaluated every call."""
+    one ``normal`` call per noise block, the erf evaluated every call; a
+    jittered temperature below the floor is raised to it."""
     t = np.maximum(np.asarray(t_setpoints, dtype=float), cfg.base_temperature)
     jitter_k = rng.normal(0.0, cfg.temperature_jitter, t.shape) * 1e-3
     noise = rng.normal(0.0, cfg.resistance_noise, t.shape)
     t += jitter_k
-    if (t <= 0).any():
-        raise DomainError("temperature must be > 0")
+    t = np.maximum(t, cfg.base_temperature)
     r = resistive_transition(t, t_star, cfg.transition_width, cfg.normal_resistance)
     r += noise
     return r
