@@ -15,12 +15,11 @@ from .analysis import (AnalysisResult, ConvergenceReport, DeltaCurve,
                        linearity_and_convergence_report,
                        weighted_mean_difference)
 from .config import RunConfig, default_run_config, load_run_config
-from .errors import (CalibrationError, CavityShiftError, ConfigError,
-                     DomainError, FitError, InputError)
+from .errors import (CalibrationError, CavityShiftError, ConfigError, FitError,
+                     InputError)
 from .instrument import InstrumentConfig, measure_profile, noise_stream
-from .model import (ModelParams, calibrate_defaults, cavity_delta,
-                    critical_field, delta_derivative, delta_difference,
-                    film_delta)
+from .model import (ModelParams, cavity_delta, critical_field, delta_derivative,
+                    delta_difference, film_delta)
 from .protocol import (SweepPlan, TransitionCurve, acquire_curve, plan_sweep,
                        read_run, run_paired_experiment, write_run)
 from .sensitivity import (SensitivityReport, calibrate_noise, delta_n_per_ohm,

@@ -650,10 +650,11 @@ def linearity_and_convergence_report(film: DerivativeCurve,
 class FitFailure:
     """One curve whose fit failed, and why.
 
-    ``iterations`` (accepted LM steps) and ``residual_norm`` (RMS
-    residual in ohm at the last parameters) come from the
-    :class:`FitError`; they are None when the curve was rejected before
-    fitting (:class:`InputError`, e.g. a missing plateau).
+    ``iterations`` (accepted LM steps), ``residual_norm`` (RMS residual
+    in ohm at the last parameters) and ``params`` (those last parameters,
+    t* in K, width in mK, r_n in ohm) come from the :class:`FitError`;
+    they are None when the curve was rejected before fitting
+    (:class:`InputError`, e.g. a missing plateau).
     """
 
     field: float
@@ -662,6 +663,7 @@ class FitFailure:
     reason: str
     iterations: int | None
     residual_norm: float | None
+    params: tuple[float, float, float] | None = None
 
 
 @dataclass
@@ -708,7 +710,8 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
                          fit_transition(curve)))
         except FitError as exc:
             failures.append(FitFailure(curve.field, curve.kind, curve.repetition,
-                                       str(exc), exc.iterations, exc.residual_norm))
+                                       str(exc), exc.iterations, exc.residual_norm,
+                                       exc.params))
         except InputError as exc:
             failures.append(FitFailure(curve.field, curve.kind, curve.repetition,
                                        str(exc), None, None))

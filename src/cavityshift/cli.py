@@ -95,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = load_run_config(args.config) if args.config else default_run_config()
     if args.seed is not None:
-        config = replace(config, seed=args.seed,
-                         instrument=replace(config.instrument, seed=args.seed))
+        config = replace(config, instrument=replace(config.instrument, seed=args.seed))
     return config
 
 
@@ -165,6 +164,7 @@ def _analysis_payload(result: AnalysisResult,
                 "field_gauss": f.field, "kind": f.kind, "repetition": f.repetition,
                 "reason": f.reason, "iterations": f.iterations,
                 "residual_norm_ohm": f.residual_norm,
+                "last_params": f.params,
             }
             for f in result.failures
         ],
@@ -310,7 +310,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "target_delta_n_mK": args.target,
         "tolerance": args.tolerance,
         "trials": args.trials,
-        "seed": config.seed,
+        "seed": config.instrument.seed,
     })
     print(f"sigma_R = {sigma_r:.6f} ohm for delta_n = {args.target} mK")
     print(f"wrote {args.out / 'calibration.json'}")

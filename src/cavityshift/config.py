@@ -3,22 +3,21 @@ and plan together with one master seed.
 
 Every section is optional and falls back to the reference defaults; a
 section must be a JSON object, and unknown keys anywhere are rejected.
-The top-level ``seed`` is authoritative: it overwrites the instrument
-seed on load so a run is reproducible from the one number.
+The master seed is ``instrument.seed``; a top-level ``seed`` is another
+spelling of it, and a file that gives both with different values is
+rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from . import model
 from .errors import ConfigError
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_sweep
-
-DEFAULT_SEED = 1
 
 #: Default reference experiment: ten fields spanning [h_v, 5*h_v].
 N_DEFAULT_FIELDS = 10
@@ -35,7 +34,6 @@ class RunConfig:
     model: model.ModelParams
     instrument: InstrumentConfig
     plan: SweepPlan
-    seed: int = DEFAULT_SEED
 
 
 def _build_section(cls, data: dict, name: str):
@@ -64,12 +62,13 @@ def run_config_from_dict(data: dict) -> RunConfig:
                               f"got {type(section).__name__}")
 
     params = _build_section(model.ModelParams, data.get("model", {}), "model")
-    instrument = _build_section(InstrumentConfig, data.get("instrument", {}),
-                                "instrument")
-    seed = data.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2 ** 64):
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    instrument = replace(instrument, seed=seed)
+    instrument_data = dict(data.get("instrument", {}))
+    if "seed" in data:
+        seed = instrument_data.setdefault("seed", data["seed"])
+        if seed != data["seed"] or type(seed) is not type(data["seed"]):
+            raise ConfigError(f"seed {data['seed']!r} and instrument.seed {seed!r} "
+                              "differ; give the seed once")
+    instrument = _build_section(InstrumentConfig, instrument_data, "instrument")
 
     plan_data = dict(data.get("plan", {}))
     if "fields" not in plan_data:
@@ -82,7 +81,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         plan_data.setdefault("t_center_guess", derived.t_center_guess)
         plan_data.setdefault("t_span", derived.t_span)
     plan = _build_section(SweepPlan, plan_data, "plan")
-    return RunConfig(model=params, instrument=instrument, plan=plan, seed=seed)
+    return RunConfig(model=params, instrument=instrument, plan=plan)
 
 
 def load_run_config(path: str | Path) -> RunConfig:

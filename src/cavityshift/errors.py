@@ -7,12 +7,9 @@ class CavityShiftError(Exception):
     """Base class for every package-specific error."""
 
 
-class DomainError(CavityShiftError, ValueError):
-    """An argument lies outside the physical domain of an operation."""
-
-
 class InputError(CavityShiftError, ValueError):
-    """Structurally invalid input: bad plan, malformed curve, grid mismatch."""
+    """Invalid input: a bad plan, a malformed curve, a grid mismatch, or an
+    argument outside the physical domain of an operation."""
 
 
 class ConfigError(InputError):

@@ -48,8 +48,8 @@ class InstrumentConfig:
             value = getattr(self, name)
             if not (0 <= value < math.inf):
                 raise InputError(f"{name} must be finite and >= 0, got {value}")
-        if not (0 <= self.seed < 2 ** 64 and self.seed == int(self.seed)):
-            raise InputError(f"seed must be a 64-bit unsigned int, got {self.seed}")
+        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
+            raise InputError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
 
 
 def resistive_transition(t, t_star: float, width_mk: float, r_n: float):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 #: Tag attached to files derived from the cavity energy term.
 CAVITY_FORM_NOTE = ("phenomenological interpolation "
@@ -44,6 +44,7 @@ class ModelParams:
 
     Defaults reproduce the reference calibration: ``delta_f = 0.6 mK``
     at H = 150 G, asymptotic shift 0.2 mK, crossover field 50 G.
+    ``t_c`` only shifts absolute temperatures, never any delta.
     """
 
     t_c: float = 1.5                  # K, zero-field transition temperature
@@ -67,24 +68,13 @@ class ModelParams:
         return self.alpha * self.h_v * self.h_v
 
 
-def calibrate_defaults() -> ModelParams:
-    """Reference parameters pinned to the design anchors.
-
-    alpha is fixed by delta_f(150 G) = 0.6 mK, giving
-    alpha = 0.6/150**2 mK/G^2; delta_inf = 0.2 mK; h_v = 50 G.
-    t_c = 1.5 K is a configurable placeholder (it only shifts absolute
-    temperatures, never any delta), cond_scale = 1.
-    """
-    return ModelParams()
-
-
 def _nonneg(value, name: str) -> np.ndarray:
-    """``value`` as a float array; :class:`DomainError` if any element is
+    """``value`` as a float array; :class:`InputError` if any element is
     negative or NaN."""
     value = np.asarray(value, dtype=float)
     bad = ~(value >= 0.0)  # also catches NaN
     if bad.any():
-        raise DomainError(f"{name} must be >= 0, got {value[bad].flat[0]}")
+        raise InputError(f"{name} must be >= 0, got {value[bad].flat[0]}")
     return value
 
 

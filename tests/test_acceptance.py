@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cavityshift import (InstrumentConfig, ModelParams, analyze_dataset,
-                         calibrate_defaults, calibrate_noise, cavity_delta,
+                         calibrate_noise, cavity_delta,
                          critical_field, delta_derivative, delta_difference,
                          film_delta, fit_transition, plan_sweep,
                          run_paired_experiment, run_sensitivity)
@@ -58,7 +58,7 @@ def _oracle_cavity_delta(params: ModelParams, h: float) -> float:
 
 @pytest.fixture(scope="module")
 def params():
-    return calibrate_defaults()
+    return ModelParams()
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,8 @@ from scipy.optimize import curve_fit, least_squares
 from scipy.special import erf
 
 from cavityshift import (DeltaCurve, FitError, InputError, InstrumentConfig,
-                         acquire_curve, analyze_dataset, build_delta_curve,
-                         calibrate_defaults, cavity_delta, delta_derivative,
+                         ModelParams, acquire_curve, analyze_dataset,
+                         build_delta_curve, cavity_delta, delta_derivative,
                          derivative_curve, difference_curve, film_delta,
                          fit_transition, linearity_and_convergence_report,
                          plan_sweep, run_paired_experiment,
@@ -39,7 +39,7 @@ JITTER_OVERFLOW_CONFIG = {
 
 @pytest.fixture(scope="module")
 def params():
-    return calibrate_defaults()
+    return ModelParams()
 
 
 @pytest.fixture(scope="module")

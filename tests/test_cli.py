@@ -101,9 +101,13 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             run_config_from_dict({"seed": "one"})
 
-    def test_top_level_seed_overrides_instrument(self):
-        config = run_config_from_dict({"seed": 99, "instrument": {"seed": 5}})
-        assert config.instrument.seed == 99
+    def test_top_level_seed_conflicting_with_instrument_rejected(self):
+        # the top-level seed once silently overwrote instrument.seed
+        with pytest.raises(ConfigError, match="seed 99 and instrument.seed 5 differ"):
+            run_config_from_dict({"seed": 99, "instrument": {"seed": 5}})
+        config = run_config_from_dict({"seed": 5, "instrument": {"seed": 5}})
+        assert config == run_config_from_dict({"seed": 5})
+        assert config.instrument.seed == 5
 
     def test_default_plan_spans_crossover_decade(self):
         config = default_run_config()
@@ -194,8 +198,8 @@ class TestSimulateAnalyze:
             payload = json.load(handle)
         assert payload["fit_failures"] == 0
         diff = np.loadtxt(out / "difference.csv", delimiter=",", skiprows=1)
-        from cavityshift import calibrate_defaults, cavity_delta, film_delta
-        params = calibrate_defaults()
+        from cavityshift import ModelParams, cavity_delta, film_delta
+        params = ModelParams()
         expected = np.array([film_delta(params, f) - cavity_delta(params, f)
                              for f in diff[:, 0]])
         assert np.max(np.abs(diff[:, 1] - expected)) <= 1e-3
@@ -360,6 +364,10 @@ class TestSimulateAnalyze:
         assert "below the temperature step" in failure["reason"]
         assert failure["iterations"] > 0
         assert failure["residual_norm_ohm"] > 0
+        # the last LM point: t* (K), width (mK), r_n (ohm)
+        t_star, width, r_n = failure["last_params"]
+        assert width < max(np.diff(temps)) * 1e3
+        assert temps[0] <= t_star <= temps[-1] and r_n > 0
 
     def test_film_only_dataset_still_analyzed(self, tmp_path, capsys):
         out = tmp_path / "filmonly"
@@ -440,6 +448,42 @@ class TestSimulateAnalyze:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_instrument_seed_alone_sets_the_seed(self, tmp_path):
+        # instrument.seed was once accepted and then replaced by the
+        # default seed 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instrument": {"seed": 5}}))
+        from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+        assert main(["simulate", "--config", str(config), "--out", str(from_file)]) == 0
+        assert main(["simulate", "--seed", "5", "--out", str(from_flag)]) == 0
+        names = sorted(p.name for p in from_file.iterdir())
+        assert names == sorted(p.name for p in from_flag.iterdir())
+        for name in names:
+            assert (from_file / name).read_bytes() == (from_flag / name).read_bytes()
+
+    def test_conflicting_seeds_exit_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3, "instrument": {"seed": 5}}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "seed 3 and instrument.seed 5 differ" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["top-level", "instrument"])
+    @pytest.mark.parametrize("value", [True, 5.5])
+    def test_non_integer_seed_exits_config(self, tmp_path, capsys, spelling, value):
+        # instrument.seed once took these and then dropped them
+        data = {"seed": value} if spelling == "top-level" else {"instrument": {"seed": value}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert f"seed must be a 64-bit unsigned int, got {value!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sensitivity"])
     @pytest.mark.parametrize("key, value", [("n_points", 200.0), ("repetitions", 1.5),
                                             ("repetitions", True)])
@@ -482,6 +526,8 @@ class TestSimulateAnalyze:
         payload = json.loads((out / "analysis.json").read_text())
         assert {f["reason"] for f in payload["failed_fits"]} == {
             "every temperature is 0.3 K; the curve has no transition to fit"}
+        # rejected before fitting: there is no last LM point
+        assert all(f["last_params"] is None for f in payload["failed_fits"])
 
     @pytest.mark.parametrize("command", ["sensitivity", "calibrate"])
     def test_study_at_the_cryostat_floor_exits_config(self, tmp_path, capsys, command):
@@ -508,7 +554,7 @@ class TestSensitivityCommand:
         assert "runtime" not in payload  # reports must stay byte-deterministic
         # the config echo is the one source of sigma_R and the seed
         assert not {"calibrated_sigma_r_ohm", "seed"} & set(payload)
-        assert payload["config"]["seed"] == 1
+        assert payload["config"]["instrument"]["seed"] == 1
         # every curve of every trial: 2 kinds x 10 fields x 100 trials
         assert sum(payload["lm_steps_histogram"]) == 2000
         assert payload["failed_fits_by_reason"] == {}
@@ -679,14 +725,14 @@ class TestCalibrateCommand:
         assert payload["target_delta_n_mK"] == 0.1
 
     def test_reports_predicted_slope(self, tmp_path):
-        from cavityshift import calibrate_defaults, delta_n_per_ohm
+        from cavityshift import ModelParams, delta_n_per_ohm
 
         config = default_run_config()
         out = tmp_path / "cal"
         assert main(["calibrate", "--out", str(out), "--trials", "100"]) == 0
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["delta_n_per_ohm_predicted"] == delta_n_per_ohm(
-            calibrate_defaults(), config.instrument, config.plan)
+            ModelParams(), config.instrument, config.plan)
 
     def test_plan_with_two_fields_exits_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"

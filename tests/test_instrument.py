@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfinv
 
-from cavityshift import (InputError, InstrumentConfig, acquire_curve,
-                         calibrate_defaults, cavity_delta, film_delta,
+from cavityshift import (InputError, InstrumentConfig, ModelParams,
+                         acquire_curve, cavity_delta, film_delta,
                          measure_profile, noise_stream, plan_sweep)
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import KIND_CODES, temperature_grid
@@ -226,7 +226,7 @@ class TestPlanReadout:
     @pytest.mark.parametrize("jitter", [0.0, 2.0])
     @pytest.mark.parametrize("kind", ["film", "cavity"])
     def test_acquire_curve_bit_identical_to_two_draws(self, kind, jitter):
-        params = calibrate_defaults()
+        params = ModelParams()
         # the floor clamps the grid's first setpoints, inside the transition
         # tail, so a profile read off the unclamped grid would differ
         cfg = InstrumentConfig(base_temperature=1.45, temperature_jitter=jitter, seed=7)

@@ -12,8 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityshift import (DomainError, InputError, ModelParams,
-                         calibrate_defaults, cavity_delta, critical_field,
+from cavityshift import (InputError, ModelParams, cavity_delta, critical_field,
                          delta_derivative, delta_difference, film_delta)
 from cavityshift.model import _balance_residual
 
@@ -44,7 +43,7 @@ def oracle_cavity_delta(params, h, n_grid=20000, tol=1e-13):
 
 @pytest.fixture(scope="module")
 def params():
-    return calibrate_defaults()
+    return ModelParams()
 
 
 class TestCalibration:
@@ -96,7 +95,7 @@ class TestFilmDelta:
             assert ratio == pytest.approx((h2 / h1) ** 2, rel=1e-12)
 
     def test_negative_field_rejected(self, params):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             film_delta(params, -1.0)
 
 
@@ -167,7 +166,7 @@ class TestCavityDelta:
             assert cavity_delta(plain, h) == film_delta(plain, h)
 
     def test_negative_field_rejected(self, params):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             cavity_delta(params, -2.0)
 
 
@@ -258,5 +257,5 @@ class TestCriticalField:
             assert cavity_delta(params, h_cavity) == pytest.approx(delta, rel=1e-9)
 
     def test_negative_delta_rejected(self, params):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             critical_field(params, -0.5, "film")

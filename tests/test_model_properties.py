@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavityshift import (DomainError, ModelParams, cavity_delta, critical_field,
+from cavityshift import (InputError, ModelParams, cavity_delta, critical_field,
                          delta_derivative, film_delta)
 from cavityshift.model import _balance_residual
 
@@ -73,5 +73,5 @@ def test_array_equals_elementwise_scalars(params, h):
 def test_any_negative_or_nan_field_raises(params, h, bad, data):
     h[data.draw(st.integers(0, h.size - 1))] = bad
     for form in (film_delta, cavity_delta, delta_derivative):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             form(params, h)

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavityshift import (InputError, InstrumentConfig, SweepPlan,
-                         acquire_curve, calibrate_defaults, cavity_delta,
+from cavityshift import (InputError, InstrumentConfig, ModelParams, SweepPlan,
+                         acquire_curve, cavity_delta,
                          film_delta, plan_sweep, read_run,
                          run_paired_experiment, write_run)
 from cavityshift import instrument, protocol
@@ -18,7 +18,7 @@ from cavityshift.protocol import (KIND_CODES, TransitionCurve, curve_filename,
 
 @pytest.fixture(scope="module")
 def params():
-    return calibrate_defaults()
+    return ModelParams()
 
 
 @pytest.fixture

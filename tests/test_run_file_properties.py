@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cavityshift import (InputError, InstrumentConfig, calibrate_defaults, plan_sweep,
+from cavityshift import (InputError, InstrumentConfig, ModelParams, plan_sweep,
                          read_run, run_paired_experiment, write_run)
 from cavityshift.fileio import csv_text, fmt
 from cavityshift.protocol import (CSV_COLUMNS, FORMAT_VERSION, TransitionCurve,
@@ -88,7 +88,7 @@ def oracle_read_curve_csv(path: str | Path) -> TransitionCurve:
 @pytest.fixture(scope="module")
 def run_text():
     """A small simulated run: {file name: text} of its curves and manifest."""
-    params = calibrate_defaults()
+    params = ModelParams()
     cfg = InstrumentConfig(seed=5, base_temperature=1.31)  # a few clamped setpoints
     plan = replace(plan_sweep(params, cfg, [50.0, 200.0]), n_points=24)
     with tempfile.TemporaryDirectory() as tmp:
@@ -409,7 +409,7 @@ def test_simulated_run_files_match_row_wise_writer(tmp_path):
     """Every curve file of a run, whose curves share one formatted
     temperature column, holds the row-wise text; the grid dips below the
     cryostat floor, so the files also carry clamped setpoints and flags."""
-    params = calibrate_defaults()
+    params = ModelParams()
     cfg = InstrumentConfig(seed=3)
     plan = replace(plan_sweep(params, cfg, [50.0, 150.0, 250.0]), repetitions=2,
                    n_points=40, t_center_guess=0.4, t_span=2.4)

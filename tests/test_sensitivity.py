@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cavityshift import (CalibrationError, InputError, InstrumentConfig,
-                         ModelParams, analyze_dataset, calibrate_defaults,
-                         calibrate_noise, cavity_delta, delta_n_per_ohm,
+                         ModelParams, analyze_dataset, calibrate_noise,
+                         cavity_delta, delta_n_per_ohm,
                          film_delta, plan_sweep, run_paired_experiment,
                          run_sensitivity, sensitivity, weighted_mean_difference)
 from cavityshift import SensitivityReport
@@ -21,7 +21,7 @@ REFERENCE_SIGMA_R = 0.0751
 
 @pytest.fixture(scope="module")
 def params():
-    return calibrate_defaults()
+    return ModelParams()
 
 
 @pytest.fixture(scope="module")
