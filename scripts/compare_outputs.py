@@ -13,6 +13,8 @@ changes included), each with its own ``src``:
   config file), then ``analyze``
 - ``simulate`` with 2 mK of temperature jitter, then ``analyze``
 - ``simulate`` of a 5-repetition plan, then ``analyze``
+- ``simulate`` of a 4-field plan, then ``analyze``, which skips the
+  5-point derivatives with a note
 - ``sensitivity --trials 200``
 - ``calibrate --trials 200``
 
@@ -38,6 +40,7 @@ CONFIGS = {
     "noiseless": {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}},
     "jitter": {"instrument": {"temperature_jitter": 2.0}},
     "repetitions": {"plan": {"repetitions": 5}},
+    "fewfields": {"plan": {"fields": [50.0, 100.0, 150.0, 200.0]}},
 }
 
 

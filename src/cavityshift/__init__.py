@@ -15,8 +15,7 @@ from .analysis import (AnalysisResult, ConvergenceReport, DeltaCurve,
                        linearity_and_convergence_report,
                        weighted_mean_difference)
 from .config import RunConfig, default_run_config, load_run_config
-from .errors import (CalibrationError, CavityShiftError, ConfigError, FitError,
-                     InputError)
+from .errors import CalibrationError, CavityShiftError, FitError, InputError
 from .instrument import InstrumentConfig, measure_profile, noise_stream
 from .model import (ModelParams, cavity_delta, critical_field, delta_derivative,
                     delta_difference, film_delta)

@@ -418,8 +418,27 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
 
 # --- delta curves -----------------------------------------------------------
 
-def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
-                       sigma: np.ndarray) -> tuple[float, float]:
+def line_fit_sums(x: np.ndarray, w: np.ndarray,
+                  kind: str = "film") -> tuple[float, float, float, float]:
+    """Sums w, w x and w x^2 of the weighted line fit against x = H^2 that
+    gives the ``kind`` Tc, and the determinant of its normal equations.
+
+    Raises :class:`InputError` when that regression is rank deficient,
+    e.g. on fields whose squares are equal or underflow to 0.
+    """
+    add = np.add.reduce
+    sw = float(add(w))
+    swx = float(add(w * x))
+    swxx = float(add(w * x * x))
+    det = sw * swxx - swx * swx
+    if not (det > 0) or det <= 1e-12 * sw * swxx:
+        raise InputError(f"{kind} Tc regression is rank deficient "
+                         "(degenerate field grid)")
+    return sw, swx, swxx, det
+
+
+def _weighted_line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
+                       kind: str = "film") -> tuple[float, float]:
     """Weighted LS of y = a + b x; returns the intercept a and sigma_a.
 
     Uses 1/sigma^2 weights with absolute covariance when every sigma is
@@ -428,15 +447,9 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
     """
     weighted = bool((sigma > _SIGMA_FLOOR).all())
     w = 1.0 / sigma ** 2 if weighted else np.ones_like(x)
-    add = np.add.reduce
-    sw = float(add(w))
-    swx = float(add(w * x))
-    swxx = float(add(w * x * x))
-    swy = float(add(w * y))
-    swxy = float(add(w * x * y))
-    det = sw * swxx - swx * swx
-    if not (det > 0) or det <= 1e-12 * sw * swxx:
-        raise InputError("regression is rank deficient (degenerate field grid)")
+    sw, swx, swxx, det = line_fit_sums(x, w, kind)
+    swy = float(np.add.reduce(w * y))
+    swxy = float(np.add.reduce(w * x * y))
     a = (swxx * swy - swx * swxy) / det
     b = (sw * swxy - swx * swy) / det
     var_a = swxx / det
@@ -486,9 +499,10 @@ def build_delta_curve(fits, kind: str,
         raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
     fields, t_star, sigma = _aggregate_repeats(fits)
     if fields.size < 3:
-        raise InputError(f"need fits at >= 3 distinct fields, got {fields.size}")
+        raise InputError(f"{kind} fits cover {fields.size} distinct field(s); "
+                         "a delta curve needs 3")
     if t_c is None:
-        tc_value, tc_sigma = _weighted_line_fit(fields ** 2, t_star, sigma)
+        tc_value, tc_sigma = _weighted_line_fit(fields ** 2, t_star, sigma, kind)
         source = f"{kind}-intercept"
     else:
         tc_value, tc_sigma = float(t_c[0]), float(t_c[1])
@@ -507,7 +521,7 @@ def difference_curve(film: DeltaCurve, cavity: DeltaCurve) -> DifferenceCurve:
     cancels in the difference, so the sigmas combine the T* sigmas only.
     """
     if film.fields.shape != cavity.fields.shape or (film.fields != cavity.fields).any():
-        raise InputError("film and cavity curves are on different field grids")
+        raise InputError("film and cavity fits cover different fields")
     return DifferenceCurve(fields=film.fields.copy(),
                            values=film.deltas - cavity.deltas,
                            sigmas=np.hypot(film.fit_sigmas, cavity.fit_sigmas))
@@ -557,7 +571,8 @@ def derivative_curve(curve: DeltaCurve) -> DerivativeCurve:
     """
     n, window = curve.fields.size, DERIVATIVE_WINDOW
     if window > n:
-        raise InputError(f"window {window} exceeds the {n} available points")
+        raise InputError(f"window {window} exceeds the {n} available points "
+                         f"of the {curve.kind} delta curve")
     rows, coeff, one_sided = _derivative_operator(
         np.asarray(curve.fields, dtype=float).tobytes(), window)
     y = curve.deltas[rows]
@@ -690,14 +705,17 @@ class AnalysisResult:
 def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     """Run the full extraction pipeline on a list of curves.
 
-    Fits every curve, builds per-kind delta curves (cavity shares the
-    film Tc when both kinds are present), then difference and
-    derivative views (:data:`DERIVATIVE_WINDOW` points per window)
-    where the grids allow it.  A curve whose fit fails (no convergence,
-    or a resistance plateau missing) is recorded in
-    ``failures``, not fatal; when the failures leave film and cavity on
-    different fields, the difference and the derivative contrast are
-    skipped with a note, and so is a kind whose fits cover < 3 fields.
+    Fits every curve, then builds each view in turn: the film delta
+    curve, the cavity delta curve (sharing the film Tc when there is
+    one), their difference, and the derivative of each delta curve
+    (:data:`DERIVATIVE_WINDOW` points per window).  A curve whose fit
+    fails (no convergence, or a resistance plateau missing) is recorded
+    in ``failures``, not fatal.  A view its builder rejects (a kind whose
+    fits cover < 3 fields or whose Tc regression is rank deficient,
+    film and cavity fits on different fields, a delta curve shorter than
+    the window) is skipped with the builder's message as a note, and so
+    is every view built on it; ``notes`` then ends with the provenance
+    of Tc.
     """
     if not curves:
         raise InputError("dataset contains no curves")
@@ -719,45 +737,34 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     for field, kind, _, fit in fits:
         by_kind[kind].append((field, fit))
 
-    n_fields = {kind: len({f for f, _ in pairs}) for kind, pairs in by_kind.items()}
-    notes += [f"{kind} fits cover {n} distinct field(s); a delta curve needs 3"
-              for kind, n in n_fields.items() if 0 < n < 3]
+    def view(build, *args, **kwargs):
+        """``build(*args, **kwargs)``; None when a view it needs is
+        missing, or with the builder's :class:`InputError` as a note."""
+        if any(arg is None for arg in args):
+            return None
+        try:
+            return build(*args, **kwargs)
+        except InputError as exc:
+            notes.append(str(exc))
+            return None
 
-    film = cavity = None
-    if n_fields["film"] >= 3:
-        film = build_delta_curve(by_kind["film"], "film")
-    if n_fields["cavity"] >= 3:
-        if film is not None:
-            cavity = build_delta_curve(by_kind["cavity"], "cavity",
-                                       t_c=(film.t_c_estimate, film.t_c_sigma))
-        else:
-            cavity = build_delta_curve(by_kind["cavity"], "cavity")
-            notes.append("cavity Tc self-regressed against the film law; "
-                         "biased if the cavity term is significant")
+    film = view(build_delta_curve, by_kind["film"], "film")
+    cavity = view(build_delta_curve, by_kind["cavity"], "cavity",
+                  t_c=None if film is None else (film.t_c_estimate, film.t_c_sigma))
+    difference = view(difference_curve, film, cavity)
+    film_deriv = view(derivative_curve, film)
+    cavity_deriv = view(derivative_curve, cavity)
+    convergence = mean_diff = mean_sigma = None
+    if difference is not None:
+        mean_diff, mean_sigma = weighted_mean_difference(difference)
+        if film_deriv is not None and cavity_deriv is not None:
+            convergence = linearity_and_convergence_report(film_deriv, cavity_deriv)
     if film is not None:
         notes.append("Tc taken from the film H^2->0 intercept and shared "
                      "with the cavity curve (paired-sample assumption)")
-
-    difference = None
-    if film is not None and cavity is not None:
-        if (film.fields.shape == cavity.fields.shape
-                and (film.fields == cavity.fields).all()):
-            difference = difference_curve(film, cavity)
-        else:
-            notes.append("film and cavity fits cover different fields; "
-                         "difference and derivative contrast skipped")
-
-    film_deriv = cavity_deriv = convergence = None
-    if film is not None and film.fields.size >= DERIVATIVE_WINDOW:
-        film_deriv = derivative_curve(film)
-    if cavity is not None and cavity.fields.size >= DERIVATIVE_WINDOW:
-        cavity_deriv = derivative_curve(cavity)
-    if difference is not None and film_deriv is not None and cavity_deriv is not None:
-        convergence = linearity_and_convergence_report(film_deriv, cavity_deriv)
-
-    mean_diff = mean_sigma = None
-    if difference is not None:
-        mean_diff, mean_sigma = weighted_mean_difference(difference)
+    elif cavity is not None:
+        notes.append("cavity Tc self-regressed against the film law; "
+                     "biased if the cavity term is significant")
 
     return AnalysisResult(fits=fits, film=film, cavity=cavity,
                           difference=difference, film_derivative=film_deriv,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from . import __version__, model
 from .analysis import (CONVERGENCE_THRESHOLD, DERIVATIVE_WINDOW, AnalysisResult,
                        analyze_dataset)
 from .config import RunConfig, default_run_config, load_run_config
-from .errors import CalibrationError, CavityShiftError, ConfigError, InputError
+from .errors import CalibrationError, CavityShiftError, InputError
 from .fileio import write_csv, write_json
 from .protocol import read_run, run_paired_experiment, write_run
 from .sensitivity import calibrate_noise, delta_n_per_ohm, run_sensitivity
@@ -41,13 +40,6 @@ FIT_FAILURE_THRESHOLD = 0.01
 #: Most rows model-curve writes: 200 times the 5001-row grid (0.05 G
 #: steps over 250 G) of the cli_files benchmark workload.
 MAX_MODEL_ROWS = 10 ** 6
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,12 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="Monte Carlo sensitivity study")
     add_common(p)
-    p.add_argument("--trials", type=_positive_int, default=500)
+    p.add_argument("--trials", type=int, default=500)
 
     p = sub.add_parser("calibrate", help="find sigma_R for a target delta_n")
     add_common(p)
     p.add_argument("--target", type=float, default=0.1)
-    p.add_argument("--trials", type=_positive_int, default=200)
+    p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=0.1)
     return parser
 
@@ -103,14 +95,14 @@ def cmd_model_curve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not (0 <= args.min_field <= args.max_field < math.inf
             and 0 < args.step < math.inf):  # also rejects NaN
-        raise ConfigError("need finite 0 <= min-field <= max-field and step > 0")
+        raise InputError("need finite 0 <= min-field <= max-field and step > 0")
     steps = (args.max_field - args.min_field) / args.step
     # whole steps only, so no row lies past max-field; 1e-9 absorbs the
     # rounding of a range that is a whole number of steps
     n_rows = math.floor(steps + 1e-9) + 1 if steps < MAX_MODEL_ROWS else math.inf
     if n_rows > MAX_MODEL_ROWS:
-        raise ConfigError(f"the field grid would have more than {MAX_MODEL_ROWS} "
-                          "rows; raise --step or narrow the range")
+        raise InputError(f"the field grid would have more than {MAX_MODEL_ROWS} "
+                         "rows; raise --step or narrow the range")
     params = config.model
     fields = args.min_field + np.arange(n_rows) * args.step
     film = model.film_delta(params, fields)
@@ -238,25 +230,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"Delta = {result.mean_difference:.4f} +/- "
               f"{result.mean_difference_sigma:.4f} mK "
               f"(weighted mean over {result.difference.fields.size} fields)")
-    elif result.film is not None and result.cavity is not None:
-        print("warning: film and cavity fits cover different fields; "
-              "difference step skipped")
     else:
-        missing = "cavity" if result.film is not None else "film"
-        reason = next((note for note in result.notes
-                       if note.startswith(f"{missing} fits cover")),
-                      f"no {missing} curves")
-        print(f"warning: {reason}; difference step skipped")
+        print(f"warning: {result.notes[0]}; difference step skipped")
     print(f"wrote analysis files to {out}")
     return EXIT_OK
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    start = time.perf_counter()
     report = run_sensitivity(config.model, config.instrument, config.plan,
                              args.trials)
-    runtime = time.perf_counter() - start
 
     def json_float(value: float):
         return None if np.isnan(value) else value
@@ -292,7 +275,6 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     print(f"delta_n = {report.delta_n:.4f} mK, mean z = {report.detection_z:.2f}, "
           f"contrast@{report.contrast_field:.0f}G = "
           f"{report.derivative_contrast:.3f}{note}")
-    print(f"runtime: {runtime:.1f} s")
     print(f"wrote {args.out / 'sensitivity.json'}")
     return EXIT_OK
 
@@ -330,9 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

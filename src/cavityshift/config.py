@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from . import model
-from .errors import ConfigError
+from .errors import InputError
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_sweep
 
@@ -40,34 +40,34 @@ def _build_section(cls, data: dict, name: str):
     allowed = {f.name for f in dataclass_fields(cls)}
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in '{name}' section: {sorted(unknown)}")
+        raise InputError(f"unknown key(s) in '{name}' section: {sorted(unknown)}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid '{name}' section: {exc}") from exc
+        raise InputError(f"invalid '{name}' section: {exc}") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
     """Validate a raw dict against the strict schema."""
     if not isinstance(data, dict):
-        raise ConfigError("run configuration must be a JSON object")
+        raise InputError("run configuration must be a JSON object")
     allowed = {"model", "instrument", "plan", "seed"}
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+        raise InputError(f"unknown top-level key(s): {sorted(unknown)}")
     for name in ("model", "instrument", "plan"):
         section = data.get(name, {})
         if not isinstance(section, dict):
-            raise ConfigError(f"'{name}' section must be a JSON object, "
-                              f"got {type(section).__name__}")
+            raise InputError(f"'{name}' section must be a JSON object, "
+                             f"got {type(section).__name__}")
 
     params = _build_section(model.ModelParams, data.get("model", {}), "model")
     instrument_data = dict(data.get("instrument", {}))
     if "seed" in data:
         seed = instrument_data.setdefault("seed", data["seed"])
         if seed != data["seed"] or type(seed) is not type(data["seed"]):
-            raise ConfigError(f"seed {data['seed']!r} and instrument.seed {seed!r} "
-                              "differ; give the seed once")
+            raise InputError(f"seed {data['seed']!r} and instrument.seed {seed!r} "
+                             "differ; give the seed once")
     instrument = _build_section(InstrumentConfig, instrument_data, "instrument")
 
     plan_data = dict(data.get("plan", {}))
@@ -77,7 +77,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         try:
             derived = plan_sweep(params, instrument, plan_data["fields"])
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid 'plan' section: {exc}") from exc
+            raise InputError(f"invalid 'plan' section: {exc}") from exc
         plan_data.setdefault("t_center_guess", derived.t_center_guess)
         plan_data.setdefault("t_span", derived.t_span)
     plan = _build_section(SweepPlan, plan_data, "plan")
@@ -89,7 +89,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
+        raise InputError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     return run_config_from_dict(data)
 
 

@@ -12,10 +12,6 @@ class InputError(CavityShiftError, ValueError):
     argument outside the physical domain of an operation."""
 
 
-class ConfigError(InputError):
-    """Invalid value or unknown key in a run configuration."""
-
-
 class FitError(CavityShiftError, RuntimeError):
     """Nonlinear fit did not converge.  Carries iteration diagnostics."""
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .analysis import (MK_PER_K, analyze_dataset, relative_slope_difference,
-                       t_star_variance, weighted_mean_difference)
+from .analysis import (MK_PER_K, analyze_dataset, line_fit_sums,
+                       relative_slope_difference, t_star_variance,
+                       weighted_mean_difference)
 from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
@@ -70,8 +71,10 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
     3. no field at or above h_v (the significance is taken there),
     4. a temperature grid wholly at or below the cryostat floor (every
        setpoint is clamped to it, so no curve has a transition to fit), or
-    5. checked last, a sweep that does not resolve a transition (the
-       singular covariance :func:`delta_n_per_ohm` raises on).
+    5. checked last, a plan whose closed form :func:`delta_n_per_ohm`
+       raises on: a sweep that does not resolve a transition (a singular
+       fit covariance), or a field grid that the Tc regression cannot
+       resolve (a rank-deficient regression against H^2).
     """
     if trials < MIN_TRIALS:
         raise InputError(f"need at least {MIN_TRIALS} trials, got {trials}")
@@ -111,8 +114,10 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
     variances, pooled as :func:`run_sensitivity` pools the squared delta
     errors.  Temperature jitter is left out.
 
-    Raises :class:`InputError` when a fit covariance is singular: the
-    sweep does not resolve that transition, so no study could fit it.
+    Raises :class:`InputError` when a fit covariance is singular (the
+    sweep does not resolve that transition, so no study could fit it) or
+    when the intercept's regression is rank deficient
+    (:func:`analysis.line_fit_sums`).
     """
     fields = np.array(plan.fields)
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
@@ -128,9 +133,7 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
             raise InputError(f"the sweep does not resolve the {kind} transition at "
                              f"{unresolved[0]:g} G: its fit covariance is singular")
     x = fields ** 2
-    w = 1.0 / v["film"]
-    sw, swx, swxx = float(np.sum(w)), float(np.sum(w * x)), float(np.sum(w * x * x))
-    det = sw * swxx - swx * swx
+    _, swx, swxx, det = line_fit_sums(x, 1.0 / v["film"])
     var_c = swxx / det
     cov_c = (swxx - swx * x) / det  # a_i v_i, since w_i v_i = 1
     pooled = np.concatenate([var_c + v["film"] - 2.0 * cov_c, var_c + v["cavity"]])
@@ -146,8 +149,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     per-field delta errors against the model truth, (b) the two-sided
     significance z = |weighted-mean shift| / SE over fields at or above
     h_v, and (c) the relative derivative contrast per field.  Trials
-    with any failed fit are counted and skipped; more than 1% of them
-    marks the report invalid.  Beside the measured contrast (mean and
+    with any failed fit or without a difference curve are counted and
+    skipped; more than 1% of them marks the report invalid.  Beside the measured contrast (mean and
     sigma over trials) the report holds the noise-free model contrast on
     the same grid, which is what the 20%-at-crossover expectation refers
     to.  Over every curve of
@@ -176,7 +179,9 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         result = analyze_dataset(curves)
         lm_steps.extend(fit.iterations for *_, fit in result.fits)
         reasons.update(failure.reason for failure in result.failures)
-        if result.failed_fits:  # with 3+ fields, no failure means both curves
+        # with 3+ fields and no failed fit, only a rank-deficient Tc
+        # regression leaves no difference
+        if result.failed_fits or result.difference is None:
             failed += 1
             continue
         for kind in ("film", "cavity"):

@@ -978,6 +978,19 @@ class TestAnalyzeDataset:
         assert result.mean_difference is None
         assert any("different fields" in note for note in result.notes)
 
+    def test_four_fields_skip_only_the_derivatives(self, params, quiet):
+        plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0, 200.0])
+        result = analyze_dataset(run_paired_experiment(params, quiet, plan))
+        assert result.difference.fields.size == 4
+        assert result.mean_difference is not None
+        assert result.film_derivative is None and result.cavity_derivative is None
+        assert result.convergence is None
+        assert result.notes[:2] == [
+            f"window 5 exceeds the 4 available points of the {kind} delta curve"
+            for kind in ("film", "cavity")]
+        assert result.notes[2].startswith("Tc taken from the film")
+        assert len(set(result.notes)) == len(result.notes) == 3
+
     def test_step_function_fit_failure_recorded(self, params, quiet):
         plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
         curves = run_paired_experiment(params, quiet, plan)

@@ -14,7 +14,7 @@ from cavityshift import cli, sensitivity
 from cavityshift.cli import build_parser, main
 from cavityshift.config import (default_run_config, load_run_config,
                                 run_config_from_dict)
-from cavityshift.errors import ConfigError
+from cavityshift.errors import InputError
 
 
 def read_model_curves(path):
@@ -47,6 +47,12 @@ EVERY_FIELD_CHANGED = {
 }
 
 
+#: Fields whose squares underflow to 0, so no regression against H^2
+#: can resolve them.
+UNDERFLOWING_FIELDS = {"model": {"h_v": 1e-200},
+                       "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
+
+
 def simulate_zero_noise(tmp_path, out):
     """``simulate`` into ``out`` with a config file of the instrument
     without resistance noise or temperature jitter; its exit code."""
@@ -70,40 +76,40 @@ class TestConfigSchema:
                     assert value != default[section][key], (section, key)
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"modle": {}})
         # the output directory is set by --out alone
-        with pytest.raises(ConfigError, match="unknown top-level key"):
+        with pytest.raises(InputError, match="unknown top-level key"):
             run_config_from_dict({"output_dir": "out"})
 
     def test_unknown_section_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"model": {"alpha": 1e-5, "tc": 1.5}})
         # the coil keys went with the coil model: acquisition applies
         # each planned field exactly
         for key, value in (("coil_constant", 3.0), ("current_resolution", 1e-3)):
-            with pytest.raises(ConfigError):
+            with pytest.raises(InputError):
                 run_config_from_dict({"instrument": {key: value}})
 
     def test_component_invariants_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"model": {"alpha": -1.0}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"instrument": {"transition_width": 0.0}})
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"plan": {"fields": [5.0, 5.0]}})
 
     def test_seed_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"seed": -1})
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"seed": 2 ** 64})
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run_config_from_dict({"seed": "one"})
 
     def test_top_level_seed_conflicting_with_instrument_rejected(self):
         # the top-level seed once silently overwrote instrument.seed
-        with pytest.raises(ConfigError, match="seed 99 and instrument.seed 5 differ"):
+        with pytest.raises(InputError, match="seed 99 and instrument.seed 5 differ"):
             run_config_from_dict({"seed": 99, "instrument": {"seed": 5}})
         config = run_config_from_dict({"seed": 5, "instrument": {"seed": 5}})
         assert config == run_config_from_dict({"seed": 5})
@@ -121,18 +127,18 @@ class TestConfigSchema:
     def test_section_not_an_object_rejected(self, section, value):
         # these once escaped dict() or set() as TypeError/ValueError, and
         # "x" was read as the unknown key 'x'
-        with pytest.raises(ConfigError, match=f"'{section}' section must be a "
+        with pytest.raises(InputError, match=f"'{section}' section must be a "
                                               f"JSON object, got {type(value).__name__}"):
             run_config_from_dict({section: value})
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_run_config(path)
         # a byte that is not UTF-8 once escaped as UnicodeDecodeError
         path.write_bytes(b"\xff{}")
-        with pytest.raises(ConfigError, match="bad.json is not UTF-8 JSON"):
+        with pytest.raises(InputError, match="bad.json is not UTF-8 JSON"):
             load_run_config(path)
 
 
@@ -399,6 +405,23 @@ class TestSimulateAnalyze:
             for kind in ("film", "cavity")]
         assert not list(out.glob("delta_curve_*.csv"))
 
+    def test_underflowing_fields_analyzed_without_delta_curves(self, tmp_path, capsys):
+        # all six fits succeed; analyze once exited 2 on the rank-deficient
+        # Tc regression and wrote no analysis.json
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(UNDERFLOWING_FIELDS))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["analyze", str(out / "run.json")]) == 0
+        assert ("warning: film Tc regression is rank deficient (degenerate field "
+                "grid); difference step skipped") in capsys.readouterr().out
+        payload = json.loads((out / "analysis.json").read_text())
+        assert len(payload["fits"]) == 6
+        assert payload["notes"] == [
+            f"{kind} Tc regression is rank deficient (degenerate field grid)"
+            for kind in ("film", "cavity")]
+        assert not list(out.glob("delta_curve_*.csv"))
+
     def test_unpaired_fields_skip_difference(self, tmp_path, capsys):
         out = tmp_path / "unpaired"
         assert simulate_zero_noise(tmp_path, out) == 0
@@ -428,7 +451,7 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and key in err
+        assert err.startswith("input error") and key in err
         assert not out.exists()
 
     def test_section_not_an_object_exits_config(self, tmp_path, capsys):
@@ -436,7 +459,7 @@ class TestSimulateAnalyze:
         config.write_text('{"plan": [1, 2]}')
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
-        assert ("config error: 'plan' section must be a JSON object, got list"
+        assert ("input error: 'plan' section must be a JSON object, got list"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -467,7 +490,7 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and "seed 3 and instrument.seed 5 differ" in err
+        assert err.startswith("input error") and "seed 3 and instrument.seed 5 differ" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("spelling", ["top-level", "instrument"])
@@ -480,7 +503,7 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error")
+        assert err.startswith("input error")
         assert f"seed must be a 64-bit unsigned int, got {value!r}" in err
         assert not out.exists()
 
@@ -496,7 +519,7 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and f"{key} must be an integer" in err
+        assert err.startswith("input error") and f"{key} must be an integer" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["model-curve", "simulate", "sensitivity",
@@ -512,7 +535,7 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and "temperature grid collapses" in err
+        assert err.startswith("input error") and "temperature grid collapses" in err
         assert not out.exists()
 
     def test_grid_at_the_cryostat_floor_fails_every_fit(self, tmp_path, capsys):
@@ -539,6 +562,18 @@ class TestSimulateAnalyze:
                      "--out", str(out)]) == 2
         assert ("the temperature grid lies wholly at or below the cryostat floor "
                 "base_temperature = 0.3 K") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sensitivity", "calibrate"])
+    def test_underflowing_fields_exit_config(self, tmp_path, capsys, command):
+        # the closed-form kappa once divided by the zero determinant of the
+        # film Tc regression: ZeroDivisionError, exit 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(UNDERFLOWING_FIELDS))
+        out = tmp_path / "study"
+        assert main([command, "--config", str(config), "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert "film Tc regression is rank deficient" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -686,10 +721,12 @@ class TestSensitivityCommand:
         assert report["config"]["instrument"]["resistance_noise"] == sigma_r
         assert report["delta_n_mK"] == pytest.approx(0.1, rel=0.1)
 
-    def test_zero_trials_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sensitivity", "--trials", "0", "--out", str(tmp_path)])
-        assert excinfo.value.code == 2
+    def test_zero_trials_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sens"
+        for trials in ("0", "-5"):
+            assert main(["sensitivity", "--trials", trials, "--out", str(out)]) == 2
+            assert f"need at least 100 trials, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_carries_standard_errors_and_predicted_slope(self, tmp_path):
         out = tmp_path / "sens"

@@ -46,6 +46,11 @@ JITTER_BELOW_ZERO = {
                    "transition_width": 20.0},
     "plan": {"n_points": 40}}
 
+#: Fields whose squares underflow to 0: the closed-form kappa once
+#: divided by the zero determinant of the film Tc regression.
+UNDERFLOWING_FIELDS = {"model": {"h_v": 1e-200},
+                       "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
+
 
 def log_uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
@@ -104,6 +109,7 @@ def test_simulate_then_analyze_exit_documented(config):
 @example(config=GRID_AT_THE_FLOOR)
 @example(config=OVERFLOWING_FIT)
 @example(config=JITTER_BELOW_ZERO)
+@example(config=UNDERFLOWING_FIELDS)
 def test_sensitivity_exit_documented(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

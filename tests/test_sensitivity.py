@@ -158,6 +158,17 @@ class TestRunSensitivity:
         assert report.failed_trials > 50
         assert not report.valid
 
+    def test_trial_with_a_rank_deficient_tc_regression_counted_failed(
+            self, params, reference):
+        # fields 0.6 ppm apart: the closed-form film Tc regression just
+        # resolves them, the regression of some trials' fitted t* does not;
+        # such a trial has no failed fit and once ended the study
+        close = plan_sweep(params, reference, [100.0, 100.0000615, 100.000123])
+        report = run_sensitivity(params, reference, close, 100)
+        assert report.failed_trials > 1
+        assert not report.valid
+        assert report.failed_fits_by_reason == {}
+
 
 class TestCalibration:
     def test_roundtrip_to_target_band(self, params, reference, plan):
