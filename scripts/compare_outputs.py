@@ -19,8 +19,11 @@ changes included), each with its own ``src``:
 - ``calibrate --trials 200``
 
 It compares the exit code of every command and every file written,
-byte for byte.  Exit status 0: everything matches; 1: something differs,
-and each difference is listed; 2: the ref could not be exported.
+byte for byte, and parses every ``.json`` file this checkout writes as
+strict JSON (a ``NaN`` or ``Infinity`` token fails).  Exit status 0:
+everything matches and all JSON is strict; 1: something differs or a
+file is not strict JSON, and each such case is listed; 2: the ref could
+not be exported.
 """
 
 from __future__ import annotations
@@ -85,6 +88,18 @@ def files_under(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def strict_json_error(data: bytes) -> str | None:
+    """Why ``data`` is not strict JSON (a ``NaN`` or ``Infinity`` token,
+    or no JSON at all); None when it is."""
+    def reject(token: str):
+        raise ValueError(f"non-standard token {token}")
+    try:
+        json.loads(data, parse_constant=reject)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git ref to compare this checkout against")
@@ -114,12 +129,16 @@ def main() -> int:
             differences.append(f"{name}: written only here")
         elif files["ref"][name] != files["checkout"][name]:
             differences.append(f"{name}: differs")
+    for name, data in files["checkout"].items():
+        if name.endswith(".json") and (error := strict_json_error(data)):
+            differences.append(f"{name}: not strict JSON here: {error}")
     total = sum(map(len, codes["ref"].values()))
     if differences:
         print(f"{len(differences)} difference(s) against {ref}:")
         print("\n".join(f"  {line}" for line in differences))
         return 1
-    print(f"{total} commands, {len(files['ref'])} files: identical to {ref}")
+    print(f"{total} commands, {len(files['ref'])} files: identical to {ref}, "
+          "every JSON file strict")
     return 0
 
 

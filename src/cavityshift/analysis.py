@@ -24,6 +24,9 @@ from .protocol import TransitionCurve
 
 MK_PER_K = 1000.0
 
+#: Largest fraction of the fits of a dataset or the trials of a study that may fail.
+MAX_FAILED_FRACTION = 0.01
+
 #: Reported sigmas below this (in K) are treated as "no noise" and the
 #: affected regression falls back to equal weights.
 _SIGMA_FLOOR = 1e-12
@@ -574,7 +577,7 @@ def derivative_curve(curve: DeltaCurve) -> DerivativeCurve:
         raise InputError(f"window {window} exceeds the {n} available points "
                          f"of the {curve.kind} delta curve")
     rows, coeff, one_sided = _derivative_operator(
-        np.asarray(curve.fields, dtype=float).tobytes(), window)
+        np.asarray(curve.fields, dtype=float).tobytes())
     y = curve.deltas[rows]
     ybar = np.add.reduce(y, 1, keepdims=True) / window  # bit-equal to .mean
     slopes = np.add.reduce(coeff * (y - ybar), 1)
@@ -584,13 +587,12 @@ def derivative_curve(curve: DeltaCurve) -> DerivativeCurve:
 
 
 @functools.lru_cache(maxsize=64)
-def _derivative_operator(fields: bytes, window: int
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _derivative_operator(fields: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (n, window) rows of each point's window, their regression
     coefficients (x - xbar) / sxx and the one-sided flags on the float64
     field grid ``fields``; read-only, keyed by the grid's bytes."""
     x = np.frombuffer(fields)
-    n = x.size
+    n, window = x.size, DERIVATIVE_WINDOW
     half = window // 2
     centre = np.arange(n)
     lo = np.clip(centre - half, 0, n - window)

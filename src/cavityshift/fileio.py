@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -37,9 +38,19 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def _finite_or_none(value):
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_finite_or_none, value))
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path: str | Path, payload: dict) -> Path:
-    """Deterministic JSON: sorted keys, two-space indent, '\\n' newlines."""
-    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Deterministic, strict JSON: sorted keys, two-space indent, '\\n'
+    newlines, and each number that is not finite written as ``null``."""
+    text = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
+    return atomic_write_text(path, text + "\n")
 
 
 def csv_text(header: list[str], columns, comments: list[str] = ()) -> str:

@@ -76,7 +76,7 @@ def noise_stream(seed: int, *path: int) -> np.random.Generator:
     for value in (seed, *path):
         value = int(value)
         if value < 0:
-            raise ValueError(f"substream key elements must be nonnegative, got {value}")
+            raise InputError(f"substream key elements must be nonnegative, got {value}")
         words.append(value & 0xFFFFFFFF)
         while value > 0xFFFFFFFF:
             value >>= 32

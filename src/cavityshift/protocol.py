@@ -359,9 +359,9 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
     """Load a dataset back; the CSV round trip is bit-exact.
 
     The manifest must be a JSON object whose ``curves`` list holds one
-    object with a ``file`` name per curve, and each curve must agree
-    with its entry on ``n_points``, ``field_gauss``, ``kind`` and
-    ``repetition``; otherwise :class:`InputError` names the manifest
+    object with a ``file`` name per curve, at least one, and each curve
+    must agree with its entry on ``n_points``, ``field_gauss``, ``kind``
+    and ``repetition``; otherwise :class:`InputError` names the manifest
     and the key or entry, or the curve file and the key.  A manifest or
     curve file that does not decode, or a manifest that is not JSON,
     raises one naming the file.
@@ -379,7 +379,7 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
         raise InputError(
             f"unsupported run format {manifest.get('format_version')!r}")
     entries = manifest.get("curves")
-    if not isinstance(entries, list):
+    if not (isinstance(entries, list) and entries):
         found = repr(entries) if "curves" in manifest else "no such key"
         raise InputError(f"{manifest_path}: key 'curves' must hold a list of "
                          f"curve entries, got {found}")

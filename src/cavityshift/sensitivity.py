@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .analysis import (MK_PER_K, analyze_dataset, line_fit_sums,
+from .analysis import (MAX_FAILED_FRACTION, MK_PER_K, analyze_dataset, line_fit_sums,
                        relative_slope_difference, t_star_variance,
                        weighted_mean_difference)
 from .errors import CalibrationError, InputError
@@ -227,7 +227,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         derivative_contrast_sigma=float(contrast_sigma[contrast_idx]),
         contrast_field=float(fields[contrast_idx]),
         failed_trials=failed,
-        valid=failed <= 0.01 * trials,
+        valid=failed <= MAX_FAILED_FRACTION * trials,
         contrast_fields=fields,
         contrast_mean=contrast_mean,
         contrast_sigma=contrast_sigma,

@@ -870,7 +870,7 @@ class TestPostFitMatchesReference:
             assert same_bits((got.slopes, want.slopes), (got.sigmas, want.sigmas))
         info = analysis._derivative_operator.cache_info()
         assert (info.misses, info.hits) == (2, 4)
-        operators = [analysis._derivative_operator(fields.tobytes(), 5)
+        operators = [analysis._derivative_operator(fields.tobytes())
                      for fields in grids]
         assert not np.array_equal(operators[0][1], operators[1][1])
         for array in (*operators[0], *operators[1]):

@@ -15,6 +15,7 @@ from cavityshift.cli import build_parser, main
 from cavityshift.config import (default_run_config, load_run_config,
                                 run_config_from_dict)
 from cavityshift.errors import InputError
+from cavityshift.fileio import write_json
 
 
 def read_model_curves(path):
@@ -51,6 +52,30 @@ EVERY_FIELD_CHANGED = {
 #: can resolve them.
 UNDERFLOWING_FIELDS = {"model": {"h_v": 1e-200},
                        "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
+
+
+def load_strict_json(path):
+    """``path`` parsed as strict JSON: a ``NaN`` or ``Infinity`` token raises."""
+    def reject(token):
+        raise ValueError(f"{path} holds the non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
+    nan, inf = math.nan, math.inf
+    payload = {"dict": {"a": nan, "b": inf, "c": -inf, "d": 0.1},
+               "list": [nan, [inf, np.float64(-inf)], 1 / 3],
+               "tuple": (np.float64(nan), (-inf, 2.5e-308), np.float64(1 / 7)),
+               "other": [7, "inf", True, None]}
+    want = {"dict": {"a": None, "b": None, "c": None, "d": 0.1},
+            "list": [None, [None, None], 1 / 3],
+            "tuple": [None, [None, 2.5e-308], 1 / 7],
+            "other": [7, "inf", True, None]}
+    path = write_json(tmp_path / "payload.json", payload)
+    assert load_strict_json(path) == want
+    # finite floats keep their repr, so the bytes are those of the payload
+    # with its non-finite numbers spelled null
+    assert path.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def simulate_zero_noise(tmp_path, out):
@@ -252,9 +277,10 @@ class TestSimulateAnalyze:
          "key 'curves' must hold a list of curve entries, got no such key"),
         (lambda m: {**m, "curves": m["curves"][:3] + [
             {k: v for k, v in m["curves"][3].items() if k != "file"}]},
-         "curve entry 3 needs a 'file' name")],
+         "curve entry 3 needs a 'file' name"),
+        (lambda m: {**m, "curves": []}, "got []")],
         ids=["curves-not-a-list", "top-level-array", "entry-not-an-object",
-             "no-curves-key", "entry-without-file"])
+             "no-curves-key", "entry-without-file", "empty-curves-list"])
     def test_malformed_manifest_exits_io_naming_the_key(self, tmp_path, capsys,
                                                        edit, message):
         out = tmp_path / "run"
@@ -344,6 +370,25 @@ class TestSimulateAnalyze:
         out.write_text("")
         assert main(["simulate", "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("I/O error")
+
+    # resistances near 1e161 overflow the fit's sums of squares, so that
+    # curve's fit may fail with an infinite residual; whatever the exit
+    # code, analysis.json must stay strict JSON
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    def test_overflowing_resistances_leave_strict_json(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out)]) == 0
+        path = out / "curve_000_film_rep0.csv"
+        lines = path.read_text().splitlines()
+        start = lines.index("temperature_K,resistance_ohm") + 1
+        rows = (line.split(",") for line in lines[start:])
+        lines[start:] = [f"{t},{float(r) * 1e160!r}" for t, r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        main(["analyze", str(out / "run.json")])
+        payload = load_strict_json(out / "analysis.json")
+        for failure in payload["failed_fits"]:
+            for value in (failure["residual_norm_ohm"], *(failure["last_params"] or ())):
+                assert value is None or math.isfinite(value)
 
     def test_step_function_curve_exits_fit_and_is_listed(self, tmp_path, capsys):
         from cavityshift.instrument import resistive_transition

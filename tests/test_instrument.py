@@ -121,7 +121,7 @@ def test_noise_stream_state_matches_seed_sequence(seed, path):
 
 @pytest.mark.parametrize("seed, path", [(-1, ()), (1, (3, -1)), (1, (-(2**40),))])
 def test_noise_stream_rejects_negative_key(seed, path):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         noise_stream(seed, *path)
 
 
