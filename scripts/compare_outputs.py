@@ -16,6 +16,8 @@ changes included), each with its own ``src``:
 - ``simulate`` of a 4-field plan, then ``analyze``, which skips the
   5-point derivatives with a note
 - ``sensitivity --trials 200``
+- ``sensitivity --trials 200`` on the 4-field plan, whose derivative
+  contrast and its sigma are not finite and are written as ``null``
 - ``calibrate --trials 200``
 
 It compares the exit code of every command and every file written,
@@ -59,6 +61,8 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
         "simulate": [["simulate", *common], analyze],
         **simulate,
         "sensitivity": [["sensitivity", "--trials", "200", *common]],
+        "sensitivity-fewfields": [["sensitivity", "--trials", "200", "--config",
+                                   "../../fewfields.json", *common]],
         "calibrate": [["calibrate", "--trials", "200", *common]],
     }
 

@@ -4,9 +4,9 @@ film-cavity differences and field derivatives, all with uncertainties.
 The transition estimator is a full-curve least-squares fit of the erf
 shape (midpoint, 10-90 width, normal resistance); against a 50 mK wide
 transition that is what makes a ~0.1 mK single-curve sensitivity
-possible.  Tc is taken from the H^2 -> 0 intercept of the film
-regression and shared with the cavity curve of the same dataset (the
-paired-sample assumption); every report records that choice.
+possible.  A dataset has one Tc, the H^2 -> 0 intercept of the film
+regression, which the cavity curve of the same dataset shares (paired
+film and cavity samples).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from scipy.special import erf
 
 from .errors import FitError, InputError
 from .instrument import ERF_WIDTH_FACTOR, resistive_transition
+from .model import KINDS, check_kind
 from .protocol import TransitionCurve
 
 MK_PER_K = 1000.0
@@ -48,7 +49,8 @@ class FitResult:
 class DeltaCurve:
     """delta(H) = Tc_est - T*(H) for one sample kind, with sigmas in mK.
 
-    ``sigmas`` include the Tc sigma; ``fit_sigmas`` are those of T*(H)
+    Tc_est is the film's H^2 intercept for both kinds.  ``sigmas``
+    include the Tc sigma; ``fit_sigmas`` are those of T*(H)
     alone, for the views in which Tc cancels (the film-cavity difference
     on a shared Tc, and the slopes).
     """
@@ -60,7 +62,6 @@ class DeltaCurve:
     fit_sigmas: np.ndarray      # mK
     t_c_estimate: float         # K
     t_c_sigma: float            # K
-    t_c_source: str             # 'film-intercept' | 'cavity-intercept'
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,14 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     return math.inf if column is None else column[0]
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, infinite where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def fit_transition(curve: TransitionCurve) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
 
@@ -315,6 +324,13 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     J^T J: ``cov[0, 0]`` is read from its Cholesky factor, and no
     matrix is inverted.
 
+    The fit runs on the resistances scaled by the power of two that
+    brings max |R| into [0.5, 1), and ``r_n`` (with the residual norm
+    and last r_n of a :class:`FitError`) is scaled back, to inf where it
+    passes the largest float; the fit thus works at any finite scale of
+    R and, short of subnormal values, its t_star, width and sigma do
+    not depend on that scale.
+
     Each accepted point forms the Jacobian rows without their constant
     factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), and takes their
     products with each other and with the residuals in one Gram matrix.
@@ -333,6 +349,11 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     r_sorted = np.sort(r)
     if not (-math.inf < r_sorted[0] and r_sorted[-1] < math.inf):  # NaN sorts last
         raise InputError("resistances must be finite")
+    # max |R| = m 2^e with 0.5 <= m < 1; the fit runs on R 2^-e, applied
+    # with ldexp since 2^-e itself overflows for a subnormal max |R|
+    e = math.frexp(max(-r_sorted[0], r_sorted[-1]))[1]
+    np.ldexp(r_sorted, -e, out=r_sorted)
+    r = np.ldexp(r, -e)
     k = max(2, n // 10)
     r_top = float(r_sorted[-k:].sum()) / k  # bit-equal to .mean()
     if not (r_top > 0):
@@ -362,7 +383,8 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
 
     def fit_error(message: str) -> FitError:
         return FitError(message, iterations=iterations,
-                        residual_norm=math.sqrt(cost / n), params=tuple(p))
+                        residual_norm=_ldexp(math.sqrt(cost / n), e),
+                        params=(p[0], p[1], _ldexp(p[2], e)))
 
     for _ in range(_MAX_ITER):
         step = _damped_step(hess, grad, lam) if newton else None
@@ -414,17 +436,16 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
         t_star=p[0],
         sigma_t_star=math.sqrt(max(var_t_star, 0.0)),
         width=abs(p[1]),
-        r_n=p[2],
+        r_n=_ldexp(p[2], e),
         residual_norm=float(math.sqrt(cost / n) / p[2]),
         iterations=iterations)
 
 
 # --- delta curves -----------------------------------------------------------
 
-def line_fit_sums(x: np.ndarray, w: np.ndarray,
-                  kind: str = "film") -> tuple[float, float, float, float]:
+def line_fit_sums(x: np.ndarray, w: np.ndarray) -> tuple[float, float, float, float]:
     """Sums w, w x and w x^2 of the weighted line fit against x = H^2 that
-    gives the ``kind`` Tc, and the determinant of its normal equations.
+    gives the film Tc, and the determinant of its normal equations.
 
     Raises :class:`InputError` when that regression is rank deficient,
     e.g. on fields whose squares are equal or underflow to 0.
@@ -435,13 +456,13 @@ def line_fit_sums(x: np.ndarray, w: np.ndarray,
     swxx = float(add(w * x * x))
     det = sw * swxx - swx * swx
     if not (det > 0) or det <= 1e-12 * sw * swxx:
-        raise InputError(f"{kind} Tc regression is rank deficient "
+        raise InputError("film Tc regression is rank deficient "
                          "(degenerate field grid)")
     return sw, swx, swxx, det
 
 
-def _weighted_line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
-                       kind: str = "film") -> tuple[float, float]:
+def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
+                       sigma: np.ndarray) -> tuple[float, float]:
     """Weighted LS of y = a + b x; returns the intercept a and sigma_a.
 
     Uses 1/sigma^2 weights with absolute covariance when every sigma is
@@ -450,7 +471,7 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray, sigma: np.ndarray,
     """
     weighted = bool((sigma > _SIGMA_FLOOR).all())
     w = 1.0 / sigma ** 2 if weighted else np.ones_like(x)
-    sw, swx, swxx, det = line_fit_sums(x, w, kind)
+    sw, swx, swxx, det = line_fit_sums(x, w)
     swy = float(np.add.reduce(w * y))
     swxy = float(np.add.reduce(w * x * y))
     a = (swxx * swy - swx * swxy) / det
@@ -493,28 +514,28 @@ def build_delta_curve(fits, kind: str,
     """Turn per-field fits into delta(H) = Tc_est - T*(H).
 
     ``fits`` is an iterable of (field_gauss, FitResult); repeated fields
-    are combined by precision-weighted mean first.  When ``t_c`` is
-    None, Tc comes from the weighted regression of T* against H^2 (the
-    film law); pass the film estimate as ``t_c=(value, sigma)`` to share
-    it with the cavity curve.
+    are combined by precision-weighted mean first.  The film's Tc comes
+    from the weighted regression of its T* against H^2 (the film law); a
+    cavity curve takes that estimate as ``t_c=(value, sigma)``.  A
+    cavity call without ``t_c``, or a film call with one, raises
+    :class:`InputError`.
     """
-    if kind not in ("film", "cavity"):
-        raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
+    check_kind(kind)
+    if (t_c is None) != (kind == "film"):
+        raise InputError("the film regresses its own Tc; a cavity delta curve "
+                         "takes the film's as t_c")
     fields, t_star, sigma = _aggregate_repeats(fits)
     if fields.size < 3:
         raise InputError(f"{kind} fits cover {fields.size} distinct field(s); "
                          "a delta curve needs 3")
     if t_c is None:
-        tc_value, tc_sigma = _weighted_line_fit(fields ** 2, t_star, sigma, kind)
-        source = f"{kind}-intercept"
-    else:
-        tc_value, tc_sigma = float(t_c[0]), float(t_c[1])
-        source = "film-intercept"
+        t_c = _weighted_line_fit(fields ** 2, t_star, sigma)
+    tc_value, tc_sigma = float(t_c[0]), float(t_c[1])
     deltas = (tc_value - t_star) * MK_PER_K
     sigmas = np.hypot(sigma, tc_sigma) * MK_PER_K
     return DeltaCurve(kind=kind, fields=fields, deltas=deltas, sigmas=sigmas,
                       fit_sigmas=sigma * MK_PER_K, t_c_estimate=tc_value,
-                      t_c_sigma=tc_sigma, t_c_source=source)
+                      t_c_sigma=tc_sigma)
 
 
 def difference_curve(film: DeltaCurve, cavity: DeltaCurve) -> DifferenceCurve:
@@ -708,16 +729,16 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     """Run the full extraction pipeline on a list of curves.
 
     Fits every curve, then builds each view in turn: the film delta
-    curve, the cavity delta curve (sharing the film Tc when there is
-    one), their difference, and the derivative of each delta curve
+    curve and its Tc, the cavity delta curve on that Tc, their
+    difference, and the derivative of each delta curve
     (:data:`DERIVATIVE_WINDOW` points per window).  A curve whose fit
     fails (no convergence, or a resistance plateau missing) is recorded
     in ``failures``, not fatal.  A view its builder rejects (a kind whose
-    fits cover < 3 fields or whose Tc regression is rank deficient,
-    film and cavity fits on different fields, a delta curve shorter than
-    the window) is skipped with the builder's message as a note, and so
-    is every view built on it; ``notes`` then ends with the provenance
-    of Tc.
+    fits cover < 3 fields, a rank-deficient film Tc regression, film and
+    cavity fits on different fields, a delta curve shorter than the
+    window) is skipped with the builder's message as a note, and so is
+    every view built on it, without a note of its own: ``notes`` holds
+    one entry per rejected view.
     """
     if not curves:
         raise InputError("dataset contains no curves")
@@ -735,24 +756,24 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
         except InputError as exc:
             failures.append(FitFailure(curve.field, curve.kind, curve.repetition,
                                        str(exc), None, None))
-    by_kind: dict[str, list[tuple[float, FitResult]]] = {"film": [], "cavity": []}
+    by_kind: dict[str, list[tuple[float, FitResult]]] = {kind: [] for kind in KINDS}
     for field, kind, _, fit in fits:
         by_kind[kind].append((field, fit))
 
-    def view(build, *args, **kwargs):
-        """``build(*args, **kwargs)``; None when a view it needs is
-        missing, or with the builder's :class:`InputError` as a note."""
+    def view(build, *args):
+        """``build(*args)``; None when a view it needs is missing, or
+        with the builder's :class:`InputError` as a note."""
         if any(arg is None for arg in args):
             return None
         try:
-            return build(*args, **kwargs)
+            return build(*args)
         except InputError as exc:
             notes.append(str(exc))
             return None
 
     film = view(build_delta_curve, by_kind["film"], "film")
     cavity = view(build_delta_curve, by_kind["cavity"], "cavity",
-                  t_c=None if film is None else (film.t_c_estimate, film.t_c_sigma))
+                  None if film is None else (film.t_c_estimate, film.t_c_sigma))
     difference = view(difference_curve, film, cavity)
     film_deriv = view(derivative_curve, film)
     cavity_deriv = view(derivative_curve, cavity)
@@ -761,12 +782,6 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
         mean_diff, mean_sigma = weighted_mean_difference(difference)
         if film_deriv is not None and cavity_deriv is not None:
             convergence = linearity_and_convergence_report(film_deriv, cavity_deriv)
-    if film is not None:
-        notes.append("Tc taken from the film H^2->0 intercept and shared "
-                     "with the cavity curve (paired-sample assumption)")
-    elif cavity is not None:
-        notes.append("cavity Tc self-regressed against the film law; "
-                     "biased if the cavity term is significant")
 
     return AnalysisResult(fits=fits, film=film, cavity=cavity,
                           difference=difference, film_derivative=film_deriv,

@@ -157,12 +157,9 @@ def _analysis_payload(result: AnalysisResult,
             for f in result.failures
         ],
     }
-    for kind in ("film", "cavity"):
-        curve = getattr(result, kind)
-        if curve is not None:
-            payload[f"t_c_{kind}_K"] = curve.t_c_estimate
-            payload[f"t_c_{kind}_sigma_K"] = curve.t_c_sigma
-            payload[f"t_c_{kind}_source"] = curve.t_c_source
+    if result.film is not None:
+        payload["t_c_film_K"] = result.film.t_c_estimate
+        payload["t_c_film_sigma_K"] = result.film.t_c_sigma
     if result.mean_difference is not None:
         payload["weighted_mean_difference_mK"] = result.mean_difference
         payload["weighted_mean_difference_sigma_mK"] = result.mean_difference_sigma
@@ -182,7 +179,7 @@ def _analysis_payload(result: AnalysisResult,
 
 def _write_analysis_files(result: AnalysisResult, out: Path,
                           flags: dict[tuple[float, str, int], tuple[str, ...]]) -> None:
-    for kind in ("film", "cavity"):
+    for kind in model.KINDS:
         curve = getattr(result, kind)
         if curve is not None:
             write_csv(out / f"delta_curve_{kind}.csv",

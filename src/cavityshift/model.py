@@ -33,6 +33,9 @@ import numpy as np
 
 from .errors import InputError
 
+#: The two sample kinds: the bare film and the cavity mirror.
+KINDS = ("film", "cavity")
+
 #: Tag attached to files derived from the cavity energy term.
 CAVITY_FORM_NOTE = ("phenomenological interpolation "
                     "E_vac = cond_scale*delta_inf*delta^2/(delta+delta_v)")
@@ -66,6 +69,12 @@ class ModelParams:
     def delta_v(self) -> float:
         """Crossover depression alpha*h_v**2 in mK."""
         return self.alpha * self.h_v * self.h_v
+
+
+def check_kind(kind: str) -> None:
+    """Raise :class:`InputError` unless ``kind`` is one of :data:`KINDS`."""
+    if kind not in KINDS:
+        raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
 
 
 def _nonneg(value, name: str) -> np.ndarray:
@@ -141,8 +150,7 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
     solved balance, 2*alpha*H / (1 + delta_inf*delta_v/(delta + delta_v)**2).
     """
     h = _nonneg(h, "field")
-    if kind not in ("film", "cavity"):
-        raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
+    check_kind(kind)
     with np.errstate(over="ignore", invalid="ignore"):
         slope = 2.0 * params.alpha * h
         if kind == "cavity":
@@ -160,8 +168,7 @@ def critical_field(params: ModelParams, delta: float, kind: str = "film") -> flo
     rounding.
     """
     delta = float(_nonneg(delta, "delta"))
-    if kind not in ("film", "cavity"):
-        raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
+    check_kind(kind)
     if delta == 0.0:
         return 0.0
     if kind == "film":

@@ -27,7 +27,7 @@ from .instrument import (InstrumentConfig, measure_profile, noise_stream,
 
 FORMAT_VERSION = "1"
 
-KIND_CODES = {"film": 0, "cavity": 1}
+KIND_CODES = {kind: code for code, kind in enumerate(model.KINDS)}
 
 #: Column header of a curve file; the data rows follow it.
 CSV_COLUMNS = "temperature_K,resistance_ohm"
@@ -90,8 +90,7 @@ class TransitionCurve:
     oracle_t_star: float | None = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KIND_CODES:
-            raise InputError(f"kind must be 'film' or 'cavity', got {self.kind!r}")
+        model.check_kind(self.kind)
         self.temperatures = np.asarray(self.temperatures, dtype=float)
         self.resistances = np.asarray(self.resistances, dtype=float)
         if self.temperatures.shape != self.resistances.shape:
@@ -174,8 +173,7 @@ def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
     """Sweep one curve at a fixed field, single monotone up-sweep."""
     if field not in plan.fields:
         raise InputError(f"field {field} G is not part of the plan")
-    if kind not in KIND_CODES:
-        raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
+    model.check_kind(kind)
     if not (0 <= repetition < plan.repetitions):
         raise InputError(f"repetition {repetition} outside plan range")
 
@@ -207,7 +205,7 @@ def run_paired_experiment(params: model.ModelParams, cfg: InstrumentConfig,
     curves = []
     for field in plan.fields:
         for repetition in range(plan.repetitions):
-            for kind in ("film", "cavity"):
+            for kind in model.KINDS:
                 curves.append(acquire_curve(params, cfg, plan, field, kind,
                                             repetition, substream_prefix))
     return curves

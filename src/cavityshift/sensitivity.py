@@ -184,9 +184,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         if result.failed_fits or result.difference is None:
             failed += 1
             continue
-        for kind in ("film", "cavity"):
-            curve = result.film if kind == "film" else result.cavity
-            err = curve.deltas - truth[kind]
+        for kind in model.KINDS:
+            err = getattr(result, kind).deltas - truth[kind]
             sq_errors.extend((err * err).tolist())
         mean, se = weighted_mean_difference(result.difference, min_field=params.h_v)
         if se > 0:
