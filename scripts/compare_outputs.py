@@ -22,7 +22,11 @@ changes included), each with its own ``src``:
 
 It compares the exit code of every command and every file written,
 byte for byte, and parses every ``.json`` file this checkout writes as
-strict JSON (a ``NaN`` or ``Infinity`` token fails).  Exit status 0:
+strict JSON (a ``NaN`` or ``Infinity`` token fails).  For a file that
+differs it prints the largest relative difference between corresponding
+numbers when both versions are the same text once every number is
+masked, which sizes a numerics change, and otherwise that the structure
+differs.  Exit status 0:
 everything matches and all JSON is strict; 1: something differs or a
 file is not strict JSON, and each such case is listed; 2: the ref could
 not be exported.
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -92,6 +97,22 @@ def files_under(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+#: A decimal number as the CLI writes it, in JSON or CSV.
+NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def describe_difference(ref: bytes, here: bytes) -> str:
+    """How two versions of a file differ: by the largest relative
+    difference between corresponding numbers when the texts match once
+    every number is masked, otherwise in structure."""
+    if NUMBER.sub(b"#", ref) != NUMBER.sub(b"#", here):
+        return "structure differs"
+    largest = max((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+                   for a, b in zip(map(float, NUMBER.findall(ref)),
+                                   map(float, NUMBER.findall(here)))), default=0.0)
+    return f"numbers differ, largest relative difference {largest:.3g}"
+
+
 def strict_json_error(data: bytes) -> str | None:
     """Why ``data`` is not strict JSON (a ``NaN`` or ``Infinity`` token,
     or no JSON at all); None when it is."""
@@ -132,7 +153,9 @@ def main() -> int:
         elif name not in files["ref"]:
             differences.append(f"{name}: written only here")
         elif files["ref"][name] != files["checkout"][name]:
-            differences.append(f"{name}: differs")
+            differences.append(f"{name}: "
+                               + describe_difference(files["ref"][name],
+                                                     files["checkout"][name]))
     for name, data in files["checkout"].items():
         if name.endswith(".json") and (error := strict_json_error(data)):
             differences.append(f"{name}: not strict JSON here: {error}")

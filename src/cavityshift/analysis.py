@@ -158,11 +158,6 @@ _XTOL = 1e-10
 #: Most passes of the fit loop, accepted and rejected steps together.
 _MAX_ITER = 100
 
-#: Relative step size, on the measure of the ``_XTOL`` test, at or below
-#: which an accepted step makes the next steps solve with the full
-#: Hessian J^T J + S instead of the Gauss-Newton J^T J.
-_NEWTON_SWITCH = 1e-3
-
 #: A step moves the width w within [w / this, w * this]: a bounded step
 #: (More, LNM 630, 1978) against run-off to a step-function width
 #: (Transtrum & Sethna, arXiv:1201.5885).
@@ -171,17 +166,15 @@ _WIDTH_STEP_FACTOR = 4.0
 
 def _normal_matrices(gram: list[list[float]], width: float, r_n: float
                      ) -> tuple[tuple[float, ...], tuple[float, float, float],
-                                tuple[float, ...] | None]:
+                                tuple[float, ...]]:
     """J^T J, J^T res and J^T J + S of the erf fit; the matrices as lower
     triangles row by row (see :func:`_damped_step`).
 
     ``gram`` is the Gram matrix of the unscaled rows g, u g, 1 + erf(u),
-    res and, for J^T J + S, u res and u^2 res, with g = exp(-u^2),
-    u = (t - t_star) k and k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J
-    and J^T res are the first four entries of its first three rows,
-    scaled by the row factors
-    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2); a 4-row
-    ``gram`` gives None for J^T J + S.
+    res, u res and u^2 res, with g = exp(-u^2), u = (t - t_star) k and
+    k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J and J^T res are the
+    first four entries of its first three rows, scaled by the row factors
+    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2).
     S = sum_i res_i Hess(f_i) is the second-order term Gauss-Newton
     leaves out; with b0 = sum g res, b1 = sum u g res, a3 = sum u^2 g res
     and a4 = sum u^3 g res its entries are
@@ -199,8 +192,6 @@ def _normal_matrices(gram: list[list[float]], width: float, r_n: float
            g0[2] * c0 * 0.5, g1[2] * c1 * 0.5, g2[2] * 0.25)
     b0, b1 = g0[3], g1[3]
     grad = (b0 * c0, b1 * c1, g2[3] * 0.5)
-    if len(g0) == 4:
-        return jtj, grad, None
     a3, a4 = g1[4], g1[5]
     # the S entries above, written with c0 and c1
     hess = (jtj[0] + 2.0 * c0 * k * b1,
@@ -212,10 +203,9 @@ def _normal_matrices(gram: list[list[float]], width: float, r_n: float
 
 def _row_stack(n: int) -> tuple[np.ndarray, ...]:
     """Views, made once per fit, of a (6, n) stack of rows for
-    :func:`_evaluate`: its six rows, then the stack and its first four
-    rows."""
+    :func:`_evaluate`: its six rows, then the stack."""
     stack = np.empty((6, n))
-    return (*stack, stack, stack[:4])
+    return (*stack, stack)
 
 
 def _evaluate(t: np.ndarray, r: np.ndarray, q: list[float], u: np.ndarray,
@@ -239,25 +229,17 @@ def _evaluate(t: np.ndarray, r: np.ndarray, q: list[float], u: np.ndarray,
     return float(res.dot(res))
 
 
-def _normal_equations(q: list[float], u: np.ndarray, rows: tuple[np.ndarray, ...],
-                      newton: bool):
-    """J^T J, J^T res and, when ``newton``, J^T J + S at q, after
-    _evaluate(..., q, u, rows).
-
-    A Gauss-Newton point fills rows 0 and 1 and takes the Gram matrix of
-    rows 0-3; a Newton point also fills rows 4 and 5 from u and the
-    residuals and takes the Gram matrix of all six.
-    """
-    gauss, ugauss, _, res, ures, u2res, stack, top = rows
+def _normal_equations(q: list[float], u: np.ndarray, rows: tuple[np.ndarray, ...]):
+    """J^T J, J^T res and J^T J + S at q, after _evaluate(..., q, u, rows):
+    fills rows 0 and 1, and 4 and 5 from u and the residuals, and takes
+    the Gram matrix of all six."""
+    gauss, ugauss, _, res, ures, u2res, stack = rows
     np.multiply(u, u, gauss)
     np.negative(gauss, gauss)
     np.exp(gauss, gauss)
     np.multiply(gauss, u, ugauss)
-    if newton:
-        np.multiply(res, u, ures)
-        np.multiply(ures, u, u2res)
-    else:
-        stack = top
+    np.multiply(res, u, ures)
+    np.multiply(ures, u, u2res)
     return _normal_matrices(stack.dot(stack.T).tolist(), q[1], q[2])
 
 
@@ -277,7 +259,7 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     q = [t_star, width, r_n]
     _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
               q, u, rows)
-    column = _damped_step(_normal_equations(q, u, rows, False)[0], (-1.0, 0.0, 0.0), 0.0)
+    column = _damped_step(_normal_equations(q, u, rows)[0], (-1.0, 0.0, 0.0), 0.0)
     return math.inf if column is None else column[0]
 
 
@@ -311,18 +293,15 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     the fit covariance scaled by the reduced chi-square, so it is
     meaningful without knowing the noise level beforehand.
 
-    The damped steps are Gauss-Newton steps on J^T J until an accepted
-    step has changed every parameter by at most ``_NEWTON_SWITCH``
-    (1e-3) relative, measured as in the ``_XTOL`` test.  The steps after
-    it solve the damped full Hessian J^T J + S of cost / 2 instead (see
-    :func:`_normal_matrices`), which turns the linear Gauss-Newton tail
-    of a noisy curve into a quadratic one.  They return to J^T J after
-    an accepted step longer than that, which keeps a point far from the
-    minimum (a small step only because the damping is large) on
-    Gauss-Newton steps, and for any step whose damped J^T J + S is not
-    positive definite.  The covariance always comes from the undamped
-    J^T J: ``cov[0, 0]`` is read from its Cholesky factor, and no
-    matrix is inverted.
+    Until a step is accepted, the damped steps are Gauss-Newton steps on
+    J^T J (full-Hessian steps from the initial guess make noisy fits
+    slower).  Every later step solves the damped full Hessian J^T J + S of
+    cost / 2 instead (see :func:`_normal_matrices`), which turns the
+    linear Gauss-Newton tail of a noisy curve into a quadratic one, and
+    falls back to J^T J when its damped J^T J + S is not positive
+    definite.  The covariance always comes from the undamped J^T J:
+    ``cov[0, 0]`` is read from its Cholesky factor, and no matrix is
+    inverted.
 
     The fit runs on the resistances scaled by the power of two that
     brings max |R| into [0.5, 1), and ``r_n`` (with the residual norm
@@ -332,10 +311,9 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     not depend on that scale.
 
     Each accepted point forms the Jacobian rows without their constant
-    factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), and takes their
-    products with each other and with the residuals in one Gram matrix.
-    Only a point whose next step may solve J^T J + S also forms the
-    residuals times u and u^2 and takes their products, which S needs.
+    factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), the residuals, and
+    the residuals times u and u^2, which S needs, and takes all their
+    products in one Gram matrix.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -374,10 +352,9 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     rows, trial = _row_stack(n), _row_stack(n)
 
     cost = _evaluate(t, r, p, u, rows)
-    jtj, grad, hess = _normal_equations(p, u, rows, False)
+    jtj, grad, hess = _normal_equations(p, u, rows)
     s0, s1, s2 = _xtol_scales(p)
     lam = 1e-3
-    newton = False
     iterations = 0
     converged = False
 
@@ -387,7 +364,7 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
                         params=(p[0], p[1], _ldexp(p[2], e)))
 
     for _ in range(_MAX_ITER):
-        step = _damped_step(hess, grad, lam) if newton else None
+        step = _damped_step(hess, grad, lam) if iterations else None
         if step is None:
             step = _damped_step(jtj, grad, lam)
             if step is None:
@@ -408,11 +385,9 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
         if cost_new <= cost:
             # the Jacobian is formed only here, since a rejected
             # evaluation's Jacobian would be thrown away
-            newton = (d0 <= _NEWTON_SWITCH and d1 <= _NEWTON_SWITCH
-                      and d2 <= _NEWTON_SWITCH)
             p, cost = p_new, cost_new
             rows, trial = trial, rows
-            jtj, grad, hess = _normal_equations(p, u, rows, newton)
+            jtj, grad, hess = _normal_equations(p, u, rows)
             lam = max(lam * 0.1, 1e-14)
             s0, s1, s2 = _xtol_scales(p)
             iterations += 1

@@ -245,6 +245,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "contrast_field_gauss": report.contrast_field,
         "failed_trials": report.failed_trials,
         "failed_fits_by_reason": report.failed_fits_by_reason,
+        "failed_trials_by_reason": report.failed_trials_by_reason,
         "lm_steps_histogram": report.lm_steps_histogram,
         "valid": report.valid,
         "config": asdict(config),

@@ -58,6 +58,7 @@ class SensitivityReport:
     contrast_model: np.ndarray      # noise-free model contrast per field
     lm_steps_histogram: list[int]   # successful fits per accepted LM step count
     failed_fits_by_reason: dict[str, int]  # failed fits per reason, sorted by reason
+    failed_trials_by_reason: dict[str, int]  # failed trials per first reason, sorted
 
 
 def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPlan,
@@ -156,7 +157,9 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     to.  Over every curve of
     every trial, failed trials included, it also counts the successful
     fits by their accepted LM steps and the failed fits by reason.  It
-    also holds the closed-form prediction kappa of :func:`delta_n_per_ohm`.
+    counts each failed trial once, by the reason of its first failed fit
+    in curve order or, when no fit failed, by its first note.  It also
+    holds the closed-form prediction kappa of :func:`delta_n_per_ohm`.
 
     A study :func:`_check_study` rejects raises :class:`InputError`
     before any trial runs.
@@ -174,6 +177,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     failed = 0
     lm_steps: list[int] = []
     reasons: Counter[str] = Counter()
+    trial_reasons: Counter[str] = Counter()
     for trial in range(trials):
         curves = run_paired_experiment(params, cfg, plan, substream_prefix=(trial,))
         result = analyze_dataset(curves)
@@ -183,6 +187,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         # regression leaves no difference
         if result.failed_fits or result.difference is None:
             failed += 1
+            trial_reasons[result.failures[0].reason if result.failures
+                          else result.notes[0]] += 1
             continue
         for kind in model.KINDS:
             err = getattr(result, kind).deltas - truth[kind]
@@ -234,7 +240,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
             model.delta_derivative(params, fields, "film"),
             model.delta_derivative(params, fields, "cavity")),
         lm_steps_histogram=np.bincount(lm_steps, minlength=1).tolist(),
-        failed_fits_by_reason=dict(sorted(reasons.items())))
+        failed_fits_by_reason=dict(sorted(reasons.items())),
+        failed_trials_by_reason=dict(sorted(trial_reasons.items())))
 
 
 def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPlan,

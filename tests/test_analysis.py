@@ -358,15 +358,16 @@ class TestFitTransition:
 
     def test_reference_fits_take_few_accepted_steps(self, params, reference):
         # Gauss-Newton alone converges linearly on these noisy curves and
-        # takes 4.56 accepted steps per fit here; full-Hessian steps in
-        # the tail take about 3.2
+        # takes 4.55 accepted steps per fit here; full-Hessian steps after
+        # a switch at 1e-3 relative step size took 3.24, and full-Hessian
+        # steps from the first accepted step on take about 3.0
         plan = plan_sweep(params, reference, np.linspace(50, 250, 10))
         steps = [fit_transition(curve).iterations
                  for trial in range(50)
                  for curve in run_paired_experiment(params, reference, plan,
                                                     substream_prefix=(trial,))]
         assert len(steps) == 1000
-        assert np.mean(steps) <= 3.4
+        assert np.mean(steps) <= 3.1
 
 
 class TestFullHessian:
@@ -427,37 +428,6 @@ class TestFullHessian:
         flipped = hess.copy()
         flipped[i, j] = flipped[j, i] = jtj[i, j] - (hess[i, j] - jtj[i, j])
         assert self.relative_error(flipped, central) > 1e-6
-
-
-class TestGaussNewtonRows:
-    """A Gauss-Newton point's 4-row Gram gives the J^T J and J^T res of the
-    6-row Gram a Newton point takes, and no J^T J + S."""
-
-    @pytest.fixture(scope="class", params=[REFERENCE_SIGMA_R, 0.3])
-    def curve(self, request, params):
-        config = InstrumentConfig(resistance_noise=request.param, seed=1)
-        plan = plan_sweep(params, config, [150.0])
-        return acquire_curve(params, config, plan, 150.0, "film")
-
-    @pytest.mark.parametrize("point", ["initial guess", "off the optimum"])
-    def test_four_rows_match_six(self, curve, point):
-        t, r = curve.temperatures, curve.resistances
-        if point == "initial guess":
-            # r_top and the step as fit_transition takes them
-            k = t.size // 10
-            r_top = float(np.sort(r)[-k:].sum()) / k
-            p = analysis._initial_guess(t, r, r_top, float(np.diff(t).max()) * 1e3)
-        else:
-            fit = fit_transition(curve)
-            p = [fit.t_star + 3e-3, fit.width * 1.3, fit.r_n * 0.9]
-        u, rows = np.empty(t.size), analysis._row_stack(t.size)
-        analysis._evaluate(t, r, p, u, rows)
-        jtj_gn, grad_gn, hess_gn = analysis._normal_equations(p, u, rows, False)
-        jtj, grad, hess = analysis._normal_equations(p, u, rows, True)
-        np.testing.assert_array_max_ulp(np.array(jtj_gn), np.array(jtj), maxulp=2)
-        np.testing.assert_array_max_ulp(np.array(grad_gn), np.array(grad), maxulp=2)
-        assert hess_gn is None
-        assert len(hess) == 6 and all(map(math.isfinite, hess))
 
 
 class TestPlateauBoundary:

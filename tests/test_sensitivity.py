@@ -151,12 +151,14 @@ class TestRunSensitivity:
             calibrate_noise(0.1, reference, study_plan, params=params)
 
     def test_mostly_failed_study_reported_invalid(self, params, reference, plan):
-        # at 4 ohm most curves lose a plateau, leaving film and cavity
-        # fits on different fields
-        noisy = replace(reference, resistance_noise=4.0)
+        # at 4.5 ohm most trials have a failed fit: of the 142 failed fits
+        # at seed 1, 87 lose a plateau, 43 do not converge and 12 do not
+        # resolve the transition; 82 trials fail
+        noisy = replace(reference, resistance_noise=4.5)
         report = run_sensitivity(params, noisy, plan, 100)
         assert report.failed_trials > 50
         assert not report.valid
+        assert sum(report.failed_trials_by_reason.values()) == report.failed_trials
 
     def test_trial_with_a_rank_deficient_tc_regression_counted_failed(
             self, params, reference):
@@ -168,6 +170,9 @@ class TestRunSensitivity:
         assert report.failed_trials > 1
         assert not report.valid
         assert report.failed_fits_by_reason == {}
+        assert report.failed_trials_by_reason == {
+            "film Tc regression is rank deficient (degenerate field grid)":
+                report.failed_trials}
 
 
 class TestCalibration:
