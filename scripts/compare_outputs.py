@@ -18,15 +18,20 @@ changes included), each with its own ``src``:
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
+- ``sensitivity --trials 100`` without noise, whose every z reaches the
+  cap
 - ``calibrate --trials 200``
 
 It compares the exit code of every command and every file written,
 byte for byte, and parses every ``.json`` file this checkout writes as
 strict JSON (a ``NaN`` or ``Infinity`` token fails).  For a file that
-differs it prints the largest relative difference between corresponding
-numbers when both versions are the same text once every number is
-masked, which sizes a numerics change, and otherwise that the structure
-differs.  Exit status 0:
+differs but keeps its structure (the same CSV headers and rows, or the
+same JSON keys and list lengths) it prints, for each CSV column (by its
+header, a ``# key=value`` line by its key) or JSON key path (list
+indices dropped) whose values differ, the largest absolute and relative
+difference between corresponding numbers, which sizes a numerics change
+column by column; a value that is not a number is reported as changed.
+Otherwise it prints that the structure differs.  Exit status 0:
 everything matches and all JSON is strict; 1: something differs or a
 file is not strict JSON, and each such case is listed; 2: the ref could
 not be exported.
@@ -36,8 +41,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -68,6 +73,8 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
         "sensitivity": [["sensitivity", "--trials", "200", *common]],
         "sensitivity-fewfields": [["sensitivity", "--trials", "200", "--config",
                                    "../../fewfields.json", *common]],
+        "sensitivity-noiseless": [["sensitivity", "--trials", "100", "--config",
+                                   "../../noiseless.json", *common]],
         "calibrate": [["calibrate", "--trials", "200", *common]],
     }
 
@@ -97,20 +104,79 @@ def files_under(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-#: A decimal number as the CLI writes it, in JSON or CSV.
-NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+def labelled_values(name: str, data: bytes) -> list[tuple[str, object]]:
+    """Every value of a file in order, each with its label: the column
+    header of a CSV cell (the key of a ``# key=value`` line) or the key
+    path of a JSON leaf, list indices dropped.  A CSV value is a float
+    where it parses as one; any other file is one unlabelled value."""
+    if name.endswith(".json"):
+        def leaves(node, path):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield from leaves(value, f"{path}.{key}" if path else key)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from leaves(value, path)
+            else:
+                yield path, node
+        return list(leaves(json.loads(data), ""))
+    if not name.endswith(".csv"):
+        return [("", data)]
+
+    def value(text: str):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    values = []
+    header = None
+    for line in data.decode().splitlines():
+        if line.startswith("# "):
+            key, _, text = line[2:].partition("=")
+            values.append((key, value(text)))
+        elif header is None:
+            header = line.split(",")
+        else:
+            values += [(header[j] if j < len(header) else f"column {j + 1}", value(cell))
+                       for j, cell in enumerate(line.split(","))]
+    return values
 
 
-def describe_difference(ref: bytes, here: bytes) -> str:
-    """How two versions of a file differ: by the largest relative
-    difference between corresponding numbers when the texts match once
-    every number is masked, otherwise in structure."""
-    if NUMBER.sub(b"#", ref) != NUMBER.sub(b"#", here):
+def is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def describe_difference(name: str, ref: bytes, here: bytes) -> str:
+    """How two versions of a file differ: for each label whose values
+    differ, the largest absolute and relative difference between
+    corresponding numbers, or that a value that is not a number changed;
+    when the labels differ (or a JSON file does not parse), that the
+    structure differs."""
+    try:
+        ref_values, here_values = labelled_values(name, ref), labelled_values(name, here)
+    except ValueError:
         return "structure differs"
-    largest = max((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
-                   for a, b in zip(map(float, NUMBER.findall(ref)),
-                                   map(float, NUMBER.findall(here)))), default=0.0)
-    return f"numbers differ, largest relative difference {largest:.3g}"
+    if [label for label, _ in ref_values] != [label for label, _ in here_values]:
+        return "structure differs"
+    sizes: dict[str, tuple[float, float] | None] = {}
+    for (label, a), (_, b) in zip(ref_values, here_values):
+        if repr(a) == repr(b) or sizes.get(label, ()) is None:
+            continue
+        if is_number(a) and is_number(b):
+            absolute, relative = sizes.get(label, (0.0, 0.0))
+            scale = max(abs(a), abs(b))  # 0 only for 0.0 against -0.0
+            sizes[label] = (max(absolute, abs(a - b)),
+                            max(relative, abs(a - b) / scale if scale else 0.0))
+        else:
+            sizes[label] = None
+    if not sizes:
+        return "same values, written differently"
+    return "values differ:" + "".join(
+        f"\n      {label or '(file)'}: "
+        + ("a value that is not a number changed" if size is None else
+           f"largest absolute {size[0]:.3g}, relative {size[1]:.3g}")
+        for label, size in sizes.items())
 
 
 def strict_json_error(data: bytes) -> str | None:
@@ -154,7 +220,7 @@ def main() -> int:
             differences.append(f"{name}: written only here")
         elif files["ref"][name] != files["checkout"][name]:
             differences.append(f"{name}: "
-                               + describe_difference(files["ref"][name],
+                               + describe_difference(name, files["ref"][name],
                                                      files["checkout"][name]))
     for name, data in files["checkout"].items():
         if name.endswith(".json") and (error := strict_json_error(data)):

@@ -28,8 +28,9 @@ MK_PER_K = 1000.0
 #: Largest fraction of the fits of a dataset or the trials of a study that may fail.
 MAX_FAILED_FRACTION = 0.01
 
-#: Reported sigmas below this (in K) are treated as "no noise" and the
-#: affected regression falls back to equal weights.
+#: The noise floor in K: every inverse-variance weight takes a sigma below
+#: it as this sigma (1e-9 in mK), so noise-free input gets equal weights
+#: and no standard error is 0.
 _SIGMA_FLOOR = 1e-12
 
 
@@ -440,48 +441,28 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
                        sigma: np.ndarray) -> tuple[float, float]:
     """Weighted LS of y = a + b x; returns the intercept a and sigma_a.
 
-    Uses 1/sigma^2 weights with absolute covariance when every sigma is
-    meaningful, otherwise equal weights with residual-scaled covariance
-    (which degrades gracefully to zero sigma on exact data).
+    Uses 1/sigma^2 weights, each sigma raised to the noise floor, with
+    absolute covariance.
     """
-    weighted = bool((sigma > _SIGMA_FLOOR).all())
-    w = 1.0 / sigma ** 2 if weighted else np.ones_like(x)
-    sw, swx, swxx, det = line_fit_sums(x, w)
+    w = 1.0 / np.maximum(sigma, _SIGMA_FLOOR) ** 2
+    _, swx, swxx, det = line_fit_sums(x, w)
     swy = float(np.add.reduce(w * y))
     swxy = float(np.add.reduce(w * x * y))
     a = (swxx * swy - swx * swxy) / det
-    b = (sw * swxy - swx * swy) / det
-    var_a = swxx / det
-    if not weighted:
-        resid = y - a - b * x
-        var_a *= float(resid @ resid) / max(x.size - 2, 1)
-    return a, math.sqrt(max(var_a, 0.0))
+    return a, math.sqrt(swxx / det)
 
 
 def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Combine repeated fits per field into one (t_star, sigma) each.
-
-    A field whose sigmas all exceed the floor gets the precision-weighted
-    mean; any sigma at or below it gives that field equal weights.
-    """
+    """Combine repeated fits per field into one (t_star, sigma) each: the
+    precision-weighted mean, each sigma raised to the noise floor."""
     fits = list(fits)
     per_fit = np.array([float(field) for field, _ in fits])
     fields = np.unique(per_fit)
     group = fields.searchsorted(per_fit)
-    counts = np.bincount(group, minlength=fields.size)
     ts = np.array([fit.t_star for _, fit in fits])
-    sg = np.array([fit.sigma_t_star for _, fit in fits])
-    weighted = np.bincount(group, ~(sg > _SIGMA_FLOOR), fields.size) == 0
-    # a sigma at the floor divides by zero below; np.where then takes that
-    # field's equal-weight values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / sg ** 2
-        sw = np.bincount(group, w, fields.size)
-        t_star = np.where(weighted, np.bincount(group, w * ts, fields.size) / sw,
-                          np.bincount(group, ts, fields.size) / counts)
-        sigma = np.where(weighted, 1.0 / np.sqrt(sw),
-                         np.sqrt(np.bincount(group, sg ** 2, fields.size) / counts / counts))
-    return fields, t_star, sigma
+    w = 1.0 / np.maximum([fit.sigma_t_star for _, fit in fits], _SIGMA_FLOOR) ** 2
+    sw = np.bincount(group, w, fields.size)
+    return fields, np.bincount(group, w * ts, fields.size) / sw, 1.0 / np.sqrt(sw)
 
 
 def build_delta_curve(fits, kind: str,
@@ -530,19 +511,16 @@ def weighted_mean_difference(diff: DifferenceCurve,
                              min_field: float = 0.0) -> tuple[float, float]:
     """Inverse-variance-weighted mean shift over fields >= min_field.
 
-    Returns (mean_mK, standard_error_mK); the standard error is zero
-    on noise-free input (equal weights are used there instead).
+    Returns (mean_mK, standard_error_mK), each sigma raised to the noise
+    floor, so on noise-free input the mean has equal weights and the
+    standard error is 1e-9 / sqrt(n) mK.
     """
     mask = diff.fields >= min_field
     if not mask.any():
         raise InputError("no fields at or above the requested minimum")
-    values = diff.values[mask]
-    sigmas = diff.sigmas[mask]
-    if (sigmas > _SIGMA_FLOOR * MK_PER_K).all():
-        w = 1.0 / sigmas ** 2
-        sw = np.add.reduce(w)
-        return float(np.add.reduce(w * values) / sw), float(1.0 / math.sqrt(sw))
-    return float(np.add.reduce(values) / values.size), 0.0
+    w = 1.0 / np.maximum(diff.sigmas[mask], _SIGMA_FLOOR * MK_PER_K) ** 2
+    sw = np.add.reduce(w)
+    return float(np.add.reduce(w * diff.values[mask]) / sw), float(1.0 / math.sqrt(sw))
 
 
 # --- derivatives ------------------------------------------------------------

@@ -25,7 +25,8 @@ from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
 
-#: Reported in place of an infinite significance on noise-free data.
+#: Largest significance a trial reports; noise-free data, whose standard
+#: error is set by the noise floor alone, reach it.
 Z_CAP = 1e6
 
 #: Most Monte Carlo studies one noise calibration runs.
@@ -46,7 +47,7 @@ class SensitivityReport:
     detection_z: float              # mean per-trial significance of the shift
     detection_z_se: float           # its Monte Carlo standard error
     z_fraction_ge_3: float          # fraction of trials with z >= 3
-    z_capped: bool                  # True when any trial hit Z_CAP or had no noise
+    z_capped: bool                  # True when some trial's z reached Z_CAP
     derivative_contrast: float      # relative film-cavity slope difference near h_v
     derivative_contrast_sigma: float
     contrast_field: float           # gauss, grid field nearest h_v
@@ -151,18 +152,20 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     significance z = |weighted-mean shift| / SE over fields at or above
     h_v, and (c) the relative derivative contrast per field.  Trials
     with any failed fit or without a difference curve are counted and
-    skipped; more than 1% of them marks the report invalid.  Beside the measured contrast (mean and
-    sigma over trials) the report holds the noise-free model contrast on
-    the same grid, which is what the 20%-at-crossover expectation refers
-    to.  Over every curve of
-    every trial, failed trials included, it also counts the successful
+    skipped; more than 1% of them marks the report invalid.  A trial's z
+    is capped at :data:`Z_CAP`, which noise-free data reach.  Beside the
+    measured contrast (mean and sigma over trials) the report holds the
+    noise-free model contrast on the same grid, which is what the
+    20%-at-crossover expectation refers to.  Over every curve of every
+    trial, failed trials included, it also counts the successful
     fits by their accepted LM steps and the failed fits by reason.  It
     counts each failed trial once, by the reason of its first failed fit
     in curve order or, when no fit failed, by its first note.  It also
     holds the closed-form prediction kappa of :func:`delta_n_per_ohm`.
 
     A study :func:`_check_study` rejects raises :class:`InputError`
-    before any trial runs.
+    before any trial runs, and so does, after them, a study whose every
+    trial failed, naming the reason that failed the most trials.
     """
     kappa = _check_study(params, cfg, plan, trials)
     fields = np.array(plan.fields)
@@ -173,8 +176,6 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     sq_errors: list[float] = []
     z_values: list[float] = []
     contrast_rows: list[np.ndarray] = []
-    capped = False
-    failed = 0
     lm_steps: list[int] = []
     reasons: Counter[str] = Counter()
     trial_reasons: Counter[str] = Counter()
@@ -186,7 +187,6 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         # with 3+ fields and no failed fit, only a rank-deficient Tc
         # regression leaves no difference
         if result.failed_fits or result.difference is None:
-            failed += 1
             trial_reasons[result.failures[0].reason if result.failures
                           else result.notes[0]] += 1
             continue
@@ -194,18 +194,16 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
             err = getattr(result, kind).deltas - truth[kind]
             sq_errors.extend((err * err).tolist())
         mean, se = weighted_mean_difference(result.difference, min_field=params.h_v)
-        if se > 0:
-            z_values.append(min(abs(mean) / se, Z_CAP))
-            capped = capped or z_values[-1] == Z_CAP
-        else:
-            z_values.append(Z_CAP if mean != 0 else 0.0)
-            capped = True
+        z_values.append(min(abs(mean) / se, Z_CAP))
         if result.convergence is not None:
             contrast_rows.append(result.convergence.relative_difference)
 
+    failed = sum(trial_reasons.values())
     ok_trials = trials - failed
     if ok_trials == 0:
-        raise InputError("every trial failed its fits; nothing to report")
+        reason, count = trial_reasons.most_common(1)[0]
+        raise InputError(f"every trial failed its fits; nothing to report "
+                         f"({count} of {trials} failed with: {reason})")
     delta_n = float(math.sqrt(np.mean(sq_errors)))
     # delta method: delta_n = sqrt(M), M the mean over trials of each
     # trial's mean squared error (every trial adds one per field and kind)
@@ -227,7 +225,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         detection_z=float(np.mean(z_arr)),
         detection_z_se=_standard_error(z_arr),
         z_fraction_ge_3=float(np.mean(z_arr >= 3.0)),
-        z_capped=capped,
+        z_capped=bool((z_arr == Z_CAP).any()),
         derivative_contrast=float(contrast_mean[contrast_idx]),
         derivative_contrast_sigma=float(contrast_sigma[contrast_idx]),
         contrast_field=float(fields[contrast_idx]),

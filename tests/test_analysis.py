@@ -528,14 +528,10 @@ def aggregate_loop(fits):
     for i, f in enumerate(fields):
         group = by_field[float(f)]
         ts = np.array([g.t_star for g in group])
-        sg = np.array([g.sigma_t_star for g in group])
-        if np.all(sg > _SIGMA_FLOOR):
-            w = 1.0 / sg ** 2
-            t_star[i] = float(np.sum(w * ts) / np.sum(w))
-            sigma[i] = float(1.0 / math.sqrt(np.sum(w)))
-        else:
-            t_star[i] = float(np.mean(ts))
-            sigma[i] = float(math.sqrt(np.mean(sg ** 2) / len(group)))
+        sg = np.maximum([g.sigma_t_star for g in group], _SIGMA_FLOOR)
+        w = 1.0 / sg ** 2
+        t_star[i] = float(np.sum(w * ts) / np.sum(w))
+        sigma[i] = float(1.0 / math.sqrt(np.sum(w)))
     return fields, t_star, sigma
 
 
@@ -560,16 +556,20 @@ class TestAggregateRepeats:
             for a, b in zip(got, expected):
                 assert a.tobytes() == b.tobytes()
 
-    def test_one_sigma_at_the_floor_gives_the_field_equal_weights(self):
-        fits = [(10.0, FitResult(1.4, 1e-5, 50.0, 10.0, 0.0, 4)),
-                (10.0, FitResult(1.5, _SIGMA_FLOOR, 50.0, 10.0, 0.0, 4)),
+    def test_a_zero_sigma_weighs_as_the_floor(self):
+        def aggregate(sigma):
+            return _aggregate_repeats([
+                (10.0, FitResult(1.4, 1e-5, 50.0, 10.0, 0.0, 4)),
+                (10.0, FitResult(1.5, sigma, 50.0, 10.0, 0.0, 4)),
                 (20.0, FitResult(1.3, 1e-5, 50.0, 10.0, 0.0, 4)),
-                (20.0, FitResult(1.4, 3e-5, 50.0, 10.0, 0.0, 4))]
-        fields, t_star, sigma = _aggregate_repeats(fits)
-        assert fields.tolist() == [10.0, 20.0]
-        assert t_star[0] == pytest.approx(1.45, rel=1e-15)
-        assert sigma[0] == pytest.approx(math.sqrt((1e-10 + 1e-24) / 2) / math.sqrt(2))
-        assert t_star[1] == pytest.approx((1.3 * 9 + 1.4) / 10)
+                (20.0, FitResult(1.4, 3e-5, 50.0, 10.0, 0.0, 4))])
+
+        at_zero, at_floor = aggregate(0.0), aggregate(_SIGMA_FLOOR)
+        assert at_zero[0].tolist() == [10.0, 20.0]
+        assert same_bits(*zip(at_zero, at_floor))
+        # the repeat at the floor outweighs the other by 1e14
+        assert at_zero[1][0] == pytest.approx(1.5, rel=1e-13)
+        assert at_zero[1][1] == pytest.approx((1.3 * 9 + 1.4) / 10)
 
 
 class TestDifference:
@@ -580,6 +580,17 @@ class TestDifference:
         curve = build_delta_curve(fits, "film")
         diff = difference_curve(curve, curve)
         assert np.all(diff.values == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_noise_free_mean_has_the_floor_standard_error(self, n):
+        # every sigma 0 weighs as the 1e-9 mK floor: equal weights, and a
+        # standard error that is never 0
+        values = np.linspace(0.1, 0.3, n)
+        diff = DifferenceCurve(fields=np.arange(1.0, n + 1), values=values,
+                               sigmas=np.zeros(n))
+        mean, se = weighted_mean_difference(diff)
+        assert mean == pytest.approx(values.mean(), rel=1e-15)
+        assert se == pytest.approx(1e-9 / math.sqrt(n), rel=1e-15)
 
     def test_grid_mismatch_rejected(self):
         a = synthetic_delta_curve([10, 20, 30], [1, 2, 3])
@@ -729,12 +740,11 @@ class TestDerivativeLoopReference:
 
 
 # The post-fit steps as they were before the per-grid derivative operator
-# and the direct ufunc reductions, verbatim: the references the current
-# code must match bit for bit.
+# and the direct ufunc reductions, verbatim but for the one noise floor
+# of the weights: the references the current code must match bit for bit.
 
 def reference_weighted_line_fit(x, y, sigma):
-    weighted = bool(np.all(sigma > _SIGMA_FLOOR))
-    w = 1.0 / sigma ** 2 if weighted else np.ones_like(x)
+    w = 1.0 / np.maximum(sigma, _SIGMA_FLOOR) ** 2
     sw = float(np.sum(w))
     swx = float(np.sum(w * x))
     swxx = float(np.sum(w * x * x))
@@ -744,11 +754,7 @@ def reference_weighted_line_fit(x, y, sigma):
     if not (det > 0) or det <= 1e-12 * sw * swxx:
         raise InputError("regression is rank deficient (degenerate field grid)")
     a = (swxx * swy - swx * swxy) / det
-    b = (sw * swxy - swx * swy) / det
     var_a = swxx / det
-    if not weighted:
-        resid = y - a - b * x
-        var_a *= float(resid @ resid) / max(x.size - 2, 1)
     return a, math.sqrt(max(var_a, 0.0))
 
 
@@ -757,12 +763,10 @@ def reference_weighted_mean_difference(diff, min_field=0.0):
     if not np.any(mask):
         raise InputError("no fields at or above the requested minimum")
     values = diff.values[mask]
-    sigmas = diff.sigmas[mask]
-    if np.all(sigmas > _SIGMA_FLOOR * MK_PER_K):
-        w = 1.0 / sigmas ** 2
-        return (float(np.sum(w * values) / np.sum(w)),
-                float(1.0 / math.sqrt(np.sum(w))))
-    return float(np.mean(values)), 0.0
+    sigmas = np.maximum(diff.sigmas[mask], _SIGMA_FLOOR * MK_PER_K)
+    w = 1.0 / sigmas ** 2
+    return (float(np.sum(w * values) / np.sum(w)),
+            float(1.0 / math.sqrt(np.sum(w))))
 
 
 def reference_derivative_curve(curve, window):
@@ -850,14 +854,28 @@ class TestPostFitMatchesReference:
                                for name in ("fields", "slopes", "sigmas", "one_sided")))
 
     def test_weighted_line_fit(self):
+        def outcome(fit, *args):
+            try:
+                return fit(*args)
+            except InputError:
+                return "rank deficient"
+
         rng = np.random.default_rng(29)
+        fitted = 0
         for _ in range(400):
             n = int(rng.integers(3, 41))
             x = uneven_grid(rng, n) ** 2
             y = 1.5 - 1e-7 * x + rng.normal(0.0, 1e-4, n)
             sigma = floored_sigmas(rng, n, 1e-4)
-            assert same_bits((_weighted_line_fit(x, y, sigma),
-                              reference_weighted_line_fit(x, y, sigma)))
+            got = outcome(_weighted_line_fit, x, y, sigma)
+            want = outcome(reference_weighted_line_fit, x, y, sigma)
+            # a sigma at or below the floor among ~1e-5 K ones weighs ~1e14
+            # times more, which the regression's conditioning check rejects
+            # (50 of the 400 draws); both versions must reject the same ones
+            assert (got == want == "rank deficient"
+                    or "rank deficient" not in (got, want) and same_bits((got, want)))
+            fitted += got != "rank deficient"
+        assert fitted >= 300
 
     def test_weighted_mean_difference(self):
         rng = np.random.default_rng(31)

@@ -613,6 +613,19 @@ class TestSimulateAnalyze:
         assert "film Tc regression is rank deficient" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_study_whose_every_trial_fails_names_the_reason(self, tmp_path, capsys):
+        # a 12 mK sweep passes the study checks, then no curve reaches both
+        # plateaus; the exit once said only "nothing to report"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"plan": {"t_span": 0.012}}))
+        out = tmp_path / "study"
+        assert main(["sensitivity", "--config", str(config), "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert ("every trial failed its fits; nothing to report (100 of 100 failed "
+                "with: curve does not span both resistance plateaus)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestSensitivityCommand:
     def test_small_study_writes_report(self, tmp_path):

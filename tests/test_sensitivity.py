@@ -72,6 +72,16 @@ class TestRunSensitivity:
         assert report.failed_trials == 0
         assert report.valid
 
+    def test_noiseless_null_model_is_not_capped(self, params, quiet, plan):
+        # no shift and no noise: every trial's mean is 0 over a standard
+        # error at the noise floor, so z is 0 and no trial reaches the cap
+        null = ModelParams(t_c=params.t_c, alpha=params.alpha, delta_inf=0.0,
+                           h_v=params.h_v)
+        report = run_sensitivity(null, quiet, plan, 100)
+        assert report.failed_trials == 0
+        assert report.detection_z == 0.0
+        assert not report.z_capped
+
     def test_capped_significance_flagged(self, params, reference, plan):
         # at 1e-7 ohm every trial's z = |mean| / se exceeds the cap; only a
         # zero se once set z_capped
