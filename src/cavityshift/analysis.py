@@ -50,10 +50,11 @@ class FitResult:
 class DeltaCurve:
     """delta(H) = Tc_est - T*(H) for one sample kind, with sigmas in mK.
 
-    Tc_est is the film's H^2 intercept for both kinds.  ``sigmas``
-    include the Tc sigma; ``fit_sigmas`` are those of T*(H)
-    alone, for the views in which Tc cancels (the film-cavity difference
-    on a shared Tc, and the slopes).
+    Tc_est is the film's H^2 intercept for both kinds.  ``sigmas`` are
+    those of the deltas, with Tc's share: for the film they include Tc's
+    covariance with that field's own T* (see :func:`build_delta_curve`).
+    ``fit_sigmas`` are those of T*(H) alone, for the views in which Tc
+    cancels (the film-cavity difference on a shared Tc, and the slopes).
     """
 
     kind: str
@@ -419,13 +420,17 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
 
 # --- delta curves -----------------------------------------------------------
 
-def line_fit_sums(x: np.ndarray, w: np.ndarray) -> tuple[float, float, float, float]:
-    """Sums w, w x and w x^2 of the weighted line fit against x = H^2 that
-    gives the film Tc, and the determinant of its normal equations.
+def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
+                       sigma: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Weighted LS of y = a + b x; returns the intercept a, sigma_a and
+    the intercept's row r, a = sum_j r_j y_j.
 
-    Raises :class:`InputError` when that regression is rank deficient,
-    e.g. on fields whose squares are equal or underflow to 0.
+    Uses 1/sigma^2 weights, each sigma raised to the noise floor, with
+    absolute covariance.  Raises :class:`InputError` when the regression
+    is rank deficient, e.g. on fields whose squares are equal or
+    underflow to 0.
     """
+    w = 1.0 / np.maximum(sigma, _SIGMA_FLOOR) ** 2
     add = np.add.reduce
     sw = float(add(w))
     swx = float(add(w * x))
@@ -434,22 +439,10 @@ def line_fit_sums(x: np.ndarray, w: np.ndarray) -> tuple[float, float, float, fl
     if not (det > 0) or det <= 1e-12 * sw * swxx:
         raise InputError("film Tc regression is rank deficient "
                          "(degenerate field grid)")
-    return sw, swx, swxx, det
-
-
-def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
-                       sigma: np.ndarray) -> tuple[float, float]:
-    """Weighted LS of y = a + b x; returns the intercept a and sigma_a.
-
-    Uses 1/sigma^2 weights, each sigma raised to the noise floor, with
-    absolute covariance.
-    """
-    w = 1.0 / np.maximum(sigma, _SIGMA_FLOOR) ** 2
-    _, swx, swxx, det = line_fit_sums(x, w)
-    swy = float(np.add.reduce(w * y))
-    swxy = float(np.add.reduce(w * x * y))
+    swy = float(add(w * y))
+    swxy = float(add(w * x * y))
     a = (swxx * swy - swx * swxy) / det
-    return a, math.sqrt(swxx / det)
+    return a, math.sqrt(swxx / det), w * (swxx - swx * x) / det
 
 
 def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -475,6 +468,12 @@ def build_delta_curve(fits, kind: str,
     cavity curve takes that estimate as ``t_c=(value, sigma)``.  A
     cavity call without ``t_c``, or a film call with one, raises
     :class:`InputError`.
+
+    A film delta is sum_j (r_j - [i = j]) t*_j, with r the intercept's
+    row, so its sigma is sqrt(sum_j ((r_j - [i = j]) sigma_j)^2), each
+    sigma raised to the noise floor as in the weights: Tc's covariance
+    with that field's own T* enters it.  A cavity delta's T* is
+    independent of Tc, so its sigma is hypot(sigma, sigma_Tc).
     """
     check_kind(kind)
     if (t_c is None) != (kind == "film"):
@@ -485,13 +484,15 @@ def build_delta_curve(fits, kind: str,
         raise InputError(f"{kind} fits cover {fields.size} distinct field(s); "
                          "a delta curve needs 3")
     if t_c is None:
-        t_c = _weighted_line_fit(fields ** 2, t_star, sigma)
-    tc_value, tc_sigma = float(t_c[0]), float(t_c[1])
-    deltas = (tc_value - t_star) * MK_PER_K
-    sigmas = np.hypot(sigma, tc_sigma) * MK_PER_K
-    return DeltaCurve(kind=kind, fields=fields, deltas=deltas, sigmas=sigmas,
-                      fit_sigmas=sigma * MK_PER_K, t_c_estimate=tc_value,
-                      t_c_sigma=tc_sigma)
+        tc_value, tc_sigma, row = _weighted_line_fit(fields ** 2, t_star, sigma)
+        coeff = (row - np.eye(fields.size)) * np.maximum(sigma, _SIGMA_FLOOR)
+        sigmas = np.sqrt(np.add.reduce(coeff * coeff, 1))
+    else:
+        tc_value, tc_sigma = float(t_c[0]), float(t_c[1])
+        sigmas = np.hypot(sigma, tc_sigma)
+    return DeltaCurve(kind=kind, fields=fields, deltas=(tc_value - t_star) * MK_PER_K,
+                      sigmas=sigmas * MK_PER_K, fit_sigmas=sigma * MK_PER_K,
+                      t_c_estimate=tc_value, t_c_sigma=tc_sigma)
 
 
 def difference_curve(film: DeltaCurve, cavity: DeltaCurve) -> DifferenceCurve:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .analysis import (MAX_FAILED_FRACTION, MK_PER_K, analyze_dataset, line_fit_sums,
-                       relative_slope_difference, t_star_variance,
+from .analysis import (MAX_FAILED_FRACTION, FitResult, analyze_dataset,
+                       build_delta_curve, relative_slope_difference, t_star_variance,
                        weighted_mean_difference)
 from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
@@ -69,20 +69,18 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
     Raises :class:`InputError`, before any trial runs, for a study with
 
     1. fewer than :data:`MIN_TRIALS` trials,
-    2. fewer than 3 fields (a delta curve needs 3),
-    3. no field at or above h_v (the significance is taken there),
-    4. a temperature grid wholly at or below the cryostat floor (every
+    2. no field at or above h_v (the significance is taken there),
+    3. a temperature grid wholly at or below the cryostat floor (every
        setpoint is clamped to it, so no curve has a transition to fit), or
-    5. checked last, a plan whose closed form :func:`delta_n_per_ohm`
-       raises on: a sweep that does not resolve a transition (a singular
-       fit covariance), or a field grid that the Tc regression cannot
-       resolve (a rank-deficient regression against H^2).
+    4. checked last, a plan whose noise-free delta curves
+       :func:`delta_n_per_ohm` cannot build: a sweep that does not
+       resolve a transition (a singular fit covariance), fewer than 3
+       fields (a delta curve needs 3), or a field grid that the Tc
+       regression cannot resolve (a rank-deficient regression against
+       H^2).
     """
     if trials < MIN_TRIALS:
         raise InputError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    if len(plan.fields) < 3:
-        raise InputError(f"a study needs at least 3 fields for its delta curves, "
-                         f"got {len(plan.fields)}")
     if not any(field >= params.h_v for field in plan.fields):
         raise InputError(f"no field at or above h_v = {params.h_v:g} G, where the "
                          f"detection significance is taken")
@@ -101,45 +99,42 @@ def _standard_error(values: np.ndarray) -> float:
 
 def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
                     plan: SweepPlan) -> float:
-    """kappa = delta_n / sigma_R in mK per ohm, in closed form.
+    """kappa = delta_n / sigma_R in mK per ohm: the delta curves of
+    perfect fits at unit noise.
 
-    Per curve, v is the variance of the fitted t* per unit resistance
-    noise: the fit's own covariance at the true (t*,
+    Each curve of the plan, ``plan.repetitions`` per field and kind, is
+    given the fit its analysis would return at the true (t*,
     ``transition_width``, ``normal_resistance``) on the plan's clamped
-    setpoints (:func:`analysis.t_star_variance`), divided by
-    ``plan.repetitions`` for the precision-weighted mean of the repeats.
-    Per study, both delta curves share the film H^2 intercept
-    c = sum_i a_i t*_i, whose 1/v weights give var(c) = sum_i a_i^2 v_i
-    and cov(c, t*_i) = a_i v_i for a film fit (0 for a cavity fit).  A
-    film delta then has the variance var(c) + v_i - 2 cov(c, t*_i) and a
-    cavity delta var(c) + v_i; kappa is the root mean of these 2F
-    variances, pooled as :func:`run_sensitivity` pools the squared delta
-    errors.  Temperature jitter is left out.
+    setpoints, with the fit's own covariance at unit resistance noise
+    (:func:`analysis.t_star_variance`) as its sigma.  kappa is the RMS
+    of the sigmas of the film and cavity delta curves that
+    :func:`analysis.build_delta_curve` makes of these fits, pooled as
+    :func:`run_sensitivity` pools the squared delta errors.  Temperature
+    jitter is left out.
 
     Raises :class:`InputError` when a fit covariance is singular (the
-    sweep does not resolve that transition, so no study could fit it) or
-    when the intercept's regression is rank deficient
-    (:func:`analysis.line_fit_sums`).
+    sweep does not resolve that transition, so no study could fit it),
+    or when the builder rejects the film or cavity curve (fewer than 3
+    fields, or a rank-deficient Tc regression).
     """
-    fields = np.array(plan.fields)
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance)
-    v = {}
+    fits = {kind: [] for kind in model.KINDS}
     for kind, t_stars in table.t_stars.items():
-        v[kind] = np.array([
-            t_star_variance(table.setpoints, t_star, cfg.transition_width,
-                            cfg.normal_resistance)
-            for t_star in t_stars]) / plan.repetitions
-        unresolved = fields[~(v[kind] < math.inf)]
-        if unresolved.size:
-            raise InputError(f"the sweep does not resolve the {kind} transition at "
-                             f"{unresolved[0]:g} G: its fit covariance is singular")
-    x = fields ** 2
-    _, swx, swxx, det = line_fit_sums(x, 1.0 / v["film"])
-    var_c = swxx / det
-    cov_c = (swxx - swx * x) / det  # a_i v_i, since w_i v_i = 1
-    pooled = np.concatenate([var_c + v["film"] - 2.0 * cov_c, var_c + v["cavity"]])
-    return MK_PER_K * math.sqrt(float(np.mean(pooled)))
+        for field, t_star in zip(plan.fields, t_stars):
+            v = t_star_variance(table.setpoints, t_star, cfg.transition_width,
+                                cfg.normal_resistance)
+            if not v < math.inf:
+                raise InputError(f"the sweep does not resolve the {kind} transition "
+                                 f"at {field:g} G: its fit covariance is singular")
+            fit = FitResult(t_star, math.sqrt(v), cfg.transition_width,
+                            cfg.normal_resistance, 0.0, 0)
+            fits[kind] += [(field, fit)] * plan.repetitions
+    film = build_delta_curve(fits["film"], "film")
+    cavity = build_delta_curve(fits["cavity"], "cavity",
+                               (film.t_c_estimate, film.t_c_sigma))
+    sigmas = np.concatenate([film.sigmas, cavity.sigmas])
+    return math.sqrt(float(np.mean(sigmas * sigmas)))
 
 
 def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,

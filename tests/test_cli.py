@@ -657,7 +657,7 @@ class TestSensitivityCommand:
             (out_b / "sensitivity.json").read_bytes()
 
     @pytest.mark.parametrize("fields, message", [
-        ("60,70", "at least 3 fields for its delta curves, got 2"),
+        ("60,70", "film fits cover 2 distinct field(s); a delta curve needs 3"),
         ("10,20,30,40,45", "no field at or above h_v = 50 G"),
         (",", "field list is empty")])
     def test_plan_without_a_result_exits_config(self, tmp_path, capsys, fields, message):
@@ -826,7 +826,8 @@ class TestCalibrateCommand:
         config.write_text(json.dumps({"plan": {"fields": [60.0, 70.0]}}))
         out = tmp_path / "cal"
         assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 2
-        assert "at least 3 fields" in capsys.readouterr().err
+        assert ("film fits cover 2 distinct field(s); a delta curve needs 3"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_target_below_the_jitter_floor_exits_calibration(self, tmp_path, capsys):

@@ -13,6 +13,8 @@ from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          film_delta, plan_sweep, run_paired_experiment,
                          run_sensitivity, sensitivity, weighted_mean_difference)
 from cavityshift import SensitivityReport
+from cavityshift.analysis import MK_PER_K, t_star_variance
+from cavityshift.config import run_config_from_dict
 from cavityshift.protocol import plan_table
 from cavityshift.sensitivity import Z_CAP
 
@@ -146,7 +148,7 @@ class TestRunSensitivity:
         assert found == failed
 
     @pytest.mark.parametrize("fields, message", [
-        ((60.0, 70.0), "at least 3 fields for its delta curves, got 2"),
+        ((60.0, 70.0), "film fits cover 2 distinct field\\(s\\); a delta curve needs 3"),
         ((10.0, 20.0, 30.0, 40.0, 45.0), "no field at or above h_v = 50 G")])
     def test_plan_without_a_result_rejected_before_any_trial(
             self, params, reference, monkeypatch, fields, message):
@@ -297,8 +299,62 @@ class TestCalibrationSearch:
         assert abs(self.SLOPE * probes[-1] * (1 + probes[-1]) - 1.0) <= 0.05
 
 
+def reference_delta_n_per_ohm(params, cfg, plan):
+    """kappa as its own algebra once wrote it out, from the raw sums of
+    the film Tc regression: the reference the delta curves of perfect
+    fits must match."""
+    fields = np.array(plan.fields)
+    table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
+                       cfg.normal_resistance)
+    v = {}
+    for kind, t_stars in table.t_stars.items():
+        v[kind] = np.array([
+            t_star_variance(table.setpoints, t_star, cfg.transition_width,
+                            cfg.normal_resistance)
+            for t_star in t_stars]) / plan.repetitions
+        unresolved = fields[~(v[kind] < math.inf)]
+        if unresolved.size:
+            raise InputError(f"the sweep does not resolve the {kind} transition at "
+                             f"{unresolved[0]:g} G: its fit covariance is singular")
+    x = fields ** 2
+    w = 1.0 / v["film"]
+    add = np.add.reduce
+    sw = float(add(w))
+    swx = float(add(w * x))
+    swxx = float(add(w * x * x))
+    det = sw * swxx - swx * swx
+    if not (det > 0) or det <= 1e-12 * sw * swxx:
+        raise InputError("film Tc regression is rank deficient "
+                         "(degenerate field grid)")
+    var_c = swxx / det
+    cov_c = (swxx - swx * x) / det  # a_i v_i, since w_i v_i = 1
+    pooled = np.concatenate([var_c + v["film"] - 2.0 * cov_c, var_c + v["cavity"]])
+    return MK_PER_K * math.sqrt(float(np.mean(pooled)))
+
+
 class TestPredictedSlope:
     """delta_n_per_ohm, the closed-form delta_n / sigma_R of a plan."""
+
+    @pytest.mark.parametrize("plan", [
+        {},
+        {"fields": [50.0 + i * 200.0 / 39.0 for i in range(40)], "repetitions": 5},
+        {"fields": [50.0, 100.0, 150.0, 200.0]}],
+        ids=["reference", "forty-fields-five-repetitions", "four-fields"])
+    def test_matches_the_reference_algebra(self, plan):
+        config = run_config_from_dict({"plan": plan})
+        args = config.model, config.instrument, config.plan
+        assert delta_n_per_ohm(*args) == pytest.approx(reference_delta_n_per_ohm(*args),
+                                                       rel=1e-14)
+
+    def test_close_fields_match_the_reference_to_the_regressions_precision(
+            self, params, reference):
+        # fields 0.6 ppm apart leave det / (sw swxx) = 1.0e-12, at which the
+        # raw sums of the Tc regression lose up to 2e-4 of det: the row form
+        # reads 6.2e-6 below the reference, which itself reads 1.2e-5 below
+        # kappa in exact arithmetic on the same variances
+        close = plan_sweep(params, reference, [100.0, 100.0000615, 100.000123])
+        assert delta_n_per_ohm(params, reference, close) == pytest.approx(
+            reference_delta_n_per_ohm(params, reference, close), rel=1e-4)
 
     @pytest.fixture(scope="class")
     def kappa(self, params, reference, plan):
