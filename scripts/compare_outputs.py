@@ -21,6 +21,10 @@ changes included), each with its own ``src``:
 - ``sensitivity --trials 100`` without noise, whose every z reaches the
   cap
 - ``calibrate --trials 200``
+- ``calibrate --trials 200 --target 0.5`` with 2 mK of temperature
+  jitter, a target above the jitter's noise-free floor of ``delta_n``
+- ``calibrate --trials 200`` with 2 mK of temperature jitter, whose
+  default 0.1 mK target lies below that floor (exit 6)
 
 It compares the exit code of every command and every file written,
 byte for byte, and parses every ``.json`` file this checkout writes as
@@ -76,6 +80,10 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
         "sensitivity-noiseless": [["sensitivity", "--trials", "100", "--config",
                                    "../../noiseless.json", *common]],
         "calibrate": [["calibrate", "--trials", "200", *common]],
+        "calibrate-jitter": [["calibrate", "--trials", "200", "--target", "0.5",
+                              "--config", "../../jitter.json", *common]],
+        "calibrate-jitter-floor": [["calibrate", "--trials", "200", "--config",
+                                    "../../jitter.json", *common]],
     }
 
 

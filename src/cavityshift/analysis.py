@@ -166,6 +166,15 @@ _MAX_ITER = 100
 _WIDTH_STEP_FACTOR = 4.0
 
 
+def _row_factors(width: float, r_n: float) -> tuple[float, float, float]:
+    """k = ERF_WIDTH_FACTOR / (width * 1e-3) and the factors c0 = -r_n k /
+    sqrt(pi) and c1 = -r_n / (sqrt(pi) width) that make the unscaled rows
+    g and u g of :func:`_evaluate` the Jacobian columns d/dt_star and
+    d/dwidth (that of d/dr_n is 1/2)."""
+    k = ERF_WIDTH_FACTOR / (width * 1e-3)
+    return k, -r_n / _SQRT_PI * k, -r_n / (_SQRT_PI * width)
+
+
 def _normal_matrices(gram: list[list[float]], width: float, r_n: float
                      ) -> tuple[tuple[float, ...], tuple[float, float, float],
                                 tuple[float, ...]]:
@@ -186,9 +195,7 @@ def _normal_matrices(gram: list[list[float]], width: float, r_n: float
     of cost / 2.
     """
     g0, g1, g2 = gram[0], gram[1], gram[2]
-    k = ERF_WIDTH_FACTOR / (width * 1e-3)
-    c0 = -r_n / _SQRT_PI * k
-    c1 = -r_n / (_SQRT_PI * width)
+    k, c0, c1 = _row_factors(width, r_n)
     jtj = (g0[0] * c0 * c0,
            g0[1] * c0 * c1, g1[1] * c1 * c1,
            g0[2] * c0 * 0.5, g1[2] * c1 * 0.5, g2[2] * 0.25)
@@ -246,15 +253,19 @@ def _normal_equations(q: list[float], u: np.ndarray, rows: tuple[np.ndarray, ...
 
 
 def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
-                    r_n: float) -> float:
-    """Variance of the fitted t_star (K^2) per unit resistance noise
-    (ohm^2) for the erf curve (t_star K, width mK, r_n ohm) sampled at
-    ``temperatures``.
+                    r_n: float) -> tuple[float, float]:
+    """Variances of the fitted t_star for the erf curve (t_star K, width
+    mK, r_n ohm) sampled at ``temperatures``: (K^2 per ohm^2 of resistance
+    noise, K^2 per mK^2 of temperature jitter).
 
-    This is (J^T J)^-1[0, 0] of :func:`fit_transition`'s normal
-    equations at the true parameters on the noise-free curve, i.e. the
-    covariance the fit reports there at unit noise; math.inf when J^T J
-    is singular (the samples do not resolve the transition).
+    With J the Jacobian of :func:`fit_transition`'s normal equations at
+    the true parameters on the noise-free curve and A = J^T J, the first
+    is A^-1[0, 0], the covariance the fit reports there at unit noise.
+    A jitter dT moves a sample's resistance by R'(T) dT = -J_0 dT, J_0
+    the t_star column, so to first order the second is
+    [A^-1 J^T diag(J_0^2) J A^-1][0, 0] (times 1e-6 K^2 per mK^2).  Both
+    are math.inf when A is singular (the samples do not resolve the
+    transition).
     """
     n = temperatures.size
     u, rows = np.empty(n), _row_stack(n)
@@ -262,7 +273,15 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
               q, u, rows)
     column = _damped_step(_normal_equations(q, u, rows)[0], (-1.0, 0.0, 0.0), 0.0)
-    return math.inf if column is None else column[0]
+    if column is None:
+        return math.inf, math.inf
+    gauss, ugauss, shape = rows[:3]
+    _, c0, c1 = _row_factors(width, r_n)
+    # per sample, (J A^-1)[i, 0] J_0: its share of t*'s shift per unit jitter
+    shift = (c0 * column[0]) * gauss + (c1 * column[1]) * ugauss
+    shift += (0.5 * column[2]) * shape
+    shift *= c0 * gauss
+    return column[0], float(shift.dot(shift)) * 1e-6
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -426,23 +445,26 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
     the intercept's row r, a = sum_j r_j y_j.
 
     Uses 1/sigma^2 weights, each sigma raised to the noise floor, with
-    absolute covariance.  Raises :class:`InputError` when the regression
-    is rank deficient, e.g. on fields whose squares are equal or
-    underflow to 0.
+    absolute covariance, and sums centred on the weighted mean of x, so
+    uneven weights cost no precision.  Raises :class:`InputError` when
+    the regression is rank deficient: the weighted spread of x is at most
+    the rounding of x, e.g. on fields whose squares are equal or underflow
+    to 0.
     """
     w = 1.0 / np.maximum(sigma, _SIGMA_FLOOR) ** 2
     add = np.add.reduce
     sw = float(add(w))
-    swx = float(add(w * x))
-    swxx = float(add(w * x * x))
-    det = sw * swxx - swx * swx
-    if not (det > 0) or det <= 1e-12 * sw * swxx:
+    x_mean = float(add(w * x)) / sw
+    dx = x - x_mean
+    wdx = w * dx
+    sxx = float(add(wdx * dx))
+    if not sxx > sw * (np.finfo(float).eps * float(np.max(np.abs(x)))) ** 2:
         raise InputError("film Tc regression is rank deficient "
                          "(degenerate field grid)")
-    swy = float(add(w * y))
-    swxy = float(add(w * x * y))
-    a = (swxx * swy - swx * swxy) / det
-    return a, math.sqrt(swxx / det), w * (swxx - swx * x) / det
+    y_mean = float(add(w * y)) / sw
+    slope = float(add(wdx * (y - y_mean))) / sxx
+    return (y_mean - slope * x_mean, math.sqrt(1.0 / sw + x_mean * x_mean / sxx),
+            w / sw - x_mean * wdx / sxx)
 
 
 def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

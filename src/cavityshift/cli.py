@@ -235,6 +235,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "delta_n_mK": report.delta_n,
         "delta_n_se": report.delta_n_se,
         "delta_n_per_ohm_predicted": report.delta_n_per_ohm,
+        "delta_n_floor_mK": report.delta_n_floor,
         "trials": report.trials,
         "detection_z_mean": report.detection_z,
         "detection_z_se": report.detection_z_se,
@@ -271,11 +272,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     sigma_r = calibrate_noise(args.target, config.instrument, config.plan,
                               args.tolerance, params=config.model,
                               trials=args.trials)
+    kappa_r, kappa_t = delta_n_per_ohm(config.model, config.instrument, config.plan)
     write_json(args.out / "calibration.json", {
         "format_version": "1",
         "sigma_r_ohm": sigma_r,
-        "delta_n_per_ohm_predicted": delta_n_per_ohm(config.model, config.instrument,
-                                                     config.plan),
+        "delta_n_per_ohm_predicted": kappa_r,
+        "delta_n_floor_mK": kappa_t * config.instrument.temperature_jitter,
         "target_delta_n_mK": args.target,
         "tolerance": args.tolerance,
         "trials": args.trials,

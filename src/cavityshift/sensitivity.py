@@ -29,9 +29,6 @@ from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_
 #: error is set by the noise floor alone, reach it.
 Z_CAP = 1e6
 
-#: Most Monte Carlo studies one noise calibration runs.
-MAX_PROBES = 10
-
 #: Fewest trials a study may run.
 MIN_TRIALS = 100
 
@@ -44,6 +41,7 @@ class SensitivityReport:
     trials: int
     delta_n_se: float               # mK, its Monte Carlo standard error
     delta_n_per_ohm: float          # mK/ohm, closed-form delta_n / sigma_R
+    delta_n_floor: float            # mK, kappa_T sigma_T: delta_n at zero sigma_R
     detection_z: float              # mean per-trial significance of the shift
     detection_z_se: float           # its Monte Carlo standard error
     z_fraction_ge_3: float          # fraction of trials with z >= 3
@@ -63,8 +61,8 @@ class SensitivityReport:
 
 
 def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPlan,
-                 trials: int) -> float:
-    """kappa = :func:`delta_n_per_ohm` of a study that can give a result.
+                 trials: int) -> tuple[float, float]:
+    """:func:`delta_n_per_ohm` of a study that can give a result.
 
     Raises :class:`InputError`, before any trial runs, for a study with
 
@@ -98,19 +96,22 @@ def _standard_error(values: np.ndarray) -> float:
 
 
 def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
-                    plan: SweepPlan) -> float:
-    """kappa = delta_n / sigma_R in mK per ohm: the delta curves of
-    perfect fits at unit noise.
+                    plan: SweepPlan) -> tuple[float, float]:
+    """(kappa_R, kappa_T): delta_n per unit resistance noise, in mK per
+    ohm, and per unit temperature jitter, in mK per mK, from the delta
+    curves of perfect fits.
 
     Each curve of the plan, ``plan.repetitions`` per field and kind, is
     given the fit its analysis would return at the true (t*,
     ``transition_width``, ``normal_resistance``) on the plan's clamped
-    setpoints, with the fit's own covariance at unit resistance noise
-    (:func:`analysis.t_star_variance`) as its sigma.  kappa is the RMS
-    of the sigmas of the film and cavity delta curves that
+    setpoints.  For kappa_R its sigma is the fit's own covariance at unit
+    resistance noise, for kappa_T the first-order t* variance at unit
+    jitter (both from :func:`analysis.t_star_variance`).  Each kappa is
+    the RMS of the sigmas of the film and cavity delta curves that
     :func:`analysis.build_delta_curve` makes of these fits, pooled as
-    :func:`run_sensitivity` pools the squared delta errors.  Temperature
-    jitter is left out.
+    :func:`run_sensitivity` pools the squared delta errors.  So delta_n
+    is predicted as hypot(kappa_R sigma_R, kappa_T sigma_T), and kappa_T
+    sigma_T is its noise-free floor.
 
     Raises :class:`InputError` when a fit covariance is singular (the
     sweep does not resolve that transition, so no study could fit it),
@@ -119,17 +120,23 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
     """
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance)
-    fits = {kind: [] for kind in model.KINDS}
+    fits = [{kind: [] for kind in model.KINDS} for _ in range(2)]  # kappa_R, kappa_T
     for kind, t_stars in table.t_stars.items():
         for field, t_star in zip(plan.fields, t_stars):
-            v = t_star_variance(table.setpoints, t_star, cfg.transition_width,
-                                cfg.normal_resistance)
-            if not v < math.inf:
+            variances = t_star_variance(table.setpoints, t_star, cfg.transition_width,
+                                        cfg.normal_resistance)
+            if not variances[0] < math.inf:
                 raise InputError(f"the sweep does not resolve the {kind} transition "
                                  f"at {field:g} G: its fit covariance is singular")
-            fit = FitResult(t_star, math.sqrt(v), cfg.transition_width,
-                            cfg.normal_resistance, 0.0, 0)
-            fits[kind] += [(field, fit)] * plan.repetitions
+            for by_kind, v in zip(fits, variances):
+                fit = FitResult(t_star, math.sqrt(v), cfg.transition_width,
+                                cfg.normal_resistance, 0.0, 0)
+                by_kind[kind] += [(field, fit)] * plan.repetitions
+    return _rms_delta_sigma(fits[0]), _rms_delta_sigma(fits[1])
+
+
+def _rms_delta_sigma(fits: dict[str, list]) -> float:
+    """RMS of the sigmas of the film and cavity delta curves of ``fits``."""
     film = build_delta_curve(fits["film"], "film")
     cavity = build_delta_curve(fits["cavity"], "cavity",
                                (film.t_c_estimate, film.t_c_sigma))
@@ -156,13 +163,15 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     fits by their accepted LM steps and the failed fits by reason.  It
     counts each failed trial once, by the reason of its first failed fit
     in curve order or, when no fit failed, by its first note.  It also
-    holds the closed-form prediction kappa of :func:`delta_n_per_ohm`.
+    holds the closed-form kappa_R of :func:`delta_n_per_ohm` and the
+    noise-free floor kappa_T sigma_T of delta_n that temperature jitter
+    sets.
 
     A study :func:`_check_study` rejects raises :class:`InputError`
     before any trial runs, and so does, after them, a study whose every
     trial failed, naming the reason that failed the most trials.
     """
-    kappa = _check_study(params, cfg, plan, trials)
+    kappa_r, kappa_t = _check_study(params, cfg, plan, trials)
     fields = np.array(plan.fields)
     truth = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance).deltas
@@ -215,7 +224,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     return SensitivityReport(
         delta_n=delta_n,
         delta_n_se=msq_se / (2.0 * delta_n) if delta_n > 0 else msq_se,
-        delta_n_per_ohm=kappa,
+        delta_n_per_ohm=kappa_r,
+        delta_n_floor=kappa_t * cfg.temperature_jitter,
         trials=trials,
         detection_z=float(np.mean(z_arr)),
         detection_z_se=_standard_error(z_arr),
@@ -240,67 +250,51 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
 def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPlan,
                     tolerance: float = 0.1, *, params: model.ModelParams,
                     trials: int = 200) -> float:
-    """Find the resistance noise that reproduces a target delta_n (mK).
+    """The resistance noise that reproduces a target delta_n (mK), in
+    closed form, checked by one Monte Carlo study.
 
-    A secant iteration on the Monte Carlo delta_n of the full pipeline,
-    ``trials`` trials per probe, for the model ``params``.
-    The first probe is the closed-form prediction target / kappa, with
-    kappa from :func:`delta_n_per_ohm`.  The next steps through the
-    origin, i.e. proportionally: sigma_1 = sigma_0 * target /
-    delta_n(sigma_0).  Later steps are secants through the two latest
-    probes.  All probes reuse the same substreams (common random
-    numbers), so delta_n is close to proportional to sigma_R and the
-    whole calibration is deterministic for a given master seed.  The
-    first probe whose delta_n lies within ``tolerance`` of the target is
-    returned.  kappa leaves out temperature jitter, which is 0 by
-    default; jitter adds a noise-free floor to delta_n, so the first
-    probe overshoots the target and the secant corrects it.
+    With kappa_R and kappa_T from :func:`delta_n_per_ohm`, delta_n =
+    hypot(kappa_R sigma_R, kappa_T sigma_T) gives sigma_R =
+    sqrt(target^2 - floor^2) / kappa_R, where floor = kappa_T sigma_T is
+    the noise-free floor that the temperature jitter sigma_T sets (0
+    without jitter, so sigma_R = target / kappa_R).  One study of
+    ``trials`` trials of the full pipeline for the model ``params`` runs
+    at that sigma_R; it is returned when the study is valid and its
+    delta_n lies within ``tolerance`` of the target.
 
     A target that is not finite and positive, a tolerance outside
     (0, 1), or a study :func:`_check_study` rejects raise
     :class:`InputError` before any study runs.
 
-    Raises :class:`CalibrationError`, listing every probe as (sigma_R,
-    delta_n, failed trials), when the probe within tolerance comes from
-    an invalid study (more than 1% of its trials failed, so its delta_n
-    measures the failed fits' outliers rather than the noise), when
-    delta_n does not increase between the two latest probes, when the
-    next sigma_R is not positive (the target lies below the noise-free
-    floor), or after :data:`MAX_PROBES` probes.
+    Raises :class:`CalibrationError` before any trial when the target
+    lies at or below the floor (the config is valid, but this instrument
+    cannot reach the target), and after the study, naming it as
+    (sigma_R, delta_n, failed trials), when its delta_n misses the
+    tolerance or the study is invalid (more than 1% of its trials failed,
+    so its delta_n measures the failed fits' outliers rather than the
+    noise).
     """
     if not (0 < target_delta_n < math.inf):
         raise InputError(f"target delta_n must be finite and > 0, got {target_delta_n}")
     if not (0 < tolerance < 1):  # also rejects NaN
         raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
-    sigma = target_delta_n / _check_study(params, cfg, plan, trials)
-    probes: list[tuple[float, float, int]] = []
-
-    def failure(reason: str) -> CalibrationError:
-        listed = ", ".join(f"({s:.4g}, {d:.4g}, {f})" for s, d, f in probes)
-        return CalibrationError(
-            f"{reason}; probes (sigma_R ohm, delta_n mK, failed trials): {listed}")
-
-    last_sigma = last_delta_n = 0.0  # the origin: no noise, no spread
-    while True:
-        study = run_sensitivity(params, replace(cfg, resistance_noise=sigma),
-                                plan, trials)
-        delta_n = study.delta_n
-        probes.append((sigma, delta_n, study.failed_trials))
-        if abs(delta_n - target_delta_n) <= tolerance * target_delta_n:
-            if not study.valid:
-                raise failure(
-                    f"sigma_R={sigma:.4g} ohm gives delta_n {delta_n:.4g} mK "
-                    f"within tolerance, but {study.failed_trials} of {trials} "
-                    "trials failed their fits, so the study is invalid")
-            return sigma
-        if len(probes) == MAX_PROBES:
-            raise failure(f"no probe within tolerance of {target_delta_n} mK "
-                          f"after {MAX_PROBES} probes")
-        slope = (delta_n - last_delta_n) / (sigma - last_sigma)
-        if not (0 < slope < math.inf):
-            raise failure(f"delta_n does not increase with sigma_R (slope {slope:.4g})")
-        last_sigma, last_delta_n = sigma, delta_n
-        sigma += (target_delta_n - delta_n) / slope
-        if not (0 < sigma < math.inf):
-            raise failure(f"next sigma_R {sigma:.4g} ohm is not positive: target "
-                          f"{target_delta_n} mK lies below the noise-free floor of delta_n")
+    kappa_r, kappa_t = _check_study(params, cfg, plan, trials)
+    floor = kappa_t * cfg.temperature_jitter
+    ratio = floor / target_delta_n
+    if not ratio < 1:
+        raise CalibrationError(
+            f"target {target_delta_n} mK lies below the noise-free floor of delta_n, "
+            f"{floor:.4g} mK from {cfg.temperature_jitter:g} mK of temperature jitter")
+    sigma = target_delta_n * math.sqrt((1.0 - ratio) * (1.0 + ratio)) / kappa_r
+    study = run_sensitivity(params, replace(cfg, resistance_noise=sigma), plan, trials)
+    if not abs(study.delta_n - target_delta_n) <= tolerance * target_delta_n:
+        reason = (f"delta_n lies outside tolerance {tolerance:g} of the target "
+                  f"{target_delta_n} mK")
+    elif not study.valid:
+        reason = (f"{study.failed_trials} of {trials} trials failed their fits, "
+                  "so the study is invalid")
+    else:
+        return sigma
+    raise CalibrationError(
+        f"{reason}; study (sigma_R ohm, delta_n mK, failed trials): "
+        f"({sigma:.4g}, {study.delta_n:.4g}, {study.failed_trials})")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -761,25 +762,43 @@ class TestDerivativeLoopReference:
         assert deriv.sigmas == pytest.approx(errors, rel=1e-13)
 
 
+def exact_weighted_line_fit(x, y, sigma):
+    """The weighted line fit in exact rational arithmetic on the same
+    float inputs and weights: (a, sigma_a^2, the intercept's row)."""
+    w = [Fraction(v) for v in (1.0 / np.maximum(sigma, _SIGMA_FLOOR) ** 2).tolist()]
+    xs = [Fraction(v) for v in x.tolist()]
+    ys = [Fraction(v) for v in y.tolist()]
+    sw = sum(w)
+    swx = sum(wi * xi for wi, xi in zip(w, xs))
+    swxx = sum(wi * xi * xi for wi, xi in zip(w, xs))
+    swy = sum(wi * yi for wi, yi in zip(w, ys))
+    swxy = sum(wi * xi * yi for wi, xi, yi in zip(w, xs, ys))
+    det = sw * swxx - swx * swx
+    return ((swxx * swy - swx * swxy) / det, swxx / det,
+            [wi * (swxx - swx * xi) / det for wi, xi in zip(w, xs)])
+
+
+def assert_matches_exact_line_fit(x, y, sigma):
+    a, sigma_a, row = _weighted_line_fit(x, y, sigma)
+    want_a, want_var, want_row = exact_weighted_line_fit(x, y, sigma)
+    assert a == pytest.approx(float(want_a), rel=1e-14)
+    assert sigma_a == pytest.approx(math.sqrt(want_var), rel=1e-14)
+
+    def delta_sigmas(r):
+        coeff = (np.asarray(r, dtype=float) - np.eye(x.size)) * np.maximum(sigma,
+                                                                           _SIGMA_FLOOR)
+        return np.sqrt(np.add.reduce(coeff * coeff, 1))
+
+    # the row as the film's delta sigmas read it: a floor-level sigma's own
+    # entry carries the rounding of its tiny centred offset, but it is
+    # weighed there by that sigma
+    assert delta_sigmas(row) == pytest.approx(
+        delta_sigmas([float(r) for r in want_row]), rel=1e-12)
+
+
 # The post-fit steps as they were before the per-grid derivative operator
 # and the direct ufunc reductions, verbatim but for the one noise floor
-# of the weights and the intercept's row that the line fit also returns:
-# the references the current code must match bit for bit.
-
-def reference_weighted_line_fit(x, y, sigma):
-    w = 1.0 / np.maximum(sigma, _SIGMA_FLOOR) ** 2
-    sw = float(np.sum(w))
-    swx = float(np.sum(w * x))
-    swxx = float(np.sum(w * x * x))
-    swy = float(np.sum(w * y))
-    swxy = float(np.sum(w * x * y))
-    det = sw * swxx - swx * swx
-    if not (det > 0) or det <= 1e-12 * sw * swxx:
-        raise InputError("regression is rank deficient (degenerate field grid)")
-    a = (swxx * swy - swx * swxy) / det
-    var_a = swxx / det
-    return a, math.sqrt(max(var_a, 0.0)), w * (swxx - swx * x) / det
-
+# of the weights: the references the current code must match bit for bit.
 
 def reference_weighted_mean_difference(diff, min_field=0.0):
     mask = diff.fields >= min_field
@@ -877,35 +896,28 @@ class TestPostFitMatchesReference:
                                for name in ("fields", "slopes", "sigmas", "one_sided")))
 
     def test_weighted_line_fit(self):
-        def outcome(fit, *args):
-            try:
-                return fit(*args)
-            except InputError:
-                return "rank deficient"
-
+        # against exact arithmetic: a sigma at or below the floor among
+        # ~1e-5 K ones weighs ~1e14 times more, which cost the raw sums of
+        # an earlier version up to 1.5e-4 of a and made its conditioning
+        # check reject 50 of these 400 draws as degenerate grids
         rng = np.random.default_rng(29)
-        fitted = 0
         for _ in range(400):
             n = int(rng.integers(3, 41))
             x = uneven_grid(rng, n) ** 2
             y = 1.5 - 1e-7 * x + rng.normal(0.0, 1e-4, n)
-            sigma = floored_sigmas(rng, n, 1e-4)
-            got = outcome(_weighted_line_fit, x, y, sigma)
-            want = outcome(reference_weighted_line_fit, x, y, sigma)
-            # a sigma at or below the floor among ~1e-5 K ones weighs ~1e14
-            # times more, which the regression's conditioning check rejects
-            # (50 of the 400 draws); both versions must reject the same ones
-            if "rank deficient" in (got, want):
-                assert got == want
-            else:
-                assert same_bits(*zip(got, want))
-                fitted += 1
-        assert fitted >= 300
+            assert_matches_exact_line_fit(x, y, floored_sigmas(rng, n, 1e-4))
+
+    def test_one_floor_level_sigma_on_a_spread_grid_is_not_rejected(self):
+        x = np.linspace(50.0, 250.0, 10) ** 2
+        y = 1.5 - 1e-7 * x + np.random.default_rng(5).normal(0.0, 1e-4, 10)
+        sigma = np.full(10, 1e-4)
+        sigma[3] = _SIGMA_FLOOR
+        assert_matches_exact_line_fit(x, y, sigma)
 
     def test_intercept_row_gives_the_intercept_and_its_sigma(self):
-        # the row r of a = sum_j r_j y_j: without floor-level sigmas (which
-        # cost the raw sums their precision) r @ y is a and
-        # sqrt(sum (r sigma)^2) is sigma_a
+        # the row r of a = sum_j r_j y_j: without floor-level sigmas (whose
+        # own entries carry the rounding of their centred offsets) r @ y is
+        # a and sqrt(sum (r sigma)^2) is sigma_a
         rng = np.random.default_rng(31)
         for _ in range(2000):
             n = int(rng.integers(3, 41))

@@ -106,3 +106,15 @@ def test_traced_simulate_and_analyze_measure_the_file_layers(monkeypatch, tmp_pa
     assert metrics["analysis.fit_transition.calls"][0] == curves
     for name in ("protocol.write_run.ms_per_curve", "protocol.read_run.ms_per_curve"):
         assert 0 < extra[name] < math.inf, name
+
+
+def test_traced_calibration_makes_one_evaluation(monkeypatch, tmp_path, capsys):
+    # the bench times a calibration as its studies and measures its error
+    # from the study at the sigma_R it returned: calibrate_noise keeps its
+    # positional target and float result, and looks up run_sensitivity on
+    # the sensitivity module
+    metrics, extra = _traced_metrics(monkeypatch, capsys, [
+        ["calibrate", "--config", str(_small_plan_config(tmp_path)), "--trials", "100",
+         "--tolerance", "0.1", "--out", str(tmp_path / "cal")]])
+    assert metrics["sensitivity.calibration.evaluations"][0] == 1
+    assert math.isfinite(extra["sensitivity.calibration.rel_error"])

@@ -730,7 +730,7 @@ class TestSensitivityCommand:
         assert payload["valid"] is False
 
     def test_closed_form_kappa_once_per_study(self, tmp_path, monkeypatch):
-        # the study check's kappa is the first probe and the reported
+        # the study check's kappa gives the one probe and the reported
         # prediction; sensitivity once computed it twice, calibrate four times
         calls, studies = [], []
         kappa, study = sensitivity.delta_n_per_ohm, sensitivity.run_sensitivity
@@ -752,8 +752,8 @@ class TestSensitivityCommand:
         calls.clear()
         assert main(["calibrate", "--trials", "100",
                      "--out", str(tmp_path / "cal")]) == 0
-        assert len(studies) == 1  # the first probe is within tolerance
-        # calibrate_noise's check, the probe study's check and the report
+        assert len(studies) == 1
+        # calibrate_noise's check, the checking study's check and the report
         assert len(calls) == 3
 
     def test_calibrated_study_takes_sigma_r_from_the_config(self, tmp_path):
@@ -819,7 +819,8 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--out", str(out), "--trials", "100"]) == 0
         payload = json.loads((out / "calibration.json").read_text())
         assert payload["delta_n_per_ohm_predicted"] == delta_n_per_ohm(
-            ModelParams(), config.instrument, config.plan)
+            ModelParams(), config.instrument, config.plan)[0]
+        assert payload["delta_n_floor_mK"] == 0.0
 
     def test_plan_with_two_fields_exits_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -830,7 +831,12 @@ class TestCalibrateCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_target_below_the_jitter_floor_exits_calibration(self, tmp_path, capsys):
+    def test_target_below_the_jitter_floor_exits_calibration(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sensitivity, "run_paired_experiment", trial)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"instrument": {"temperature_jitter": 5.0}}))
         out = tmp_path / "cal"

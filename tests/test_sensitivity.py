@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import erf, erfinv
 
 from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          ModelParams, analyze_dataset, calibrate_noise,
@@ -95,7 +96,8 @@ class TestRunSensitivity:
     def test_reference_delta_n_near_target(self, params, reference, plan):
         report = run_sensitivity(params, reference, plan, 200)
         assert 0.09 <= report.delta_n <= 0.11
-        assert report.delta_n_per_ohm == delta_n_per_ohm(params, reference, plan)
+        assert report.delta_n_per_ohm == delta_n_per_ohm(params, reference, plan)[0]
+        assert report.delta_n_floor == 0.0
 
     def test_determinism(self, params, reference, plan):
         a = run_sensitivity(params, reference, plan, 100)
@@ -174,10 +176,13 @@ class TestRunSensitivity:
 
     def test_trial_with_a_rank_deficient_tc_regression_counted_failed(
             self, params, reference):
-        # fields 0.6 ppm apart: the closed-form film Tc regression just
-        # resolves them, the regression of some trials' fitted t* does not;
+        # fields one ulp apart, so H^2 takes the values 1e4 + (0, 2, 3) ulps:
+        # under the closed form's equal weights their spread just exceeds
+        # the rounding of H^2, under some trials' fitted sigmas it does not;
         # such a trial has no failed fit and once ended the study
-        close = plan_sweep(params, reference, [100.0, 100.0000615, 100.000123])
+        fields = [100.0, math.nextafter(100.0, math.inf)]
+        fields.append(math.nextafter(fields[-1], math.inf))
+        close = plan_sweep(params, reference, fields)
         report = run_sensitivity(params, reference, close, 100)
         assert report.failed_trials > 1
         assert not report.valid
@@ -224,7 +229,8 @@ class TestCalibration:
 
 
 class TestCalibrationSearch:
-    """calibrate_noise against stubbed studies with a known delta_n(sigma_R)."""
+    """calibrate_noise against stubbed studies with a known delta_n(sigma_R):
+    one study at the closed-form sigma_R, which must land."""
 
     SLOPE = 1.34  # mK per ohm, close to the reference plan's response
 
@@ -234,9 +240,9 @@ class TestCalibrationSearch:
 
     @pytest.fixture
     def first(self, params, reference, plan):
-        """The first probe for a target: its closed-form prediction."""
-        kappa = delta_n_per_ohm(params, reference, plan)
-        return lambda target: target / kappa
+        """The one probe for a target: its closed-form prediction."""
+        kappa_r, _ = delta_n_per_ohm(params, reference, plan)
+        return lambda target: target / kappa_r
 
     def test_in_tolerance_first_probe_returned(self, params, reference, plan, probes,
                                                first):
@@ -246,71 +252,76 @@ class TestCalibrationSearch:
         assert sigma == first(target)
         assert probes == [first(target)]
 
-    def test_proportional_probe_returned(self, params, reference, plan, stub, first):
-        # the response is half as steep as predicted, so the first probe is
-        # out of tolerance; the step through the origin lands on the target
-        # of a proportional response
-        probes = stub(lambda sigma: 0.5 * self.SLOPE * sigma)
-        target = 0.2
-        sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
-        assert probes == [first(target), sigma]
-        assert sigma == pytest.approx(
-            first(target) * target / (0.5 * self.SLOPE * first(target)), rel=1e-12)
-
     @pytest.mark.parametrize("target", [0.127, 0.5])
     def test_no_sigma_evaluated_twice(self, params, reference, plan, probes, target):
         sigma = calibrate_noise(target, reference, plan, 0.05, params=params)
         assert abs(self.SLOPE * sigma - target) <= 0.05 * target
-        assert len(probes) == len(set(probes))
-
-    def test_offset_response_converges(self, params, reference, plan, stub):
-        # a noise-free floor of 0.05 mK: the proportional step falls short,
-        # the secant through the two probes is exact
-        probes = stub(lambda sigma: 0.05 + self.SLOPE * sigma)
-        sigma = calibrate_noise(0.3, reference, plan, 0.01, params=params)
-        assert len(probes) == 3
-        assert sigma == pytest.approx(0.25 / self.SLOPE, rel=1e-12)
+        assert probes == [sigma]
 
     def test_target_below_offset_raises(self, params, reference, plan, stub):
-        probes = stub(lambda sigma: 0.05 + self.SLOPE * sigma)
-        with pytest.raises(CalibrationError, match="below the noise-free floor"):
-            calibrate_noise(0.03, reference, plan, 0.05, params=params)
-        assert len(probes) == 2
+        # the offset is the noise-free floor kappa_T sigma_T of 1 mK of
+        # jitter, 0.225 mK: a target below it fails before any study
+        probes = stub(lambda sigma: 0.225 + self.SLOPE * sigma)
+        jittered = replace(reference, temperature_jitter=1.0)
+        for target in (0.1, delta_n_per_ohm(params, jittered, plan)[1]):
+            with pytest.raises(CalibrationError, match="below the noise-free floor"):
+                calibrate_noise(target, jittered, plan, 0.05, params=params)
+        assert probes == []
 
-    def test_non_increasing_response_raises(self, params, reference, plan, stub, first):
-        probes = stub(lambda sigma: 0.1)
-        with pytest.raises(CalibrationError, match="does not increase") as excinfo:
+    def test_study_outside_tolerance_raises_naming_it(self, params, reference, plan,
+                                                      stub, first):
+        # the one study is all there is: a response half as steep as
+        # predicted is not searched, it is reported
+        probes = stub(lambda sigma: 0.5 * self.SLOPE * sigma,
+                      valid=lambda sigma: False)
+        with pytest.raises(CalibrationError, match="outside tolerance 0.05") as excinfo:
             calibrate_noise(0.2, reference, plan, 0.05, params=params)
-        assert len(probes) == 2
-        assert f"({first(0.2):.4g}, 0.1, 0)" in str(excinfo.value)
+        assert probes == [first(0.2)]
+        delta_n = 0.5 * self.SLOPE * first(0.2)
+        assert f"({first(0.2):.4g}, {delta_n:.4g}, 53)" in str(excinfo.value)
 
-    def test_invalid_in_tolerance_probe_rejected(self, params, reference, plan, stub):
-        # the stub's studies are invalid from 0.3 ohm on (a quarter of the
-        # trials fail); the search passes such a probe while out of
-        # tolerance and steers by it, then lands on another one
-        probes = stub(lambda sigma: self.SLOPE * sigma * (1.0 + sigma),
-                      valid=lambda sigma: sigma < 0.3)
-        with pytest.raises(CalibrationError, match="53 of 200 trials failed"):
+    def test_invalid_in_tolerance_probe_rejected(self, params, reference, plan, stub,
+                                                 first):
+        # a quarter of the stub's trials fail: its delta_n lies within
+        # tolerance, but measures the failed fits' outliers
+        probes = stub(lambda sigma: self.SLOPE * sigma, valid=lambda sigma: False)
+        with pytest.raises(CalibrationError, match="53 of 200 trials failed") as excinfo:
             calibrate_noise(1.0, reference, plan, 0.05, params=params)
-        passed = [sigma for sigma in probes[:-1] if sigma >= 0.3]
-        assert passed
-        assert all(abs(self.SLOPE * s * (1 + s) - 1.0) > 0.05 for s in passed)
-        assert 0.3 < probes[-1] < 0.8
-        assert abs(self.SLOPE * probes[-1] * (1 + probes[-1]) - 1.0) <= 0.05
+        assert probes == [first(1.0)]
+        assert f"({first(1.0):.4g}, {self.SLOPE * first(1.0):.4g}, 53)" in str(
+            excinfo.value)
 
 
-def reference_delta_n_per_ohm(params, cfg, plan):
+def resistance_variance(t, t_star, width, r_n):
+    return t_star_variance(t, t_star, width, r_n)[0]
+
+
+def jitter_variance(t, t_star, width, r_n):
+    """The first-order t* variance (K^2) per mK^2 of temperature jitter,
+    from the Jacobian of the erf curve written out on its own:
+    [A^-1 J^T diag(J_0^2) J A^-1][0, 0] with A = J^T J."""
+    s = width * 1e-3 / (2.0 * erfinv(0.8))
+    u = (t - t_star) / s
+    gauss = np.exp(-u * u)
+    jac = np.column_stack([-r_n / (math.sqrt(math.pi) * s) * gauss,     # d/dt_star
+                           -r_n / (math.sqrt(math.pi) * width) * u * gauss,  # d/dwidth
+                           0.5 * (1.0 + erf(u))])                         # d/dr_n
+    column = np.linalg.solve(jac.T @ jac, [1.0, 0.0, 0.0])
+    return float(np.sum((jac[:, 0] * (jac @ column)) ** 2)) * 1e-6
+
+
+def reference_delta_n_per_ohm(params, cfg, plan, variance=resistance_variance):
     """kappa as its own algebra once wrote it out, from the raw sums of
     the film Tc regression: the reference the delta curves of perfect
-    fits must match."""
+    fits must match, for the per-curve t* ``variance``."""
     fields = np.array(plan.fields)
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance)
     v = {}
     for kind, t_stars in table.t_stars.items():
         v[kind] = np.array([
-            t_star_variance(table.setpoints, t_star, cfg.transition_width,
-                            cfg.normal_resistance)
+            variance(table.setpoints, t_star, cfg.transition_width,
+                     cfg.normal_resistance)
             for t_star in t_stars]) / plan.repetitions
         unresolved = fields[~(v[kind] < math.inf)]
         if unresolved.size:
@@ -333,7 +344,8 @@ def reference_delta_n_per_ohm(params, cfg, plan):
 
 
 class TestPredictedSlope:
-    """delta_n_per_ohm, the closed-form delta_n / sigma_R of a plan."""
+    """delta_n_per_ohm, the closed-form delta_n per unit resistance noise
+    and per unit temperature jitter of a plan."""
 
     @pytest.mark.parametrize("plan", [
         {},
@@ -343,32 +355,42 @@ class TestPredictedSlope:
     def test_matches_the_reference_algebra(self, plan):
         config = run_config_from_dict({"plan": plan})
         args = config.model, config.instrument, config.plan
-        assert delta_n_per_ohm(*args) == pytest.approx(reference_delta_n_per_ohm(*args),
-                                                       rel=1e-14)
+        assert delta_n_per_ohm(*args)[0] == pytest.approx(
+            reference_delta_n_per_ohm(*args), rel=1e-14)
+
+    def test_jitter_term_matches_an_independent_oracle(self):
+        config = run_config_from_dict({})
+        args = config.model, config.instrument, config.plan
+        kappa_t = delta_n_per_ohm(*args)[1]
+        assert kappa_t == pytest.approx(reference_delta_n_per_ohm(*args, jitter_variance),
+                                        rel=1e-12)
+        assert kappa_t == pytest.approx(0.22525, abs=5e-6)
 
     def test_close_fields_match_the_reference_to_the_regressions_precision(
             self, params, reference):
         # fields 0.6 ppm apart leave det / (sw swxx) = 1.0e-12, at which the
-        # raw sums of the Tc regression lose up to 2e-4 of det: the row form
-        # reads 6.2e-6 below the reference, which itself reads 1.2e-5 below
-        # kappa in exact arithmetic on the same variances
+        # raw sums of the reference lose up to 2e-4 of det; kappa, from the
+        # centred sums of the Tc regression, reads 1.2e-5 above it and
+        # equals kappa in exact arithmetic on the same variances to 16 digits
         close = plan_sweep(params, reference, [100.0, 100.0000615, 100.000123])
-        assert delta_n_per_ohm(params, reference, close) == pytest.approx(
+        assert delta_n_per_ohm(params, reference, close)[0] == pytest.approx(
             reference_delta_n_per_ohm(params, reference, close), rel=1e-4)
 
     @pytest.fixture(scope="class")
     def kappa(self, params, reference, plan):
-        return delta_n_per_ohm(params, reference, plan)
+        return delta_n_per_ohm(params, reference, plan)[0]
 
     def test_four_repetitions_halve_it(self, params, reference, plan, kappa):
         plan4 = replace(plan, repetitions=4)
-        assert delta_n_per_ohm(params, reference, plan4) == pytest.approx(
+        assert delta_n_per_ohm(params, reference, plan4)[0] == pytest.approx(
             kappa / 2, rel=1e-12)
 
-    def test_independent_of_seed_and_noise(self, params, reference, plan, kappa):
+    def test_independent_of_seed_and_noise(self, params, reference, plan):
+        both = delta_n_per_ohm(params, reference, plan)
         for cfg in (replace(reference, seed=7), replace(reference, resistance_noise=0.2),
-                    replace(reference, resistance_noise=0.0)):
-            assert delta_n_per_ohm(params, cfg, plan) == kappa
+                    replace(reference, resistance_noise=0.0),
+                    replace(reference, temperature_jitter=2.0)):
+            assert delta_n_per_ohm(params, cfg, plan) == both
 
     def test_matches_monte_carlo(self, params, reference, plan, kappa):
         study = run_sensitivity(params, reference, plan, 200)
@@ -382,6 +404,28 @@ class TestPredictedSlope:
                                              "at 50 G"):
             calibrate_noise(0.1, reference, shifted, params=params)
         assert probes == []
+
+    def test_jittered_calibration_runs_one_study(self, params, plan, monkeypatch):
+        # 1 mK of jitter sets a floor of 0.225 mK; the closed form takes
+        # sigma_R = sqrt(0.3^2 - 0.225^2) / kappa_R = 0.1467 ohm, where the
+        # study reads delta_n 0.3004 mK
+        studies, reports = [], []
+
+        def counted(*args, **kwargs):
+            studies.append(args[1].resistance_noise)
+            reports.append(run_sensitivity(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(sensitivity, "run_sensitivity", counted)
+        cfg = InstrumentConfig(temperature_jitter=1.0, seed=1)
+        kappa_r, kappa_t = delta_n_per_ohm(params, cfg, plan)
+        sigma = calibrate_noise(0.3, cfg, plan, 0.05, params=params, trials=200)
+        assert studies == [sigma]
+        assert sigma == pytest.approx(math.sqrt(0.3 ** 2 - kappa_t ** 2) / kappa_r,
+                                      rel=1e-12)
+        report, = reports
+        assert report.delta_n_floor == kappa_t
+        assert abs(report.delta_n - 0.3) <= 0.05 * 0.3
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_calibration_runs_one_study_per_target(self, params, plan, monkeypatch,
