@@ -10,12 +10,12 @@ rejected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 from . import model
 from .errors import InputError
+from .fileio import read_json
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_sweep
 
@@ -85,12 +85,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise InputError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
-    return run_config_from_dict(data)
+    return run_config_from_dict(read_json(path, "config file"))
 
 
 def default_run_config() -> RunConfig:

@@ -1,4 +1,6 @@
-"""Small file helpers shared by the run, analysis and CLI writers."""
+"""Small file helpers shared by the run, analysis and CLI readers and
+writers.  Every text file is read and written here, as UTF-8 whatever
+the locale, and with ``\n`` line ends kept as they are."""
 
 from __future__ import annotations
 
@@ -16,6 +18,27 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of a file, with no newline translated; a file that
+    does not decode, or a path holding a NUL, raises :class:`InputError`
+    naming ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            return handle.read()
+    except ValueError as exc:  # UnicodeDecodeError, or a NUL in the path
+        raise InputError(f"could not read {what} {path}: {exc}") from None
+
+
+def read_json(path: str | Path, what: str):
+    """:func:`read_text` parsed as JSON; text that is not JSON raises
+    :class:`InputError` worded as a decode error."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError
+        raise InputError(f"could not read {what} {path}: {exc}") from None
+
+
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write a file via temp-and-rename so readers never see partials;
     text that cannot be encoded (a lone surrogate, say) raises
@@ -24,7 +47,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException as exc:

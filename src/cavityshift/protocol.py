@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import model
 from .errors import InputError
-from .fileio import atomic_write_text, csv_text, fmt, write_json
+from .fileio import atomic_write_text, csv_text, fmt, read_json, read_text, write_json
 from .instrument import (InstrumentConfig, measure_profile, noise_stream,
                          resistive_transition)
 
@@ -270,14 +269,11 @@ def read_curve_csv(path: str | Path) -> TransitionCurve:
 
     The data block after the column header is parsed in one piece; when
     that refuses, :func:`_scan_lines` decides every line of the file.
-    A file that is not UTF-8 text, or a path holding a NUL, raises
-    :class:`InputError` naming it.
+    The file is read as UTF-8 whatever the locale; a file that is not
+    UTF-8 text, or a path holding a NUL, raises :class:`InputError`
+    naming it.
     """
-    try:
-        with open(path, "r", newline="\n") as handle:
-            text = handle.read()
-    except ValueError as exc:  # UnicodeDecodeError, or a NUL in the path
-        raise InputError(f"could not read curve file {path}: {exc}") from None
+    text = read_text(path, "curve file")
     head, found, block = text.partition(f"\n{CSV_COLUMNS}\n")
     meta, temps, res = _scan_lines(path, head.split("\n"))
     # rows before the column header leave the whole file to the line loop
@@ -360,16 +356,15 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
     object with a ``file`` name per curve, at least one, and each curve
     must agree with its entry on ``n_points``, ``field_gauss``, ``kind``
     and ``repetition``; otherwise :class:`InputError` names the manifest
-    and the key or entry, or the curve file and the key.  A manifest or
-    curve file that does not decode, or a manifest that is not JSON,
-    raises one naming the file.
+    and the key or entry, or the curve file and the key.  No two curves
+    may share a (``field_gauss``, ``kind``, ``repetition``), whether one
+    file is listed twice or two files carry the same header; such a run
+    raises one naming both files.  Every file is read as UTF-8 whatever
+    the locale; a manifest or curve file that does not decode, or a
+    manifest that is not JSON, raises one naming the file.
     """
     manifest_path = Path(manifest_path)
-    try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise InputError(f"could not read run manifest {manifest_path}: {exc}") from None
+    manifest = read_json(manifest_path, "run manifest")
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: a run manifest must be a JSON object, "
                          f"got {type(manifest).__name__}")
@@ -382,6 +377,7 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
         raise InputError(f"{manifest_path}: key 'curves' must hold a list of "
                          f"curve entries, got {found}")
     curves = []
+    seen: dict[tuple[float, str, int], tuple[int, Path]] = {}  # entry and file
     for index, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise InputError(f"{manifest_path}: curve entry {index} needs a 'file' "
@@ -394,5 +390,13 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
             if entry.get(key) != value:
                 raise InputError(f"{path}: {key} is {value!r} in the file but "
                                  f"{entry.get(key)!r} in the manifest")
+        identity = (curve.field, curve.kind, curve.repetition)
+        if identity in seen:
+            first, first_path = seen[identity]
+            raise InputError(f"{manifest_path}: curve entries {first} ({first_path}) "
+                             f"and {index} ({path}) hold one curve, field_gauss="
+                             f"{curve.field!r} kind={curve.kind} "
+                             f"repetition={curve.repetition}")
+        seen[identity] = index, path
         curves.append(curve)
     return curves, manifest.get("config", {})

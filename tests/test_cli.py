@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavityshift
 from cavityshift import cli, sensitivity
 from cavityshift.cli import build_parser, main
 from cavityshift.config import (default_run_config, load_run_config,
@@ -163,7 +167,8 @@ class TestConfigSchema:
             load_run_config(path)
         # a byte that is not UTF-8 once escaped as UnicodeDecodeError
         path.write_bytes(b"\xff{}")
-        with pytest.raises(InputError, match="bad.json is not UTF-8 JSON"):
+        with pytest.raises(InputError, match="could not read config file .*bad.json: "
+                                             "'utf-8' codec can't decode"):
             load_run_config(path)
 
 
@@ -339,6 +344,27 @@ class TestSimulateAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(out / "run.json")]) == 4
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["file-listed-twice",
+                                                         "two-files-equal-headers"])
+    def test_curve_given_twice_exits_io_naming_both_files(self, tmp_path, capsys, copy):
+        # such a run was once analysed with the curve as its own repeat,
+        # and the flag map dropped one of the two
+        out = tmp_path / "run"
+        assert simulate_zero_noise(tmp_path, out) == 0
+        manifest = json.loads((out / "run.json").read_text())
+        entry = dict(manifest["curves"][0])
+        if copy:
+            (out / "copy.csv").write_bytes((out / entry["file"]).read_bytes())
+            entry["file"] = "copy.csv"
+        manifest["curves"].append(entry)
+        (out / "run.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["analyze", str(out / "run.json")]) == 4
+        err = capsys.readouterr().err
+        assert (f"curve entries 0 ({out / 'curve_000_film_rep0.csv'}) and 20 "
+                f"({out / entry['file']}) hold one curve") in err
+        assert not (out / "analysis.json").exists()
 
     @pytest.mark.parametrize("flags, code", [("", 4), ("clamped:1", 0)])
     def test_repeated_temperature_needs_a_clamped_flag(self, tmp_path, capsys,
@@ -625,6 +651,53 @@ class TestSimulateAnalyze:
                 "with: curve does not span both resistance plateaus)"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+class TestLocale:
+    """Every file is read and written as UTF-8, so a locale whose codec is
+    ASCII changes nothing: the CLI runs in a subprocess under each."""
+
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    @classmethod
+    def python(cls, cwd, argv, ascii_locale):
+        env = {k: v for k, v in os.environ.items() if k not in cls.ASCII_LOCALE}
+        src = str(Path(cavityshift.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        if ascii_locale:
+            env.update(cls.ASCII_LOCALE)
+        return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+
+    def cli(self, cwd, argv, ascii_locale):
+        return self.python(cwd, ["-m", "cavityshift.cli", *argv], ascii_locale)
+
+    def test_outputs_equal_under_an_ascii_locale(self, tmp_path):
+        probe = self.python(tmp_path, ["-c", "import locale; "
+                                       "print(locale.getpreferredencoding(False))"], True)
+        assert probe.stdout.strip().lower().replace("-", "") not in ("utf8", "")
+        outputs = {}
+        for ascii_locale in (False, True):
+            root = tmp_path / ("ascii" if ascii_locale else "default")
+            root.mkdir()
+            done = self.cli(root, ["simulate", "--out", "run"], ascii_locale)
+            assert done.returncode == 0, done.stderr
+            first = root / "run" / "curve_000_film_rep0.csv"
+            first.write_bytes("# operator=J\u00f6rg\n".encode() + first.read_bytes())
+            done = self.cli(root, ["analyze", "run/run.json"], ascii_locale)
+            assert done.returncode == 0, done.stderr
+            outputs[ascii_locale] = done.stdout, {
+                str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+        assert outputs[True] == outputs[False]
+        assert "run/analysis.json" in outputs[True][1]
+        # a byte that is not UTF-8 still exits 4 naming the file
+        bad = root / "run" / "curve_001_cavity_rep0.csv"
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        done = self.cli(root, ["analyze", "run/run.json"], True)
+        assert done.returncode == 4
+        assert ("could not read curve file run/curve_001_cavity_rep0.csv: "
+                "'utf-8' codec can't decode byte 0xff") in done.stderr
 
 
 class TestSensitivityCommand:
