@@ -7,7 +7,7 @@ directory, then runs one fixed matrix of CLI commands at seeds 1, 7 and
 21 on that tree and on this checkout (its working tree, uncommitted
 changes included), each with its own ``src``:
 
-- ``model-curve --step 0.05``
+- ``model-curve --step 0.05``, which takes no seed
 - ``simulate``, then ``analyze`` of its run
 - ``simulate`` without noise (zero resistance noise and jitter in the
   config file), then ``analyze``
@@ -15,11 +15,14 @@ changes included), each with its own ``src``:
 - ``simulate`` of a 5-repetition plan, then ``analyze``
 - ``simulate`` of a 4-field plan, then ``analyze``, which skips the
   5-point derivatives with a note
+- ``simulate`` with 1e-7 ohm of resistance noise, then ``analyze``
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
-- ``sensitivity --trials 100`` without noise, whose every z reaches the
-  cap
+- ``sensitivity --trials 100`` without noise, whose every z the 1 pK
+  noise floor sets
+- ``sensitivity --trials 100`` at 1e-7 ohm of resistance noise, whose
+  mean z is about 2.7e6
 - ``calibrate --trials 200``
 - ``calibrate --trials 200 --target 0.5`` with 2 mK of temperature
   jitter, a target above the jitter's noise-free floor of ``delta_n``
@@ -60,6 +63,7 @@ CONFIGS = {
     "jitter": {"instrument": {"temperature_jitter": 2.0}},
     "repetitions": {"plan": {"repetitions": 5}},
     "fewfields": {"plan": {"fields": [50.0, 100.0, 150.0, 200.0]}},
+    "tinynoise": {"instrument": {"resistance_noise": 1e-7}},
 }
 
 
@@ -71,7 +75,7 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
                                       *common], analyze]
                 for name in CONFIGS}
     return {
-        "model-curve": [["model-curve", "--step", "0.05", *common]],
+        "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
         "simulate": [["simulate", *common], analyze],
         **simulate,
         "sensitivity": [["sensitivity", "--trials", "200", *common]],
@@ -79,6 +83,8 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
                                    "../../fewfields.json", *common]],
         "sensitivity-noiseless": [["sensitivity", "--trials", "100", "--config",
                                    "../../noiseless.json", *common]],
+        "sensitivity-tinynoise": [["sensitivity", "--trials", "100", "--config",
+                                   "../../tinynoise.json", *common]],
         "calibrate": [["calibrate", "--trials", "200", *common]],
         "calibrate-jitter": [["calibrate", "--trials", "200", "--target", "0.5",
                               "--config", "../../jitter.json", *common]],

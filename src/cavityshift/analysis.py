@@ -20,7 +20,7 @@ from scipy.special import erf
 
 from .errors import FitError, InputError
 from .instrument import ERF_WIDTH_FACTOR, resistive_transition
-from .model import KINDS, check_kind
+from .model import KINDS
 from .protocol import TransitionCurve
 
 MK_PER_K = 1000.0
@@ -480,16 +480,15 @@ def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fields, np.bincount(group, w * ts, fields.size) / sw, 1.0 / np.sqrt(sw)
 
 
-def build_delta_curve(fits, kind: str,
-                      t_c: tuple[float, float] | None = None) -> DeltaCurve:
+def build_delta_curve(fits, film: DeltaCurve | None = None) -> DeltaCurve:
     """Turn per-field fits into delta(H) = Tc_est - T*(H).
 
     ``fits`` is an iterable of (field_gauss, FitResult); repeated fields
-    are combined by precision-weighted mean first.  The film's Tc comes
-    from the weighted regression of its T* against H^2 (the film law); a
-    cavity curve takes that estimate as ``t_c=(value, sigma)``.  A
-    cavity call without ``t_c``, or a film call with one, raises
-    :class:`InputError`.
+    are combined by precision-weighted mean first.  Without ``film`` the
+    fits are the film's, and its Tc comes from the weighted regression of
+    its T* against H^2 (the film law).  Given the film's delta curve, the
+    fits are the cavity's, and its curve takes the film's Tc estimate and
+    sigma.
 
     A film delta is sum_j (r_j - [i = j]) t*_j, with r the intercept's
     row, so its sigma is sqrt(sum_j ((r_j - [i = j]) sigma_j)^2), each
@@ -497,20 +496,17 @@ def build_delta_curve(fits, kind: str,
     with that field's own T* enters it.  A cavity delta's T* is
     independent of Tc, so its sigma is hypot(sigma, sigma_Tc).
     """
-    check_kind(kind)
-    if (t_c is None) != (kind == "film"):
-        raise InputError("the film regresses its own Tc; a cavity delta curve "
-                         "takes the film's as t_c")
+    kind = "film" if film is None else "cavity"
     fields, t_star, sigma = _aggregate_repeats(fits)
     if fields.size < 3:
         raise InputError(f"{kind} fits cover {fields.size} distinct field(s); "
                          "a delta curve needs 3")
-    if t_c is None:
+    if film is None:
         tc_value, tc_sigma, row = _weighted_line_fit(fields ** 2, t_star, sigma)
         coeff = (row - np.eye(fields.size)) * np.maximum(sigma, _SIGMA_FLOOR)
         sigmas = np.sqrt(np.add.reduce(coeff * coeff, 1))
     else:
-        tc_value, tc_sigma = float(t_c[0]), float(t_c[1])
+        tc_value, tc_sigma = film.t_c_estimate, film.t_c_sigma
         sigmas = np.hypot(sigma, tc_sigma)
     return DeltaCurve(kind=kind, fields=fields, deltas=(tc_value - t_star) * MK_PER_K,
                       sigmas=sigmas * MK_PER_K, fit_sigmas=sigma * MK_PER_K,
@@ -747,9 +743,8 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
             notes.append(str(exc))
             return None
 
-    film = view(build_delta_curve, by_kind["film"], "film")
-    cavity = view(build_delta_curve, by_kind["cavity"], "cavity",
-                  None if film is None else (film.t_c_estimate, film.t_c_sigma))
+    film = view(build_delta_curve, by_kind["film"])
+    cavity = view(build_delta_curve, by_kind["cavity"], film)
     difference = view(difference_curve, film, cavity)
     film_deriv = view(derivative_curve, film)
     cavity_deriv = view(derivative_curve, cavity)

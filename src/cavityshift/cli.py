@@ -46,16 +46,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--config", type=Path, default=None,
                        help="JSON run configuration (defaults used if omitted)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the master seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the master seed")
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default: out)")
 
     p = sub.add_parser("model-curve", help="tabulate the noise-free model curves")
-    add_common(p)
+    add_common(p, seed=False)  # noise-free, so nothing reads a seed
     p.add_argument("--min-field", type=float, default=0.0)
     p.add_argument("--max-field", type=float, default=250.0)
     p.add_argument("--step", type=float, default=1.0)
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     config = load_run_config(args.config) if args.config else default_run_config()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = replace(config, instrument=replace(config.instrument, seed=args.seed))
     return config
 
@@ -240,7 +241,6 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         "detection_z_mean": report.detection_z,
         "detection_z_se": report.detection_z_se,
         "detection_z_fraction_ge_3": report.z_fraction_ge_3,
-        "z_capped": report.z_capped,
         "derivative_contrast": report.derivative_contrast,
         "derivative_contrast_sigma": report.derivative_contrast_sigma,
         "contrast_field_gauss": report.contrast_field,

@@ -25,10 +25,6 @@ from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
 
-#: Largest significance a trial reports; noise-free data, whose standard
-#: error is set by the noise floor alone, reach it.
-Z_CAP = 1e6
-
 #: Fewest trials a study may run.
 MIN_TRIALS = 100
 
@@ -45,7 +41,6 @@ class SensitivityReport:
     detection_z: float              # mean per-trial significance of the shift
     detection_z_se: float           # its Monte Carlo standard error
     z_fraction_ge_3: float          # fraction of trials with z >= 3
-    z_capped: bool                  # True when some trial's z reached Z_CAP
     derivative_contrast: float      # relative film-cavity slope difference near h_v
     derivative_contrast_sigma: float
     contrast_field: float           # gauss, grid field nearest h_v
@@ -137,9 +132,8 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
 
 def _rms_delta_sigma(fits: dict[str, list]) -> float:
     """RMS of the sigmas of the film and cavity delta curves of ``fits``."""
-    film = build_delta_curve(fits["film"], "film")
-    cavity = build_delta_curve(fits["cavity"], "cavity",
-                               (film.t_c_estimate, film.t_c_sigma))
+    film = build_delta_curve(fits["film"])
+    cavity = build_delta_curve(fits["cavity"], film)
     sigmas = np.concatenate([film.sigmas, cavity.sigmas])
     return math.sqrt(float(np.mean(sigmas * sigmas)))
 
@@ -155,7 +149,10 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     h_v, and (c) the relative derivative contrast per field.  Trials
     with any failed fit or without a difference curve are counted and
     skipped; more than 1% of them marks the report invalid.  A trial's z
-    is capped at :data:`Z_CAP`, which noise-free data reach.  Beside the
+    is finite because every weight raises its sigma to the 1 pK noise
+    floor: on noise-free signal data the floor alone sets it (a mean z of
+    about 3.4e8 on the reference plan), and a noise-free null model,
+    whose mean shift is 0, gives 0.  Beside the
     measured contrast (mean and sigma over trials) the report holds the
     noise-free model contrast on the same grid, which is what the
     20%-at-crossover expectation refers to.  Over every curve of every
@@ -198,7 +195,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
             err = getattr(result, kind).deltas - truth[kind]
             sq_errors.extend((err * err).tolist())
         mean, se = weighted_mean_difference(result.difference, min_field=params.h_v)
-        z_values.append(min(abs(mean) / se, Z_CAP))
+        z_values.append(abs(mean) / se)
         if result.convergence is not None:
             contrast_rows.append(result.convergence.relative_difference)
 
@@ -230,7 +227,6 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         detection_z=float(np.mean(z_arr)),
         detection_z_se=_standard_error(z_arr),
         z_fraction_ge_3=float(np.mean(z_arr >= 3.0)),
-        z_capped=bool((z_arr == Z_CAP).any()),
         derivative_contrast=float(contrast_mean[contrast_idx]),
         derivative_contrast_sigma=float(contrast_sigma[contrast_idx]),
         contrast_field=float(fields[contrast_idx]),

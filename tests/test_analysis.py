@@ -476,7 +476,7 @@ class TestBuildDeltaCurve:
         plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0])
         fits = [(f, fit_transition(acquire_curve(params, quiet, plan, f, "film")))
                 for f in plan.fields]
-        curve = build_delta_curve(fits, "film")
+        curve = build_delta_curve(fits)
         assert curve.deltas == pytest.approx([0.0666667, 0.2666667, 0.6], rel=1e-5)
         assert curve.deltas == pytest.approx(
             [film_delta(params, f) for f in plan.fields], abs=1e-6)
@@ -484,24 +484,25 @@ class TestBuildDeltaCurve:
 
     def test_noiseless_cavity_with_shared_t_c(self, params, quiet):
         plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0])
-        fits = [(f, fit_transition(acquire_curve(params, quiet, plan, f, "cavity")))
-                for f in plan.fields]
-        curve = build_delta_curve(fits, "cavity", t_c=(params.t_c, 0.0))
+        fits = {kind: [(f, fit_transition(acquire_curve(params, quiet, plan, f, kind)))
+                       for f in plan.fields] for kind in ("film", "cavity")}
+        film = build_delta_curve(fits["film"])
+        curve = build_delta_curve(fits["cavity"], film)
+        assert (film.kind, curve.kind) == ("film", "cavity")
         expected = [cavity_delta(params, f) for f in plan.fields]
         assert curve.deltas == pytest.approx(expected, abs=1e-6)
         assert curve.deltas[-1] == pytest.approx(0.4, rel=0.10)
-        assert (curve.t_c_estimate, curve.t_c_sigma) == (params.t_c, 0.0)
-        # only the film regresses its own Tc
-        with pytest.raises(InputError, match="takes the film's as t_c"):
-            build_delta_curve(fits, "cavity")
-        with pytest.raises(InputError, match="takes the film's as t_c"):
-            build_delta_curve(fits, "film", t_c=(params.t_c, 0.0))
+        # the cavity takes the film's Tc, whose sigma adds to each T*'s
+        assert (curve.t_c_estimate, curve.t_c_sigma) == (film.t_c_estimate,
+                                                         film.t_c_sigma)
+        assert curve.sigmas == pytest.approx(
+            np.hypot(curve.fit_sigmas, film.t_c_sigma * MK_PER_K), rel=1e-12)
 
     def test_single_field_rejected(self):
         fit = FitResult(t_star=1.5, sigma_t_star=0.0, width=50.0, r_n=10.0,
                         residual_norm=0.0, iterations=1)
         with pytest.raises(InputError):
-            build_delta_curve([(0.0, fit)] * 5, "film")
+            build_delta_curve([(0.0, fit)] * 5)
 
     def test_repetitions_aggregate(self, params, reference):
         plan = plan_sweep(params, reference, [50.0, 150.0, 250.0])
@@ -511,9 +512,9 @@ class TestBuildDeltaCurve:
                 curve = acquire_curve(params, reference, plan, f, "film",
                                       substream_prefix=(rep,))
                 fits.append((f, fit_transition(curve)))
-        combined = build_delta_curve(fits, "film")
+        combined = build_delta_curve(fits)
         assert combined.fields.size == 3
-        single = build_delta_curve(fits[::4], "film")
+        single = build_delta_curve(fits[::4])
         assert np.all(combined.sigmas < single.sigmas)
 
 
@@ -578,7 +579,7 @@ class TestDifference:
         plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
         fits = [(f, fit_transition(acquire_curve(params, quiet, plan, f, "film")))
                 for f in plan.fields]
-        curve = build_delta_curve(fits, "film")
+        curve = build_delta_curve(fits)
         diff = difference_curve(curve, curve)
         assert np.all(diff.values == 0.0)
 

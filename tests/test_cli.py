@@ -206,6 +206,13 @@ class TestModelCurveCommand:
                               ("--step", "inf"), ("--step", "1e-300")):
             assert main(["model-curve", "--out", str(tmp_path), option, value]) == 2
 
+    def test_seed_flag_is_retired(self, tmp_path):
+        # the model curves are noise-free; --seed once changed no byte of them
+        with pytest.raises(SystemExit) as excinfo:
+            main(["model-curve", "--seed", "1", "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "model_curves.csv").exists()
+
 
 class TestSimulateAnalyze:
     def test_simulate_writes_twenty_curves(self, tmp_path):
@@ -365,6 +372,45 @@ class TestSimulateAnalyze:
         assert (f"curve entries 0 ({out / 'curve_000_film_rep0.csv'}) and 20 "
                 f"({out / entry['file']}) hold one curve") in err
         assert not (out / "analysis.json").exists()
+
+    def test_hand_assembled_run_analyzes_as_the_simulated_one(self, tmp_path, capsys):
+        # the README's minimal run: curve files with only the field_gauss
+        # and kind headers, and manifest entries with only the five keys
+        run, bare = tmp_path / "run", tmp_path / "bare"
+        assert main(["simulate", "--seed", "1", "--out", str(run)]) == 0
+        assert main(["analyze", str(run / "run.json")]) == 0
+        bare.mkdir()
+        entries = json.loads((run / "run.json").read_text(encoding="utf-8"))["curves"]
+        for entry in entries:
+            lines = (run / entry["file"]).read_text(encoding="utf-8").splitlines(
+                keepends=True)
+            kept = [line for line in lines if not line.startswith("#")
+                    or line.startswith(("# field_gauss=", "# kind="))]
+            assert len(lines) - len(kept) == 5  # the other headers
+            (bare / entry["file"]).write_text("".join(kept), encoding="utf-8")
+
+        def analyze(*keys):
+            (bare / "run.json").write_text(json.dumps(
+                {"format_version": "1",
+                 "curves": [{key: entry[key] for key in keys} for entry in entries]}),
+                encoding="utf-8")
+            return main(["analyze", str(bare / "run.json")])
+
+        # the README's two messages: every entry needs every key, repetition
+        # too though the header that gives it is gone
+        for keys, missing in ((("file",), "n_points is 200"),
+                              (("file", "field_gauss", "kind", "n_points"),
+                               "repetition is 0")):
+            capsys.readouterr()
+            assert analyze(*keys) == 4
+            assert f"{missing} in the file but None in the manifest" in \
+                capsys.readouterr().err
+        assert analyze("file", "field_gauss", "kind", "repetition", "n_points") == 0
+        names = ["analysis.json", "difference.csv",
+                 *(f"{view}_{kind}.csv" for view in ("delta_curve", "derivative")
+                   for kind in ("film", "cavity"))]
+        for name in names:
+            assert (bare / name).read_bytes() == (run / name).read_bytes(), name
 
     @pytest.mark.parametrize("flags, code", [("", 4), ("clamped:1", 0)])
     def test_repeated_temperature_needs_a_clamped_flag(self, tmp_path, capsys,
@@ -930,10 +976,13 @@ class TestCalibrateCommand:
         assert not out.exists()
 
 
+def readme_text():
+    return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def readme_blocks(language):
     """The fenced code blocks of one language in the README."""
-    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    return re.findall(rf"^```{language}\n(.*?)^```", text, re.M | re.S)
+    return re.findall(rf"^```{language}\n(.*?)^```", readme_text(), re.M | re.S)
 
 
 class TestReadmeExamples:
@@ -945,6 +994,29 @@ class TestReadmeExamples:
         assert len(lines) >= 5
         for line in lines:
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_cli_block_runs(self, tmp_path, monkeypatch, capsys):
+        # every command of the sh block under "## CLI" exits 0, in order,
+        # in one directory (about 6 s, most of it the two 500-trial studies)
+        cli_section = readme_text().split("\n## CLI\n", 1)[1]
+        block = re.search(r"^```sh\n(.*?)^```", cli_section, re.M | re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        commands = [argv for line in block.splitlines()
+                    if (argv := shlex.split(line, comments=True))]
+        assert [argv[0] for argv in commands].count("cavityshift") >= 5
+        for argv in commands:
+            if argv[0] == "cavityshift":
+                assert main(argv[1:]) == 0, argv
+                continue
+            *command, redirect, path = argv
+            assert redirect == ">", argv
+            if command[0] == "echo":
+                Path(path).write_text(" ".join(command[1:]) + "\n", encoding="utf-8")
+            else:
+                assert command[:2] == ["python", "-c"], argv
+                with open(path, "w", encoding="utf-8") as stdout:
+                    assert subprocess.run([sys.executable, *command[1:]],
+                                          stdout=stdout).returncode == 0, argv
 
     def test_config_example_loads(self):
         (block,) = readme_blocks("json")

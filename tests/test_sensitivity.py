@@ -17,7 +17,6 @@ from cavityshift import SensitivityReport
 from cavityshift.analysis import MK_PER_K, t_star_variance
 from cavityshift.config import run_config_from_dict
 from cavityshift.protocol import plan_table
-from cavityshift.sensitivity import Z_CAP
 
 REFERENCE_SIGMA_R = 0.0751
 
@@ -70,28 +69,32 @@ class TestRunSensitivity:
     def test_noiseless_report(self, params, quiet, plan):
         report = run_sensitivity(params, quiet, plan, 100)
         assert report.delta_n <= 1e-3
-        assert report.z_capped
-        assert report.detection_z == Z_CAP
+        # every T* sigma weighs as the 1e-9 mK floor, so each difference
+        # has sigma sqrt(2) 1e-9 mK and z is the model's mean shift over a
+        # standard error of sqrt(2) 1e-9 / sqrt(n) mK
+        fields = np.array(plan.fields)
+        shift = np.mean(film_delta(params, fields) - cavity_delta(params, fields))
+        assert report.detection_z == pytest.approx(
+            shift * math.sqrt(fields.size / 2) / 1e-9, rel=1e-4)
         assert report.failed_trials == 0
         assert report.valid
 
-    def test_noiseless_null_model_is_not_capped(self, params, quiet, plan):
+    def test_noiseless_null_model_has_zero_z(self, params, quiet, plan):
         # no shift and no noise: every trial's mean is 0 over a standard
-        # error at the noise floor, so z is 0 and no trial reaches the cap
+        # error at the noise floor, so z is 0
         null = ModelParams(t_c=params.t_c, alpha=params.alpha, delta_inf=0.0,
                            h_v=params.h_v)
         report = run_sensitivity(null, quiet, plan, 100)
         assert report.failed_trials == 0
         assert report.detection_z == 0.0
-        assert not report.z_capped
 
-    def test_capped_significance_flagged(self, params, reference, plan):
-        # at 1e-7 ohm every trial's z = |mean| / se exceeds the cap; only a
-        # zero se once set z_capped
+    def test_tiny_noise_significance_is_not_clipped(self, params, reference, plan):
+        # at 1e-7 ohm the mean z is about 2.7e6; a cap on z at 1e6 once
+        # reported exactly 1e6
         report = run_sensitivity(params, replace(reference, resistance_noise=1e-7),
                                  plan, 100)
-        assert report.detection_z == Z_CAP
-        assert report.z_capped
+        assert report.failed_trials == 0
+        assert report.detection_z > 2e6
 
     def test_reference_delta_n_near_target(self, params, reference, plan):
         report = run_sensitivity(params, reference, plan, 200)
