@@ -16,6 +16,12 @@ changes included), each with its own ``src``:
 - ``simulate`` of a 4-field plan, then ``analyze``, which skips the
   5-point derivatives with a note
 - ``simulate`` with 1e-7 ohm of resistance noise, then ``analyze``
+- ``simulate`` at Tc = 0.32 K, then ``analyze``: the 0.3 K cryostat
+  floor clamps setpoints of every curve, so every fit carries
+  ``clamped:i`` flags, and every fit converges
+- ``simulate`` at Tc = 0.31 K, then ``analyze``: no curve spans both
+  resistance plateaus, so every fit fails, each listed in
+  ``failed_fits`` with its curve's flags (exit 5)
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -32,13 +38,14 @@ changes included), each with its own ``src``:
 It compares the exit code of every command and every file written,
 byte for byte, and parses every ``.json`` file this checkout writes as
 strict JSON (a ``NaN`` or ``Infinity`` token fails).  For a file that
-differs but keeps its structure (the same CSV headers and rows, or the
-same JSON keys and list lengths) it prints, for each CSV column (by its
-header, a ``# key=value`` line by its key) or JSON key path (list
-indices dropped) whose values differ, the largest absolute and relative
-difference between corresponding numbers, which sizes a numerics change
-column by column; a value that is not a number is reported as changed.
-Otherwise it prints that the structure differs.  Exit status 0:
+differs it pairs the values of the two versions: a JSON value by its
+key path, a CSV cell by its column header and row, a ``# key=value``
+line by its key.  It names each CSV column or JSON key path (list
+indices dropped) with values in only one version (a key, a column or a
+row added or removed), and for each whose paired values differ it
+prints the largest absolute and relative difference between
+corresponding numbers, which sizes a numerics change column by column;
+a value that is not a number is reported as changed.  Exit status 0:
 everything matches and all JSON is strict; 1: something differs or a
 file is not strict JSON, and each such case is listed; 2: the ref could
 not be exported.
@@ -53,6 +60,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,6 +72,8 @@ CONFIGS = {
     "repetitions": {"plan": {"repetitions": 5}},
     "fewfields": {"plan": {"fields": [50.0, 100.0, 150.0, 200.0]}},
     "tinynoise": {"instrument": {"resistance_noise": 1e-7}},
+    "clamped": {"model": {"t_c": 0.32}},
+    "floor": {"model": {"t_c": 0.31}},
 }
 
 
@@ -118,41 +128,51 @@ def files_under(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def labelled_values(name: str, data: bytes) -> list[tuple[str, object]]:
-    """Every value of a file in order, each with its label: the column
-    header of a CSV cell (the key of a ``# key=value`` line) or the key
-    path of a JSON leaf, list indices dropped.  A CSV value is a float
-    where it parses as one; any other file is one unlabelled value."""
+def labelled_values(name: str, data: bytes) -> dict[tuple, tuple[str, object]]:
+    """Every value of a file, in order, by its address: its label and the
+    value.  A label is the column header of a CSV cell (the key of a
+    ``# key=value`` line) or the key path of a JSON leaf, list indices
+    dropped; an empty list or object is a leaf.  The address pairs the
+    values of two versions: a JSON leaf's key path with its list indices,
+    a CSV value's label and its count among the values of that label (a
+    cell's row).  A CSV value is a float where it parses
+    as one; any other file is one unlabelled value."""
     if name.endswith(".json"):
-        def leaves(node, path):
-            if isinstance(node, dict):
+        def leaves(node, path, label):
+            if isinstance(node, dict) and node:
                 for key, value in node.items():
-                    yield from leaves(value, f"{path}.{key}" if path else key)
-            elif isinstance(node, list):
-                for value in node:
-                    yield from leaves(value, path)
+                    yield from leaves(value, (*path, key),
+                                      f"{label}.{key}" if label else key)
+            elif isinstance(node, list) and node:
+                for index, value in enumerate(node):
+                    yield from leaves(value, (*path, index), label)
             else:
-                yield path, node
-        return list(leaves(json.loads(data), ""))
+                yield path, (label, node)
+        return dict(leaves(json.loads(data), (), ""))
     if not name.endswith(".csv"):
-        return [("", data)]
+        return {(): ("", data)}
 
     def value(text: str):
         try:
             return float(text)
         except ValueError:
             return text
-    values = []
+    values = {}
+    seen: Counter[str] = Counter()  # the values of each label so far
+
+    def add(label: str, text: str) -> None:
+        values[label, seen[label]] = (label, value(text))
+        seen[label] += 1
     header = None
     for line in data.decode().splitlines():
         if line.startswith("# "):
             key, _, text = line[2:].partition("=")
-            values.append((key, value(text)))
+            add(key, text)
         elif header is None:
             header = line.split(",")
         else:
-            values += [(header[j] if j < len(header) else f"column {j + 1}", value(cell))
-                       for j, cell in enumerate(line.split(","))]
+            for j, cell in enumerate(line.split(",")):
+                add(header[j] if j < len(header) else f"column {j + 1}", cell)
     return values
 
 
@@ -162,19 +182,27 @@ def is_number(value) -> bool:
 
 
 def describe_difference(name: str, ref: bytes, here: bytes) -> str:
-    """How two versions of a file differ: for each label whose values
+    """How two versions of a file differ: each label (a CSV column, a
+    JSON key path) with values in only one version, and how many; then,
+    over the values both versions hold, for each label whose values
     differ, the largest absolute and relative difference between
-    corresponding numbers, or that a value that is not a number changed;
-    when the labels differ (or a JSON file does not parse), that the
-    structure differs."""
+    corresponding numbers, or that a value that is not a number changed."""
     try:
         ref_values, here_values = labelled_values(name, ref), labelled_values(name, here)
-    except ValueError:
-        return "structure differs"
-    if [label for label, _ in ref_values] != [label for label, _ in here_values]:
-        return "structure differs"
+    except ValueError as exc:
+        return f"does not parse: {exc}"
+    lines = []
+    for side, values, other in (("the ref", ref_values, here_values),
+                                ("this checkout", here_values, ref_values)):
+        unpaired = Counter(label for address, (label, _) in values.items()
+                           if address not in other)
+        lines += [f"{label or '(file)'}: {count} value(s) only in {side}"
+                  for label, count in unpaired.items()]
     sizes: dict[str, tuple[float, float] | None] = {}
-    for (label, a), (_, b) in zip(ref_values, here_values):
+    for address, (label, a) in ref_values.items():
+        if address not in here_values:
+            continue
+        b = here_values[address][1]
         if repr(a) == repr(b) or sizes.get(label, ()) is None:
             continue
         if is_number(a) and is_number(b):
@@ -184,13 +212,13 @@ def describe_difference(name: str, ref: bytes, here: bytes) -> str:
                             max(relative, abs(a - b) / scale if scale else 0.0))
         else:
             sizes[label] = None
-    if not sizes:
+    lines += [f"{label or '(file)'}: "
+              + ("a value that is not a number changed" if size is None else
+                 f"largest absolute {size[0]:.3g}, relative {size[1]:.3g}")
+              for label, size in sizes.items()]
+    if not lines:
         return "same values, written differently"
-    return "values differ:" + "".join(
-        f"\n      {label or '(file)'}: "
-        + ("a value that is not a number changed" if size is None else
-           f"largest absolute {size[0]:.3g}, relative {size[1]:.3g}")
-        for label, size in sizes.items())
+    return "values differ:" + "".join(f"\n      {line}" for line in lines)
 
 
 def strict_json_error(data: bytes) -> str | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.special import erf
@@ -367,10 +367,10 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     t_lo, t_hi = float(t[0]) - span, float(t[-1]) + span
     p = _initial_guess(t, r, r_top, step_mk)
 
-    # one set of buffers per fit: the scaled offsets u, and a stack of
-    # rows (see _evaluate) for the current point and for the trial point
-    u = np.empty(n)
-    rows, trial = _row_stack(n), _row_stack(n)
+    # one set of buffers per fit, which every evaluation overwrites: the
+    # scaled offsets u and a stack of rows (see _evaluate); the current
+    # point lives on only in its cost and normal matrices
+    u, rows = np.empty(n), _row_stack(n)
 
     cost = _evaluate(t, r, p, u, rows)
     jtj, grad, hess = _normal_equations(p, u, rows)
@@ -402,12 +402,11 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
         if d0 <= _XTOL and d1 <= _XTOL and d2 <= _XTOL:
             converged = True
             break
-        cost_new = _evaluate(t, r, p_new, u, trial)
+        cost_new = _evaluate(t, r, p_new, u, rows)
         if cost_new <= cost:
             # the Jacobian is formed only here, since a rejected
             # evaluation's Jacobian would be thrown away
             p, cost = p_new, cost_new
-            rows, trial = trial, rows
             jtj, grad, hess = _normal_equations(p, u, rows)
             lam = max(lam * 0.1, 1e-14)
             s0, s1, s2 = _xtol_scales(p)
@@ -620,8 +619,8 @@ CONVERGENCE_THRESHOLD = 0.05
 
 
 def relative_slope_difference(film: np.ndarray, cavity: np.ndarray) -> np.ndarray:
-    """(film - cavity) / film per field: 0 where the slopes are equal, NaN
-    where only the film slope is 0."""
+    """(film - cavity) / film per field of measured slopes: 0 where the
+    slopes are equal, NaN where only the film slope is 0."""
     with np.errstate(all="ignore"):  # the 0 and NaN cases are picked by np.where
         return np.where(film == cavity, 0.0,
                         np.where(film != 0.0, (film - cavity) / film, math.nan))
@@ -664,12 +663,11 @@ class FitFailure:
     in ohm at the last parameters) and ``params`` (those last parameters,
     t* in K, width in mK, r_n in ohm) come from the :class:`FitError`;
     they are None when the curve was rejected before fitting
-    (:class:`InputError`, e.g. a missing plateau).
+    (:class:`InputError`, e.g. a missing plateau).  Two failures compare
+    equal without their curves, whose arrays have no truth value.
     """
 
-    field: float
-    kind: str
-    repetition: int
+    curve: TransitionCurve = dataclass_field(compare=False)
     reason: str
     iterations: int | None
     residual_norm: float | None
@@ -680,7 +678,7 @@ class FitFailure:
 class AnalysisResult:
     """Everything the analysis stage extracts from one dataset."""
 
-    fits: list[tuple[float, str, int, FitResult]]
+    fits: list[tuple[TransitionCurve, FitResult]]  # each curve with its fit
     film: DeltaCurve | None
     cavity: DeltaCurve | None
     difference: DifferenceCurve | None
@@ -704,8 +702,8 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     curve and its Tc, the cavity delta curve on that Tc, their
     difference, and the derivative of each delta curve
     (:data:`DERIVATIVE_WINDOW` points per window).  A curve whose fit
-    fails (no convergence, or a resistance plateau missing) is recorded
-    in ``failures``, not fatal.  A view its builder rejects (a kind whose
+    fails (no convergence, or a resistance plateau missing) is kept in
+    ``failures``, not fatal.  A view its builder rejects (a kind whose
     fits cover < 3 fields, a rank-deficient film Tc regression, film and
     cavity fits on different fields, a delta curve shorter than the
     window) is skipped with the builder's message as a note, and so is
@@ -714,23 +712,19 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     """
     if not curves:
         raise InputError("dataset contains no curves")
-    fits: list[tuple[float, str, int, FitResult]] = []
+    fits: list[tuple[TransitionCurve, FitResult]] = []
     failures: list[FitFailure] = []
     notes: list[str] = []
     for curve in curves:
         try:
-            fits.append((curve.field, curve.kind, curve.repetition,
-                         fit_transition(curve)))
+            fits.append((curve, fit_transition(curve)))
         except FitError as exc:
-            failures.append(FitFailure(curve.field, curve.kind, curve.repetition,
-                                       str(exc), exc.iterations, exc.residual_norm,
-                                       exc.params))
+            failures.append(FitFailure(curve, str(exc), exc.iterations,
+                                       exc.residual_norm, exc.params))
         except InputError as exc:
-            failures.append(FitFailure(curve.field, curve.kind, curve.repetition,
-                                       str(exc), None, None))
-    by_kind: dict[str, list[tuple[float, FitResult]]] = {kind: [] for kind in KINDS}
-    for field, kind, _, fit in fits:
-        by_kind[kind].append((field, fit))
+            failures.append(FitFailure(curve, str(exc), None, None))
+    by_kind = {kind: [(c.field, fit) for c, fit in fits if c.kind == kind]
+               for kind in KINDS}
 
     def view(build, *args):
         """``build(*args)``; None when a view it needs is missing, or

@@ -4,8 +4,7 @@ Subcommands: model-curve, simulate, analyze, sensitivity, calibrate.
 Every command is deterministic given config plus seed; outputs are
 written atomically with full float precision.
 
-Exit codes: 0 success, 2 config/usage, 3 reserved, 4 I/O, 5 fit,
-6 calibration.
+Exit codes: 0 success, 2 config/usage, 4 I/O, 5 fit, 6 calibration.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .analysis import (CONVERGENCE_THRESHOLD, DERIVATIVE_WINDOW, MAX_FAILED_FRAC
 from .config import RunConfig, default_run_config, load_run_config
 from .errors import CalibrationError, InputError
 from .fileio import write_csv, write_json
-from .protocol import read_run, run_paired_experiment, write_run
+from .protocol import TransitionCurve, read_run, run_paired_experiment, write_run
 from .sensitivity import calibrate_noise, delta_n_per_ohm, run_sensitivity
 
 EXIT_OK = 0
@@ -128,10 +127,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis_payload(result: AnalysisResult,
-                      flags: dict[tuple[float, str, int], tuple[str, ...]]) -> dict:
-    """The analysis.json document; ``flags`` maps (field, kind,
-    repetition) to the flags of that curve."""
+def _curve_keys(curve: TransitionCurve) -> dict:
+    return {"field_gauss": curve.field, "kind": curve.kind,
+            "repetition": curve.repetition, "flags": list(curve.flags)}
+
+
+def _analysis_payload(result: AnalysisResult) -> dict:
+    """The analysis.json document."""
     payload: dict = {
         "format_version": "1",
         "fit_failures": result.failed_fits,
@@ -139,18 +141,17 @@ def _analysis_payload(result: AnalysisResult,
         "notes": result.notes,
         "fits": [
             {
-                "field_gauss": field, "kind": kind, "repetition": rep,
+                **_curve_keys(curve),
                 "t_star_K": fit.t_star, "sigma_t_star_K": fit.sigma_t_star,
                 "width_mK": fit.width, "r_n_ohm": fit.r_n,
                 "residual_norm": fit.residual_norm,
                 "iterations": fit.iterations,
-                "flags": list(flags[field, kind, rep]),
             }
-            for field, kind, rep, fit in result.fits
+            for curve, fit in result.fits
         ],
         "failed_fits": [
             {
-                "field_gauss": f.field, "kind": f.kind, "repetition": f.repetition,
+                **_curve_keys(f.curve),
                 "reason": f.reason, "iterations": f.iterations,
                 "residual_norm_ohm": f.residual_norm,
                 "last_params": f.params,
@@ -178,8 +179,7 @@ def _analysis_payload(result: AnalysisResult,
     return payload
 
 
-def _write_analysis_files(result: AnalysisResult, out: Path,
-                          flags: dict[tuple[float, str, int], tuple[str, ...]]) -> None:
+def _write_analysis_files(result: AnalysisResult, out: Path) -> None:
     for kind in model.KINDS:
         curve = getattr(result, kind)
         if curve is not None:
@@ -198,7 +198,7 @@ def _write_analysis_files(result: AnalysisResult, out: Path,
                   ["field_gauss", "difference_mK", "sigma_mK"],
                   (result.difference.fields, result.difference.values,
                    result.difference.sigmas))
-    write_json(out / "analysis.json", _analysis_payload(result, flags))
+    write_json(out / "analysis.json", _analysis_payload(result))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -209,8 +209,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_IO
     result = analyze_dataset(curves)
     out = Path(args.out) if args.out else args.manifest.parent
-    flags = {(c.field, c.kind, c.repetition): c.flags for c in curves}
-    _write_analysis_files(result, out, flags)
+    _write_analysis_files(result, out)
     total = len(result.fits) + result.failed_fits
     if result.failed_fits > MAX_FAILED_FRACTION * total:
         print(f"error: {result.failed_fits}/{total} fits failed; the failures "

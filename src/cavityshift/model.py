@@ -154,10 +154,22 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
     with np.errstate(over="ignore", invalid="ignore"):
         slope = 2.0 * params.alpha * h
         if kind == "cavity":
-            dv = params.delta_v
-            g = cavity_delta(params, h) + dv
-            slope = slope / (1.0 + params.delta_inf * dv / (g * g))
+            slope = slope / (1.0 + _vacuum_term(params, h))
     return _like_input(slope)
+
+
+def _vacuum_term(params: ModelParams, h):
+    # q = delta_inf*delta_v/(delta_c + delta_v)**2; cavity slope = film slope / (1 + q)
+    g = cavity_delta(params, h) + params.delta_v
+    return params.delta_inf * params.delta_v / (g * g)
+
+
+def slope_contrast(params: ModelParams, h):
+    """(film' - cavity') / film' = q / (1 + q) at field h; at H = 0, where
+    both slopes vanish, its limit delta_inf / (delta_v + delta_inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _vacuum_term(params, h)
+        return q / (1.0 + q)
 
 
 def critical_field(params: ModelParams, delta: float, kind: str = "film") -> float:

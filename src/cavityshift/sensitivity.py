@@ -19,8 +19,7 @@ import numpy as np
 
 from . import model
 from .analysis import (MAX_FAILED_FRACTION, FitResult, analyze_dataset,
-                       build_delta_curve, relative_slope_difference, t_star_variance,
-                       weighted_mean_difference)
+                       build_delta_curve, t_star_variance, weighted_mean_difference)
 from .errors import CalibrationError, InputError
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
@@ -48,7 +47,7 @@ class SensitivityReport:
     valid: bool                     # False when > 1% of trials failed
     contrast_fields: np.ndarray     # gauss, the plan's fields
     contrast_mean: np.ndarray       # measured contrast per field, mean over trials
-    contrast_sigma: np.ndarray      # its standard deviation over trials
+    contrast_sigma: np.ndarray      # its standard deviation over trials (NaN from < 2)
     contrast_model: np.ndarray      # noise-free model contrast per field
     lm_steps_histogram: list[int]   # successful fits per accepted LM step count
     failed_fits_by_reason: dict[str, int]  # failed fits per reason, sorted by reason
@@ -183,7 +182,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     for trial in range(trials):
         curves = run_paired_experiment(params, cfg, plan, substream_prefix=(trial,))
         result = analyze_dataset(curves)
-        lm_steps.extend(fit.iterations for *_, fit in result.fits)
+        lm_steps.extend(fit.iterations for _, fit in result.fits)
         reasons.update(failure.reason for failure in result.failures)
         # with 3+ fields and no failed fit, only a rank-deficient Tc
         # regression leaves no difference
@@ -210,14 +209,11 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
     # trial's mean squared error (every trial adds one per field and kind)
     msq_se = _standard_error(np.reshape(sq_errors, (ok_trials, -1)).mean(axis=1))
     z_arr = np.array(z_values)
-    if contrast_rows:
-        stack = np.vstack(contrast_rows)
-        contrast_mean = np.mean(stack, axis=0)
-        contrast_sigma = (np.std(stack, axis=0, ddof=1) if stack.shape[0] > 1
-                          else np.zeros(fields.size))
-    else:
-        contrast_mean = np.full(fields.size, math.nan)
-        contrast_sigma = np.full(fields.size, math.nan)
+    stack = np.vstack(contrast_rows or [np.full(fields.size, math.nan)])
+    contrast_mean = np.mean(stack, axis=0)
+    # like _standard_error, no spread from fewer than 2 trials
+    contrast_sigma = (np.std(stack, axis=0, ddof=1) if len(contrast_rows) > 1
+                      else np.full(fields.size, math.nan))
     return SensitivityReport(
         delta_n=delta_n,
         delta_n_se=msq_se / (2.0 * delta_n) if delta_n > 0 else msq_se,
@@ -235,9 +231,7 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
         contrast_fields=fields,
         contrast_mean=contrast_mean,
         contrast_sigma=contrast_sigma,
-        contrast_model=relative_slope_difference(
-            model.delta_derivative(params, fields, "film"),
-            model.delta_derivative(params, fields, "cavity")),
+        contrast_model=model.slope_contrast(params, fields),
         lm_steps_histogram=np.bincount(lm_steps, minlength=1).tolist(),
         failed_fits_by_reason=dict(sorted(reasons.items())),
         failed_trials_by_reason=dict(sorted(trial_reasons.items())))

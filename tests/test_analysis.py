@@ -1076,8 +1076,9 @@ class TestAnalyzeDataset:
         curves[1].resistances = np.zeros_like(curves[1].resistances)
         result = analyze_dataset(curves)
         assert result.failed_fits == 1
-        assert result.failures == [FitFailure(50.0, "cavity", 0,
-                                              "no resistive plateau found", None, None)]
+        (failure,) = result.failures
+        assert failure.curve is curves[1]
+        assert failure == FitFailure(curves[1], "no resistive plateau found", None, None)
         assert result.film.fields.size == 10
         assert result.cavity.fields.size == 9
         assert result.difference is None
@@ -1104,8 +1105,7 @@ class TestAnalyzeDataset:
         result = analyze_dataset(curves)
         assert result.failed_fits == 1
         (failure,) = result.failures
-        assert (failure.field, failure.kind, failure.repetition) == (
-            step.field, "film", 0)
+        assert failure.curve is step
         assert "below the temperature step" in failure.reason
         assert failure.iterations > 0
         assert failure.residual_norm > 0

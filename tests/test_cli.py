@@ -271,6 +271,28 @@ class TestSimulateAnalyze:
         assert {"t_star_K", "sigma_t_star_K", "width_mK", "r_n_ohm", "residual_norm",
                 "iterations"} < set(payload["fits"][0])
 
+    def test_failed_fit_entries_carry_curve_flags(self, tmp_path, capsys):
+        # at Tc = 0.31 K the cryostat floor clamps most setpoints of every
+        # sweep, so no curve spans both plateaus and every fit fails
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"t_c": 0.31}}))
+        out = tmp_path / "floor"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["analyze", str(out / "run.json")]) == 5
+        assert "20/20 fits failed" in capsys.readouterr().err
+        payload = json.loads((out / "analysis.json").read_text())
+        manifest = json.loads((out / "run.json").read_text())
+        assert payload["fits"] == []
+        assert len(payload["failed_fits"]) == len(manifest["curves"]) == 20
+        for failure, entry in zip(payload["failed_fits"], manifest["curves"]):
+            assert (failure["field_gauss"], failure["kind"], failure["repetition"]) == (
+                entry["field_gauss"], entry["kind"], entry["repetition"])
+            lines = (out / entry["file"]).read_text().splitlines()
+            header = next(line for line in lines if line.startswith("# flags="))
+            assert ";".join(failure["flags"]) == header.removeprefix("# flags=")
+            assert failure["flags"][0] == "clamped:0"
+            assert failure["reason"] == "curve does not span both resistance plateaus"
+
     def test_analyze_missing_manifest_exits_io(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 4
 

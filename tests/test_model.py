@@ -14,7 +14,7 @@ import pytest
 
 from cavityshift import (InputError, ModelParams, cavity_delta, critical_field,
                          delta_derivative, delta_difference, film_delta)
-from cavityshift.model import _balance_residual
+from cavityshift.model import _balance_residual, slope_contrast
 
 
 def oracle_cavity_delta(params, h, n_grid=20000, tol=1e-13):
@@ -235,6 +235,13 @@ class TestDerivative:
     def test_bad_kind_rejected(self, params):
         with pytest.raises(InputError):
             delta_derivative(params, 10.0, "wire")
+
+    def test_slope_contrast_is_the_relative_slope_difference(self, params):
+        fields = np.array([1e-6, 1.0, 10.0, 50.0, 250.0])
+        film = delta_derivative(params, fields, "film")
+        cavity = delta_derivative(params, fields, "cavity")
+        np.testing.assert_allclose(slope_contrast(params, fields),
+                                   (film - cavity) / film, rtol=0, atol=2e-16)
 
 
 class TestCriticalField:

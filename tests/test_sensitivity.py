@@ -481,6 +481,9 @@ class TestStandardErrors:
         study_plan = plan_sweep(params, quiet, np.linspace(50, 250, 5))
         report = run_sensitivity(params, quiet, study_plan, 1)
         assert math.isnan(report.delta_n_se) and math.isnan(report.detection_z_se)
+        # nor a spread of the contrast over trials
+        assert np.isnan(report.contrast_sigma).all()
+        assert math.isnan(report.derivative_contrast_sigma)
 
 
 class TestContrastTable:
@@ -495,6 +498,19 @@ class TestContrastTable:
         assert report.contrast_model[idx_h_v] >= 0.20
         idx_high = int(np.argmin(np.abs(report.contrast_fields - 5 * params.h_v)))
         assert report.contrast_model[idx_high] <= 0.05
+
+    def test_model_contrast_at_zero_field_is_its_limit(self, params, quiet,
+                                                        monkeypatch):
+        # both model slopes vanish at 0 G; the contrast there is the limit
+        # delta_inf / (delta_v + delta_inf), 0.75 on the reference model,
+        # not the 0 of two equal slopes
+        monkeypatch.setattr(sensitivity, "MIN_TRIALS", 1)
+        study_plan = plan_sweep(params, quiet, np.linspace(0, 250, 11))
+        report = run_sensitivity(params, quiet, study_plan, 1)
+        assert report.contrast_fields[0] == 0.0
+        assert report.contrast_model[0] == pytest.approx(
+            params.delta_inf / (params.delta_v + params.delta_inf), rel=1e-15)
+        assert report.contrast_model[0] == pytest.approx(0.75)
 
     def test_degenerate_cavity_has_zero_contrast(self, params, quiet, monkeypatch):
         monkeypatch.setattr(sensitivity, "MIN_TRIALS", 1)
