@@ -5,7 +5,10 @@
 Exports ``src`` of <git-ref> with ``git archive`` into a temporary
 directory, then runs one fixed matrix of CLI commands at seeds 1, 7 and
 21 on that tree and on this checkout (its working tree, uncommitted
-changes included), each with its own ``src``:
+changes included), each with its own ``src`` and under
+``-W error::RuntimeWarning``, so a numeric warning (overflow, invalid
+value, division by zero) fails its command and shows as an exit code
+that differs or a command that exits 1:
 
 - ``model-curve --step 0.05``, which takes no seed
 - ``simulate``, then ``analyze`` of its run
@@ -22,6 +25,8 @@ changes included), each with its own ``src``:
 - ``simulate`` at Tc = 0.31 K, then ``analyze``: no curve spans both
   resistance plateaus, so every fit fails, each listed in
   ``failed_fits`` with its curve's flags (exit 5)
+- ``simulate`` with a temperature jitter of ``true``, which exits 2
+  naming the key and writes nothing
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -29,6 +34,9 @@ changes included), each with its own ``src``:
   noise floor sets
 - ``sensitivity --trials 100`` at 1e-7 ohm of resistance noise, whose
   mean z is about 2.7e6
+- ``sensitivity --trials 100`` at alpha = 1e-300 and h_v = 1e-5 G,
+  whose delta_v = 1e-310 squares to 0, so every ``model_contrast`` is
+  the limit 1.0
 - ``calibrate --trials 200``
 - ``calibrate --trials 200 --target 0.5`` with 2 mK of temperature
   jitter, a target above the jitter's noise-free floor of ``delta_n``
@@ -74,6 +82,8 @@ CONFIGS = {
     "tinynoise": {"instrument": {"resistance_noise": 1e-7}},
     "clamped": {"model": {"t_c": 0.32}},
     "floor": {"model": {"t_c": 0.31}},
+    "underflow": {"model": {"alpha": 1e-300, "h_v": 1e-5}},
+    "boolean": {"instrument": {"temperature_jitter": True}},
 }
 
 
@@ -83,11 +93,12 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
     analyze = ["analyze", "out/run.json"]
     simulate = {f"simulate-{name}": [["simulate", "--config", f"../../{name}.json",
                                       *common], analyze]
-                for name in CONFIGS}
+                for name in CONFIGS if name not in ("underflow", "boolean")}
     return {
         "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
         "simulate": [["simulate", *common], analyze],
         **simulate,
+        "simulate-boolean": [["simulate", "--config", "../../boolean.json", *common]],
         "sensitivity": [["sensitivity", "--trials", "200", *common]],
         "sensitivity-fewfields": [["sensitivity", "--trials", "200", "--config",
                                    "../../fewfields.json", *common]],
@@ -95,6 +106,8 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
                                    "../../noiseless.json", *common]],
         "sensitivity-tinynoise": [["sensitivity", "--trials", "100", "--config",
                                    "../../tinynoise.json", *common]],
+        "sensitivity-underflow": [["sensitivity", "--trials", "100", "--config",
+                                   "../../underflow.json", *common]],
         "calibrate": [["calibrate", "--trials", "200", *common]],
         "calibrate-jitter": [["calibrate", "--trials", "200", "--target", "0.5",
                               "--config", "../../jitter.json", *common]],
@@ -105,7 +118,8 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
 
 def run_matrix(src: Path, root: Path) -> dict[str, list[int]]:
     """Run every case with ``src`` first on the import path, under
-    root/<seed>/<case>; returns the exit codes per case."""
+    root/<seed>/<case>, a numeric warning raised as an error; returns
+    the exit codes per case."""
     root.mkdir(parents=True)
     for name, config in CONFIGS.items():
         (root / f"{name}.json").write_text(json.dumps(config))
@@ -116,7 +130,8 @@ def run_matrix(src: Path, root: Path) -> dict[str, list[int]]:
             workdir = root / str(seed) / name
             workdir.mkdir(parents=True)
             codes[f"{seed}/{name}"] = [
-                subprocess.run([sys.executable, "-m", "cavityshift.cli", *argv],
+                subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                                "-m", "cavityshift.cli", *argv],
                                cwd=workdir, env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL).returncode
                 for argv in commands]

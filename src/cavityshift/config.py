@@ -43,7 +43,7 @@ def _build_section(cls, data: dict, name: str):
         raise InputError(f"unknown key(s) in '{name}' section: {sorted(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except InputError as exc:
         raise InputError(f"invalid '{name}' section: {exc}") from exc
 
 
@@ -74,10 +74,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if "fields" not in plan_data:
         plan_data["fields"] = default_fields(params)
     if "t_center_guess" not in plan_data or "t_span" not in plan_data:
-        try:
-            derived = plan_sweep(params, instrument, plan_data["fields"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"invalid 'plan' section: {exc}") from exc
+        derived = plan_sweep(params, instrument, plan_data["fields"])
         plan_data.setdefault("t_center_guess", derived.t_center_guess)
         plan_data.setdefault("t_span", derived.t_span)
     plan = _build_section(SweepPlan, plan_data, "plan")

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for
+which values a number setting may hold."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class CavityShiftError(Exception):
@@ -10,6 +13,36 @@ class CavityShiftError(Exception):
 class InputError(CavityShiftError, ValueError):
     """Invalid input: a bad plan, a malformed curve, a grid mismatch, or an
     argument outside the physical domain of an operation."""
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` may stand for a number setting.
+
+    Every number setting holds a number that a float can hold (a
+    400-digit int is none).  A real setting holds an int, a float or a
+    numpy real scalar; an integer setting holds an int.  Neither holds a
+    ``bool`` (which Python counts as an int), a string, ``None`` or a
+    list.  The value is checked, not converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+    return True
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise :class:`InputError` naming ``name`` unless :func:`is_number`."""
+    if is_number(value, integer):
+        return
+    if isinstance(value, int) and not isinstance(value, bool):
+        # its repr may exceed Python's digit limit
+        raise InputError(f"{name} must lie within the float range, "
+                         f"got a {value.bit_length()}-bit integer")
+    raise InputError(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                     f"got {value!r}")
 
 
 class FitError(CavityShiftError, RuntimeError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .errors import InputError
+from .errors import InputError, check_number, is_number
 
 #: Converts a 10%-90% resistive width into the erf length scale:
 #: R/R_n = (1+erf(x/s))/2 crosses 0.1 and 0.9 at x = -+ s*erfinv(0.8),
@@ -39,6 +39,9 @@ class InstrumentConfig:
     seed: int = 1                       # master seed, 64-bit unsigned
 
     def __post_init__(self):
+        for name in ("base_temperature", "normal_resistance", "transition_width",
+                     "resistance_noise", "temperature_jitter"):
+            check_number(name, getattr(self, name))
         # every check also rejects NaN and infinity
         for name in ("base_temperature", "normal_resistance", "transition_width"):
             value = getattr(self, name)
@@ -48,7 +51,7 @@ class InstrumentConfig:
             value = getattr(self, name)
             if not (0 <= value < math.inf):
                 raise InputError(f"{name} must be finite and >= 0, got {value}")
-        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
+        if not (is_number(self.seed, integer=True) and 0 <= self.seed < 2 ** 64):
             raise InputError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
 
 

@@ -18,10 +18,11 @@ linear for ``delta >> delta_v`` (so the film/cavity difference
 saturates at ``delta_inf``).  All outputs derived from it should be
 read as phenomenological, not microscopic.
 
-``film_delta``, ``cavity_delta``, ``delta_difference`` and
-``delta_derivative`` take one field or an array of fields: a float in
-gives a float out, an array an array of the elementwise values.  Every
-function here is pure; concurrent use needs no locking.
+``film_delta``, ``cavity_delta``, ``delta_difference``,
+``delta_derivative`` and ``slope_contrast`` take one field or an array
+of fields: a float in gives a float out, an array an array of the
+elementwise values.  Every function here is pure; concurrent use needs
+no locking.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_number
 
 #: The two sample kinds: the bare film and the cavity mirror.
 KINDS = ("film", "cavity")
@@ -57,6 +58,8 @@ class ModelParams:
     cond_scale: float = 1.0           # overall energy normalisation
 
     def __post_init__(self):
+        for name in ("t_c", "alpha", "delta_inf", "h_v", "cond_scale"):
+            check_number(name, getattr(self, name))
         # every check also rejects NaN and infinity
         for name in ("t_c", "alpha", "h_v", "cond_scale"):
             value = getattr(self, name)
@@ -151,7 +154,7 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
     """
     h = _nonneg(h, "field")
     check_kind(kind)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slope = 2.0 * params.alpha * h
         if kind == "cavity":
             slope = slope / (1.0 + _vacuum_term(params, h))
@@ -159,17 +162,21 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
 
 
 def _vacuum_term(params: ModelParams, h):
-    # q = delta_inf*delta_v/(delta_c + delta_v)**2; cavity slope = film slope / (1 + q)
-    g = cavity_delta(params, h) + params.delta_v
+    # q = delta_inf*delta_v/(delta_c + delta_v)**2; cavity slope = film slope / (1 + q).
+    # A numpy value, so that a square underflowing to 0 gives inf under the
+    # caller's errstate where a Python float would raise ZeroDivisionError
+    g = np.asarray(cavity_delta(params, h)) + params.delta_v
     return params.delta_inf * params.delta_v / (g * g)
 
 
 def slope_contrast(params: ModelParams, h):
     """(film' - cavity') / film' = q / (1 + q) at field h; at H = 0, where
     both slopes vanish, its limit delta_inf / (delta_v + delta_inf)."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    h = _nonneg(h, "field")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q = _vacuum_term(params, h)
-        return q / (1.0 + q)
+        # an infinite q (delta_c + delta_v squares to 0) has the limit 1
+        return _like_input(np.where(np.isinf(q), 1.0, q / (1.0 + q)))
 
 
 def critical_field(params: ModelParams, delta: float, kind: str = "film") -> float:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import InputError
+from .errors import InputError, check_number
 from .fileio import atomic_write_text, csv_text, fmt, read_json, read_text, write_json
 from .instrument import (InstrumentConfig, measure_profile, noise_stream,
                          resistive_transition)
@@ -46,16 +46,15 @@ class SweepPlan:
     repetitions: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "fields", tuple(float(f) for f in self.fields))
-        if len(self.fields) == 0:
-            raise InputError("plan needs at least one field")
+        object.__setattr__(self, "fields", _field_tuple(self.fields))
         if not all(0 <= f < math.inf for f in self.fields):  # also rejects NaN
             raise InputError(f"fields must be finite and nonnegative, got {self.fields}")
         if any(b <= a for a, b in zip(self.fields, self.fields[1:])):
             raise InputError("fields must be strictly increasing")
+        for name in ("t_center_guess", "t_span"):
+            check_number(name, getattr(self, name))
         for name in ("n_points", "repetitions"):
-            if type(getattr(self, name)) is not int:  # also refuses bool
-                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_number(name, getattr(self, name), integer=True)
         if self.n_points < 20:
             raise InputError(f"n_points must be >= 20, got {self.n_points}")
         if not (-math.inf < self.t_center_guess < math.inf):
@@ -64,11 +63,29 @@ class SweepPlan:
             raise InputError(f"t_span must be finite and > 0, got {self.t_span}")
         if self.repetitions < 1:
             raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not (np.diff(temperature_grid(self)) > 0).all():
+        try:
+            grid = temperature_grid(self)
+        except (ValueError, IndexError) as exc:  # beyond the sizes numpy takes
+            raise InputError(f"n_points={self.n_points} is more temperatures than "
+                             f"an array holds") from exc
+        if not (np.diff(grid) > 0).all():
             raise InputError(
                 f"the temperature grid collapses: t_span={self.t_span!r} K around "
                 f"t_center_guess={self.t_center_guess!r} K is too narrow for "
                 f"n_points={self.n_points} strictly increasing temperatures")
+
+
+def _field_tuple(fields) -> tuple[float, ...]:
+    """A field list as floats: a sequence of real numbers (see
+    :func:`errors.is_number`), not a string, and not empty."""
+    if isinstance(fields, str) or not np.iterable(fields):
+        raise InputError(f"fields must be a list of numbers, got {fields!r}")
+    fields = tuple(fields)
+    if not fields:
+        raise InputError("field list is empty")
+    for index, value in enumerate(fields):
+        check_number(f"fields[{index}]", value)
+    return tuple(float(f) for f in fields)
 
 
 @dataclass
@@ -113,9 +130,7 @@ def plan_sweep(params: model.ModelParams, cfg: InstrumentConfig,
     spans eight transition widths, which keeps both plateaus and every
     midpoint inside the central part of the sweep.
     """
-    fields = tuple(float(f) for f in fields)
-    if len(fields) == 0:
-        raise InputError("field list is empty")
+    fields = _field_tuple(fields)
     deepest = model.film_delta(params, max(fields))  # mK
     center = params.t_c - 0.5 * deepest * 1e-3
     span = 8.0 * cfg.transition_width * 1e-3
@@ -355,8 +370,11 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
     The manifest must be a JSON object whose ``curves`` list holds one
     object with a ``file`` name per curve, at least one, and each curve
     must agree with its entry on ``n_points``, ``field_gauss``, ``kind``
-    and ``repetition``; otherwise :class:`InputError` names the manifest
-    and the key or entry, or the curve file and the key.  No two curves
+    and ``repetition``, in value and in JSON type (``n_points`` and
+    ``repetition`` are integers, never ``false`` or ``200.0``; a
+    ``field_gauss`` may be an integer); otherwise :class:`InputError`
+    names the manifest and the key or entry, or the curve file and the
+    key.  No two curves
     may share a (``field_gauss``, ``kind``, ``repetition``), whether one
     file is listed twice or two files carry the same header; such a run
     raises one naming both files.  Every file is read as UTF-8 whatever
@@ -387,9 +405,14 @@ def read_run(manifest_path: str | Path) -> tuple[list[TransitionCurve], dict]:
         found = {"n_points": curve.temperatures.size, "field_gauss": curve.field,
                  "kind": curve.kind, "repetition": curve.repetition}
         for key, value in found.items():
-            if entry.get(key) != value:
+            given = entry.get(key)
+            # Python holds False == 0 and 200.0 == 200: the types must agree
+            # too, but a field may be a JSON integer (50 for 50.0)
+            same_type = type(given) is type(value) or (key == "field_gauss"
+                                                       and type(given) is int)
+            if given != value or not same_type:
                 raise InputError(f"{path}: {key} is {value!r} in the file but "
-                                 f"{entry.get(key)!r} in the manifest")
+                                 f"{given!r} in the manifest")
         identity = (curve.field, curve.kind, curve.repetition)
         if identity in seen:
             first, first_path = seen[identity]

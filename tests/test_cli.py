@@ -319,6 +319,38 @@ class TestSimulateAnalyze:
         assert main(["analyze", str(manifest)]) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry, i: {**entry, "repetition": False},
+         "repetition is 0 in the file but False in the manifest"),
+        (lambda entry, i: {**entry, "n_points": 200.0} if i == 3 else entry,
+         "n_points is 200 in the file but 200.0 in the manifest")],
+        ids=["repetition-false", "n-points-float"])
+    def test_manifest_entry_of_another_type_exits_io(self, tmp_path, capsys, edit,
+                                                     message):
+        # Python's False == 0 and 200.0 == 200 once let both analyse (exit 0)
+        out = tmp_path / "run"
+        assert simulate_zero_noise(tmp_path, out) == 0
+        manifest = out / "run.json"
+        data = json.loads(manifest.read_text())
+        data["curves"] = [edit(entry, i) for i, entry in enumerate(data["curves"])]
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["analyze", str(manifest)]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_whole_field_may_be_a_json_integer(self, tmp_path):
+        # as the README's hand-assembled manifest writes it: 50 for 50.0
+        out = tmp_path / "run"
+        assert simulate_zero_noise(tmp_path, out) == 0
+        manifest = out / "run.json"
+        data = json.loads(manifest.read_text())
+        for entry in data["curves"]:
+            if entry["field_gauss"] in (50.0, 250.0):
+                entry["field_gauss"] = int(entry["field_gauss"])
+        manifest.write_text(json.dumps(data))
+        assert '"field_gauss": 50,' in manifest.read_text()
+        assert main(["analyze", str(manifest)]) == 0
+
     def test_non_finite_row_exits_io(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--out", str(out), "--seed", "3"]) == 0
@@ -583,6 +615,31 @@ class TestSimulateAnalyze:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"model": {"alpha": true}}', "alpha"),
+        ('{"instrument": {"resistance_noise": false}}', "resistance_noise"),
+        ('{"plan": {"t_span": true}}', "t_span"),
+        ('{"plan": {"fields": ["50", "100", "150"]}}', "fields[0]"),
+        ('{"plan": {"fields": [true, 2.0, 3.0]}}', "fields[0]"),
+        ('{"model": {"h_v": 1%s}}' % ("0" * 399), "h_v"),
+        ('{"instrument": {"temperature_jitter": 1%s}}' % ("0" * 399),
+         "temperature_jitter"),
+        ('{"plan": {"fields": 50}}', "fields"),
+        ('{"model": {"t_c": null}}', "t_c"),
+        ('{"model": {"t_c": "1.5"}}', "t_c")],
+        ids=["alpha-true", "noise-false", "t_span-true", "field-strings", "field-true",
+             "h_v-huge", "jitter-huge", "fields-not-a-list", "t_c-null", "t_c-string"])
+    def test_wrong_typed_setting_exits_config(self, tmp_path, capsys, text, key):
+        # the first five once ran (true as 1), the 400-digit integers escaped
+        # as OverflowError, and the last three exited 2 naming no key
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"{key} must " in err
         assert not out.exists()
 
     def test_section_not_an_object_exits_config(self, tmp_path, capsys):

@@ -5,8 +5,10 @@ default, log-uniformly over wide ranges and with 20-60 points per
 sweep, go through ``simulate`` then ``analyze``, and on a few examples
 through ``sensitivity --trials 100``, all by ``cli.main`` under the
 suite's warning filters (a ``RuntimeWarning`` fails the test).  Every
-command must return a documented exit code and raise nothing.  The
-examples are derandomized, so every run draws the same configs.
+command must return a documented exit code and raise nothing.  A drawn
+config with one number setting, or one field, replaced by a value of
+the wrong JSON type must make ``simulate`` exit 2 and write nothing.
+The examples are derandomized, so every run draws the same configs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cavityshift.cli import main
 
-#: The exit codes the README documents for a command that ran (3 is
-#: reserved and never returned).
+#: The exit codes the README documents for a command that ran.
 DOCUMENTED_EXIT_CODES = {0, 2, 4, 5, 6}
 
 #: Found by fuzzing: every setpoint at or below the cryostat floor (each
@@ -50,6 +51,20 @@ JITTER_BELOW_ZERO = {
 #: divided by the zero determinant of the film Tc regression.
 UNDERFLOWING_FIELDS = {"model": {"h_v": 1e-200},
                        "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
+
+#: delta_v = 1e-310 squares to 0: every model_contrast was once NaN, with
+#: a divide-by-zero warning.
+UNDERFLOWING_DELTA_V = {"model": {"alpha": 1e-300, "h_v": 1e-5}}
+
+#: Every number setting, by section (the field list's entries aside).
+SETTINGS = {
+    "model": ("t_c", "alpha", "delta_inf", "h_v", "cond_scale"),
+    "instrument": ("base_temperature", "normal_resistance", "transition_width",
+                   "resistance_noise", "temperature_jitter", "seed"),
+    "plan": ("t_center_guess", "t_span", "n_points", "repetitions")}
+
+#: JSON values that no number setting holds, a 400-digit integer among them.
+WRONG_TYPED = [True, False, None, "1.5", [1.0], {}, 10 ** 400]
 
 
 def log_uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
@@ -110,9 +125,31 @@ def test_simulate_then_analyze_exit_documented(config):
 @example(config=OVERFLOWING_FIT)
 @example(config=JITTER_BELOW_ZERO)
 @example(config=UNDERFLOWING_FIELDS)
+@example(config=UNDERFLOWING_DELTA_V)
 def test_sensitivity_exit_documented(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         assert run(["sensitivity", "--config", str(path), "--trials", "100",
                     "--out", str(Path(tmp) / "sens")]) in DOCUMENTED_EXIT_CODES
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(config=configs, bad=st.sampled_from(WRONG_TYPED), data=st.data())
+def test_wrong_typed_setting_exits_config(config, bad, data):
+    # a boolean once ran as 0 or 1, and the 400-digit integer ended in a
+    # bare OverflowError (exit 1)
+    section, key = data.draw(st.sampled_from(
+        [(section, key) for section, keys in SETTINGS.items() for key in keys]
+        + [("plan", "fields")]))
+    if key == "fields":  # one entry of the list
+        fields = config["plan"].setdefault("fields", [50.0, 100.0, 150.0])
+        fields[data.draw(st.integers(0, len(fields) - 1))] = bad
+    else:
+        config[section][key] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "run"
+        assert run(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()

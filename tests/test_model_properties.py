@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cavityshift import (InputError, ModelParams, cavity_delta, critical_field,
                          delta_derivative, film_delta)
-from cavityshift.model import _balance_residual
+from cavityshift.model import _balance_residual, slope_contrast
 
 model_params = st.builds(
     ModelParams,
@@ -55,10 +55,13 @@ def test_critical_field_round_trip(params, h):
 # at 1e12 G root_d == b > 0, so the unused branch would divide by 0; at
 # 1e200 G alpha*H**2 overflows to inf, silently as for a Python float
 @example(params=ModelParams(), h=np.array([0.0, 50.0, 1e12, 1e200]))
+# delta_v = 1e-310 of a valid model squares to 0: q = inf, which once
+# raised ZeroDivisionError for one field and warned for an array
+@example(params=ModelParams(alpha=1e-300, h_v=1e-5), h=np.array([0.0, 1e-5, 5e-5]))
 def test_array_equals_elementwise_scalars(params, h):
     forms = [film_delta, cavity_delta,
              lambda p, x: delta_derivative(p, x, "film"),
-             lambda p, x: delta_derivative(p, x, "cavity")]
+             lambda p, x: delta_derivative(p, x, "cavity"), slope_contrast]
     for form in forms:
         values = form(params, h)
         assert isinstance(values, np.ndarray) and values.shape == h.shape
@@ -72,6 +75,6 @@ def test_array_equals_elementwise_scalars(params, h):
        data=st.data())
 def test_any_negative_or_nan_field_raises(params, h, bad, data):
     h[data.draw(st.integers(0, h.size - 1))] = bad
-    for form in (film_delta, cavity_delta, delta_derivative):
+    for form in (film_delta, cavity_delta, delta_derivative, slope_contrast):
         with pytest.raises(InputError):
             form(params, h)

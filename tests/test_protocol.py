@@ -80,6 +80,48 @@ class TestPlan:
                     SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=0.4,
                               **{key: value})
 
+    @pytest.mark.parametrize("value", [True, False, None, "1.5", [1.0], 10 ** 400],
+                             ids=["true", "false", "none", "string", "list", "huge-int"])
+    def test_every_number_setting_refuses_a_wrong_type(self, params, quiet, value):
+        # true once ran as 1, and a 400-digit integer escaped as OverflowError
+        with pytest.raises(InputError, match="alpha must "):
+            ModelParams(alpha=value)
+        with pytest.raises(InputError, match="temperature_jitter must "):
+            InstrumentConfig(temperature_jitter=value)
+        with pytest.raises(InputError, match="t_span must "):
+            SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=value)
+        for make in (lambda fields: SweepPlan(fields=fields, t_center_guess=1.5,
+                                              t_span=0.4),
+                     lambda fields: plan_sweep(params, quiet, fields)):
+            with pytest.raises(InputError, match=r"fields\[1\] must "):
+                make([10.0, value])
+
+    @pytest.mark.parametrize("n_points", [2 ** 62, 2 ** 63, 10 ** 300])
+    def test_grid_beyond_an_array_raises(self, n_points):
+        # np.linspace refuses each before allocating; 2**63 once escaped as
+        # IndexError and the others named no key
+        with pytest.raises(InputError, match=f"n_points={n_points} is more temperatures"):
+            SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=0.4, n_points=n_points)
+
+    def test_field_list_rule_is_shared(self, params, quiet):
+        for make in (lambda fields: SweepPlan(fields=fields, t_center_guess=1.5,
+                                              t_span=0.4),
+                     lambda fields: plan_sweep(params, quiet, fields)):
+            with pytest.raises(InputError, match="field list is empty"):
+                make([])
+            for fields in (50.0, "50", None):
+                with pytest.raises(InputError, match="fields must be a list of numbers"):
+                    make(fields)
+
+    def test_numpy_numbers_are_settings(self, params, quiet):
+        assert ModelParams(t_c=np.float32(1.5), h_v=np.int64(50)).delta_v == params.delta_v
+        assert InstrumentConfig(resistance_noise=np.float64(0.0)) == quiet
+        plan = plan_sweep(params, quiet, np.linspace(50.0, 250.0, 5))
+        assert plan.fields == (50.0, 100.0, 150.0, 200.0, 250.0)
+        assert all(type(f) is float for f in plan.fields)
+        assert SweepPlan(fields=np.array(plan.fields), t_center_guess=np.float64(1.5),
+                         t_span=plan.t_span).fields == plan.fields
+
     def test_plan_covers_all_transitions(self, params, quiet):
         plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0])
         grid = temperature_grid(plan)
