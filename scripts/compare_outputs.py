@@ -11,6 +11,10 @@ value, division by zero) fails its command and shows as an exit code
 that differs or a command that exits 1:
 
 - ``model-curve --step 0.05``, which takes no seed
+- ``model-curve`` at alpha = 1e-300 and h_v = 1e-300 G, whose
+  delta_v = alpha*h_v**2 underflows to 0, which exits 2 naming both; it
+  once wrote a NaN cavity slope in every row without a warning, so the
+  warning flag alone did not catch it
 - ``simulate``, then ``analyze`` of its run
 - ``simulate`` without noise (zero resistance noise and jitter in the
   config file), then ``analyze``
@@ -84,6 +88,7 @@ CONFIGS = {
     "floor": {"model": {"t_c": 0.31}},
     "underflow": {"model": {"alpha": 1e-300, "h_v": 1e-5}},
     "boolean": {"instrument": {"temperature_jitter": True}},
+    "zerodeltav": {"model": {"alpha": 1e-300, "h_v": 1e-300}},
 }
 
 
@@ -93,9 +98,12 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
     analyze = ["analyze", "out/run.json"]
     simulate = {f"simulate-{name}": [["simulate", "--config", f"../../{name}.json",
                                       *common], analyze]
-                for name in CONFIGS if name not in ("underflow", "boolean")}
+                for name in CONFIGS
+                if name not in ("underflow", "boolean", "zerodeltav")}
     return {
         "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
+        "model-curve-zerodeltav": [["model-curve", "--config", "../../zerodeltav.json",
+                                    "--out", "out"]],
         "simulate": [["simulate", *common], analyze],
         **simulate,
         "simulate-boolean": [["simulate", "--config", "../../boolean.json", *common]],

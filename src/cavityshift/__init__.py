@@ -8,11 +8,9 @@ temperatures and delta(H) curves, and runs the Monte Carlo study that
 decides whether the predicted sub-millikelvin shift is detectable.
 """
 
-from .analysis import (AnalysisResult, ConvergenceReport, DeltaCurve,
-                       DerivativeCurve, DifferenceCurve, FitFailure, FitResult,
-                       analyze_dataset, build_delta_curve, derivative_curve,
-                       difference_curve, fit_transition,
-                       linearity_and_convergence_report,
+from .analysis import (AnalysisResult, DeltaCurve, DerivativeCurve, DifferenceCurve,
+                       FitFailure, FitResult, analyze_dataset, build_delta_curve,
+                       derivative_curve, difference_curve, fit_transition,
                        weighted_mean_difference)
 from .config import RunConfig, default_run_config, load_run_config
 from .errors import CalibrationError, CavityShiftError, FitError, InputError

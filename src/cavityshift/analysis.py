@@ -86,17 +86,6 @@ class DerivativeCurve:
     one_sided: np.ndarray       # bool; True where the window is off-center
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Low-field linearity and high-field convergence of the derivatives."""
-
-    fields: np.ndarray
-    relative_difference: np.ndarray   # (film - cavity) / film
-    r2_film: float
-    r2_cavity: float
-    convergence_field: float | None   # from here on |rel diff| < CONVERGENCE_THRESHOLD
-
-
 # --- erf fit ----------------------------------------------------------------
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -598,59 +587,12 @@ def _derivative_operator(fields: bytes) -> tuple[np.ndarray, np.ndarray, np.ndar
     return rows, coeff, one_sided
 
 
-def _r_squared(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size < 3:
-        return math.nan
-    add = np.add.reduce
-    dx = x - float(add(x) / x.size)  # bit-equal to np.mean
-    dy = y - float(add(y) / y.size)
-    sxx = float(add(dx * dx))
-    sst = float(add(dy * dy))
-    if sst == 0.0:
-        return 1.0
-    slope = float(add(dx * dy)) / sxx
-    ssr = float(add((dy - slope * dx) ** 2))
-    return 1.0 - ssr / sst
-
-
-#: Relative film-cavity slope difference below which the derivatives
-#: count as converged.
-CONVERGENCE_THRESHOLD = 0.05
-
-
 def relative_slope_difference(film: np.ndarray, cavity: np.ndarray) -> np.ndarray:
     """(film - cavity) / film per field of measured slopes: 0 where the
     slopes are equal, NaN where only the film slope is 0."""
     with np.errstate(all="ignore"):  # the 0 and NaN cases are picked by np.where
         return np.where(film == cavity, 0.0,
                         np.where(film != 0.0, (film - cavity) / film, math.nan))
-
-
-def linearity_and_convergence_report(film: DerivativeCurve,
-                                     cavity: DerivativeCurve) -> ConvergenceReport:
-    """Linearity and film/cavity convergence of measured derivatives.
-
-    R^2 of a straight line is evaluated per kind over the points whose
-    window is centered.  The convergence field is the smallest grid
-    field from which onward the relative film-cavity difference stays
-    below :data:`CONVERGENCE_THRESHOLD`.
-    """
-    if film.fields.shape != cavity.fields.shape or (film.fields != cavity.fields).any():
-        raise InputError("film and cavity derivatives are on different field grids")
-
-    rel = relative_slope_difference(film.slopes, cavity.slopes)
-
-    region = ~(film.one_sided | cavity.one_sided)
-    r2_film = _r_squared(film.fields[region], film.slopes[region])
-    r2_cavity = _r_squared(cavity.fields[region], cavity.slopes[region])
-
-    ok = np.abs(rel) < CONVERGENCE_THRESHOLD  # NaN compares False: never converged
-    ok_onward = np.logical_and.accumulate(ok[::-1])[::-1]  # from each field on
-    convergence_field = (float(film.fields[ok_onward.argmax()]) if ok_onward.any()
-                         else None)
-    return ConvergenceReport(fields=film.fields.copy(), relative_difference=rel,
-                             r2_film=r2_film, r2_cavity=r2_cavity,
-                             convergence_field=convergence_field)
 
 
 # --- dataset-level pipeline ---------------------------------------------------
@@ -684,7 +626,7 @@ class AnalysisResult:
     difference: DifferenceCurve | None
     film_derivative: DerivativeCurve | None
     cavity_derivative: DerivativeCurve | None
-    convergence: ConvergenceReport | None
+    relative_slope_difference: np.ndarray | None  # per film-derivative field
     mean_difference: float | None       # mK
     mean_difference_sigma: float | None  # mK
     failures: list[FitFailure]
@@ -700,8 +642,9 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
 
     Fits every curve, then builds each view in turn: the film delta
     curve and its Tc, the cavity delta curve on that Tc, their
-    difference, and the derivative of each delta curve
-    (:data:`DERIVATIVE_WINDOW` points per window).  A curve whose fit
+    difference, the derivative of each delta curve
+    (:data:`DERIVATIVE_WINDOW` points per window), and, with the
+    difference, their :func:`relative_slope_difference`.  A curve whose fit
     fails (no convergence, or a resistance plateau missing) is kept in
     ``failures``, not fatal.  A view its builder rejects (a kind whose
     fits cover < 3 fields, a rank-deficient film Tc regression, film and
@@ -742,15 +685,17 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     difference = view(difference_curve, film, cavity)
     film_deriv = view(derivative_curve, film)
     cavity_deriv = view(derivative_curve, cavity)
-    convergence = mean_diff = mean_sigma = None
+    rel_slope_diff = mean_diff = mean_sigma = None
     if difference is not None:
         mean_diff, mean_sigma = weighted_mean_difference(difference)
         if film_deriv is not None and cavity_deriv is not None:
-            convergence = linearity_and_convergence_report(film_deriv, cavity_deriv)
+            rel_slope_diff = relative_slope_difference(film_deriv.slopes,
+                                                       cavity_deriv.slopes)
 
     return AnalysisResult(fits=fits, film=film, cavity=cavity,
                           difference=difference, film_derivative=film_deriv,
-                          cavity_derivative=cavity_deriv, convergence=convergence,
+                          cavity_derivative=cavity_deriv,
+                          relative_slope_difference=rel_slope_diff,
                           mean_difference=mean_diff,
                           mean_difference_sigma=mean_sigma,
                           failures=failures, notes=notes)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, model
-from .analysis import (CONVERGENCE_THRESHOLD, DERIVATIVE_WINDOW, MAX_FAILED_FRACTION,
-                       AnalysisResult, analyze_dataset)
+from .analysis import (DERIVATIVE_WINDOW, MAX_FAILED_FRACTION, AnalysisResult,
+                       analyze_dataset)
 from .config import RunConfig, default_run_config, load_run_config
 from .errors import CalibrationError, InputError
 from .fileio import write_csv, write_json
@@ -165,15 +165,10 @@ def _analysis_payload(result: AnalysisResult) -> dict:
     if result.mean_difference is not None:
         payload["weighted_mean_difference_mK"] = result.mean_difference
         payload["weighted_mean_difference_sigma_mK"] = result.mean_difference_sigma
-    if result.convergence is not None:
-        rep = result.convergence
+    if result.relative_slope_difference is not None:
         payload["convergence"] = {
-            "fields_gauss": rep.fields.tolist(),
-            "relative_derivative_difference": rep.relative_difference.tolist(),
-            "r2_film": rep.r2_film,
-            "r2_cavity": rep.r2_cavity,
-            "convergence_field_gauss": rep.convergence_field,
-            "threshold": CONVERGENCE_THRESHOLD,
+            "fields_gauss": result.film_derivative.fields.tolist(),
+            "relative_derivative_difference": result.relative_slope_difference.tolist(),
             "window": DERIVATIVE_WINDOW,
         }
     return payload

@@ -67,6 +67,9 @@ class ModelParams:
                 raise InputError(f"{name} must be finite and > 0, got {value}")
         if not (0 <= self.delta_inf < math.inf):
             raise InputError(f"delta_inf must be finite and >= 0, got {self.delta_inf}")
+        if not self.delta_v > 0:  # underflows to 0: the vacuum term is 0/0
+            raise InputError(f"the crossover depression alpha*h_v**2 must be > 0, got "
+                             f"alpha={self.alpha!r} and h_v={self.h_v!r}")
 
     @property
     def delta_v(self) -> float:

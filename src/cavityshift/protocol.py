@@ -34,6 +34,10 @@ CSV_COLUMNS = "temperature_K,resistance_ohm"
 #: Fraction of the temperature grid counted as "central" for coverage.
 CENTRAL_FRACTION = 0.8
 
+#: Most resistance samples one dataset may hold, len(fields) x 2 kinds x
+#: repetitions x n_points: 0.8 GB of float64.
+MAX_PLAN_SAMPLES = 10 ** 8
+
 
 @dataclass(frozen=True)
 class SweepPlan:
@@ -63,11 +67,13 @@ class SweepPlan:
             raise InputError(f"t_span must be finite and > 0, got {self.t_span}")
         if self.repetitions < 1:
             raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
-        try:
-            grid = temperature_grid(self)
-        except (ValueError, IndexError) as exc:  # beyond the sizes numpy takes
-            raise InputError(f"n_points={self.n_points} is more temperatures than "
-                             f"an array holds") from exc
+        kinds = len(model.KINDS)
+        if len(self.fields) * kinds * self.repetitions * self.n_points > MAX_PLAN_SAMPLES:
+            raise InputError(
+                f"the plan asks for more than {MAX_PLAN_SAMPLES:.0e} samples: "
+                f"{len(self.fields)} field(s) x {kinds} kinds x "
+                f"repetitions={self.repetitions} x n_points={self.n_points}")
+        grid = temperature_grid(self)
         if not (np.diff(grid) > 0).all():
             raise InputError(
                 f"the temperature grid collapses: t_span={self.t_span!r} K around "

@@ -195,8 +195,8 @@ def run_sensitivity(params: model.ModelParams, cfg: InstrumentConfig,
             sq_errors.extend((err * err).tolist())
         mean, se = weighted_mean_difference(result.difference, min_field=params.h_v)
         z_values.append(abs(mean) / se)
-        if result.convergence is not None:
-            contrast_rows.append(result.convergence.relative_difference)
+        if result.relative_slope_difference is not None:
+            contrast_rows.append(result.relative_slope_difference)
 
     failed = sum(trial_reasons.values())
     ok_trials = trials - failed

@@ -15,11 +15,10 @@ from cavityshift import (CavityShiftError, DeltaCurve, FitError, InputError,
                          InstrumentConfig, ModelParams, acquire_curve, analyze_dataset,
                          build_delta_curve, cavity_delta, delta_derivative,
                          derivative_curve, difference_curve, film_delta,
-                         fit_transition, linearity_and_convergence_report,
-                         plan_sweep, run_paired_experiment,
+                         fit_transition, plan_sweep, run_paired_experiment,
                          weighted_mean_difference)
 from cavityshift import analysis
-from cavityshift.analysis import (_SIGMA_FLOOR, CONVERGENCE_THRESHOLD, MK_PER_K,
+from cavityshift.analysis import (_SIGMA_FLOOR, MK_PER_K,
                                   DerivativeCurve, DifferenceCurve, FitFailure,
                                   FitResult, _aggregate_repeats, _damped_step,
                                   _normal_matrices, _weighted_line_fit,
@@ -833,32 +832,11 @@ def reference_derivative_curve(curve, window):
                            slopes=slopes, sigmas=sigmas, one_sided=one_sided)
 
 
-def reference_r_squared(x, y):
-    if x.size < 3:
-        return math.nan
-    xbar = float(np.mean(x))
-    ybar = float(np.mean(y))
-    sxx = float(np.sum((x - xbar) ** 2))
-    sst = float(np.sum((y - ybar) ** 2))
-    if sst == 0.0:
-        return 1.0
-    slope = float(np.sum((x - xbar) * (y - ybar))) / sxx
-    ssr = float(np.sum((y - ybar - slope * (x - xbar)) ** 2))
-    return 1.0 - ssr / sst
-
-
-def reference_linearity_and_convergence_report(film, cavity):
-    if film.fields.shape != cavity.fields.shape or np.any(film.fields != cavity.fields):
-        raise InputError("film and cavity derivatives are on different field grids")
-    rel = relative_slope_difference(film.slopes, cavity.slopes)
-    region = ~(film.one_sided | cavity.one_sided)
-    r2_film = reference_r_squared(film.fields[region], film.slopes[region])
-    r2_cavity = reference_r_squared(cavity.fields[region], cavity.slopes[region])
-    ok = np.abs(rel) < CONVERGENCE_THRESHOLD
-    ok_onward = np.logical_and.accumulate(ok[::-1])[::-1]
-    convergence_field = (float(film.fields[np.argmax(ok_onward)]) if ok_onward.any()
-                         else None)
-    return rel, r2_film, r2_cavity, convergence_field
+def reference_relative_slope_difference(film, cavity):
+    """(film - cavity) / film per element, 0 where equal and NaN where only
+    the film slope is 0, written as a plain loop."""
+    return np.array([0.0 if f == c else (f - c) / f if f != 0.0 else math.nan
+                     for f, c in zip(film.tolist(), cavity.tolist())])
 
 
 def uneven_grid(rng, n):
@@ -941,29 +919,18 @@ class TestPostFitMatchesReference:
             assert same_bits((weighted_mean_difference(diff, min_field),
                               reference_weighted_mean_difference(diff, min_field)))
 
-    def test_linearity_and_convergence_report(self):
+    def test_relative_slope_difference(self):
         rng = np.random.default_rng(37)
         for _ in range(300):
             n = int(rng.integers(5, 41))
-            fields = uneven_grid(rng, n)
             slopes = {kind: rng.normal(1.0, 0.05, n) for kind in ("film", "cavity")}
             for kind in ("film", "cavity"):
                 slopes[kind][rng.random(n) < 0.1] = 0.0
             equal = rng.random(n) < 0.2
             slopes["cavity"][equal] = slopes["film"][equal]
-            if rng.random() < 0.1:  # a constant film slope: R^2 is 1
-                slopes["film"][:] = 0.5
-            film, cavity = (
-                derivative_curve(synthetic_delta_curve(fields, np.zeros(n), kind=kind))
-                for kind in ("film", "cavity"))
-            film, cavity = (replace(deriv, slopes=slopes[deriv.kind])
-                            for deriv in (film, cavity))
-            got = linearity_and_convergence_report(film, cavity)
-            rel, r2_film, r2_cavity, field = reference_linearity_and_convergence_report(
-                film, cavity)
-            assert same_bits((got.relative_difference, rel), (got.r2_film, r2_film),
-                             (got.r2_cavity, r2_cavity), (got.fields, fields))
-            assert got.convergence_field == field
+            assert same_bits((relative_slope_difference(slopes["film"], slopes["cavity"]),
+                              reference_relative_slope_difference(slopes["film"],
+                                                                  slopes["cavity"])))
 
     def test_one_operator_per_grid(self):
         grids = (np.linspace(0.0, 100.0, 11), np.geomspace(1.0, 100.0, 11))
@@ -985,24 +952,13 @@ class TestPostFitMatchesReference:
 
 
 class TestConvergenceReport:
+    """The relative film-cavity slope difference, the ``convergence``
+    block of analysis.json."""
+
     def test_identical_inputs(self, params):
         fields = np.linspace(10, 250, 20)
-        curve = synthetic_delta_curve(fields, params.alpha * fields ** 2)
-        deriv = derivative_curve(curve)
-        report = linearity_and_convergence_report(deriv, deriv)
-        assert np.all(report.relative_difference == 0.0)
-        assert report.convergence_field == fields[0]
-
-    @staticmethod
-    def loop_reference(film, cavity, threshold):
-        """Per-element relative difference and first field from which
-        every later one converges, written as plain loops."""
-        rel = []
-        for f, c in zip(film.tolist(), cavity.tolist()):
-            rel.append(0.0 if f == c else (f - c) / f if f != 0.0 else math.nan)
-        onward = [i for i in range(len(rel))
-                  if all(abs(r) < threshold for r in rel[i:])]
-        return np.array(rel), onward[0] if onward else None
+        deriv = derivative_curve(synthetic_delta_curve(fields, params.alpha * fields ** 2))
+        assert np.all(relative_slope_difference(deriv.slopes, deriv.slopes) == 0.0)
 
     @pytest.mark.parametrize("film, cavity", [
         ([1.0, 2.0, 0.0, 4.0, 5.0, 6.0], [0.5, 2.0, 0.0, 4.1, 5.01, 6.0]),
@@ -1011,32 +967,21 @@ class TestConvergenceReport:
         ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0, 7.0]),
     ])
     def test_matches_loop_reference(self, film, cavity):
-        fields = np.linspace(10.0, 60.0, 6)
-        one_sided = np.array([True, False, False, False, False, True])
-
-        def deriv(kind, slopes):
-            return DerivativeCurve(kind=kind, fields=fields, slopes=np.array(slopes),
-                                   sigmas=np.ones(6), one_sided=one_sided)
-
-        report = linearity_and_convergence_report(deriv("film", film),
-                                                  deriv("cavity", cavity))
-        rel, first = self.loop_reference(np.array(film), np.array(cavity), 0.05)
-        assert report.relative_difference.tobytes() == rel.tobytes()
-        assert report.convergence_field == (None if first is None else fields[first])
+        film, cavity = np.array(film), np.array(cavity)
+        assert (relative_slope_difference(film, cavity).tobytes()
+                == reference_relative_slope_difference(film, cavity).tobytes())
 
     def test_noiseless_contrast_large_at_crossover(self, params, quiet):
         plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
         result = analyze_dataset(run_paired_experiment(params, quiet, plan))
-        report = result.convergence
-        idx = int(np.argmin(np.abs(report.fields - params.h_v)))
-        assert report.relative_difference[idx] >= 0.20
+        idx = int(np.argmin(np.abs(result.film_derivative.fields - params.h_v)))
+        assert result.relative_slope_difference[idx] >= 0.20
 
     def test_noiseless_contrast_small_at_five_crossovers(self, params, quiet):
         plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
         result = analyze_dataset(run_paired_experiment(params, quiet, plan))
-        report = result.convergence
-        idx = int(np.argmin(np.abs(report.fields - 5 * params.h_v)))
-        assert abs(report.relative_difference[idx]) <= 0.05
+        idx = int(np.argmin(np.abs(result.film_derivative.fields - 5 * params.h_v)))
+        assert abs(result.relative_slope_difference[idx]) <= 0.05
 
 
 class TestAnalyzeDataset:
@@ -1082,7 +1027,7 @@ class TestAnalyzeDataset:
         assert result.film.fields.size == 10
         assert result.cavity.fields.size == 9
         assert result.difference is None
-        assert result.convergence is None
+        assert result.relative_slope_difference is None
         assert result.mean_difference is None
         assert any("different fields" in note for note in result.notes)
 
@@ -1092,7 +1037,7 @@ class TestAnalyzeDataset:
         assert result.difference.fields.size == 4
         assert result.mean_difference is not None
         assert result.film_derivative is None and result.cavity_derivative is None
-        assert result.convergence is None
+        assert result.relative_slope_difference is None
         assert result.notes == [
             f"window 5 exceeds the 4 available points of the {kind} delta curve"
             for kind in ("film", "cavity")]

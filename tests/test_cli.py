@@ -15,6 +15,7 @@ import pytest
 
 import cavityshift
 from cavityshift import cli, sensitivity
+from cavityshift.analysis import relative_slope_difference
 from cavityshift.cli import build_parser, main
 from cavityshift.config import (default_run_config, load_run_config,
                                 run_config_from_dict)
@@ -53,8 +54,9 @@ EVERY_FIELD_CHANGED = {
 
 
 #: Fields whose squares underflow to 0, so no regression against H^2
-#: can resolve them.
-UNDERFLOWING_FIELDS = {"model": {"h_v": 1e-200},
+#: can resolve them; the large alpha keeps delta_v = alpha*h_v**2 at
+#: 1e-300, above 0.
+UNDERFLOWING_FIELDS = {"model": {"alpha": 1e100, "h_v": 1e-200},
                        "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
 
 
@@ -246,6 +248,19 @@ class TestSimulateAnalyze:
         expected = np.array([film_delta(params, f) - cavity_delta(params, f)
                              for f in diff[:, 0]])
         assert np.max(np.abs(diff[:, 1] - expected)) <= 1e-3
+
+    def test_convergence_block_is_the_relative_slope_difference(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out)]) == 0
+        assert main(["analyze", str(out / "run.json")]) == 0
+        block = load_strict_json(out / "analysis.json")["convergence"]
+        assert set(block) == {"fields_gauss", "relative_derivative_difference", "window"}
+        film, cavity = (np.loadtxt(out / f"derivative_{kind}.csv", delimiter=",",
+                                   skiprows=1) for kind in ("film", "cavity"))
+        assert np.array(block["fields_gauss"]).tobytes() == film[:, 0].tobytes()
+        assert (np.array(block["relative_derivative_difference"]).tobytes()
+                == relative_slope_difference(film[:, 1], cavity[:, 1]).tobytes())
+        assert block["window"] == 5
 
     def test_noiseless_flag_is_retired(self, tmp_path):
         # the config file sets the noise; simulate --noiseless once did too
@@ -724,6 +739,25 @@ class TestSimulateAnalyze:
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and "temperature grid collapses" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["model-curve", "simulate", "sensitivity",
+                                         "calibrate"])
+    @pytest.mark.parametrize("data, message", [
+        # simulate once acquired 1e300 repetitions without end
+        ({"plan": {"repetitions": 10 ** 300}}, "more than 1e+08 samples: 10 field(s) "
+         f"x 2 kinds x repetitions={10 ** 300} x n_points=200"),
+        # model-curve once wrote a NaN cavity slope in every row, with exit 0
+        ({"model": {"alpha": 1e-300, "h_v": 1e-300}}, "alpha=1e-300 and h_v=1e-300"),
+    ], ids=["plan-past-the-size-limit", "zero-crossover-depression"])
+    def test_config_beyond_the_model_or_memory_exits_config(self, tmp_path, capsys,
+                                                            command, data, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and message in err
         assert not out.exists()
 
     def test_grid_at_the_cryostat_floor_fails_every_fit(self, tmp_path, capsys):

@@ -20,9 +20,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cavityshift.cli import main
+from cavityshift.config import run_config_from_dict
+from cavityshift.errors import InputError
+from cavityshift.protocol import MAX_PLAN_SAMPLES
 
 #: The exit codes the README documents for a command that ran.
 DOCUMENTED_EXIT_CODES = {0, 2, 4, 5, 6}
@@ -48,13 +52,18 @@ JITTER_BELOW_ZERO = {
     "plan": {"n_points": 40}}
 
 #: Fields whose squares underflow to 0: the closed-form kappa once
-#: divided by the zero determinant of the film Tc regression.
-UNDERFLOWING_FIELDS = {"model": {"h_v": 1e-200},
+#: divided by the zero determinant of the film Tc regression (the large
+#: alpha keeps delta_v = alpha*h_v**2 at 1e-300, above 0).
+UNDERFLOWING_FIELDS = {"model": {"alpha": 1e100, "h_v": 1e-200},
                        "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
 
 #: delta_v = 1e-310 squares to 0: every model_contrast was once NaN, with
 #: a divide-by-zero warning.
 UNDERFLOWING_DELTA_V = {"model": {"alpha": 1e-300, "h_v": 1e-5}}
+
+#: delta_v = 1e-300 * 1e-300**2 underflows to 0: model-curve once wrote a
+#: NaN cavity slope in every row; the model now refuses it.
+ZERO_DELTA_V = {"model": {"alpha": 1e-300, "h_v": 1e-300}}
 
 #: Every number setting, by section (the field list's entries aside).
 SETTINGS = {
@@ -108,6 +117,7 @@ def run(argv: list[str]) -> int:
 @example(config=GRID_AT_THE_FLOOR)
 @example(config=OVERFLOWING_FIT)
 @example(config=JITTER_BELOW_ZERO)
+@example(config=ZERO_DELTA_V)
 def test_simulate_then_analyze_exit_documented(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -126,6 +136,7 @@ def test_simulate_then_analyze_exit_documented(config):
 @example(config=JITTER_BELOW_ZERO)
 @example(config=UNDERFLOWING_FIELDS)
 @example(config=UNDERFLOWING_DELTA_V)
+@example(config=ZERO_DELTA_V)
 def test_sensitivity_exit_documented(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -153,3 +164,21 @@ def test_wrong_typed_setting_exits_config(config, bad, data):
         out = Path(tmp) / "run"
         assert run(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(config=configs, n_fields=st.integers(1, 40),
+       repetitions=st.one_of(st.integers(1, 10), st.integers(1, 10 ** 12)),
+       n_points=st.one_of(st.integers(20, 10 ** 4),
+                          st.integers(MAX_PLAN_SAMPLES // 2 + 1, 10 ** 300)))
+def test_plan_size_rule(config, n_fields, repetitions, n_points):
+    # constructed only, never run: a plan within the limit holds at most
+    # 10^4 temperatures, and one past it must be refused before its grid
+    config["plan"].update(fields=[10.0 * (i + 1) for i in range(n_fields)],
+                          repetitions=repetitions, n_points=n_points)
+    if n_fields * 2 * repetitions * n_points <= MAX_PLAN_SAMPLES:
+        assert run_config_from_dict(config).plan.repetitions == repetitions
+        return
+    with pytest.raises(InputError, match=r"^invalid 'plan' section: the plan asks for "
+                                         r"more than 1e\+08 samples: "):
+        run_config_from_dict(config)

@@ -27,6 +27,22 @@ field_inputs = st.one_of(fields, field_arrays)
 
 
 @settings(deadline=None)
+@given(alpha=st.floats(math.log(1e-320), math.log(1e-2)).map(math.exp),
+       h_v=st.floats(math.log(1e-200), math.log(1e3)).map(math.exp))
+# delta_v = 0: the vacuum term was 0/0, so every cavity slope and every
+# slope contrast was NaN
+@example(alpha=1e-300, h_v=1e-300)
+@example(alpha=1e-300, h_v=1e-5)  # delta_v = 1e-310, subnormal: valid
+def test_model_holds_a_positive_crossover_depression(alpha, h_v):
+    if alpha * h_v * h_v > 0.0:
+        assert ModelParams(alpha=alpha, h_v=h_v).delta_v > 0.0
+    else:
+        with pytest.raises(InputError, match=r"alpha\*h_v\*\*2 must be > 0, got "
+                                             r"alpha=.+ and h_v=.+$"):
+            ModelParams(alpha=alpha, h_v=h_v)
+
+
+@settings(deadline=None)
 @given(params=model_params, h=field_inputs)
 @example(params=ModelParams(delta_inf=1e-300), h=100.0)  # unclamped root rounds above A
 def test_root_lies_between_zero_and_film(params, h):

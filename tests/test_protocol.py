@@ -98,10 +98,27 @@ class TestPlan:
 
     @pytest.mark.parametrize("n_points", [2 ** 62, 2 ** 63, 10 ** 300])
     def test_grid_beyond_an_array_raises(self, n_points):
-        # np.linspace refuses each before allocating; 2**63 once escaped as
-        # IndexError and the others named no key
-        with pytest.raises(InputError, match=f"n_points={n_points} is more temperatures"):
+        # the plan-size rule refuses each before np.linspace is asked; 2**63
+        # once escaped as IndexError and the others named no key
+        with pytest.raises(InputError, match=f"n_points={n_points}$"):
             SweepPlan(fields=(10.0,), t_center_guess=1.5, t_span=0.4, n_points=n_points)
+
+    def test_plan_size_is_bounded(self):
+        # 1000 fields x 2 kinds x 2500 repetitions x 20 points is the limit
+        # of 1e8 samples, and one more of any setting is past it; each plan
+        # is only constructed, which builds its 20-point grid and no curve.
+        # repetitions = 1e300 once acquired curves without end, and
+        # n_points = 1e10 asked np.linspace for 80 GB
+        limit = SweepPlan(fields=np.arange(1.0, 1001.0), t_center_guess=1.5,
+                          t_span=0.4, n_points=20, repetitions=2500)
+        assert (len(limit.fields) * 2 * limit.repetitions * limit.n_points
+                == protocol.MAX_PLAN_SAMPLES)
+        for past in ({"fields": (*limit.fields, 1001.0)}, {"repetitions": 2501},
+                     {"n_points": 21}, {"repetitions": 10 ** 300}, {"n_points": 10 ** 10}):
+            with pytest.raises(InputError, match=r"more than 1e\+08 samples: "
+                               r"\d+ field\(s\) x 2 kinds x repetitions=\d+ "
+                               r"x n_points=\d+$"):
+                replace(limit, **past)
 
     def test_field_list_rule_is_shared(self, params, quiet):
         for make in (lambda fields: SweepPlan(fields=fields, t_center_guess=1.5,
