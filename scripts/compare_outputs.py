@@ -15,6 +15,10 @@ that differs or a command that exits 1:
   delta_v = alpha*h_v**2 underflows to 0, which exits 2 naming both; it
   once wrote a NaN cavity slope in every row without a warning, so the
   warning flag alone did not catch it
+- ``model-curve`` at alpha = 1e-300 and h_v = 3e-12 G, whose
+  delta_v = 1e-323 is above 0 but so small that the cavity slope was
+  once 0/0 in every row, again without a warning; every row now holds
+  its limit 0
 - ``simulate``, then ``analyze`` of its run
 - ``simulate`` without noise (zero resistance noise and jitter in the
   config file), then ``analyze``
@@ -89,6 +93,7 @@ CONFIGS = {
     "underflow": {"model": {"alpha": 1e-300, "h_v": 1e-5}},
     "boolean": {"instrument": {"temperature_jitter": True}},
     "zerodeltav": {"model": {"alpha": 1e-300, "h_v": 1e-300}},
+    "subnormaldeltav": {"model": {"alpha": 1e-300, "h_v": 3e-12}},
 }
 
 
@@ -99,11 +104,13 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
     simulate = {f"simulate-{name}": [["simulate", "--config", f"../../{name}.json",
                                       *common], analyze]
                 for name in CONFIGS
-                if name not in ("underflow", "boolean", "zerodeltav")}
+                if name not in ("underflow", "boolean", "zerodeltav", "subnormaldeltav")}
     return {
         "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
         "model-curve-zerodeltav": [["model-curve", "--config", "../../zerodeltav.json",
                                     "--out", "out"]],
+        "model-curve-subnormaldeltav": [["model-curve", "--config",
+                                         "../../subnormaldeltav.json", "--out", "out"]],
         "simulate": [["simulate", *common], analyze],
         **simulate,
         "simulate-boolean": [["simulate", "--config", "../../boolean.json", *common]],

@@ -153,33 +153,32 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
     """d(delta)/dH at field h, in mK per gauss.
 
     Film: exactly 2*alpha*H.  Cavity: implicit differentiation of the
-    solved balance, 2*alpha*H / (1 + delta_inf*delta_v/(delta + delta_v)**2).
+    solved balance, 2*alpha*H / (1 + s/g) (see :func:`_vacuum_share`).
     """
     h = _nonneg(h, "field")
     check_kind(kind)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         slope = 2.0 * params.alpha * h
         if kind == "cavity":
-            slope = slope / (1.0 + _vacuum_term(params, h))
+            g, s = _vacuum_share(params, h)
+            slope = slope / (1.0 + s / g)
     return _like_input(slope)
 
 
-def _vacuum_term(params: ModelParams, h):
-    # q = delta_inf*delta_v/(delta_c + delta_v)**2; cavity slope = film slope / (1 + q).
-    # A numpy value, so that a square underflowing to 0 gives inf under the
-    # caller's errstate where a Python float would raise ZeroDivisionError
-    g = np.asarray(cavity_delta(params, h)) + params.delta_v
-    return params.delta_inf * params.delta_v / (g * g)
+def _vacuum_share(params: ModelParams, h):
+    # g = delta_c + delta_v > 0 and s = delta_inf*delta_v/g, so that
+    # s/g = delta_inf*delta_v/(delta_c + delta_v)**2 and no form here is 0/0
+    g = cavity_delta(params, h) + params.delta_v
+    return g, params.delta_inf * (params.delta_v / g)
 
 
 def slope_contrast(params: ModelParams, h):
-    """(film' - cavity') / film' = q / (1 + q) at field h; at H = 0, where
-    both slopes vanish, its limit delta_inf / (delta_v + delta_inf)."""
+    """(film' - cavity') / film' = s / (g + s) at field h; at H = 0, where
+    both slopes vanish, their limit delta_inf / (delta_v + delta_inf)."""
     h = _nonneg(h, "field")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = _vacuum_term(params, h)
-        # an infinite q (delta_c + delta_v squares to 0) has the limit 1
-        return _like_input(np.where(np.isinf(q), 1.0, q / (1.0 + q)))
+    with np.errstate(over="ignore"):
+        g, s = _vacuum_share(params, h)
+        return _like_input(s / (g + s))
 
 
 def critical_field(params: ModelParams, delta: float, kind: str = "film") -> float:

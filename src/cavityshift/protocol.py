@@ -160,7 +160,9 @@ class _PlanTable(NamedTuple):
     flags: dict[str, tuple[tuple[str, ...], ...]]  # curve flags per plan field, by kind
 
 
-@functools.lru_cache(maxsize=64)
+# a command reads one table and a signal/null study alternates two; at the
+# plan size limit one table holds up to 0.8 GB of profiles, so keep two
+@functools.lru_cache(maxsize=2)
 def plan_table(params: model.ModelParams, plan: SweepPlan, base_temperature: float,
                transition_width: float, normal_resistance: float) -> _PlanTable:
     """The setpoints, true transitions, noiseless profiles and flags of a

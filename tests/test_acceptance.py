@@ -128,12 +128,16 @@ def test_criterion_4_noiseless_end_to_end(params, tmp_path):
     out = tmp_path / "quiet"
     config = tmp_path / "zero_noise.json"
     config.write_text(json.dumps(
-        {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}}))
+        {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}}),
+        encoding="utf-8")
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert main(["analyze", str(out / "run.json")]) == 0
-    film = np.loadtxt(out / "delta_curve_film.csv", delimiter=",", skiprows=1)
-    cavity = np.loadtxt(out / "delta_curve_cavity.csv", delimiter=",", skiprows=1)
-    diff = np.loadtxt(out / "difference.csv", delimiter=",", skiprows=1)
+    film = np.loadtxt(out / "delta_curve_film.csv", delimiter=",", skiprows=1,
+                      encoding="utf-8")
+    cavity = np.loadtxt(out / "delta_curve_cavity.csv", delimiter=",", skiprows=1,
+                        encoding="utf-8")
+    diff = np.loadtxt(out / "difference.csv", delimiter=",", skiprows=1,
+                      encoding="utf-8")
     film_err = max(abs(row[1] - film_delta(params, row[0])) for row in film)
     cavity_err = max(abs(row[1] - cavity_delta(params, row[0])) for row in cavity)
     diff_err = max(abs(row[1] - delta_difference(params, row[0])) for row in diff)

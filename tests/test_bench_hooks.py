@@ -70,7 +70,7 @@ def _small_plan_config(tmp_path, **plan) -> Path:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "plan": {"fields": [50.0, 100.0, 150.0, 200.0, 250.0], "n_points": 40, **plan},
-        "seed": 1}))
+        "seed": 1}), encoding="utf-8")
     return config
 
 
@@ -101,7 +101,7 @@ def test_traced_simulate_and_analyze_measure_the_file_layers(monkeypatch, tmp_pa
     metrics, extra = _traced_metrics(monkeypatch, capsys, [
         ["simulate", "--config", str(config), "--out", str(run)],
         ["analyze", str(run / "run.json")]])
-    curves = len(json.loads((run / "run.json").read_text())["curves"])
+    curves = len(json.loads((run / "run.json").read_text(encoding="utf-8"))["curves"])
     assert curves == 20
     assert metrics["analysis.fit_transition.calls"][0] == curves
     for name in ("protocol.write_run.ms_per_curve", "protocol.read_run.ms_per_curve"):

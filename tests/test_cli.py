@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from cavityshift.fileio import write_json
 
 def read_model_curves(path):
     rows = {}
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         header = None
         for line in handle:
             line = line.strip()
@@ -64,7 +65,7 @@ def load_strict_json(path):
     """``path`` parsed as strict JSON: a ``NaN`` or ``Infinity`` token raises."""
     def reject(token):
         raise ValueError(f"{path} holds the non-standard JSON token {token}")
-    return json.loads(Path(path).read_text(), parse_constant=reject)
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
@@ -81,7 +82,8 @@ def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
     assert load_strict_json(path) == want
     # finite floats keep their repr, so the bytes are those of the payload
     # with its non-finite numbers spelled null
-    assert path.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert (path.read_text(encoding="utf-8")
+            == json.dumps(want, indent=2, sort_keys=True) + "\n")
 
 
 def simulate_zero_noise(tmp_path, out):
@@ -89,7 +91,8 @@ def simulate_zero_noise(tmp_path, out):
     without resistance noise or temperature jitter; its exit code."""
     config = tmp_path / "zero_noise.json"
     config.write_text(json.dumps(
-        {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}}))
+        {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}}),
+        encoding="utf-8")
     return main(["simulate", "--config", str(config), "--out", str(out)])
 
 
@@ -164,7 +167,7 @@ class TestConfigSchema:
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InputError):
             load_run_config(path)
         # a byte that is not UTF-8 once escaped as UnicodeDecodeError
@@ -239,10 +242,11 @@ class TestSimulateAnalyze:
         assert main(["analyze", str(out / "run.json")]) == 0
         captured = capsys.readouterr().out
         assert "Delta =" in captured
-        with open(out / "analysis.json") as handle:
+        with open(out / "analysis.json", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["fit_failures"] == 0
-        diff = np.loadtxt(out / "difference.csv", delimiter=",", skiprows=1)
+        diff = np.loadtxt(out / "difference.csv", delimiter=",", skiprows=1,
+                          encoding="utf-8")
         from cavityshift import ModelParams, cavity_delta, film_delta
         params = ModelParams()
         expected = np.array([film_delta(params, f) - cavity_delta(params, f)
@@ -256,7 +260,8 @@ class TestSimulateAnalyze:
         block = load_strict_json(out / "analysis.json")["convergence"]
         assert set(block) == {"fields_gauss", "relative_derivative_difference", "window"}
         film, cavity = (np.loadtxt(out / f"derivative_{kind}.csv", delimiter=",",
-                                   skiprows=1) for kind in ("film", "cavity"))
+                                   skiprows=1, encoding="utf-8")
+                        for kind in ("film", "cavity"))
         assert np.array(block["fields_gauss"]).tobytes() == film[:, 0].tobytes()
         assert (np.array(block["relative_derivative_difference"]).tobytes()
                 == relative_slope_difference(film[:, 1], cavity[:, 1]).tobytes())
@@ -271,15 +276,16 @@ class TestSimulateAnalyze:
     def test_fit_entries_carry_curve_flags(self, tmp_path):
         # a floor above the start of the default grid clamps its first points
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"instrument": {"base_temperature": 1.32}}))
+        config.write_text(json.dumps({"instrument": {"base_temperature": 1.32}}),
+                          encoding="utf-8")
         out = tmp_path / "clamped"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["analyze", str(out / "run.json")]) == 0
-        payload = json.loads((out / "analysis.json").read_text())
-        manifest = json.loads((out / "run.json").read_text())
+        payload = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
         assert len(payload["fits"]) == len(manifest["curves"]) == 20
         for fit, entry in zip(payload["fits"], manifest["curves"]):
-            lines = (out / entry["file"]).read_text().splitlines()
+            lines = (out / entry["file"]).read_text(encoding="utf-8").splitlines()
             header = next(line for line in lines if line.startswith("# flags="))
             assert ";".join(fit["flags"]) == header.removeprefix("# flags=")
             assert fit["flags"][0] == "clamped:0"
@@ -290,19 +296,19 @@ class TestSimulateAnalyze:
         # at Tc = 0.31 K the cryostat floor clamps most setpoints of every
         # sweep, so no curve spans both plateaus and every fit fails
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": {"t_c": 0.31}}))
+        config.write_text(json.dumps({"model": {"t_c": 0.31}}), encoding="utf-8")
         out = tmp_path / "floor"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["analyze", str(out / "run.json")]) == 5
         assert "20/20 fits failed" in capsys.readouterr().err
-        payload = json.loads((out / "analysis.json").read_text())
-        manifest = json.loads((out / "run.json").read_text())
+        payload = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
         assert payload["fits"] == []
         assert len(payload["failed_fits"]) == len(manifest["curves"]) == 20
         for failure, entry in zip(payload["failed_fits"], manifest["curves"]):
             assert (failure["field_gauss"], failure["kind"], failure["repetition"]) == (
                 entry["field_gauss"], entry["kind"], entry["repetition"])
-            lines = (out / entry["file"]).read_text().splitlines()
+            lines = (out / entry["file"]).read_text(encoding="utf-8").splitlines()
             header = next(line for line in lines if line.startswith("# flags="))
             assert ";".join(failure["flags"]) == header.removeprefix("# flags=")
             assert failure["flags"][0] == "clamped:0"
@@ -329,7 +335,8 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
         manifest = out / "run.json"
-        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps(edit(data)), encoding="utf-8")
         capsys.readouterr()
         assert main(["analyze", str(manifest)]) == 4
         assert message in capsys.readouterr().err
@@ -346,9 +353,9 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
         manifest = out / "run.json"
-        data = json.loads(manifest.read_text())
+        data = json.loads(manifest.read_text(encoding="utf-8"))
         data["curves"] = [edit(entry, i) for i, entry in enumerate(data["curves"])]
-        manifest.write_text(json.dumps(data))
+        manifest.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
         assert main(["analyze", str(manifest)]) == 4
         assert message in capsys.readouterr().err
@@ -358,21 +365,21 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
         manifest = out / "run.json"
-        data = json.loads(manifest.read_text())
+        data = json.loads(manifest.read_text(encoding="utf-8"))
         for entry in data["curves"]:
             if entry["field_gauss"] in (50.0, 250.0):
                 entry["field_gauss"] = int(entry["field_gauss"])
-        manifest.write_text(json.dumps(data))
-        assert '"field_gauss": 50,' in manifest.read_text()
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        assert '"field_gauss": 50,' in manifest.read_text(encoding="utf-8")
         assert main(["analyze", str(manifest)]) == 0
 
     def test_non_finite_row_exits_io(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--out", str(out), "--seed", "3"]) == 0
         path = out / "curve_000_film_rep0.csv"
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         lines[-1] = "nan," + lines[-1].split(",")[1]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["analyze", str(out / "run.json")]) == 4
         assert f"line {len(lines)}" in capsys.readouterr().err
 
@@ -382,8 +389,8 @@ class TestSimulateAnalyze:
         assert simulate_zero_noise(tmp_path, out) == 0
         path = out / "curve_001_cavity_rep0.csv"
         lines = [f"# {key}=x" if line.startswith(f"# {key}=") else line
-                 for line in path.read_text().splitlines()]
-        path.write_text("\n".join(lines) + "\n")
+                 for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["analyze", str(out / "run.json")]) == 4
         err = capsys.readouterr().err
@@ -395,14 +402,14 @@ class TestSimulateAnalyze:
         # -50.0 was analysed as a real field
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
-        manifest = json.loads((out / "run.json").read_text())
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
         for entry in manifest["curves"][2:4]:
             path = out / entry["file"]
             entry["field_gauss"] = value
             lines = [f"# field_gauss={value!r}" if line.startswith("# field_gauss=")
-                     else line for line in path.read_text().splitlines()]
-            path.write_text("\n".join(lines) + "\n")
-        (out / "run.json").write_text(json.dumps(manifest))
+                     else line for line in path.read_text(encoding="utf-8").splitlines()]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (out / "run.json").write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         assert main(["analyze", str(out / "run.json")]) == 4
         err = capsys.readouterr().err
@@ -428,13 +435,13 @@ class TestSimulateAnalyze:
         # and the flag map dropped one of the two
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
-        manifest = json.loads((out / "run.json").read_text())
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
         entry = dict(manifest["curves"][0])
         if copy:
             (out / "copy.csv").write_bytes((out / entry["file"]).read_bytes())
             entry["file"] = "copy.csv"
         manifest["curves"].append(entry)
-        (out / "run.json").write_text(json.dumps(manifest))
+        (out / "run.json").write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         assert main(["analyze", str(out / "run.json")]) == 4
         err = capsys.readouterr().err
@@ -487,13 +494,13 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
         path = out / "curve_000_film_rep0.csv"
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         start = lines.index("temperature_K,resistance_ohm") + 1
         lines[start + 1] = (lines[start].split(",")[0] + ","
                             + lines[start + 1].split(",")[1])
         lines = [f"# flags={flags}" if line.startswith("# flags=") else line
                  for line in lines]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["analyze", str(out / "run.json")]) == code
         if code:
@@ -502,7 +509,7 @@ class TestSimulateAnalyze:
 
     def test_output_directory_that_is_a_file_exits_io(self, tmp_path, capsys):
         out = tmp_path / "run"
-        out.write_text("")
+        out.write_text("", encoding="utf-8")
         assert main(["simulate", "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("I/O error")
 
@@ -514,11 +521,11 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert main(["simulate", "--out", str(out)]) == 0
         path = out / "curve_000_film_rep0.csv"
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         start = lines.index("temperature_K,resistance_ohm") + 1
         rows = (line.split(",") for line in lines[start:])
         lines[start:] = [f"{t},{float(r) * 1e160!r}" for t, r in rows]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["analyze", str(out / "run.json")]) == 0
         payload = load_strict_json(out / "analysis.json")
         for failure in payload["failed_fits"]:
@@ -531,20 +538,21 @@ class TestSimulateAnalyze:
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
         path = out / "curve_003_cavity_rep0.csv"
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         start = lines.index("temperature_K,resistance_ohm") + 1
         temps = [float(line.split(",")[0]) for line in lines[start:]]
         steps = resistive_transition(np.array(temps), temps[100] + 1e-4, 1.0, 10.0)
         lines[start:] = [f"{t!r},{float(r)!r}" for t, r in zip(temps, steps)]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["analyze", str(out / "run.json")]) == 5
         assert "analysis.json" in capsys.readouterr().err
-        payload = json.loads((out / "analysis.json").read_text())
+        payload = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
         assert payload["fit_failures"] == 1
         assert payload["n_curves"] == 20
         assert len(payload["fits"]) == 19
         (failure,) = payload["failed_fits"]
-        field = json.loads((out / "run.json").read_text())["curves"][7]["field_gauss"]
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        field = manifest["curves"][7]["field_gauss"]
         assert failure["field_gauss"] == field
         assert (failure["kind"], failure["repetition"]) == ("cavity", 0)
         assert "below the temperature step" in failure["reason"]
@@ -558,9 +566,9 @@ class TestSimulateAnalyze:
     def test_film_only_dataset_still_analyzed(self, tmp_path, capsys):
         out = tmp_path / "filmonly"
         assert simulate_zero_noise(tmp_path, out) == 0
-        manifest = json.loads((out / "run.json").read_text())
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
         manifest["curves"] = [c for c in manifest["curves"] if c["kind"] == "film"]
-        (out / "run.json").write_text(json.dumps(manifest))
+        (out / "run.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["analyze", str(out / "run.json")]) == 0
         captured = capsys.readouterr().out
         assert "difference step skipped" in captured
@@ -571,14 +579,15 @@ class TestSimulateAnalyze:
         # all four fits succeed; the warning once read "no film curves"
         # and analysis.json held no note
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {"fields": [50.0, 100.0]}}))
+        config.write_text(json.dumps({"plan": {"fields": [50.0, 100.0]}}),
+                          encoding="utf-8")
         out = tmp_path / "two"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["analyze", str(out / "run.json")]) == 0
         captured = capsys.readouterr().out
         assert ("warning: film fits cover 2 distinct field(s); a delta curve needs 3; "
                 "difference step skipped") in captured
-        payload = json.loads((out / "analysis.json").read_text())
+        payload = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
         assert len(payload["fits"]) == 4
         assert payload["notes"] == [
             "film fits cover 2 distinct field(s); a delta curve needs 3"]
@@ -588,13 +597,13 @@ class TestSimulateAnalyze:
         # all six fits succeed; analyze once exited 2 on the rank-deficient
         # Tc regression and wrote no analysis.json
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(UNDERFLOWING_FIELDS))
+        config.write_text(json.dumps(UNDERFLOWING_FIELDS), encoding="utf-8")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["analyze", str(out / "run.json")]) == 0
         assert ("warning: film Tc regression is rank deficient (degenerate field "
                 "grid); difference step skipped") in capsys.readouterr().out
-        payload = json.loads((out / "analysis.json").read_text())
+        payload = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
         assert len(payload["fits"]) == 6
         assert payload["notes"] == [
             "film Tc regression is rank deficient (degenerate field grid)"]
@@ -603,10 +612,10 @@ class TestSimulateAnalyze:
     def test_unpaired_fields_skip_difference(self, tmp_path, capsys):
         out = tmp_path / "unpaired"
         assert simulate_zero_noise(tmp_path, out) == 0
-        manifest = json.loads((out / "run.json").read_text())
+        manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
         first_cavity = next(c for c in manifest["curves"] if c["kind"] == "cavity")
         manifest["curves"].remove(first_cavity)
-        (out / "run.json").write_text(json.dumps(manifest))
+        (out / "run.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["analyze", str(out / "run.json")]) == 0
         assert "cover different fields" in capsys.readouterr().out
         assert (out / "delta_curve_cavity.csv").exists()
@@ -614,7 +623,8 @@ class TestSimulateAnalyze:
 
     def test_custom_fields_list(self, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {"fields": [60.0, 120.0, 180.0]}}))
+        config.write_text(json.dumps({"plan": {"fields": [60.0, 120.0, 180.0]}}),
+                          encoding="utf-8")
         out = tmp_path / "fields"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert len(list(out.glob("curve_*.csv"))) == 6
@@ -625,7 +635,7 @@ class TestSimulateAnalyze:
         # JSON's Infinity once gave curves of inf/NaN resistances (exit 0)
         # or a numpy warning and a message about temperatures
         config = tmp_path / "config.json"
-        config.write_text(f'{{"instrument": {{"{key}": Infinity}}}}')
+        config.write_text(f'{{"instrument": {{"{key}": Infinity}}}}', encoding="utf-8")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -650,7 +660,7 @@ class TestSimulateAnalyze:
         # the first five once ran (true as 1), the 400-digit integers escaped
         # as OverflowError, and the last three exited 2 naming no key
         config = tmp_path / "config.json"
-        config.write_text(text)
+        config.write_text(text, encoding="utf-8")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -659,7 +669,7 @@ class TestSimulateAnalyze:
 
     def test_section_not_an_object_exits_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text('{"plan": [1, 2]}')
+        config.write_text('{"plan": [1, 2]}', encoding="utf-8")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         assert ("input error: 'plan' section must be a JSON object, got list"
@@ -678,7 +688,7 @@ class TestSimulateAnalyze:
         # instrument.seed was once accepted and then replaced by the
         # default seed 1
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"instrument": {"seed": 5}}))
+        config.write_text(json.dumps({"instrument": {"seed": 5}}), encoding="utf-8")
         from_file, from_flag = tmp_path / "file", tmp_path / "flag"
         assert main(["simulate", "--config", str(config), "--out", str(from_file)]) == 0
         assert main(["simulate", "--seed", "5", "--out", str(from_flag)]) == 0
@@ -689,7 +699,8 @@ class TestSimulateAnalyze:
 
     def test_conflicting_seeds_exit_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 3, "instrument": {"seed": 5}}))
+        config.write_text(json.dumps({"seed": 3, "instrument": {"seed": 5}}),
+                          encoding="utf-8")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -702,7 +713,7 @@ class TestSimulateAnalyze:
         # instrument.seed once took these and then dropped them
         data = {"seed": value} if spelling == "top-level" else {"instrument": {"seed": value}}
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(data))
+        config.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -718,7 +729,7 @@ class TestSimulateAnalyze:
         # a float size once escaped np.linspace or range as TypeError (exit
         # 1), and true was read as one repetition
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {key: value}}))
+        config.write_text(json.dumps({"plan": {key: value}}), encoding="utf-8")
         out = tmp_path / "run"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -734,7 +745,7 @@ class TestSimulateAnalyze:
         # such a plan once failed in the first curve (simulate, sensitivity),
         # in the first fit (calibrate) or not at all (model-curve)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(section))
+        config.write_text(json.dumps(section), encoding="utf-8")
         out = tmp_path / "run"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -753,7 +764,7 @@ class TestSimulateAnalyze:
     def test_config_beyond_the_model_or_memory_exits_config(self, tmp_path, capsys,
                                                             command, data, message):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(data))
+        config.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "run"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -763,12 +774,13 @@ class TestSimulateAnalyze:
     def test_grid_at_the_cryostat_floor_fails_every_fit(self, tmp_path, capsys):
         # every setpoint clamps to 0.3 K; analyze once ended in ZeroDivisionError
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {"t_center_guess": 0.1, "t_span": 0.1}}))
+        config.write_text(json.dumps({"plan": {"t_center_guess": 0.1, "t_span": 0.1}}),
+                          encoding="utf-8")
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["analyze", str(out / "run.json")]) == 5
         assert "20/20 fits failed" in capsys.readouterr().err
-        payload = json.loads((out / "analysis.json").read_text())
+        payload = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
         assert {f["reason"] for f in payload["failed_fits"]} == {
             "every temperature is 0.3 K; the curve has no transition to fit"}
         # rejected before fitting: there is no last LM point
@@ -778,7 +790,8 @@ class TestSimulateAnalyze:
     def test_study_at_the_cryostat_floor_exits_config(self, tmp_path, capsys, command):
         # sensitivity once ended in ZeroDivisionError in its first trial
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {"t_center_guess": 0.1, "t_span": 0.1}}))
+        config.write_text(json.dumps({"plan": {"t_center_guess": 0.1, "t_span": 0.1}}),
+                          encoding="utf-8")
         out = tmp_path / "study"
         assert main([command, "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
@@ -791,7 +804,7 @@ class TestSimulateAnalyze:
         # the closed-form kappa once divided by the zero determinant of the
         # film Tc regression: ZeroDivisionError, exit 1
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(UNDERFLOWING_FIELDS))
+        config.write_text(json.dumps(UNDERFLOWING_FIELDS), encoding="utf-8")
         out = tmp_path / "study"
         assert main([command, "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
@@ -802,7 +815,7 @@ class TestSimulateAnalyze:
         # a 12 mK sweep passes the study checks, then no curve reaches both
         # plateaus; the exit once said only "nothing to report"
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {"t_span": 0.012}}))
+        config.write_text(json.dumps({"plan": {"t_span": 0.012}}), encoding="utf-8")
         out = tmp_path / "study"
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
@@ -826,7 +839,7 @@ class TestLocale:
         if ascii_locale:
             env.update(cls.ASCII_LOCALE)
         return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True)
+                              capture_output=True, encoding="utf-8")
 
     def cli(self, cwd, argv, ascii_locale):
         return self.python(cwd, ["-m", "cavityshift.cli", *argv], ascii_locale)
@@ -863,7 +876,7 @@ class TestSensitivityCommand:
     def test_small_study_writes_report(self, tmp_path):
         out = tmp_path / "sens"
         assert main(["sensitivity", "--out", str(out), "--trials", "100"]) == 0
-        with open(out / "sensitivity.json") as handle:
+        with open(out / "sensitivity.json", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["trials"] == 100
         assert payload["valid"] is True
@@ -875,10 +888,25 @@ class TestSensitivityCommand:
         # every curve of every trial: 2 kinds x 10 fields x 100 trials
         assert sum(payload["lm_steps_histogram"]) == 2000
         assert payload["failed_fits_by_reason"] == {}
-        contrast = np.loadtxt(out / "contrast.csv", delimiter=",", skiprows=1)
+        contrast = np.loadtxt(out / "contrast.csv", delimiter=",", skiprows=1,
+                              encoding="utf-8")
         assert contrast.shape == (10, 4)
         assert contrast[0, 0] == 50.0
         assert contrast[0, 3] == pytest.approx(0.639, abs=0.01)
+
+    def test_subnormal_crossover_depression_contrast_is_its_limit(self, tmp_path):
+        # delta_v = 1e-323: delta_inf*delta_v and (delta_c + delta_v)**2 both
+        # underflowed to 0, and every model_contrast was NaN without a warning
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"alpha": 1e-300, "h_v": 3e-12}}),
+                          encoding="utf-8")
+        out = tmp_path / "sens"
+        assert main(["sensitivity", "--config", str(config), "--out", str(out),
+                     "--trials", "100"]) == 0
+        with open(out / "contrast.csv", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 10
+        assert all(float(row["model_contrast"]) == 1.0 for row in rows)
 
     def test_byte_identical_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -897,7 +925,8 @@ class TestSensitivityCommand:
         # failed its fits", or up to trial 0's significance step
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
-            {"plan": {"fields": [float(f) for f in fields.split(",") if f]}}))
+            {"plan": {"fields": [float(f) for f in fields.split(",") if f]}}),
+            encoding="utf-8")
         out = tmp_path / "sens"
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
@@ -917,7 +946,8 @@ class TestSensitivityCommand:
 
         monkeypatch.setattr(sensitivity, "run_paired_experiment", counted)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {"t_center_guess": 0.35, "t_span": 0.2}}))
+        config.write_text(json.dumps({"plan": {"t_center_guess": 0.35, "t_span": 0.2}}),
+                          encoding="utf-8")
         out = tmp_path / "sens"
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
@@ -935,7 +965,7 @@ class TestSensitivityCommand:
             "instrument": {"base_temperature": 1.201989465374509,
                            "transition_width": 0.05875546465102714,
                            "temperature_jitter": 9.138519989788767},
-            "plan": {"n_points": 39}, "seed": 3493288461}))
+            "plan": {"n_points": 39}, "seed": 3493288461}), encoding="utf-8")
         out = tmp_path / "sens"
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
@@ -950,13 +980,13 @@ class TestSensitivityCommand:
             "model": {"t_c": 0.2},
             "instrument": {"base_temperature": 0.01, "temperature_jitter": 40.0,
                            "transition_width": 20.0},
-            "plan": {"n_points": 40}}))
+            "plan": {"n_points": 40}}), encoding="utf-8")
         run, sens = tmp_path / "run", tmp_path / "sens"
         assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(sens)]) == 0
         assert "INVALID: too many failed trials" in capsys.readouterr().out
-        payload = json.loads((sens / "sensitivity.json").read_text())
+        payload = json.loads((sens / "sensitivity.json").read_text(encoding="utf-8"))
         assert payload["trials"] == 100
         assert 1 < payload["failed_trials"] < 100
         assert payload["valid"] is False
@@ -994,12 +1024,14 @@ class TestSensitivityCommand:
         sens, cal = tmp_path / "sens", tmp_path / "cal"
         assert main(["calibrate", "--trials", "200", "--seed", "3",
                      "--out", str(cal)]) == 0
-        sigma_r = json.loads((cal / "calibration.json").read_text())["sigma_r_ohm"]
+        sigma_r = json.loads((cal / "calibration.json").read_text(
+            encoding="utf-8"))["sigma_r_ohm"]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"instrument": {"resistance_noise": sigma_r}}))
+        config.write_text(json.dumps({"instrument": {"resistance_noise": sigma_r}}),
+                          encoding="utf-8")
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--seed", "3", "--out", str(sens)]) == 0
-        report = json.loads((sens / "sensitivity.json").read_text())
+        report = json.loads((sens / "sensitivity.json").read_text(encoding="utf-8"))
         assert report["config"]["instrument"]["resistance_noise"] == sigma_r
         assert report["delta_n_mK"] == pytest.approx(0.1, rel=0.1)
 
@@ -1013,7 +1045,7 @@ class TestSensitivityCommand:
     def test_report_carries_standard_errors_and_predicted_slope(self, tmp_path):
         out = tmp_path / "sens"
         assert main(["sensitivity", "--out", str(out), "--trials", "100"]) == 0
-        payload = json.loads((out / "sensitivity.json").read_text())
+        payload = json.loads((out / "sensitivity.json").read_text(encoding="utf-8"))
         assert 0 < payload["delta_n_se"] < 0.1 * payload["delta_n_mK"]
         assert 0 < payload["detection_z_se"] < 0.2
         kappa = payload["delta_n_per_ohm_predicted"]
@@ -1024,11 +1056,11 @@ class TestSensitivityCommand:
         config = asdict(default_run_config())
         config["model"]["delta_inf"] = 0.0
         path = tmp_path / "null.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "null_out"
         assert main(["sensitivity", "--config", str(path), "--out", str(out),
                      "--trials", "150"]) == 0
-        with open(out / "sensitivity.json") as handle:
+        with open(out / "sensitivity.json", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["detection_z_mean"] <= 2.0
 
@@ -1038,7 +1070,7 @@ class TestCalibrateCommand:
         out = tmp_path / "cal"
         assert main(["calibrate", "--out", str(out), "--trials", "100",
                      "--tolerance", "0.1"]) == 0
-        with open(out / "calibration.json") as handle:
+        with open(out / "calibration.json", encoding="utf-8") as handle:
             payload = json.load(handle)
         assert payload["sigma_r_ohm"] > 0
         assert payload["target_delta_n_mK"] == 0.1
@@ -1049,14 +1081,15 @@ class TestCalibrateCommand:
         config = default_run_config()
         out = tmp_path / "cal"
         assert main(["calibrate", "--out", str(out), "--trials", "100"]) == 0
-        payload = json.loads((out / "calibration.json").read_text())
+        payload = json.loads((out / "calibration.json").read_text(encoding="utf-8"))
         assert payload["delta_n_per_ohm_predicted"] == delta_n_per_ohm(
             ModelParams(), config.instrument, config.plan)[0]
         assert payload["delta_n_floor_mK"] == 0.0
 
     def test_plan_with_two_fields_exits_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"plan": {"fields": [60.0, 70.0]}}))
+        config.write_text(json.dumps({"plan": {"fields": [60.0, 70.0]}}),
+                          encoding="utf-8")
         out = tmp_path / "cal"
         assert main(["calibrate", "--config", str(config), "--out", str(out)]) == 2
         assert ("film fits cover 2 distinct field(s); a delta curve needs 3"
@@ -1070,7 +1103,8 @@ class TestCalibrateCommand:
 
         monkeypatch.setattr(sensitivity, "run_paired_experiment", trial)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"instrument": {"temperature_jitter": 5.0}}))
+        config.write_text(json.dumps({"instrument": {"temperature_jitter": 5.0}}),
+                          encoding="utf-8")
         out = tmp_path / "cal"
         assert main(["calibrate", "--config", str(config), "--target", "0.01",
                      "--trials", "100", "--out", str(out)]) == 6

@@ -121,7 +121,7 @@ def run(argv: list[str]) -> int:
 def test_simulate_then_analyze_exit_documented(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         out = Path(tmp) / "run"
         code = run(["simulate", "--config", str(path), "--out", str(out)])
         assert code in DOCUMENTED_EXIT_CODES
@@ -140,7 +140,7 @@ def test_simulate_then_analyze_exit_documented(config):
 def test_sensitivity_exit_documented(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         assert run(["sensitivity", "--config", str(path), "--trials", "100",
                     "--out", str(Path(tmp) / "sens")]) in DOCUMENTED_EXIT_CODES
 
@@ -160,7 +160,7 @@ def test_wrong_typed_setting_exits_config(config, bad, data):
         config[section][key] = bad
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         out = Path(tmp) / "run"
         assert run(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()

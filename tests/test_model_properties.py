@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cavityshift import (InputError, ModelParams, cavity_delta, critical_field,
                          delta_derivative, film_delta)
@@ -84,6 +84,27 @@ def test_array_equals_elementwise_scalars(params, h):
         scalars = [form(params, x) for x in h.tolist()]
         assert all(type(x) is float for x in scalars)
         assert values.tolist() == scalars  # bit for bit
+
+
+@settings(deadline=None)
+@given(alpha=st.floats(math.log(1e-300), math.log(1e-2)).map(math.exp),
+       h_v=st.floats(math.log(1e-12), math.log(1e3)).map(math.exp),
+       delta_inf=st.one_of(st.just(0.0),
+                           st.floats(math.log(1e-320), math.log(10.0)).map(math.exp)),
+       h=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=20).map(np.array))
+# delta_v = 1e-323: delta_inf*delta_v and (delta_c + delta_v)**2 both
+# underflowed to 0, and with delta_inf = 0 the square of delta_v = 1e-310
+# did, so every cavity slope and contrast was 0/0 = NaN
+@example(alpha=1e-300, h_v=3e-12, delta_inf=0.2, h=np.array([0.0, 1.0, 250.0]))
+@example(alpha=1e-300, h_v=1e-5, delta_inf=0.0, h=np.array([0.0, 1.0, 250.0]))
+def test_tiny_models_keep_slopes_and_contrast_in_range(alpha, h_v, delta_inf, h):
+    assume(alpha * h_v * h_v > 0.0)
+    params = ModelParams(alpha=alpha, h_v=h_v, delta_inf=delta_inf)
+    film = delta_derivative(params, h, "film")
+    cavity = delta_derivative(params, h, "cavity")
+    contrast = slope_contrast(params, h)
+    assert np.all(np.isfinite(cavity)) and np.all((0.0 <= cavity) & (cavity <= film))
+    assert np.all((0.0 <= contrast) & (contrast <= 1.0))
 
 
 @settings(deadline=None)

@@ -299,15 +299,15 @@ class TestRunFileValidation:
 
     @staticmethod
     def replace_line(path, index, text):
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         lines[index] = text
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @pytest.mark.parametrize("row", ["nan,3.0", "1.5,inf", "1.5", "1.5,3.0,4.0",
                                      "1.5;3.0", "T,R"])
     def test_bad_row_rejected_with_its_line(self, run, row):
         manifest, path = run
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         index = len(lines) - 5
         self.replace_line(path, index, row)
         with pytest.raises(InputError, match=rf"{path.name}, line {index + 1}:"):
@@ -315,25 +315,25 @@ class TestRunFileValidation:
 
     def test_invalid_kind_rejected_with_its_file(self, run):
         manifest, path = run
-        index = path.read_text().splitlines().index("# kind=film")
+        index = path.read_text(encoding="utf-8").splitlines().index("# kind=film")
         self.replace_line(path, index, "# kind=foo")
         with pytest.raises(InputError, match=rf"{path.name}: kind must be 'film' or 'cavity'"):
             read_run(manifest)
 
     def test_swapped_rows_rejected_with_their_file(self, run):
         manifest, path = run
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         index = len(lines) - 5
         lines[index - 1], lines[index] = lines[index], lines[index - 1]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(InputError,
                            match=rf"{path.name}: temperatures must be finite and nondecreasing"):
             read_run(manifest)
 
     def test_missing_row_rejected(self, run):
         manifest, path = run
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         with pytest.raises(InputError, match="n_points is 199 in the file but 200"):
             read_run(manifest)
 
@@ -342,8 +342,8 @@ class TestRunFileValidation:
                                            ("# repetition=1", "repetition")])
     def test_header_disagreeing_with_manifest_rejected(self, run, line, key):
         manifest, path = run
-        index = next(i for i, text in enumerate(path.read_text().splitlines())
-                     if text.startswith(f"# {key}="))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, text in enumerate(lines) if text.startswith(f"# {key}="))
         self.replace_line(path, index, line)
         with pytest.raises(InputError, match=rf"{path.name}: {key} is .* in the manifest"):
             read_run(manifest)
@@ -352,7 +352,7 @@ class TestRunFileValidation:
     def test_field_outside_the_plan_domain_rejected_with_its_file(self, run, value):
         # an infinite field once failed only in the regression, naming no file
         manifest, path = run
-        index = path.read_text().splitlines().index("# field_gauss=50.0")
+        index = path.read_text(encoding="utf-8").splitlines().index("# field_gauss=50.0")
         self.replace_line(path, index, f"# field_gauss={value}")
         with pytest.raises(InputError, match=rf"{path.name}: header field_gauss='{value}' "
                                              rf"must be finite and nonnegative"):
@@ -443,7 +443,7 @@ class TestProfileCache:
                                             other.transition_width,
                                             other.normal_resistance)
             assert np.array_equal(curve.resistances, expected)
-        assert plan_table.cache_info().currsize == 3
+        assert plan_table.cache_info().misses == 3
 
     def test_profiles_read_only_and_readouts_fresh(self, params, noisy):
         plan = plan_sweep(params, noisy, [50.0, 150.0])

@@ -41,7 +41,7 @@ def oracle_read_curve_csv(path: str | Path) -> TransitionCurve:
     meta: dict[str, str] = {}
     temps: list[float] = []
     res: list[float] = []
-    with open(path, "r", newline="\n") as handle:
+    with open(path, "r", newline="\n", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line == CSV_COLUMNS:
@@ -93,7 +93,8 @@ def run_text():
     plan = replace(plan_sweep(params, cfg, [50.0, 200.0]), n_points=24)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = write_run(tmp, run_paired_experiment(params, cfg, plan), {"seed": 5})
-        return {path.name: path.read_text() for path in manifest.parent.iterdir()}
+        return {path.name: path.read_text(encoding="utf-8")
+                for path in manifest.parent.iterdir()}
 
 
 # -- curve-file mutations -----------------------------------------------------
@@ -195,7 +196,8 @@ def test_reader_agrees_with_line_loop_oracle(run_text, tmp_path, file_index, cha
                                              crlf, final_newline):
     name = sorted(n for n in run_text if n.endswith(".csv"))[file_index]
     path = tmp_path / name
-    path.write_text(mutate(run_text[name], changes, crlf, final_newline), newline="")
+    path.write_text(mutate(run_text[name], changes, crlf, final_newline), newline="",
+                    encoding="utf-8")
     expected = outcome(oracle_read_curve_csv, path)
     got = outcome(read_curve_csv, path)
     if isinstance(expected, str):
@@ -284,7 +286,7 @@ def test_only_input_or_os_errors_escape_read_run(run_text, manifest_changes, fil
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp)
         for name in names:
-            (run / name).write_text(run_text[name])
+            (run / name).write_text(run_text[name], encoding="utf-8")
         name = names[file_index]
         data = mutate(run_text[name], changes, crlf, True).encode()
         if undecodable is not None:
@@ -293,7 +295,8 @@ def test_only_input_or_os_errors_escape_read_run(run_text, manifest_changes, fil
         (run / name).write_bytes(data)
         text = json.dumps(manifest)
         (run / "run.json").write_text(text if manifest_cut is None
-                                      else text[:manifest_cut % len(text)])
+                                      else text[:manifest_cut % len(text)],
+                                      encoding="utf-8")
         try:
             curves, _ = read_run(run / "run.json")
         except OSError:
@@ -417,7 +420,7 @@ def test_simulated_run_files_match_row_wise_writer(tmp_path):
     assert all(curve.flags for curve in curves)
     write_run(tmp_path, curves, {})
     temperature_text = list(map(repr, curves[0].temperatures.tolist()))
-    for entry, curve in zip(json.loads((tmp_path / "run.json").read_text())["curves"],
-                            curves, strict=True):
+    manifest = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    for entry, curve in zip(manifest["curves"], curves, strict=True):
         text = (tmp_path / entry["file"]).read_bytes().decode()
         assert text == oracle_curve_text(curve, temperature_text)
