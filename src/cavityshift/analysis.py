@@ -166,17 +166,15 @@ def _row_factors(width: float, r_n: float) -> tuple[float, float, float]:
 
 def _normal_matrices(gram: list[list[float]], width: float, r_n: float
                      ) -> tuple[tuple[float, ...], tuple[float, float, float],
-                                tuple[float, ...] | None]:
+                                tuple[float, ...]]:
     """J^T J, J^T res and J^T J + S of the erf fit; the matrices as lower
     triangles row by row (see :func:`_damped_step`).
 
     ``gram`` is the Gram matrix of the unscaled rows g, u g, 1 + erf(u),
-    res and, for J^T J + S, u res and u^2 res, with g = exp(-u^2),
-    u = (t - t_star) k and k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J
-    and J^T res are the first four entries of its first three rows,
-    scaled by the row factors
-    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2); a 4-row
-    ``gram`` gives None for J^T J + S.
+    res, u res and u^2 res, with g = exp(-u^2), u = (t - t_star) k and
+    k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J and J^T res are the
+    first four entries of its first three rows, scaled by the row factors
+    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2).
     S = sum_i res_i Hess(f_i) is the second-order term Gauss-Newton
     leaves out; with b0 = sum g res, b1 = sum u g res, a3 = sum u^2 g res
     and a4 = sum u^3 g res its entries are
@@ -192,8 +190,6 @@ def _normal_matrices(gram: list[list[float]], width: float, r_n: float
            g0[2] * c0 * 0.5, g1[2] * c1 * 0.5, g2[2] * 0.25)
     b0, b1 = g0[3], g1[3]
     grad = (b0 * c0, b1 * c1, g2[3] * 0.5)
-    if len(g0) == 4:
-        return jtj, grad, None
     a3, a4 = g1[4], g1[5]
     # the S entries above, written with c0 and c1
     hess = (jtj[0] + 2.0 * c0 * k * b1,
@@ -231,22 +227,17 @@ def _evaluate(t: np.ndarray, r: np.ndarray, q: list[float], u: np.ndarray,
     return float(res.dot(res))
 
 
-def _normal_equations(q: list[float], u: np.ndarray, rows: tuple[np.ndarray, ...],
-                      hessian: bool):
-    """J^T J, J^T res and, when ``hessian``, J^T J + S at q, after
-    _evaluate(..., q, u, rows): fills rows 0 and 1 and takes the Gram
-    matrix of rows 0-3, or with ``hessian`` also fills rows 4 and 5 from
-    u and the residuals and takes the Gram matrix of all six."""
+def _normal_equations(q: list[float], u: np.ndarray, rows: tuple[np.ndarray, ...]):
+    """J^T J, J^T res and J^T J + S at q, after _evaluate(..., q, u, rows):
+    fills rows 0 and 1, and 4 and 5 from u and the residuals, and takes
+    the Gram matrix of all six."""
     gauss, ugauss, _, res, ures, u2res, stack = rows
     np.multiply(u, u, gauss)
     np.negative(gauss, gauss)
     np.exp(gauss, gauss)
     np.multiply(gauss, u, ugauss)
-    if hessian:
-        np.multiply(res, u, ures)
-        np.multiply(ures, u, u2res)
-    else:
-        stack = stack[:4]
+    np.multiply(res, u, ures)
+    np.multiply(ures, u, u2res)
     return _normal_matrices(stack.dot(stack.T).tolist(), q[1], q[2])
 
 
@@ -270,7 +261,7 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     q = [t_star, width, r_n]
     _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
               q, u, rows)
-    column = _damped_step(_normal_equations(q, u, rows, False)[0], (-1.0, 0.0, 0.0), 0.0)
+    column = _damped_step(_normal_equations(q, u, rows)[0], (-1.0, 0.0, 0.0), 0.0)
     if column is None:
         return math.inf, math.inf
     gauss, ugauss, shape = rows[:3]
@@ -332,8 +323,7 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     Each accepted point forms the Jacobian rows without their constant
     factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), the residuals, and
     the residuals times u and u^2, which S needs, and takes all their
-    products in one Gram matrix; the initial guess, whose step reads no
-    S, takes the Gram matrix of the first four rows only.
+    products in one Gram matrix.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -372,8 +362,7 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     u, rows = np.empty(n), _row_stack(n)
 
     cost = _evaluate(t, r, p, u, rows)
-    # the first step solves J^T J, so the initial guess forms no J^T J + S
-    jtj, grad, hess = _normal_equations(p, u, rows, False)
+    jtj, grad, hess = _normal_equations(p, u, rows)
     s0, s1, s2 = _xtol_scales(p)
     lam = 1e-3
     iterations = 0
@@ -407,7 +396,7 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
             # the Jacobian is formed only here, since a rejected
             # evaluation's Jacobian would be thrown away
             p, cost = p_new, cost_new
-            jtj, grad, hess = _normal_equations(p, u, rows, True)
+            jtj, grad, hess = _normal_equations(p, u, rows)
             lam = max(lam * 0.1, 1e-14)
             s0, s1, s2 = _xtol_scales(p)
             iterations += 1

@@ -67,9 +67,9 @@ class ModelParams:
                 raise InputError(f"{name} must be finite and > 0, got {value}")
         if not (0 <= self.delta_inf < math.inf):
             raise InputError(f"delta_inf must be finite and >= 0, got {self.delta_inf}")
-        if not self.delta_v > 0:  # underflows to 0: the vacuum term is 0/0
-            raise InputError(f"the crossover depression alpha*h_v**2 must be > 0, got "
-                             f"alpha={self.alpha!r} and h_v={self.h_v!r}")
+        if not (0 < self.delta_v < math.inf):  # the vacuum share would be 0/0 or inf/inf
+            raise InputError(f"the crossover depression alpha*h_v**2 must be finite and > 0, "
+                             f"got alpha={self.alpha!r} and h_v={self.h_v!r}")
 
     @property
     def delta_v(self) -> float:
@@ -123,7 +123,7 @@ def cavity_delta(params: ModelParams, h):
     """
     h = _nonneg(h, "field")
     # as with Python floats, an overflow gives inf and inf - inf gives NaN
-    # without a warning (a huge field, or alpha*h_v**2 beyond the range)
+    # without a warning (a field whose alpha*H**2 is beyond the range)
     with np.errstate(over="ignore", invalid="ignore"):
         a = params.alpha * h * h
         if params.delta_inf == 0.0:

@@ -760,7 +760,10 @@ class TestSimulateAnalyze:
          f"x 2 kinds x repetitions={10 ** 300} x n_points=200"),
         # model-curve once wrote a NaN cavity slope in every row, with exit 0
         ({"model": {"alpha": 1e-300, "h_v": 1e-300}}, "alpha=1e-300 and h_v=1e-300"),
-    ], ids=["plan-past-the-size-limit", "zero-crossover-depression"])
+        # once exited 2 naming t_center_guess, a setting the config did not set
+        ({"model": {"alpha": 1.0, "h_v": 1e200}}, "alpha=1.0 and h_v=1e+200"),
+    ], ids=["plan-past-the-size-limit", "zero-crossover-depression",
+            "infinite-crossover-depression"])
     def test_config_beyond_the_model_or_memory_exits_config(self, tmp_path, capsys,
                                                             command, data, message):
         config = tmp_path / "config.json"

@@ -33,12 +33,14 @@ field_inputs = st.one_of(fields, field_arrays)
 # slope contrast was NaN
 @example(alpha=1e-300, h_v=1e-300)
 @example(alpha=1e-300, h_v=1e-5)  # delta_v = 1e-310, subnormal: valid
+# delta_v = inf: delta_v/g was inf/inf, and cavity_delta NaN
+@example(alpha=1.0, h_v=1e200)
 def test_model_holds_a_positive_crossover_depression(alpha, h_v):
-    if alpha * h_v * h_v > 0.0:
-        assert ModelParams(alpha=alpha, h_v=h_v).delta_v > 0.0
+    if 0.0 < alpha * h_v * h_v < math.inf:
+        assert 0.0 < ModelParams(alpha=alpha, h_v=h_v).delta_v < math.inf
     else:
-        with pytest.raises(InputError, match=r"alpha\*h_v\*\*2 must be > 0, got "
-                                             r"alpha=.+ and h_v=.+$"):
+        with pytest.raises(InputError, match=r"alpha\*h_v\*\*2 must be finite and > 0, "
+                                             r"got alpha=.+ and h_v=.+$"):
             ModelParams(alpha=alpha, h_v=h_v)
 
 
