@@ -19,6 +19,10 @@ that differs or a command that exits 1:
   delta_v = 1e-323 is above 0 but so small that the cavity slope was
   once 0/0 in every row, again without a warning; every row now holds
   its limit 0
+- ``model-curve`` at alpha = 1 and h_v = 1e154 G, whose finite
+  delta_v = 1e308 lies past the model's 1e150 mK bound, which exits 2
+  naming both; it once wrote a NaN cavity depression in 250 of 251 rows
+  without a warning
 - ``simulate``, then ``analyze`` of its run
 - ``simulate`` without noise (zero resistance noise and jitter in the
   config file), then ``analyze``
@@ -33,6 +37,11 @@ that differs or a command that exits 1:
 - ``simulate`` at Tc = 0.31 K, then ``analyze``: no curve spans both
   resistance plateaus, so every fit fails, each listed in
   ``failed_fits`` with its curve's flags (exit 5)
+- ``simulate`` at alpha = 1e140 with a given ``t_center_guess`` of 1 K
+  and a derived ``t_span``, then ``analyze``: the run loads, though the
+  derived centre would be -3.1e141 K (it once exited 2 naming
+  ``t_center_guess``), and every fit fails, since the film transitions
+  lie far below the grid (exit 5)
 - ``simulate`` with a temperature jitter of ``true``, which exits 2
   naming the key and writes nothing
 - ``sensitivity --trials 200``
@@ -94,6 +103,10 @@ CONFIGS = {
     "boolean": {"instrument": {"temperature_jitter": True}},
     "zerodeltav": {"model": {"alpha": 1e-300, "h_v": 1e-300}},
     "subnormaldeltav": {"model": {"alpha": 1e-300, "h_v": 3e-12}},
+    "hugedeltav": {"model": {"alpha": 1.0, "h_v": 1e154},
+                   "plan": {"fields": [1.0, 2.0, 5.0, 10.0, 20.0],
+                            "t_center_guess": 1.0, "t_span": 0.4}},
+    "givencenter": {"model": {"alpha": 1e140}, "plan": {"t_center_guess": 1.0}},
 }
 
 
@@ -104,13 +117,16 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
     simulate = {f"simulate-{name}": [["simulate", "--config", f"../../{name}.json",
                                       *common], analyze]
                 for name in CONFIGS
-                if name not in ("underflow", "boolean", "zerodeltav", "subnormaldeltav")}
+                if name not in ("underflow", "boolean", "zerodeltav", "subnormaldeltav",
+                                "hugedeltav")}
     return {
         "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
         "model-curve-zerodeltav": [["model-curve", "--config", "../../zerodeltav.json",
                                     "--out", "out"]],
         "model-curve-subnormaldeltav": [["model-curve", "--config",
                                          "../../subnormaldeltav.json", "--out", "out"]],
+        "model-curve-hugedeltav": [["model-curve", "--config", "../../hugedeltav.json",
+                                    "--out", "out"]],
         "simulate": [["simulate", *common], analyze],
         **simulate,
         "simulate-boolean": [["simulate", "--config", "../../boolean.json", *common]],

@@ -17,7 +17,7 @@ from . import model
 from .errors import InputError
 from .fileio import read_json
 from .instrument import InstrumentConfig
-from .protocol import SweepPlan, plan_sweep
+from .protocol import SweepPlan, sweep_center, sweep_span
 
 #: Default reference experiment: ten fields spanning [h_v, 5*h_v].
 N_DEFAULT_FIELDS = 10
@@ -70,13 +70,11 @@ def run_config_from_dict(data: dict) -> RunConfig:
                              "differ; give the seed once")
     instrument = _build_section(InstrumentConfig, instrument_data, "instrument")
 
-    plan_data = dict(data.get("plan", {}))
-    if "fields" not in plan_data:
-        plan_data["fields"] = default_fields(params)
-    if "t_center_guess" not in plan_data or "t_span" not in plan_data:
-        derived = plan_sweep(params, instrument, plan_data["fields"])
-        plan_data.setdefault("t_center_guess", derived.t_center_guess)
-        plan_data.setdefault("t_span", derived.t_span)
+    # a sweep value the plan lacks is derived as plan_sweep derives it
+    plan_data = {"fields": default_fields(params), **data.get("plan", {})}
+    if "t_center_guess" not in plan_data:
+        plan_data["t_center_guess"] = sweep_center(params, plan_data["fields"])
+    plan_data.setdefault("t_span", sweep_span(instrument))
     plan = _build_section(SweepPlan, plan_data, "plan")
     return RunConfig(model=params, instrument=instrument, plan=plan)
 

@@ -3,6 +3,7 @@ which values a number setting may hold."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -33,16 +34,26 @@ def is_number(value, integer: bool = False) -> bool:
     return True
 
 
-def check_number(name: str, value, integer: bool = False) -> None:
-    """Raise :class:`InputError` naming ``name`` unless :func:`is_number`."""
-    if is_number(value, integer):
-        return
-    if isinstance(value, int) and not isinstance(value, bool):
-        # its repr may exceed Python's digit limit
-        raise InputError(f"{name} must lie within the float range, "
-                         f"got a {value.bit_length()}-bit integer")
-    raise InputError(f"{name} must be {'an integer' if integer else 'a real number'}, "
-                     f"got {value!r}")
+def check_number(name: str, value, integer: bool = False, *,
+                 above: float | None = None, at_least: float | None = None) -> None:
+    """Raise :class:`InputError` naming ``name`` unless ``value`` passes
+    :func:`is_number`, is finite, and is ``> above`` or ``>= at_least``
+    where that bound is given (no comparison holds for NaN)."""
+    if not is_number(value, integer):
+        if isinstance(value, int) and not isinstance(value, bool):
+            # its repr may exceed Python's digit limit
+            raise InputError(f"{name} must lie within the float range, "
+                             f"got a {value.bit_length()}-bit integer")
+        raise InputError(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                         f"got {value!r}")
+    rules = [] if integer else ["finite"]  # an int always is
+    if above is not None:
+        rules.append(f"> {above}")
+    if at_least is not None:
+        rules.append(f">= {at_least}")
+    if not (math.isfinite(value) and (above is None or value > above)
+            and (at_least is None or value >= at_least)):
+        raise InputError(f"{name} must be {' and '.join(rules)}, got {value}")
 
 
 class FitError(CavityShiftError, RuntimeError):

@@ -9,7 +9,6 @@ substream path alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +38,10 @@ class InstrumentConfig:
     seed: int = 1                       # master seed, 64-bit unsigned
 
     def __post_init__(self):
-        for name in ("base_temperature", "normal_resistance", "transition_width",
-                     "resistance_noise", "temperature_jitter"):
-            check_number(name, getattr(self, name))
-        # every check also rejects NaN and infinity
         for name in ("base_temperature", "normal_resistance", "transition_width"):
-            value = getattr(self, name)
-            if not (0 < value < math.inf):
-                raise InputError(f"{name} must be finite and > 0, got {value}")
+            check_number(name, getattr(self, name), above=0)
         for name in ("resistance_noise", "temperature_jitter"):
-            value = getattr(self, name)
-            if not (0 <= value < math.inf):
-                raise InputError(f"{name} must be finite and >= 0, got {value}")
+            check_number(name, getattr(self, name), at_least=0)
         if not (is_number(self.seed, integer=True) and 0 <= self.seed < 2 ** 64):
             raise InputError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
 

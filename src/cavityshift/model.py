@@ -37,6 +37,11 @@ from .errors import InputError, check_number
 #: The two sample kinds: the bare film and the cavity mirror.
 KINDS = ("film", "cavity")
 
+#: Largest crossover depression alpha*h_v**2 and asymptotic shift delta_inf
+#: of a model (mK): below it, where b < 0 in :func:`cavity_delta`, b*b and
+#: 4*alpha*H**2*delta_v stay finite, so the lower root is never inf/inf.
+MAX_DEPRESSION = 1e150
+
 #: Tag attached to files derived from the cavity energy term.
 CAVITY_FORM_NOTE = ("phenomenological interpolation "
                     "E_vac = cond_scale*delta_inf*delta^2/(delta+delta_v)")
@@ -58,17 +63,15 @@ class ModelParams:
     cond_scale: float = 1.0           # overall energy normalisation
 
     def __post_init__(self):
-        for name in ("t_c", "alpha", "delta_inf", "h_v", "cond_scale"):
-            check_number(name, getattr(self, name))
-        # every check also rejects NaN and infinity
         for name in ("t_c", "alpha", "h_v", "cond_scale"):
-            value = getattr(self, name)
-            if not (0 < value < math.inf):
-                raise InputError(f"{name} must be finite and > 0, got {value}")
-        if not (0 <= self.delta_inf < math.inf):
-            raise InputError(f"delta_inf must be finite and >= 0, got {self.delta_inf}")
-        if not (0 < self.delta_v < math.inf):  # the vacuum share would be 0/0 or inf/inf
-            raise InputError(f"the crossover depression alpha*h_v**2 must be finite and > 0, "
+            check_number(name, getattr(self, name), above=0)
+        check_number("delta_inf", self.delta_inf, at_least=0)
+        if self.delta_inf > MAX_DEPRESSION:
+            raise InputError(f"delta_inf must be at most {MAX_DEPRESSION:g} mK, "
+                             f"got {self.delta_inf}")
+        if not (0 < self.delta_v <= MAX_DEPRESSION):  # at 0 the vacuum share is 0/0
+            raise InputError(f"the crossover depression alpha*h_v**2 must lie in "
+                             f"(0, {MAX_DEPRESSION:g}] mK, "
                              f"got alpha={self.alpha!r} and h_v={self.h_v!r}")
 
     @property
@@ -158,7 +161,7 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
     h = _nonneg(h, "field")
     check_kind(kind)
     with np.errstate(over="ignore"):
-        slope = 2.0 * params.alpha * h
+        slope = 2.0 * h * params.alpha  # 2*alpha alone may overflow, and inf*0 is NaN
         if kind == "cavity":
             g, s = _vacuum_share(params, h)
             slope = slope / (1.0 + s / g)

@@ -51,22 +51,12 @@ class SweepPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "fields", _field_tuple(self.fields))
-        if not all(0 <= f < math.inf for f in self.fields):  # also rejects NaN
-            raise InputError(f"fields must be finite and nonnegative, got {self.fields}")
         if any(b <= a for a, b in zip(self.fields, self.fields[1:])):
             raise InputError("fields must be strictly increasing")
-        for name in ("t_center_guess", "t_span"):
-            check_number(name, getattr(self, name))
-        for name in ("n_points", "repetitions"):
-            check_number(name, getattr(self, name), integer=True)
-        if self.n_points < 20:
-            raise InputError(f"n_points must be >= 20, got {self.n_points}")
-        if not (-math.inf < self.t_center_guess < math.inf):
-            raise InputError(f"t_center_guess must be finite, got {self.t_center_guess}")
-        if not (0 < self.t_span < math.inf):
-            raise InputError(f"t_span must be finite and > 0, got {self.t_span}")
-        if self.repetitions < 1:
-            raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
+        check_number("t_center_guess", self.t_center_guess)
+        check_number("t_span", self.t_span, above=0)
+        check_number("n_points", self.n_points, integer=True, at_least=20)
+        check_number("repetitions", self.repetitions, integer=True, at_least=1)
         kinds = len(model.KINDS)
         if len(self.fields) * kinds * self.repetitions * self.n_points > MAX_PLAN_SAMPLES:
             raise InputError(
@@ -82,15 +72,15 @@ class SweepPlan:
 
 
 def _field_tuple(fields) -> tuple[float, ...]:
-    """A field list as floats: a sequence of real numbers (see
-    :func:`errors.is_number`), not a string, and not empty."""
+    """A field list as floats: a sequence of real numbers >= 0 (see
+    :func:`errors.check_number`), not a string, and not empty."""
     if isinstance(fields, str) or not np.iterable(fields):
         raise InputError(f"fields must be a list of numbers, got {fields!r}")
     fields = tuple(fields)
     if not fields:
         raise InputError("field list is empty")
     for index, value in enumerate(fields):
-        check_number(f"fields[{index}]", value)
+        check_number(f"fields[{index}]", value, at_least=0)
     return tuple(float(f) for f in fields)
 
 
@@ -130,17 +120,24 @@ class TransitionCurve:
 
 def plan_sweep(params: model.ModelParams, cfg: InstrumentConfig,
                fields) -> SweepPlan:
-    """Plan covering every transition of the given field list.
-
-    Centers the grid between Tc and the deepest film transition and
-    spans eight transition widths, which keeps both plateaus and every
-    midpoint inside the central part of the sweep.
-    """
+    """Plan covering every transition of the given field list, around
+    :func:`sweep_center` over :func:`sweep_span`."""
     fields = _field_tuple(fields)
-    deepest = model.film_delta(params, max(fields))  # mK
-    center = params.t_c - 0.5 * deepest * 1e-3
-    span = 8.0 * cfg.transition_width * 1e-3
-    return SweepPlan(fields=fields, t_center_guess=center, t_span=span)
+    return SweepPlan(fields=fields, t_center_guess=sweep_center(params, fields),
+                     t_span=sweep_span(cfg))
+
+
+def sweep_center(params: model.ModelParams, fields) -> float:
+    """Grid centre (K) midway between Tc and the deepest film transition
+    of ``fields``; with :func:`sweep_span` it keeps both plateaus and
+    every midpoint inside the central part of the sweep."""
+    deepest = model.film_delta(params, max(_field_tuple(fields)))  # mK
+    return params.t_c - 0.5 * deepest * 1e-3
+
+
+def sweep_span(cfg: InstrumentConfig) -> float:
+    """Grid span (K) of eight transition widths."""
+    return 8.0 * cfg.transition_width * 1e-3
 
 
 def temperature_grid(plan: SweepPlan) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from . import model
 from .analysis import (MAX_FAILED_FRACTION, FitResult, analyze_dataset,
                        build_delta_curve, t_star_variance, weighted_mean_difference)
-from .errors import CalibrationError, InputError
+from .errors import CalibrationError, InputError, check_number
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
 
@@ -264,8 +264,7 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     so its delta_n measures the failed fits' outliers rather than the
     noise).
     """
-    if not (0 < target_delta_n < math.inf):
-        raise InputError(f"target delta_n must be finite and > 0, got {target_delta_n}")
+    check_number("target delta_n", target_delta_n, above=0)
     if not (0 < tolerance < 1):  # also rejects NaN
         raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
     kappa_r, kappa_t = _check_study(params, cfg, plan, trials)

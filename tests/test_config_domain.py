@@ -7,7 +7,9 @@ through ``sensitivity --trials 100``, all by ``cli.main`` under the
 suite's warning filters (a ``RuntimeWarning`` fails the test).  Every
 command must return a documented exit code and raise nothing.  A drawn
 config with one number setting, or one field, replaced by a value of
-the wrong JSON type must make ``simulate`` exit 2 and write nothing.
+the wrong JSON type must make ``simulate`` exit 2 and write nothing, and
+so must one number setting just outside its domain, with a message
+naming it.
 The examples are derandomized, so every run draws the same configs.
 """
 
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cavityshift.cli import main
-from cavityshift.config import run_config_from_dict
+from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.errors import InputError
 from cavityshift.protocol import MAX_PLAN_SAMPLES
 
@@ -71,6 +73,21 @@ SETTINGS = {
     "instrument": ("base_temperature", "normal_resistance", "transition_width",
                    "resistance_noise", "temperature_jitter", "seed"),
     "plan": ("t_center_guess", "t_span", "n_points", "repetitions")}
+
+#: Values just outside each setting's domain: 0 and -1 where it must be
+#: > 0, the negative float nearest 0 where it must be >= 0, and past each
+#: other bound (delta_inf's 1e150 mK, the seed's 64 bits).
+POSITIVE = (0, -1, 0.0, -1.0, math.inf, math.nan)
+NONNEGATIVE = (-5e-324, -1.0, math.inf, math.nan)
+OUTSIDE = {
+    **dict.fromkeys(("t_c", "alpha", "h_v", "cond_scale", "base_temperature",
+                     "normal_resistance", "transition_width", "t_span"), POSITIVE),
+    **dict.fromkeys(("resistance_noise", "temperature_jitter"), NONNEGATIVE),
+    "delta_inf": (*NONNEGATIVE, 1.0000000000000002e150),
+    "seed": (-1, 2 ** 64),
+    "t_center_guess": (math.inf, -math.inf, math.nan),
+    "n_points": (19, 0, -1),
+    "repetitions": (0, -1)}
 
 #: JSON values that no number setting holds, a 400-digit integer among them.
 WRONG_TYPED = [True, False, None, "1.5", [1.0], {}, 10 ** 400]
@@ -164,6 +181,37 @@ def test_wrong_typed_setting_exits_config(config, bad, data):
         out = Path(tmp) / "run"
         assert run(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value) for section, keys in SETTINGS.items() for key in keys
+    for value in OUTSIDE[key]])
+@settings(deadline=None, derandomize=True, database=None, max_examples=5)
+@given(config=configs)
+def test_setting_just_outside_its_domain_exits_config_naming_it(config, section, key, value):
+    config[section][key] = value
+    if key == "seed":
+        config.pop("seed", None)  # the top-level spelling must not differ
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = Path(tmp) / "run"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 2 and not out.exists()
+    assert err.getvalue().startswith("input error: ") and f"{key} must " in err.getvalue()
+
+
+def test_a_given_sweep_value_is_kept_beside_a_derived_one():
+    # the default fields put the film depression at 6e144 mK, so the
+    # derived centre is -3.1e141 K; it was once checked in a plan of its
+    # own before the given 1.0 K replaced it, and the config exited 2
+    # naming t_center_guess
+    config = run_config_from_dict({"model": {"alpha": 1e140},
+                                   "plan": {"t_center_guess": 1.0}})
+    assert config.plan.t_center_guess == 1.0
+    assert config.plan.t_span == default_run_config().plan.t_span
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cavityshift import (InputError, ModelParams, cavity_delta, critical_field,
                          delta_derivative, film_delta)
-from cavityshift.model import _balance_residual, slope_contrast
+from cavityshift.model import MAX_DEPRESSION, _balance_residual, slope_contrast
 
 model_params = st.builds(
     ModelParams,
@@ -27,21 +27,57 @@ field_inputs = st.one_of(fields, field_arrays)
 
 
 @settings(deadline=None)
-@given(alpha=st.floats(math.log(1e-320), math.log(1e-2)).map(math.exp),
-       h_v=st.floats(math.log(1e-200), math.log(1e3)).map(math.exp))
+@given(alpha=st.floats(math.log(1e-320), math.log(1e100)).map(math.exp),
+       h_v=st.floats(math.log(1e-200), math.log(1e200)).map(math.exp))
 # delta_v = 0: the vacuum term was 0/0, so every cavity slope and every
 # slope contrast was NaN
 @example(alpha=1e-300, h_v=1e-300)
 @example(alpha=1e-300, h_v=1e-5)  # delta_v = 1e-310, subnormal: valid
 # delta_v = inf: delta_v/g was inf/inf, and cavity_delta NaN
 @example(alpha=1.0, h_v=1e200)
+# delta_v = 1e308, finite: cavity_delta was NaN at every field above 0
+@example(alpha=1.0, h_v=1e154)
+@example(alpha=1.0, h_v=1e77)  # delta_v = 1e154, where such a NaN began
+@example(alpha=1.0, h_v=1e75)  # delta_v = MAX_DEPRESSION: valid
 def test_model_holds_a_positive_crossover_depression(alpha, h_v):
-    if 0.0 < alpha * h_v * h_v < math.inf:
-        assert 0.0 < ModelParams(alpha=alpha, h_v=h_v).delta_v < math.inf
+    if 0.0 < alpha * h_v * h_v <= MAX_DEPRESSION:
+        assert 0.0 < ModelParams(alpha=alpha, h_v=h_v).delta_v <= MAX_DEPRESSION
     else:
-        with pytest.raises(InputError, match=r"alpha\*h_v\*\*2 must be finite and > 0, "
+        with pytest.raises(InputError, match=r"alpha\*h_v\*\*2 must lie in \(0, 1e\+150\] mK, "
                                              r"got alpha=.+ and h_v=.+$"):
             ModelParams(alpha=alpha, h_v=h_v)
+
+
+def test_model_refuses_an_asymptotic_shift_past_the_bound():
+    # delta_v = 1e8 with delta_inf = 1e304 once made cavity_delta NaN, silently
+    with pytest.raises(InputError, match=r"^delta_inf must be at most 1e\+150 mK, got 1e\+304$"):
+        ModelParams(alpha=1.0, h_v=1e4, delta_inf=1e304)
+
+
+@settings(deadline=None)
+@given(alpha=st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp),
+       h_v=st.floats(math.log(1e-160), math.log(1e160)).map(math.exp),
+       delta_inf=st.one_of(st.just(0.0), st.just(MAX_DEPRESSION),
+                           st.floats(math.log(1e-320), math.log(1e150)).map(math.exp)),
+       h=st.lists(st.one_of(st.just(0.0), st.floats(math.log(1e-160), math.log(1e160))
+                            .map(math.exp)), min_size=1, max_size=20).map(np.array))
+# the largest model: b < 0 up to alpha*H**2 = 2e150, where b*b and
+# 4*alpha*H**2*delta_v come nearest the float range
+@example(alpha=1.0, h_v=1e75, delta_inf=MAX_DEPRESSION,
+         h=np.array([0.0, 1.0, 1e75, 1.4e75, 1.5e75, 1e77, 1e150]))
+# 2*alpha overflows: the slope 2*alpha*H was inf*0 = NaN at H = 0
+@example(alpha=1e308, h_v=1e-80, delta_inf=0.2, h=np.array([0.0, 1e-160, 1.0]))
+def test_no_admitted_model_gives_nan(alpha, h_v, delta_inf, h):
+    try:
+        params = ModelParams(alpha=alpha, h_v=h_v, delta_inf=delta_inf)
+    except InputError:
+        assume(False)
+    with np.errstate(over="ignore"):
+        h = h[np.isfinite(alpha * h * h)]
+    assume(h.size)
+    for form in (cavity_delta, lambda p, x: delta_derivative(p, x, "cavity"),
+                 slope_contrast):
+        assert not np.isnan(form(params, h)).any()
 
 
 @settings(deadline=None)
