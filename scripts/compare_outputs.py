@@ -8,7 +8,10 @@ directory, then runs one fixed matrix of CLI commands at seeds 1, 7 and
 changes included), each with its own ``src`` and under
 ``-W error::RuntimeWarning``, so a numeric warning (overflow, invalid
 value, division by zero) fails its command and shows as an exit code
-that differs or a command that exits 1:
+that differs or a command that exits 1.  A command of this checkout
+that exits 1 fails the comparison even where the ref's exits 1 too:
+exit 1 is no documented code, only an uncaught exception or such a
+warning.  The matrix:
 
 - ``model-curve --step 0.05``, which takes no seed
 - ``model-curve`` at alpha = 1e-300 and h_v = 1e-300 G, whose
@@ -23,6 +26,10 @@ that differs or a command that exits 1:
   delta_v = 1e308 lies past the model's 1e150 mK bound, which exits 2
   naming both; it once wrote a NaN cavity depression in 250 of 251 rows
   without a warning
+- ``model-curve --min-field 1e160 --max-field 1e160 --step 1``, whose
+  film depression alpha*H**2 overflows, past the model's 1e150 mK
+  bound, which exits 2 naming the field; it once wrote the row
+  ``1e+160,inf,inf,nan,...`` (exit 1 under the warning flag)
 - ``simulate``, then ``analyze`` of its run
 - ``simulate`` without noise (zero resistance noise and jitter in the
   config file), then ``analyze``
@@ -44,6 +51,9 @@ that differs or a command that exits 1:
   lie far below the grid (exit 5)
 - ``simulate`` with a temperature jitter of ``true``, which exits 2
   naming the key and writes nothing
+- ``simulate`` of the field list ``[1e160]``, past the model's bound,
+  which exits 2 naming the field and writes nothing; it once exited 2
+  naming ``t_center_guess``, a setting the config did not give
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -71,9 +81,10 @@ row added or removed), and for each whose paired values differ it
 prints the largest absolute and relative difference between
 corresponding numbers, which sizes a numerics change column by column;
 a value that is not a number is reported as changed.  Exit status 0:
-everything matches and all JSON is strict; 1: something differs or a
-file is not strict JSON, and each such case is listed; 2: the ref could
-not be exported.
+everything matches, no command of this checkout exits 1 and all JSON
+is strict; 1: something differs, a command exits 1 or a file is not
+strict JSON, and each such case is listed; 2: the ref could not be
+exported.
 """
 
 from __future__ import annotations
@@ -107,6 +118,7 @@ CONFIGS = {
                    "plan": {"fields": [1.0, 2.0, 5.0, 10.0, 20.0],
                             "t_center_guess": 1.0, "t_span": 0.4}},
     "givencenter": {"model": {"alpha": 1e140}, "plan": {"t_center_guess": 1.0}},
+    "hugefield": {"plan": {"fields": [1e160]}},
 }
 
 
@@ -118,7 +130,7 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
                                       *common], analyze]
                 for name in CONFIGS
                 if name not in ("underflow", "boolean", "zerodeltav", "subnormaldeltav",
-                                "hugedeltav")}
+                                "hugedeltav", "hugefield")}
     return {
         "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
         "model-curve-zerodeltav": [["model-curve", "--config", "../../zerodeltav.json",
@@ -127,9 +139,12 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
                                          "../../subnormaldeltav.json", "--out", "out"]],
         "model-curve-hugedeltav": [["model-curve", "--config", "../../hugedeltav.json",
                                     "--out", "out"]],
+        "model-curve-hugefield": [["model-curve", "--min-field", "1e160", "--max-field",
+                                   "1e160", "--step", "1", "--out", "out"]],
         "simulate": [["simulate", *common], analyze],
         **simulate,
         "simulate-boolean": [["simulate", "--config", "../../boolean.json", *common]],
+        "simulate-hugefield": [["simulate", "--config", "../../hugefield.json", *common]],
         "sensitivity": [["sensitivity", "--trials", "200", *common]],
         "sensitivity-fewfields": [["sensitivity", "--trials", "200", "--config",
                                    "../../fewfields.json", *common]],
@@ -167,6 +182,18 @@ def run_matrix(src: Path, root: Path) -> dict[str, list[int]]:
                                stderr=subprocess.DEVNULL).returncode
                 for argv in commands]
     return codes
+
+
+def exit_differences(ref: str, codes: dict[str, dict[str, list[int]]]) -> list[str]:
+    """A line for each case whose exit codes differ between the ref and
+    this checkout, and for each in which a command of this checkout
+    exits 1; ``codes`` holds the exit codes per case of each side."""
+    return ([f"exit codes of {case}: {ref_codes} at {ref}, {codes['checkout'][case]} here"
+             for case, ref_codes in codes["ref"].items()
+             if ref_codes != codes["checkout"][case]]
+            + [f"{case}: a command exits 1 here (an uncaught exception or a "
+               "RuntimeWarning); no documented exit code is 1"
+               for case, here in codes["checkout"].items() if 1 in here])
 
 
 def files_under(root: Path) -> dict[str, bytes]:
@@ -298,9 +325,7 @@ def main() -> int:
                  for side, src in (("ref", tmp / "ref" / "src"),
                                    ("checkout", REPO / "src"))}
         files = {side: files_under(tmp / "out" / side) for side in codes}
-    differences = [f"exit codes of {case}: {codes['ref'][case]} at {ref}, "
-                   f"{codes['checkout'][case]} here"
-                   for case in codes["ref"] if codes["ref"][case] != codes["checkout"][case]]
+    differences = exit_differences(ref, codes)
     for name in sorted(files["ref"].keys() | files["checkout"].keys()):
         if name not in files["checkout"]:
             differences.append(f"{name}: written only at {ref}")

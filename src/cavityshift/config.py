@@ -10,6 +10,7 @@ rejected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -36,15 +37,33 @@ class RunConfig:
     plan: SweepPlan
 
 
-def _build_section(cls, data: dict, name: str):
+def _build_section(cls, data: dict, name: str, build=None):
+    """``build(**data)``, ``cls`` by default, once every key names a field
+    of ``cls``; an :class:`InputError` it raises gains the section's name."""
     allowed = {f.name for f in dataclass_fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise InputError(f"unknown key(s) in '{name}' section: {sorted(unknown)}")
     try:
-        return cls(**data)
+        return (build or cls)(**data)
     except InputError as exc:
         raise InputError(f"invalid '{name}' section: {exc}") from exc
+
+
+def _plan(params: model.ModelParams, instrument: InstrumentConfig, **data) -> SweepPlan:
+    """The plan of ``data``, each sweep value it lacks derived as
+    :func:`protocol.plan_sweep` derives it."""
+    data = {"fields": default_fields(params), "t_span": sweep_span(instrument), **data}
+    derived = "t_center_guess" not in data
+    if derived:
+        data["t_center_guess"] = sweep_center(params, data["fields"])
+    try:
+        return SweepPlan(**data)
+    except InputError as exc:
+        if not derived or "t_center_guess" not in str(exc):
+            raise
+        raise InputError(f"{exc} (t_center_guess was derived from fields, whose deepest "
+                         f"is {float(max(data['fields']))!r} G)") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -70,12 +89,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
                              "differ; give the seed once")
     instrument = _build_section(InstrumentConfig, instrument_data, "instrument")
 
-    # a sweep value the plan lacks is derived as plan_sweep derives it
-    plan_data = {"fields": default_fields(params), **data.get("plan", {})}
-    if "t_center_guess" not in plan_data:
-        plan_data["t_center_guess"] = sweep_center(params, plan_data["fields"])
-    plan_data.setdefault("t_span", sweep_span(instrument))
-    plan = _build_section(SweepPlan, plan_data, "plan")
+    plan = _build_section(SweepPlan, data.get("plan", {}), "plan",
+                          functools.partial(_plan, params, instrument))
     return RunConfig(model=params, instrument=instrument, plan=plan)
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 from .errors import InputError
@@ -42,10 +41,15 @@ def read_json(path: str | Path, what: str):
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write a file via temp-and-rename so readers never see partials;
     text that cannot be encoded (a lone surrogate, say) raises
-    :class:`InputError` naming the file and leaves nothing behind."""
+    :class:`InputError` naming the file and leaves nothing behind.  The
+    file gets the mode ``open()`` would give it, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # a fresh name of 64 random bits, opened exclusively; O_BINARY keeps
+    # Windows from translating "\n"
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

@@ -37,9 +37,10 @@ from .errors import InputError, check_number
 #: The two sample kinds: the bare film and the cavity mirror.
 KINDS = ("film", "cavity")
 
-#: Largest crossover depression alpha*h_v**2 and asymptotic shift delta_inf
-#: of a model (mK): below it, where b < 0 in :func:`cavity_delta`, b*b and
-#: 4*alpha*H**2*delta_v stay finite, so the lower root is never inf/inf.
+#: Largest crossover depression alpha*h_v**2, asymptotic shift delta_inf
+#: and film depression alpha*H**2 of an admitted field (mK): at or below
+#: it b*b + 4*alpha*H**2*delta_v in :func:`cavity_delta` stays at or below
+#: 8e300, so no intermediate of the model overflows.
 MAX_DEPRESSION = 1e150
 
 #: Tag attached to files derived from the cavity energy term.
@@ -79,11 +80,37 @@ class ModelParams:
         """Crossover depression alpha*h_v**2 in mK."""
         return self.alpha * self.h_v * self.h_v
 
+    @property
+    def max_field(self) -> float:
+        """Largest admitted field (G).  A field is admitted when it is >= 0
+        and its film depression alpha*H**2, as :func:`film_delta` forms
+        it, is at most :data:`MAX_DEPRESSION`."""
+        # MAX_DEPRESSION/alpha is inf for alpha below 1e-158, so take the
+        # roots apart; the quotient may land an ulp or two off the bound
+        h = math.sqrt(MAX_DEPRESSION) / math.sqrt(self.alpha)
+        while self.alpha * h * h > MAX_DEPRESSION:
+            h = math.nextafter(h, 0.0)
+        while self.alpha * (up := math.nextafter(h, math.inf)) * up <= MAX_DEPRESSION:
+            h = up
+        return h
+
 
 def check_kind(kind: str) -> None:
     """Raise :class:`InputError` unless ``kind`` is one of :data:`KINDS`."""
     if kind not in KINDS:
         raise InputError(f"kind must be 'film' or 'cavity', got {kind!r}")
+
+
+def _field(params: ModelParams, h) -> np.ndarray:
+    """``h`` as a float array; :class:`InputError` naming the first field
+    that is not admitted (see :attr:`ModelParams.max_field`)."""
+    h = np.asarray(h, dtype=float)
+    top = params.max_field
+    bad = ~((h >= 0.0) & (h <= top))  # also catches NaN
+    if bad.any():
+        raise InputError(f"field must lie in [0, {top!r}] G, where alpha*H**2 is at "
+                         f"most {MAX_DEPRESSION:g} mK, got {h[bad].flat[0]}")
+    return h
 
 
 def _nonneg(value, name: str) -> np.ndarray:
@@ -103,9 +130,8 @@ def _like_input(result):
 
 def film_delta(params: ModelParams, h):
     """Depression of the bare-film transition, alpha*H**2, in mK."""
-    h = _nonneg(h, "field")
-    with np.errstate(over="ignore"):
-        return _like_input(params.alpha * h * h)
+    h = _field(params, h)
+    return _like_input(params.alpha * h * h)
 
 
 def _balance_residual(params: ModelParams, h, delta):
@@ -124,23 +150,20 @@ def cavity_delta(params: ModelParams, h):
     field by the sign of b so that neither form subtracts nearly equal
     numbers.
     """
-    h = _nonneg(h, "field")
-    # as with Python floats, an overflow gives inf and inf - inf gives NaN
-    # without a warning (a field whose alpha*H**2 is beyond the range)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = params.alpha * h * h
-        if params.delta_inf == 0.0:
-            return _like_input(a)  # no vacuum term: exactly the film law
-        dv = params.delta_v
-        b = a - dv - params.delta_inf
-        root_d = np.sqrt(b * b + 4.0 * a * dv)
-        upper = b >= 0.0
-        # root_d - b >= 2*|b| > 0 where b < 0; where b >= 0 that branch is
-        # discarded and divides by 1 instead of a possible 0
-        lower = 2.0 * a * dv / np.where(upper, 1.0, root_d - b)
-        root = np.where(upper, 0.5 * (b + root_d), lower)
-        # for a tiny delta_inf, rounding alone could lift the root above A
-        return _like_input(np.minimum(root, a))
+    h = _field(params, h)
+    a = params.alpha * h * h
+    if params.delta_inf == 0.0:
+        return _like_input(a)  # no vacuum term: exactly the film law
+    dv = params.delta_v
+    b = a - dv - params.delta_inf
+    root_d = np.sqrt(b * b + 4.0 * a * dv)
+    upper = b >= 0.0
+    # root_d - b >= 2*|b| > 0 where b < 0; where b >= 0 that branch is
+    # discarded and divides by 1 instead of a possible 0
+    lower = 2.0 * a * dv / np.where(upper, 1.0, root_d - b)
+    root = np.where(upper, 0.5 * (b + root_d), lower)
+    # for a tiny delta_inf, rounding alone could lift the root above A
+    return _like_input(np.minimum(root, a))
 
 
 def delta_difference(params: ModelParams, h):
@@ -158,12 +181,14 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
     Film: exactly 2*alpha*H.  Cavity: implicit differentiation of the
     solved balance, 2*alpha*H / (1 + s/g) (see :func:`_vacuum_share`).
     """
-    h = _nonneg(h, "field")
+    h = _field(params, h)
     check_kind(kind)
-    with np.errstate(over="ignore"):
-        slope = 2.0 * h * params.alpha  # 2*alpha alone may overflow, and inf*0 is NaN
-        if kind == "cavity":
-            g, s = _vacuum_share(params, h)
+    slope = 2.0 * h * params.alpha  # 2*alpha alone may overflow, and inf*0 is NaN
+    if kind == "cavity":
+        g, s = _vacuum_share(params, h)
+        # s/g overflows where g is a subnormal delta_v (alpha 1e-300, h_v
+        # 3e-12 G), and slope/inf then gives the slope's limit 0
+        with np.errstate(over="ignore"):
             slope = slope / (1.0 + s / g)
     return _like_input(slope)
 
@@ -178,10 +203,8 @@ def _vacuum_share(params: ModelParams, h):
 def slope_contrast(params: ModelParams, h):
     """(film' - cavity') / film' = s / (g + s) at field h; at H = 0, where
     both slopes vanish, their limit delta_inf / (delta_v + delta_inf)."""
-    h = _nonneg(h, "field")
-    with np.errstate(over="ignore"):
-        g, s = _vacuum_share(params, h)
-        return _like_input(s / (g + s))
+    g, s = _vacuum_share(params, h)  # cavity_delta checks the field
+    return _like_input(s / (g + s))
 
 
 def critical_field(params: ModelParams, delta: float, kind: str = "film") -> float:

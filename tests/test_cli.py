@@ -86,6 +86,21 @@ def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
             == json.dumps(want, indent=2, sort_keys=True) + "\n")
 
 
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask):
+    # the temp file of each write once kept its owner-only 0o600
+    previous = os.umask(umask)
+    try:
+        assert main(["model-curve", "--out", str(tmp_path)]) == 0
+        assert main(["simulate", "--out", str(tmp_path / "run")]) == 0
+    finally:
+        os.umask(previous)
+    written = sorted(tmp_path.rglob("*.*"))
+    assert len(written) == 22
+    assert {path.stat().st_mode & 0o777 for path in written} == {0o666 & ~umask}
+
+
 def simulate_zero_noise(tmp_path, out):
     """``simulate`` into ``out`` with a config file of the instrument
     without resistance noise or temperature jitter; its exit code."""
@@ -203,13 +218,19 @@ class TestModelCurveCommand:
                      "--step", "0.6"]) == 0
         assert list(read_model_curves(out / "model_curves.csv")) == [0.0, 0.6]
 
-    def test_bad_range_exits_config(self, tmp_path):
+    def test_bad_range_exits_config(self, tmp_path, capsys):
         assert main(["model-curve", "--out", str(tmp_path), "--min-field", "10",
                      "--max-field", "5"]) == 2
         # a non-finite bound or step once escaped as OverflowError/ValueError
         for option, value in (("--max-field", "inf"), ("--step", "nan"),
                               ("--step", "inf"), ("--step", "1e-300")):
             assert main(["model-curve", "--out", str(tmp_path), option, value]) == 2
+        # a field whose alpha*H**2 passes 1e150 mK once wrote inf and NaN, exit 0
+        capsys.readouterr()
+        assert main(["model-curve", "--out", str(tmp_path), "--min-field", "1e160",
+                     "--max-field", "1e160"]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("got 1e+160")
+        assert not (tmp_path / "model_curves.csv").exists()
 
     def test_seed_flag_is_retired(self, tmp_path):
         # the model curves are noise-free; --seed once changed no byte of them
@@ -762,8 +783,12 @@ class TestSimulateAnalyze:
         ({"model": {"alpha": 1e-300, "h_v": 1e-300}}, "alpha=1e-300 and h_v=1e-300"),
         # once exited 2 naming t_center_guess, a setting the config did not set
         ({"model": {"alpha": 1.0, "h_v": 1e200}}, "alpha=1.0 and h_v=1e+200"),
+        # so did a field whose film depression overflowed, and model-curve ran
+        ({"plan": {"fields": [1e160]}}, "invalid 'plan' section: field must lie in "
+         "[0, 1.9364916731037083e+77] G, where alpha*H**2 is at most 1e+150 mK, "
+         "got 1e+160"),
     ], ids=["plan-past-the-size-limit", "zero-crossover-depression",
-            "infinite-crossover-depression"])
+            "infinite-crossover-depression", "field-past-the-bound"])
     def test_config_beyond_the_model_or_memory_exits_config(self, tmp_path, capsys,
                                                             command, data, message):
         config = tmp_path / "config.json"

@@ -1,4 +1,5 @@
-"""scripts/compare_outputs.py: how it describes a file that differs."""
+"""scripts/compare_outputs.py: how it describes a file that differs, and
+which exit codes fail it."""
 
 from __future__ import annotations
 
@@ -48,3 +49,12 @@ def test_csv_names_a_column_in_one_version_only(compare, ref, here, expected):
 def test_unparsable_json_is_named(compare):
     text = compare.describe_difference("a.json", b"{", b"{}")
     assert text.startswith("does not parse:")
+
+
+def test_a_command_exiting_1_fails_even_where_the_ref_agrees(compare):
+    codes = {"ref": {"1/a": [0, 0], "1/b": [1], "1/c": [0]},
+             "checkout": {"1/a": [0, 0], "1/b": [1], "1/c": [2]}}
+    assert compare.exit_differences("HEAD", codes) == [
+        "exit codes of 1/c: [0] at HEAD, [2] here",
+        "1/b: a command exits 1 here (an uncaught exception or a RuntimeWarning); "
+        "no documented exit code is 1"]

@@ -214,6 +214,23 @@ def test_a_given_sweep_value_is_kept_beside_a_derived_one():
     assert config.plan.t_span == default_run_config().plan.t_span
 
 
+def test_a_sweep_derivation_error_names_the_plan():
+    # a malformed field list met while deriving the centre once lost the
+    # section's name
+    with pytest.raises(InputError, match=r"^invalid 'plan' section: fields must be a "
+                                         r"list of numbers, got 'abc'$"):
+        run_config_from_dict({"plan": {"fields": "abc"}})
+
+
+def test_a_refused_derived_centre_names_the_deepest_field():
+    # 1e40 G is admitted, but its film depression of 2.7e75 mK puts the
+    # derived centre where 200 temperatures 0.4 K apart cannot be told apart
+    with pytest.raises(InputError, match=r"^invalid 'plan' section: the temperature grid "
+                                         r"collapses: .+ \(t_center_guess was derived from "
+                                         r"fields, whose deepest is 1e\+40 G\)$"):
+        run_config_from_dict({"plan": {"fields": [1.0, 1e40]}})
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)
 @given(config=configs, n_fields=st.integers(1, 40),
        repetitions=st.one_of(st.integers(1, 10), st.integers(1, 10 ** 12)),

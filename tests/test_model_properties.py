@@ -4,13 +4,14 @@ on one field and on arrays of fields."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cavityshift import (InputError, ModelParams, cavity_delta, critical_field,
-                         delta_derivative, film_delta)
+                         delta_derivative, delta_difference, film_delta)
 from cavityshift.model import MAX_DEPRESSION, _balance_residual, slope_contrast
 
 model_params = st.builds(
@@ -24,6 +25,10 @@ fields = st.one_of(st.just(0.0), st.floats(1e-6, 1e4))
 field_arrays = st.lists(fields, min_size=1, max_size=20).map(np.array)
 # one field, or an array of them
 field_inputs = st.one_of(fields, field_arrays)
+#: Every form of the model that takes a field.
+FORMS = (film_delta, cavity_delta, delta_difference,
+         lambda p, x: delta_derivative(p, x, "film"),
+         lambda p, x: delta_derivative(p, x, "cavity"), slope_contrast)
 
 
 @settings(deadline=None)
@@ -61,23 +66,41 @@ def test_model_refuses_an_asymptotic_shift_past_the_bound():
                            st.floats(math.log(1e-320), math.log(1e150)).map(math.exp)),
        h=st.lists(st.one_of(st.just(0.0), st.floats(math.log(1e-160), math.log(1e160))
                             .map(math.exp)), min_size=1, max_size=20).map(np.array))
-# the largest model: b < 0 up to alpha*H**2 = 2e150, where b*b and
+# the largest model at its largest field, 1e75 G: b = -1e150, where b*b and
 # 4*alpha*H**2*delta_v come nearest the float range
 @example(alpha=1.0, h_v=1e75, delta_inf=MAX_DEPRESSION,
-         h=np.array([0.0, 1.0, 1e75, 1.4e75, 1.5e75, 1e77, 1e150]))
+         h=np.array([0.0, 1.0, 1e74, 5e74, 1e75]))
 # 2*alpha overflows: the slope 2*alpha*H was inf*0 = NaN at H = 0
 @example(alpha=1e308, h_v=1e-80, delta_inf=0.2, h=np.array([0.0, 1e-160, 1.0]))
+# MAX_DEPRESSION/alpha is inf, and (alpha*H)*H reaches 1e150 mK at the largest field
+@example(alpha=1e-300, h_v=50.0, delta_inf=0.2, h=np.array([0.0, 1.0, 1e225]))
 def test_no_admitted_model_gives_nan(alpha, h_v, delta_inf, h):
     try:
         params = ModelParams(alpha=alpha, h_v=h_v, delta_inf=delta_inf)
     except InputError:
         assume(False)
-    with np.errstate(over="ignore"):
-        h = h[np.isfinite(alpha * h * h)]
+    h = h[h <= params.max_field]  # the admitted fields
     assume(h.size)
-    for form in (cavity_delta, lambda p, x: delta_derivative(p, x, "cavity"),
-                 slope_contrast):
-        assert not np.isnan(form(params, h)).any()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for form in FORMS:
+            assert np.isfinite(form(params, h)).all()
+
+
+@settings(deadline=None)
+@given(alpha=st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp))
+@example(alpha=5e-324)
+@example(alpha=1e-300)  # max_field is 1e225 G
+@example(alpha=1.0)  # max_field is 1e75 G
+@example(alpha=1.7e308)
+def test_the_largest_admitted_field_holds_the_film_depression_at_the_bound(alpha):
+    params = ModelParams(alpha=alpha, h_v=1.0 / math.sqrt(alpha))  # delta_v ~ 1 mK
+    top = params.max_field
+    above = math.nextafter(top, math.inf)
+    assert film_delta(params, top) <= MAX_DEPRESSION < alpha * above * above
+    for form in FORMS:
+        assert math.isfinite(form(params, top))
+        with pytest.raises(InputError, match=f"got {re.escape(repr(above))}$"):
+            form(params, above)
 
 
 @settings(deadline=None)
@@ -106,17 +129,13 @@ def test_critical_field_round_trip(params, h):
 
 @settings(deadline=None)
 @given(params=model_params, h=field_arrays)
-# at 1e12 G root_d == b > 0, so the unused branch would divide by 0; at
-# 1e200 G alpha*H**2 overflows to inf, silently as for a Python float
-@example(params=ModelParams(), h=np.array([0.0, 50.0, 1e12, 1e200]))
+# at 1e12 G root_d == b > 0, so the unused branch would divide by 0
+@example(params=ModelParams(), h=np.array([0.0, 50.0, 1e12]))
 # delta_v = 1e-310 of a valid model squares to 0: q = inf, which once
 # raised ZeroDivisionError for one field and warned for an array
 @example(params=ModelParams(alpha=1e-300, h_v=1e-5), h=np.array([0.0, 1e-5, 5e-5]))
 def test_array_equals_elementwise_scalars(params, h):
-    forms = [film_delta, cavity_delta,
-             lambda p, x: delta_derivative(p, x, "film"),
-             lambda p, x: delta_derivative(p, x, "cavity"), slope_contrast]
-    for form in forms:
+    for form in FORMS:
         values = form(params, h)
         assert isinstance(values, np.ndarray) and values.shape == h.shape
         scalars = [form(params, x) for x in h.tolist()]
@@ -146,10 +165,16 @@ def test_tiny_models_keep_slopes_and_contrast_in_range(alpha, h_v, delta_inf, h)
 
 
 @settings(deadline=None)
-@given(params=model_params, h=field_arrays, bad=st.sampled_from([-1e-300, -2.0, math.nan]),
-       data=st.data())
-def test_any_negative_or_nan_field_raises(params, h, bad, data):
-    h[data.draw(st.integers(0, h.size - 1))] = bad
-    for form in (film_delta, cavity_delta, delta_derivative, slope_contrast):
-        with pytest.raises(InputError):
+@given(params=model_params, h=field_arrays,
+       bad=st.sampled_from([-1e-300, -2.0, math.nan, "above", 1e200, math.inf]),
+       index=st.integers(0, 19))
+# alpha*H**2 overflowed to inf at 1e200 G, silently as for a Python float
+@example(params=ModelParams(), h=np.array([0.0, 50.0, 1e12, 1e200]), bad=1e200, index=3)
+def test_any_negative_or_nan_field_raises(params, h, bad, index):
+    if bad == "above":  # the next float above the largest admitted field
+        bad = math.nextafter(params.max_field, math.inf)
+    h[index % h.size] = bad
+    for form in (film_delta, cavity_delta, delta_difference, delta_derivative,
+                 slope_contrast):
+        with pytest.raises(InputError, match=f"got {re.escape(repr(bad))}$"):
             form(params, h)
