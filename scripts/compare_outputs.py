@@ -54,6 +54,10 @@ warning.  The matrix:
 - ``simulate`` of the field list ``[1e160]``, past the model's bound,
   which exits 2 naming the field and writes nothing; it once exited 2
   naming ``t_center_guess``, a setting the config did not give
+- ``simulate`` with a transition width of 1e308 mK, whose derived
+  ``t_span`` of eight widths overflows, which exits 2 naming ``t_span``
+  and the width it was derived from, and writes nothing; it once named
+  ``t_span`` alone, a setting the config did not give
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -119,6 +123,7 @@ CONFIGS = {
                             "t_center_guess": 1.0, "t_span": 0.4}},
     "givencenter": {"model": {"alpha": 1e140}, "plan": {"t_center_guess": 1.0}},
     "hugefield": {"plan": {"fields": [1e160]}},
+    "hugewidth": {"instrument": {"transition_width": 1e308}},
 }
 
 
@@ -130,7 +135,7 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
                                       *common], analyze]
                 for name in CONFIGS
                 if name not in ("underflow", "boolean", "zerodeltav", "subnormaldeltav",
-                                "hugedeltav", "hugefield")}
+                                "hugedeltav", "hugefield", "hugewidth")}
     return {
         "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
         "model-curve-zerodeltav": [["model-curve", "--config", "../../zerodeltav.json",
@@ -145,6 +150,7 @@ def cases(seed: int) -> dict[str, list[list[str]]]:
         **simulate,
         "simulate-boolean": [["simulate", "--config", "../../boolean.json", *common]],
         "simulate-hugefield": [["simulate", "--config", "../../hugefield.json", *common]],
+        "simulate-hugewidth": [["simulate", "--config", "../../hugewidth.json", *common]],
         "sensitivity": [["sensitivity", "--trials", "200", *common]],
         "sensitivity-fewfields": [["sensitivity", "--trials", "200", "--config",
                                    "../../fewfields.json", *common]],

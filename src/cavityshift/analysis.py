@@ -130,18 +130,6 @@ def _damped_step(jtj: tuple[float, ...], grad: tuple[float, float, float],
     return x0, x1, x2
 
 
-def _initial_guess(t: np.ndarray, r: np.ndarray, r_top: float,
-                   step_mk: float) -> list[float]:
-    i_mid, i_lo, i_hi = np.abs(r - _GUESS_LEVELS * r_top).argmin(axis=1).tolist()
-    width = max(abs(t[i_hi] - t[i_lo]) * MK_PER_K, 2.0 * step_mk)
-    return [float(t[i_mid]), float(width), r_top]
-
-
-def _xtol_scales(p: list[float]) -> tuple[float, float, float]:
-    """Denominators of the relative step-size test at the point p."""
-    return max(abs(p[0]), 1e-30), max(abs(p[1]), 1e-30), max(abs(p[2]), 1e-30)
-
-
 #: The fit converges when a proposed step moves no parameter by more
 #: than this, relative (MINPACK's step-size test).
 _XTOL = 1e-10
@@ -155,26 +143,54 @@ _MAX_ITER = 100
 _WIDTH_STEP_FACTOR = 4.0
 
 
-def _row_factors(width: float, r_n: float) -> tuple[float, float, float]:
-    """k = ERF_WIDTH_FACTOR / (width * 1e-3) and the factors c0 = -r_n k /
-    sqrt(pi) and c1 = -r_n / (sqrt(pi) width) that make the unscaled rows
-    g and u g of :func:`_evaluate` the Jacobian columns d/dt_star and
-    d/dwidth (that of d/dr_n is 1/2)."""
-    k = ERF_WIDTH_FACTOR / (width * 1e-3)
-    return k, -r_n / _SQRT_PI * k, -r_n / (_SQRT_PI * width)
+def _row_stack(n: int) -> tuple[np.ndarray, ...]:
+    """Buffers, made once per fit, for :func:`_evaluate` and
+    :func:`_normal_equations`: the scaled offsets u, the six rows of a
+    (6, n) stack, then the stack; zeros until they are filled."""
+    block = np.zeros((7, n))
+    return (*block, block[1:])
 
 
-def _normal_matrices(gram: list[list[float]], width: float, r_n: float
-                     ) -> tuple[tuple[float, ...], tuple[float, float, float],
-                                tuple[float, ...]]:
-    """J^T J, J^T res and J^T J + S of the erf fit; the matrices as lower
-    triangles row by row (see :func:`_damped_step`).
+def _evaluate(t: np.ndarray, r: np.ndarray, t_star: float, width: float, r_n: float,
+              rows: tuple[np.ndarray, ...]) -> float:
+    """Cost of the erf model at (t_star K, width mK, r_n ohm) against
+    the curve (t, r).
 
-    ``gram`` is the Gram matrix of the unscaled rows g, u g, 1 + erf(u),
-    res, u res and u^2 res, with g = exp(-u^2), u = (t - t_star) k and
-    k = ERF_WIDTH_FACTOR / (width * 1e-3).  J^T J and J^T res are the
-    first four entries of its first three rows, scaled by the row factors
-    c = (-r_n k / sqrt(pi), -r_n / (sqrt(pi) width), 1/2).
+    ``rows`` is a :func:`_row_stack`; its stack holds the Jacobian rows
+    without their constant factors, exp(-u^2), u exp(-u^2) and
+    1 + erf(u) (d/dt_star, d/dwidth, d/dr_n), the residuals, and the
+    residuals times u and u^2.  This fills the scaled offsets u and
+    rows 2 and 3, 1 + erf(u) and the residuals;
+    :func:`_normal_equations` fills the rest.
+    """
+    u, shape, res = rows[0], rows[3], rows[4]
+    np.subtract(t, t_star, u)
+    np.multiply(u, ERF_WIDTH_FACTOR / (width * 1e-3), u)
+    erf(u, shape)
+    np.add(shape, 1.0, shape)
+    np.multiply(shape, 0.5 * r_n, res)
+    np.subtract(res, r, res)
+    return float(res.dot(res))
+
+
+def _normal_equations(width: float, r_n: float, rows: tuple[np.ndarray, ...],
+                      second_order: bool = True
+                      ) -> tuple[tuple[float, ...], tuple[float, float, float],
+                                 tuple[float, ...] | None]:
+    """J^T J, J^T res and J^T J + S of the erf fit at (width, r_n), after
+    :func:`_evaluate` there; the matrices as lower triangles row by row
+    (see :func:`_damped_step`).  Without ``second_order``, J^T J + S is
+    None.
+
+    Fills rows 0 and 1, g = exp(-u^2) and u g, and with ``second_order``
+    4 and 5, u res and u^2 res, then takes the Gram matrix of all six
+    rows, with u = (t - t_star) k and k = ERF_WIDTH_FACTOR / (width * 1e-3);
+    rows 4 and 5 enter only entries that J^T J and J^T res do not read, so
+    before any second-order call they may be the zeros of
+    :func:`_row_stack`.
+    J^T J and J^T res are the first four entries of its first three
+    rows, scaled by the row factors c = (-r_n k / sqrt(pi),
+    -r_n / (sqrt(pi) width), 1/2).
     S = sum_i res_i Hess(f_i) is the second-order term Gauss-Newton
     leaves out; with b0 = sum g res, b1 = sum u g res, a3 = sum u^2 g res
     and a4 = sum u^3 g res its entries are
@@ -183,62 +199,30 @@ def _normal_matrices(gram: list[list[float]], width: float, r_n: float
     S21 = -b1 / (sqrt(pi) width) and S22 = 0, so J^T J + S is the Hessian
     of cost / 2.
     """
-    g0, g1, g2 = gram[0], gram[1], gram[2]
-    k, c0, c1 = _row_factors(width, r_n)
-    jtj = (g0[0] * c0 * c0,
-           g0[1] * c0 * c1, g1[1] * c1 * c1,
-           g0[2] * c0 * 0.5, g1[2] * c1 * 0.5, g2[2] * 0.25)
-    b0, b1 = g0[3], g1[3]
-    grad = (b0 * c0, b1 * c1, g2[3] * 0.5)
-    a3, a4 = g1[4], g1[5]
-    # the S entries above, written with c0 and c1
-    hess = (jtj[0] + 2.0 * c0 * k * b1,
-            jtj[1] - c0 * (b0 - 2.0 * a3) / width,
-            jtj[2] - 2.0 * c1 * (b1 - a4) / width,
-            jtj[3] + c0 * b0 / r_n, jtj[4] + c1 * b1 / r_n, jtj[5])
-    return jtj, grad, hess
-
-
-def _row_stack(n: int) -> tuple[np.ndarray, ...]:
-    """Views, made once per fit, of a (6, n) stack of rows for
-    :func:`_evaluate`: its six rows, then the stack."""
-    stack = np.empty((6, n))
-    return (*stack, stack)
-
-
-def _evaluate(t: np.ndarray, r: np.ndarray, q: list[float], u: np.ndarray,
-              rows: tuple[np.ndarray, ...]) -> float:
-    """Cost of the erf model at q = (t_star K, width mK, r_n ohm) against
-    the curve (t, r).
-
-    ``rows`` is a :func:`_row_stack`: the Jacobian rows without their
-    constant factors, exp(-u^2), u exp(-u^2) and 1 + erf(u) (d/dt_star,
-    d/dwidth, d/dr_n), the residuals, and the residuals times u and u^2.
-    This fills rows 2 and 3 and leaves the scaled offsets u behind in
-    ``u``; :func:`_normal_equations` fills the rest.
-    """
-    shape, res = rows[2], rows[3]
-    np.subtract(t, q[0], u)
-    np.multiply(u, ERF_WIDTH_FACTOR / (q[1] * 1e-3), u)
-    erf(u, shape)
-    np.add(shape, 1.0, shape)
-    np.multiply(shape, 0.5 * q[2], res)
-    np.subtract(res, r, res)
-    return float(res.dot(res))
-
-
-def _normal_equations(q: list[float], u: np.ndarray, rows: tuple[np.ndarray, ...]):
-    """J^T J, J^T res and J^T J + S at q, after _evaluate(..., q, u, rows):
-    fills rows 0 and 1, and 4 and 5 from u and the residuals, and takes
-    the Gram matrix of all six."""
-    gauss, ugauss, _, res, ures, u2res, stack = rows
+    u, gauss, ugauss, _, res, ures, u2res, stack = rows
     np.multiply(u, u, gauss)
     np.negative(gauss, gauss)
     np.exp(gauss, gauss)
     np.multiply(gauss, u, ugauss)
-    np.multiply(res, u, ures)
-    np.multiply(ures, u, u2res)
-    return _normal_matrices(stack.dot(stack.T).tolist(), q[1], q[2])
+    if second_order:
+        np.multiply(res, u, ures)
+        np.multiply(ures, u, u2res)
+    # the upper entries of the Gram matrix's first three rows
+    (g00, g01, g02, b0, _, _, _, g11, g12, b1, a3, a4,
+     _, _, g22, g23, *_) = stack.dot(stack.T).ravel().tolist()
+    k = ERF_WIDTH_FACTOR / (width * 1e-3)
+    c0 = -r_n / _SQRT_PI * k
+    c1 = -r_n / (_SQRT_PI * width)
+    j00, j10, j11 = g00 * c0 * c0, g01 * c0 * c1, g11 * c1 * c1
+    j20, j21, j22 = g02 * c0 * 0.5, g12 * c1 * 0.5, g22 * 0.25
+    jtj, grad = (j00, j10, j11, j20, j21, j22), (b0 * c0, b1 * c1, g23 * 0.5)
+    if not second_order:
+        return jtj, grad, None
+    # the S entries above, written with c0 and c1
+    return (jtj, grad,
+            (j00 + 2.0 * c0 * k * b1, j10 - c0 * (b0 - 2.0 * a3) / width,
+             j11 - 2.0 * c1 * (b1 - a4) / width,
+             j20 + c0 * b0 / r_n, j21 + c1 * b1 / r_n, j22))
 
 
 def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
@@ -256,16 +240,17 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     are math.inf when A is singular (the samples do not resolve the
     transition).
     """
-    n = temperatures.size
-    u, rows = np.empty(n), _row_stack(n)
-    q = [t_star, width, r_n]
+    rows = _row_stack(temperatures.size)
     _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
-              q, u, rows)
-    column = _damped_step(_normal_equations(q, u, rows)[0], (-1.0, 0.0, 0.0), 0.0)
+              t_star, width, r_n, rows)
+    jtj = _normal_equations(width, r_n, rows, second_order=False)[0]
+    column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
     if column is None:
         return math.inf, math.inf
-    gauss, ugauss, shape = rows[:3]
-    _, c0, c1 = _row_factors(width, r_n)
+    gauss, ugauss, shape = rows[1:4]
+    # the row factors c0 and c1 of _normal_equations
+    c0 = -r_n / _SQRT_PI * (ERF_WIDTH_FACTOR / (width * 1e-3))
+    c1 = -r_n / (_SQRT_PI * width)
     # per sample, (J A^-1)[i, 0] J_0: its share of t*'s shift per unit jitter
     shift = (c0 * column[0]) * gauss + (c1 * column[1]) * ugauss
     shift += (0.5 * column[2]) * shape
@@ -279,6 +264,15 @@ def _ldexp(x: float, e: int) -> float:
         return math.ldexp(x, e)
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def _fit_error(message: str, iterations: int, cost: float, n: int, e: int,
+               t_star: float, width: float, r_n: float) -> FitError:
+    """The :class:`FitError` of a fit on R 2^-e at its last point, with
+    the residual norm and r_n scaled back."""
+    return FitError(message, iterations=iterations,
+                    residual_norm=_ldexp(math.sqrt(cost / n), e),
+                    params=(t_star, width, _ldexp(r_n, e)))
 
 
 def fit_transition(curve: TransitionCurve) -> FitResult:
@@ -306,7 +300,7 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     Until a step is accepted, the damped steps are Gauss-Newton steps on
     J^T J (full-Hessian steps from the initial guess make noisy fits
     slower).  Every later step solves the damped full Hessian J^T J + S of
-    cost / 2 instead (see :func:`_normal_matrices`), which turns the
+    cost / 2 instead (see :func:`_normal_equations`), which turns the
     linear Gauss-Newton tail of a noisy curve into a quadratic one, and
     falls back to J^T J when its damped J^T J + S is not positive
     definite.  The covariance always comes from the undamped J^T J:
@@ -323,7 +317,8 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     Each accepted point forms the Jacobian rows without their constant
     factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), the residuals, and
     the residuals times u and u^2, which S needs, and takes all their
-    products in one Gram matrix.
+    products in one Gram matrix; the initial guess, whose step reads no
+    S, leaves the last two rows at zero.
     """
     t = curve.temperatures
     r = curve.resistances
@@ -354,78 +349,97 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     min_width = 0.2 * step_mk
     span = float(t[-1] - t[0])
     t_lo, t_hi = float(t[0]) - span, float(t[-1]) + span
-    p = _initial_guess(t, r, r_top, step_mk)
+    # one set of buffers per fit, which every evaluation overwrites (see
+    # _row_stack); the current point lives on only in its cost and normal
+    # matrices.  The initial guess takes the samples nearest the
+    # _GUESS_LEVELS, the distances to them held in the first three rows.
+    rows = _row_stack(n)
+    distances = rows[-1][:3]
+    np.subtract(r, _GUESS_LEVELS * r_top, distances)
+    np.abs(distances, distances)
+    i_mid, i_lo, i_hi = distances.argmin(axis=1).tolist()
+    p0, p1, p2 = float(t[i_mid]), float(max(abs(t[i_hi] - t[i_lo]) * MK_PER_K,
+                                            2.0 * step_mk)), r_top
 
-    # one set of buffers per fit, which every evaluation overwrites: the
-    # scaled offsets u and a stack of rows (see _evaluate); the current
-    # point lives on only in its cost and normal matrices
-    u, rows = np.empty(n), _row_stack(n)
-
-    cost = _evaluate(t, r, p, u, rows)
-    jtj, grad, hess = _normal_equations(p, u, rows)
-    s0, s1, s2 = _xtol_scales(p)
+    cost = _evaluate(t, r, p0, p1, p2, rows)
+    # the first step solves J^T J, so the initial point needs no S
+    jtj, grad, hess = _normal_equations(p1, p2, rows, second_order=False)
     lam = 1e-3
     iterations = 0
     converged = False
-
-    def fit_error(message: str) -> FitError:
-        return FitError(message, iterations=iterations,
-                        residual_norm=_ldexp(math.sqrt(cost / n), e),
-                        params=(p[0], p[1], _ldexp(p[2], e)))
-
     for _ in range(_MAX_ITER):
         step = _damped_step(hess, grad, lam) if iterations else None
         if step is None:
             step = _damped_step(jtj, grad, lam)
             if step is None:
                 break
-        width = min(max(p[1] + step[1], p[1] / _WIDTH_STEP_FACTOR),
-                    p[1] * _WIDTH_STEP_FACTOR)
-        p_new = [min(max(p[0] + step[0], t_lo), t_hi), max(width, min_width),
-                 p[2] + step[2]]
-        if p_new[2] <= 0:
-            p_new[2] = p[2]
-        d0 = abs(p_new[0] - p[0]) / s0
-        d1 = abs(p_new[1] - p[1]) / s1
-        d2 = abs(p_new[2] - p[2]) / s2
-        if d0 <= _XTOL and d1 <= _XTOL and d2 <= _XTOL:
+        x0, x1, x2 = step
+        # the step's point (q0, q1, q2), each bound applied as max(value,
+        # lower) then min(value, upper) would apply it
+        q0 = p0 + x0
+        if t_lo > q0:
+            q0 = t_lo
+        if t_hi < q0:
+            q0 = t_hi
+        q1 = p1 + x1
+        if p1 / _WIDTH_STEP_FACTOR > q1:
+            q1 = p1 / _WIDTH_STEP_FACTOR
+        if p1 * _WIDTH_STEP_FACTOR < q1:
+            q1 = p1 * _WIDTH_STEP_FACTOR
+        if min_width > q1:
+            q1 = min_width
+        q2 = p2 + x2
+        if q2 <= 0:
+            q2 = p2
+        # the relative step-size test, on max(|p_i|, 1e-30)
+        if (abs(q0 - p0) / max(abs(p0), 1e-30) <= _XTOL
+                and abs(q1 - p1) / max(abs(p1), 1e-30) <= _XTOL
+                and abs(q2 - p2) / max(abs(p2), 1e-30) <= _XTOL):
             converged = True
             break
-        cost_new = _evaluate(t, r, p_new, u, rows)
+        cost_new = _evaluate(t, r, q0, q1, q2, rows)
         if cost_new <= cost:
             # the Jacobian is formed only here, since a rejected
             # evaluation's Jacobian would be thrown away
-            p, cost = p_new, cost_new
-            jtj, grad, hess = _normal_equations(p, u, rows)
-            lam = max(lam * 0.1, 1e-14)
-            s0, s1, s2 = _xtol_scales(p)
+            p0, p1, p2, cost = q0, q1, q2, cost_new
+            jtj, grad, hess = _normal_equations(p1, p2, rows)
+            lam *= 0.1
+            if 1e-14 > lam:
+                lam = 1e-14
             iterations += 1
         else:
             lam *= 10.0
             if lam > 1e12:
                 break
     if not converged:
-        raise fit_error("transition fit did not converge")
-    if p[1] < step_mk:
-        raise fit_error("fitted width below the temperature step; "
-                        "transition not resolved")
+        raise _fit_error("transition fit did not converge",
+                         iterations, cost, n, e, p0, p1, p2)
+    if p1 < step_mk:
+        raise _fit_error("fitted width below the temperature step; "
+                         "transition not resolved", iterations, cost, n, e, p0, p1, p2)
 
     # cov[0, 0] = (J^T J)^-1[0, 0] s^2; the undamped solve against the
     # unit vector e_0 gives the first column of (J^T J)^-1
     column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
     if column is None:
-        raise fit_error("singular covariance at the fitted parameters")
+        raise _fit_error("singular covariance at the fitted parameters",
+                         iterations, cost, n, e, p0, p1, p2)
     var_t_star = column[0] * (cost / max(n - 3, 1))
     return FitResult(
-        t_star=p[0],
+        t_star=p0,
         sigma_t_star=math.sqrt(max(var_t_star, 0.0)),
-        width=abs(p[1]),
-        r_n=_ldexp(p[2], e),
-        residual_norm=float(math.sqrt(cost / n) / p[2]),
+        width=abs(p1),
+        r_n=_ldexp(p2, e),
+        residual_norm=math.sqrt(cost / n) / p2,
         iterations=iterations)
 
 
 # --- delta curves -----------------------------------------------------------
+
+#: float64's machine epsilon, the relative rounding of x in the rank test
+#: of :func:`_weighted_line_fit`.
+_EPS = np.finfo(float).eps
+
 
 def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
                        sigma: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -446,7 +460,7 @@ def _weighted_line_fit(x: np.ndarray, y: np.ndarray,
     dx = x - x_mean
     wdx = w * dx
     sxx = float(add(wdx * dx))
-    if not sxx > sw * (np.finfo(float).eps * float(np.max(np.abs(x)))) ** 2:
+    if not sxx > sw * (_EPS * float(np.maximum.reduce(np.abs(x), None))) ** 2:
         raise InputError("film Tc regression is rank deficient "
                          "(degenerate field grid)")
     y_mean = float(add(w * y)) / sw
@@ -459,9 +473,13 @@ def _aggregate_repeats(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Combine repeated fits per field into one (t_star, sigma) each: the
     precision-weighted mean, each sigma raised to the noise floor."""
     fits = list(fits)
-    per_fit = np.array([float(field) for field, _ in fits])
-    fields = np.unique(per_fit)
-    group = fields.searchsorted(per_fit)
+    per_fit = [float(field) for field, _ in fits]
+    if all(a < b for a, b in zip(per_fit, per_fit[1:])):
+        # one fit per field, in field order: np.unique would return them as given
+        fields, group = np.array(per_fit), np.arange(len(per_fit))
+    else:
+        fields = np.unique(per_fit)
+        group = fields.searchsorted(per_fit)
     ts = np.array([fit.t_star for _, fit in fits])
     w = 1.0 / np.maximum([fit.sigma_t_star for _, fit in fits], _SIGMA_FLOOR) ** 2
     sw = np.bincount(group, w, fields.size)
@@ -672,7 +690,7 @@ def analyze_dataset(curves: list[TransitionCurve]) -> AnalysisResult:
     def view(build, *args):
         """``build(*args)``; None when a view it needs is missing, or
         with the builder's :class:`InputError` as a note."""
-        if any(arg is None for arg in args):
+        if None in args:
             return None
         try:
             return build(*args)

@@ -53,17 +53,21 @@ def _build_section(cls, data: dict, name: str, build=None):
 def _plan(params: model.ModelParams, instrument: InstrumentConfig, **data) -> SweepPlan:
     """The plan of ``data``, each sweep value it lacks derived as
     :func:`protocol.plan_sweep` derives it."""
+    derived = [name for name in ("t_center_guess", "t_span") if name not in data]
     data = {"fields": default_fields(params), "t_span": sweep_span(instrument), **data}
-    derived = "t_center_guess" not in data
-    if derived:
+    if "t_center_guess" in derived:
         data["t_center_guess"] = sweep_center(params, data["fields"])
     try:
         return SweepPlan(**data)
     except InputError as exc:
-        if not derived or "t_center_guess" not in str(exc):
-            raise
-        raise InputError(f"{exc} (t_center_guess was derived from fields, whose deepest "
-                         f"is {float(max(data['fields']))!r} G)") from exc
+        # a refused derived value names the setting it was derived from
+        for name in derived:
+            if name in str(exc):
+                source = (f"transition_width = {instrument.transition_width!r} mK"
+                          if name == "t_span" else
+                          f"fields, whose deepest is {float(max(data['fields']))!r} G")
+                raise InputError(f"{exc} ({name} was derived from {source})") from exc
+        raise
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

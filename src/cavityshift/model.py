@@ -113,16 +113,6 @@ def _field(params: ModelParams, h) -> np.ndarray:
     return h
 
 
-def _nonneg(value, name: str) -> np.ndarray:
-    """``value`` as a float array; :class:`InputError` if any element is
-    negative or NaN."""
-    value = np.asarray(value, dtype=float)
-    bad = ~(value >= 0.0)  # also catches NaN
-    if bad.any():
-        raise InputError(f"{name} must be >= 0, got {value[bad].flat[0]}")
-    return value
-
-
 def _like_input(result):
     # a scalar field gives a float, an array of fields an array
     return float(result) if np.ndim(result) == 0 else result
@@ -212,13 +202,22 @@ def critical_field(params: ModelParams, delta: float, kind: str = "film") -> flo
 
     Inverts the monotone balance in closed form, so the round trip
     through :func:`film_delta` / :func:`cavity_delta` is exact to
-    rounding.
+    rounding.  ``delta`` must be a real number in [0, D], D the ``kind``
+    depression at the largest admitted field (see
+    :attr:`ModelParams.max_field`), otherwise :class:`InputError` names
+    it; the field returned is at most that largest field, to which a
+    rounding above it is lowered.
     """
-    delta = float(_nonneg(delta, "delta"))
+    check_number("delta", delta, at_least=0)
     check_kind(kind)
+    top = params.max_field
+    deepest = film_delta(params, top) if kind == "film" else cavity_delta(params, top)
+    if delta > deepest:
+        raise InputError(f"delta must be at most {deepest!r} mK, the {kind} depression "
+                         f"at the largest admitted field {top!r} G, got {delta}")
+    delta = float(delta)
     if delta == 0.0:
         return 0.0
-    if kind == "film":
-        return math.sqrt(delta / params.alpha)
-    reduced = delta + params.delta_inf * delta / (delta + params.delta_v)
-    return math.sqrt(reduced / params.alpha)
+    if kind == "cavity":
+        delta += params.delta_inf * delta / (delta + params.delta_v)
+    return min(math.sqrt(delta / params.alpha), top)

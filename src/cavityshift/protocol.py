@@ -113,8 +113,7 @@ class TransitionCurve:
         smallest = float(steps.min(initial=math.inf))
         if not (0.0 <= smallest and steps.max(initial=0.0) < math.inf):
             raise InputError("temperatures must be finite and nondecreasing")
-        clamped = any(f.startswith("clamped") for f in self.flags)
-        if not clamped and smallest <= 0:
+        if smallest <= 0 and not any(f.startswith("clamped") for f in self.flags):
             raise InputError("temperatures must be strictly increasing")
 
 
@@ -190,15 +189,16 @@ def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
                   plan: SweepPlan, field: float, kind: str, repetition: int = 0,
                   substream_prefix: tuple[int, ...] = ()) -> TransitionCurve:
     """Sweep one curve at a fixed field, single monotone up-sweep."""
-    if field not in plan.fields:
-        raise InputError(f"field {field} G is not part of the plan")
+    try:
+        index = plan.fields.index(field)
+    except ValueError:
+        raise InputError(f"field {field} G is not part of the plan") from None
     model.check_kind(kind)
     if not (0 <= repetition < plan.repetitions):
         raise InputError(f"repetition {repetition} outside plan range")
 
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance)
-    index = plan.fields.index(field)
     t_star = table.t_stars[kind][index]
 
     path = (*substream_prefix, index, KIND_CODES[kind], repetition)

@@ -21,8 +21,8 @@ from cavityshift import analysis
 from cavityshift.analysis import (_SIGMA_FLOOR, MK_PER_K,
                                   DerivativeCurve, DifferenceCurve, FitFailure,
                                   FitResult, _aggregate_repeats, _damped_step,
-                                  _normal_matrices, _weighted_line_fit,
-                                  relative_slope_difference)
+                                  _evaluate, _normal_equations, _row_stack,
+                                  _weighted_line_fit, relative_slope_difference)
 from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
 from cavityshift.protocol import TransitionCurve, plan_table
@@ -371,7 +371,7 @@ class TestFitTransition:
 
 
 class TestFullHessian:
-    """J^T J + S from ``_normal_matrices`` is the Hessian of cost / 2."""
+    """J^T J + S from ``_normal_equations`` is the Hessian of cost / 2."""
 
     #: the lower-triangle entries of S; S22 is zero
     S_ENTRIES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
@@ -386,12 +386,10 @@ class TestFullHessian:
         fit = fit_transition(curve)
         p = np.array([fit.t_star + 3e-3, fit.width * 1.3, fit.r_n * 0.9])
         t, r = curve.temperatures, curve.resistances
-        t_star, width, r_n = p
-        u = (t - t_star) * (ERF_WIDTH_FACTOR / (width * 1e-3))
-        g = np.exp(-u * u)
-        res = resistive_transition(t, *p) - r
-        rows = np.array([g, u * g, 1.0 + erf(u), res, u * res, u * u * res])
-        jtj, _, hess = _normal_matrices((rows @ rows.T).tolist(), width, r_n)
+        t_star, width, r_n = p.tolist()
+        rows = _row_stack(t.size)
+        _evaluate(t, r, t_star, width, r_n, rows)
+        jtj, _, hess = _normal_equations(width, r_n, rows)
 
         def half_cost(q):
             res = resistive_transition(t, *q) - r
@@ -949,6 +947,291 @@ class TestPostFitMatchesReference:
         for array in (*operators[0], *operators[1]):
             assert not array.flags.writeable
         assert derivative_curve(curves[0]).one_sided is operators[0][2]
+
+
+# The erf fit as it was before its loop ran on scalar locals (one set-up
+# block, no S formed at the initial guess), verbatim but for its names
+# and docstrings: the reference fit_transition must match bit for bit.
+
+ref_SQRT_PI = math.sqrt(math.pi)
+ref_GUESS_LEVELS = np.array([[0.5], [0.1], [0.9]])
+
+
+def ref_damped_step(jtj: tuple[float, ...], grad: tuple[float, float, float],
+                    lam: float) -> tuple[float, float, float] | None:
+    a00, a10, a11, a20, a21, a22 = jtj
+    a = 1.0 + lam
+    d0 = a00 * a
+    if not 0.0 < d0 < math.inf:
+        return None
+    l00 = math.sqrt(d0)
+    l10 = a10 / l00
+    l20 = a20 / l00
+    d1 = a11 * a - l10 * l10
+    if not 0.0 < d1 < math.inf:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (a21 - l20 * l10) / l11
+    d2 = a22 * a - l20 * l20 - l21 * l21
+    if not 0.0 < d2 < math.inf:
+        return None
+    l22 = math.sqrt(d2)
+    y0 = -grad[0] / l00
+    y1 = (-grad[1] - l10 * y0) / l11
+    y2 = (-grad[2] - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return x0, x1, x2
+
+
+def ref_initial_guess(t: np.ndarray, r: np.ndarray, r_top: float,
+                      step_mk: float) -> list[float]:
+    i_mid, i_lo, i_hi = np.abs(r - ref_GUESS_LEVELS * r_top).argmin(axis=1).tolist()
+    width = max(abs(t[i_hi] - t[i_lo]) * MK_PER_K, 2.0 * step_mk)
+    return [float(t[i_mid]), float(width), r_top]
+
+
+def ref_xtol_scales(p: list[float]) -> tuple[float, float, float]:
+    return max(abs(p[0]), 1e-30), max(abs(p[1]), 1e-30), max(abs(p[2]), 1e-30)
+
+
+ref_XTOL = 1e-10
+ref_MAX_ITER = 100
+ref_WIDTH_STEP_FACTOR = 4.0
+
+
+def ref_row_factors(width: float, r_n: float) -> tuple[float, float, float]:
+    k = ERF_WIDTH_FACTOR / (width * 1e-3)
+    return k, -r_n / ref_SQRT_PI * k, -r_n / (ref_SQRT_PI * width)
+
+
+def ref_normal_matrices(gram: list[list[float]], width: float, r_n: float
+                        ) -> tuple[tuple[float, ...], tuple[float, float, float],
+                                   tuple[float, ...]]:
+    g0, g1, g2 = gram[0], gram[1], gram[2]
+    k, c0, c1 = ref_row_factors(width, r_n)
+    jtj = (g0[0] * c0 * c0,
+           g0[1] * c0 * c1, g1[1] * c1 * c1,
+           g0[2] * c0 * 0.5, g1[2] * c1 * 0.5, g2[2] * 0.25)
+    b0, b1 = g0[3], g1[3]
+    grad = (b0 * c0, b1 * c1, g2[3] * 0.5)
+    a3, a4 = g1[4], g1[5]
+    # the S entries above, written with c0 and c1
+    hess = (jtj[0] + 2.0 * c0 * k * b1,
+            jtj[1] - c0 * (b0 - 2.0 * a3) / width,
+            jtj[2] - 2.0 * c1 * (b1 - a4) / width,
+            jtj[3] + c0 * b0 / r_n, jtj[4] + c1 * b1 / r_n, jtj[5])
+    return jtj, grad, hess
+
+
+def ref_row_stack(n: int) -> tuple[np.ndarray, ...]:
+    stack = np.empty((6, n))
+    return (*stack, stack)
+
+
+def ref_evaluate(t: np.ndarray, r: np.ndarray, q: list[float], u: np.ndarray,
+                 rows: tuple[np.ndarray, ...]) -> float:
+    shape, res = rows[2], rows[3]
+    np.subtract(t, q[0], u)
+    np.multiply(u, ERF_WIDTH_FACTOR / (q[1] * 1e-3), u)
+    erf(u, shape)
+    np.add(shape, 1.0, shape)
+    np.multiply(shape, 0.5 * q[2], res)
+    np.subtract(res, r, res)
+    return float(res.dot(res))
+
+
+def ref_normal_equations(q: list[float], u: np.ndarray,
+                         rows: tuple[np.ndarray, ...]):
+    gauss, ugauss, _, res, ures, u2res, stack = rows
+    np.multiply(u, u, gauss)
+    np.negative(gauss, gauss)
+    np.exp(gauss, gauss)
+    np.multiply(gauss, u, ugauss)
+    np.multiply(res, u, ures)
+    np.multiply(ures, u, u2res)
+    return ref_normal_matrices(stack.dot(stack.T).tolist(), q[1], q[2])
+
+
+def ref_ldexp(x: float, e: int) -> float:
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def reference_fit_transition(curve: TransitionCurve) -> FitResult:
+    t = curve.temperatures
+    r = curve.resistances
+    n = t.size
+    if n < 20:
+        raise InputError(f"need at least 20 samples, got {n}")
+    step_mk = float((t[1:] - t[:-1]).max()) * MK_PER_K
+    if step_mk == 0:  # e.g. a sweep whose setpoints all clamp to the floor
+        raise InputError(f"every temperature is {float(t[0])!r} K; the curve has "
+                         "no transition to fit")
+    r_sorted = np.sort(r)
+    if not (-math.inf < r_sorted[0] and r_sorted[-1] < math.inf):  # NaN sorts last
+        raise InputError("resistances must be finite")
+    # max |R| = m 2^e with 0.5 <= m < 1; the fit runs on R 2^-e, applied
+    # with ldexp since 2^-e itself overflows for a subnormal max |R|
+    e = math.frexp(max(-r_sorted[0], r_sorted[-1]))[1]
+    np.ldexp(r_sorted, -e, out=r_sorted)
+    r = np.ldexp(r, -e)
+    k = max(2, n // 10)
+    r_top = float(r_sorted[-k:].sum()) / k  # bit-equal to .mean()
+    if not (r_top > 0):
+        raise InputError("no resistive plateau found")
+    below = int(r_sorted.searchsorted(0.2 * r_top))                # r < 0.2 r_top
+    above = n - int(r_sorted.searchsorted(0.8 * r_top, "right"))  # r > 0.8 r_top
+    if below / n < 0.1 or above / n < 0.1:
+        raise InputError("curve does not span both resistance plateaus")
+
+    min_width = 0.2 * step_mk
+    span = float(t[-1] - t[0])
+    t_lo, t_hi = float(t[0]) - span, float(t[-1]) + span
+    p = ref_initial_guess(t, r, r_top, step_mk)
+
+    # one set of buffers per fit, which every evaluation overwrites: the
+    # scaled offsets u and a stack of rows (see ref_evaluate); the current
+    # point lives on only in its cost and normal matrices
+    u, rows = np.empty(n), ref_row_stack(n)
+
+    cost = ref_evaluate(t, r, p, u, rows)
+    jtj, grad, hess = ref_normal_equations(p, u, rows)
+    s0, s1, s2 = ref_xtol_scales(p)
+    lam = 1e-3
+    iterations = 0
+    converged = False
+
+    def fit_error(message: str) -> FitError:
+        return FitError(message, iterations=iterations,
+                        residual_norm=ref_ldexp(math.sqrt(cost / n), e),
+                        params=(p[0], p[1], ref_ldexp(p[2], e)))
+
+    for _ in range(ref_MAX_ITER):
+        step = ref_damped_step(hess, grad, lam) if iterations else None
+        if step is None:
+            step = ref_damped_step(jtj, grad, lam)
+            if step is None:
+                break
+        width = min(max(p[1] + step[1], p[1] / ref_WIDTH_STEP_FACTOR),
+                    p[1] * ref_WIDTH_STEP_FACTOR)
+        p_new = [min(max(p[0] + step[0], t_lo), t_hi), max(width, min_width),
+                 p[2] + step[2]]
+        if p_new[2] <= 0:
+            p_new[2] = p[2]
+        d0 = abs(p_new[0] - p[0]) / s0
+        d1 = abs(p_new[1] - p[1]) / s1
+        d2 = abs(p_new[2] - p[2]) / s2
+        if d0 <= ref_XTOL and d1 <= ref_XTOL and d2 <= ref_XTOL:
+            converged = True
+            break
+        cost_new = ref_evaluate(t, r, p_new, u, rows)
+        if cost_new <= cost:
+            # the Jacobian is formed only here, since a rejected
+            # evaluation's Jacobian would be thrown away
+            p, cost = p_new, cost_new
+            jtj, grad, hess = ref_normal_equations(p, u, rows)
+            lam = max(lam * 0.1, 1e-14)
+            s0, s1, s2 = ref_xtol_scales(p)
+            iterations += 1
+        else:
+            lam *= 10.0
+            if lam > 1e12:
+                break
+    if not converged:
+        raise fit_error("transition fit did not converge")
+    if p[1] < step_mk:
+        raise fit_error("fitted width below the temperature step; "
+                        "transition not resolved")
+
+    # cov[0, 0] = (J^T J)^-1[0, 0] s^2; the undamped solve against the
+    # unit vector e_0 gives the first column of (J^T J)^-1
+    column = ref_damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
+    if column is None:
+        raise fit_error("singular covariance at the fitted parameters")
+    var_t_star = column[0] * (cost / max(n - 3, 1))
+    return FitResult(
+        t_star=p[0],
+        sigma_t_star=math.sqrt(max(var_t_star, 0.0)),
+        width=abs(p[1]),
+        r_n=ref_ldexp(p[2], e),
+        residual_norm=float(math.sqrt(cost / n) / p[2]),
+        iterations=iterations)
+
+
+def float_bits(value):
+    """``value`` with every float as its type and hex form, so that two
+    values compare equal only when their bits do (-0.0 against 0.0 too)."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, tuple):
+        return tuple(float_bits(v) for v in value)
+    return value
+
+
+def fit_outcome(fit, curve):
+    """The result of ``fit(curve)`` field by field, or the error it
+    raises with its message and attributes, in :func:`float_bits` form."""
+    try:
+        result = fit(curve)
+    except CavityShiftError as exc:
+        return (type(exc), str(exc), float_bits((getattr(exc, "iterations", None),
+                                                 getattr(exc, "residual_norm", None),
+                                                 getattr(exc, "params", None))))
+    return type(result), float_bits(tuple(getattr(result, f) for f in (
+        "t_star", "sigma_t_star", "width", "r_n", "residual_norm", "iterations")))
+
+
+class TestFitMatchesReference:
+    """fit_transition against reference_fit_transition: the same bits
+    of every result field, or the same error, message and attributes."""
+
+    @settings(deadline=None, max_examples=300)
+    @example(curve=reference_curve(1e160))
+    @example(curve=reference_curve(1e-320))
+    @example(curve=TransitionCurve(
+        field=0.0, kind="film", temperatures=np.linspace(1.0, 1.1, 50),
+        resistances=np.repeat([0.0, sys.float_info.max], 25)))
+    @given(curve=finite_curves())
+    def test_any_finite_curve(self, curve):
+        assert fit_outcome(fit_transition, curve) == fit_outcome(reference_fit_transition,
+                                                                 curve)
+
+    @pytest.mark.parametrize("config", [
+        {"instrument": {"resistance_noise": REFERENCE_SIGMA_R}},
+        {"instrument": {"resistance_noise": 0.3}},
+        {"instrument": {"resistance_noise": 0.4}},
+        {"instrument": {"resistance_noise": REFERENCE_SIGMA_R, "temperature_jitter": 2.0}},
+        {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}},
+        JITTER_OVERFLOW_CONFIG,
+    ], ids=["reference", "0.3-ohm", "0.4-ohm", "jitter", "noise-free", "jitter-overflow"])
+    def test_study_curves(self, config):
+        config = run_config_from_dict({"seed": 3, **config})
+        outcomes = [(fit_outcome(fit_transition, curve),
+                     fit_outcome(reference_fit_transition, curve))
+                    for trial in range(20)
+                    for curve in run_paired_experiment(config.model, config.instrument,
+                                                       config.plan, (trial,))]
+        assert all(got == want for got, want in outcomes)
+        assert len(outcomes) == 20 * 2 * len(config.plan.fields)
+
+    @pytest.mark.parametrize("t, r, flags", [
+        (np.linspace(1.3, 1.7, 10), np.linspace(0.0, 10.0, 10), ()),
+        (np.full(200, 0.3), np.linspace(0.0, 10.0, 200), ("clamped:0",)),
+        (np.linspace(1.3, 1.7, 200), np.where(np.arange(200) == 150, math.nan, 1.0), ()),
+        (np.linspace(1.3, 1.45, 100),
+         resistive_transition(np.linspace(1.3, 1.45, 100), 1.5, 50.0, 10.0), ()),
+        (np.linspace(1.3, 1.7, 200), -np.linspace(0.0, 10.0, 200), ()),
+    ], ids=["too-few", "one-temperature", "nan-resistance", "one-plateau", "no-plateau"])
+    def test_refused_curves(self, t, r, flags):
+        curve = TransitionCurve(field=0.0, kind="film", temperatures=t, resistances=r,
+                                flags=flags)
+        outcome = fit_outcome(fit_transition, curve)
+        assert outcome[0] is InputError
+        assert outcome == fit_outcome(reference_fit_transition, curve)
 
 
 class TestConvergenceReport:

@@ -84,6 +84,9 @@ def test_traced_study_measures_every_layer(monkeypatch, tmp_path, capsys):
     # calibration, whose metrics are then counts of zero
     metrics, _ = _traced_metrics(monkeypatch, capsys, _study(tmp_path))
     assert metrics["analysis.fit_transition.calls"][0] == 1000
+    # one acquisition and one fit per curve: 100 trials of 5 fields x 2 kinds
+    assert metrics["protocol.acquire_curve.calls"][0] == 1000
+    assert metrics["analysis.fit_transition.failures"][0] == 0
 
 
 def test_traced_study_after_a_warm_run_measures_every_layer(monkeypatch, tmp_path,

@@ -231,6 +231,15 @@ def test_a_refused_derived_centre_names_the_deepest_field():
         run_config_from_dict({"plan": {"fields": [1.0, 1e40]}})
 
 
+def test_a_refused_derived_span_names_the_transition_width():
+    # eight widths of 1e308 mK overflow to an infinite span; the config
+    # never gave t_span, and the refusal once named it alone
+    with pytest.raises(InputError, match=r"^invalid 'plan' section: t_span must be finite "
+                                         r"and > 0, got inf \(t_span was derived from "
+                                         r"transition_width = 1e\+308 mK\)$"):
+        run_config_from_dict({"instrument": {"transition_width": 1e308}})
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)
 @given(config=configs, n_fields=st.integers(1, 40),
        repetitions=st.one_of(st.integers(1, 10), st.integers(1, 10 ** 12)),

@@ -263,6 +263,21 @@ class TestCriticalField:
             h_cavity = critical_field(params, delta, "cavity")
             assert cavity_delta(params, h_cavity) == pytest.approx(delta, rel=1e-9)
 
-    def test_negative_delta_rejected(self, params):
-        with pytest.raises(InputError):
-            critical_field(params, -0.5, "film")
+    @pytest.mark.parametrize("kind", ["film", "cavity"])
+    @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf, 1e308, "past-the-bound"])
+    def test_delta_outside_the_admitted_depressions_rejected(self, params, kind, delta):
+        # inf once gave nan for the cavity, and 1e308 an infinite field,
+        # which the forward forms refuse; "past-the-bound" is the next
+        # float above the depression at the largest admitted field
+        deepest = {"film": film_delta, "cavity": cavity_delta}[kind](params,
+                                                                   params.max_field)
+        if delta == "past-the-bound":
+            delta = math.nextafter(deepest, math.inf)
+        with pytest.raises(InputError, match=r"^delta must"):
+            critical_field(params, delta, kind)
+
+    @pytest.mark.parametrize("kind", ["film", "cavity"])
+    def test_the_deepest_admitted_depression_gives_the_largest_field(self, params, kind):
+        deepest = {"film": film_delta, "cavity": cavity_delta}[kind](params,
+                                                                   params.max_field)
+        assert critical_field(params, deepest, kind) == params.max_field

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavityshift import (InputError, InstrumentConfig, ModelParams, SweepPlan,
                          acquire_curve, cavity_delta,
@@ -384,6 +385,45 @@ class TestCurveValidation:
             TransitionCurve(field=10.0, kind="film",
                             temperatures=np.linspace(1, 2, 5),
                             resistances=np.zeros(4))
+
+
+def reference_grid_check(temperatures, flags):
+    """TransitionCurve's grid rules as they were before the clamped flags
+    were read only for a sweep with a zero step, verbatim."""
+    steps = temperatures[1:] - temperatures[:-1]
+    smallest = float(steps.min(initial=math.inf))
+    if not (0.0 <= smallest and steps.max(initial=0.0) < math.inf):
+        raise InputError("temperatures must be finite and nondecreasing")
+    clamped = any(f.startswith("clamped") for f in flags)
+    if not clamped and smallest <= 0:
+        raise InputError("temperatures must be strictly increasing")
+
+
+def grid_outcome(check, temperatures, flags):
+    try:
+        check(temperatures, flags)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+class TestGridCheckMatchesReference:
+    @settings(deadline=None, max_examples=300)
+    @given(temperatures=st.lists(st.one_of(
+               st.sampled_from([0.3, 1.5, 0.0, -0.0, math.inf, -math.inf, math.nan]),
+               st.floats(allow_nan=True, allow_infinity=True)), max_size=8),
+           flags=st.lists(st.sampled_from(["clamped:0", "midpoint-outside-central-80pct"]),
+                          max_size=2).map(tuple),
+           increasing=st.booleans())
+    def test_any_grid(self, temperatures, flags, increasing):
+        t = np.array(sorted(temperatures, key=lambda x: (math.isnan(x), x))
+                     if increasing else temperatures, dtype=float)
+        # inf - inf and a step past the float range warn in both
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = grid_outcome(lambda t, flags: TransitionCurve(
+                field=0.0, kind="film", temperatures=t, resistances=np.zeros(t.size),
+                flags=flags), t, flags)
+            assert got == grid_outcome(reference_grid_check, t, flags)
 
 
 class TestCollapsedGrid:
