@@ -11,53 +11,49 @@ value, division by zero) fails its command and shows as an exit code
 that differs or a command that exits 1.  A command of this checkout
 that exits 1 fails the comparison even where the ref's exits 1 too:
 exit 1 is no documented code, only an uncaught exception or such a
-warning.  The matrix:
+warning.  The matrix (``PLAIN`` and ``CONFIGS``, each case declared
+once; a ``simulate`` goes on to ``analyze`` its run, which exits 4 where
+``simulate`` wrote none):
 
 - ``model-curve --step 0.05``, which takes no seed
 - ``model-curve`` at alpha = 1e-300 and h_v = 1e-300 G, whose
-  delta_v = alpha*h_v**2 underflows to 0, which exits 2 naming both; it
-  once wrote a NaN cavity slope in every row without a warning, so the
-  warning flag alone did not catch it
+  delta_v = alpha*h_v**2 underflows to 0, below its 1e-9 mK floor, which
+  exits 2 naming both; it once wrote a NaN cavity slope in every row
+  without a warning, so the warning flag alone did not catch it
 - ``model-curve`` at alpha = 1e-300 and h_v = 3e-12 G, whose
-  delta_v = 1e-323 is above 0 but so small that the cavity slope was
-  once 0/0 in every row, again without a warning; every row now holds
-  its limit 0
+  delta_v = 1e-323 lies below that floor, which exits 2 naming both; the
+  cavity slope was once 0/0 in every row, again without a warning, and
+  then its limit 0
 - ``model-curve`` at alpha = 1 and h_v = 1e154 G, whose finite
-  delta_v = 1e308 lies past the model's 1e150 mK bound, which exits 2
-  naming both; it once wrote a NaN cavity depression in 250 of 251 rows
-  without a warning
+  delta_v = 1e308 lies past 1000*t_c mK, which exits 2 naming both; it
+  once wrote a NaN cavity depression in 250 of 251 rows without a warning
 - ``model-curve --min-field 1e160 --max-field 1e160 --step 1``, whose
-  film depression alpha*H**2 overflows, past the model's 1e150 mK
-  bound, which exits 2 naming the field; it once wrote the row
-  ``1e+160,inf,inf,nan,...`` (exit 1 under the warning flag)
-- ``simulate``, then ``analyze`` of its run
-- ``simulate`` without noise (zero resistance noise and jitter in the
-  config file), then ``analyze``
-- ``simulate`` with 2 mK of temperature jitter, then ``analyze``
-- ``simulate`` of a 5-repetition plan, then ``analyze``
-- ``simulate`` of a 4-field plan, then ``analyze``, which skips the
-  5-point derivatives with a note
-- ``simulate`` with 1e-7 ohm of resistance noise, then ``analyze``
+  film depression alpha*H**2 overflows, past 1000*t_c mK, which exits 2
+  naming the field; it once wrote the row ``1e+160,inf,inf,nan,...``
+  (exit 1 under the warning flag)
+- ``simulate`` and ``analyze``: plain, without noise (zero resistance
+  noise and jitter), with 2 mK of temperature jitter, of a 5-repetition
+  plan, of a 4-field plan (which skips the 5-point derivatives with a
+  note) and with 1e-7 ohm of resistance noise
 - ``simulate`` at Tc = 0.32 K, then ``analyze``: the 0.3 K cryostat
   floor clamps setpoints of every curve, so every fit carries
   ``clamped:i`` flags, and every fit converges
 - ``simulate`` at Tc = 0.31 K, then ``analyze``: no curve spans both
   resistance plateaus, so every fit fails, each listed in
   ``failed_fits`` with its curve's flags (exit 5)
-- ``simulate`` at alpha = 1e140 with a given ``t_center_guess`` of 1 K
-  and a derived ``t_span``, then ``analyze``: the run loads, though the
-  derived centre would be -3.1e141 K (it once exited 2 naming
-  ``t_center_guess``), and every fit fails, since the film transitions
-  lie far below the grid (exit 5)
+- ``simulate`` at alpha = 1e140 with a given ``t_center_guess`` of 1 K,
+  whose delta_v lies past 1000*t_c mK, which exits 2 naming alpha and
+  h_v; it once exited 2 naming the derived centre of -3.1e141 K, and
+  then ran, every fit failing (exit 5)
 - ``simulate`` with a temperature jitter of ``true``, which exits 2
   naming the key and writes nothing
-- ``simulate`` of the field list ``[1e160]``, past the model's bound,
-  which exits 2 naming the field and writes nothing; it once exited 2
-  naming ``t_center_guess``, a setting the config did not give
-- ``simulate`` with a transition width of 1e308 mK, whose derived
-  ``t_span`` of eight widths overflows, which exits 2 naming ``t_span``
-  and the width it was derived from, and writes nothing; it once named
-  ``t_span`` alone, a setting the config did not give
+- ``simulate`` of the field list ``[1e160]``, past 1000*t_c mK, which
+  exits 2 naming the field and writes nothing; it once exited 2 naming
+  ``t_center_guess``, a setting the config did not give
+- ``simulate`` with a transition width of 1e308 mK, past the 1e6 mK of
+  the highest Tc, which exits 2 naming the width and writes nothing; its
+  derived ``t_span`` once overflowed, and the refusal named ``t_span``
+  alone, a setting the config did not give
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -66,8 +62,8 @@ warning.  The matrix:
 - ``sensitivity --trials 100`` at 1e-7 ohm of resistance noise, whose
   mean z is about 2.7e6
 - ``sensitivity --trials 100`` at alpha = 1e-300 and h_v = 1e-5 G,
-  whose delta_v = 1e-310 squares to 0, so every ``model_contrast`` is
-  the limit 1.0
+  whose delta_v = 1e-310 lies below its 1e-9 mK floor, which exits 2
+  naming both; every ``model_contrast`` was once the limit 1.0
 - ``calibrate --trials 200``
 - ``calibrate --trials 200 --target 0.5`` with 2 mK of temperature
   jitter, a target above the jitter's noise-free floor of ``delta_n``
@@ -105,67 +101,64 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7, 21)
-#: The config file of each case that takes one.
+#: The cases on the default config, by name: each the command's arguments
+#: before the seed and output options.
+PLAIN = {
+    "model-curve": ["model-curve", "--step", "0.05"],
+    "model-curve-hugefield": ["model-curve", "--min-field", "1e160", "--max-field", "1e160",
+                              "--step", "1"],
+    "simulate": ["simulate"],
+    "sensitivity": ["sensitivity", "--trials", "200"],
+    "calibrate": ["calibrate", "--trials", "200"],
+}
+#: Each config file, by name, and the cases that read it, each declared by
+#: its subcommand (and a label where a config runs one subcommand twice)
+#: with the options it adds.  A case is named "<subcommand>-<config>", or
+#: "<subcommand>-<config>-<label>" for "<subcommand>/<label>".
 CONFIGS = {
-    "noiseless": {"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}},
-    "jitter": {"instrument": {"temperature_jitter": 2.0}},
-    "repetitions": {"plan": {"repetitions": 5}},
-    "fewfields": {"plan": {"fields": [50.0, 100.0, 150.0, 200.0]}},
-    "tinynoise": {"instrument": {"resistance_noise": 1e-7}},
-    "clamped": {"model": {"t_c": 0.32}},
-    "floor": {"model": {"t_c": 0.31}},
-    "underflow": {"model": {"alpha": 1e-300, "h_v": 1e-5}},
-    "boolean": {"instrument": {"temperature_jitter": True}},
-    "zerodeltav": {"model": {"alpha": 1e-300, "h_v": 1e-300}},
-    "subnormaldeltav": {"model": {"alpha": 1e-300, "h_v": 3e-12}},
-    "hugedeltav": {"model": {"alpha": 1.0, "h_v": 1e154},
-                   "plan": {"fields": [1.0, 2.0, 5.0, 10.0, 20.0],
-                            "t_center_guess": 1.0, "t_span": 0.4}},
-    "givencenter": {"model": {"alpha": 1e140}, "plan": {"t_center_guess": 1.0}},
-    "hugefield": {"plan": {"fields": [1e160]}},
-    "hugewidth": {"instrument": {"transition_width": 1e308}},
+    "noiseless": ({"instrument": {"resistance_noise": 0.0, "temperature_jitter": 0.0}},
+                  {"simulate": [], "sensitivity": ["--trials", "100"]}),
+    "jitter": ({"instrument": {"temperature_jitter": 2.0}},
+               {"simulate": [], "calibrate": ["--trials", "200", "--target", "0.5"],
+                "calibrate/floor": ["--trials", "200"]}),
+    "repetitions": ({"plan": {"repetitions": 5}}, {"simulate": []}),
+    "fewfields": ({"plan": {"fields": [50.0, 100.0, 150.0, 200.0]}},
+                  {"simulate": [], "sensitivity": ["--trials", "200"]}),
+    "tinynoise": ({"instrument": {"resistance_noise": 1e-7}},
+                  {"simulate": [], "sensitivity": ["--trials", "100"]}),
+    "clamped": ({"model": {"t_c": 0.32}}, {"simulate": []}),
+    "floor": ({"model": {"t_c": 0.31}}, {"simulate": []}),
+    "underflow": ({"model": {"alpha": 1e-300, "h_v": 1e-5}},
+                  {"sensitivity": ["--trials", "100"]}),
+    "boolean": ({"instrument": {"temperature_jitter": True}}, {"simulate": []}),
+    "zerodeltav": ({"model": {"alpha": 1e-300, "h_v": 1e-300}}, {"model-curve": []}),
+    "subnormaldeltav": ({"model": {"alpha": 1e-300, "h_v": 3e-12}}, {"model-curve": []}),
+    "hugedeltav": ({"model": {"alpha": 1.0, "h_v": 1e154},
+                    "plan": {"fields": [1.0, 2.0, 5.0, 10.0, 20.0],
+                             "t_center_guess": 1.0, "t_span": 0.4}},
+                   {"model-curve": []}),
+    "givencenter": ({"model": {"alpha": 1e140}, "plan": {"t_center_guess": 1.0}},
+                    {"simulate": []}),
+    "hugefield": ({"plan": {"fields": [1e160]}}, {"simulate": []}),
+    "hugewidth": ({"instrument": {"transition_width": 1e308}}, {"simulate": []}),
 }
 
 
 def cases(seed: int) -> dict[str, list[list[str]]]:
-    """The commands of each case, run in order in the case's directory."""
-    common = ["--seed", str(seed), "--out", "out"]
-    analyze = ["analyze", "out/run.json"]
-    simulate = {f"simulate-{name}": [["simulate", "--config", f"../../{name}.json",
-                                      *common], analyze]
-                for name in CONFIGS
-                if name not in ("underflow", "boolean", "zerodeltav", "subnormaldeltav",
-                                "hugedeltav", "hugefield", "hugewidth")}
-    return {
-        "model-curve": [["model-curve", "--step", "0.05", "--out", "out"]],
-        "model-curve-zerodeltav": [["model-curve", "--config", "../../zerodeltav.json",
-                                    "--out", "out"]],
-        "model-curve-subnormaldeltav": [["model-curve", "--config",
-                                         "../../subnormaldeltav.json", "--out", "out"]],
-        "model-curve-hugedeltav": [["model-curve", "--config", "../../hugedeltav.json",
-                                    "--out", "out"]],
-        "model-curve-hugefield": [["model-curve", "--min-field", "1e160", "--max-field",
-                                   "1e160", "--step", "1", "--out", "out"]],
-        "simulate": [["simulate", *common], analyze],
-        **simulate,
-        "simulate-boolean": [["simulate", "--config", "../../boolean.json", *common]],
-        "simulate-hugefield": [["simulate", "--config", "../../hugefield.json", *common]],
-        "simulate-hugewidth": [["simulate", "--config", "../../hugewidth.json", *common]],
-        "sensitivity": [["sensitivity", "--trials", "200", *common]],
-        "sensitivity-fewfields": [["sensitivity", "--trials", "200", "--config",
-                                   "../../fewfields.json", *common]],
-        "sensitivity-noiseless": [["sensitivity", "--trials", "100", "--config",
-                                   "../../noiseless.json", *common]],
-        "sensitivity-tinynoise": [["sensitivity", "--trials", "100", "--config",
-                                   "../../tinynoise.json", *common]],
-        "sensitivity-underflow": [["sensitivity", "--trials", "100", "--config",
-                                   "../../underflow.json", *common]],
-        "calibrate": [["calibrate", "--trials", "200", *common]],
-        "calibrate-jitter": [["calibrate", "--trials", "200", "--target", "0.5",
-                              "--config", "../../jitter.json", *common]],
-        "calibrate-jitter-floor": [["calibrate", "--trials", "200", "--config",
-                                    "../../jitter.json", *common]],
-    }
+    """The commands of each case, run in order in the case's directory:
+    its command with the seed (``model-curve`` takes none) and output
+    options, and after ``simulate`` an ``analyze`` of its run."""
+    def commands(argv: list[str], *config: str) -> list[list[str]]:
+        seeded = [] if argv[0] == "model-curve" else ["--seed", str(seed)]
+        run = [*argv, *config, *seeded, "--out", "out"]
+        return [run, ["analyze", "out/run.json"]] if argv[0] == "simulate" else [run]
+    matrix = {name: commands(argv) for name, argv in PLAIN.items()}
+    for name, (_, runs) in CONFIGS.items():
+        for key, options in runs.items():
+            subcommand, _, label = key.partition("/")
+            case = "-".join(filter(None, (subcommand, name, label)))
+            matrix[case] = commands([subcommand, *options], "--config", f"../../{name}.json")
+    return matrix
 
 
 def run_matrix(src: Path, root: Path) -> dict[str, list[int]]:
@@ -173,7 +166,7 @@ def run_matrix(src: Path, root: Path) -> dict[str, list[int]]:
     root/<seed>/<case>, a numeric warning raised as an error; returns
     the exit codes per case."""
     root.mkdir(parents=True)
-    for name, config in CONFIGS.items():
+    for name, (config, _) in CONFIGS.items():
         (root / f"{name}.json").write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(src)}
     codes = {}

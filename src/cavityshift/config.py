@@ -52,22 +52,24 @@ def _build_section(cls, data: dict, name: str, build=None):
 
 def _plan(params: model.ModelParams, instrument: InstrumentConfig, **data) -> SweepPlan:
     """The plan of ``data``, each sweep value it lacks derived as
-    :func:`protocol.plan_sweep` derives it."""
-    derived = [name for name in ("t_center_guess", "t_span") if name not in data]
+    :func:`protocol.plan_sweep` derives it; a refused derived field list
+    or span names the setting it was derived from."""
+    given = set(data)
     data = {"fields": default_fields(params), "t_span": sweep_span(instrument), **data}
-    if "t_center_guess" in derived:
-        data["t_center_guess"] = sweep_center(params, data["fields"])
     try:
-        return SweepPlan(**data)
+        center = sweep_center(params, data["fields"])  # checks the fields' depressions
     except InputError as exc:
-        # a refused derived value names the setting it was derived from
-        for name in derived:
-            if name in str(exc):
-                source = (f"transition_width = {instrument.transition_width!r} mK"
-                          if name == "t_span" else
-                          f"fields, whose deepest is {float(max(data['fields']))!r} G")
-                raise InputError(f"{exc} ({name} was derived from {source})") from exc
-        raise
+        if "fields" in given:
+            raise
+        raise InputError(f"{exc} (fields were derived from "
+                         f"h_v = {params.h_v!r} G)") from exc
+    try:
+        return SweepPlan(**{"t_center_guess": center, **data})
+    except InputError as exc:
+        if "t_span" in given or "t_span" not in str(exc):
+            raise
+        raise InputError(f"{exc} (t_span was derived from transition_width = "
+                         f"{instrument.transition_width!r} mK)") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

@@ -35,10 +35,11 @@ def is_number(value, integer: bool = False) -> bool:
 
 
 def check_number(name: str, value, integer: bool = False, *,
-                 above: float | None = None, at_least: float | None = None) -> None:
+                 above: float | None = None, at_least: float | None = None,
+                 at_most: float | None = None) -> None:
     """Raise :class:`InputError` naming ``name`` unless ``value`` passes
-    :func:`is_number`, is finite, and is ``> above`` or ``>= at_least``
-    where that bound is given (no comparison holds for NaN)."""
+    :func:`is_number`, is finite, and is ``> above``, ``>= at_least`` and
+    ``<= at_most`` where that bound is given (no comparison holds for NaN)."""
     if not is_number(value, integer):
         if isinstance(value, int) and not isinstance(value, bool):
             # its repr may exceed Python's digit limit
@@ -46,13 +47,12 @@ def check_number(name: str, value, integer: bool = False, *,
                              f"got a {value.bit_length()}-bit integer")
         raise InputError(f"{name} must be {'an integer' if integer else 'a real number'}, "
                          f"got {value!r}")
+    bounds = {">": above, ">=": at_least, "<=": at_most}
     rules = [] if integer else ["finite"]  # an int always is
-    if above is not None:
-        rules.append(f"> {above}")
-    if at_least is not None:
-        rules.append(f">= {at_least}")
+    rules += [f"{sign} {bound}" for sign, bound in bounds.items() if bound is not None]
     if not (math.isfinite(value) and (above is None or value > above)
-            and (at_least is None or value >= at_least)):
+            and (at_least is None or value >= at_least)
+            and (at_most is None or value <= at_most)):
         raise InputError(f"{name} must be {' and '.join(rules)}, got {value}")
 
 

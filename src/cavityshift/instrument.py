@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 from .errors import InputError, check_number, is_number
+from .model import MAX_T_C
 
 #: Converts a 10%-90% resistive width into the erf length scale:
 #: R/R_n = (1+erf(x/s))/2 crosses 0.1 and 0.9 at x = -+ s*erfinv(0.8),
@@ -38,8 +39,11 @@ class InstrumentConfig:
     seed: int = 1                       # master seed, 64-bit unsigned
 
     def __post_init__(self):
-        for name in ("base_temperature", "normal_resistance", "transition_width"):
+        for name in ("base_temperature", "normal_resistance"):
             check_number(name, getattr(self, name), above=0)
+        # no wider than the highest Tc, so that a derived t_span is finite
+        check_number("transition_width", self.transition_width, above=0,
+                     at_most=MAX_T_C * 1e3)
         for name in ("resistance_noise", "temperature_jitter"):
             check_number(name, getattr(self, name), at_least=0)
         if not (is_number(self.seed, integer=True) and 0 <= self.seed < 2 ** 64):

@@ -37,11 +37,13 @@ from .errors import InputError, check_number
 #: The two sample kinds: the bare film and the cavity mirror.
 KINDS = ("film", "cavity")
 
-#: Largest crossover depression alpha*h_v**2, asymptotic shift delta_inf
-#: and film depression alpha*H**2 of an admitted field (mK): at or below
-#: it b*b + 4*alpha*H**2*delta_v in :func:`cavity_delta` stays at or below
-#: 8e300, so no intermediate of the model overflows.
-MAX_DEPRESSION = 1e150
+#: Highest zero-field transition temperature (K), far above any known
+#: superconductor: no depression, at most 1000*t_c mK, passes 1e6 mK.
+MAX_T_C = 1e3
+
+#: Smallest crossover depression alpha*h_v**2 (mK): the analysis' 1 pK
+#: noise floor (``analysis._SIGMA_FLOOR``), below which no fit resolves it.
+MIN_DELTA_V = 1e-9
 
 #: Tag attached to files derived from the cavity energy term.
 CAVITY_FORM_NOTE = ("phenomenological interpolation "
@@ -64,15 +66,14 @@ class ModelParams:
     cond_scale: float = 1.0           # overall energy normalisation
 
     def __post_init__(self):
-        for name in ("t_c", "alpha", "h_v", "cond_scale"):
+        check_number("t_c", self.t_c, above=0, at_most=MAX_T_C)
+        for name in ("alpha", "h_v", "cond_scale"):
             check_number(name, getattr(self, name), above=0)
-        check_number("delta_inf", self.delta_inf, at_least=0)
-        if self.delta_inf > MAX_DEPRESSION:
-            raise InputError(f"delta_inf must be at most {MAX_DEPRESSION:g} mK, "
-                             f"got {self.delta_inf}")
-        if not (0 < self.delta_v <= MAX_DEPRESSION):  # at 0 the vacuum share is 0/0
+        top = 1e3 * self.t_c  # mK; a deeper depression puts the transition below 0 K
+        check_number("delta_inf", self.delta_inf, at_least=0, at_most=top)
+        if not (MIN_DELTA_V <= self.delta_v <= top):
             raise InputError(f"the crossover depression alpha*h_v**2 must lie in "
-                             f"(0, {MAX_DEPRESSION:g}] mK, "
+                             f"[{MIN_DELTA_V:g}, 1000*t_c = {top!r}] mK, "
                              f"got alpha={self.alpha!r} and h_v={self.h_v!r}")
 
     @property
@@ -82,17 +83,9 @@ class ModelParams:
 
     @property
     def max_field(self) -> float:
-        """Largest admitted field (G).  A field is admitted when it is >= 0
-        and its film depression alpha*H**2, as :func:`film_delta` forms
-        it, is at most :data:`MAX_DEPRESSION`."""
-        # MAX_DEPRESSION/alpha is inf for alpha below 1e-158, so take the
-        # roots apart; the quotient may land an ulp or two off the bound
-        h = math.sqrt(MAX_DEPRESSION) / math.sqrt(self.alpha)
-        while self.alpha * h * h > MAX_DEPRESSION:
-            h = math.nextafter(h, 0.0)
-        while self.alpha * (up := math.nextafter(h, math.inf)) * up <= MAX_DEPRESSION:
-            h = up
-        return h
+        """Largest admitted field (G), where alpha*H**2 reaches 1000*t_c mK;
+        the admitted fields are [0, max_field]."""
+        return self.h_v * math.sqrt(1e3 * self.t_c / self.delta_v)
 
 
 def check_kind(kind: str) -> None:
@@ -108,8 +101,8 @@ def _field(params: ModelParams, h) -> np.ndarray:
     top = params.max_field
     bad = ~((h >= 0.0) & (h <= top))  # also catches NaN
     if bad.any():
-        raise InputError(f"field must lie in [0, {top!r}] G, where alpha*H**2 is at "
-                         f"most {MAX_DEPRESSION:g} mK, got {h[bad].flat[0]}")
+        raise InputError(f"field must lie in [0, {top!r}] G, where alpha*H**2 reaches "
+                         f"1000*t_c = {1e3 * params.t_c!r} mK, got {h[bad].flat[0]}")
     return h
 
 
@@ -147,11 +140,9 @@ def cavity_delta(params: ModelParams, h):
     dv = params.delta_v
     b = a - dv - params.delta_inf
     root_d = np.sqrt(b * b + 4.0 * a * dv)
-    upper = b >= 0.0
-    # root_d - b >= 2*|b| > 0 where b < 0; where b >= 0 that branch is
-    # discarded and divides by 1 instead of a possible 0
-    lower = 2.0 * a * dv / np.where(upper, 1.0, root_d - b)
-    root = np.where(upper, 0.5 * (b + root_d), lower)
+    # root_d - b > 0 everywhere: 2*|b| where b < 0, and where b >= 0 the
+    # term 4*A*delta_v is at least 4e-15*b*b (A <= 1e6 and delta_v >= 1e-9)
+    root = np.where(b >= 0.0, 0.5 * (b + root_d), 2.0 * a * dv / (root_d - b))
     # for a tiny delta_inf, rounding alone could lift the root above A
     return _like_input(np.minimum(root, a))
 
@@ -176,10 +167,7 @@ def delta_derivative(params: ModelParams, h, kind: str = "film"):
     slope = 2.0 * h * params.alpha  # 2*alpha alone may overflow, and inf*0 is NaN
     if kind == "cavity":
         g, s = _vacuum_share(params, h)
-        # s/g overflows where g is a subnormal delta_v (alpha 1e-300, h_v
-        # 3e-12 G), and slope/inf then gives the slope's limit 0
-        with np.errstate(over="ignore"):
-            slope = slope / (1.0 + s / g)
+        slope = slope / (1.0 + s / g)  # g >= MIN_DELTA_V, so s/g is finite
     return _like_input(slope)
 
 
@@ -216,8 +204,7 @@ def critical_field(params: ModelParams, delta: float, kind: str = "film") -> flo
         raise InputError(f"delta must be at most {deepest!r} mK, the {kind} depression "
                          f"at the largest admitted field {top!r} G, got {delta}")
     delta = float(delta)
-    if delta == 0.0:
-        return 0.0
     if kind == "cavity":
         delta += params.delta_inf * delta / (delta + params.delta_v)
-    return min(math.sqrt(delta / params.alpha), top)
+    # as max_field forms it: alpha alone may be subnormal
+    return min(params.h_v * math.sqrt(delta / params.delta_v), top)

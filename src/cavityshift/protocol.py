@@ -107,13 +107,14 @@ class TransitionCurve:
         self.resistances = np.asarray(self.resistances, dtype=float)
         if self.temperatures.shape != self.resistances.shape:
             raise InputError("temperature and resistance arrays differ in length")
-        steps = self.temperatures[1:] - self.temperatures[:-1]
-        # a NaN step fails both comparisons; an infinite temperature makes
-        # a step infinite or negative
-        smallest = float(steps.min(initial=math.inf))
-        if not (0.0 <= smallest and steps.max(initial=0.0) < math.inf):
+        t = self.temperatures
+        # compared, not differenced, as a step may overflow: a sorted grid
+        # of finite span holds no NaN, no infinity and no overflowing step
+        increasing = (t[1:] > t[:-1]).all()
+        if t.size > 1 and not ((increasing or (t[1:] >= t[:-1]).all())
+                               and math.isfinite(float(t[-1]) - float(t[0]))):
             raise InputError("temperatures must be finite and nondecreasing")
-        if smallest <= 0 and not any(f.startswith("clamped") for f in self.flags):
+        if not increasing and not any(f.startswith("clamped") for f in self.flags):
             raise InputError("temperatures must be strictly increasing")
 
 

@@ -54,11 +54,12 @@ EVERY_FIELD_CHANGED = {
 }
 
 
-#: Fields whose squares underflow to 0, so no regression against H^2
-#: can resolve them; the large alpha keeps delta_v = alpha*h_v**2 at
-#: 1e-300, above 0.
-UNDERFLOWING_FIELDS = {"model": {"alpha": 1e100, "h_v": 1e-200},
-                       "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
+#: Fields whose squares are subnormal and whose spread squares to 0, so
+#: no regression against H^2 can resolve them; the large alpha keeps
+#: delta_v = alpha*h_v**2 at its 1e-9 mK floor.  (Squares that underflow
+#: to 0 leave delta_v of any field at or above h_v below that floor.)
+UNDERFLOWING_FIELDS = {"model": {"alpha": 1e300, "h_v": 3.2e-155},
+                       "plan": {"fields": [3.2e-155, 3.3e-155, 3.4e-155]}}
 
 
 def load_strict_json(path):
@@ -785,7 +786,7 @@ class TestSimulateAnalyze:
         ({"model": {"alpha": 1.0, "h_v": 1e200}}, "alpha=1.0 and h_v=1e+200"),
         # so did a field whose film depression overflowed, and model-curve ran
         ({"plan": {"fields": [1e160]}}, "invalid 'plan' section: field must lie in "
-         "[0, 1.9364916731037083e+77] G, where alpha*H**2 is at most 1e+150 mK, "
+         "[0, 7500.0] G, where alpha*H**2 reaches 1000*t_c = 1500.0 mK, "
          "got 1e+160"),
     ], ids=["plan-past-the-size-limit", "zero-crossover-depression",
             "infinite-crossover-depression", "field-past-the-bound"])
@@ -922,19 +923,18 @@ class TestSensitivityCommand:
         assert contrast[0, 0] == 50.0
         assert contrast[0, 3] == pytest.approx(0.639, abs=0.01)
 
-    def test_subnormal_crossover_depression_contrast_is_its_limit(self, tmp_path):
+    def test_subnormal_crossover_depression_exits_config(self, tmp_path, capsys):
         # delta_v = 1e-323: delta_inf*delta_v and (delta_c + delta_v)**2 both
-        # underflowed to 0, and every model_contrast was NaN without a warning
+        # underflowed to 0, and every model_contrast was NaN without a
+        # warning; it lies below delta_v's 1e-9 mK floor now
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"model": {"alpha": 1e-300, "h_v": 3e-12}}),
                           encoding="utf-8")
         out = tmp_path / "sens"
         assert main(["sensitivity", "--config", str(config), "--out", str(out),
-                     "--trials", "100"]) == 0
-        with open(out / "contrast.csv", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 10
-        assert all(float(row["model_contrast"]) == 1.0 for row in rows)
+                     "--trials", "100"]) == 2
+        assert "got alpha=1e-300 and h_v=3e-12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -58,3 +58,12 @@ def test_a_command_exiting_1_fails_even_where_the_ref_agrees(compare):
         "exit codes of 1/c: [0] at HEAD, [2] here",
         "1/b: a command exits 1 here (an uncaught exception or a RuntimeWarning); "
         "no documented exit code is 1"]
+
+
+def test_every_config_is_read_by_a_case(compare):
+    matrix = compare.cases(1)
+    # each declared case is one entry: no two share a name
+    assert len(matrix) == len(compare.PLAIN) + sum(len(runs) for _, runs
+                                                   in compare.CONFIGS.values())
+    read = {arg for commands in matrix.values() for argv in commands for arg in argv}
+    assert [name for name in compare.CONFIGS if f"../../{name}.json" not in read] == []

@@ -28,6 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from cavityshift.cli import main
 from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.errors import InputError
+from cavityshift.model import ModelParams
 from cavityshift.protocol import MAX_PLAN_SAMPLES
 
 #: The exit codes the README documents for a command that ran.
@@ -53,14 +54,15 @@ JITTER_BELOW_ZERO = {
                    "transition_width": 20.0},
     "plan": {"n_points": 40}}
 
-#: Fields whose squares underflow to 0: the closed-form kappa once
-#: divided by the zero determinant of the film Tc regression (the large
-#: alpha keeps delta_v = alpha*h_v**2 at 1e-300, above 0).
-UNDERFLOWING_FIELDS = {"model": {"alpha": 1e100, "h_v": 1e-200},
-                       "plan": {"fields": [1e-200, 2e-200, 3e-200]}}
+#: Fields whose squares are subnormal and whose spread squares to 0: the
+#: closed-form kappa once divided by the zero determinant of the film Tc
+#: regression (the large alpha keeps delta_v = alpha*h_v**2 at its 1e-9
+#: mK floor).
+UNDERFLOWING_FIELDS = {"model": {"alpha": 1e300, "h_v": 3.2e-155},
+                       "plan": {"fields": [3.2e-155, 3.3e-155, 3.4e-155]}}
 
 #: delta_v = 1e-310 squares to 0: every model_contrast was once NaN, with
-#: a divide-by-zero warning.
+#: a divide-by-zero warning; it now lies below delta_v's 1e-9 mK floor.
 UNDERFLOWING_DELTA_V = {"model": {"alpha": 1e-300, "h_v": 1e-5}}
 
 #: delta_v = 1e-300 * 1e-300**2 underflows to 0: model-curve once wrote a
@@ -76,14 +78,17 @@ SETTINGS = {
 
 #: Values just outside each setting's domain: 0 and -1 where it must be
 #: > 0, the negative float nearest 0 where it must be >= 0, and past each
-#: other bound (delta_inf's 1e150 mK, the seed's 64 bits).
+#: other bound (t_c's 1e3 K, transition_width's 1e6 mK, delta_inf's
+#: 1000*t_c mK at the largest t_c, the seed's 64 bits).
 POSITIVE = (0, -1, 0.0, -1.0, math.inf, math.nan)
 NONNEGATIVE = (-5e-324, -1.0, math.inf, math.nan)
 OUTSIDE = {
-    **dict.fromkeys(("t_c", "alpha", "h_v", "cond_scale", "base_temperature",
-                     "normal_resistance", "transition_width", "t_span"), POSITIVE),
+    **dict.fromkeys(("alpha", "h_v", "cond_scale", "base_temperature",
+                     "normal_resistance", "t_span"), POSITIVE),
+    "t_c": (*POSITIVE, 1000.0000000000001),
+    "transition_width": (*POSITIVE, 1000000.0000000001),
     **dict.fromkeys(("resistance_noise", "temperature_jitter"), NONNEGATIVE),
-    "delta_inf": (*NONNEGATIVE, 1.0000000000000002e150),
+    "delta_inf": (*NONNEGATIVE, 1000000.0000000001),
     "seed": (-1, 2 ** 64),
     "t_center_guess": (math.inf, -math.inf, math.nan),
     "n_points": (19, 0, -1),
@@ -101,6 +106,17 @@ def or_zero(values: st.SearchStrategy[float]) -> st.SearchStrategy[float]:
     return st.one_of(st.just(0.0), values)
 
 
+def in_domain(config: dict) -> bool:
+    """Whether the model of ``config`` is valid and admits every field of
+    its plan (the default fields reach 5*h_v)."""
+    try:
+        params = ModelParams(**config["model"])
+    except InputError:  # delta_v outside [1e-9, 1000*t_c] mK
+        return False
+    return max(config["plan"].get("fields", [5.0 * params.h_v])) <= params.max_field
+
+
+# a valid config: its model and fields inside the domain
 configs = st.fixed_dictionaries({
     "model": st.fixed_dictionaries({}, optional={
         "t_c": log_uniform(0.02, 20.0),
@@ -119,7 +135,7 @@ configs = st.fixed_dictionaries({
         "t_center_guess": log_uniform(0.01, 20.0),
         "t_span": log_uniform(1e-3, 10.0),
         "repetitions": st.integers(1, 2)}),
-}, optional={"seed": st.integers(0, 2 ** 64 - 1)})
+}, optional={"seed": st.integers(0, 2 ** 64 - 1)}).filter(in_domain)
 
 
 def run(argv: list[str]) -> int:
@@ -204,12 +220,14 @@ def test_setting_just_outside_its_domain_exits_config_naming_it(config, section,
 
 
 def test_a_given_sweep_value_is_kept_beside_a_derived_one():
-    # the default fields put the film depression at 6e144 mK, so the
-    # derived centre is -3.1e141 K; it was once checked in a plan of its
-    # own before the given 1.0 K replaced it, and the config exited 2
-    # naming t_center_guess
-    config = run_config_from_dict({"model": {"alpha": 1e140},
-                                   "plan": {"t_center_guess": 1.0}})
+    # at alpha 1e140 the default fields once put the film depression at
+    # 6e144 mK and the derived centre at -3.1e141 K, and the given 1.0 K
+    # once exited 2 naming t_center_guess; such a model is refused now
+    with pytest.raises(InputError, match=r"^invalid 'model' section: the crossover "
+                                         r"depression alpha\*h_v\*\*2 must lie in .+, "
+                                         r"got alpha=1e\+140 and h_v=50\.0$"):
+        run_config_from_dict({"model": {"alpha": 1e140}, "plan": {"t_center_guess": 1.0}})
+    config = run_config_from_dict({"plan": {"t_center_guess": 1.0}})
     assert config.plan.t_center_guess == 1.0
     assert config.plan.t_span == default_run_config().plan.t_span
 
@@ -223,21 +241,44 @@ def test_a_sweep_derivation_error_names_the_plan():
 
 
 def test_a_refused_derived_centre_names_the_deepest_field():
-    # 1e40 G is admitted, but its film depression of 2.7e75 mK puts the
-    # derived centre where 200 temperatures 0.4 K apart cannot be told apart
-    with pytest.raises(InputError, match=r"^invalid 'plan' section: the temperature grid "
-                                         r"collapses: .+ \(t_center_guess was derived from "
-                                         r"fields, whose deepest is 1e\+40 G\)$"):
+    # 1e40 G was once admitted, and the derived centre collapsed the grid;
+    # its film depression is past 1000*t_c now, and a derived centre,
+    # t_c less half the deepest depression, is at least t_c/2
+    with pytest.raises(InputError, match=r"^invalid 'plan' section: field must lie in "
+                                         r"\[0, 7500\.0\] G, where alpha\*H\*\*2 reaches "
+                                         r"1000\*t_c = 1500\.0 mK, got 1e\+40$"):
         run_config_from_dict({"plan": {"fields": [1.0, 1e40]}})
 
 
 def test_a_refused_derived_span_names_the_transition_width():
-    # eight widths of 1e308 mK overflow to an infinite span; the config
-    # never gave t_span, and the refusal once named it alone
-    with pytest.raises(InputError, match=r"^invalid 'plan' section: t_span must be finite "
-                                         r"and > 0, got inf \(t_span was derived from "
-                                         r"transition_width = 1e\+308 mK\)$"):
+    # eight widths of 1e308 mK once overflowed to an infinite derived span;
+    # such a width lies past the highest Tc now, and is refused by name
+    with pytest.raises(InputError, match=r"^invalid 'instrument' section: transition_width "
+                                         r"must be finite and > 0 and <= 1000000\.0, "
+                                         r"got 1e\+308$"):
         run_config_from_dict({"instrument": {"transition_width": 1e308}})
+
+
+@pytest.mark.parametrize("config, ending", [
+    ({"plan": {"t_span": 1e-300}}, "for n_points=200 strictly increasing temperatures"),
+    ({"instrument": {"transition_width": 1e-300}},
+     "temperatures (t_span was derived from transition_width = 1e-300 mK)"),
+])
+def test_a_collapsed_grid_names_only_a_derived_source(config, ending):
+    # both once read "(t_center_guess was derived from fields, whose
+    # deepest is 250.0 G)", a centre that does not collapse the grid
+    with pytest.raises(InputError, match="the temperature grid collapses") as excinfo:
+        run_config_from_dict(config)
+    assert str(excinfo.value).endswith(ending)
+
+
+def test_refused_default_fields_name_h_v():
+    # delta_v = 100 mK puts 5*h_v past 1000*t_c = 1500 mK; the message
+    # once named only the field, which the config never gave
+    with pytest.raises(InputError, match=r"^invalid 'plan' section: field must lie in "
+                                         r"\[0, 193\.6.*\] G, .+, got 250\.0 \(fields were "
+                                         r"derived from h_v = 50\.0 G\)$"):
+        run_config_from_dict({"model": {"alpha": 0.04, "h_v": 50.0}})
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)
@@ -247,7 +288,9 @@ def test_a_refused_derived_span_names_the_transition_width():
                           st.integers(MAX_PLAN_SAMPLES // 2 + 1, 10 ** 300)))
 def test_plan_size_rule(config, n_fields, repetitions, n_points):
     # constructed only, never run: a plan within the limit holds at most
-    # 10^4 temperatures, and one past it must be refused before its grid
+    # 10^4 temperatures, and one past it must be refused before its grid;
+    # the default model admits every field up to 7500 G
+    config["model"] = {}
     config["plan"].update(fields=[10.0 * (i + 1) for i in range(n_fields)],
                           repetitions=repetitions, n_points=n_points)
     if n_fields * 2 * repetitions * n_points <= MAX_PLAN_SAMPLES:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -375,6 +376,28 @@ class TestCurveValidation:
             TransitionCurve(field=10.0, kind="film", temperatures=t,
                             resistances=np.zeros(200))
 
+    @pytest.mark.parametrize("temperatures", [[-1e308, 1e308], [math.inf, math.inf],
+                                              [-1e308, 0.0, 1e308], [0.0, math.inf, 1.0]])
+    def test_grid_without_a_finite_span_rejected_without_a_warning(self, temperatures):
+        # a step past the float range once warned "overflow", and inf - inf
+        # "invalid value", before the curve was refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InputError, match="finite and nondecreasing"):
+                TransitionCurve(field=10.0, kind="film", temperatures=temperatures,
+                                resistances=np.zeros(len(temperatures)))
+
+    def test_curve_file_of_an_overflowing_grid_rejected_without_a_warning(self, tmp_path):
+        # under -W error::RuntimeWarning, analyze of such a run once exited 1, not 4
+        path = tmp_path / "curve.csv"
+        path.write_text("# field_gauss=50.0\n# kind=film\ntemperature_K,resistance_ohm\n"
+                        "-1e308,0.0\n1e308,1.0\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InputError, match="temperatures must be finite") as excinfo:
+                read_curve_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_duplicate_temperatures_allowed_when_clamped(self):
         TransitionCurve(field=10.0, kind="film",
                         temperatures=np.array([0.3, 0.3, 0.31]),
@@ -389,10 +412,13 @@ class TestCurveValidation:
 
 def reference_grid_check(temperatures, flags):
     """TransitionCurve's grid rules as they were before the clamped flags
-    were read only for a sweep with a zero step, verbatim."""
-    steps = temperatures[1:] - temperatures[:-1]
+    were read only for a sweep with a zero step, in Python floats (which
+    never warn), and with the rule that the span is finite."""
+    t = temperatures.tolist()
+    steps = np.array([b - a for a, b in zip(t, t[1:])])
     smallest = float(steps.min(initial=math.inf))
-    if not (0.0 <= smallest and steps.max(initial=0.0) < math.inf):
+    if not (0.0 <= smallest and steps.max(initial=0.0) < math.inf
+            and (len(t) < 2 or math.isfinite(t[-1] - t[0]))):
         raise InputError("temperatures must be finite and nondecreasing")
     clamped = any(f.startswith("clamped") for f in flags)
     if not clamped and smallest <= 0:
@@ -418,12 +444,11 @@ class TestGridCheckMatchesReference:
     def test_any_grid(self, temperatures, flags, increasing):
         t = np.array(sorted(temperatures, key=lambda x: (math.isnan(x), x))
                      if increasing else temperatures, dtype=float)
-        # inf - inf and a step past the float range warn in both
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = grid_outcome(lambda t, flags: TransitionCurve(
-                field=0.0, kind="film", temperatures=t, resistances=np.zeros(t.size),
-                flags=flags), t, flags)
-            assert got == grid_outcome(reference_grid_check, t, flags)
+        # inf - inf and a step past the float range once warned here
+        got = grid_outcome(lambda t, flags: TransitionCurve(
+            field=0.0, kind="film", temperatures=t, resistances=np.zeros(t.size),
+            flags=flags), t, flags)
+        assert got == grid_outcome(reference_grid_check, t, flags)
 
 
 class TestCollapsedGrid:
