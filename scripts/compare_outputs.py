@@ -54,6 +54,16 @@ once; a ``simulate`` goes on to ``analyze`` its run, which exits 4 where
   the highest Tc, which exits 2 naming the width and writes nothing; its
   derived ``t_span`` once overflowed, and the refusal named ``t_span``
   alone, a setting the config did not give
+- ``simulate`` centred on 1e308 K over a span of 1.5e308 K, past the
+  1e3 K of the highest Tc, which exits 2 naming ``t_center_guess``
+- ``simulate`` with a transition width of 1e-306 mK over a span of
+  0.4 K, below the 1 pK floor, which exits 2 naming the width
+- ``simulate`` with a cryostat floor of 1e308 K, past the 1e3 K of the
+  highest Tc, which exits 2 naming ``base_temperature``
+- ``simulate`` with a temperature jitter of 1e308 mK, past 1e6 mK, which
+  exits 2 naming the jitter
+  (the erf argument of each of the first three, and the jitter's draw of
+  the fourth, once overflowed: exit 1 under the warning flag)
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -141,6 +151,12 @@ CONFIGS = {
                     {"simulate": []}),
     "hugefield": ({"plan": {"fields": [1e160]}}, {"simulate": []}),
     "hugewidth": ({"instrument": {"transition_width": 1e308}}, {"simulate": []}),
+    "hugecenter": ({"plan": {"t_center_guess": 1e308, "t_span": 1.5e308}},
+                   {"simulate": []}),
+    "subnormalwidth": ({"instrument": {"transition_width": 1e-306},
+                        "plan": {"t_span": 0.4}}, {"simulate": []}),
+    "hugefloor": ({"instrument": {"base_temperature": 1e308}}, {"simulate": []}),
+    "hugejitter": ({"instrument": {"temperature_jitter": 1e308}}, {"simulate": []}),
 }
 
 

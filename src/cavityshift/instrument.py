@@ -3,8 +3,8 @@
 Covers the four-wire resistive transition of the sample, the cryostat
 floor, and Gaussian instrument noise.  The coil is taken to apply each
 planned field exactly.  All randomness flows from one master seed
-through :func:`noise_stream`, so any curve is reproducible from its
-substream path alone.
+through :func:`noise_stream`, so any curve is reproducible from (seed,
+trial, field index, kind, repetition) alone.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 from .errors import InputError, check_number, is_number
-from .model import MAX_T_C
+from .model import MAX_T_C, MIN_DELTA_V
 
 #: Converts a 10%-90% resistive width into the erf length scale:
 #: R/R_n = (1+erf(x/s))/2 crosses 0.1 and 0.9 at x = -+ s*erfinv(0.8),
@@ -39,13 +39,15 @@ class InstrumentConfig:
     seed: int = 1                       # master seed, 64-bit unsigned
 
     def __post_init__(self):
-        for name in ("base_temperature", "normal_resistance"):
-            check_number(name, getattr(self, name), above=0)
-        # no wider than the highest Tc, so that a derived t_span is finite
-        check_number("transition_width", self.transition_width, above=0,
+        check_number("base_temperature", self.base_temperature, above=0, at_most=MAX_T_C)
+        check_number("normal_resistance", self.normal_resistance, above=0)
+        # widths from the 1 pK floor to the highest Tc, and jitter no larger,
+        # keep every erf argument of a plan within about 1e17
+        check_number("transition_width", self.transition_width, at_least=MIN_DELTA_V,
                      at_most=MAX_T_C * 1e3)
-        for name in ("resistance_noise", "temperature_jitter"):
-            check_number(name, getattr(self, name), at_least=0)
+        check_number("resistance_noise", self.resistance_noise, at_least=0)
+        check_number("temperature_jitter", self.temperature_jitter, at_least=0,
+                     at_most=MAX_T_C * 1e3)
         if not (is_number(self.seed, integer=True) and 0 <= self.seed < 2 ** 64):
             raise InputError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,8 +53,11 @@ class SweepPlan:
         object.__setattr__(self, "fields", _field_tuple(self.fields))
         if any(b <= a for a, b in zip(self.fields, self.fields[1:])):
             raise InputError("fields must be strictly increasing")
-        check_number("t_center_guess", self.t_center_guess)
-        check_number("t_span", self.t_span, above=0)
+        # a derived centre lies in [t_c/2, t_c] and a derived span, eight
+        # widths, within eight times the highest Tc
+        check_number("t_center_guess", self.t_center_guess, at_least=0,
+                     at_most=model.MAX_T_C)
+        check_number("t_span", self.t_span, above=0, at_most=8 * model.MAX_T_C)
         check_number("n_points", self.n_points, integer=True, at_least=20)
         check_number("repetitions", self.repetitions, integer=True, at_least=1)
         kinds = len(model.KINDS)
@@ -86,20 +89,16 @@ def _field_tuple(fields) -> tuple[float, ...]:
 
 @dataclass
 class TransitionCurve:
-    """One fixed-field R(T) sweep.
-
-    ``oracle_t_star`` is the generating midpoint, kept only for oracle
-    and test comparisons; analysis must never consume it.
-    """
+    """One fixed-field R(T) sweep, as a curve file holds it; a simulated
+    curve's noise key and true midpoint follow from its config and its
+    place in the plan (see :func:`acquire_curve`)."""
 
     field: float
     kind: str
     temperatures: np.ndarray    # K, nondecreasing
     resistances: np.ndarray     # ohm
     repetition: int = 0
-    seed_path: str = ""
     flags: tuple[str, ...] = ()
-    oracle_t_star: float | None = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
         model.check_kind(self.kind)
@@ -189,7 +188,12 @@ def plan_table(params: model.ModelParams, plan: SweepPlan, base_temperature: flo
 def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
                   plan: SweepPlan, field: float, kind: str, repetition: int = 0,
                   substream_prefix: tuple[int, ...] = ()) -> TransitionCurve:
-    """Sweep one curve at a fixed field, single monotone up-sweep."""
+    """Sweep one curve at a fixed field, single monotone up-sweep.
+
+    Its noise is drawn from ``noise_stream(cfg.seed, *substream_prefix,
+    field index, KIND_CODES[kind], repetition)`` and its true midpoint is
+    ``plan_table(...).t_stars[kind][field index]``.
+    """
     try:
         index = plan.fields.index(field)
     except ValueError:
@@ -200,17 +204,12 @@ def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
 
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance)
-    t_star = table.t_stars[kind][index]
-
-    path = (*substream_prefix, index, KIND_CODES[kind], repetition)
-    rng = noise_stream(cfg.seed, *path)
-    resistances = measure_profile(cfg, table.setpoints, t_star,
+    rng = noise_stream(cfg.seed, *substream_prefix, index, KIND_CODES[kind], repetition)
+    resistances = measure_profile(cfg, table.setpoints, table.t_stars[kind][index],
                                   table.profiles[kind][index], rng)
-
     return TransitionCurve(
         field=field, kind=kind, temperatures=table.setpoints, resistances=resistances,
-        repetition=repetition, seed_path="/".join(str(p) for p in path),
-        flags=table.flags[kind][index], oracle_t_star=t_star)
+        repetition=repetition, flags=table.flags[kind][index])
 
 
 def run_paired_experiment(params: model.ModelParams, cfg: InstrumentConfig,
@@ -319,13 +318,11 @@ def read_curve_csv(path: str | Path) -> TransitionCurve:
         raise InputError(f"{path}: header field_gauss={meta['field_gauss']!r} "
                          f"must be finite and nonnegative")
     repetition = header_value("repetition", int, 0)
-    oracle_t_star = header_value("oracle_t_star_K", float)
     flags = tuple(f for f in meta.get("flags", "").split(";") if f)
     try:
         return TransitionCurve(
             field=field, kind=meta["kind"], temperatures=data[0], resistances=data[1],
-            repetition=repetition, seed_path=meta.get("seed_path", ""), flags=flags,
-            oracle_t_star=oracle_t_star)
+            repetition=repetition, flags=flags)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -347,11 +344,8 @@ def write_run(out_dir: str | Path, curves: list[TransitionCurve],
         key = curve.temperatures.tobytes()
         if key not in temperature_text:
             temperature_text[key] = list(map(repr, curve.temperatures.tolist()))
-        meta = [f"format_version={FORMAT_VERSION}", f"field_gauss={fmt(curve.field)}",
-                f"kind={curve.kind}", f"repetition={curve.repetition}",
-                f"seed_path={curve.seed_path}", f"flags={';'.join(curve.flags)}"]
-        if curve.oracle_t_star is not None:
-            meta.append(f"oracle_t_star_K={fmt(curve.oracle_t_star)}")
+        meta = [f"field_gauss={fmt(curve.field)}", f"kind={curve.kind}",
+                f"repetition={curve.repetition}", f"flags={';'.join(curve.flags)}"]
         atomic_write_text(out_dir / name, csv_text(
             CSV_COLUMNS.split(","), (temperature_text[key], curve.resistances), meta))
         entries.append({
@@ -359,7 +353,6 @@ def write_run(out_dir: str | Path, curves: list[TransitionCurve],
             "field_gauss": curve.field,
             "kind": curve.kind,
             "repetition": curve.repetition,
-            "seed_path": curve.seed_path,
             "n_points": int(len(curve.temperatures)),
         })
     manifest = {

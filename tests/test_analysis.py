@@ -25,7 +25,7 @@ from cavityshift.analysis import (_SIGMA_FLOOR, MK_PER_K,
                                   _weighted_line_fit, relative_slope_difference)
 from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
-from cavityshift.protocol import TransitionCurve, plan_table
+from cavityshift.protocol import TransitionCurve
 
 REFERENCE_SIGMA_R = 0.0751
 
@@ -62,14 +62,15 @@ def jacobian(t, p):
     return np.column_stack((-bump / s, -bump * u / width, 0.5 * (1.0 + erf(u))))
 
 
-def oracle_fit(curve):
-    """MINPACK Levenberg-Marquardt erf fit: (t_star, width, r_n, sigma_t_star)."""
+def oracle_fit(curve, t_star):
+    """MINPACK Levenberg-Marquardt erf fit from the midpoint ``t_star``:
+    (t_star, width, r_n, sigma_t_star)."""
     t, r = curve.temperatures, curve.resistances
 
     def residuals(p):
         return resistive_transition(t, *p) - r
 
-    sol = least_squares(residuals, [curve.oracle_t_star, 50.0, 10.0],
+    sol = least_squares(residuals, [t_star, 50.0, 10.0],
                         jac=lambda p: jacobian(t, p),
                         method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     s2 = 2.0 * sol.cost / (t.size - 3)
@@ -175,14 +176,16 @@ class TestFitTransition:
         assert abs(np.mean(t_stars) - truth) <= 0.2 * reported
 
     @pytest.mark.parametrize("sigma_r", [REFERENCE_SIGMA_R, 0.2])
-    def test_matches_minpack_oracle(self, params, sigma_r):
+    def test_matches_minpack_oracle(self, params, sigma_r, table_of):
         cfg = InstrumentConfig(resistance_noise=sigma_r, seed=1)
         plan = plan_sweep(params, cfg, np.linspace(50, 250, 10))
+        t_stars = table_of(params, cfg, plan).t_stars
         for trial in range(5):
             for curve in run_paired_experiment(params, cfg, plan,
                                                substream_prefix=(trial,)):
                 fit = fit_transition(curve)
-                t_star, width, r_n, sigma = oracle_fit(curve)
+                t_star, width, r_n, sigma = oracle_fit(
+                    curve, t_stars[curve.kind][plan.fields.index(curve.field)])
                 assert abs(fit.t_star - t_star) * 1e3 <= 1e-6
                 assert abs(fit.width - width) <= 1e-5
                 assert fit.r_n == pytest.approx(r_n, rel=1e-6)
@@ -313,7 +316,7 @@ class TestFitTransition:
         with pytest.raises(InputError, match="every temperature is 0.3 K"):
             fit_transition(curve)
 
-    def test_noisy_curve_not_thrown_onto_a_step(self, params):
+    def test_noisy_curve_not_thrown_onto_a_step(self, params, table_of):
         # at 0.3 ohm an early Gauss-Newton step once threw the width of
         # this 50 mK wide transition onto its min_width clamp, and the fit
         # stopped at the step-function point below with FitError; the
@@ -332,7 +335,8 @@ class TestFitTransition:
         assert 40.0 <= fit.width <= 60.0
         assert cost(fit.t_star, fit.width, fit.r_n) < cost(
             1.4743270021336943, 0.4020100502512669, 8.81821056826963)
-        assert abs(fit.t_star - curve.oracle_t_star) <= 4 * fit.sigma_t_star
+        t_star = table_of(params, noisy, plan).t_stars["cavity"][0]
+        assert abs(fit.t_star - t_star) <= 4 * fit.sigma_t_star
 
     def test_midpoint_step_stays_near_the_sweep(self):
         # a 0.06 mK wide transition under 9 mK of temperature jitter: with
@@ -628,10 +632,9 @@ class TestDeltaSigmasMatchTheirScatter:
     covariance the film sigma read 1.26 times the scatter at 50 G and
     0.89 times at 228 G."""
 
-    def test_every_field_of_both_kinds(self, params, reference):
+    def test_every_field_of_both_kinds(self, params, reference, table_of):
         plan = plan_sweep(params, reference, np.linspace(50, 250, 10))
-        truth = plan_table(params, plan, reference.base_temperature,
-                           reference.transition_width, reference.normal_resistance).deltas
+        truth = table_of(params, reference, plan).deltas
         results = [analyze_dataset(run_paired_experiment(
             params, reference, plan, substream_prefix=(trial,)))
             for trial in range(400)]

@@ -405,7 +405,7 @@ class TestSimulateAnalyze:
         assert main(["analyze", str(out / "run.json")]) == 4
         assert f"line {len(lines)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["field_gauss", "repetition", "oracle_t_star_K"])
+    @pytest.mark.parametrize("key", ["field_gauss", "repetition"])
     def test_bad_header_value_exits_io_naming_file_and_key(self, tmp_path, capsys, key):
         out = tmp_path / "run"
         assert simulate_zero_noise(tmp_path, out) == 0
@@ -484,7 +484,7 @@ class TestSimulateAnalyze:
                 keepends=True)
             kept = [line for line in lines if not line.startswith("#")
                     or line.startswith(("# field_gauss=", "# kind="))]
-            assert len(lines) - len(kept) == 5  # the other headers
+            assert len(lines) - len(kept) == 2  # the repetition and flags headers
             (bare / entry["file"]).write_text("".join(kept), encoding="utf-8")
 
         def analyze(*keys):
@@ -761,7 +761,8 @@ class TestSimulateAnalyze:
     @pytest.mark.parametrize("command", ["model-curve", "simulate", "sensitivity",
                                          "calibrate"])
     @pytest.mark.parametrize("section", [{"plan": {"t_span": 1e-300, "t_center_guess": 1.4}},
-                                         {"instrument": {"transition_width": 1e-300}}])
+                                         {"model": {"t_c": 1000.0},
+                                          "instrument": {"transition_width": 1e-9}}])
     def test_collapsed_temperature_grid_exits_config(self, tmp_path, capsys, command,
                                                      section):
         # such a plan once failed in the first curve (simulate, sensitivity),

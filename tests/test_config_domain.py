@@ -17,19 +17,23 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cavityshift.cli import main
 from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.errors import InputError
-from cavityshift.model import ModelParams
-from cavityshift.protocol import MAX_PLAN_SAMPLES
+from cavityshift.instrument import InstrumentConfig, measure_profile, noise_stream
+from cavityshift.model import KINDS, MAX_T_C, MIN_DELTA_V, ModelParams
+from cavityshift.protocol import (MAX_PLAN_SAMPLES, SweepPlan, plan_table, sweep_center,
+                                  sweep_span)
 
 #: The exit codes the README documents for a command that ran.
 DOCUMENTED_EXIT_CODES = {0, 2, 4, 5, 6}
@@ -78,19 +82,26 @@ SETTINGS = {
 
 #: Values just outside each setting's domain: 0 and -1 where it must be
 #: > 0, the negative float nearest 0 where it must be >= 0, and past each
-#: other bound (t_c's 1e3 K, transition_width's 1e6 mK, delta_inf's
-#: 1000*t_c mK at the largest t_c, the seed's 64 bits).
+#: other bound (t_c's, base_temperature's and t_center_guess's 1e3 K,
+#: t_span's 8e3 K, transition_width's 1e-9 and 1e6 mK, temperature_jitter's
+#: 1e6 mK, delta_inf's 1000*t_c mK at the largest t_c, the seed's 64 bits).
+#: The 1e308 and 1e-306 sweep values were once inside the domain, and
+#: simulate overflowed on each (exit 1 under -W error::RuntimeWarning): the
+#: erf argument of a 1e308 K grid or floor and of a subnormal erf scale, and
+#: the jitter's draw of 1e308 mK times a standard normal.
 POSITIVE = (0, -1, 0.0, -1.0, math.inf, math.nan)
 NONNEGATIVE = (-5e-324, -1.0, math.inf, math.nan)
 OUTSIDE = {
-    **dict.fromkeys(("alpha", "h_v", "cond_scale", "base_temperature",
-                     "normal_resistance", "t_span"), POSITIVE),
+    **dict.fromkeys(("alpha", "h_v", "cond_scale", "normal_resistance"), POSITIVE),
     "t_c": (*POSITIVE, 1000.0000000000001),
-    "transition_width": (*POSITIVE, 1000000.0000000001),
-    **dict.fromkeys(("resistance_noise", "temperature_jitter"), NONNEGATIVE),
+    "base_temperature": (*POSITIVE, 1000.0000000000001, 1e308),
+    "t_span": (*POSITIVE, 8000.000000000001, 1.5e308),
+    "transition_width": (*POSITIVE, 9.999999999999999e-10, 1e-306, 1000000.0000000001),
+    "resistance_noise": NONNEGATIVE,
+    "temperature_jitter": (*NONNEGATIVE, 1000000.0000000001, 1e308),
     "delta_inf": (*NONNEGATIVE, 1000000.0000000001),
     "seed": (-1, 2 ** 64),
-    "t_center_guess": (math.inf, -math.inf, math.nan),
+    "t_center_guess": (*NONNEGATIVE, 1000.0000000000001, 1e308, -math.inf),
     "n_points": (19, 0, -1),
     "repetitions": (0, -1)}
 
@@ -254,15 +265,16 @@ def test_a_refused_derived_span_names_the_transition_width():
     # eight widths of 1e308 mK once overflowed to an infinite derived span;
     # such a width lies past the highest Tc now, and is refused by name
     with pytest.raises(InputError, match=r"^invalid 'instrument' section: transition_width "
-                                         r"must be finite and > 0 and <= 1000000\.0, "
+                                         r"must be finite and >= 1e-09 and <= 1000000\.0, "
                                          r"got 1e\+308$"):
         run_config_from_dict({"instrument": {"transition_width": 1e308}})
 
 
 @pytest.mark.parametrize("config, ending", [
     ({"plan": {"t_span": 1e-300}}, "for n_points=200 strictly increasing temperatures"),
-    ({"instrument": {"transition_width": 1e-300}},
-     "temperatures (t_span was derived from transition_width = 1e-300 mK)"),
+    # eight 1 pK widths are finer than the float spacing at 1000 K
+    ({"model": {"t_c": 1000.0}, "instrument": {"transition_width": 1e-9}},
+     "temperatures (t_span was derived from transition_width = 1e-09 mK)"),
 ])
 def test_a_collapsed_grid_names_only_a_derived_source(config, ending):
     # both once read "(t_center_guess was derived from fields, whose
@@ -299,3 +311,44 @@ def test_plan_size_rule(config, n_fields, repetitions, n_points):
     with pytest.raises(InputError, match=r"^invalid 'plan' section: the plan asks for "
                                          r"more than 1e\+08 samples: "):
         run_config_from_dict(config)
+
+
+#: Each sweep value at both ends of its domain, and None for a derived
+#: centre or span.  t_c = 1e-12 K is the lowest, where the delta_v floor
+#: of 1e-9 mK meets the 1000*t_c mK bound; 1e-9 K stands for the
+#: narrowest span, which the grid resolves at every admitted centre.
+CORNERS = list(itertools.product(
+    (1e-12, MAX_T_C), ("floor", "top"), (0.0, "top"), (5e-324, MAX_T_C),
+    (MIN_DELTA_V, MAX_T_C * 1e3), (0.0, MAX_T_C * 1e3), (None, 0.0, MAX_T_C),
+    (None, 1e-9, 8 * MAX_T_C)))
+
+
+@pytest.mark.parametrize(
+    "t_c, delta_v, delta_inf, base_temperature, width, jitter, center, span", CORNERS)
+def test_plan_table_and_readout_stay_finite_at_the_domain_corners(
+        t_c, delta_v, delta_inf, base_temperature, width, jitter, center, span):
+    # fields at 0 and at the largest admitted field
+    top = 1e3 * t_c
+    params = ModelParams(t_c=t_c, alpha=MIN_DELTA_V if delta_v == "floor" else top,
+                         h_v=1.0, delta_inf=top if delta_inf == "top" else delta_inf)
+    cfg = InstrumentConfig(base_temperature=base_temperature, transition_width=width,
+                           temperature_jitter=jitter)
+    fields = (0.0, params.max_field)
+    try:
+        plan = SweepPlan(fields=fields, n_points=20,
+                         t_center_guess=sweep_center(params, fields) if center is None
+                         else center,
+                         t_span=sweep_span(cfg) if span is None else span)
+    except InputError as exc:
+        # eight 1 pK widths are finer than the float spacing at 1000 K
+        assert (t_c, width, span) == (MAX_T_C, MIN_DELTA_V, None), exc
+        assert "temperature grid collapses" in str(exc)
+        return
+    with np.errstate(all="raise", under="ignore"):
+        table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
+                           cfg.normal_resistance)
+        for kind in KINDS:
+            for index, t_star in enumerate(table.t_stars[kind]):
+                r = measure_profile(cfg, table.setpoints, t_star,
+                                    table.profiles[kind][index], noise_stream(1, index))
+                assert np.isfinite(r).all()

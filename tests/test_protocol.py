@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -13,7 +14,7 @@ from cavityshift import (InputError, InstrumentConfig, ModelParams, SweepPlan,
                          film_delta, plan_sweep, read_run,
                          run_paired_experiment, write_run)
 from cavityshift import instrument, protocol
-from cavityshift.instrument import resistive_transition
+from cavityshift.instrument import measure_profile, noise_stream, resistive_transition
 from cavityshift.protocol import (KIND_CODES, TransitionCurve, curve_filename,
                                   plan_table, read_curve_csv, temperature_grid)
 
@@ -157,13 +158,15 @@ class TestAcquire:
         crossing = half_crossing(curve, quiet.normal_resistance)
         assert crossing == pytest.approx(params.t_c, abs=2e-6)
 
-    def test_noiseless_cavity_crossing_at_depressed_midpoint(self, params, quiet):
+    def test_noiseless_cavity_crossing_at_depressed_midpoint(self, params, quiet,
+                                                               table_of):
         plan = plan_sweep(params, quiet, [150.0])
         curve = acquire_curve(params, quiet, plan, 150.0, "cavity")
         expected = params.t_c - cavity_delta(params, 150.0) * 1e-3
         assert half_crossing(curve, quiet.normal_resistance) == pytest.approx(
             expected, abs=2e-6)
-        assert curve.oracle_t_star == pytest.approx(expected, rel=1e-15)
+        assert table_of(params, quiet, plan).t_stars["cavity"][0] == pytest.approx(
+            expected, rel=1e-15)
 
     def test_determinism(self, params, noisy):
         plan = plan_sweep(params, noisy, [150.0])
@@ -216,13 +219,16 @@ class TestPairedExperiment:
         curves = run_paired_experiment(params, noisy, plan)
         assert len(curves) == 20
 
-    def test_repetition_counting_and_distinct_substreams(self, params, noisy):
+    def test_repetition_counting_and_distinct_substreams(self, params, noisy, table_of):
         plan = plan_sweep(params, noisy, np.linspace(50, 250, 5))
         plan = SweepPlan(fields=plan.fields, t_center_guess=plan.t_center_guess,
                          t_span=plan.t_span, repetitions=3)
         curves = run_paired_experiment(params, noisy, plan)
         assert len(curves) == 30
-        assert len({c.seed_path for c in curves}) == 30
+        profiles = table_of(params, noisy, plan).profiles
+        noise = {(c.resistances - profiles[c.kind][plan.fields.index(c.field)]).tobytes()
+                 for c in curves}
+        assert len(noise) == 30
 
     def test_pairing_shares_bit_identical_fields(self, params, noisy):
         plan = plan_sweep(params, noisy, np.linspace(50, 250, 10))
@@ -254,9 +260,8 @@ class TestRunFiles:
         loaded = read_curve_csv(tmp_path / curve_filename(0, "cavity", 0))
         assert loaded.field == curve.field
         assert loaded.kind == curve.kind
-        assert loaded.seed_path == curve.seed_path
+        assert loaded.repetition == curve.repetition
         assert loaded.flags == curve.flags
-        assert loaded.oracle_t_star == curve.oracle_t_star
         assert np.array_equal(loaded.temperatures, curve.temperatures)
         assert np.array_equal(loaded.resistances, curve.resistances)
 
@@ -272,11 +277,11 @@ class TestRunFiles:
             assert a.field == b.field and a.kind == b.kind
             assert np.array_equal(a.resistances, b.resistances)
 
-    def test_unwritable_seed_path_rejected_with_its_file(self, params, noisy, tmp_path):
+    def test_unwritable_flag_rejected_with_its_file(self, params, noisy, tmp_path):
         # a lone surrogate has no UTF-8 text; it once escaped as UnicodeEncodeError
         plan = plan_sweep(params, noisy, [150.0])
         curve = acquire_curve(params, noisy, plan, 150.0, "film")
-        curve.seed_path = "\ud800"
+        curve.flags = ("\ud800",)
         with pytest.raises(InputError, match="could not write .*curve_000_film_rep0.csv"):
             write_run(tmp_path, [curve], {})
         assert list(tmp_path.iterdir()) == []
@@ -286,6 +291,43 @@ class TestRunFiles:
         curves = run_paired_experiment(params, noisy, plan)
         write_run(tmp_path / "run", curves, {})
         assert len(list((tmp_path / "run").glob("curve_*.csv"))) == 20
+
+    @pytest.mark.parametrize("jitter", [0.0, 2.0])
+    def test_written_curve_rederived_from_its_substream(self, params, table_of, tmp_path,
+                                                        jitter):
+        # a curve's provenance is its config seed, the field index of its
+        # file name, its kind and its repetition, and its true midpoint
+        # and noiseless readout are the plan table's
+        cfg = InstrumentConfig(seed=77, temperature_jitter=jitter)
+        plan = replace(plan_sweep(params, cfg, [50.0, 150.0]), repetitions=2)
+        manifest = write_run(tmp_path, run_paired_experiment(params, cfg, plan), {})
+        table = table_of(params, cfg, plan)
+        curves, _ = read_run(manifest)
+        entries = json.loads(manifest.read_text(encoding="utf-8"))["curves"]
+        for curve, entry in zip(curves, entries, strict=True):
+            index = int(entry["file"].split("_")[1])
+            expected = measure_profile(
+                cfg, table.setpoints, table.t_stars[curve.kind][index],
+                table.profiles[curve.kind][index],
+                noise_stream(cfg.seed, index, KIND_CODES[curve.kind], curve.repetition))
+            assert curve.field == plan.fields[index]
+            assert curve.resistances.tobytes() == expected.tobytes()
+
+    def test_retired_header_keys_read_to_the_same_curve(self, params, noisy, tmp_path):
+        # files written before the header shrank to four keys still carry
+        # format_version, seed_path and oracle_t_star_K; the reader skips them
+        plan = plan_sweep(params, noisy, [150.0])
+        write_run(tmp_path, [acquire_curve(params, noisy, plan, 150.0, "cavity")], {})
+        path = tmp_path / curve_filename(0, "cavity", 0)
+        current = read_curve_csv(path)
+        path.write_text("# format_version=1\n# seed_path=0/1/0\n"
+                        "# oracle_t_star_K=1.4998\n" + path.read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        legacy = read_curve_csv(path)
+        for name in ("field", "kind", "repetition", "flags"):
+            assert getattr(legacy, name) == getattr(current, name)
+        assert legacy.temperatures.tobytes() == current.temperatures.tobytes()
+        assert legacy.resistances.tobytes() == current.resistances.tobytes()
 
 
 class TestRunFileValidation:
@@ -452,16 +494,17 @@ class TestGridCheckMatchesReference:
 
 
 class TestCollapsedGrid:
-    @pytest.mark.parametrize("center, span", [(1.4, 1e-300), (1e300, 1.0), (1.4, 1e-14)])
+    @pytest.mark.parametrize("center, span", [(1.4, 1e-300), (1e3, 1e-12), (1.4, 1e-14)])
     def test_plan_without_distinct_temperatures_rejected(self, center, span):
         # such a plan once failed inside the first curve, or in a fit
         with pytest.raises(InputError, match="t_span.*t_center_guess.*n_points"):
             SweepPlan(fields=(10.0,), t_center_guess=center, t_span=span)
 
-    def test_derived_plan_of_a_sub_resolution_width_rejected(self, params):
-        narrow = InstrumentConfig(transition_width=1e-300)
+    def test_derived_plan_of_a_sub_resolution_width_rejected(self):
+        # eight 1 pK widths are finer than the float spacing at 1000 K
+        narrow = InstrumentConfig(transition_width=1e-9)
         with pytest.raises(InputError, match="temperature grid collapses"):
-            plan_sweep(params, narrow, [50.0])
+            plan_sweep(ModelParams(t_c=1000.0), narrow, [50.0])
 
     def test_narrow_distinct_grid_accepted(self):
         plan = SweepPlan(fields=(10.0,), t_center_guess=1.0, t_span=1e-12)
@@ -493,7 +536,7 @@ class TestProfileCache:
         for a, b in zip(first, second):
             assert np.array_equal(a.resistances, b.resistances)
 
-    def test_width_and_normal_resistance_key_the_table(self, params, quiet):
+    def test_width_and_normal_resistance_key_the_table(self, params, quiet, table_of):
         plan = plan_sweep(params, quiet, [50.0, 150.0])
         plan_table.cache_clear()
         acquire_curve(params, quiet, plan, 150.0, "cavity")
@@ -504,7 +547,8 @@ class TestProfileCache:
         for other in (replace(quiet, transition_width=30.0),
                       replace(quiet, normal_resistance=7.0)):
             curve = acquire_curve(params, other, plan, 150.0, "cavity")
-            expected = resistive_transition(curve.temperatures, curve.oracle_t_star,
+            t_star = table_of(params, other, plan).t_stars["cavity"][1]
+            expected = resistive_transition(curve.temperatures, t_star,
                                             other.transition_width,
                                             other.normal_resistance)
             assert np.array_equal(curve.resistances, expected)

@@ -4,14 +4,16 @@ manifests, and of the table writer on arbitrary columns.
 ``read_curve_csv`` parses a curve's data block in one piece and leaves
 any block that does not parse cleanly to its line loop.  The line-loop
 reader it replaced is kept below as the oracle, verbatim but for the
-later rule that ``field_gauss`` be finite and nonnegative: on every
+later rule that ``field_gauss`` be finite and nonnegative and for the
+retired ``seed_path`` and ``oracle_t_star_K`` keys, now skipped: on every
 mutated file both must accept with bit-identical arrays and metadata, or
 both must reject with the same message.
 
 ``fileio.csv_text`` writes every table column by column.  The two
 row-wise formatters it replaced, one for curve files and one for every
-other table, are kept below, verbatim, as oracles: both must give the
-same text on every input.
+other table, are kept below as oracles, verbatim but for the curve
+header, which has shrunk to its four read keys: both must give the same
+text on every input.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from cavityshift import (InputError, InstrumentConfig, ModelParams, plan_sweep,
                          read_run, run_paired_experiment, write_run)
 from cavityshift.fileio import csv_text, fmt
-from cavityshift.protocol import (CSV_COLUMNS, FORMAT_VERSION, TransitionCurve,
-                                  read_curve_csv)
+from cavityshift.protocol import CSV_COLUMNS, TransitionCurve, read_curve_csv
 
 
 def oracle_read_curve_csv(path: str | Path) -> TransitionCurve:
@@ -80,9 +81,14 @@ def oracle_read_curve_csv(path: str | Path) -> TransitionCurve:
     return TransitionCurve(
         field=field, kind=meta["kind"],
         temperatures=np.array(temps), resistances=np.array(res),
-        repetition=header_value("repetition", int, 0),
-        seed_path=meta.get("seed_path", ""), flags=flags,
-        oracle_t_star=header_value("oracle_t_star_K", float))
+        repetition=header_value("repetition", int, 0), flags=flags)
+
+
+#: A curve file of the run below: its four header lines and the column
+#: header come first, then its N_ROWS data rows, so line FIRST_ROW is the
+#: first data row and line END appends after the last.
+FIRST_ROW, N_ROWS = 5, 24
+END = FIRST_ROW + N_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +96,7 @@ def run_text():
     """A small simulated run: {file name: text} of its curves and manifest."""
     params = ModelParams()
     cfg = InstrumentConfig(seed=5, base_temperature=1.31)  # a few clamped setpoints
-    plan = replace(plan_sweep(params, cfg, [50.0, 200.0]), n_points=24)
+    plan = replace(plan_sweep(params, cfg, [50.0, 200.0]), n_points=N_ROWS)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = write_run(tmp, run_paired_experiment(params, cfg, plan), {"seed": 5})
         return {path.name: path.read_text(encoding="utf-8")
@@ -164,10 +170,9 @@ def outcome(reader, path):
 
 
 def assert_same_curve(curve: TransitionCurve, expected: TransitionCurve):
-    for name in ("kind", "repetition", "seed_path", "flags"):
+    for name in ("kind", "repetition", "flags"):
         assert getattr(curve, name) == getattr(expected, name), name
-    for name in ("field", "oracle_t_star"):
-        assert repr(getattr(curve, name)) == repr(getattr(expected, name)), name
+    assert repr(curve.field) == repr(expected.field)
     for name in ("temperatures", "resistances"):
         got, want = getattr(curve, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -176,21 +181,35 @@ def assert_same_curve(curve: TransitionCurve, expected: TransitionCurve):
         assert got.flags.c_contiguous, name
 
 
+def test_curve_files_hold_the_rows_the_examples_point_at(run_text):
+    # the examples below delete every data row, append after the last,
+    # and edit the last, by these line indices
+    for name in (n for n in run_text if n.endswith(".csv")):
+        lines = run_text[name].split("\n")[:-1]
+        assert len(lines) == END, name
+        assert lines[FIRST_ROW - 1] == CSV_COLUMNS, name
+        assert lines[0].startswith("# field_gauss="), name
+        assert not lines[FIRST_ROW].startswith("#"), name
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(file_index=st.integers(0, 3), changes=st.lists(edits, max_size=4),
        crlf=st.booleans(), final_newline=st.booleans())
 @example(file_index=0, changes=[], crlf=False, final_newline=True)
 @example(file_index=0, changes=[], crlf=True, final_newline=True)
-@example(file_index=1, changes=[("delete", 8, 30)], crlf=False, final_newline=True)
-@example(file_index=1, changes=[("delete", 8, 30), ("insert", 8, "")], crlf=False,
+@example(file_index=1, changes=[("delete", FIRST_ROW, N_ROWS)], crlf=False,
          final_newline=True)
-@example(file_index=1, changes=[("insert", 32, ""), ("insert", 33, "# kind=cavity")],
+@example(file_index=1, changes=[("delete", FIRST_ROW, N_ROWS), ("insert", FIRST_ROW, "")],
          crlf=False, final_newline=True)
-@example(file_index=2, changes=[("insert", 12, CSV_COLUMNS)], crlf=False, final_newline=True)
-@example(file_index=2, changes=[("replace", 31, "1_0,2.0")], crlf=False, final_newline=True)
-@example(file_index=3, changes=[("insert", 20, "\r"), ("insert", 0, "1.3,2.0")],
+@example(file_index=1, changes=[("insert", END, ""), ("insert", END + 1, "# kind=cavity")],
+         crlf=False, final_newline=True)
+@example(file_index=2, changes=[("insert", FIRST_ROW + 4, CSV_COLUMNS)], crlf=False,
+         final_newline=True)
+@example(file_index=2, changes=[("replace", END - 1, "1_0,2.0")], crlf=False,
+         final_newline=True)
+@example(file_index=3, changes=[("insert", FIRST_ROW + 12, "\r"), ("insert", 0, "1.3,2.0")],
          crlf=False, final_newline=False)
-@example(file_index=0, changes=[("insert", 2, "# field_gauss=-50.0")], crlf=False,
+@example(file_index=0, changes=[("insert", 1, "# field_gauss=-50.0")], crlf=False,
          final_newline=True)
 def test_reader_agrees_with_line_loop_oracle(run_text, tmp_path, file_index, changes,
                                              crlf, final_newline):
@@ -315,16 +334,12 @@ def oracle_curve_text(curve: TransitionCurve, temperature_text: list[str]) -> st
     """A curve file's text, given ``repr`` of each of its temperatures (the
     same text as :func:`fmt`, which every curve of a plan can share)."""
     lines = [
-        f"# format_version={FORMAT_VERSION}",
         f"# field_gauss={fmt(curve.field)}",
         f"# kind={curve.kind}",
         f"# repetition={curve.repetition}",
-        f"# seed_path={curve.seed_path}",
         f"# flags={';'.join(curve.flags)}",
+        CSV_COLUMNS,
     ]
-    if curve.oracle_t_star is not None:
-        lines.append(f"# oracle_t_star_K={fmt(curve.oracle_t_star)}")
-    lines.append(CSV_COLUMNS)
     lines += [f"{t},{r!r}" for t, r in zip(temperature_text, curve.resistances.tolist())]
     return "\n".join(lines) + "\n"
 
@@ -380,23 +395,19 @@ def test_csv_text_matches_row_wise_writer(table):
 @settings(deadline=None, max_examples=100)
 @given(n=st.integers(0, 8), data=st.data(), field=st.floats(0, 1e3),
        kind=st.sampled_from(["film", "cavity"]), repetition=st.integers(0, 99),
-       seed_path=texts,
-       flags=st.lists(st.sampled_from(["clamped:0", "midpoint-outside-central-80pct"]),
-                      max_size=2),
-       oracle_t_star=st.none() | st.floats(1.0, 2.0))
-def test_curve_file_matches_row_wise_writer(n, data, field, kind, repetition,
-                                            seed_path, flags, oracle_t_star):
-    """A seed path without UTF-8 text (a lone surrogate) writes no file."""
+       flags=st.lists(st.sampled_from(["clamped:0", "midpoint-outside-central-80pct"])
+                      | texts, max_size=2))
+def test_curve_file_matches_row_wise_writer(n, data, field, kind, repetition, flags):
+    """A flag without UTF-8 text (a lone surrogate) writes no file."""
     steps = data.draw(st.lists(st.floats(1e-9, 1e-2), min_size=n, max_size=n))
     temperatures = 1.3 + np.cumsum(steps)
     resistances = np.array(data.draw(st.lists(table_floats, min_size=n, max_size=n)))
     curve = TransitionCurve(field=field, kind=kind, temperatures=temperatures,
                             resistances=resistances, repetition=repetition,
-                            seed_path=seed_path, flags=tuple(flags),
-                            oracle_t_star=oracle_t_star)
+                            flags=tuple(flags))
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            seed_path.encode()
+            "".join(flags).encode()
         except UnicodeEncodeError:
             with pytest.raises(InputError, match="could not write .*curve_000"):
                 write_run(tmp, [curve], {})
