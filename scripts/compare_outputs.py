@@ -64,6 +64,11 @@ once; a ``simulate`` goes on to ``analyze`` its run, which exits 4 where
   exits 2 naming the jitter
   (the erf argument of each of the first three, and the jitter's draw of
   the fourth, once overflowed: exit 1 under the warning flag)
+- ``simulate`` with a resistance noise of 1e308 ohm, past the 1e12 ohm
+  bound of both resistances, which exits 2 naming ``resistance_noise``;
+  its draw once overflowed (exit 1 under the warning flag)
+- ``simulate`` with a normal resistance of 1e308 ohm, past that bound,
+  which exits 2 naming ``normal_resistance``; it once ran (exit 0)
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -157,6 +162,8 @@ CONFIGS = {
                         "plan": {"t_span": 0.4}}, {"simulate": []}),
     "hugefloor": ({"instrument": {"base_temperature": 1e308}}, {"simulate": []}),
     "hugejitter": ({"instrument": {"temperature_jitter": 1e308}}, {"simulate": []}),
+    "hugenoise": ({"instrument": {"resistance_noise": 1e308}}, {"simulate": []}),
+    "hugeresistance": ({"instrument": {"normal_resistance": 1e308}}, {"simulate": []}),
 }
 
 

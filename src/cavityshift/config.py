@@ -3,9 +3,11 @@ and plan together with one master seed.
 
 Every section is optional and falls back to the reference defaults; a
 section must be a JSON object, and unknown keys anywhere are rejected.
-The master seed is ``instrument.seed``; a top-level ``seed`` is another
-spelling of it, and a file that gives both with different values is
-rejected.
+The plan section holds any of :class:`protocol.SweepPlan`'s values, and
+:func:`protocol.plan_sweep` derives each one it lacks, as it does for
+the Python API.  The master seed is ``instrument.seed``; a top-level
+``seed`` is another spelling of it, and a file that gives both with
+different values is rejected.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ from . import model
 from .errors import InputError
 from .fileio import read_json
 from .instrument import InstrumentConfig
-from .protocol import SweepPlan, sweep_center, sweep_span
-
-#: Default reference experiment: ten fields spanning [h_v, 5*h_v].
-N_DEFAULT_FIELDS = 10
-
-
-def default_fields(params: model.ModelParams) -> tuple[float, ...]:
-    lo, hi = params.h_v, 5.0 * params.h_v
-    step = (hi - lo) / (N_DEFAULT_FIELDS - 1)
-    return tuple(lo + i * step for i in range(N_DEFAULT_FIELDS))
+from .protocol import SweepPlan, plan_sweep
 
 
 @dataclass(frozen=True)
@@ -48,28 +41,6 @@ def _build_section(cls, data: dict, name: str, build=None):
         return (build or cls)(**data)
     except InputError as exc:
         raise InputError(f"invalid '{name}' section: {exc}") from exc
-
-
-def _plan(params: model.ModelParams, instrument: InstrumentConfig, **data) -> SweepPlan:
-    """The plan of ``data``, each sweep value it lacks derived as
-    :func:`protocol.plan_sweep` derives it; a refused derived field list
-    or span names the setting it was derived from."""
-    given = set(data)
-    data = {"fields": default_fields(params), "t_span": sweep_span(instrument), **data}
-    try:
-        center = sweep_center(params, data["fields"])  # checks the fields' depressions
-    except InputError as exc:
-        if "fields" in given:
-            raise
-        raise InputError(f"{exc} (fields were derived from "
-                         f"h_v = {params.h_v!r} G)") from exc
-    try:
-        return SweepPlan(**{"t_center_guess": center, **data})
-    except InputError as exc:
-        if "t_span" in given or "t_span" not in str(exc):
-            raise
-        raise InputError(f"{exc} (t_span was derived from transition_width = "
-                         f"{instrument.transition_width!r} mK)") from exc
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -96,7 +67,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     instrument = _build_section(InstrumentConfig, instrument_data, "instrument")
 
     plan = _build_section(SweepPlan, data.get("plan", {}), "plan",
-                          functools.partial(_plan, params, instrument))
+                          functools.partial(plan_sweep, params, instrument))
     return RunConfig(model=params, instrument=instrument, plan=plan)
 
 

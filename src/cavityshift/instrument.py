@@ -9,6 +9,7 @@ trial, field index, kind, repetition) alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ from .model import MAX_T_C, MIN_DELTA_V
 #: R/R_n = (1+erf(x/s))/2 crosses 0.1 and 0.9 at x = -+ s*erfinv(0.8),
 #: so s = width / ERF_WIDTH_FACTOR.
 ERF_WIDTH_FACTOR = 2.0 * float(erfinv(0.8))
+
+#: Highest normal resistance and resistance noise (ohm), 1 Tohm: past any
+#: film or cavity sample and any readout's noise, and far inside the float
+#: range, so the noise drawn at it and every square a fit forms are finite
+#: (1e308 ohm of noise once overflowed in the readout).
+MAX_RESISTANCE = 1e12
 
 #: Resistance noise (ohm) that reproduces a single-measurement
 #: sensitivity of ~0.1 mK with the default plan, within 5%.
@@ -40,12 +47,14 @@ class InstrumentConfig:
 
     def __post_init__(self):
         check_number("base_temperature", self.base_temperature, above=0, at_most=MAX_T_C)
-        check_number("normal_resistance", self.normal_resistance, above=0)
+        check_number("normal_resistance", self.normal_resistance, above=0,
+                     at_most=MAX_RESISTANCE)
         # widths from the 1 pK floor to the highest Tc, and jitter no larger,
         # keep every erf argument of a plan within about 1e17
         check_number("transition_width", self.transition_width, at_least=MIN_DELTA_V,
                      at_most=MAX_T_C * 1e3)
-        check_number("resistance_noise", self.resistance_noise, at_least=0)
+        check_number("resistance_noise", self.resistance_noise, at_least=0,
+                     at_most=MAX_RESISTANCE)
         check_number("temperature_jitter", self.temperature_jitter, at_least=0,
                      at_most=MAX_T_C * 1e3)
         if not (is_number(self.seed, integer=True) and 0 <= self.seed < 2 ** 64):
@@ -71,10 +80,15 @@ def noise_stream(seed: int, *path: int) -> np.random.Generator:
     creation order, which makes datasets order-insensitive.
     """
     # SeedSequence's own coercion of the key, without its per-element cost:
-    # each int becomes its little-endian 32-bit words, 0 becomes [0]
+    # each integer becomes its little-endian 32-bit words, 0 becomes [0];
+    # like SeedSequence it refuses a float (2.9 once drew the stream of 2)
     words = []
     for value in (seed, *path):
-        value = int(value)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise InputError(f"substream key elements must be integers, "
+                             f"got {value!r}") from None
         if value < 0:
             raise InputError(f"substream key elements must be nonnegative, got {value}")
         words.append(value & 0xFFFFFFFF)

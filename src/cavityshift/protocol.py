@@ -117,13 +117,37 @@ class TransitionCurve:
             raise InputError("temperatures must be strictly increasing")
 
 
-def plan_sweep(params: model.ModelParams, cfg: InstrumentConfig,
-               fields) -> SweepPlan:
-    """Plan covering every transition of the given field list, around
-    :func:`sweep_center` over :func:`sweep_span`."""
-    fields = _field_tuple(fields)
-    return SweepPlan(fields=fields, t_center_guess=sweep_center(params, fields),
-                     t_span=sweep_span(cfg))
+#: A plan without fields visits this many, spanning [h_v, 5*h_v].
+N_DEFAULT_FIELDS = 10
+
+
+def plan_sweep(params: model.ModelParams, cfg: InstrumentConfig, fields=...,
+               **given) -> SweepPlan:
+    """The plan of the given :class:`SweepPlan` values, as a config's plan
+    section holds them, each one missing derived: :data:`N_DEFAULT_FIELDS`
+    fields, the centre by :func:`sweep_center` (computed even when given,
+    as it checks each field) and the span by :func:`sweep_span`.  A refused
+    derived field list or span names the setting it was derived from."""
+    derived = fields is ...
+    if derived:
+        lo, hi = params.h_v, 5.0 * params.h_v
+        step = (hi - lo) / (N_DEFAULT_FIELDS - 1)
+        fields = tuple(lo + i * step for i in range(N_DEFAULT_FIELDS))
+    try:
+        center = sweep_center(params, fields)
+    except InputError as exc:
+        if not derived:
+            raise
+        raise InputError(f"{exc} (fields were derived from "
+                         f"h_v = {params.h_v!r} G)") from exc
+    try:
+        return SweepPlan(**{"fields": fields, "t_center_guess": center,
+                            "t_span": sweep_span(cfg), **given})
+    except InputError as exc:
+        if "t_span" in given or "t_span" not in str(exc):
+            raise
+        raise InputError(f"{exc} (t_span was derived from transition_width = "
+                         f"{cfg.transition_width!r} mK)") from exc
 
 
 def sweep_center(params: model.ModelParams, fields) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from . import model
 from .analysis import (MAX_FAILED_FRACTION, FitResult, analyze_dataset,
                        build_delta_curve, t_star_variance, weighted_mean_difference)
-from .errors import CalibrationError, InputError, check_number
+from .errors import CalibrationError, InputError, check_number, is_number
 from .instrument import InstrumentConfig
 from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
 
@@ -60,7 +60,8 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
 
     Raises :class:`InputError`, before any trial runs, for a study with
 
-    1. fewer than :data:`MIN_TRIALS` trials,
+    1. a ``trials`` that is not an integer, or fewer than
+       :data:`MIN_TRIALS` trials,
     2. no field at or above h_v (the significance is taken there),
     3. a temperature grid wholly at or below the cryostat floor (every
        setpoint is clamped to it, so no curve has a transition to fit), or
@@ -71,6 +72,7 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
        regression cannot resolve (a rank-deficient regression against
        H^2).
     """
+    check_number("trials", trials, integer=True)
     if trials < MIN_TRIALS:
         raise InputError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if not any(field >= params.h_v for field in plan.fields):
@@ -252,8 +254,8 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     at that sigma_R; it is returned when the study is valid and its
     delta_n lies within ``tolerance`` of the target.
 
-    A target that is not finite and positive, a tolerance outside
-    (0, 1), or a study :func:`_check_study` rejects raise
+    A target that is not finite and positive, a tolerance that is not a
+    real number in (0, 1), or a study :func:`_check_study` rejects raise
     :class:`InputError` before any study runs.
 
     Raises :class:`CalibrationError` before any trial when the target
@@ -265,6 +267,8 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
     noise).
     """
     check_number("target delta_n", target_delta_n, above=0)
+    if not is_number(tolerance):
+        check_number("tolerance", tolerance)  # refuses it, naming its type
     if not (0 < tolerance < 1):  # also rejects NaN
         raise InputError(f"tolerance must lie in (0, 1), got {tolerance}")
     kappa_r, kappa_t = _check_study(params, cfg, plan, trials)

@@ -595,6 +595,14 @@ class TestDifference:
         assert mean == pytest.approx(values.mean(), rel=1e-15)
         assert se == pytest.approx(1e-9 / math.sqrt(n), rel=1e-15)
 
+    def test_mean_without_a_field_at_or_above_the_minimum_rejected(self):
+        diff = DifferenceCurve(fields=np.array([10.0, 20.0]), values=np.ones(2),
+                               sigmas=np.ones(2))
+        assert weighted_mean_difference(diff, min_field=20.0) == (1.0, 1.0)
+        with pytest.raises(InputError, match="^no fields at or above the requested "
+                                             "minimum$"):
+            weighted_mean_difference(diff, min_field=20.000000000000004)
+
     def test_grid_mismatch_rejected(self):
         a = synthetic_delta_curve([10, 20, 30], [1, 2, 3])
         b = synthetic_delta_curve([10, 20, 31], [1, 2, 3], kind="cavity")
@@ -1271,6 +1279,10 @@ class TestConvergenceReport:
 
 
 class TestAnalyzeDataset:
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(InputError, match="^dataset contains no curves$"):
+            analyze_dataset([])
+
     def test_noiseless_end_to_end_identity(self, params, quiet):
         plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
         result = analyze_dataset(run_paired_experiment(params, quiet, plan))

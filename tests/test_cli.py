@@ -535,6 +535,18 @@ class TestSimulateAnalyze:
         assert main(["simulate", "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("I/O error")
 
+    def test_manifest_path_that_is_a_directory_exits_io_leaving_no_temp_file(
+            self, tmp_path, capsys):
+        # os.replace onto a directory fails after the temp file is written:
+        # the writer removes it and re-raises the OSError
+        out = tmp_path / "run"
+        (out / "run.json").mkdir(parents=True)
+        assert main(["simulate", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert (out / "run.json").is_dir() and not any((out / "run.json").iterdir())
+        assert not list(out.glob("*.tmp"))
+        assert len(list(out.glob("curve_*.csv"))) == 20
+
     # resistances near 1e161 once overflowed the fit's sums of squares,
     # and that curve's fit failed with an infinite residual; the fit now
     # runs on power-of-two-scaled resistances, and analysis.json must
@@ -687,6 +699,16 @@ class TestSimulateAnalyze:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and f"{key} must " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"plan"', "null"])
+    def test_config_not_an_object_exits_config(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == "input error: run configuration must be a JSON object\n")
         assert not out.exists()
 
     def test_section_not_an_object_exits_config(self, tmp_path, capsys):

@@ -30,7 +30,8 @@ from hypothesis import example, given, settings, strategies as st
 from cavityshift.cli import main
 from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.errors import InputError
-from cavityshift.instrument import InstrumentConfig, measure_profile, noise_stream
+from cavityshift.instrument import (MAX_RESISTANCE, InstrumentConfig, measure_profile,
+                                    noise_stream)
 from cavityshift.model import KINDS, MAX_T_C, MIN_DELTA_V, ModelParams
 from cavityshift.protocol import (MAX_PLAN_SAMPLES, SweepPlan, plan_table, sweep_center,
                                   sweep_span)
@@ -84,20 +85,23 @@ SETTINGS = {
 #: > 0, the negative float nearest 0 where it must be >= 0, and past each
 #: other bound (t_c's, base_temperature's and t_center_guess's 1e3 K,
 #: t_span's 8e3 K, transition_width's 1e-9 and 1e6 mK, temperature_jitter's
-#: 1e6 mK, delta_inf's 1000*t_c mK at the largest t_c, the seed's 64 bits).
-#: The 1e308 and 1e-306 sweep values were once inside the domain, and
-#: simulate overflowed on each (exit 1 under -W error::RuntimeWarning): the
-#: erf argument of a 1e308 K grid or floor and of a subnormal erf scale, and
-#: the jitter's draw of 1e308 mK times a standard normal.
+#: 1e6 mK, delta_inf's 1000*t_c mK at the largest t_c, the two resistances'
+#: 1e12 ohm, the seed's 64 bits).
+#: The 1e308 and 1e-306 values were once inside the domain, and simulate
+#: overflowed on each but a 1e308 ohm normal resistance (exit 1 under
+#: -W error::RuntimeWarning): the erf argument of a 1e308 K grid or floor
+#: and of a subnormal erf scale, and the draw of 1e308 mK of jitter or
+#: 1e308 ohm of noise times a standard normal.
 POSITIVE = (0, -1, 0.0, -1.0, math.inf, math.nan)
 NONNEGATIVE = (-5e-324, -1.0, math.inf, math.nan)
 OUTSIDE = {
-    **dict.fromkeys(("alpha", "h_v", "cond_scale", "normal_resistance"), POSITIVE),
+    **dict.fromkeys(("alpha", "h_v", "cond_scale"), POSITIVE),
+    "normal_resistance": (*POSITIVE, 1000000000000.0001, 1e308),
     "t_c": (*POSITIVE, 1000.0000000000001),
     "base_temperature": (*POSITIVE, 1000.0000000000001, 1e308),
     "t_span": (*POSITIVE, 8000.000000000001, 1.5e308),
     "transition_width": (*POSITIVE, 9.999999999999999e-10, 1e-306, 1000000.0000000001),
-    "resistance_noise": NONNEGATIVE,
+    "resistance_noise": (*NONNEGATIVE, 1000000000000.0001, 1e308),
     "temperature_jitter": (*NONNEGATIVE, 1000000.0000000001, 1e308),
     "delta_inf": (*NONNEGATIVE, 1000000.0000000001),
     "seed": (-1, 2 ** 64),
@@ -313,26 +317,28 @@ def test_plan_size_rule(config, n_fields, repetitions, n_points):
         run_config_from_dict(config)
 
 
-#: Each sweep value at both ends of its domain, and None for a derived
-#: centre or span.  t_c = 1e-12 K is the lowest, where the delta_v floor
-#: of 1e-9 mK meets the 1000*t_c mK bound; 1e-9 K stands for the
-#: narrowest span, which the grid resolves at every admitted centre.
+#: Each sweep value and resistance at both ends of its domain, and None
+#: for a derived centre or span.  t_c = 1e-12 K is the lowest, where the
+#: delta_v floor of 1e-9 mK meets the 1000*t_c mK bound; 1e-9 K stands for
+#: the narrowest span, which the grid resolves at every admitted centre.
 CORNERS = list(itertools.product(
     (1e-12, MAX_T_C), ("floor", "top"), (0.0, "top"), (5e-324, MAX_T_C),
-    (MIN_DELTA_V, MAX_T_C * 1e3), (0.0, MAX_T_C * 1e3), (None, 0.0, MAX_T_C),
-    (None, 1e-9, 8 * MAX_T_C)))
+    (MIN_DELTA_V, MAX_T_C * 1e3), (0.0, MAX_T_C * 1e3), (5e-324, MAX_RESISTANCE),
+    (0.0, MAX_RESISTANCE), (None, 0.0, MAX_T_C), (None, 1e-9, 8 * MAX_T_C)))
 
 
-@pytest.mark.parametrize(
-    "t_c, delta_v, delta_inf, base_temperature, width, jitter, center, span", CORNERS)
+@pytest.mark.parametrize("t_c, delta_v, delta_inf, base_temperature, width, jitter, "
+                         "normal_resistance, noise, center, span", CORNERS)
 def test_plan_table_and_readout_stay_finite_at_the_domain_corners(
-        t_c, delta_v, delta_inf, base_temperature, width, jitter, center, span):
+        t_c, delta_v, delta_inf, base_temperature, width, jitter, normal_resistance,
+        noise, center, span):
     # fields at 0 and at the largest admitted field
     top = 1e3 * t_c
     params = ModelParams(t_c=t_c, alpha=MIN_DELTA_V if delta_v == "floor" else top,
                          h_v=1.0, delta_inf=top if delta_inf == "top" else delta_inf)
     cfg = InstrumentConfig(base_temperature=base_temperature, transition_width=width,
-                           temperature_jitter=jitter)
+                           temperature_jitter=jitter, normal_resistance=normal_resistance,
+                           resistance_noise=noise)
     fields = (0.0, params.max_field)
     try:
         plan = SweepPlan(fields=fields, n_points=20,

@@ -125,6 +125,23 @@ def test_noise_stream_rejects_negative_key(seed, path):
         noise_stream(seed, *path)
 
 
+@pytest.mark.parametrize("key", [(1, 2.9), (1, "3"), (1.0,), (1, 0, None),
+                                 (1, np.float64(2.0))])
+def test_noise_stream_rejects_a_key_that_is_not_an_integer(key):
+    # int() once coerced all but None (a bare TypeError): noise_stream(1,
+    # 2.9) drew the stream of noise_stream(1, 2), and "3" that of 3
+    bad = next(value for value in key if not isinstance(value, int))
+    with pytest.raises(InputError) as excinfo:
+        noise_stream(*key)
+    assert str(excinfo.value) == f"substream key elements must be integers, got {bad!r}"
+
+
+def test_noise_stream_takes_numpy_integers():
+    expected = noise_stream(1, 2, 3).standard_normal(4)
+    assert np.array_equal(noise_stream(np.uint64(1), np.int64(2), np.int32(3))
+                          .standard_normal(4), expected)
+
+
 class TestNoise:
     def test_noiseless_reduces_to_transition(self, quiet):
         rng = noise_stream(quiet.seed, 0)

@@ -14,6 +14,7 @@ from cavityshift import (InputError, InstrumentConfig, ModelParams, SweepPlan,
                          film_delta, plan_sweep, read_run,
                          run_paired_experiment, write_run)
 from cavityshift import instrument, protocol
+from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.instrument import measure_profile, noise_stream, resistive_transition
 from cavityshift.protocol import (KIND_CODES, TransitionCurve, curve_filename,
                                   plan_table, read_curve_csv, temperature_grid)
@@ -142,6 +143,20 @@ class TestPlan:
         assert SweepPlan(fields=np.array(plan.fields), t_center_guess=np.float64(1.5),
                          t_span=plan.t_span).fields == plan.fields
 
+    def test_one_derivation_for_the_api_and_a_config(self, params, quiet):
+        # the loader builds its plan section with plan_sweep: each missing
+        # value is derived, each given one kept, and the default fields are
+        # ten spanning [h_v, 5*h_v]
+        config = default_run_config()
+        assert plan_sweep(config.model, config.instrument) == config.plan
+        assert config.plan.fields[0] == params.h_v and config.plan.fields[-1] == 250.0
+        given = {"t_center_guess": 1.2, "t_span": 0.3, "n_points": 40, "repetitions": 2}
+        plan = plan_sweep(params, quiet, [50.0, 100.0], **given)
+        assert plan == SweepPlan(fields=(50.0, 100.0), **given)
+        assert plan == run_config_from_dict(
+            {"plan": {"fields": [50.0, 100.0], **given}}).plan
+        assert plan_sweep(params, quiet, n_points=40) == replace(config.plan, n_points=40)
+
     def test_plan_covers_all_transitions(self, params, quiet):
         plan = plan_sweep(params, quiet, [50.0, 100.0, 150.0])
         grid = temperature_grid(plan)
@@ -179,6 +194,22 @@ class TestAcquire:
         plan = plan_sweep(params, quiet, [100.0])
         with pytest.raises(InputError):
             acquire_curve(params, quiet, plan, 99.0, "film")
+
+    @pytest.mark.parametrize("repetition", [-1, 1, 2])
+    def test_repetition_outside_the_plan_rejected(self, params, quiet, repetition):
+        plan = plan_sweep(params, quiet, [100.0])
+        with pytest.raises(InputError, match=f"^repetition {repetition} outside "
+                                             f"plan range$"):
+            acquire_curve(params, quiet, plan, 100.0, "film", repetition)
+
+    @pytest.mark.parametrize("repetition", [0.5, 0.0, np.float64(1.0)])
+    def test_repetition_that_is_not_an_integer_rejected(self, params, noisy, repetition):
+        # 0.5 once gave a curve labelled 0.5 carrying repetition 0's noise
+        plan = plan_sweep(params, noisy, [100.0], repetitions=2)
+        with pytest.raises(InputError) as excinfo:
+            acquire_curve(params, noisy, plan, 100.0, "film", repetition)
+        assert str(excinfo.value) == ("substream key elements must be integers, "
+                                      f"got {repetition!r}")
 
     def test_base_temperature_floor(self, params, noisy):
         plan = SweepPlan(fields=(50.0,), t_center_guess=0.35, t_span=0.4)

@@ -222,6 +222,33 @@ class TestCalibration:
                 calibrate_noise(0.1, reference, plan, tolerance, params=params)
         assert probes == []
 
+    @pytest.mark.parametrize("tolerance, message", [
+        ("0.5", "be a real number, got '0.5'"), (None, "be a real number, got None"),
+        (True, "be a real number, got True"),
+        (10 ** 400, "lie within the float range, got a 1329-bit integer")])
+    def test_tolerance_of_a_wrong_type_rejected_naming_it(self, params, reference, plan,
+                                                         stub, tolerance, message):
+        # "0.5" and None once ended in a bare TypeError from the comparison
+        probes = stub(lambda sigma: 1.34 * sigma)
+        with pytest.raises(InputError, match=f"^tolerance must {message}$"):
+            calibrate_noise(0.1, reference, plan, tolerance, params=params)
+        assert probes == []
+
+    @pytest.mark.parametrize("trials", [150.5, 1e3, "200", None, True])
+    def test_trials_of_a_wrong_type_rejected_naming_it(self, params, reference, plan,
+                                                       monkeypatch, trials):
+        # 150.5 and 1e3 once ended in range()'s bare TypeError after the
+        # checks, "200" in the comparison's
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sensitivity, "run_paired_experiment", trial)
+        message = f"^trials must be an integer, got {trials!r}$"
+        with pytest.raises(InputError, match=message):
+            run_sensitivity(params, reference, plan, trials)
+        with pytest.raises(InputError, match=message):
+            calibrate_noise(0.1, reference, plan, params=params, trials=trials)
+
     def test_delta_n_linear_response(self, params, reference, plan):
         low = run_sensitivity(params, reference, plan, 150).delta_n
         high = run_sensitivity(
