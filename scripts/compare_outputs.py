@@ -69,6 +69,12 @@ once; a ``simulate`` goes on to ``analyze`` its run, which exits 4 where
   its draw once overflowed (exit 1 under the warning flag)
 - ``simulate`` with a normal resistance of 1e308 ohm, past that bound,
   which exits 2 naming ``normal_resistance``; it once ran (exit 0)
+- ``simulate`` and ``sensitivity --trials 100`` with a normal resistance
+  of 1e-300 ohm (and 1e-302 ohm of noise), below the 1e-12 ohm floor,
+  which each exit 2 naming ``normal_resistance``; the ``simulate`` once
+  ran and its every curve fitted on power-of-two-scaled resistances
+  (exit 0), while the study exited 2 blaming the sweep ("does not
+  resolve the film transition at 50 G")
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -164,6 +170,9 @@ CONFIGS = {
     "hugejitter": ({"instrument": {"temperature_jitter": 1e308}}, {"simulate": []}),
     "hugenoise": ({"instrument": {"resistance_noise": 1e308}}, {"simulate": []}),
     "hugeresistance": ({"instrument": {"normal_resistance": 1e308}}, {"simulate": []}),
+    "tinyresistance": ({"instrument": {"normal_resistance": 1e-300,
+                                       "resistance_noise": 1e-302}},
+                       {"simulate": [], "sensitivity": ["--trials", "100"]}),
 }
 
 

@@ -19,8 +19,9 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import FitError, InputError
-from .instrument import ERF_WIDTH_FACTOR, resistive_transition
-from .model import KINDS
+from .instrument import (ERF_WIDTH_FACTOR, MAX_RESISTANCE, MIN_RESISTANCE,
+                         resistive_transition)
+from .model import KINDS, MIN_DELTA_V
 from .protocol import TransitionCurve
 
 MK_PER_K = 1000.0
@@ -28,10 +29,10 @@ MK_PER_K = 1000.0
 #: Largest fraction of the fits of a dataset or the trials of a study that may fail.
 MAX_FAILED_FRACTION = 0.01
 
-#: The noise floor in K: every inverse-variance weight takes a sigma below
-#: it as this sigma (1e-9 in mK), so noise-free input gets equal weights
-#: and no standard error is 0.
-_SIGMA_FLOOR = 1e-12
+#: The noise floor in K, the 1 pK of ``model.MIN_DELTA_V``: every
+#: inverse-variance weight takes a sigma below it as this sigma, so
+#: noise-free input gets equal weights and no standard error is 0.
+_SIGMA_FLOOR = MIN_DELTA_V / MK_PER_K
 
 
 @dataclass(frozen=True)
@@ -258,29 +259,27 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     return column[0], float(shift.dot(shift)) * 1e-6
 
 
-def _ldexp(x: float, e: int) -> float:
-    """x 2^e, infinite where that overflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+#: The fit's resistance domain (ohm): each |R| at most 1e3 MAX_RESISTANCE,
+#: past every curve ``simulate`` writes (r_n and noise at most MAX_RESISTANCE,
+#: normal draws far below 1e3), and a plateau of at least 1e-3 MIN_RESISTANCE,
+#: below that of a noise-free curve at the lowest normal resistance.
+_MAX_ABS_RESISTANCE, _MIN_PLATEAU = 1e3 * MAX_RESISTANCE, 1e-3 * MIN_RESISTANCE
 
 
-def _fit_error(message: str, iterations: int, cost: float, n: int, e: int,
+def _fit_error(message: str, iterations: int, cost: float, n: int,
                t_star: float, width: float, r_n: float) -> FitError:
-    """The :class:`FitError` of a fit on R 2^-e at its last point, with
-    the residual norm and r_n scaled back."""
+    """The :class:`FitError` of a fit at its last point."""
     return FitError(message, iterations=iterations,
-                    residual_norm=_ldexp(math.sqrt(cost / n), e),
-                    params=(t_star, width, _ldexp(r_n, e)))
+                    residual_norm=math.sqrt(cost / n), params=(t_star, width, r_n))
 
 
 def fit_transition(curve: TransitionCurve) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
 
-    Requires more than one distinct temperature, finite resistances and
-    both plateaus to be sampled (at least 10% of the points below 0.2 r_n
-    and above 0.8 r_n), otherwise :class:`InputError`.
+    Requires more than one distinct temperature, resistances within
+    +-1e15 ohm, a resistive plateau of at least 1e-15 ohm and both
+    plateaus to be sampled (at least 10% of the points below 0.2 r_n and
+    above 0.8 r_n), otherwise :class:`InputError`.
     The fit converges when a proposed step changes no parameter by more
     than ``_XTOL`` (1e-10) relative, whether or not that step would lower
     the cost; the current point is then kept.  ``_MAX_ITER`` (100) bounds
@@ -307,13 +306,6 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     ``cov[0, 0]`` is read from its Cholesky factor, and no matrix is
     inverted.
 
-    The fit runs on the resistances scaled by the power of two that
-    brings max |R| into [0.5, 1), and ``r_n`` (with the residual norm
-    and last r_n of a :class:`FitError`) is scaled back, to inf where it
-    passes the largest float; the fit thus works at any finite scale of
-    R and, short of subnormal values, its t_star, width and sigma do
-    not depend on that scale.
-
     Each accepted point forms the Jacobian rows without their constant
     factors, exp(-u^2), u exp(-u^2) and 1 + erf(u), the residuals, and
     the residuals times u and u^2, which S needs, and takes all their
@@ -330,16 +322,18 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
         raise InputError(f"every temperature is {float(t[0])!r} K; the curve has "
                          "no transition to fit")
     r_sorted = np.sort(r)
-    if not (-math.inf < r_sorted[0] and r_sorted[-1] < math.inf):  # NaN sorts last
-        raise InputError("resistances must be finite")
-    # max |R| = m 2^e with 0.5 <= m < 1; the fit runs on R 2^-e, applied
-    # with ldexp since 2^-e itself overflows for a subnormal max |R|
-    e = math.frexp(max(-r_sorted[0], r_sorted[-1]))[1]
-    np.ldexp(r_sorted, -e, out=r_sorted)
-    r = np.ldexp(r, -e)
+    # NaN sorts last, and fails the comparison
+    if not (-_MAX_ABS_RESISTANCE <= r_sorted[0] and r_sorted[-1] <= _MAX_ABS_RESISTANCE):
+        raise InputError(f"resistances must be finite and within "
+                         f"+-{_MAX_ABS_RESISTANCE:g} ohm")
     k = max(2, n // 10)
     r_top = float(r_sorted[-k:].sum()) / k  # bit-equal to .mean()
-    if not (r_top > 0):
+    # The fit runs on R as given.  In its domain an accepted cost is below
+    # n (2e15 ohm)^2 < 1e39 ohm^2 (n <= MAX_PLAN_SAMPLES) and the t* and
+    # width bounds of a step hold |u| below 20 n, so every square and Gram
+    # entry is finite, and only the exp(-u^2) rows reach the subnormals, at
+    # any scale of R: scaling R by a power of two moves no bit of the fit.
+    if not (r_top >= _MIN_PLATEAU):
         raise InputError("no resistive plateau found")
     below = int(r_sorted.searchsorted(0.2 * r_top))                # r < 0.2 r_top
     above = n - int(r_sorted.searchsorted(0.8 * r_top, "right"))  # r > 0.8 r_top
@@ -413,23 +407,23 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
                 break
     if not converged:
         raise _fit_error("transition fit did not converge",
-                         iterations, cost, n, e, p0, p1, p2)
+                         iterations, cost, n, p0, p1, p2)
     if p1 < step_mk:
         raise _fit_error("fitted width below the temperature step; "
-                         "transition not resolved", iterations, cost, n, e, p0, p1, p2)
+                         "transition not resolved", iterations, cost, n, p0, p1, p2)
 
     # cov[0, 0] = (J^T J)^-1[0, 0] s^2; the undamped solve against the
     # unit vector e_0 gives the first column of (J^T J)^-1
     column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
     if column is None:
         raise _fit_error("singular covariance at the fitted parameters",
-                         iterations, cost, n, e, p0, p1, p2)
+                         iterations, cost, n, p0, p1, p2)
     var_t_star = column[0] * (cost / max(n - 3, 1))
     return FitResult(
         t_star=p0,
         sigma_t_star=math.sqrt(max(var_t_star, 0.0)),
         width=abs(p1),
-        r_n=_ldexp(p2, e),
+        r_n=p2,
         residual_norm=math.sqrt(cost / n) / p2,
         iterations=iterations)
 
@@ -543,7 +537,7 @@ def weighted_mean_difference(diff: DifferenceCurve,
     mask = diff.fields >= min_field
     if not mask.any():
         raise InputError("no fields at or above the requested minimum")
-    w = 1.0 / np.maximum(diff.sigmas[mask], _SIGMA_FLOOR * MK_PER_K) ** 2
+    w = 1.0 / np.maximum(diff.sigmas[mask], MIN_DELTA_V) ** 2
     sw = np.add.reduce(w)
     return float(np.add.reduce(w * diff.values[mask]) / sw), float(1.0 / math.sqrt(sw))
 

@@ -29,6 +29,10 @@ ERF_WIDTH_FACTOR = 2.0 * float(erfinv(0.8))
 #: (1e308 ohm of noise once overflowed in the readout).
 MAX_RESISTANCE = 1e12
 
+#: Lowest normal resistance (ohm), 1 pohm: below any film or cavity sample;
+#: kappa's normal equations scale as r_n^2, and underflowed near 1e-155 ohm.
+MIN_RESISTANCE = 1e-12
+
 #: Resistance noise (ohm) that reproduces a single-measurement
 #: sensitivity of ~0.1 mK with the default plan, within 5%.
 DEFAULT_RESISTANCE_NOISE = 0.0751
@@ -47,8 +51,8 @@ class InstrumentConfig:
 
     def __post_init__(self):
         check_number("base_temperature", self.base_temperature, above=0, at_most=MAX_T_C)
-        check_number("normal_resistance", self.normal_resistance, above=0,
-                     at_most=MAX_RESISTANCE)
+        check_number("normal_resistance", self.normal_resistance,
+                     at_least=MIN_RESISTANCE, at_most=MAX_RESISTANCE)
         # widths from the 1 pK floor to the highest Tc, and jitter no larger,
         # keep every erf argument of a plan within about 1e17
         check_number("transition_width", self.transition_width, at_least=MIN_DELTA_V,

@@ -41,8 +41,8 @@ KINDS = ("film", "cavity")
 #: superconductor: no depression, at most 1000*t_c mK, passes 1e6 mK.
 MAX_T_C = 1e3
 
-#: Smallest crossover depression alpha*h_v**2 (mK): the analysis' 1 pK
-#: noise floor (``analysis._SIGMA_FLOOR``), below which no fit resolves it.
+#: Smallest crossover depression alpha*h_v**2 (mK): the 1 pK noise floor,
+#: below which no fit resolves it; the analysis takes it as its floor.
 MIN_DELTA_V = 1e-9
 
 #: Tag attached to files derived from the cavity energy term.

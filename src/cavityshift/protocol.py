@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import InputError, check_number
+from .errors import InputError, check_number, is_number
 from .fileio import atomic_write_text, csv_text, fmt, read_json, read_text, write_json
 from .instrument import (InstrumentConfig, measure_profile, noise_stream,
                          resistive_transition)
@@ -223,7 +223,8 @@ def acquire_curve(params: model.ModelParams, cfg: InstrumentConfig,
     except ValueError:
         raise InputError(f"field {field} G is not part of the plan") from None
     model.check_kind(kind)
-    if not (0 <= repetition < plan.repetitions):
+    if not (is_number(repetition, integer=True) and 0 <= repetition < plan.repetitions):
+        check_number("repetition", repetition, integer=True)  # a str, None, float, bool
         raise InputError(f"repetition {repetition} outside plan range")
 
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,

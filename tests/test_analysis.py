@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,7 +26,8 @@ from cavityshift.analysis import (_SIGMA_FLOOR, MK_PER_K,
                                   _evaluate, _normal_equations, _row_stack,
                                   _weighted_line_fit, relative_slope_difference)
 from cavityshift.config import default_run_config, run_config_from_dict
-from cavityshift.instrument import ERF_WIDTH_FACTOR, resistive_transition
+from cavityshift.instrument import (ERF_WIDTH_FACTOR, MAX_RESISTANCE, MIN_RESISTANCE,
+                                   resistive_transition)
 from cavityshift.protocol import TransitionCurve
 
 REFERENCE_SIGMA_R = 0.0751
@@ -87,15 +90,26 @@ def reference_curve(scale: float) -> TransitionCurve:
     return replace(curve, resistances=curve.resistances * scale)
 
 
+def in_fit_domain(curve: TransitionCurve) -> bool:
+    """Whether the fit takes ``curve``'s resistances: each within +-1e15
+    ohm, and a plateau (the mean of the top tenth, at least 2 samples) of
+    at least 1e-15 ohm, or of at most 0, which the fit refuses as it did
+    before it had a domain."""
+    r = np.sort(curve.resistances)
+    return (-analysis._MAX_ABS_RESISTANCE <= r[0] and r[-1] <= analysis._MAX_ABS_RESISTANCE
+            and not 0 < r[-max(2, r.size // 10):].mean() < analysis._MIN_PLATEAU)
+
+
 @st.composite
 def finite_curves(draw) -> TransitionCurve:
     """20-120 finite samples of noise, a step, a monotone ramp, or an erf
     with and without noise; temperatures from 1e-3 to 1e3 K over spans
-    of 1e-12 to 100 K, and a resistance scale from 1e-300 to 1e300."""
+    of 1e-12 to 100 K, and a resistance scale from 1e-300 to 1e300, drawn
+    from the fit's domain, 1e-15 to 1e15, about half the time."""
     n = draw(st.integers(20, 120))
     t_0 = 10.0 ** draw(st.floats(-3.0, 3.0))
     span = 10.0 ** draw(st.floats(-12.0, 2.0))
-    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    scale = 10.0 ** draw(st.one_of(st.floats(-15.0, 15.0), st.floats(-300.0, 300.0)))
     shape = draw(st.sampled_from(["noise", "step", "monotone", "erf", "noisy erf"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = np.linspace(-1.0, 1.0, n)
@@ -219,9 +233,10 @@ class TestFitTransition:
         assert fit.r_n == pytest.approx(r_n, rel=1e-6)
 
     # resistances near 1e161 once overflowed the fit's sums of squares;
-    # the fit now runs on R scaled by a power of two
+    # they now lie outside the fit's domain and are refused
     @settings(deadline=None, max_examples=300)
-    @example(curve=reference_curve(1e160), unscaled=reference_curve(1.0))
+    @example(curve=reference_curve(2.0 ** 40), unscaled=reference_curve(1.0))
+    @example(curve=reference_curve(1e160), unscaled=None)
     @example(curve=reference_curve(1e-320), unscaled=None)  # subnormal max |R|
     @example(curve=TransitionCurve(  # the last r_n lies past the largest float
         field=0.0, kind="film", temperatures=np.linspace(1.0, 1.1, 50),
@@ -231,10 +246,12 @@ class TestFitTransition:
         # where ``unscaled`` is given, the fit keeps its t* bit for bit
         try:
             fit = fit_transition(curve)
-        except CavityShiftError:
+        except CavityShiftError as exc:
             assert unscaled is None
+            assert in_fit_domain(curve) or isinstance(exc, InputError)
             return
         assert isinstance(fit, FitResult)
+        assert in_fit_domain(curve)
         if unscaled is not None:
             assert fit.t_star == fit_transition(unscaled).t_star
 
@@ -297,6 +314,61 @@ class TestFitTransition:
         curve = TransitionCurve(field=0.0, kind="film", temperatures=t, resistances=r)
         with pytest.raises(InputError, match="resistances must be finite"):
             fit_transition(curve)
+
+    @pytest.mark.parametrize("normal_resistance", [MIN_RESISTANCE, MAX_RESISTANCE])
+    def test_noise_free_curve_fits_at_either_end_of_the_domain(self, params,
+                                                               normal_resistance):
+        cfg = InstrumentConfig(normal_resistance=normal_resistance, resistance_noise=0.0)
+        plan = plan_sweep(params, cfg, [0.0])
+        fit = fit_transition(acquire_curve(params, cfg, plan, 0.0, "film"))
+        assert abs(fit.t_star - 1.5) <= 1e-6
+        assert fit.width == pytest.approx(50.0, rel=1e-9)
+        assert fit.r_n == pytest.approx(normal_resistance, rel=1e-9)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1e160, "resistances must be finite and within +-1e+15 ohm"),
+        (-1e15, "resistances must be finite and within +-1e+15 ohm"),
+        (1e-17, "no resistive plateau found")])
+    def test_curve_outside_the_domain_is_a_counted_input_error(self, params, quiet,
+                                                               scale, message):
+        # a curve past either bound is refused by name, with no numpy
+        # warning on the way, and the analysis counts it as a failed fit
+        plan = plan_sweep(params, quiet, np.linspace(50, 250, 10))
+        curves = run_paired_experiment(params, quiet, plan)
+        curves[4] = replace(curves[4], resistances=curves[4].resistances * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                fit_transition(curves[4])
+            result = analyze_dataset(curves)
+        assert result.failures == [FitFailure(curves[4], message, None, None)]
+        assert result.failed_fits == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(sigma_r=st.sampled_from([0.0, REFERENCE_SIGMA_R, 0.3]),
+           jitter=st.sampled_from([0.0, 2.0]), trial=st.integers(0, 10 ** 6),
+           kind=st.sampled_from(["film", "cavity"]), k=st.integers(-43, 36))
+    def test_power_of_two_scale_moves_no_bit(self, params, sigma_r, jitter, trial, kind,
+                                             k):
+        # 10 ohm times 2^k stays within [1e-12, 1e12] ohm: inside the
+        # domain, t*, width and sigma do not depend on R's scale, and r_n
+        # and a failed fit's r_n and residual norm scale exactly
+        cfg = InstrumentConfig(resistance_noise=sigma_r, temperature_jitter=jitter)
+        plan = plan_sweep(params, cfg, [150.0])
+        curve = acquire_curve(params, cfg, plan, 150.0, kind, substream_prefix=(trial,))
+        scaled = replace(curve, resistances=np.ldexp(curve.resistances, k))
+        try:
+            fit = fit_transition(curve)
+        except FitError as exc:
+            t_star, width, r_n = exc.params
+            want = (FitError, str(exc), float_bits((
+                exc.iterations, math.ldexp(exc.residual_norm, k),
+                (t_star, width, math.ldexp(r_n, k)))))
+        else:
+            want = (FitResult, float_bits((fit.t_star, fit.sigma_t_star, fit.width,
+                                           math.ldexp(fit.r_n, k), fit.residual_norm,
+                                           fit.iterations)))
+        assert fit_outcome(fit_transition, scaled) == want
 
     def test_too_few_samples_rejected(self, quiet):
         t = np.linspace(1.3, 1.7, 10)
@@ -1200,16 +1272,23 @@ class TestFitMatchesReference:
     """fit_transition against reference_fit_transition: the same bits
     of every result field, or the same error, message and attributes."""
 
+    # the reference fits at any finite scale of R; the fit refuses a
+    # curve outside its domain, and matches the reference inside it
     @settings(deadline=None, max_examples=300)
     @example(curve=reference_curve(1e160))
     @example(curve=reference_curve(1e-320))
+    @example(curve=reference_curve(1e-13))
+    @example(curve=reference_curve(1e14))
     @example(curve=TransitionCurve(
         field=0.0, kind="film", temperatures=np.linspace(1.0, 1.1, 50),
         resistances=np.repeat([0.0, sys.float_info.max], 25)))
     @given(curve=finite_curves())
     def test_any_finite_curve(self, curve):
-        assert fit_outcome(fit_transition, curve) == fit_outcome(reference_fit_transition,
-                                                                 curve)
+        outcome = fit_outcome(fit_transition, curve)
+        if in_fit_domain(curve):
+            assert outcome == fit_outcome(reference_fit_transition, curve)
+        else:
+            assert outcome[0] is InputError
 
     @pytest.mark.parametrize("config", [
         {"instrument": {"resistance_noise": REFERENCE_SIGMA_R}},
@@ -1229,20 +1308,24 @@ class TestFitMatchesReference:
         assert all(got == want for got, want in outcomes)
         assert len(outcomes) == 20 * 2 * len(config.plan.fields)
 
-    @pytest.mark.parametrize("t, r, flags", [
-        (np.linspace(1.3, 1.7, 10), np.linspace(0.0, 10.0, 10), ()),
-        (np.full(200, 0.3), np.linspace(0.0, 10.0, 200), ("clamped:0",)),
-        (np.linspace(1.3, 1.7, 200), np.where(np.arange(200) == 150, math.nan, 1.0), ()),
+    @pytest.mark.parametrize("t, r, flags, message", [
+        (np.linspace(1.3, 1.7, 10), np.linspace(0.0, 10.0, 10), (), None),
+        (np.full(200, 0.3), np.linspace(0.0, 10.0, 200), ("clamped:0",), None),
+        (np.linspace(1.3, 1.7, 200), np.where(np.arange(200) == 150, math.nan, 1.0), (),
+         "resistances must be finite and within +-1e+15 ohm"),
         (np.linspace(1.3, 1.45, 100),
-         resistive_transition(np.linspace(1.3, 1.45, 100), 1.5, 50.0, 10.0), ()),
-        (np.linspace(1.3, 1.7, 200), -np.linspace(0.0, 10.0, 200), ()),
+         resistive_transition(np.linspace(1.3, 1.45, 100), 1.5, 50.0, 10.0), (), None),
+        (np.linspace(1.3, 1.7, 200), -np.linspace(0.0, 10.0, 200), (), None),
     ], ids=["too-few", "one-temperature", "nan-resistance", "one-plateau", "no-plateau"])
-    def test_refused_curves(self, t, r, flags):
+    def test_refused_curves(self, t, r, flags, message):
+        # ``message``, where given, is the fit's own: it names the bound of
+        # its domain where the reference names finiteness alone
         curve = TransitionCurve(field=0.0, kind="film", temperatures=t, resistances=r,
                                 flags=flags)
         outcome = fit_outcome(fit_transition, curve)
         assert outcome[0] is InputError
-        assert outcome == fit_outcome(reference_fit_transition, curve)
+        want = fit_outcome(reference_fit_transition, curve)
+        assert outcome == (want if message is None else (want[0], message, want[2]))
 
 
 class TestConvergenceReport:

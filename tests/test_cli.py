@@ -548,9 +548,9 @@ class TestSimulateAnalyze:
         assert len(list(out.glob("curve_*.csv"))) == 20
 
     # resistances near 1e161 once overflowed the fit's sums of squares,
-    # and that curve's fit failed with an infinite residual; the fit now
-    # runs on power-of-two-scaled resistances, and analysis.json must
-    # stay strict JSON
+    # and that curve's fit failed with an infinite residual; they now lie
+    # outside the fit's domain, the curve is a counted failure, and
+    # analysis.json must stay strict JSON
     def test_overflowing_resistances_leave_strict_json(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--out", str(out)]) == 0
@@ -560,11 +560,12 @@ class TestSimulateAnalyze:
         rows = (line.split(",") for line in lines[start:])
         lines[start:] = [f"{t},{float(r) * 1e160!r}" for t, r in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["analyze", str(out / "run.json")]) == 0
+        assert main(["analyze", str(out / "run.json")]) == 5
         payload = load_strict_json(out / "analysis.json")
-        for failure in payload["failed_fits"]:
-            for value in (failure["residual_norm_ohm"], *(failure["last_params"] or ())):
-                assert value is None or math.isfinite(value)
+        (failure,) = payload["failed_fits"]
+        assert failure["reason"] == "resistances must be finite and within +-1e+15 ohm"
+        for value in (failure["residual_norm_ohm"], *(failure["last_params"] or ())):
+            assert value is None or math.isfinite(value)
 
     def test_step_function_curve_exits_fit_and_is_listed(self, tmp_path, capsys):
         from cavityshift.instrument import resistive_transition
@@ -674,6 +675,23 @@ class TestSimulateAnalyze:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sensitivity", "calibrate"])
+    @pytest.mark.parametrize("value", [1e-300, 9.99e-13])
+    def test_normal_resistance_below_the_floor_exits_config(self, tmp_path, capsys,
+                                                            command, value):
+        # 1e-300 ohm once simulated and analyzed, while sensitivity refused
+        # it as a sweep that does not resolve the film transition
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instrument": {"normal_resistance": value,
+                                                     "resistance_noise": value / 100}}),
+                          encoding="utf-8")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"input error: invalid 'instrument' section: normal_resistance "
+                       f"must be finite and >= 1e-12 and <= 1000000000000.0, got {value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, key", [

@@ -30,8 +30,8 @@ from hypothesis import example, given, settings, strategies as st
 from cavityshift.cli import main
 from cavityshift.config import default_run_config, run_config_from_dict
 from cavityshift.errors import InputError
-from cavityshift.instrument import (MAX_RESISTANCE, InstrumentConfig, measure_profile,
-                                    noise_stream)
+from cavityshift.instrument import (MAX_RESISTANCE, MIN_RESISTANCE, InstrumentConfig,
+                                    measure_profile, noise_stream)
 from cavityshift.model import KINDS, MAX_T_C, MIN_DELTA_V, ModelParams
 from cavityshift.protocol import (MAX_PLAN_SAMPLES, SweepPlan, plan_table, sweep_center,
                                   sweep_span)
@@ -86,17 +86,20 @@ SETTINGS = {
 #: other bound (t_c's, base_temperature's and t_center_guess's 1e3 K,
 #: t_span's 8e3 K, transition_width's 1e-9 and 1e6 mK, temperature_jitter's
 #: 1e6 mK, delta_inf's 1000*t_c mK at the largest t_c, the two resistances'
-#: 1e12 ohm, the seed's 64 bits).
+#: 1e12 ohm, normal_resistance's 1e-12 ohm floor, the seed's 64 bits).
 #: The 1e308 and 1e-306 values were once inside the domain, and simulate
 #: overflowed on each but a 1e308 ohm normal resistance (exit 1 under
 #: -W error::RuntimeWarning): the erf argument of a 1e308 K grid or floor
 #: and of a subnormal erf scale, and the draw of 1e308 mK of jitter or
-#: 1e308 ohm of noise times a standard normal.
+#: 1e308 ohm of noise times a standard normal.  A normal resistance of
+#: 1e-300 ohm simulated and analyzed, and its sensitivity study refused
+#: the sweep as one that does not resolve the transition.
 POSITIVE = (0, -1, 0.0, -1.0, math.inf, math.nan)
 NONNEGATIVE = (-5e-324, -1.0, math.inf, math.nan)
 OUTSIDE = {
     **dict.fromkeys(("alpha", "h_v", "cond_scale"), POSITIVE),
-    "normal_resistance": (*POSITIVE, 1000000000000.0001, 1e308),
+    "normal_resistance": (*POSITIVE, 9.999999999999998e-13, 1e-300, 5e-324,
+                          1000000000000.0001, 1e308),
     "t_c": (*POSITIVE, 1000.0000000000001),
     "base_temperature": (*POSITIVE, 1000.0000000000001, 1e308),
     "t_span": (*POSITIVE, 8000.000000000001, 1.5e308),
@@ -323,7 +326,7 @@ def test_plan_size_rule(config, n_fields, repetitions, n_points):
 #: the narrowest span, which the grid resolves at every admitted centre.
 CORNERS = list(itertools.product(
     (1e-12, MAX_T_C), ("floor", "top"), (0.0, "top"), (5e-324, MAX_T_C),
-    (MIN_DELTA_V, MAX_T_C * 1e3), (0.0, MAX_T_C * 1e3), (5e-324, MAX_RESISTANCE),
+    (MIN_DELTA_V, MAX_T_C * 1e3), (0.0, MAX_T_C * 1e3), (MIN_RESISTANCE, MAX_RESISTANCE),
     (0.0, MAX_RESISTANCE), (None, 0.0, MAX_T_C), (None, 1e-9, 8 * MAX_T_C)))
 
 

@@ -202,14 +202,14 @@ class TestAcquire:
                                              f"plan range$"):
             acquire_curve(params, quiet, plan, 100.0, "film", repetition)
 
-    @pytest.mark.parametrize("repetition", [0.5, 0.0, np.float64(1.0)])
+    @pytest.mark.parametrize("repetition", [0.5, 0.0, np.float64(1.0), "0", None, True])
     def test_repetition_that_is_not_an_integer_rejected(self, params, noisy, repetition):
-        # 0.5 once gave a curve labelled 0.5 carrying repetition 0's noise
+        # 0.5 once gave a curve labelled 0.5 carrying repetition 0's noise,
+        # and "0" and None escaped as a bare TypeError from the range check
         plan = plan_sweep(params, noisy, [100.0], repetitions=2)
         with pytest.raises(InputError) as excinfo:
             acquire_curve(params, noisy, plan, 100.0, "film", repetition)
-        assert str(excinfo.value) == ("substream key elements must be integers, "
-                                      f"got {repetition!r}")
+        assert str(excinfo.value) == f"repetition must be an integer, got {repetition!r}"
 
     def test_base_temperature_floor(self, params, noisy):
         plan = SweepPlan(fields=(50.0,), t_center_guess=0.35, t_span=0.4)

@@ -16,6 +16,7 @@ from cavityshift import (CalibrationError, InputError, InstrumentConfig,
 from cavityshift import SensitivityReport
 from cavityshift.analysis import MK_PER_K, t_star_variance
 from cavityshift.config import run_config_from_dict
+from cavityshift.instrument import MAX_RESISTANCE, MIN_RESISTANCE
 from cavityshift.protocol import plan_table
 
 REFERENCE_SIGMA_R = 0.0751
@@ -414,6 +415,20 @@ class TestPredictedSlope:
     @pytest.fixture(scope="class")
     def kappa(self, params, reference, plan):
         return delta_n_per_ohm(params, reference, plan)[0]
+
+    @pytest.mark.parametrize("normal_resistance", [MIN_RESISTANCE, MAX_RESISTANCE])
+    def test_finite_at_either_end_of_the_resistance_domain(self, params, reference, plan,
+                                                           normal_resistance):
+        # the normal equations scale as r_n^2, unrescaled: below about
+        # 1e-155 ohm they once underflowed to a singular covariance
+        kappa_r, kappa_t = delta_n_per_ohm(params, reference, plan)
+        at_end = delta_n_per_ohm(
+            params, replace(reference, normal_resistance=normal_resistance), plan)
+        assert all(map(math.isfinite, at_end)) and at_end[0] > 0
+        assert at_end[1] == pytest.approx(kappa_t, rel=1e-9)
+        if normal_resistance == MIN_RESISTANCE:  # at 1e12 ohm the 1 pK floor binds
+            assert at_end[0] == pytest.approx(kappa_r * 10.0 / normal_resistance,
+                                              rel=1e-9)
 
     def test_four_repetitions_halve_it(self, params, reference, plan, kappa):
         plan4 = replace(plan, repetitions=4)
