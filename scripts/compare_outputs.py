@@ -75,6 +75,13 @@ once; a ``simulate`` goes on to ``analyze`` its run, which exits 4 where
   ran and its every curve fitted on power-of-two-scaled resistances
   (exit 0), while the study exited 2 blaming the sweep ("does not
   resolve the film transition at 50 G")
+- ``simulate``, ``sensitivity --trials 100`` and ``calibrate --trials
+  200`` at a normal resistance of 1e12 ohm, the top of its domain (with
+  7.4e9 ohm of noise, which calibrates to about 0.1 mK there): the
+  closed-form kappa_R once took each t* sigma at 1 ohm of noise, under
+  the 1 pK floor at that r_n, so the study reported
+  ``delta_n_per_ohm_predicted`` 1.089e-9 mK/ohm, 80 times 13.51 / r_n,
+  and the calibration's one study missed its target (exit 6)
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -173,6 +180,10 @@ CONFIGS = {
     "tinyresistance": ({"instrument": {"normal_resistance": 1e-300,
                                        "resistance_noise": 1e-302}},
                        {"simulate": [], "sensitivity": ["--trials", "100"]}),
+    "bigresistance": ({"instrument": {"normal_resistance": 1e12,
+                                      "resistance_noise": 7.4e9}},
+                      {"simulate": [], "sensitivity": ["--trials", "100"],
+                       "calibrate": ["--trials", "200"]}),
 }
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import FitError, InputError
-from .instrument import (ERF_WIDTH_FACTOR, MAX_RESISTANCE, MIN_RESISTANCE,
-                         resistive_transition)
+from .instrument import ERF_WIDTH_FACTOR, MAX_RESISTANCE, MIN_RESISTANCE
 from .model import KINDS, MIN_DELTA_V
 from .protocol import TransitionCurve
 
@@ -152,7 +151,7 @@ def _row_stack(n: int) -> tuple[np.ndarray, ...]:
     return (*block, block[1:])
 
 
-def _evaluate(t: np.ndarray, r: np.ndarray, t_star: float, width: float, r_n: float,
+def _evaluate(t: np.ndarray, r: np.ndarray | float, t_star: float, width: float, r_n: float,
               rows: tuple[np.ndarray, ...]) -> float:
     """Cost of the erf model at (t_star K, width mK, r_n ohm) against
     the curve (t, r).
@@ -233,8 +232,8 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     noise, K^2 per mK^2 of temperature jitter).
 
     With J the Jacobian of :func:`fit_transition`'s normal equations at
-    the true parameters on the noise-free curve and A = J^T J, the first
-    is A^-1[0, 0], the covariance the fit reports there at unit noise.
+    the true parameters and A = J^T J, the first is A^-1[0, 0], the
+    covariance the fit reports there at unit noise.
     A jitter dT moves a sample's resistance by R'(T) dT = -J_0 dT, J_0
     the t_star column, so to first order the second is
     [A^-1 J^T diag(J_0^2) J A^-1][0, 0] (times 1e-6 K^2 per mK^2).  Both
@@ -242,8 +241,8 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
     transition).
     """
     rows = _row_stack(temperatures.size)
-    _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
-              t_star, width, r_n, rows)
+    # J^T J and the jitter term read no residual, so no curve is formed
+    _evaluate(temperatures, 0.0, t_star, width, r_n, rows)
     jtj = _normal_equations(width, r_n, rows, second_order=False)[0]
     column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
     if column is None:
@@ -418,11 +417,12 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     if column is None:
         raise _fit_error("singular covariance at the fitted parameters",
                          iterations, cost, n, p0, p1, p2)
-    var_t_star = column[0] * (cost / max(n - 3, 1))
+    # n >= 20, and every accepted width is at least min_width > 0
+    var_t_star = column[0] * (cost / (n - 3))
     return FitResult(
         t_star=p0,
         sigma_t_star=math.sqrt(max(var_t_star, 0.0)),
-        width=abs(p1),
+        width=p1,
         r_n=p2,
         residual_norm=math.sqrt(cost / n) / p2,
         iterations=iterations)

@@ -100,14 +100,16 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
     Each curve of the plan, ``plan.repetitions`` per field and kind, is
     given the fit its analysis would return at the true (t*,
     ``transition_width``, ``normal_resistance``) on the plan's clamped
-    setpoints.  For kappa_R its sigma is the fit's own covariance at unit
-    resistance noise, for kappa_T the first-order t* variance at unit
-    jitter (both from :func:`analysis.t_star_variance`).  Each kappa is
-    the RMS of the sigmas of the film and cavity delta curves that
+    setpoints.  For kappa_R its sigma is the fit's own covariance at a
+    resistance noise of the power of two just above
+    ``normal_resistance``, for kappa_T the first-order t* variance at
+    unit jitter (both from :func:`analysis.t_star_variance`).  Each kappa
+    is the RMS of the sigmas of the film and cavity delta curves that
     :func:`analysis.build_delta_curve` makes of these fits, pooled as
-    :func:`run_sensitivity` pools the squared delta errors.  So delta_n
-    is predicted as hypot(kappa_R sigma_R, kappa_T sigma_T), and kappa_T
-    sigma_T is its noise-free floor.
+    :func:`run_sensitivity` pools the squared delta errors; kappa_R's is
+    then divided by that noise, exactly, and at it no sigma meets the
+    1 pK floor at any r_n.  So delta_n is predicted as hypot(kappa_R
+    sigma_R, kappa_T sigma_T), and kappa_T sigma_T is its noise-free floor.
 
     Raises :class:`InputError` when a fit covariance is singular (the
     sweep does not resolve that transition, so no study could fit it),
@@ -117,6 +119,7 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance)
     fits = [{kind: [] for kind in model.KINDS} for _ in range(2)]  # kappa_R, kappa_T
+    unit = math.ldexp(1.0, math.frexp(cfg.normal_resistance)[1])  # ohm, 2^k > r_n
     for kind, t_stars in table.t_stars.items():
         for field, t_star in zip(plan.fields, t_stars):
             variances = t_star_variance(table.setpoints, t_star, cfg.transition_width,
@@ -124,11 +127,11 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
             if not variances[0] < math.inf:
                 raise InputError(f"the sweep does not resolve the {kind} transition "
                                  f"at {field:g} G: its fit covariance is singular")
-            for by_kind, v in zip(fits, variances):
-                fit = FitResult(t_star, math.sqrt(v), cfg.transition_width,
+            for by_kind, v, noise in zip(fits, variances, (unit, 1.0)):
+                fit = FitResult(t_star, math.sqrt(v) * noise, cfg.transition_width,
                                 cfg.normal_resistance, 0.0, 0)
                 by_kind[kind] += [(field, fit)] * plan.repetitions
-    return _rms_delta_sigma(fits[0]), _rms_delta_sigma(fits[1])
+    return _rms_delta_sigma(fits[0]) / unit, _rms_delta_sigma(fits[1])
 
 
 def _rms_delta_sigma(fits: dict[str, list]) -> float:

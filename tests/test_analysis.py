@@ -20,7 +20,7 @@ from cavityshift import (CavityShiftError, DeltaCurve, FitError, InputError,
                          fit_transition, plan_sweep, run_paired_experiment,
                          weighted_mean_difference)
 from cavityshift import analysis
-from cavityshift.analysis import (_SIGMA_FLOOR, MK_PER_K,
+from cavityshift.analysis import (_SIGMA_FLOOR, _SQRT_PI, MK_PER_K,
                                   DerivativeCurve, DifferenceCurve, FitFailure,
                                   FitResult, _aggregate_repeats, _damped_step,
                                   _evaluate, _normal_equations, _row_stack,
@@ -1326,6 +1326,48 @@ class TestFitMatchesReference:
         assert outcome[0] is InputError
         want = fit_outcome(reference_fit_transition, curve)
         assert outcome == (want if message is None else (want[0], message, want[2]))
+
+
+def reference_t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
+                              r_n: float) -> tuple[float, float]:
+    """t_star_variance's body as it once was, evaluating the noise-free
+    curve to fill the rows."""
+    rows = _row_stack(temperatures.size)
+    _evaluate(temperatures, resistive_transition(temperatures, t_star, width, r_n),
+              t_star, width, r_n, rows)
+    jtj = _normal_equations(width, r_n, rows, second_order=False)[0]
+    column = _damped_step(jtj, (-1.0, 0.0, 0.0), 0.0)
+    if column is None:
+        return math.inf, math.inf
+    gauss, ugauss, shape = rows[1:4]
+    # the row factors c0 and c1 of _normal_equations
+    c0 = -r_n / _SQRT_PI * (ERF_WIDTH_FACTOR / (width * 1e-3))
+    c1 = -r_n / (_SQRT_PI * width)
+    # per sample, (J A^-1)[i, 0] J_0: its share of t*'s shift per unit jitter
+    shift = (c0 * column[0]) * gauss + (c1 * column[1]) * ugauss
+    shift += (0.5 * column[2]) * shape
+    shift *= c0 * gauss
+    return column[0], float(shift.dot(shift)) * 1e-6
+
+
+class TestTStarVarianceMatchesReference:
+    """t_star_variance forms no curve: J^T J and the jitter term read no
+    residual, so both variances keep their bits."""
+
+    @settings(deadline=None, max_examples=300)
+    @example(n=200, position=0.5, width_fraction=0.125, log_r_n=1.0)
+    @example(n=200, position=0.5, width_fraction=0.125, log_r_n=-12.0)
+    @example(n=200, position=0.5, width_fraction=0.125, log_r_n=12.0)
+    @example(n=20, position=1.4, width_fraction=0.001, log_r_n=12.0)
+    @given(n=st.integers(20, 400), position=st.floats(-0.5, 1.5),
+           width_fraction=st.floats(1e-3, 2.0), log_r_n=st.floats(-12.0, 12.0))
+    def test_same_bits(self, n, position, width_fraction, log_r_n):
+        # a 0.4 K sweep at 1.3 K, t* up to half a span past either end, the
+        # 10-90 width from 0.4 mK to 800 mK, and r_n over its whole domain
+        t = np.linspace(1.3, 1.7, n)
+        t_star, width, r_n = 1.3 + 0.4 * position, 400.0 * width_fraction, 10.0 ** log_r_n
+        assert float_bits(analysis.t_star_variance(t, t_star, width, r_n)) == \
+            float_bits(reference_t_star_variance(t, t_star, width, r_n))
 
 
 class TestConvergenceReport:

@@ -24,6 +24,11 @@ from cavityshift.errors import InputError
 from cavityshift.fileio import write_json
 
 
+#: A normal resistance of 1e12 ohm, the top of its domain, with the noise
+#: that calibrates the reference plan there to 0.1 mK.
+BIG_RESISTANCE = {"instrument": {"normal_resistance": 1e12, "resistance_noise": 7.4e9}}
+
+
 def read_model_curves(path):
     rows = {}
     with open(path, encoding="utf-8") as handle:
@@ -1121,6 +1126,21 @@ class TestSensitivityCommand:
         sigma_r = payload["config"]["instrument"]["resistance_noise"]
         assert kappa * sigma_r == pytest.approx(payload["delta_n_mK"], rel=0.05)
 
+    def test_predicted_slope_at_a_teraohm_normal_resistance(self, tmp_path):
+        # it once read 80 times kappa_R at 10 ohm / 1e11, set by the 1 pK floor
+        from cavityshift import ModelParams, delta_n_per_ohm
+
+        config = default_run_config()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BIG_RESISTANCE), encoding="utf-8")
+        out = tmp_path / "sens"
+        assert main(["sensitivity", "--config", str(path), "--trials", "100",
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "sensitivity.json").read_text(encoding="utf-8"))
+        kappa_r = delta_n_per_ohm(ModelParams(), config.instrument, config.plan)[0]
+        assert payload["delta_n_per_ohm_predicted"] == pytest.approx(kappa_r / 1e11,
+                                                                     rel=1e-15)
+
     def test_null_model_reports_low_z(self, tmp_path):
         config = asdict(default_run_config())
         config["model"]["delta_inf"] = 0.0
@@ -1154,6 +1174,22 @@ class TestCalibrateCommand:
         assert payload["delta_n_per_ohm_predicted"] == delta_n_per_ohm(
             ModelParams(), config.instrument, config.plan)[0]
         assert payload["delta_n_floor_mK"] == 0.0
+
+    def test_teraohm_normal_resistance_calibrates(self, tmp_path):
+        # its first probe was once set by the 1 pK floor: sigma_R 9.182e7 ohm,
+        # a study's delta_n 0.0012 mK against the 0.1 mK target (exit 6)
+        from cavityshift import ModelParams, delta_n_per_ohm
+
+        config = default_run_config()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BIG_RESISTANCE), encoding="utf-8")
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(path), "--trials", "200",
+                     "--out", str(out)]) == 0
+        sigma_r = json.loads((out / "calibration.json").read_text(
+            encoding="utf-8"))["sigma_r_ohm"]
+        kappa_r = delta_n_per_ohm(ModelParams(), config.instrument, config.plan)[0]
+        assert sigma_r == pytest.approx(1e11 * 0.1 / kappa_r, rel=1e-15)
 
     def test_plan_with_two_fields_exits_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -426,9 +426,25 @@ class TestPredictedSlope:
             params, replace(reference, normal_resistance=normal_resistance), plan)
         assert all(map(math.isfinite, at_end)) and at_end[0] > 0
         assert at_end[1] == pytest.approx(kappa_t, rel=1e-9)
-        if normal_resistance == MIN_RESISTANCE:  # at 1e12 ohm the 1 pK floor binds
-            assert at_end[0] == pytest.approx(kappa_r * 10.0 / normal_resistance,
-                                              rel=1e-9)
+        assert at_end[0] == pytest.approx(kappa_r * 10.0 / normal_resistance, rel=1e-9)
+
+    @pytest.mark.parametrize("normal_resistance", [MIN_RESISTANCE, 1e10, 1e11,
+                                                   MAX_RESISTANCE])
+    @pytest.mark.parametrize("fields", [None, [50.0, 100.0, 150.0, 200.0]],
+                             ids=["reference", "four-fields"])
+    def test_scales_as_one_over_r_n_over_the_whole_domain(self, fields,
+                                                          normal_resistance):
+        # kappa_R once took each t* sigma at 1 ohm of noise, which fell
+        # under the 1 pK floor past about 1e10 ohm: at 1e11 and 1e12 ohm it
+        # read 8 and 80 times its exact value on the reference plan
+        config = run_config_from_dict({"plan": {"fields": fields} if fields else {}})
+        kappa_r, kappa_t = delta_n_per_ohm(config.model, config.instrument, config.plan)
+        assert config.instrument.normal_resistance == 10.0
+        at_r_n = delta_n_per_ohm(
+            config.model, replace(config.instrument, normal_resistance=normal_resistance),
+            config.plan)
+        assert at_r_n[0] * normal_resistance == pytest.approx(kappa_r * 10.0, rel=1e-15)
+        assert at_r_n[1] == pytest.approx(kappa_t, rel=1e-15)
 
     def test_four_repetitions_halve_it(self, params, reference, plan, kappa):
         plan4 = replace(plan, repetitions=4)
