@@ -82,6 +82,18 @@ once; a ``simulate`` goes on to ``analyze`` its run, which exits 4 where
   the 1 pK floor at that r_n, so the study reported
   ``delta_n_per_ohm_predicted`` 1.089e-9 mK/ohm, 80 times 13.51 / r_n,
   and the calibration's one study missed its target (exit 6)
+- ``simulate`` and ``sensitivity --trials 100`` at a transition width
+  of 0.25 mK, whose derived span covers the fields' spread, 1.25 times
+  the deepest film depression plus 2 widths: at eight widths, 4 of its
+  noise-free curves failed the fit's plateau rule, and every trial of
+  the study failed (exit 2)
+- ``calibrate --trials 200`` at a transition width of 0.5 mK, whose
+  0.1 mK target needs 7.3 ohm of noise on 10 ohm, where every trial of
+  the checking study fails: exit 6, where it once exited 2
+- ``sensitivity --trials 100`` over a given ``t_span`` of 12 mK, which
+  clips both plateaus of every 50 mK wide transition and exits 2 before
+  any trial, naming the film transition at 50 G; the study once fitted
+  every trial first
 - ``sensitivity --trials 200``
 - ``sensitivity --trials 200`` on the 4-field plan, whose derivative
   contrast and its sigma are not finite and are written as ``null``
@@ -184,6 +196,11 @@ CONFIGS = {
                                       "resistance_noise": 7.4e9}},
                       {"simulate": [], "sensitivity": ["--trials", "100"],
                        "calibrate": ["--trials", "200"]}),
+    "narrowwidth": ({"instrument": {"transition_width": 0.25}},
+                    {"simulate": [], "sensitivity": ["--trials", "100"]}),
+    "narrowcalibration": ({"instrument": {"transition_width": 0.5}},
+                          {"calibrate": ["--trials", "200"]}),
+    "narrowspan": ({"plan": {"t_span": 0.012}}, {"sensitivity": ["--trials", "100"]}),
 }
 
 

@@ -265,6 +265,29 @@ def t_star_variance(temperatures: np.ndarray, t_star: float, width: float,
 _MAX_ABS_RESISTANCE, _MIN_PLATEAU = 1e3 * MAX_RESISTANCE, 1e-3 * MIN_RESISTANCE
 
 
+def plateau_level(r_sorted: np.ndarray) -> float:
+    """The plateau level r_top of a curve's resistances, sorted
+    ascending: the mean of their top tenth (at least two).
+
+    Raises :class:`InputError` when r_top is below 1e-15 ohm (no
+    resistive plateau) or when fewer than 10% of the points lie below
+    0.2 r_top or fewer than 10% above 0.8 r_top (the curve does not span
+    both plateaus).  It is the one rule for a measured curve
+    (:func:`fit_transition`) and for a plan's noise-free curves
+    (:func:`sensitivity.delta_n_per_ohm`).
+    """
+    n = r_sorted.size
+    k = max(2, n // 10)
+    r_top = float(r_sorted[-k:].sum()) / k  # bit-equal to .mean()
+    if not (r_top >= _MIN_PLATEAU):
+        raise InputError("no resistive plateau found")
+    below = int(r_sorted.searchsorted(0.2 * r_top))                # r < 0.2 r_top
+    above = n - int(r_sorted.searchsorted(0.8 * r_top, "right"))  # r > 0.8 r_top
+    if below / n < 0.1 or above / n < 0.1:
+        raise InputError("curve does not span both resistance plateaus")
+    return r_top
+
+
 def _fit_error(message: str, iterations: int, cost: float, n: int,
                t_star: float, width: float, r_n: float) -> FitError:
     """The :class:`FitError` of a fit at its last point."""
@@ -276,9 +299,8 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     """Least-squares erf fit of one curve (Levenberg-Marquardt).
 
     Requires more than one distinct temperature, resistances within
-    +-1e15 ohm, a resistive plateau of at least 1e-15 ohm and both
-    plateaus to be sampled (at least 10% of the points below 0.2 r_n and
-    above 0.8 r_n), otherwise :class:`InputError`.
+    +-1e15 ohm and the plateaus of :func:`plateau_level`, otherwise
+    :class:`InputError`.
     The fit converges when a proposed step changes no parameter by more
     than ``_XTOL`` (1e-10) relative, whether or not that step would lower
     the cost; the current point is then kept.  ``_MAX_ITER`` (100) bounds
@@ -325,19 +347,12 @@ def fit_transition(curve: TransitionCurve) -> FitResult:
     if not (-_MAX_ABS_RESISTANCE <= r_sorted[0] and r_sorted[-1] <= _MAX_ABS_RESISTANCE):
         raise InputError(f"resistances must be finite and within "
                          f"+-{_MAX_ABS_RESISTANCE:g} ohm")
-    k = max(2, n // 10)
-    r_top = float(r_sorted[-k:].sum()) / k  # bit-equal to .mean()
     # The fit runs on R as given.  In its domain an accepted cost is below
     # n (2e15 ohm)^2 < 1e39 ohm^2 (n <= MAX_PLAN_SAMPLES) and the t* and
     # width bounds of a step hold |u| below 20 n, so every square and Gram
     # entry is finite, and only the exp(-u^2) rows reach the subnormals, at
     # any scale of R: scaling R by a power of two moves no bit of the fit.
-    if not (r_top >= _MIN_PLATEAU):
-        raise InputError("no resistive plateau found")
-    below = int(r_sorted.searchsorted(0.2 * r_top))                # r < 0.2 r_top
-    above = n - int(r_sorted.searchsorted(0.8 * r_top, "right"))  # r > 0.8 r_top
-    if below / n < 0.1 or above / n < 0.1:
-        raise InputError("curve does not span both resistance plateaus")
+    r_top = plateau_level(r_sorted)
 
     min_width = 0.2 * step_mk
     span = float(t[-1] - t[0])

@@ -54,7 +54,8 @@ class SweepPlan:
         if any(b <= a for a, b in zip(self.fields, self.fields[1:])):
             raise InputError("fields must be strictly increasing")
         # a derived centre lies in [t_c/2, t_c] and a derived span, eight
-        # widths, within eight times the highest Tc
+        # widths or 1.25 t_c + 2 widths at most, within eight times the
+        # highest Tc
         check_number("t_center_guess", self.t_center_guess, at_least=0,
                      at_most=model.MAX_T_C)
         check_number("t_span", self.t_span, above=0, at_most=8 * model.MAX_T_C)
@@ -142,7 +143,7 @@ def plan_sweep(params: model.ModelParams, cfg: InstrumentConfig, fields=...,
                          f"h_v = {params.h_v!r} G)") from exc
     try:
         return SweepPlan(**{"fields": fields, "t_center_guess": center,
-                            "t_span": sweep_span(cfg), **given})
+                            "t_span": sweep_span(params, cfg, fields), **given})
     except InputError as exc:
         if "t_span" in given or "t_span" not in str(exc):
             raise
@@ -158,9 +159,27 @@ def sweep_center(params: model.ModelParams, fields) -> float:
     return params.t_c - 0.5 * deepest * 1e-3
 
 
-def sweep_span(cfg: InstrumentConfig) -> float:
-    """Grid span (K) of eight transition widths."""
-    return 8.0 * cfg.transition_width * 1e-3
+def sweep_span(params: model.ModelParams, cfg: InstrumentConfig, fields) -> float:
+    """Grid span (K) of eight transition widths w, or 1.25 delta_max + 2 w
+    where that is wider, delta_max the deepest film depression of
+    ``fields`` (mK).
+
+    An erf of 10-90 width w reaches 80% of its plateau
+    erfinv(0.6) / (2 erfinv(0.8)) w = 0.33 w past its midpoint, and 20%
+    as far before it.  Every midpoint lies within delta_max / 2 of the
+    :func:`sweep_center`, so the top tenth of the grid, which starts
+    0.4 span past the centre, lies past every curve's 80% level when
+    0.4 span >= delta_max / 2 + 0.33 w, i.e. span >= 1.25 delta_max +
+    0.82 w, and the bottom tenth lies below every 20% level alike: the
+    edge of :func:`analysis.plateau_level`'s rule on noise-free curves.
+    The margin c = 2 in place of 0.82 moves the inner end of each outer
+    tenth (0.4 c - 0.33) w = 0.47 w further out, where a noise-free
+    curve is within 2% of its plateau, so the top tenth's mean r_top
+    lies within 2% of r_n and no point sits on the rule's edge.
+    """
+    deepest = model.film_delta(params, max(_field_tuple(fields)))  # mK
+    width = cfg.transition_width
+    return max(8.0 * width, 1.25 * deepest + 2.0 * width) * 1e-3
 
 
 def temperature_grid(plan: SweepPlan) -> np.ndarray:

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import model
 from .analysis import (MAX_FAILED_FRACTION, FitResult, analyze_dataset,
-                       build_delta_curve, t_star_variance, weighted_mean_difference)
+                       build_delta_curve, plateau_level, t_star_variance,
+                       weighted_mean_difference)
 from .errors import CalibrationError, InputError, check_number, is_number
 from .instrument import InstrumentConfig
-from .protocol import SweepPlan, plan_table, run_paired_experiment, temperature_grid
+from .protocol import SweepPlan, plan_table, run_paired_experiment
 
 #: Fewest trials a study may run.
 MIN_TRIALS = 100
@@ -62,12 +63,11 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
 
     1. a ``trials`` that is not an integer, or fewer than
        :data:`MIN_TRIALS` trials,
-    2. no field at or above h_v (the significance is taken there),
-    3. a temperature grid wholly at or below the cryostat floor (every
-       setpoint is clamped to it, so no curve has a transition to fit), or
-    4. checked last, a plan whose noise-free delta curves
+    2. no field at or above h_v (the significance is taken there), or
+    3. checked last, a plan whose noise-free delta curves
        :func:`delta_n_per_ohm` cannot build: a sweep that does not
-       resolve a transition (a singular fit covariance), fewer than 3
+       resolve a transition (a noise-free curve that the fit would refuse
+       for its plateaus, or a singular fit covariance), fewer than 3
        fields (a delta curve needs 3), or a field grid that the Tc
        regression cannot resolve (a rank-deficient regression against
        H^2).
@@ -78,9 +78,6 @@ def _check_study(params: model.ModelParams, cfg: InstrumentConfig, plan: SweepPl
     if not any(field >= params.h_v for field in plan.fields):
         raise InputError(f"no field at or above h_v = {params.h_v:g} G, where the "
                          f"detection significance is taken")
-    if temperature_grid(plan)[-1] <= cfg.base_temperature:
-        raise InputError(f"the temperature grid lies wholly at or below the cryostat "
-                         f"floor base_temperature = {cfg.base_temperature:g} K")
     return delta_n_per_ohm(params, cfg, plan)
 
 
@@ -111,22 +108,27 @@ def delta_n_per_ohm(params: model.ModelParams, cfg: InstrumentConfig,
     1 pK floor at any r_n.  So delta_n is predicted as hypot(kappa_R
     sigma_R, kappa_T sigma_T), and kappa_T sigma_T is its noise-free floor.
 
-    Raises :class:`InputError` when a fit covariance is singular (the
-    sweep does not resolve that transition, so no study could fit it),
-    or when the builder rejects the film or cavity curve (fewer than 3
-    fields, or a rank-deficient Tc regression).
+    Raises :class:`InputError` when a noise-free profile fails the
+    fit's :func:`analysis.plateau_level` rule or a fit covariance is
+    singular (the sweep does not resolve that transition, so no study
+    could fit it), or when the builder rejects the film or cavity curve
+    (fewer than 3 fields, or a rank-deficient Tc regression).
     """
     table = plan_table(params, plan, cfg.base_temperature, cfg.transition_width,
                        cfg.normal_resistance)
     fits = [{kind: [] for kind in model.KINDS} for _ in range(2)]  # kappa_R, kappa_T
     unit = math.ldexp(1.0, math.frexp(cfg.normal_resistance)[1])  # ohm, 2^k > r_n
     for kind, t_stars in table.t_stars.items():
-        for field, t_star in zip(plan.fields, t_stars):
+        for field, t_star, profile in zip(plan.fields, t_stars, table.profiles[kind]):
+            prefix = f"the sweep does not resolve the {kind} transition at {field:g} G"
+            try:
+                plateau_level(np.sort(profile))
+            except InputError as exc:
+                raise InputError(f"{prefix}: {exc}") from None
             variances = t_star_variance(table.setpoints, t_star, cfg.transition_width,
                                         cfg.normal_resistance)
             if not variances[0] < math.inf:
-                raise InputError(f"the sweep does not resolve the {kind} transition "
-                                 f"at {field:g} G: its fit covariance is singular")
+                raise InputError(f"{prefix}: its fit covariance is singular")
             for by_kind, v, noise in zip(fits, variances, (unit, 1.0)):
                 fit = FitResult(t_star, math.sqrt(v) * noise, cfg.transition_width,
                                 cfg.normal_resistance, 0.0, 0)
@@ -263,11 +265,11 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
 
     Raises :class:`CalibrationError` before any trial when the target
     lies at or below the floor (the config is valid, but this instrument
-    cannot reach the target), and after the study, naming it as
-    (sigma_R, delta_n, failed trials), when its delta_n misses the
-    tolerance or the study is invalid (more than 1% of its trials failed,
-    so its delta_n measures the failed fits' outliers rather than the
-    noise).
+    cannot reach the target); after the study, naming sigma_R and the
+    reason, when every trial of it failed; and naming it as (sigma_R,
+    delta_n, failed trials) when its delta_n misses the tolerance or the
+    study is invalid (more than 1% of its trials failed, so its delta_n
+    measures the failed fits' outliers rather than the noise).
     """
     check_number("target delta_n", target_delta_n, above=0)
     if not is_number(tolerance):
@@ -282,7 +284,11 @@ def calibrate_noise(target_delta_n: float, cfg: InstrumentConfig, plan: SweepPla
             f"target {target_delta_n} mK lies below the noise-free floor of delta_n, "
             f"{floor:.4g} mK from {cfg.temperature_jitter:g} mK of temperature jitter")
     sigma = target_delta_n * math.sqrt((1.0 - ratio) * (1.0 + ratio)) / kappa_r
-    study = run_sensitivity(params, replace(cfg, resistance_noise=sigma), plan, trials)
+    try:
+        study = run_sensitivity(params, replace(cfg, resistance_noise=sigma), plan,
+                                trials)
+    except InputError as exc:  # the plan passed _check_study: every trial failed
+        raise CalibrationError(f"the study at sigma_R = {sigma:.4g} ohm: {exc}") from None
     if not abs(study.delta_n - target_delta_n) <= tolerance * target_delta_n:
         reason = (f"delta_n lies outside tolerance {tolerance:g} of the target "
                   f"{target_delta_n} mK")

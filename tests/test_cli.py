@@ -806,8 +806,12 @@ class TestSimulateAnalyze:
     @pytest.mark.parametrize("command", ["model-curve", "simulate", "sensitivity",
                                          "calibrate"])
     @pytest.mark.parametrize("section", [{"plan": {"t_span": 1e-300, "t_center_guess": 1.4}},
+                                         # eight 1 pK widths at 1000 K, derived for
+                                         # a field of 0, where no depression widens
+                                         # the span
                                          {"model": {"t_c": 1000.0},
-                                          "instrument": {"transition_width": 1e-9}}])
+                                          "instrument": {"transition_width": 1e-9},
+                                          "plan": {"fields": [0.0]}}])
     def test_collapsed_temperature_grid_exits_config(self, tmp_path, capsys, command,
                                                      section):
         # such a plan once failed in the first curve (simulate, sensitivity),
@@ -863,15 +867,16 @@ class TestSimulateAnalyze:
 
     @pytest.mark.parametrize("command", ["sensitivity", "calibrate"])
     def test_study_at_the_cryostat_floor_exits_config(self, tmp_path, capsys, command):
-        # sensitivity once ended in ZeroDivisionError in its first trial
+        # sensitivity once ended in ZeroDivisionError in its first trial; the
+        # fit's plateau rule refuses the flat noise-free curves at the floor
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"plan": {"t_center_guess": 0.1, "t_span": 0.1}}),
                           encoding="utf-8")
         out = tmp_path / "study"
         assert main([command, "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
-        assert ("the temperature grid lies wholly at or below the cryostat floor "
-                "base_temperature = 0.3 K") in capsys.readouterr().err
+        assert ("input error: the sweep does not resolve the film transition at 50 G: "
+                "no resistive plateau found") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sensitivity", "calibrate"])
@@ -886,15 +891,34 @@ class TestSimulateAnalyze:
         assert "film Tc regression is rank deficient" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_study_whose_every_trial_fails_names_the_reason(self, tmp_path, capsys):
-        # a 12 mK sweep passes the study checks, then no curve reaches both
-        # plateaus; the exit once said only "nothing to report"
+    def test_sweep_clipping_the_plateaus_exits_before_any_trial(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # a 12 mK sweep of a 50 mK wide transition: the study once passed its
+        # checks, fitted all 2000 curves and then exited "every trial failed"
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sensitivity, "run_paired_experiment", trial)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"plan": {"t_span": 0.012}}), encoding="utf-8")
         out = tmp_path / "study"
         assert main(["sensitivity", "--config", str(config), "--trials", "100",
                      "--out", str(out)]) == 2
-        assert ("every trial failed its fits; nothing to report (100 of 100 failed "
+        assert ("input error: the sweep does not resolve the film transition at 50 G: "
+                "curve does not span both resistance plateaus") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_study_whose_every_trial_fails_names_the_reason(self, tmp_path, capsys):
+        # 10 ohm of noise on the reference plan: its noise-free curves pass
+        # the study checks, then every noisy trial fails a fit; the exit once
+        # said only "nothing to report"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instrument": {"resistance_noise": 10.0}}),
+                          encoding="utf-8")
+        out = tmp_path / "study"
+        assert main(["sensitivity", "--config", str(config), "--trials", "100",
+                     "--out", str(out)]) == 2
+        assert ("every trial failed its fits; nothing to report (81 of 100 failed "
                 "with: curve does not span both resistance plateaus)"
                 in capsys.readouterr().err)
         assert not out.exists()
@@ -1216,6 +1240,22 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.startswith("calibration error")
         assert "lies below the noise-free floor" in err
+        assert not (out / "calibration.json").exists()
+
+    def test_checking_study_whose_every_trial_fails_exits_calibration(self, tmp_path,
+                                                                       capsys):
+        # at 0.5 mK the 0.1 mK target needs 7.3 ohm of noise on 10 ohm, where
+        # every trial fails the plateau rule; this once exited 2, while the
+        # same cause with a few trials passing exited 6
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"instrument": {"transition_width": 0.5}}),
+                          encoding="utf-8")
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(config), "--trials", "200",
+                     "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("calibration error: the study at sigma_R = 7.295 ohm: "
+                              "every trial failed its fits")
         assert not (out / "calibration.json").exists()
 
     @pytest.mark.parametrize("command", [["calibrate"]])

@@ -279,8 +279,10 @@ def test_a_refused_derived_span_names_the_transition_width():
 
 @pytest.mark.parametrize("config, ending", [
     ({"plan": {"t_span": 1e-300}}, "for n_points=200 strictly increasing temperatures"),
-    # eight 1 pK widths are finer than the float spacing at 1000 K
-    ({"model": {"t_c": 1000.0}, "instrument": {"transition_width": 1e-9}},
+    # eight 1 pK widths are finer than the float spacing at 1000 K; at a
+    # field of 0 no depression widens the span
+    ({"model": {"t_c": 1000.0}, "instrument": {"transition_width": 1e-9},
+      "plan": {"fields": [0.0]}},
      "temperatures (t_span was derived from transition_width = 1e-09 mK)"),
 ])
 def test_a_collapsed_grid_names_only_a_derived_source(config, ending):
@@ -347,7 +349,7 @@ def test_plan_table_and_readout_stay_finite_at_the_domain_corners(
         plan = SweepPlan(fields=fields, n_points=20,
                          t_center_guess=sweep_center(params, fields) if center is None
                          else center,
-                         t_span=sweep_span(cfg) if span is None else span)
+                         t_span=sweep_span(params, cfg, fields) if span is None else span)
     except InputError as exc:
         # eight 1 pK widths are finer than the float spacing at 1000 K
         assert (t_c, width, span) == (MAX_T_C, MIN_DELTA_V, None), exc

@@ -164,9 +164,9 @@ def test_critical_field_returns_only_admitted_fields(params, kind, fraction):
 @given(params=domain_models(), width=or_ends(MIN_DELTA_V, 1e6))
 def test_every_derived_plan_builds_or_names_its_source(params, width):
     # the derived centre t_c - deepest/2 lies in [t_c/2, t_c] and the
-    # derived span within 8e3 K, so only the derived fields (past the bound
-    # above delta_v = 40*t_c) and a derived span too narrow for its grid
-    # can be refused
+    # derived span, max(8 w, 1.25 deepest + 2 w), within 8e3 K, so only the
+    # derived fields (past the bound above delta_v = 40*t_c) and a derived
+    # span too narrow for its grid can be refused
     config = {"model": {"t_c": params.t_c, "alpha": params.alpha, "h_v": params.h_v,
                         "delta_inf": params.delta_inf},
               "instrument": {"transition_width": width}}
@@ -179,7 +179,8 @@ def test_every_derived_plan_builds_or_names_its_source(params, width):
                                       f"{width!r} mK)"))
             return
     assert plan.t_center_guess >= 0.5 * params.t_c * (1.0 - 1e-15)
-    assert plan.t_span == 8e-3 * width
+    deepest = film_delta(params, plan.fields[-1])
+    assert plan.t_span == max(8.0 * width, 1.25 * deepest + 2.0 * width) * 1e-3
 
 
 @settings(deadline=None)

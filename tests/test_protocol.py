@@ -52,6 +52,13 @@ class TestPlan:
             params.t_c - 0.5 * film_delta(params, 150.0) * 1e-3, rel=1e-12)
         assert plan.n_points == 200
 
+    def test_narrow_span_covers_the_fields_spread(self, params, quiet):
+        # 1.25 delta_max + 2 w, wider than eight 0.25 mK widths on these fields
+        narrow = replace(quiet, transition_width=0.25)
+        plan = plan_sweep(params, narrow, [50.0, 250.0])
+        deepest = film_delta(params, 250.0)
+        assert plan.t_span == (1.25 * deepest + 2.0 * 0.25) * 1e-3 > 8 * 0.25e-3
+
     def test_zero_field_centers_on_t_c(self, params, quiet):
         plan = plan_sweep(params, quiet, [0.0])
         assert plan.t_center_guess == pytest.approx(params.t_c, rel=1e-12)
@@ -532,10 +539,11 @@ class TestCollapsedGrid:
             SweepPlan(fields=(10.0,), t_center_guess=center, t_span=span)
 
     def test_derived_plan_of_a_sub_resolution_width_rejected(self):
-        # eight 1 pK widths are finer than the float spacing at 1000 K
+        # eight 1 pK widths are finer than the float spacing at 1000 K; at a
+        # field of 0 no depression widens the span
         narrow = InstrumentConfig(transition_width=1e-9)
         with pytest.raises(InputError, match="temperature grid collapses"):
-            plan_sweep(ModelParams(t_c=1000.0), narrow, [50.0])
+            plan_sweep(ModelParams(t_c=1000.0), narrow, [0.0])
 
     def test_narrow_distinct_grid_accepted(self):
         plan = SweepPlan(fields=(10.0,), t_center_guess=1.0, t_span=1e-12)

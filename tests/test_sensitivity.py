@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf, erfinv
 
 from cavityshift import (CalibrationError, InputError, InstrumentConfig,
@@ -14,7 +15,7 @@ from cavityshift import (CalibrationError, InputError, InstrumentConfig,
                          film_delta, plan_sweep, run_paired_experiment,
                          run_sensitivity, sensitivity, weighted_mean_difference)
 from cavityshift import SensitivityReport
-from cavityshift.analysis import MK_PER_K, t_star_variance
+from cavityshift.analysis import MK_PER_K, plateau_level, t_star_variance
 from cavityshift.config import run_config_from_dict
 from cavityshift.instrument import MAX_RESISTANCE, MIN_RESISTANCE
 from cavityshift.protocol import plan_table
@@ -379,6 +380,34 @@ def reference_delta_n_per_ohm(params, cfg, plan, variance=resistance_variance):
     return MK_PER_K * math.sqrt(float(np.mean(pooled)))
 
 
+class TestPlateauRule:
+    """The study check applies the fit's plateau rule to the noise-free
+    curves of a plan, and a derived plan passes it."""
+
+    #: The default fields, a 4-field plan and a split plan of 5 fields from
+    #: 0 to 100 G and 5 from 150 to 500 G.
+    FIELD_LISTS = {"default": None, "four": [50.0, 100.0, 150.0, 200.0],
+                   "split": [0.0, 25.0, 50.0, 75.0, 100.0,
+                             150.0, 237.5, 325.0, 412.5, 500.0]}
+
+    @settings(deadline=None, max_examples=60)
+    @given(width=st.floats(math.log(0.1), math.log(50.0)).map(math.exp),
+           fields=st.sampled_from(list(FIELD_LISTS.values())))
+    def test_every_noise_free_curve_of_a_derived_plan_passes(self, width, fields):
+        # the derived span once stayed eight widths whatever the fields'
+        # spread: below about 0.29 mK curves of the default fields failed
+        data = {"instrument": {"transition_width": width}}
+        if fields is not None:
+            data["plan"] = {"fields": fields}
+        config = run_config_from_dict(data)
+        cfg = config.instrument
+        table = plan_table(config.model, config.plan, cfg.base_temperature, width,
+                           cfg.normal_resistance)
+        for profiles in table.profiles.values():
+            for profile in profiles:
+                assert plateau_level(np.sort(profile)) >= 0.98 * cfg.normal_resistance
+
+
 class TestPredictedSlope:
     """delta_n_per_ohm, the closed-form delta_n per unit resistance noise
     and per unit temperature jitter of a plan."""
@@ -462,12 +491,18 @@ class TestPredictedSlope:
         study = run_sensitivity(params, reference, plan, 200)
         assert abs(study.delta_n - kappa * REFERENCE_SIGMA_R) <= 3 * study.delta_n_se
 
+    # a sweep 2 K above every transition, and one of 12 mK around 50 mK
+    # wide transitions, which the study check once passed
+    @pytest.mark.parametrize("shift, span", [(2.0, None), (0.0, 0.012)],
+                             ids=["above-the-transitions", "clipping-the-plateaus"])
     def test_unresolved_transition_rejected_before_any_study(
-            self, params, reference, plan, stub):
+            self, params, reference, plan, stub, shift, span):
         probes = stub(lambda sigma: 1.34 * sigma)
-        shifted = replace(plan, t_center_guess=plan.t_center_guess + 2.0)
-        with pytest.raises(InputError, match="does not resolve the film transition "
-                                             "at 50 G"):
+        shifted = replace(plan, t_center_guess=plan.t_center_guess + shift,
+                          t_span=span or plan.t_span)
+        with pytest.raises(InputError, match="^the sweep does not resolve the film "
+                                             "transition at 50 G: curve does not span "
+                                             "both resistance plateaus$"):
             calibrate_noise(0.1, reference, shifted, params=params)
         assert probes == []
 
